@@ -14,93 +14,4 @@ Subpackage map:
   command-line front end.
 """
 
-from lfbloch.dynamics import (
-    BlochNormWarning,
-    DriveEnvelope,
-    EffectiveParams,
-    EmitterParams,
-    MicroscopicParams,
-    SystemState,
-    Trajectory,
-    effective_rhs,
-    integrate,
-    microscopic_rhs,
-)
-from lfbloch.medium import (
-    GaussianInputs,
-    HostSpecies,
-    LocalFieldFactor,
-    RateComparison,
-    SingularHostError,
-    level_shift,
-    level_shift_signed,
-    local_field_factor,
-    ndd_strength,
-    radiative_rate,
-    rate_comparison,
-)
-from lfbloch.ode import StepSizeUnderflowError
-from lfbloch.verify import (
-    CheckResult,
-    ConvergenceRow,
-    DegenerateModesWarning,
-    EliminationResult,
-    FitResult,
-    FitWindowError,
-    SamplingTooCoarseError,
-    convergence_study,
-    coupled_mode_eigenvalues,
-    default_fit_window,
-    eliminate_host,
-    fit_decay,
-    fit_frequency,
-    predicted_slow_eigenvalue,
-    run_battery,
-    slow_eigenvalue,
-    weak_excitation_trajectory,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlochNormWarning",
-    "CheckResult",
-    "ConvergenceRow",
-    "DegenerateModesWarning",
-    "DriveEnvelope",
-    "EffectiveParams",
-    "EliminationResult",
-    "EmitterParams",
-    "FitResult",
-    "FitWindowError",
-    "GaussianInputs",
-    "HostSpecies",
-    "LocalFieldFactor",
-    "MicroscopicParams",
-    "RateComparison",
-    "SamplingTooCoarseError",
-    "SingularHostError",
-    "StepSizeUnderflowError",
-    "SystemState",
-    "Trajectory",
-    "convergence_study",
-    "coupled_mode_eigenvalues",
-    "default_fit_window",
-    "effective_rhs",
-    "eliminate_host",
-    "fit_decay",
-    "fit_frequency",
-    "integrate",
-    "level_shift",
-    "level_shift_signed",
-    "local_field_factor",
-    "microscopic_rhs",
-    "ndd_strength",
-    "predicted_slow_eigenvalue",
-    "radiative_rate",
-    "rate_comparison",
-    "run_battery",
-    "slow_eigenvalue",
-    "weak_excitation_trajectory",
-    "__version__",
-]

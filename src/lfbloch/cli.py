@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from lfbloch import __version__
 from lfbloch.config import (
@@ -94,18 +93,14 @@ def cmd_factor(args) -> int:
                 host = None
             else:
                 raise
-        if args.gamma_a <= 0.0:
-            raise ValueError(f"gamma_a must be positive, "
-                             f"got {args.gamma_a!r}")
+        if host is None:
+            ell, index = 1.0 + 0j, 1.0 + 0j
+        else:
+            factor = local_field_factor(host)
+            ell, index = factor.ell, factor.refractive_index
+        shift = level_shift(ell, args.gamma_a)
     except ValueError as exc:
         return _fail(str(exc))
-
-    if host is None:
-        ell, index = 1.0 + 0j, 1.0 + 0j
-    else:
-        factor = local_field_factor(host)
-        ell, index = factor.ell, factor.refractive_index
-    shift = abs(ell.imag) * args.gamma_a / 2.0
 
     if args.json:
         print(json.dumps({
@@ -418,7 +413,9 @@ def _sweep_point(spec: SweepSpec, index: int) -> list[str]:
                      - cfg.emitter.delta_a)
         return [value_str, _fmt(ell.real), _fmt(ell.imag),
                 _fmt(gamma_fit), _fmt(shift), ""]
-    except Exception as exc:  # noqa: BLE001 - recorded per point, run continues
+    except (ValueError, StepSizeUnderflowError) as exc:
+        # every domain error is a ValueError (config, singular host, fit
+        # window, aliasing, LinAlgError); recorded per point, run continues
         return [value_str, "", "", "", "", f"{type(exc).__name__}: {exc}"]
 
 
@@ -429,13 +426,11 @@ def cmd_sweep(args) -> int:
         return _fail(str(exc))
     if args.workers < 1:
         return _fail(f"--workers must be >= 1, got {args.workers!r}")
-
-    indices = range(len(spec.values))
     if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(lambda i: _sweep_point(spec, i), indices))
-    else:
-        rows = [_sweep_point(spec, i) for i in indices]
+        print("note: --workers is deprecated and ignored; the sweep runs "
+              "serially", file=sys.stderr)
+
+    rows = [_sweep_point(spec, i) for i in range(len(spec.values))]
 
     if args.output:
         fh = open(args.output, "w", newline="", encoding="utf-8")
@@ -508,8 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("sweep", help="sweep JSON file")
     p.add_argument("--output", help="CSV path (default: stdout)")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel evaluation (default 1, deterministic "
-                        "row order either way)")
+                   help="deprecated and ignored (must be >= 1): points "
+                        "are always evaluated serially")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -49,6 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from lfbloch.dynamics import (
+    TOL_MAX,
+    TOL_MIN,
     DriveEnvelope,
     EmitterParams,
     SystemState,
@@ -390,9 +392,10 @@ def parse_scenario(raw: dict, source: str = "scenario") -> ScenarioConfig:
     if not (math.isfinite(integration.span) and integration.span > 0.0):
         raise ConfigError(f"{source}.integration.span: must be positive "
                           f"and finite, got {integration.span!r}")
-    if not (1e-12 <= integration.tol <= 1e-4):
+    if not (TOL_MIN <= integration.tol <= TOL_MAX):
         raise ConfigError(f"{source}.integration.tol: must lie in "
-                          f"[1e-12, 1e-4], got {integration.tol!r}")
+                          f"[{TOL_MIN:g}, {TOL_MAX:g}], "
+                          f"got {integration.tol!r}")
     if integration.points < 2:
         raise ConfigError(f"{source}.integration.points: must be >= 2, "
                           f"got {integration.points!r}")

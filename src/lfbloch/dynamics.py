@@ -32,6 +32,10 @@ population decay rate becomes Re(ell)*gamma_a.
 Units are scaled: hbar = 1 and every rate is in units of the emitter decay
 rate gamma_a (kept explicit so undamped gamma_a = 0 runs are possible for
 model A).
+
+Both right-hand sides act on the real state vector the integrator
+advances: y = (Re s, Im s, w) for model A and
+y = (Re s, Im s, w, Re beta, Im beta) for model B.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -165,7 +170,7 @@ class MicroscopicParams:
     species radiate at the drive frequency, which fixes
     rho = sqrt(gamma_b/gamma_a); the couplings follow from requiring that
     eliminating the host reproduces the ell-renormalized effective model
-    exactly.
+    exactly.  They are computed once per parameter object, on first use.
     """
 
     emitter: EmitterParams
@@ -179,22 +184,22 @@ class MicroscopicParams:
             raise ValueError("microscopic model requires gamma_b > 0 "
                              "(a non-radiating host has no dipole moment)")
 
-    @property
+    @cached_property
     def dipole_ratio(self) -> float:
         """rho = sqrt(gamma_b/gamma_a)."""
         return math.sqrt(self.host.gamma_b / self.emitter.gamma_a)
 
-    @property
+    @cached_property
     def host_pole(self) -> complex:
         """alpha = i*(delta_b + eps_b + i*gamma_b/2)."""
         return 1j * self.host.pole_denominator
 
-    @property
+    @cached_property
     def coupling_host_to_emitter(self) -> complex:
         """C_a = i*eps_b/rho (host reaction field acting on the emitter)."""
         return 1j * self.host.eps_b / self.dipole_ratio
 
-    @property
+    @cached_property
     def coupling_emitter_to_host(self) -> complex:
         """C_b = i*rho*eps_a - rho*gamma_a/2 (emitter field driving the host)."""
         rho = self.dipole_ratio
@@ -203,10 +208,9 @@ class MicroscopicParams:
 
 @dataclass(frozen=True)
 class SystemState:
-    """Mean-field state: coherence s, inversion w, host amplitude beta.
+    """Initial mean-field state: coherence s, inversion w, host amplitude beta.
 
-    beta is None for the effective model.  The same container carries
-    time derivatives when returned by the RHS functions.
+    beta is None for the effective model.
     """
 
     s: complex
@@ -246,38 +250,35 @@ class Trajectory:
         return self.w**2 + 4.0 * np.abs(self.s) ** 2
 
 
-def effective_rhs(state: SystemState, p: EffectiveParams,
-                  t: float) -> SystemState:
+def effective_rhs(t: float, y: np.ndarray, p: EffectiveParams) -> np.ndarray:
     """Time derivative of model A; see the module docstring for the form.
 
-    The returned SystemState carries (ds/dt, dw/dt).
+    y = (Re s, Im s, w); returns (Re ds/dt, Im ds/dt, dw/dt).
     """
-    if state.beta is not None:
-        raise ValueError("effective model state must not carry a host "
-                         "amplitude beta")
     em = p.emitter
     ell = p.ell
-    s, w = state.s, state.w
+    s_re, s_im, w = y.tolist()
+    s = complex(s_re, s_im)
     om = em.drive.value(t)
     ds = (1j * em.delta_a * s - 1j * ell * em.eps_a * w * s
           + 0.5 * ell * om * w - 0.5 * ell * em.gamma_a * s)
     om_eff = ell * om - 2j * ell * em.eps_a * s
     dw = (-ell.real * em.gamma_a * (w + 1.0)
           - 2.0 * (om_eff * s.conjugate()).real)
-    return SystemState(s=ds, w=dw)
+    return np.array((ds.real, ds.imag, dw))
 
 
-def microscopic_rhs(state: SystemState, p: MicroscopicParams,
-                    t: float) -> SystemState:
+def microscopic_rhs(t: float, y: np.ndarray,
+                    p: MicroscopicParams) -> np.ndarray:
     """Time derivative of model B; see the module docstring for the form.
 
-    The returned SystemState carries (ds/dt, dw/dt, dbeta/dt).
+    y = (Re s, Im s, w, Re beta, Im beta); returns their time derivatives
+    in the same order.
     """
-    if state.beta is None:
-        raise ValueError("microscopic model state must carry a host "
-                         "amplitude beta")
     em = p.emitter
-    s, w, beta = state.s, state.w, state.beta
+    s_re, s_im, w, beta_re, beta_im = y.tolist()
+    s = complex(s_re, s_im)
+    beta = complex(beta_re, beta_im)
     rho = p.dipole_ratio
     c_a = p.coupling_host_to_emitter
     c_b = p.coupling_emitter_to_host
@@ -288,28 +289,12 @@ def microscopic_rhs(state: SystemState, p: MicroscopicParams,
     dw = (-em.gamma_a * (w + 1.0)
           - 2.0 * ((om + 2.0 * c_a * beta - 2j * em.eps_a * s)
                    * s.conjugate()).real)
-    return SystemState(s=ds, w=dw, beta=dbeta)
+    return np.array((ds.real, ds.imag, dw, dbeta.real, dbeta.imag))
 
 
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
-
-def _vector_rhs(model, params):
-    if model == "A":
-        def rhs(t, y):
-            d = effective_rhs(SystemState(s=complex(y[0], y[1]), w=y[2]),
-                              params, t)
-            return np.array((d.s.real, d.s.imag, d.w))
-    else:
-        def rhs(t, y):
-            d = microscopic_rhs(
-                SystemState(s=complex(y[0], y[1]), w=y[2],
-                            beta=complex(y[3], y[4])), params, t)
-            return np.array((d.s.real, d.s.imag, d.w, d.beta.real,
-                             d.beta.imag))
-    return rhs
-
 
 def _validate(model, params, initial, span, tol):
     model = str(model).upper()
@@ -368,7 +353,8 @@ def integrate(model: str, params, initial: SystemState, span: float,
     ------
     lfbloch.ode.StepSizeUnderflowError
         If the host pole is too stiff for the explicit method at this
-        tolerance (loosen tol or reduce |alpha|).
+        tolerance (loosen tol or reduce |alpha|), or if the right-hand
+        side went non-finite; the message says which.
     ValueError
         On invalid model/parameter/state/grid combinations.
 
@@ -391,12 +377,19 @@ def integrate(model: str, params, initial: SystemState, span: float,
         if times[0] < 0.0 or times[-1] > span:
             raise ValueError("sample grid must lie inside [0, span]")
 
+    # The right-hand side is looked up as a module global on every call,
+    # so a wrapper installed on lfbloch.dynamics sees each evaluation.
     if model == "A":
         y = np.array([initial.s.real, initial.s.imag, initial.w])
+
+        def rhs(t, y):
+            return effective_rhs(t, y, params)
     else:
         y = np.array([initial.s.real, initial.s.imag, initial.w,
                       initial.beta.real, initial.beta.imag])
-    rhs = _vector_rhs(model, params)
+
+        def rhs(t, y):
+            return microscopic_rhs(t, y, params)
 
     drive = params.emitter.drive
     cuts = sorted({b for b in drive.breakpoints() if 0.0 < b < span})

@@ -34,7 +34,6 @@ __all__ = [
     "radiative_rate",
     "local_field_factor",
     "level_shift",
-    "level_shift_signed",
     "rate_comparison",
 ]
 
@@ -131,7 +130,8 @@ class HostSpecies:
     Raises
     ------
     SingularHostError
-        If the pole denominator delta_b + eps_b + i*gamma_b/2 vanishes.
+        If the pole denominator delta_b + eps_b + i*gamma_b/2 evaluates to
+        zero (including a gamma_b so small that gamma_b/2 underflows).
     """
 
     delta_b: float
@@ -145,7 +145,7 @@ class HostSpecies:
             raise ValueError(f"eps_b must be >= 0, got {self.eps_b!r}")
         if self.gamma_b < 0.0:
             raise ValueError(f"gamma_b must be >= 0, got {self.gamma_b!r}")
-        if self.delta_b + self.eps_b == 0.0 and self.gamma_b == 0.0:
+        if self.pole_denominator == 0:
             raise SingularHostError(
                 "host pole denominator delta_b + eps_b + i*gamma_b/2 is zero"
             )
@@ -184,14 +184,9 @@ def local_field_factor(host: HostSpecies) -> LocalFieldFactor:
     (1.4+0j)
     >>> f = local_field_factor(HostSpecies(10.0, 10.0, 4.0))
     >>> complex(round(f.ell.real, 6), round(f.ell.imag, 6))
-    (1.495050-0.049505j)
+    (1.49505-0.049505j)
     """
-    denom = host.pole_denominator
-    if denom == 0:
-        raise SingularHostError(
-            "host pole denominator delta_b + eps_b + i*gamma_b/2 is zero"
-        )
-    ell = 1.0 + host.eps_b / denom
+    ell = 1.0 + host.eps_b / host.pole_denominator
     index = cmath.sqrt(3.0 * ell - 2.0)
     return LocalFieldFactor(ell=ell, refractive_index=index)
 
@@ -199,27 +194,14 @@ def local_field_factor(host: HostSpecies) -> LocalFieldFactor:
 def level_shift(ell: complex, gamma_a: float) -> float:
     """Magnitude of the absorptive-host level shift, |Im(ell)|*gamma_a/2.
 
-    The shift vanishes for a lossless host (ell real).  See
-    :func:`level_shift_signed` for the signed value.
+    The shift vanishes for a lossless host (ell real).  The signed shift
+    -Im(ell)*gamma_a/2 is the imaginary part of
+    :func:`lfbloch.verify.predicted_slow_eigenvalue` at delta_a = eps_a = 0.
     """
     if not (gamma_a > 0.0) or not math.isfinite(gamma_a):
         raise ValueError(f"gamma_a must be positive and finite, "
                          f"got {gamma_a!r}")
     return abs(ell.imag) * gamma_a / 2.0
-
-
-def level_shift_signed(ell: complex, gamma_a: float) -> float:
-    """Signed level shift -Im(ell)*gamma_a/2.
-
-    This is the frequency added to the bare detuning in the slow coherence
-    mode (the imaginary part of the predicted eigenvalue is
-    delta_a + Re(ell)*eps_a - Im(ell)*gamma_a/2), positive for an absorbing
-    host in this convention.
-    """
-    if not (gamma_a > 0.0) or not math.isfinite(gamma_a):
-        raise ValueError(f"gamma_a must be positive and finite, "
-                         f"got {gamma_a!r}")
-    return -ell.imag * gamma_a / 2.0
 
 
 @dataclass(frozen=True)

@@ -137,9 +137,10 @@ def solve(
     Raises
     ------
     StepSizeUnderflowError
-        If error control forces the step below the representable floor
-        (the problem is too stiff for this explicit method at the given
-        tolerance).
+        If error control forces the step below the representable floor:
+        the problem is too stiff for this explicit method at the given
+        tolerance, or the right-hand side went non-finite (a step whose
+        error estimate is NaN or inf is rejected, never accepted).
     ValueError
         For an empty or non-increasing grid, a grid outside the span, or a
         non-positive span.
@@ -173,17 +174,22 @@ def solve(
     n_rhs += 1
     n_accepted = 0
     n_rejected = 0
+    nonfinite = False  # the last rejection had a NaN/inf error estimate
 
     while t < t_end:
         h = min(h, max_step)
         min_step = 10.0 * abs(np.nextafter(t, math.inf) - t)
-        if h < min_step:
+        if not h >= min_step:
+            if nonfinite or not math.isfinite(h):
+                cause = ("the right-hand side went non-finite (NaN or inf) "
+                         "and every step past this point was rejected; "
+                         "check the parameters and the drive")
+            else:
+                cause = ("the problem is too stiff for the explicit "
+                         "integrator at this tolerance; loosen tol or "
+                         "reduce the fastest rate in the system")
             raise StepSizeUnderflowError(
-                f"step size underflow at t = {t:.6g} (h = {h:.3g}): the "
-                "problem is too stiff for the explicit integrator at this "
-                "tolerance; loosen tol or reduce the fastest rate in the "
-                "system"
-            )
+                f"step size underflow at t = {t:.6g} (h = {h:.3g}): {cause}")
         is_last = t + h >= t_end
         if is_last:
             h = t_end - t
@@ -198,12 +204,15 @@ def solve(
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = _error_norm(h * (_E @ K), scale)
 
-        if err > 1.0:
+        if not err <= 1.0:
             n_rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** _ORDER_EXPONENT)
+            nonfinite = not math.isfinite(err)
+            h *= _MIN_FACTOR if nonfinite else max(
+                _MIN_FACTOR, _SAFETY * err ** _ORDER_EXPONENT)
             continue
 
         n_accepted += 1
+        nonfinite = False
         t_new = t_end if is_last else t + h
         # dense output for grid points inside (t, t_new]
         j = i_out

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -424,8 +423,7 @@ class ConvergenceRow:
     fitted_shift: float
 
 
-def convergence_study(base: MicroscopicParams, kappas,
-                      workers: int = 1, tol: float = 1e-10,
+def convergence_study(base: MicroscopicParams, kappas, tol: float = 1e-10,
                       s0: float = 1e-3) -> list[ConvergenceRow]:
     """Scale the host pole by kappa and watch the prediction converge.
 
@@ -436,9 +434,8 @@ def convergence_study(base: MicroscopicParams, kappas,
     from a full nonlinear microscopic run.
 
     kappas must be strictly increasing and keep |alpha| <= 1000*gamma_a
-    (the stiffness cap of the explicit integrator).  Points may be
-    evaluated concurrently (workers > 1); rows always come back in kappa
-    order with values identical to a serial run.
+    (the stiffness cap of the explicit integrator).  Rows come back in
+    kappa order.
     """
     kappas = [float(k) for k in kappas]
     if not kappas:
@@ -468,25 +465,20 @@ def convergence_study(base: MicroscopicParams, kappas,
     rate_pred = -lam_pred.real
     window = default_fit_window(rate_pred)
 
-    def one(args) -> ConvergenceRow:
-        k, p_k = args
+    rows = []
+    for k, p_k in zip(kappas, scaled):
         lam = slow_eigenvalue(p_k)
         traj = weak_excitation_trajectory(p_k, s0=s0, tol=tol)
         rate = fit_decay(traj, observable="abs_s", window=window).rate
         shift = fit_frequency(traj, window=window).frequency
-        return ConvergenceRow(
+        rows.append(ConvergenceRow(
             kappa=k,
             eigenvalue_error=abs(lam - lam_pred),
             fitted_rate=rate,
             fitted_rate_error=abs(rate - rate_pred) / rate_pred,
             fitted_shift=shift,
-        )
-
-    points = list(zip(kappas, scaled))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, points))
-    return [one(pt) for pt in points]
+        ))
+    return rows
 
 
 # ---------------------------------------------------------------------------

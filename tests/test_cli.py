@@ -115,6 +115,22 @@ class TestFactor:
         assert code == 2
         assert "pole" in err
 
+    def test_underflowing_pole_width_rejected(self, capsys):
+        # gamma_b != 0 but gamma_b/2 underflows: the pole is singular
+        code, out, err = run_cli(["factor", "--delta-b", "-1", "--eps-b", "1",
+                                  "--gamma-b", "5e-324"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "pole" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_gamma_a_rejected(self, value, capsys):
+        code, out, err = run_cli(["factor", "--eps-b", "5", "--gamma-a",
+                                  value, "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "gamma_a" in err
+
     def test_nonpositive_gamma_a_rejected(self, capsys):
         code, _, err = run_cli(["factor", "--eps-b", "5",
                                 "--gamma-a", "0"], capsys)
@@ -291,6 +307,25 @@ class TestSimulate:
         assert text.startswith("t,re_s,im_s,w,re_beta,im_beta\n")
         assert "# INTEGRATION FAILED: step size underflow" in text
 
+    def test_nonfinite_rhs_exits_3_without_nan_rows(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # integrate looks the RHS up on lfbloch.dynamics at every call
+        rhs = dynamics.effective_rhs
+
+        def turns_nan(t, y, p):
+            return rhs(t, y, p) * (math.nan if t > 0.5 else 1.0)
+
+        monkeypatch.setattr(dynamics, "effective_rhs", turns_nan)
+        config = write_json(tmp_path / "decay.json", decay_scenario())
+        out_csv = tmp_path / "broken.csv"
+        code, _, err = run_cli(["simulate", config, "--output",
+                                str(out_csv)], capsys)
+        assert code == 3
+        assert "non-finite" in err
+        lines = out_csv.read_text(encoding="utf-8").splitlines()
+        assert lines[-1].startswith("# INTEGRATION FAILED")
+        assert not any("nan" in row for row in lines[1:-1])
+
     def test_no_decay_rate_skips_fit(self, tmp_path, capsys):
         payload = decay_scenario()
         payload["emitter"]["gamma_a"] = 0.0
@@ -328,7 +363,7 @@ class TestVerify:
         original = dynamics.MicroscopicParams.coupling_emitter_to_host
 
         def flipped(self):
-            return -original.fget(self)
+            return -original.func(self)
 
         monkeypatch.setattr(dynamics.MicroscopicParams,
                             "coupling_emitter_to_host", property(flipped))
@@ -367,10 +402,11 @@ class TestSweep:
         parallel = tmp_path / "parallel.csv"
         code1, _, _ = run_cli(["sweep", spec, "--output", str(serial)],
                               capsys)
-        code2, _, _ = run_cli(["sweep", spec, "--output", str(parallel),
-                               "--workers", "3"], capsys)
+        code2, _, err = run_cli(["sweep", spec, "--output", str(parallel),
+                                 "--workers", "3"], capsys)
         assert code1 == code2 == 0
         assert serial.read_bytes() == parallel.read_bytes()
+        assert "deprecated" in err
 
     def test_point_failure_recorded_and_run_continues(self, tmp_path,
                                                       capsys):
@@ -385,6 +421,18 @@ class TestSweep:
         assert rows[1][3] == ""
         assert float(rows[2][3]) == pytest.approx(ELL_CANONICAL.real,
                                                   rel=1e-6)
+
+    def test_programming_error_propagates(self, tmp_path, capsys,
+                                          monkeypatch):
+        # only domain errors become error rows; a bug must not hide in
+        # the CSV
+        def broken_fit(*args, **kwargs):
+            raise TypeError("broken fit")
+
+        monkeypatch.setattr("lfbloch.cli.fit_decay", broken_fit)
+        spec = write_json(tmp_path / "sweep.json", density_sweep())
+        with pytest.raises(TypeError, match="broken fit"):
+            main(["sweep", spec])
 
     def test_coherence_reduction(self, tmp_path, capsys):
         payload = {

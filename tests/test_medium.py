@@ -14,12 +14,13 @@ from lfbloch.medium import (
     HostSpecies,
     SingularHostError,
     level_shift,
-    level_shift_signed,
     local_field_factor,
     ndd_strength,
     radiative_rate,
     rate_comparison,
 )
+from lfbloch.dynamics import EmitterParams
+from lfbloch.verify import predicted_slow_eigenvalue
 
 # Frozen oracle values.  Hand evaluations of 4*pi*N*mu^2/(3*hbar) and
 # 4*w^3*mu^2/(3*c^3*hbar) with hbar = 1.0546e-27 erg s, c = 2.99792458e10 cm/s.
@@ -99,6 +100,9 @@ class TestLocalFieldFactor:
     def test_singular_host_rejected(self):
         with pytest.raises(SingularHostError):
             HostSpecies(delta_b=-10.0, eps_b=10.0, gamma_b=0.0)
+        # gamma_b != 0, but gamma_b/2 underflows to 0: the pole is still zero
+        with pytest.raises(SingularHostError):
+            HostSpecies(delta_b=-1.0, eps_b=1.0, gamma_b=5e-324)
 
     @pytest.mark.parametrize("bad", [
         dict(delta_b=0.0, eps_b=-1.0, gamma_b=0.0),
@@ -112,7 +116,7 @@ class TestLocalFieldFactor:
     @given(delta_b=st.floats(-200, 200), gamma_b=st.floats(0, 20))
     def test_no_host_oscillators_no_enhancement(self, delta_b, gamma_b):
         """eps_b = 0 gives ell = 1 for every detuning and width."""
-        if delta_b == 0.0 and gamma_b == 0.0:
+        if complex(delta_b, 0.5 * gamma_b) == 0:
             return  # singular pole, rejected at construction
         f = local_field_factor(HostSpecies(delta_b, 0.0, gamma_b))
         assert f.ell == 1.0 + 0.0j
@@ -162,10 +166,15 @@ class TestLevelShift:
                         rtol=1e-15)
 
     def test_signed_variant_positive_for_absorber(self):
-        # the signed shift adds to the detuning in the slow-mode frequency
+        # the signed shift -Im(ell)*gamma_a/2 adds to the detuning in the
+        # slow-mode frequency, and has the magnitude level_shift reports
+        bare = EmitterParams(delta_a=0.0, eps_a=0.0, gamma_a=1.0)
         ell = complex(151.0 / 101.0, -5.0 / 101.0)
-        assert level_shift_signed(ell, 1.0) == pytest.approx(2.5 / 101.0)
-        assert level_shift_signed(1.4 + 0.1j, 1.0) == pytest.approx(-0.05)
+        signed = predicted_slow_eigenvalue(ell, bare).imag
+        assert signed == pytest.approx(2.5 / 101.0)
+        assert signed == pytest.approx(level_shift(ell, 1.0))
+        assert predicted_slow_eigenvalue(1.4 + 0.1j, bare).imag == \
+            pytest.approx(-0.05)
 
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ analytic solutions, convergence order, dense output, statistics, and error
 paths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,21 @@ class TestErrors:
         with pytest.raises(StepSizeUnderflowError, match="tol"):
             solve(_blowup, 0.0, 2.0, np.array([1.0]), np.array([0.0, 2.0]),
                   rtol=1e-10, atol=1e-10)
+
+    def test_nonfinite_rhs_is_rejected_not_accepted(self):
+        # a NaN error estimate must reject the step (nan > 1 is False), so
+        # the run stops at the last finite state instead of writing NaN
+        # samples and then blaming stiffness
+        def turns_nan(t, y):
+            return np.full_like(y, math.nan) if t > 0.5 else -y
+
+        with pytest.raises(StepSizeUnderflowError,
+                           match="right-hand side went non-finite") as info:
+            solve(turns_nan, 0.0, 1.0, np.array([1.0]),
+                  np.linspace(0.0, 1.0, 11), rtol=1e-8, atol=1e-8)
+        t_fail = float(re.search(r"at t = (\S+) ", str(info.value)).group(1))
+        assert t_fail <= 0.5
+        assert "stiff" not in str(info.value)
 
     def test_grid_outside_span_rejected(self):
         with pytest.raises(ValueError):

@@ -366,12 +366,6 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="stiff"):
             convergence_study(CANONICAL, kappas=(1.0, 50.0))
 
-    def test_parallel_matches_serial(self):
-        serial = convergence_study(CANONICAL, kappas=(1.0, 2.0))
-        parallel = convergence_study(CANONICAL, kappas=(1.0, 2.0), workers=2)
-        for a, b in zip(serial, parallel):
-            assert a == b
-
 
 class TestBattery:
     def test_all_checks_pass(self):
