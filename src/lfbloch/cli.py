@@ -1,9 +1,10 @@
 """Command-line front end: factor, compare, simulate, verify, sweep.
 
 Exit codes: 0 success, 2 validation failure (bad arguments or config),
-3 integrator failure (partial CSV flushed with a failure marker),
-4 verification-check failure.  All numeric output uses 12 significant
-digits, and identical inputs produce byte-identical output.
+3 integrator failure (the CSV holds only the header and a failure marker
+line giving the failure time and cause), 4 verification-check failure.
+All numeric output uses 12 significant digits, and identical inputs
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from lfbloch import __version__
 from lfbloch.config import (
@@ -27,7 +29,6 @@ from lfbloch.config import (
 from lfbloch.dynamics import (
     DriveEnvelope,
     EffectiveParams,
-    EmitterParams,
     MicroscopicParams,
     SystemState,
     Trajectory,
@@ -127,6 +128,10 @@ def cmd_factor(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_compare(args) -> int:
+    for flag, value in (("--n-min", args.n_min), ("--n-max", args.n_max),
+                        ("--step", args.step)):
+        if not math.isfinite(value):
+            return _fail(f"{flag} must be finite, got {value!r}")
     if args.step <= 0.0:
         return _fail(f"--step must be positive, got {args.step!r}")
     if args.n_max < args.n_min:
@@ -197,12 +202,6 @@ def _build_params(cfg: ScenarioConfig, model: str):
     return MicroscopicParams(emitter=cfg.emitter, host=cfg.host)
 
 
-def _initial_for(cfg: ScenarioConfig, model: str) -> SystemState:
-    if model == "A":
-        return SystemState(s=cfg.initial.s, w=cfg.initial.w)
-    return cfg.initial
-
-
 def _fit_summary(cfg: ScenarioConfig, model: str, traj: Trajectory) -> dict:
     """Fit the configured observable and compare to the predictions."""
     ell = cfg.resolved_ell()
@@ -228,7 +227,7 @@ def _fit_summary(cfg: ScenarioConfig, model: str, traj: Trajectory) -> dict:
         if window is None:
             window = default_fit_window(target)
         fit = fit_decay(traj, observable=observable, window=window)
-    except (FitWindowError, ValueError) as exc:
+    except ValueError as exc:
         out["fit"] = {"error": str(exc)}
         return out
     out["fit"] = {
@@ -290,18 +289,16 @@ def cmd_simulate(args) -> int:
     paths = _model_paths(base_path, models)
 
     try:
-        runs = {m: (_build_params(cfg, m), _initial_for(cfg, m))
-                for m in models}
+        params = {m: _build_params(cfg, m) for m in models}
     except ValueError as exc:
         return _fail(str(exc))
 
     trajectories: dict[str, Trajectory] = {}
     for m in models:
-        params, initial = runs[m]
+        # model A carries no host amplitude, even in a "both" scenario
+        initial = cfg.initial if m == "B" else replace(cfg.initial, beta=None)
         try:
-            traj = integrate(m, params, initial, span=cfg.integration.span,
-                             tol=cfg.integration.tol,
-                             n_points=cfg.integration.points)
+            traj = integrate(params[m], initial, cfg.integration)
         except StepSizeUnderflowError as exc:
             _write_trajectory_csv(paths[m], None, failure=str(exc))
             print(f"error: model {m} integration failed: {exc}",
@@ -387,24 +384,20 @@ def _sweep_point(spec: SweepSpec, index: int) -> list[str]:
         cfg = parse_scenario(spec.point_raw(index),
                              source=f"point[{index}]")
         ell = cfg.resolved_ell()
-        tol = cfg.integration.tol
         if spec.reduction == "population_rate_model_a":
-            emitter = EmitterParams(delta_a=cfg.emitter.delta_a,
-                                    eps_a=cfg.emitter.eps_a,
-                                    gamma_a=cfg.emitter.gamma_a,
-                                    drive=DriveEnvelope())
+            emitter = replace(cfg.emitter, drive=DriveEnvelope())
             params = EffectiveParams(emitter=emitter, ell=ell)
             rate_guess = ell.real * emitter.gamma_a
             window = default_fit_window(rate_guess)
-            traj = integrate("A", params, SystemState(s=0j, w=1.0),
-                             span=6.5 / rate_guess, tol=tol,
-                             n_points=cfg.integration.points)
+            traj = integrate(params, SystemState(s=0j, w=1.0),
+                             replace(cfg.integration, span=6.5 / rate_guess))
             gamma_fit = fit_decay(traj, observable="w_plus_1",
                                   window=window).rate
             shift = level_shift(ell, emitter.gamma_a)
         else:  # coherence_rate_model_b
             params = MicroscopicParams(emitter=cfg.emitter, host=cfg.host)
-            traj = weak_excitation_trajectory(params, tol=tol)
+            traj = weak_excitation_trajectory(params,
+                                              tol=cfg.integration.tol)
             lam_pred = predicted_slow_eigenvalue(ell, cfg.emitter)
             window = default_fit_window(-lam_pred.real)
             gamma_fit = 2.0 * fit_decay(traj, observable="abs_s",

@@ -43,16 +43,14 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from lfbloch.dynamics import (
-    TOL_MAX,
-    TOL_MIN,
     DriveEnvelope,
     EmitterParams,
+    IntegrationSpec,
     SystemState,
 )
 from lfbloch.medium import (
@@ -66,7 +64,6 @@ from lfbloch.medium import (
 __all__ = [
     "ConfigError",
     "FitSpec",
-    "IntegrationSpec",
     "OutputSpec",
     "ScenarioConfig",
     "SweepSpec",
@@ -159,15 +156,6 @@ def _complex_out(z: complex) -> list[float]:
 # ---------------------------------------------------------------------------
 # scenario sections
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntegrationSpec:
-    """Span, tolerance, and output-grid size of one integration."""
-
-    span: float
-    tol: float = 1e-10
-    points: int = 801
-
 
 @dataclass(frozen=True)
 class FitSpec:
@@ -375,30 +363,16 @@ def parse_scenario(raw: dict, source: str = "scenario") -> ScenarioConfig:
     initial = SystemState(s=s0, w=w0, beta=beta0)
 
     # integration
-    integ_raw = _require_mapping(raw["integration"], f"{source}.integration")
-    _reject_unknown(integ_raw, {"span", "tol", "points"},
-                    f"{source}.integration")
+    path = f"{source}.integration"
+    integ_raw = _require_mapping(raw["integration"], path)
+    _reject_unknown(integ_raw, {"span", "tol", "points"}, path)
     if "span" not in integ_raw:
-        raise ConfigError(f"{source}.integration.span: required key missing")
-    integ_kwargs = {"span": _real(integ_raw["span"],
-                                  f"{source}.integration.span")}
-    if "tol" in integ_raw:
-        integ_kwargs["tol"] = _real(integ_raw["tol"],
-                                    f"{source}.integration.tol")
-    if "points" in integ_raw:
-        integ_kwargs["points"] = _integer(integ_raw["points"],
-                                          f"{source}.integration.points")
-    integration = IntegrationSpec(**integ_kwargs)
-    if not (math.isfinite(integration.span) and integration.span > 0.0):
-        raise ConfigError(f"{source}.integration.span: must be positive "
-                          f"and finite, got {integration.span!r}")
-    if not (TOL_MIN <= integration.tol <= TOL_MAX):
-        raise ConfigError(f"{source}.integration.tol: must lie in "
-                          f"[{TOL_MIN:g}, {TOL_MAX:g}], "
-                          f"got {integration.tol!r}")
-    if integration.points < 2:
-        raise ConfigError(f"{source}.integration.points: must be >= 2, "
-                          f"got {integration.points!r}")
+        raise ConfigError(f"{path}.span: required key missing")
+    integ_kwargs = {}
+    for key, read in (("span", _real), ("tol", _real), ("points", _integer)):
+        if key in integ_raw:
+            integ_kwargs[key] = read(integ_raw[key], f"{path}.{key}")
+    integration = _rebuild(IntegrationSpec, path, **integ_kwargs)
 
     # fit
     fit_kwargs = {}

@@ -56,6 +56,7 @@ __all__ = [
     "DriveEnvelope",
     "EffectiveParams",
     "EmitterParams",
+    "IntegrationSpec",
     "MicroscopicParams",
     "SystemState",
     "Trajectory",
@@ -296,35 +297,27 @@ def microscopic_rhs(t: float, y: np.ndarray,
 # integration
 # ---------------------------------------------------------------------------
 
-def _validate(model, params, initial, span, tol):
-    model = str(model).upper()
-    if model not in ("A", "B"):
-        raise ValueError(f"model must be 'A' or 'B', got {model!r}")
-    wanted = EffectiveParams if model == "A" else MicroscopicParams
-    if not isinstance(params, wanted):
-        raise ValueError(f"model {model} requires {wanted.__name__}, "
-                         f"got {type(params).__name__}")
-    if model == "A" and initial.beta is not None:
-        raise ValueError("model A initial state must not carry beta")
-    if model == "B" and initial.beta is None:
-        raise ValueError("model B initial state must carry beta")
-    if not (TOL_MIN <= tol <= TOL_MAX):
-        raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], "
-                         f"got {tol!r}")
-    if not (math.isfinite(span) and span > 0.0):
-        raise ValueError(f"span must be positive and finite, got {span!r}")
-    norm = initial.w**2 + 4.0 * abs(initial.s) ** 2
-    if not math.isfinite(norm) or norm > 1.0 + 100.0 * tol:
-        raise ValueError(
-            f"initial state lies outside the Bloch sphere: "
-            f"w^2 + 4|s|^2 = {norm!r} > 1 + 100*tol"
-        )
-    return model
+@dataclass(frozen=True)
+class IntegrationSpec:
+    """Span, tolerance, and output-grid size of one integration."""
+
+    span: float
+    tol: float = 1e-10
+    points: int = 801
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.span) and self.span > 0.0):
+            raise ValueError(f"span must be positive and finite, "
+                             f"got {self.span!r}")
+        if not (TOL_MIN <= self.tol <= TOL_MAX):
+            raise ValueError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], "
+                             f"got {self.tol!r}")
+        if self.points < 2:
+            raise ValueError(f"points must be >= 2, got {self.points!r}")
 
 
-def integrate(model: str, params, initial: SystemState, span: float,
-              tol: float, n_points: int = 801,
-              times: np.ndarray | None = None) -> Trajectory:
+def integrate(params, initial: SystemState,
+              integration: IntegrationSpec) -> Trajectory:
     """Integrate model A or B over [0, span] in gamma_a units.
 
     Adaptive embedded Runge-Kutta (Dormand-Prince 5(4)) with per-step
@@ -334,20 +327,14 @@ def integrate(model: str, params, initial: SystemState, span: float,
 
     Parameters
     ----------
-    model : {"A", "B"}
-        "A" integrates EffectiveParams (s, w); "B" integrates
-        MicroscopicParams (s, w, beta).
+    params : EffectiveParams or MicroscopicParams
+        EffectiveParams integrates model A (s, w); MicroscopicParams
+        integrates model B (s, w, beta).
     initial : SystemState
         Initial condition; must start on or inside the Bloch sphere
-        (within 100*tol) and carry beta exactly when model = "B".
-    span : float
-        Duration; the grid starts at t = 0.
-    tol : float
-        Error-control tolerance, within [1e-12, 1e-4].
-    n_points : int
-        Size of the uniform sample grid (ignored when ``times`` is given).
-    times : ndarray, optional
-        Explicit strictly increasing sample grid inside [0, span].
+        (within 100*tol) and carry beta exactly for model B.
+    integration : IntegrationSpec
+        Span, tolerance, and size of the uniform sample grid.
 
     Raises
     ------
@@ -356,26 +343,27 @@ def integrate(model: str, params, initial: SystemState, span: float,
         tolerance (loosen tol or reduce |alpha|), or if the right-hand
         side went non-finite; the message says which.
     ValueError
-        On invalid model/parameter/state/grid combinations.
+        If the initial state does not match the model or lies outside
+        the Bloch sphere.
 
     Warns
     -----
     BlochNormWarning
         If any sampled state exceeds w^2 + 4|s|^2 = 1 + 100*tol.
     """
-    model = _validate(model, params, initial, span, tol)
-    if times is None:
-        if n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {n_points!r}")
-        times = np.linspace(0.0, span, n_points)
-    else:
-        times = np.asarray(times, dtype=float)
-        if times.size == 0:
-            raise ValueError("empty sample grid")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("sample grid must be strictly increasing")
-        if times[0] < 0.0 or times[-1] > span:
-            raise ValueError("sample grid must lie inside [0, span]")
+    model = "A" if isinstance(params, EffectiveParams) else "B"
+    span, tol = integration.span, integration.tol
+    if model == "A" and initial.beta is not None:
+        raise ValueError("model A initial state must not carry beta")
+    if model == "B" and initial.beta is None:
+        raise ValueError("model B initial state must carry beta")
+    norm = initial.w**2 + 4.0 * abs(initial.s) ** 2
+    if not math.isfinite(norm) or norm > 1.0 + 100.0 * tol:
+        raise ValueError(
+            f"initial state lies outside the Bloch sphere: "
+            f"w^2 + 4|s|^2 = {norm!r} > 1 + 100*tol"
+        )
+    times = np.linspace(0.0, span, integration.points)
 
     # The right-hand side is looked up as a module global on every call,
     # so a wrapper installed on lfbloch.dynamics sees each evaluation.

@@ -32,6 +32,7 @@ from lfbloch.dynamics import (
     DriveEnvelope,
     EffectiveParams,
     EmitterParams,
+    IntegrationSpec,
     MicroscopicParams,
     SystemState,
     Trajectory,
@@ -68,6 +69,10 @@ STIFFNESS_CAP = 1e3
 
 _MIN_FIT_SAMPLES = 20
 _PHASE_STEP_LIMIT = 0.95 * math.pi
+
+_WEAK_S0 = 1e-3
+_WEAK_POINTS = 1601
+_CONSERVATION_RUN = IntegrationSpec(span=100.0, tol=1e-10, points=2001)
 
 
 class DegenerateModesWarning(UserWarning):
@@ -375,20 +380,16 @@ def fit_frequency(traj: Trajectory,
 # convergence in the timescale-separation parameter
 # ---------------------------------------------------------------------------
 
-def weak_excitation_trajectory(p: MicroscopicParams, s0: float = 1e-3,
-                               tol: float = 1e-10, span: float | None = None,
-                               n_points: int = 1601) -> Trajectory:
+def weak_excitation_trajectory(p: MicroscopicParams,
+                               tol: float = 1e-10) -> Trajectory:
     """Free decay of a weakly excited emitter in the microscopic model.
 
-    Starts on the Bloch sphere at s = s0, w = -sqrt(1 - 4*s0^2),
+    Starts on the Bloch sphere at s = 1e-3, w = -sqrt(1 - 4*s^2),
     beta = 0 with the drive forced off, so s(t) relaxes onto the slow
     eigenmode; fitting |s| and arg(s) on [2, 6] decay times then measures
-    the renormalized decay and shift.  The default span covers the
-    default fit window with margin.
+    the renormalized decay and shift.  The span, 6.5 predicted decay
+    times, covers that fit window with margin; 1601 samples.
     """
-    if not 0.0 < s0 <= 0.05:
-        raise ValueError(f"s0 must be in (0, 0.05] for the weak-excitation "
-                         f"regime, got {s0!r}")
     ell = local_field_factor(p.host).ell
     rate_guess = -predicted_slow_eigenvalue(ell, p.emitter).real
     if not rate_guess > 0.0:
@@ -396,14 +397,14 @@ def weak_excitation_trajectory(p: MicroscopicParams, s0: float = 1e-3,
             f"no decaying slow mode to observe: predicted coherence decay "
             f"= {rate_guess!r} <= 0"
         )
-    if span is None:
-        span = 6.5 / rate_guess
     emitter = replace(p.emitter, drive=DriveEnvelope())
     params = MicroscopicParams(emitter=emitter, host=p.host)
-    initial = SystemState(s=complex(s0), w=-math.sqrt(1.0 - 4.0 * s0 * s0),
+    initial = SystemState(s=_WEAK_S0,
+                          w=-math.sqrt(1.0 - 4.0 * _WEAK_S0 * _WEAK_S0),
                           beta=0j)
-    return integrate("B", params, initial, span=span, tol=tol,
-                     n_points=n_points)
+    return integrate(params, initial,
+                     IntegrationSpec(span=6.5 / rate_guess, tol=tol,
+                                     points=_WEAK_POINTS))
 
 
 @dataclass(frozen=True)
@@ -423,8 +424,8 @@ class ConvergenceRow:
     fitted_shift: float
 
 
-def convergence_study(base: MicroscopicParams, kappas, tol: float = 1e-10,
-                      s0: float = 1e-3) -> list[ConvergenceRow]:
+def convergence_study(base: MicroscopicParams,
+                      kappas) -> list[ConvergenceRow]:
     """Scale the host pole by kappa and watch the prediction converge.
 
     The scaling (delta_b, eps_b, gamma_b) -> kappa*(delta_b, eps_b,
@@ -468,7 +469,7 @@ def convergence_study(base: MicroscopicParams, kappas, tol: float = 1e-10,
     rows = []
     for k, p_k in zip(kappas, scaled):
         lam = slow_eigenvalue(p_k)
-        traj = weak_excitation_trajectory(p_k, s0=s0, tol=tol)
+        traj = weak_excitation_trajectory(p_k)
         rate = fit_decay(traj, observable="abs_s", window=window).rate
         shift = fit_frequency(traj, window=window).frequency
         rows.append(ConvergenceRow(
@@ -497,6 +498,7 @@ class CheckResult:
 
 
 _BATTERY_SEED = 20260814
+_IDENTITY_DRAWS = 100
 
 
 def _canonical_params() -> MicroscopicParams:
@@ -506,18 +508,17 @@ def _canonical_params() -> MicroscopicParams:
     )
 
 
-def elimination_identity_battery(n_points: int = 100,
-                                 seed: int = _BATTERY_SEED) -> float:
+def elimination_identity_battery() -> float:
     """Worst elimination residual over a randomized parameter battery.
 
-    Parameters are drawn from eps_b in [0, 50], gamma_b in (0, 20],
-    delta_b in [-200, 200], eps_a in [0, 10] with gamma_a = 1; the
-    identities are pure algebra, so the residual must stay below 1e-12
-    everywhere.
+    100 parameter sets are drawn with a fixed seed from eps_b in [0, 50],
+    gamma_b in (0, 20], delta_b in [-200, 200], eps_a in [0, 10] with
+    gamma_a = 1; the identities are pure algebra, so the residual must
+    stay below 1e-12 everywhere.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_BATTERY_SEED)
     worst = 0.0
-    for _ in range(n_points):
+    for _ in range(_IDENTITY_DRAWS):
         emitter = EmitterParams(delta_a=0.0, eps_a=rng.uniform(0.0, 10.0),
                                 gamma_a=1.0)
         host = HostSpecies(delta_b=rng.uniform(-200.0, 200.0),
@@ -528,17 +529,16 @@ def elimination_identity_battery(n_points: int = 100,
     return worst
 
 
-def conservation_battery(tol: float = 1e-10,
-                         span: float = 100.0) -> list[tuple[str, float]]:
+def conservation_battery() -> list[tuple[str, float]]:
     """Bloch-norm drift of the undamped effective model per drive kind.
 
     Each scenario runs gamma_a = 0 with real ell, where w^2 + 4|s|^2 is
     exactly conserved by the equations; the returned drift is pure
-    integration error.  The drive rates are of order 0.5/gamma_a or
-    slower so the accumulated drift over span 100 stays within the
-    100*tol conservation bound (the per-step error of an order-5(4)
-    scheme at tol grows linearly with the step count, which grows with
-    the drive frequency).
+    integration error (span 100, tol 1e-10, 2001 samples).  The drive
+    rates are of order 0.5/gamma_a or slower so the accumulated drift
+    over the span stays within the 100*tol conservation bound (the
+    per-step error of an order-5(4) scheme at tol grows linearly with
+    the step count, which grows with the drive frequency).
     """
     scenarios = [
         ("off", 0.5, DriveEnvelope()),
@@ -554,7 +554,7 @@ def conservation_battery(tol: float = 1e-10,
         p = EffectiveParams(emitter=emitter, ell=1.3 + 0j)
         initial = SystemState(s=0.25 + 0.1j,
                               w=math.sqrt(1.0 - 4.0 * (0.0625 + 0.01)))
-        run = integrate("A", p, initial, span=span, tol=tol, n_points=2001)
+        run = integrate(p, initial, _CONSERVATION_RUN)
         drift = float(np.max(np.abs(run.bloch_norm - run.bloch_norm[0])))
         drifts.append((name, drift))
     return drifts
@@ -656,8 +656,8 @@ def run_battery() -> list[CheckResult]:
     checks.append(_check("largest-kappa-shift", 1e-1, largest_kappa_shift))
 
     def conservation():
-        tol = 1e-10
-        worst = max(drift for _, drift in conservation_battery(tol=tol))
+        tol = _CONSERVATION_RUN.tol
+        worst = max(drift for _, drift in conservation_battery())
         return worst, worst <= 100.0 * tol, \
             "max |Delta(w^2 + 4|s|^2)| over off/constant/pulse drives, " \
             "span 100, tol 1e-10"

@@ -14,6 +14,7 @@ from lfbloch.dynamics import (
     DriveEnvelope,
     EffectiveParams,
     EmitterParams,
+    IntegrationSpec,
     MicroscopicParams,
     SystemState,
     integrate,
@@ -77,8 +78,8 @@ def test_criterion_1_rate_comparison_table():
 def test_criterion_2_effective_model_decay():
     def check():
         params = EffectiveParams(emitter=CANONICAL_EMITTER, ell=1.4 + 0j)
-        traj = integrate("A", params, SystemState(s=0j, w=1.0),
-                         span=8.0, tol=1e-10, n_points=1601)
+        traj = integrate(params, SystemState(s=0j, w=1.0),
+                         IntegrationSpec(span=8.0, tol=1e-10, points=1601))
         fit = fit_decay(traj, observable="w_plus_1",
                         window=default_fit_window(1.4))
         rel = abs(fit.rate - 1.4) / 1.4
@@ -89,7 +90,7 @@ def test_criterion_2_effective_model_decay():
 
 def test_criterion_3_elimination_identity():
     def check():
-        worst = elimination_identity_battery(n_points=100)
+        worst = elimination_identity_battery()
         return worst <= 1e-12, f"max residual {worst:.3e} over 100 draws"
 
     run_criterion(3, "host-elimination identity", 0.1, check)
@@ -140,7 +141,7 @@ def test_criterion_5_adiabatic_convergence():
 
 def test_criterion_6_undamped_conservation():
     def check():
-        drifts = conservation_battery(tol=1e-10, span=100.0)
+        drifts = conservation_battery()
         worst = max(drift for _, drift in drifts)
         return (worst <= 1e-8,
                 "drift " + ", ".join(f"{name} {drift:.3e}"
@@ -159,17 +160,16 @@ def test_criterion_7_vacuum_reduction():
         s0 = 1e-3
         w0 = -math.sqrt(1.0 - 4.0 * s0 * s0)
         span = 6.0
-        traj_a = integrate("A", eff, SystemState(s=s0 + 0j, w=w0),
-                           span=span, tol=tol, n_points=801)
-        traj_b = integrate("B", micro,
-                           SystemState(s=s0 + 0j, w=w0, beta=0j),
-                           span=span, tol=tol, n_points=801)
+        traj_a = integrate(eff, SystemState(s=s0 + 0j, w=w0),
+                           IntegrationSpec(span=span, tol=tol, points=801))
+        traj_b = integrate(micro, SystemState(s=s0 + 0j, w=w0, beta=0j),
+                           IntegrationSpec(span=span, tol=tol, points=801))
         ds = float(np.max(np.abs(traj_a.s - traj_b.s)))
         dw = float(np.max(np.abs(traj_a.w - traj_b.w)))
         pointwise = max(ds, dw) <= 10.0 * tol
 
-        decay = integrate("A", eff, SystemState(s=0j, w=1.0),
-                          span=8.0, tol=tol, n_points=1601)
+        decay = integrate(eff, SystemState(s=0j, w=1.0),
+                          IntegrationSpec(span=8.0, tol=tol, points=1601))
         fit = fit_decay(decay, observable="w_plus_1",
                         window=default_fit_window(1.0))
         rel = abs(fit.rate - 1.0)

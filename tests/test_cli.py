@@ -197,6 +197,15 @@ class TestCompare:
         assert code == 2
         assert "step" in err
 
+    @pytest.mark.parametrize("flag", ["--n-min", "--n-max", "--step"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_nonfinite_bound_rejected(self, flag, value, capsys):
+        # a non-finite bound or step never ends the grid loop
+        code, out, err = run_cli(["compare", f"{flag}={value}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be finite" in err
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -322,9 +331,13 @@ class TestSimulate:
                                 str(out_csv)], capsys)
         assert code == 3
         assert "non-finite" in err
+        # no samples are written: the header and the failure marker only
         lines = out_csv.read_text(encoding="utf-8").splitlines()
-        assert lines[-1].startswith("# INTEGRATION FAILED")
-        assert not any("nan" in row for row in lines[1:-1])
+        assert len(lines) == 2
+        assert lines[0] == "t,re_s,im_s,w,re_beta,im_beta"
+        assert lines[1].startswith("# INTEGRATION FAILED: step size "
+                                   "underflow at t = ")
+        assert "non-finite" in lines[1]
 
     def test_no_decay_rate_skips_fit(self, tmp_path, capsys):
         payload = decay_scenario()

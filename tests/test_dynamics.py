@@ -14,6 +14,7 @@ from lfbloch.dynamics import (
     DriveEnvelope,
     EffectiveParams,
     EmitterParams,
+    IntegrationSpec,
     MicroscopicParams,
     SystemState,
     Trajectory,
@@ -176,8 +177,8 @@ class TestMicroscopicRhs:
 class TestIntegrateEffective:
     def test_population_decay_closed_form(self):
         p = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
-        traj = integrate("A", p, SystemState(s=0j, w=1.0), span=3.0,
-                         tol=1e-10, n_points=301)
+        traj = integrate(p, SystemState(s=0j, w=1.0),
+                         IntegrationSpec(span=3.0, tol=1e-10, points=301))
         expected = -1.0 + 2.0 * np.exp(-1.4 * traj.times)
         assert_allclose(traj.w, expected, atol=1e-8)
         i1 = np.searchsorted(traj.times, 1.0)
@@ -187,8 +188,8 @@ class TestIntegrateEffective:
 
     def test_decay_only_monotonicity(self):
         p = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
-        traj = integrate("A", p, SystemState(s=0.3 + 0.1j, w=-0.2), span=6.0,
-                         tol=1e-10, n_points=400)
+        traj = integrate(p, SystemState(s=0.3 + 0.1j, w=-0.2),
+                         IntegrationSpec(span=6.0, tol=1e-10, points=400))
         assert np.all(np.diff(traj.w) <= 1e-12)
         assert np.all(np.diff(np.abs(traj.s)) <= 1e-12)
 
@@ -197,8 +198,9 @@ class TestIntegrateEffective:
                            drive=DriveEnvelope(kind="constant",
                                                amplitude=1.0 + 0j))
         p = EffectiveParams(emitter=em, ell=1.0 + 0j)
-        traj = integrate("A", p, SystemState(s=0j, w=-1.0),
-                         span=2.0 * math.pi, tol=1e-10, n_points=201)
+        traj = integrate(p, SystemState(s=0j, w=-1.0),
+                         IntegrationSpec(span=2.0 * math.pi, tol=1e-10,
+                                         points=201))
         assert_allclose(traj.w, -np.cos(traj.times), atol=1e-8)
         assert traj.w[-1] == pytest.approx(-1.0, abs=1e-8)
 
@@ -209,8 +211,9 @@ class TestIntegrateEffective:
                                                amplitude=1.0 + 0j,
                                                t_on=0.0, t_off=math.pi))
         p = EffectiveParams(emitter=em, ell=1.0 + 0j)
-        traj = integrate("A", p, SystemState(s=0j, w=-1.0),
-                         span=2.0 * math.pi, tol=1e-10, n_points=257)
+        traj = integrate(p, SystemState(s=0j, w=-1.0),
+                         IntegrationSpec(span=2.0 * math.pi, tol=1e-10,
+                                         points=257))
         after = traj.times >= math.pi
         assert traj.w[after].max() - traj.w[after].min() < 1e-9
         assert traj.w[-1] == pytest.approx(1.0, abs=1e-7)  # pi pulse inverts
@@ -221,16 +224,16 @@ class TestIntegrateEffective:
                                                amplitude=1.0 + 0.5j))
         p = EffectiveParams(emitter=em, ell=1.4 + 0j)
         tol = 1e-10
-        traj = integrate("A", p, SystemState(s=0j, w=-1.0), span=100.0,
-                         tol=tol, n_points=1001)
+        traj = integrate(p, SystemState(s=0j, w=-1.0),
+                         IntegrationSpec(span=100.0, tol=tol, points=1001))
         assert np.max(np.abs(traj.bloch_norm - 1.0)) <= 100.0 * tol
 
     def test_grid_invariance_under_tolerance_halving(self):
         p = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
         ends = []
         for tol in (1e-8, 5e-9):
-            traj = integrate("A", p, SystemState(s=0.1 + 0.2j, w=0.5),
-                             span=3.0, tol=tol, n_points=11)
+            traj = integrate(p, SystemState(s=0.1 + 0.2j, w=0.5),
+                             IntegrationSpec(span=3.0, tol=tol, points=11))
             ends.append(np.array([traj.s[-1].real, traj.s[-1].imag,
                                   traj.w[-1]]))
         assert np.max(np.abs(ends[0] - ends[1])) < 1e-8
@@ -248,9 +251,10 @@ class TestIntegrateMicroscopic:
                                host=HostSpecies(delta_b=5.0, eps_b=0.0,
                                                 gamma_b=2.0))
         init = SystemState(s=0.1 + 0j, w=-0.8)
-        ta = integrate("A", pa, init, span=8.0, tol=tol, n_points=401)
-        tb = integrate("B", pb, SystemState(s=0.1 + 0j, w=-0.8, beta=0j),
-                       span=8.0, tol=tol, n_points=401)
+        ta = integrate(pa, init,
+                       IntegrationSpec(span=8.0, tol=tol, points=401))
+        tb = integrate(pb, SystemState(s=0.1 + 0j, w=-0.8, beta=0j),
+                       IntegrationSpec(span=8.0, tol=tol, points=401))
         assert np.max(np.abs(ta.s - tb.s)) <= 10.0 * tol
         assert np.max(np.abs(ta.w - tb.w)) <= 10.0 * tol
 
@@ -264,8 +268,8 @@ class TestIntegrateMicroscopic:
         s0 = 1e-4
         tol = 1e-10
         w0 = -math.sqrt(1.0 - 4.0 * s0**2)  # on the Bloch sphere
-        traj = integrate("B", p, SystemState(s=s0 + 0j, w=w0, beta=0j),
-                         span=4.0, tol=tol, n_points=81)
+        traj = integrate(p, SystemState(s=s0 + 0j, w=w0, beta=0j),
+                         IntegrationSpec(span=4.0, tol=tol, points=81))
         for i in (20, 40, 80):
             z = expm(mat * traj.times[i]) @ np.array([s0, 0.0])
             assert abs(traj.s[i] - z[0]) <= 100.0 * tol
@@ -298,48 +302,43 @@ class TestIntegrateValidation:
     def test_state_outside_bloch_sphere_rejected(self):
         p = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
         with pytest.raises(ValueError):
-            integrate("A", p, SystemState(s=0.6 + 0j, w=0.0), span=1.0,
-                      tol=1e-8)
+            integrate(p, SystemState(s=0.6 + 0j, w=0.0),
+                      IntegrationSpec(span=1.0, tol=1e-8))
         with pytest.raises(ValueError):
-            integrate("A", p, SystemState(s=0j, w=1.2), span=1.0, tol=1e-8)
+            integrate(p, SystemState(s=0j, w=1.2),
+                      IntegrationSpec(span=1.0, tol=1e-8))
 
     def test_tolerance_range_enforced(self):
-        p = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
-        for tol in (1e-3, 1e-13):
-            with pytest.raises(ValueError):
-                integrate("A", p, SystemState(s=0j, w=1.0), span=1.0, tol=tol)
+        for tol in (1e-3, 1e-13, math.nan):
+            with pytest.raises(ValueError, match="tol must lie in"):
+                IntegrationSpec(span=1.0, tol=tol)
 
     def test_nonpositive_span_rejected(self):
-        p = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
-        with pytest.raises(ValueError):
-            integrate("A", p, SystemState(s=0j, w=1.0), span=0.0, tol=1e-8)
+        for span in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="span must be positive"):
+                IntegrationSpec(span=span)
+
+    def test_too_few_points_rejected(self):
+        with pytest.raises(ValueError, match="points must be >= 2"):
+            IntegrationSpec(span=1.0, points=1)
 
     def test_model_state_mismatch_rejected(self):
         pa = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
         pb = MicroscopicParams(emitter=EMITTER, host=HOST)
         with pytest.raises(ValueError):
-            integrate("A", pa, SystemState(s=0j, w=1.0, beta=0j), span=1.0,
-                      tol=1e-8)
+            integrate(pa, SystemState(s=0j, w=1.0, beta=0j),
+                      IntegrationSpec(span=1.0, tol=1e-8))
         with pytest.raises(ValueError):
-            integrate("B", pb, SystemState(s=0j, w=1.0), span=1.0, tol=1e-8)
-
-    def test_model_params_mismatch_rejected(self):
-        pb = MicroscopicParams(emitter=EMITTER, host=HOST)
-        with pytest.raises(ValueError):
-            integrate("A", pb, SystemState(s=0j, w=1.0), span=1.0, tol=1e-8)
-
-    def test_unknown_model_rejected(self):
-        p = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
-        with pytest.raises(ValueError):
-            integrate("C", p, SystemState(s=0j, w=1.0), span=1.0, tol=1e-8)
+            integrate(pb, SystemState(s=0j, w=1.0),
+                      IntegrationSpec(span=1.0, tol=1e-8))
 
 
 class TestTrajectory:
     def test_bookkeeping(self):
         p = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
         tol = 1e-9
-        traj = integrate("A", p, SystemState(s=0j, w=1.0), span=2.0, tol=tol,
-                         n_points=50)
+        traj = integrate(p, SystemState(s=0j, w=1.0),
+                         IntegrationSpec(span=2.0, tol=tol, points=50))
         assert isinstance(traj, Trajectory)
         assert traj.model == "A"
         assert traj.tol == tol
@@ -352,8 +351,8 @@ class TestTrajectory:
 
     def test_microscopic_carries_host_amplitude(self):
         p = MicroscopicParams(emitter=EMITTER, host=HOST)
-        traj = integrate("B", p, SystemState(s=0.01 + 0j, w=-0.9, beta=0j),
-                         span=1.0, tol=1e-8, n_points=20)
+        traj = integrate(p, SystemState(s=0.01 + 0j, w=-0.9, beta=0j),
+                         IntegrationSpec(span=1.0, tol=1e-8, points=20))
         assert traj.beta is not None and len(traj.beta) == 20
         assert traj.model == "B"
 
@@ -361,16 +360,9 @@ class TestTrajectory:
         em = EmitterParams(drive=DriveEnvelope(kind="constant",
                                                amplitude=1.0 + 0j))
         p = EffectiveParams(emitter=em, ell=1.2 + 0j)
-        runs = [integrate("A", p, SystemState(s=0j, w=-1.0), span=5.0,
-                          tol=1e-9, n_points=100) for _ in range(2)]
+        runs = [integrate(p, SystemState(s=0j, w=-1.0),
+                          IntegrationSpec(span=5.0, tol=1e-9, points=100))
+                for _ in range(2)]
         assert np.array_equal(runs[0].s, runs[1].s)
         assert np.array_equal(runs[0].w, runs[1].w)
         assert runs[0].n_rhs == runs[1].n_rhs
-
-    def test_explicit_times_grid(self):
-        p = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
-        times = np.array([0.0, 0.5, 1.0, 1.5])
-        traj = integrate("A", p, SystemState(s=0j, w=1.0), span=1.5,
-                         tol=1e-10, times=times)
-        assert np.array_equal(traj.times, times)
-        assert traj.w[2] == pytest.approx(W_AT_1, abs=1e-8)

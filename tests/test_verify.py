@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from lfbloch.dynamics import (
     DriveEnvelope,
     EmitterParams,
+    IntegrationSpec,
     MicroscopicParams,
     SystemState,
     Trajectory,
@@ -231,8 +232,8 @@ class TestFitDecay:
     def test_model_a_population_decay(self):
         from lfbloch.dynamics import EffectiveParams
         p = EffectiveParams(emitter=EMITTER, ell=1.4 + 0j)
-        traj = integrate("A", p, SystemState(s=0j, w=1.0), span=6.0,
-                         tol=1e-10, n_points=1201)
+        traj = integrate(p, SystemState(s=0j, w=1.0),
+                         IntegrationSpec(span=6.0, tol=1e-10, points=1201))
         res = fit_decay(traj, observable="w_plus_1",
                         window=default_fit_window(1.4))
         assert res.rate == pytest.approx(1.4, rel=1e-6)
@@ -241,8 +242,8 @@ class TestFitDecay:
     def test_model_a_coherence_decay(self):
         from lfbloch.dynamics import EffectiveParams
         p = EffectiveParams(emitter=EMITTER, ell=1.4 + 0j)
-        traj = integrate("A", p, SystemState(s=0.4 + 0j, w=-0.6), span=8.0,
-                         tol=1e-10, n_points=1201)
+        traj = integrate(p, SystemState(s=0.4 + 0j, w=-0.6),
+                         IntegrationSpec(span=8.0, tol=1e-10, points=1201))
         res = fit_decay(traj, observable="abs_s",
                         window=default_fit_window(0.7))
         assert res.rate == pytest.approx(0.7, rel=1e-6)
@@ -297,8 +298,8 @@ class TestFitFrequency:
         from lfbloch.dynamics import EffectiveParams
         emitter = EmitterParams(delta_a=0.3, eps_a=0.0, gamma_a=1.0)
         p = EffectiveParams(emitter=emitter, ell=1.0 + 0j)
-        traj = integrate("A", p, SystemState(s=0.3 + 0j, w=-0.8), span=8.0,
-                         tol=1e-10, n_points=801)
+        traj = integrate(p, SystemState(s=0.3 + 0j, w=-0.8),
+                         IntegrationSpec(span=8.0, tol=1e-10, points=801))
         res = fit_frequency(traj, window=(1.0, 6.0))
         assert res.frequency == pytest.approx(0.3, rel=1e-6)
 
