@@ -33,6 +33,7 @@ from lfbloch.dynamics import (
     SystemState,
     Trajectory,
     integrate,
+    integrate_batch,
 )
 from lfbloch.medium import (
     HostSpecies,
@@ -60,6 +61,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INTEGRATION = 3
 EXIT_VERIFY = 4
+
+# rows of one compare table (about 5 MB of CSV); a larger grid would
+# be built in memory before the first row is written
+COMPARE_MAX_ROWS = 100_000
 
 TRAJECTORY_HEADER = ["t", "re_s", "im_s", "w", "re_beta", "im_beta"]
 SWEEP_HEADER = ["value", "re_ell", "im_ell", "gamma_fit", "shift", "error"]
@@ -137,6 +142,11 @@ def cmd_compare(args) -> int:
     if args.n_max < args.n_min:
         return _fail(f"--n-max must be >= --n-min, got "
                      f"{args.n_max!r} < {args.n_min!r}")
+    rows_wanted = (args.n_max - args.n_min) / args.step + 1.0
+    if rows_wanted > COMPARE_MAX_ROWS:
+        return _fail(f"--step {args.step!r} over [{args.n_min!r}, "
+                     f"{args.n_max!r}] gives {rows_wanted:.4g} rows; at "
+                     f"most {COMPARE_MAX_ROWS} are allowed")
     grid = []
     k = 0
     while True:
@@ -376,40 +386,81 @@ def cmd_verify(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_point(spec: SweepSpec, index: int) -> list[str]:
+# Model-A sweep points integrated per lockstep batch.  Time per point
+# falls with the batch size and levels off past 16 rows, while peak
+# memory keeps growing with it (every row's samples stay alive until the
+# batch ends); see CHANGES.md for the measurements.
+SWEEP_CHUNK = 16
+
+
+def _sweep_value(spec: SweepSpec, index: int) -> str:
     value = spec.values[index]
-    value_str = _fmt(value) if not isinstance(value, complex) \
+    return _fmt(value) if not isinstance(value, complex) \
         else _fmt_complex(value)
-    try:
-        cfg = parse_scenario(spec.point_raw(index),
-                             source=f"point[{index}]")
-        ell = cfg.resolved_ell()
-        if spec.reduction == "population_rate_model_a":
+
+
+def _sweep_error(spec: SweepSpec, index: int, exc: Exception) -> list[str]:
+    # every domain error is a ValueError (config, singular host, fit
+    # window, aliasing, LinAlgError) or an integrator failure; recorded
+    # per point, the run continues
+    return [_sweep_value(spec, index), "", "", "", "",
+            f"{type(exc).__name__}: {exc}"]
+
+
+def _sweep_chunk_model_a(spec: SweepSpec, indices: range) -> list[list[str]]:
+    """Population-rate rows of model-A points, integrated as one batch."""
+    rows: dict[int, list[str]] = {}
+    points, runs = [], []
+    for index in indices:
+        try:
+            cfg = parse_scenario(spec.point_raw(index),
+                                 source=f"point[{index}]")
+            ell = cfg.resolved_ell()
             emitter = replace(cfg.emitter, drive=DriveEnvelope())
             params = EffectiveParams(emitter=emitter, ell=ell)
             rate_guess = ell.real * emitter.gamma_a
             window = default_fit_window(rate_guess)
-            traj = integrate(params, SystemState(s=0j, w=1.0),
-                             replace(cfg.integration, span=6.5 / rate_guess))
+            integration = replace(cfg.integration, span=6.5 / rate_guess)
+        except ValueError as exc:
+            rows[index] = _sweep_error(spec, index, exc)
+            continue
+        points.append((index, ell, emitter.gamma_a, window))
+        runs.append((params, SystemState(s=0j, w=1.0), integration))
+
+    for (index, ell, gamma_a, window), traj in zip(points,
+                                                   integrate_batch(runs)):
+        try:
+            if isinstance(traj, Exception):
+                raise traj
             gamma_fit = fit_decay(traj, observable="w_plus_1",
                                   window=window).rate
-            shift = level_shift(ell, emitter.gamma_a)
-        else:  # coherence_rate_model_b
-            params = MicroscopicParams(emitter=cfg.emitter, host=cfg.host)
-            traj = weak_excitation_trajectory(params,
-                                              tol=cfg.integration.tol)
-            lam_pred = predicted_slow_eigenvalue(ell, cfg.emitter)
-            window = default_fit_window(-lam_pred.real)
-            gamma_fit = 2.0 * fit_decay(traj, observable="abs_s",
-                                        window=window).rate
-            shift = (fit_frequency(traj, window=window).frequency
-                     - cfg.emitter.delta_a)
-        return [value_str, _fmt(ell.real), _fmt(ell.imag),
-                _fmt(gamma_fit), _fmt(shift), ""]
+            shift = level_shift(ell, gamma_a)
+        except (ValueError, StepSizeUnderflowError) as exc:
+            rows[index] = _sweep_error(spec, index, exc)
+            continue
+        rows[index] = [_sweep_value(spec, index), _fmt(ell.real),
+                       _fmt(ell.imag), _fmt(gamma_fit), _fmt(shift), ""]
+    return [rows[index] for index in indices]
+
+
+def _sweep_point_model_b(spec: SweepSpec, index: int) -> list[str]:
+    """Coherence-rate row of one model-B point."""
+    try:
+        cfg = parse_scenario(spec.point_raw(index),
+                             source=f"point[{index}]")
+        ell = cfg.resolved_ell()
+        params = MicroscopicParams(emitter=cfg.emitter, host=cfg.host)
+        traj = weak_excitation_trajectory(params, tol=cfg.integration.tol)
+        lam_pred = predicted_slow_eigenvalue(ell, cfg.emitter)
+        window = default_fit_window(-lam_pred.real)
+        gamma_fit = 2.0 * fit_decay(traj, observable="abs_s",
+                                    window=window).rate
+        shift = (fit_frequency(traj, window=window).frequency
+                 - cfg.emitter.delta_a)
     except (ValueError, StepSizeUnderflowError) as exc:
-        # every domain error is a ValueError (config, singular host, fit
-        # window, aliasing, LinAlgError); recorded per point, run continues
-        return [value_str, "", "", "", "", f"{type(exc).__name__}: {exc}"]
+        return _sweep_error(spec, index, exc)
+    return [_sweep_value(spec, index), _fmt(ell.real), _fmt(ell.imag),
+            _fmt(gamma_fit), _fmt(shift), ""]
 
 
 def cmd_sweep(args) -> int:
@@ -423,7 +474,13 @@ def cmd_sweep(args) -> int:
         print("note: --workers is deprecated and ignored; the sweep runs "
               "serially", file=sys.stderr)
 
-    rows = [_sweep_point(spec, i) for i in range(len(spec.values))]
+    n_points = len(spec.values)
+    if spec.reduction == "population_rate_model_a":
+        rows = [row for start in range(0, n_points, SWEEP_CHUNK)
+                for row in _sweep_chunk_model_a(
+                    spec, range(start, min(start + SWEEP_CHUNK, n_points)))]
+    else:  # coherence_rate_model_b
+        rows = [_sweep_point_model_b(spec, i) for i in range(n_points)]
 
     if args.output:
         fh = open(args.output, "w", newline="", encoding="utf-8")

@@ -550,12 +550,11 @@ def parse_sweep(raw: dict, source: str = "sweep") -> SweepSpec:
         if not isinstance(seq, list) or not seq:
             raise ConfigError(f"{source}.values: expected a non-empty "
                               f"list, got {seq!r}")
-        if parameter == "ell":
-            values = tuple(_complex(v, f"{source}.values[{i}]")
-                           for i, v in enumerate(seq))
-        else:
-            values = tuple(_real(v, f"{source}.values[{i}]")
-                           for i, v in enumerate(seq))
+        read = (_complex if parameter == "ell"
+                else _integer if parameter == "integration.points"
+                else _real)
+        values = tuple(read(v, f"{source}.values[{i}]")
+                       for i, v in enumerate(seq))
     else:
         rng = _require_mapping(raw["range"], f"{source}.range")
         _reject_unknown(rng, {"start", "stop", "count"}, f"{source}.range")
@@ -570,6 +569,9 @@ def parse_sweep(raw: dict, source: str = "sweep") -> SweepSpec:
         values = tuple(np.linspace(_real(rng["start"], f"{source}.range"),
                                    _real(rng["stop"], f"{source}.range"),
                                    count).tolist())
+        if parameter == "integration.points":
+            # whole grid sizes become ints; any other value fails per point
+            values = tuple(int(v) if v.is_integer() else v for v in values)
 
     base_raw = _require_mapping(raw["base"], f"{source}.base")
     base = parse_scenario(base_raw, source=f"{source}.base")

@@ -63,6 +63,7 @@ __all__ = [
     "effective_rhs",
     "microscopic_rhs",
     "integrate",
+    "integrate_batch",
 ]
 
 TOL_MIN = 1e-12
@@ -325,6 +326,12 @@ def integrate(params, initial: SystemState,
     output on the sample grid, and segmentation at drive discontinuities.
     Deterministic for identical inputs.
 
+    The run goes through the code of :func:`integrate_batch` as a batch
+    of one: ``ode.solve`` is called once per drive segment with a (1, n)
+    state, so a run yields the same bits and counters alone or in any
+    batch.  Here a failure raises; ``integrate_batch`` returns it in the
+    run's entry and goes on with the other runs.
+
     Parameters
     ----------
     params : EffectiveParams or MicroscopicParams
@@ -351,63 +358,166 @@ def integrate(params, initial: SystemState,
     BlochNormWarning
         If any sampled state exceeds w^2 + 4|s|^2 = 1 + 100*tol.
     """
-    model = "A" if isinstance(params, EffectiveParams) else "B"
-    span, tol = integration.span, integration.tol
-    if model == "A" and initial.beta is not None:
-        raise ValueError("model A initial state must not carry beta")
-    if model == "B" and initial.beta is None:
-        raise ValueError("model B initial state must carry beta")
-    norm = initial.w**2 + 4.0 * abs(initial.s) ** 2
-    if not math.isfinite(norm) or norm > 1.0 + 100.0 * tol:
-        raise ValueError(
-            f"initial state lies outside the Bloch sphere: "
-            f"w^2 + 4|s|^2 = {norm!r} > 1 + 100*tol"
-        )
-    times = np.linspace(0.0, span, integration.points)
+    (result,) = _integrate_runs([(params, initial, integration)])
+    if isinstance(result, Exception):
+        raise result
+    _warn_if_outside_sphere(result)
+    return result
 
-    # The right-hand side is looked up as a module global on every call,
-    # so a wrapper installed on lfbloch.dynamics sees each evaluation.
-    if model == "A":
-        y = np.array([initial.s.real, initial.s.imag, initial.w])
 
-        def rhs(t, y):
-            return effective_rhs(t, y, params)
-    else:
-        y = np.array([initial.s.real, initial.s.imag, initial.w,
-                      initial.beta.real, initial.beta.imag])
+def integrate_batch(runs) -> list:
+    """Integrate many ``(params, initial, integration)`` runs in lockstep.
 
-        def rhs(t, y):
-            return microscopic_rhs(t, y, params)
+    Every run is integrated exactly as :func:`integrate` integrates it
+    alone: same steps, same counters, same bits.  Drive segment k of
+    every run that has one goes through one batched ``ode.solve`` call,
+    so runs with different spans, tolerances, grid sizes, models and
+    drives can share a batch.
 
-    drive = params.emitter.drive
-    cuts = sorted({b for b in drive.breakpoints() if 0.0 < b < span})
-    edges = [0.0, *cuts, span]
+    Returns
+    -------
+    list
+        One entry per run, in order: its Trajectory, or the ValueError
+        or ``lfbloch.ode.StepSizeUnderflowError`` that ``integrate``
+        would raise for it (with the same message).  A failing run does
+        not stop the others.  The trajectories of one batch may share a
+        sample buffer, which stays alive while any of them does.
 
-    y_out = np.empty((times.size, y.size))
-    n_accepted = n_rejected = n_rhs = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mask = (times >= a) & (times <= b) if a == 0.0 \
-            else (times > a) & (times <= b)
-        seg = times[mask] if np.any(mask) else np.array([b])
-        res = ode.solve(rhs, a, b, y, seg, rtol=tol, atol=tol)
-        if np.any(mask):
-            y_out[mask] = res.y
-        y = res.y_end
-        n_accepted += res.n_accepted
-        n_rejected += res.n_rejected
-        n_rhs += res.n_rhs
+    Warns
+    -----
+    BlochNormWarning
+        For each trajectory that leaves the Bloch sphere, as
+        :func:`integrate` does.
+    """
+    results = _integrate_runs(runs)
+    for result in results:
+        if isinstance(result, Trajectory):
+            _warn_if_outside_sphere(result)
+    return results
 
-    s = y_out[:, 0] + 1j * y_out[:, 1]
-    w = y_out[:, 2]
-    beta = y_out[:, 3] + 1j * y_out[:, 4] if model == "B" else None
-    norm_max = float(np.max(w**2 + 4.0 * np.abs(s) ** 2))
-    if norm_max > 1.0 + 100.0 * tol:
+
+def _warn_if_outside_sphere(traj: Trajectory) -> None:
+    if traj.bloch_norm_max > 1.0 + 100.0 * traj.tol:
         warnings.warn(
             f"trajectory left the Bloch sphere: max(w^2 + 4|s|^2) = "
-            f"{norm_max:.6g} > 1 + 100*tol",
+            f"{traj.bloch_norm_max:.6g} > 1 + 100*tol",
             BlochNormWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of integrate or integrate_batch
         )
-    return Trajectory(times=times, s=s, w=w, beta=beta, model=model,
-                      tol=tol, n_accepted=n_accepted, n_rejected=n_rejected,
-                      n_rhs=n_rhs, bloch_norm_max=norm_max)
+
+
+class _Run:
+    """One run of a batch: its right-hand side, grid and progress."""
+
+    def __init__(self, params, initial: SystemState,
+                 integration: IntegrationSpec):
+        self.model = "A" if isinstance(params, EffectiveParams) else "B"
+        self.tol = tol = integration.tol
+        if self.model == "A" and initial.beta is not None:
+            raise ValueError("model A initial state must not carry beta")
+        if self.model == "B" and initial.beta is None:
+            raise ValueError("model B initial state must carry beta")
+        norm = initial.w**2 + 4.0 * abs(initial.s) ** 2
+        if not math.isfinite(norm) or norm > 1.0 + 100.0 * tol:
+            raise ValueError(
+                f"initial state lies outside the Bloch sphere: "
+                f"w^2 + 4|s|^2 = {norm!r} > 1 + 100*tol"
+            )
+        span = integration.span
+        self.times = np.linspace(0.0, span, integration.points)
+
+        # The right-hand side is looked up as a module global on every
+        # call, so a wrapper installed on lfbloch.dynamics sees each
+        # evaluation.
+        if self.model == "A":
+            self.y = np.array([initial.s.real, initial.s.imag, initial.w])
+
+            def rhs(t, y):
+                return effective_rhs(t, y, params)
+        else:
+            self.y = np.array([initial.s.real, initial.s.imag, initial.w,
+                               initial.beta.real, initial.beta.imag])
+
+            def rhs(t, y):
+                return microscopic_rhs(t, y, params)
+        self.rhs = rhs
+
+        drive = params.emitter.drive
+        cuts = sorted({b for b in drive.breakpoints() if 0.0 < b < span})
+        self.edges = [0.0, *cuts, span]
+        self.samples = []  # the samples of each segment that has any
+        self.n_accepted = self.n_rejected = self.n_rhs = 0
+
+    def segment(self, k: int) -> tuple[bool, np.ndarray]:
+        """Whether drive segment k holds samples, and its solver grid."""
+        a, b = self.edges[k], self.edges[k + 1]
+        times = self.times
+        mask = (times >= a) & (times <= b) if a == 0.0 \
+            else (times > a) & (times <= b)
+        if np.any(mask):
+            return True, times[mask]
+        return False, np.array([b])
+
+    def trajectory(self) -> Trajectory:
+        # the segments' samples are consecutive slices of the grid
+        y_out = self.samples[0] if len(self.samples) == 1 \
+            else np.concatenate(self.samples)
+        s = y_out[:, 0] + 1j * y_out[:, 1]
+        w = y_out[:, 2]
+        beta = y_out[:, 3] + 1j * y_out[:, 4] if self.model == "B" else None
+        norm_max = float(np.max(w**2 + 4.0 * np.abs(s) ** 2))
+        return Trajectory(times=self.times, s=s, w=w, beta=beta,
+                          model=self.model, tol=self.tol,
+                          n_accepted=self.n_accepted,
+                          n_rejected=self.n_rejected, n_rhs=self.n_rhs,
+                          bloch_norm_max=norm_max)
+
+
+def _integrate_runs(runs) -> list:
+    """integrate_batch without the Bloch-sphere warnings."""
+    results: list = [None] * len(runs)
+    prepared = []
+    for k, (params, initial, integration) in enumerate(runs):
+        try:
+            prepared.append((k, _Run(params, initial, integration)))
+        except ValueError as exc:
+            results[k] = exc
+
+    seg = 0
+    while live := [(k, run) for k, run in prepared
+                   if results[k] is None and seg < len(run.edges) - 1]:
+        for model in ("A", "B"):  # one state size per solve
+            group = [(k, run) for k, run in live if run.model == model]
+            if group:
+                _solve_segment(group, seg, results)
+        seg += 1
+
+    for k, run in prepared:
+        if results[k] is None:
+            results[k] = run.trajectory()
+    return results
+
+
+def _solve_segment(group, seg: int, results: list) -> None:
+    """Advance every run of one model through its drive segment seg."""
+    segments = [run.segment(seg) for _, run in group]
+    res = ode.solve([run.rhs for _, run in group],
+                    [run.edges[seg] for _, run in group],
+                    [run.edges[seg + 1] for _, run in group],
+                    [run.y for _, run in group],
+                    [grid for _, grid in segments],
+                    [run.tol for _, run in group],
+                    [run.tol for _, run in group])
+    n_accepted = res.n_accepted.tolist()
+    n_rejected = res.n_rejected.tolist()
+    n_rhs = res.n_rhs.tolist()
+    for r, ((k, run), (sampled, _)) in enumerate(zip(group, segments)):
+        if res.errors[r] is not None:
+            results[k] = res.errors[r]
+            continue
+        if sampled:
+            run.samples.append(res.row(r)[1])
+        run.y = res.y_end[r]
+        run.n_accepted += n_accepted[r]
+        run.n_rejected += n_rejected[r]
+        run.n_rhs += n_rhs[r]

@@ -1,4 +1,4 @@
-"""Adaptive embedded Runge-Kutta integrator (Dormand-Prince 5(4)).
+"""Adaptive embedded Runge-Kutta integrator (Dormand-Prince 5(4)), batched.
 
 Explicit 7-stage FSAL pair: the fifth-order solution is propagated, the
 embedded fourth-order solution provides the per-step error estimate, and a
@@ -6,8 +6,27 @@ quartic interpolant gives dense output on an arbitrary evaluation grid.
 Error control is applied to every real component with the mixed tolerance
 scale ``atol + rtol*|y|``.
 
+``solve`` advances a batch of B independent problems ("rows") of the same
+size n in lockstep: one pass of the step loop attempts one step of every
+unfinished row.  Each row keeps its own time, step size, accept/reject
+decision, tolerances, sample grid and counters, and the stage algebra is
+arranged so that each row's floating-point operations are exactly those
+of the row integrated alone.  A row therefore takes the same steps and
+yields the same bits in any batch; a single problem is a batch of one.
+A row whose step size underflows stops with its own error while the
+other rows go on.
+
+The forms that keep a row's bits are narrow: stacked ``np.matmul`` of
+a tableau row with the (B, i, n) stage slices, element-wise operations
+with per-row (B, 1) columns, ``np.add.reduce`` along the row and
+``np.sqrt``.  The step-size factor stays on Python floats (numpy's
+power differs from CPython's ``**``), and dense output is one
+(m, 4) @ (4, n) product per row and step: a (1, 4) @ (4, n) product is
+not bitwise a row of an (m, 4) @ (4, n) one, and a stage-major
+(7, B*n) product is not bitwise the per-row one either.
+
 The run is fully deterministic for identical inputs and reports exact
-accepted/rejected step counts.
+accepted/rejected step counts per row.
 
 References
 ----------
@@ -21,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,20 +90,34 @@ _MAX_FACTOR = 10.0
 _ORDER_EXPONENT = -0.2  # 1/(error estimator order + 1)
 
 
+_C_FLOAT = _C.tolist()  # stage times are Python-float arithmetic
+_P_T = _P.T
+
+
 @dataclass
 class OdeResult:
-    """Solution samples on the requested grid plus integrator statistics."""
+    """Samples of every row on its grid plus per-row integrator statistics.
 
-    t: np.ndarray
-    y: np.ndarray          # shape (len(t), len(y0))
-    y_end: np.ndarray      # state at t_end (for chaining segments)
-    n_accepted: int
-    n_rejected: int
-    n_rhs: int
+    Row b's samples are ``t[offsets[b]:offsets[b + 1]]`` and the same rows
+    of ``y`` (see :meth:`row`).  ``errors[b]`` is None, or the
+    StepSizeUnderflowError that stopped row b: its samples past the
+    failure and its ``y_end[b]`` are NaN.  The counters are arrays so
+    that ``np.sum`` totals them over the batch.
+    """
 
+    t: np.ndarray           # every row's grid, concatenated
+    y: np.ndarray           # shape (t.size, n)
+    offsets: np.ndarray     # shape (B + 1,)
+    y_end: np.ndarray       # shape (B, n): state at t_end (for chaining)
+    n_accepted: np.ndarray  # shape (B,)
+    n_rejected: np.ndarray  # shape (B,)
+    n_rhs: np.ndarray       # shape (B,)
+    errors: list            # B entries: None or StepSizeUnderflowError
 
-def _error_norm(err: np.ndarray, scale: np.ndarray) -> float:
-    return math.sqrt(float(np.mean((err / scale) ** 2)))
+    def row(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (t, y) samples of row b."""
+        lo, hi = self.offsets[b], self.offsets[b + 1]
+        return self.t[lo:hi], self.y[lo:hi]
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
@@ -106,131 +139,235 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
     return min(100 * h0, h1, t_end - t0, max_step), f1
 
 
+def _column(values: list[float]):
+    """Per-row factors that broadcast over the rows of a (B, n) array.
+
+    A batch of one gets its Python float: numpy multiplies an array by a
+    scalar faster than by a (1, 1) column, with the same bits.
+    """
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+def _underflow(t: float, h: float, nonfinite: bool) -> StepSizeUnderflowError:
+    if nonfinite or not math.isfinite(h):
+        cause = ("the right-hand side went non-finite (NaN or inf) "
+                 "and every step past this point was rejected; "
+                 "check the parameters and the drive")
+    else:
+        cause = ("the problem is too stiff for the explicit "
+                 "integrator at this tolerance; loosen tol or "
+                 "reduce the fastest rate in the system")
+    return StepSizeUnderflowError(
+        f"step size underflow at t = {t:.6g} (h = {h:.3g}): {cause}")
+
+
+class _Row:
+    """Controller state of one unfinished row."""
+
+    __slots__ = ("index", "f", "t", "h", "t_end", "last", "nonfinite",
+                 "K", "times", "out", "i_out")
+
+    def __init__(self, index, f, t, h, t_end, K, times, out, i_out):
+        self.index, self.f, self.t, self.h, self.t_end = index, f, t, h, t_end
+        self.last = self.nonfinite = False
+        self.K = K  # this row's (7, n) stages: a view into the batch's
+        self.times, self.out, self.i_out = times, out, i_out
+
+
 def solve(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    t0: float,
-    t_end: float,
+    rhs: Sequence[Callable[[float, np.ndarray], np.ndarray]],
+    t0: Sequence[float],
+    t_end: Sequence[float],
     y0: np.ndarray,
-    t_eval: np.ndarray,
-    rtol: float,
-    atol: float,
+    t_eval: Sequence[np.ndarray],
+    rtol: Sequence[float],
+    atol: Sequence[float],
     max_step: float = math.inf,
 ) -> OdeResult:
-    """Integrate ``dy/dt = rhs(t, y)`` from t0 to t_end.
+    """Integrate ``dy_b/dt = rhs[b](t, y_b)`` from t0[b] to t_end[b], b < B.
+
+    Every argument but ``max_step`` holds one entry per row.  Rows may
+    differ in span, tolerance and grid length; each is integrated
+    exactly as it would be alone.
 
     Parameters
     ----------
-    rhs : callable
-        Right-hand side returning an array of the same shape as ``y``.
-    t0, t_end : float
-        Integration span; ``t_end > t0``.
-    y0 : ndarray
-        Initial state (real components).
-    t_eval : ndarray
-        Strictly increasing evaluation grid inside ``[t0, t_end]``.  The
-        solution is interpolated onto it with the quartic dense output.
-    rtol, atol : float
-        Relative/absolute tolerance of the per-step error control.
+    rhs : sequence of B callables
+        Right-hand side of each row, returning an array of shape (n,).
+    t0, t_end : sequences of B floats
+        Integration span of each row; ``t_end > t0``.
+    y0 : ndarray, shape (B, n)
+        Initial state of each row (real components).
+    t_eval : sequence of B arrays
+        Strictly increasing evaluation grid of each row, inside its
+        span.  The solution is interpolated onto it with the quartic
+        dense output.
+    rtol, atol : sequences of B floats
+        Relative/absolute tolerance of each row's error control.
     max_step : float, optional
-        Upper bound on the step size.
+        Upper bound on the step size of every row.
+
+    Returns
+    -------
+    OdeResult
+        All rows' samples, final states, counters and failures.  A row
+        whose step size falls below the floating-point floor does not
+        raise: its StepSizeUnderflowError is stored in ``errors`` and
+        the other rows are integrated to their end.  The message says
+        why, and is the same in any batch: the problem is too stiff for
+        this explicit method at the given tolerance, or the right-hand
+        side went non-finite (a step whose error estimate is NaN or inf
+        is rejected, never accepted).
 
     Raises
     ------
-    StepSizeUnderflowError
-        If error control forces the step below the representable floor:
-        the problem is too stiff for this explicit method at the given
-        tolerance, or the right-hand side went non-finite (a step whose
-        error estimate is NaN or inf is rejected, never accepted).
     ValueError
-        For an empty or non-increasing grid, a grid outside the span, or a
-        non-positive span.
+        For arguments of different lengths, a ``y0`` that is not 2-D, or
+        a row with an empty or non-increasing grid, a grid outside its
+        span, or a non-positive span.
     """
-    y0 = np.asarray(y0, dtype=float)
-    t_eval = np.asarray(t_eval, dtype=float)
-    if not t_end > t0:
-        raise ValueError(f"require t_end > t0, got [{t0!r}, {t_end!r}]")
-    if t_eval.size == 0:
-        raise ValueError("empty evaluation grid")
-    if np.any(np.diff(t_eval) <= 0.0):
-        raise ValueError("evaluation grid must be strictly increasing")
-    if t_eval[0] < t0 or t_eval[-1] > t_end:
-        raise ValueError(
-            f"evaluation grid [{t_eval[0]!r}, {t_eval[-1]!r}] outside "
-            f"integration span [{t0!r}, {t_end!r}]"
-        )
+    y = np.array(y0, dtype=float)
+    if y.ndim != 2:
+        raise ValueError(f"y0 must have shape (batch, n), got {y.shape}")
+    batch, n = y.shape
+    if not (len(rhs) == len(t0) == len(t_end) == len(t_eval) == len(rtol)
+            == len(atol) == batch):
+        raise ValueError("rhs, t0, t_end, t_eval, rtol and atol need one "
+                         "entry per row of y0")
+    t0 = [float(a) for a in t0]
+    t_end = [float(b) for b in t_end]
+    grids = [np.asarray(g, dtype=float) for g in t_eval]
+    for a, b, grid in zip(t0, t_end, grids):
+        if not b > a:
+            raise ValueError(f"require t_end > t0, got [{a!r}, {b!r}]")
+        if grid.size == 0:
+            raise ValueError("empty evaluation grid")
+        if np.any(np.diff(grid) <= 0.0):
+            raise ValueError("evaluation grid must be strictly increasing")
+        if grid[0] < a or grid[-1] > b:
+            raise ValueError(
+                f"evaluation grid [{grid[0]!r}, {grid[-1]!r}] outside "
+                f"integration span [{a!r}, {b!r}]"
+            )
 
-    n = y0.size
-    y_out = np.empty((t_eval.size, n))
-    i_out = 0
-    if t_eval[0] == t0:
-        y_out[0] = y0
-        i_out = 1
+    offsets = np.zeros(batch + 1, dtype=int)
+    np.cumsum([g.size for g in grids], out=offsets[1:])
+    y_all = np.full((offsets[-1], n), math.nan)
+    y_end = np.full((batch, n), math.nan)
+    n_accepted = [0] * batch
+    n_rejected = [0] * batch
+    errors = [None] * batch
 
-    K = np.empty((7, n))
-    t, y = float(t0), y0.copy()
-    K[0] = rhs(t, y)
-    n_rhs = 1
-    h, _ = _initial_step(rhs, t, y, K[0], t_end, rtol, atol, max_step)
-    n_rhs += 1
-    n_accepted = 0
-    n_rejected = 0
-    nonfinite = False  # the last rejection had a NaN/inf error estimate
+    K = np.empty((batch, 7, n))
+    act = []  # unfinished rows, in the order of the rows of y and K
+    for b in range(batch):
+        f, t, grid = rhs[b], t0[b], grids[b]
+        out = y_all[offsets[b]:offsets[b + 1]]
+        i_out = 0
+        if grid[0] == t:
+            out[0] = y[b]
+            i_out = 1
+        K[b, 0] = f(t, y[b])
+        h, _ = _initial_step(f, t, y[b], K[b, 0], t_end[b], rtol[b],
+                             atol[b], max_step)
+        act.append(_Row(b, f, t, h, t_end[b], K[b], grid, out, i_out))
+    heads = [K[:, :i] for i in range(7)]
+    rtol_col, atol_col = _column(list(rtol)), _column(list(atol))
+    abs_y = np.abs(y)
+    errs = None  # error norm of each row's last attempted step
 
-    while t < t_end:
-        h = min(h, max_step)
-        min_step = 10.0 * abs(np.nextafter(t, math.inf) - t)
-        if not h >= min_step:
-            if nonfinite or not math.isfinite(h):
-                cause = ("the right-hand side went non-finite (NaN or inf) "
-                         "and every step past this point was rejected; "
-                         "check the parameters and the drive")
-            else:
-                cause = ("the problem is too stiff for the explicit "
-                         "integrator at this tolerance; loosen tol or "
-                         "reduce the fastest rate in the system")
-            raise StepSizeUnderflowError(
-                f"step size underflow at t = {t:.6g} (h = {h:.3g}): {cause}")
-        is_last = t + h >= t_end
-        if is_last:
-            h = t_end - t
+    while True:
+        # One pass over the rows: accept or reject the step just
+        # attempted, then schedule the next one, retiring finished and
+        # failed rows.  Step sizes and times stay Python floats.
+        keep, steps, hs, accepted = [], [], [], []
+        for r, row in enumerate(act):
+            t, h = row.t, row.h
+            if errs is not None:
+                err = errs[r]
+                if not err <= 1.0:
+                    n_rejected[row.index] += 1
+                    row.nonfinite = not math.isfinite(err)
+                    h *= _MIN_FACTOR if row.nonfinite else max(
+                        _MIN_FACTOR, _SAFETY * err ** _ORDER_EXPONENT)
+                else:
+                    n_accepted[row.index] += 1
+                    row.nonfinite = False
+                    accepted.append(r)
+                    t_new = row.t_end if row.last else t + h
+                    # dense output for grid points inside (t, t_new]
+                    i_out = row.i_out
+                    j = row.times.searchsorted(t_new, "right")
+                    if j > i_out:
+                        theta = (row.times[i_out:j] - t) / h
+                        # theta^1..4, laid out as np.vander(theta, 5,
+                        # increasing=True)[:, 1:] for the same product
+                        powers = np.empty((j - i_out, 5))[:, 1:]
+                        powers[...] = theta[:, None]
+                        np.multiply.accumulate(powers, out=powers, axis=1)
+                        row.out[i_out:j] = y[r] + h * (powers
+                                                       @ (_P_T @ row.K))
+                        row.i_out = j
+                    h *= _MAX_FACTOR if err == 0.0 else min(
+                        _MAX_FACTOR,
+                        max(_MIN_FACTOR, _SAFETY * err ** _ORDER_EXPONENT))
+                    t = row.t = t_new
+                    if row.last:
+                        # grid points at t_end missed by roundoff
+                        row.out[row.i_out:] = y_new[r]
+                        y_end[row.index] = y_new[r]
+                        continue
+            h = min(h, max_step)
+            if not h >= 10.0 * abs(math.nextafter(t, math.inf) - t):
+                errors[row.index] = _underflow(t, h, row.nonfinite)
+                continue
+            row.last = t + h >= row.t_end
+            if row.last:
+                h = row.t_end - t
+            row.h = h
+            keep.append(r)
+            steps.append((row.K, row.f, t, h))
+            hs.append(h)
+
+        if len(accepted) == len(act):
+            K[:, 0] = K[:, 6]
+            y, abs_y = y_new, abs_new
+        elif accepted:
+            K[accepted, 0] = K[accepted, 6]
+            y[accepted] = y_new[accepted]
+            abs_y[accepted] = abs_new[accepted]
+        if not keep:
+            break
+        if len(keep) < len(act):
+            act = [act[r] for r in keep]
+            y, K, abs_y = y[keep], K[keep], abs_y[keep]
+            heads = [K[:, :i] for i in range(7)]
+            rtol_col = _column([rtol[row.index] for row in act])
+            atol_col = _column([atol[row.index] for row in act])
+            for row, K_row in zip(act, K):
+                row.K = K_row
+            steps = [(row.K, row.f, row.t, row.h) for row in act]
 
         # stage evaluations (k1 carried over from the previous step, FSAL)
+        h_col = _column(hs)
         for i in range(1, 6):
-            K[i] = rhs(t + _C[i] * h, y + h * (_A[i] @ K[:i]))
-        y_new = y + h * (_B @ K[:6])
-        K[6] = rhs(t + h, y_new)
-        n_rhs += 6
+            stage = y + h_col * np.matmul(_A[i], heads[i])
+            c = _C_FLOAT[i]
+            for (K_row, f, t, h), y_stage in zip(steps, stage):
+                K_row[i] = f(t + c * h, y_stage)
+        y_new = y + h_col * np.matmul(_B, heads[6])
+        for (K_row, f, t, h), y_row in zip(steps, y_new):
+            K_row[6] = f(t + h, y_row)
 
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _error_norm(h * (_E @ K), scale)
+        abs_new = np.abs(y_new)
+        scale = atol_col + rtol_col * np.maximum(abs_y, abs_new)
+        # np.mean(..., axis=1) without its Python-level overhead
+        errs = np.sqrt(np.add.reduce((h_col * np.matmul(_E, K) / scale) ** 2,
+                                     axis=1) / n).tolist()
 
-        if not err <= 1.0:
-            n_rejected += 1
-            nonfinite = not math.isfinite(err)
-            h *= _MIN_FACTOR if nonfinite else max(
-                _MIN_FACTOR, _SAFETY * err ** _ORDER_EXPONENT)
-            continue
-
-        n_accepted += 1
-        nonfinite = False
-        t_new = t_end if is_last else t + h
-        # dense output for grid points inside (t, t_new]
-        j = i_out
-        while j < t_eval.size and t_eval[j] <= t_new:
-            j += 1
-        if j > i_out:
-            theta = (t_eval[i_out:j] - t) / h
-            powers = np.vander(theta, 5, increasing=True)[:, 1:]  # theta^1..4
-            y_out[i_out:j] = y + h * (powers @ (_P.T @ K)).reshape(-1, n)
-            i_out = j
-
-        K[0] = K[6]
-        factor = _MAX_FACTOR if err == 0.0 else min(
-            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** _ORDER_EXPONENT))
-        h *= factor
-        t, y = t_new, y_new
-
-    if i_out < t_eval.size:  # grid points at t_end missed by roundoff
-        y_out[i_out:] = y
-    return OdeResult(t=t_eval, y=y_out, y_end=y, n_accepted=n_accepted,
-                     n_rejected=n_rejected, n_rhs=n_rhs)
+    n_accepted = np.array(n_accepted)
+    n_rejected = np.array(n_rejected)
+    return OdeResult(t=np.concatenate(grids), y=y_all, offsets=offsets,
+                     y_end=y_end, n_accepted=n_accepted,
+                     n_rejected=n_rejected,
+                     n_rhs=2 + 6 * (n_accepted + n_rejected), errors=errors)

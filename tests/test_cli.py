@@ -11,7 +11,7 @@ import math
 import pytest
 
 from lfbloch import dynamics
-from lfbloch.cli import main
+from lfbloch.cli import COMPARE_MAX_ROWS, SWEEP_CHUNK, main
 from lfbloch.ode import StepSizeUnderflowError
 
 ELL_CANONICAL = 1.495049504950495 - 0.04950495049504951j
@@ -205,6 +205,21 @@ class TestCompare:
         assert code == 2
         assert out == ""
         assert f"{flag} must be finite" in err
+
+    def test_oversized_grid_rejected(self, capsys):
+        # 1e16 rows used to be built in memory until MemoryError
+        code, out, err = run_cli(["compare", "--n-max", "1e7", "--step",
+                                  "1e-9"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"at most {COMPARE_MAX_ROWS}" in err
+
+    def test_largest_grid_accepted(self, capsys):
+        step = 1.0 / (COMPARE_MAX_ROWS - 1)
+        code, out, _ = run_cli(["compare", "--n-max", "2", "--step",
+                                repr(step)], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == COMPARE_MAX_ROWS + 1
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +449,54 @@ class TestSweep:
         assert rows[1][3] == ""
         assert float(rows[2][3]) == pytest.approx(ELL_CANONICAL.real,
                                                   rel=1e-6)
+
+    @pytest.mark.parametrize("grid", [
+        {"values": [801, 1601, 401]},
+        {"range": {"start": 401, "stop": 1601, "count": 3}},
+    ])
+    def test_points_sweep(self, tmp_path, capsys, grid):
+        # one batch whose rows have grids of different lengths
+        payload = density_sweep()
+        del payload["values"], payload["overrides"]
+        payload.update(parameter="integration.points", **grid)
+        spec = write_json(tmp_path / "sweep.json", payload)
+        code, out, _ = run_cli(["sweep", spec], capsys)
+        assert code == 0
+        rows = list(csv.reader(out.strip().splitlines()))[1:]
+        assert [r[5] for r in rows] == ["", "", ""]
+        assert sorted(int(r[0]) for r in rows) == sorted(
+            grid.get("values", [401, 1001, 1601]))
+        # the vacuum point recovers the bare rate at every grid size
+        assert [float(r[3]) for r in rows] == pytest.approx([1.0] * 3,
+                                                            rel=1e-6)
+
+    def test_chunked_rows_match_single_point_sweeps(self, tmp_path, capsys):
+        # more points than one lockstep batch holds, with a point that
+        # fails to parse (index 9) and one whose fit fails (index 14)
+        n = SWEEP_CHUNK + 5
+        payload = density_sweep()
+        payload["values"] = [0.5 * i for i in range(n)]
+        payload["values"][9] = -3.0
+        payload["overrides"] = [{"host": {"delta_b": 20.0 - 0.5 * i},
+                                 "integration": {"points": 401}}
+                                for i in range(n)]
+        payload["overrides"][14]["integration"]["points"] = 5
+        spec = write_json(tmp_path / "sweep.json", payload)
+        code, out, _ = run_cli(["sweep", spec], capsys)
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == n
+        errors = {i for i, row in enumerate(rows) if row.split(",")[5]}
+        assert errors == {9, 14}
+        assert "eps_b" in rows[9]
+        for i in range(n):
+            single = dict(payload, values=[payload["values"][i]],
+                          overrides=[payload["overrides"][i]])
+            spec_i = write_json(tmp_path / f"point{i}.json", single)
+            code, out, _ = run_cli(["sweep", spec_i], capsys)
+            assert code == 0
+            assert out.strip().splitlines()[1] == rows[i].replace(
+                f"point[{i}]", "point[0]")
 
     def test_programming_error_propagates(self, tmp_path, capsys,
                                           monkeypatch):

@@ -1,16 +1,21 @@
 """Tests for the two Bloch models: right-hand sides against hand
 substitutions, integration against closed forms, conservation, reduction
-limits, and trajectory bookkeeping."""
+limits, trajectory bookkeeping, and batches that reproduce each run's
+lone integration bit for bit."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from lfbloch import dynamics
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from lfbloch.dynamics import (
+    BlochNormWarning,
     DriveEnvelope,
     EffectiveParams,
     EmitterParams,
@@ -20,10 +25,11 @@ from lfbloch.dynamics import (
     Trajectory,
     effective_rhs,
     integrate,
+    integrate_batch,
     microscopic_rhs,
 )
 from lfbloch.medium import HostSpecies
-from lfbloch.ode import solve
+from lfbloch.ode import StepSizeUnderflowError, solve
 
 # canonical scenario used throughout: bare emitter, absorptive host
 EMITTER = EmitterParams(delta_a=0.0, eps_a=0.0, gamma_a=1.0)
@@ -290,8 +296,8 @@ class TestIntegrateMicroscopic:
 
         tol = 1e-10
         grid = np.linspace(0.0, 3.0, 4)
-        res = solve(rhs, 0.0, 3.0, np.array([1.0, 0.0, 0.0, 0.0]), grid,
-                    rtol=tol, atol=tol)
+        res = solve([rhs], [0.0], [3.0], np.array([[1.0, 0.0, 0.0, 0.0]]),
+                    [grid], rtol=[tol], atol=[tol])
         for i, t in enumerate(grid):
             z = expm(mat * t) @ np.array([1.0, 0.0])
             got = complex(res.y[i, 0], res.y[i, 1])
@@ -366,3 +372,130 @@ class TestTrajectory:
         assert np.array_equal(runs[0].s, runs[1].s)
         assert np.array_equal(runs[0].w, runs[1].w)
         assert runs[0].n_rhs == runs[1].n_rhs
+
+
+@st.composite
+def batch_run(draw):
+    """One (params, initial, integration) run of model A or B."""
+    span = draw(st.floats(0.5, 3.0))
+    kind = draw(st.sampled_from(["off", "constant", "pulse"]))
+    amplitude = complex(draw(st.floats(-1.5, 1.5)),
+                        draw(st.floats(-1.5, 1.5)))
+    if kind == "pulse":
+        t_on = draw(st.floats(0.0, span))
+        drive = DriveEnvelope(kind="pulse", amplitude=amplitude, t_on=t_on,
+                              t_off=t_on + draw(st.floats(0.05, span)))
+    else:
+        drive = DriveEnvelope(kind=kind, amplitude=amplitude)
+    emitter = EmitterParams(delta_a=draw(st.floats(-2.0, 2.0)),
+                            eps_a=draw(st.floats(0.0, 1.0)),
+                            gamma_a=draw(st.floats(0.5, 1.5)), drive=drive)
+    w = draw(st.floats(-1.0, 1.0))
+    r = 0.45 * math.sqrt(1.0 - w * w) * draw(st.floats(0.0, 1.0))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    s = complex(r * math.cos(phi), r * math.sin(phi))
+    integration = IntegrationSpec(
+        span=span, tol=draw(st.sampled_from([1e-6, 1e-8, 1e-10])),
+        points=draw(st.integers(2, 300)))
+    if draw(st.booleans()):
+        ell = complex(draw(st.floats(1.0, 2.0)), draw(st.floats(-0.3, 0.3)))
+        return (EffectiveParams(emitter=emitter, ell=ell),
+                SystemState(s=s, w=w), integration)
+    host = HostSpecies(delta_b=draw(st.floats(2.0, 8.0)),
+                       eps_b=draw(st.floats(0.0, 4.0)),
+                       gamma_b=draw(st.floats(1.0, 4.0)))
+    return (MicroscopicParams(emitter=emitter, host=host),
+            SystemState(s=s, w=w, beta=draw(small_complex(0.1))),
+            integration)
+
+
+def _same_trajectory(a: Trajectory, b: Trajectory) -> bool:
+    return (np.array_equal(a.times, b.times) and np.array_equal(a.s, b.s)
+            and np.array_equal(a.w, b.w)
+            and (a.beta is None) == (b.beta is None)
+            and (a.beta is None or np.array_equal(a.beta, b.beta))
+            and (a.model, a.tol, a.n_accepted, a.n_rejected, a.n_rhs,
+                 a.bloch_norm_max)
+            == (b.model, b.tol, b.n_accepted, b.n_rejected, b.n_rhs,
+                b.bloch_norm_max))
+
+
+def _lone(run):
+    """integrate(*run), or the integrator failure it raises."""
+    try:
+        return integrate(*run)
+    except StepSizeUnderflowError as exc:
+        return exc
+
+
+def _same_outcome(a, b) -> bool:
+    if isinstance(a, Trajectory) and isinstance(b, Trajectory):
+        return _same_trajectory(a, b)
+    return type(a) is type(b) and str(a) == str(b)
+
+
+def _poisoned(original, bad, t_bad):
+    """original, but NaN for params ``bad`` once t passes t_bad."""
+    def rhs(t, y, p):
+        out = original(t, y, p)
+        return np.full_like(out, math.nan) if p is bad and t > t_bad else out
+    return rhs
+
+
+@pytest.mark.filterwarnings("ignore::lfbloch.dynamics.BlochNormWarning")
+class TestIntegrateBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(runs=st.lists(batch_run(), min_size=1, max_size=5))
+    def test_batch_equals_lone_runs_bitwise(self, runs):
+        # a run may fail alone (a pulse that starts within about 1e-302
+        # of t = 0 does); its entry must then be the same failure
+        batch = integrate_batch(runs)
+        assert len(batch) == len(runs)
+        for got, run in zip(batch, runs):
+            assert _same_outcome(got, _lone(run))
+
+    @settings(max_examples=30, deadline=None)
+    @given(runs=st.lists(batch_run(), min_size=2, max_size=4),
+           data=st.data())
+    def test_nonfinite_row_fails_alone(self, runs, data):
+        k = data.draw(st.integers(0, len(runs) - 1))
+        bad, _, integration = runs[k]
+        t_bad = data.draw(st.floats(0.0, 0.9)) * integration.span
+        with mock.patch.object(dynamics, "effective_rhs", _poisoned(
+                effective_rhs, bad, t_bad)), \
+                mock.patch.object(dynamics, "microscopic_rhs", _poisoned(
+                    microscopic_rhs, bad, t_bad)):
+            batch = integrate_batch(runs)
+            with pytest.raises(StepSizeUnderflowError) as lone:
+                integrate(*runs[k])
+        assert isinstance(batch[k], StepSizeUnderflowError)
+        assert str(batch[k]) == str(lone.value)
+        for j, run in enumerate(runs):
+            if j != k:
+                assert _same_outcome(batch[j], _lone(run))
+
+    def test_invalid_run_fails_alone(self):
+        good = (EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS),
+                SystemState(s=0j, w=1.0), IntegrationSpec(span=1.0))
+        outside = (good[0], SystemState(s=0.6 + 0j, w=0.0), good[2])
+        batch = integrate_batch([outside, good])
+        assert isinstance(batch[0], ValueError)
+        assert "Bloch sphere" in str(batch[0])
+        assert _same_trajectory(batch[1], integrate(*good))
+
+    def test_bloch_warning_names_the_caller(self):
+        # a right-hand side that inflates the state leaves the sphere
+        run = (EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS),
+               SystemState(s=0j, w=-1.0), IntegrationSpec(span=1.0,
+                                                          points=11))
+        with mock.patch.object(dynamics, "effective_rhs",
+                               lambda t, y, p: y):
+            with pytest.warns(BlochNormWarning) as lone:
+                integrate(*run)
+            with pytest.warns(BlochNormWarning) as batch:
+                integrate_batch([run, run])
+        assert [w.filename for w in lone] == [__file__]
+        assert [w.filename for w in batch] == [__file__] * 2
+
+    def test_empty_batch(self):
+        assert integrate_batch([]) == []
