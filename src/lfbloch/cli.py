@@ -52,7 +52,7 @@ from lfbloch.verify import (
     predicted_slow_eigenvalue,
     run_battery,
     slow_eigenvalue,
-    weak_excitation_trajectory,
+    weak_excitation_run,
 )
 
 __all__ = ["main"]
@@ -386,10 +386,10 @@ def cmd_verify(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-# Model-A sweep points integrated per lockstep batch.  Time per point
-# falls with the batch size and levels off past 16 rows, while peak
-# memory keeps growing with it (every row's samples stay alive until the
-# batch ends); see CHANGES.md for the measurements.
+# Sweep points integrated per lockstep batch.  Time per point falls
+# with the batch size and levels off past 16 rows, while peak memory
+# keeps growing with it (every row's samples stay alive until the batch
+# ends); see CHANGES.md for the measurements.
 SWEEP_CHUNK = 16
 
 
@@ -407,34 +407,70 @@ def _sweep_error(spec: SweepSpec, index: int, exc: Exception) -> list[str]:
             f"{type(exc).__name__}: {exc}"]
 
 
-def _sweep_chunk_model_a(spec: SweepSpec, indices: range) -> list[list[str]]:
-    """Population-rate rows of model-A points, integrated as one batch."""
+def _population_rate_point(cfg: ScenarioConfig):
+    """Model-A decay run of a point, and its reduction to (ell, rate, shift).
+
+    The rate is the population decay fitted from full inversion with the
+    drive off; the shift is the level shift of ell.
+    """
+    ell = cfg.resolved_ell()
+    emitter = replace(cfg.emitter, drive=DriveEnvelope())
+    params = EffectiveParams(emitter=emitter, ell=ell)
+    rate_guess = ell.real * emitter.gamma_a
+    window = default_fit_window(rate_guess)
+    run = (params, SystemState(s=0j, w=1.0),
+           replace(cfg.integration, span=6.5 / rate_guess))
+
+    def reduce(traj: Trajectory):
+        rate = fit_decay(traj, observable="w_plus_1", window=window).rate
+        return ell, rate, level_shift(ell, emitter.gamma_a)
+    return run, reduce
+
+
+def _coherence_rate_point(cfg: ScenarioConfig):
+    """Model-B weak-excitation run of a point, and its reduction.
+
+    The rate is twice the fitted |s| decay; the shift is the fitted
+    coherence frequency less delta_a.
+    """
+    ell = cfg.resolved_ell()
+    run = weak_excitation_run(MicroscopicParams(emitter=cfg.emitter,
+                                                host=cfg.host),
+                              tol=cfg.integration.tol)
+
+    def reduce(traj: Trajectory):
+        lam_pred = predicted_slow_eigenvalue(ell, cfg.emitter)
+        window = default_fit_window(-lam_pred.real)
+        rate = fit_decay(traj, observable="abs_s", window=window).rate
+        shift = fit_frequency(traj, window=window).frequency
+        return ell, 2.0 * rate, shift - cfg.emitter.delta_a
+    return run, reduce
+
+
+_SWEEP_POINTS = {"population_rate_model_a": _population_rate_point,
+                 "coherence_rate_model_b": _coherence_rate_point}
+
+
+def _sweep_chunk(spec: SweepSpec, indices: range) -> list[list[str]]:
+    """The rows of a run of sweep points, integrated as one batch."""
+    point = _SWEEP_POINTS[spec.reduction]
     rows: dict[int, list[str]] = {}
-    points, runs = [], []
+    reducers, runs = [], []
     for index in indices:
         try:
-            cfg = parse_scenario(spec.point_raw(index),
-                                 source=f"point[{index}]")
-            ell = cfg.resolved_ell()
-            emitter = replace(cfg.emitter, drive=DriveEnvelope())
-            params = EffectiveParams(emitter=emitter, ell=ell)
-            rate_guess = ell.real * emitter.gamma_a
-            window = default_fit_window(rate_guess)
-            integration = replace(cfg.integration, span=6.5 / rate_guess)
+            run, reduce = point(parse_scenario(spec.point_raw(index),
+                                               source=f"point[{index}]"))
         except ValueError as exc:
             rows[index] = _sweep_error(spec, index, exc)
             continue
-        points.append((index, ell, emitter.gamma_a, window))
-        runs.append((params, SystemState(s=0j, w=1.0), integration))
+        reducers.append((index, reduce))
+        runs.append(run)
 
-    for (index, ell, gamma_a, window), traj in zip(points,
-                                                   integrate_batch(runs)):
+    for (index, reduce), traj in zip(reducers, integrate_batch(runs)):
         try:
             if isinstance(traj, Exception):
                 raise traj
-            gamma_fit = fit_decay(traj, observable="w_plus_1",
-                                  window=window).rate
-            shift = level_shift(ell, gamma_a)
+            ell, gamma_fit, shift = reduce(traj)
         except (ValueError, StepSizeUnderflowError) as exc:
             rows[index] = _sweep_error(spec, index, exc)
             continue
@@ -443,44 +479,16 @@ def _sweep_chunk_model_a(spec: SweepSpec, indices: range) -> list[list[str]]:
     return [rows[index] for index in indices]
 
 
-def _sweep_point_model_b(spec: SweepSpec, index: int) -> list[str]:
-    """Coherence-rate row of one model-B point."""
-    try:
-        cfg = parse_scenario(spec.point_raw(index),
-                             source=f"point[{index}]")
-        ell = cfg.resolved_ell()
-        params = MicroscopicParams(emitter=cfg.emitter, host=cfg.host)
-        traj = weak_excitation_trajectory(params, tol=cfg.integration.tol)
-        lam_pred = predicted_slow_eigenvalue(ell, cfg.emitter)
-        window = default_fit_window(-lam_pred.real)
-        gamma_fit = 2.0 * fit_decay(traj, observable="abs_s",
-                                    window=window).rate
-        shift = (fit_frequency(traj, window=window).frequency
-                 - cfg.emitter.delta_a)
-    except (ValueError, StepSizeUnderflowError) as exc:
-        return _sweep_error(spec, index, exc)
-    return [_sweep_value(spec, index), _fmt(ell.real), _fmt(ell.imag),
-            _fmt(gamma_fit), _fmt(shift), ""]
-
-
 def cmd_sweep(args) -> int:
     try:
         spec = load_sweep(args.sweep)
     except (ConfigError, OSError) as exc:
         return _fail(str(exc))
-    if args.workers < 1:
-        return _fail(f"--workers must be >= 1, got {args.workers!r}")
-    if args.workers > 1:
-        print("note: --workers is deprecated and ignored; the sweep runs "
-              "serially", file=sys.stderr)
 
     n_points = len(spec.values)
-    if spec.reduction == "population_rate_model_a":
-        rows = [row for start in range(0, n_points, SWEEP_CHUNK)
-                for row in _sweep_chunk_model_a(
-                    spec, range(start, min(start + SWEEP_CHUNK, n_points)))]
-    else:  # coherence_rate_model_b
-        rows = [_sweep_point_model_b(spec, i) for i in range(n_points)]
+    rows = [row for start in range(0, n_points, SWEEP_CHUNK)
+            for row in _sweep_chunk(
+                spec, range(start, min(start + SWEEP_CHUNK, n_points)))]
 
     if args.output:
         fh = open(args.output, "w", newline="", encoding="utf-8")
@@ -552,9 +560,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sweep one parameter and reduce each point")
     p.add_argument("sweep", help="sweep JSON file")
     p.add_argument("--output", help="CSV path (default: stdout)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="deprecated and ignored (must be >= 1): points "
-                        "are always evaluated serially")
     p.set_defaults(func=cmd_sweep)
 
     return parser

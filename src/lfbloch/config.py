@@ -67,7 +67,6 @@ __all__ = [
     "OutputSpec",
     "ScenarioConfig",
     "SweepSpec",
-    "dump_scenario",
     "load_scenario",
     "load_sweep",
     "parse_scenario",
@@ -147,10 +146,6 @@ def _rebuild(factory, path: str, /, **kwargs):
         return factory(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _complex_out(z: complex) -> list[float]:
-    return [z.real, z.imag]
 
 
 # ---------------------------------------------------------------------------
@@ -413,46 +408,6 @@ def parse_scenario(raw: dict, source: str = "scenario") -> ScenarioConfig:
                           fit=fit, output=output)
 
 
-def dump_scenario(cfg: ScenarioConfig) -> dict:
-    """Scenario back to its canonical dictionary (always scaled units).
-
-    parse_scenario(dump_scenario(cfg)) reproduces cfg value-identically.
-    """
-    raw: dict = {
-        "model": cfg.model,
-        "emitter": {
-            "delta_a": cfg.emitter.delta_a,
-            "eps_a": cfg.emitter.eps_a,
-            "gamma_a": cfg.emitter.gamma_a,
-        },
-    }
-    if cfg.host is not None:
-        raw["host"] = {"delta_b": cfg.host.delta_b,
-                       "eps_b": cfg.host.eps_b,
-                       "gamma_b": cfg.host.gamma_b}
-    if cfg.ell is not None:
-        raw["ell"] = _complex_out(cfg.ell)
-    drive = cfg.emitter.drive
-    raw["drive"] = {"kind": drive.kind}
-    if drive.kind != "off":
-        raw["drive"]["amplitude"] = _complex_out(drive.amplitude)
-    if drive.kind == "pulse":
-        raw["drive"]["t_on"] = drive.t_on
-        raw["drive"]["t_off"] = drive.t_off
-    raw["initial"] = {"s": _complex_out(cfg.initial.s), "w": cfg.initial.w}
-    if cfg.initial.beta is not None:
-        raw["initial"]["beta"] = _complex_out(cfg.initial.beta)
-    raw["integration"] = {"span": cfg.integration.span,
-                          "tol": cfg.integration.tol,
-                          "points": cfg.integration.points}
-    raw["fit"] = {"observable": cfg.fit.observable}
-    if cfg.fit.window is not None:
-        raw["fit"]["window"] = list(cfg.fit.window)
-    if cfg.output.trajectory is not None:
-        raw["output"] = {"trajectory": cfg.output.trajectory}
-    return raw
-
-
 def load_scenario(path: str) -> ScenarioConfig:
     """Read and validate a scenario JSON file."""
     with open(path, encoding="utf-8") as fh:
@@ -489,7 +444,7 @@ class SweepSpec:
             _deep_merge(raw, self.overrides[index])
         value = self.values[index]
         if self.parameter == "ell":
-            raw["ell"] = _complex_out(value) \
+            raw["ell"] = [value.real, value.imag] \
                 if isinstance(value, complex) else value
         else:
             section, field = self.parameter.split(".", 1)

@@ -347,8 +347,8 @@ def integrate(params, initial: SystemState,
     ------
     lfbloch.ode.StepSizeUnderflowError
         If the host pole is too stiff for the explicit method at this
-        tolerance (loosen tol or reduce |alpha|), or if the right-hand
-        side went non-finite; the message says which.
+        tolerance (loosen tol or reduce |alpha|), or, as its subclass
+        ``NonFiniteRhsError``, if the right-hand side went non-finite.
     ValueError
         If the initial state does not match the model or lies outside
         the Bloch sphere.

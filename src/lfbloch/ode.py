@@ -44,11 +44,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["OdeResult", "StepSizeUnderflowError", "solve"]
+__all__ = ["NonFiniteRhsError", "OdeResult", "StepSizeUnderflowError",
+           "solve"]
 
 
 class StepSizeUnderflowError(RuntimeError):
     """The controller pushed the step below the floating-point floor."""
+
+
+class NonFiniteRhsError(StepSizeUnderflowError):
+    """The step underflowed because the right-hand side went non-finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +139,10 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
 
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
+    elif not math.isfinite(d2):
+        # f1 went non-finite, or 1/h0 overflowed on a segment shorter
+        # than about 1e-302: keep h0, which fits in the segment
+        h1 = h0
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100 * h0, h1, t_end - t0, max_step), f1
@@ -150,15 +159,17 @@ def _column(values: list[float]):
 
 def _underflow(t: float, h: float, nonfinite: bool) -> StepSizeUnderflowError:
     if nonfinite or not math.isfinite(h):
+        error = NonFiniteRhsError
         cause = ("the right-hand side went non-finite (NaN or inf) "
                  "and every step past this point was rejected; "
                  "check the parameters and the drive")
     else:
+        error = StepSizeUnderflowError
         cause = ("the problem is too stiff for the explicit "
                  "integrator at this tolerance; loosen tol or "
                  "reduce the fastest rate in the system")
-    return StepSizeUnderflowError(
-        f"step size underflow at t = {t:.6g} (h = {h:.3g}): {cause}")
+    return error(f"step size underflow at t = {t:.6g} (h = {h:.3g}): "
+                 f"{cause}")
 
 
 class _Row:
@@ -217,7 +228,8 @@ def solve(
         why, and is the same in any batch: the problem is too stiff for
         this explicit method at the given tolerance, or the right-hand
         side went non-finite (a step whose error estimate is NaN or inf
-        is rejected, never accepted).
+        is rejected, never accepted), and then the error is the subclass
+        NonFiniteRhsError.
 
     Raises
     ------

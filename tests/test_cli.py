@@ -12,7 +12,7 @@ import pytest
 
 from lfbloch import dynamics
 from lfbloch.cli import COMPARE_MAX_ROWS, SWEEP_CHUNK, main
-from lfbloch.ode import StepSizeUnderflowError
+from lfbloch.ode import NonFiniteRhsError, StepSizeUnderflowError
 
 ELL_CANONICAL = 1.495049504950495 - 0.04950495049504951j
 ELL_MIDPOINT = 1.2475247524752475 - 0.024752475247524754j
@@ -340,11 +340,22 @@ class TestSimulate:
             return rhs(t, y, p) * (math.nan if t > 0.5 else 1.0)
 
         monkeypatch.setattr(dynamics, "effective_rhs", turns_nan)
+        raised = []
+
+        def recording_integrate(*args):
+            try:
+                return dynamics.integrate(*args)
+            except StepSizeUnderflowError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr("lfbloch.cli.integrate", recording_integrate)
         config = write_json(tmp_path / "decay.json", decay_scenario())
         out_csv = tmp_path / "broken.csv"
         code, _, err = run_cli(["simulate", config, "--output",
                                 str(out_csv)], capsys)
         assert code == 3
+        assert [type(exc) for exc in raised] == [NonFiniteRhsError]
         assert "non-finite" in err
         # no samples are written: the header and the failure marker only
         lines = out_csv.read_text(encoding="utf-8").splitlines()
@@ -424,18 +435,6 @@ class TestSweep:
                                                   rel=1e-6)
         assert all(r[5] == "" for r in rows)
 
-    def test_parallel_matches_serial(self, tmp_path, capsys):
-        spec = write_json(tmp_path / "sweep.json", density_sweep())
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        code1, _, _ = run_cli(["sweep", spec, "--output", str(serial)],
-                              capsys)
-        code2, _, err = run_cli(["sweep", spec, "--output", str(parallel),
-                                 "--workers", "3"], capsys)
-        assert code1 == code2 == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-        assert "deprecated" in err
-
     def test_point_failure_recorded_and_run_continues(self, tmp_path,
                                                       capsys):
         payload = density_sweep()
@@ -498,6 +497,42 @@ class TestSweep:
             assert out.strip().splitlines()[1] == rows[i].replace(
                 f"point[{i}]", "point[0]")
 
+    def test_chunked_model_b_rows_match_single_point_sweeps(self, tmp_path,
+                                                            capsys):
+        # more points than one lockstep batch holds, with a point that
+        # fails to parse (index 4) and one with no decaying slow mode
+        # (index 11: ell = -1 - i, so the predicted coherence decay
+        # Re(ell)*gamma_a/2 + Im(ell)*eps_a is negative)
+        n = SWEEP_CHUNK + 3
+        payload = {
+            "parameter": "emitter.eps_a",
+            "values": [0.05 * i for i in range(n)],
+            "reduction": "coherence_rate_model_b",
+            "base": weak_scenario(),
+            "overrides": [{"host": {"delta_b": 10.0 + 0.25 * i}}
+                          for i in range(n)],
+        }
+        payload["overrides"][4] = {"host": {"gamma_b": -1.0}}
+        payload["values"][11] = 5.0
+        payload["overrides"][11] = {"host": {"delta_b": -14.0}}
+        spec = write_json(tmp_path / "sweep.json", payload)
+        code, out, _ = run_cli(["sweep", spec], capsys)
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == n
+        errors = {i for i, row in enumerate(rows) if row.split(",")[5]}
+        assert errors == {4, 11}
+        assert "gamma_b" in rows[4]
+        assert "no decaying slow mode" in rows[11]
+        for i in range(n):
+            single = dict(payload, values=[payload["values"][i]],
+                          overrides=[payload["overrides"][i]])
+            spec_i = write_json(tmp_path / f"point{i}.json", single)
+            code, out, _ = run_cli(["sweep", spec_i], capsys)
+            assert code == 0
+            assert out.strip().splitlines()[1] == rows[i].replace(
+                f"point[{i}]", "point[0]")
+
     def test_programming_error_propagates(self, tmp_path, capsys,
                                           monkeypatch):
         # only domain errors become error rows; a bug must not hide in
@@ -534,10 +569,12 @@ class TestSweep:
         assert "values" in err
 
     def test_bad_worker_count_exit_2(self, tmp_path, capsys):
+        # --workers is gone: any worker count is an unknown argument
         spec = write_json(tmp_path / "sweep.json", density_sweep())
-        code, _, err = run_cli(["sweep", spec, "--workers", "0"], capsys)
+        code, out, err = run_cli(["sweep", spec, "--workers", "2"], capsys)
         assert code == 2
-        assert "workers" in err
+        assert out == ""
+        assert "unrecognized arguments: --workers 2" in err
 
     def test_output_file(self, tmp_path, capsys):
         spec = write_json(tmp_path / "sweep.json", density_sweep())

@@ -1,4 +1,4 @@
-"""Tests for scenario/sweep file parsing, validation, and round trips."""
+"""Tests for scenario/sweep file parsing and validation."""
 
 import json
 import math
@@ -8,7 +8,6 @@ import pytest
 from lfbloch.config import (
     ConfigError,
     ScenarioConfig,
-    dump_scenario,
     load_scenario,
     load_sweep,
     parse_scenario,
@@ -42,16 +41,14 @@ def microscopic_scenario() -> dict:
 
 
 class TestScenarioParsing:
-    def test_effective_model_round_trip(self):
+    def test_effective_model_parses(self):
         cfg = parse_scenario(decay_scenario())
         assert cfg.model == "A"
         assert cfg.ell == 1.4 + 0j
         assert cfg.host is None
         assert cfg.initial.beta is None
-        again = parse_scenario(dump_scenario(cfg))
-        assert again == cfg
 
-    def test_microscopic_model_round_trip(self):
+    def test_microscopic_model_parses(self):
         cfg = parse_scenario(microscopic_scenario())
         assert cfg.model == "B"
         assert cfg.host.eps_b == 10.0
@@ -60,8 +57,6 @@ class TestScenarioParsing:
         assert cfg.fit.observable == "abs_s"
         assert cfg.fit.window == (2.7, 8.0)
         assert cfg.output.trajectory == "weak.csv"
-        again = parse_scenario(dump_scenario(cfg))
-        assert again == cfg
 
     def test_resolved_ell(self):
         assert parse_scenario(decay_scenario()).resolved_ell() == 1.4 + 0j
@@ -229,11 +224,6 @@ class TestGaussianUnits:
         raw["ell"] = [1.4, 0.0]
         with pytest.raises(ConfigError, match="host"):
             parse_scenario(raw)
-
-    def test_round_trip_stays_in_scaled_units(self):
-        cfg = parse_scenario(self.gaussian_scenario())
-        again = parse_scenario(dump_scenario(cfg))
-        assert again == cfg
 
 
 class TestScenarioFiles:

@@ -29,7 +29,7 @@ from lfbloch.dynamics import (
     microscopic_rhs,
 )
 from lfbloch.medium import HostSpecies
-from lfbloch.ode import StepSizeUnderflowError, solve
+from lfbloch.ode import NonFiniteRhsError, StepSizeUnderflowError, solve
 
 # canonical scenario used throughout: bare emitter, absorptive host
 EMITTER = EmitterParams(delta_a=0.0, eps_a=0.0, gamma_a=1.0)
@@ -223,6 +223,21 @@ class TestIntegrateEffective:
         after = traj.times >= math.pi
         assert traj.w[after].max() - traj.w[after].min() < 1e-9
         assert traj.w[-1] == pytest.approx(1.0, abs=1e-7)  # pi pulse inverts
+
+    def test_pulse_starting_just_after_zero(self):
+        # a first segment of 2.2e-308 used to start with h = 0 and fail
+        # as "too stiff"; it is now one step, and the run matches a
+        # pulse from t = 0
+        def run(t_on):
+            drive = DriveEnvelope("pulse", 1, t_on=t_on, t_off=1.0)
+            p = EffectiveParams(emitter=EmitterParams(drive=drive), ell=1)
+            return integrate(p, SystemState(s=0j, w=-1.0),
+                             IntegrationSpec(span=1.0, tol=1e-6))
+
+        late, prompt = run(2.2250738585072014e-308), run(0.0)
+        assert late.n_accepted == prompt.n_accepted + 1
+        assert_allclose(late.s, prompt.s, atol=1e-12)
+        assert_allclose(late.w, prompt.w, atol=1e-12)
 
     def test_undamped_conservation_over_long_span(self):
         em = EmitterParams(delta_a=0.2, eps_a=2.0, gamma_a=0.0,
@@ -447,8 +462,8 @@ class TestIntegrateBatch:
     @settings(max_examples=60, deadline=None)
     @given(runs=st.lists(batch_run(), min_size=1, max_size=5))
     def test_batch_equals_lone_runs_bitwise(self, runs):
-        # a run may fail alone (a pulse that starts within about 1e-302
-        # of t = 0 does); its entry must then be the same failure
+        # a run may fail alone (a pulse that starts within 10 ulps of
+        # t = 0 does); its entry must then be the same failure
         batch = integrate_batch(runs)
         assert len(batch) == len(runs)
         for got, run in zip(batch, runs):
@@ -468,7 +483,8 @@ class TestIntegrateBatch:
             batch = integrate_batch(runs)
             with pytest.raises(StepSizeUnderflowError) as lone:
                 integrate(*runs[k])
-        assert isinstance(batch[k], StepSizeUnderflowError)
+        assert isinstance(batch[k], NonFiniteRhsError)
+        assert type(lone.value) is NonFiniteRhsError
         assert str(batch[k]) == str(lone.value)
         for j, run in enumerate(runs):
             if j != k:

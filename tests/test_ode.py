@@ -11,7 +11,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from lfbloch.ode import OdeResult, StepSizeUnderflowError, solve
+from lfbloch.ode import (
+    NonFiniteRhsError,
+    OdeResult,
+    StepSizeUnderflowError,
+    _initial_step,
+    solve,
+)
 
 
 def solve_one(rhs, t0, t_end, y0, t_eval, rtol, atol, **kwargs):
@@ -140,9 +146,11 @@ class TestDeterminism:
 class TestErrors:
     def test_step_underflow_on_blowup(self):
         # solution 1/(1-t) diverges at t = 1; the controller must give up
-        with pytest.raises(StepSizeUnderflowError, match="tol"):
+        with pytest.raises(StepSizeUnderflowError, match="tol") as info:
             solve_one(_blowup, 0.0, 2.0, np.array([1.0]), np.array([0.0, 2.0]),
                       rtol=1e-10, atol=1e-10)
+        # too stiff, not non-finite: the base class
+        assert type(info.value) is StepSizeUnderflowError
 
     def test_nonfinite_rhs_is_rejected_not_accepted(self):
         # a NaN error estimate must reject the step (nan > 1 is False), so
@@ -151,13 +159,29 @@ class TestErrors:
         def turns_nan(t, y):
             return np.full_like(y, math.nan) if t > 0.5 else -y
 
-        with pytest.raises(StepSizeUnderflowError,
+        with pytest.raises(NonFiniteRhsError,
                            match="right-hand side went non-finite") as info:
             solve_one(turns_nan, 0.0, 1.0, np.array([1.0]),
                       np.linspace(0.0, 1.0, 11), rtol=1e-8, atol=1e-8)
         t_fail = float(re.search(r"at t = (\S+) ", str(info.value)).group(1))
         assert t_fail <= 0.5
         assert "stiff" not in str(info.value)
+
+    def test_tiny_first_segment_starts_with_its_length(self):
+        # on a segment of 2.2e-308, (f1 - f0)/h0 overflows; the start
+        # step used to become 0 and fail as "too stiff"
+        t_end = 2.2250738585072014e-308
+
+        def jumps(t, y):
+            return np.array([1.0 if t >= t_end else 0.0])
+
+        y0 = np.array([0.0])
+        h, _ = _initial_step(jumps, 0.0, y0, jumps(0.0, y0), t_end,
+                             1e-6, 1e-6, math.inf)
+        assert h == t_end
+        res = solve_one(jumps, 0.0, t_end, y0, np.array([0.0, t_end]),
+                        rtol=1e-6, atol=1e-6)
+        assert res.n_accepted[0] == 1
 
     def test_grid_outside_span_rejected(self):
         with pytest.raises(ValueError):
@@ -246,11 +270,13 @@ class TestBatch:
             with pytest.raises(StepSizeUnderflowError) as lone:
                 solve_one(*problems[b][:5], rtol=problems[b][5],
                           atol=problems[b][5])
-            assert isinstance(res.errors[b], StepSizeUnderflowError)
+            assert type(res.errors[b]) is type(lone.value)
             assert str(res.errors[b]) == str(lone.value)
             assert np.all(np.isnan(res.y_end[b]))
             assert np.isnan(res.row(b)[1][-1]).all()
+        assert isinstance(res.errors[3], NonFiniteRhsError)
         assert "non-finite" in str(res.errors[3])
+        assert type(res.errors[1]) is StepSizeUnderflowError
         assert "stiff" in str(res.errors[1])
         for b in (0, 2, 4):
             assert res.errors[b] is None

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from lfbloch import dynamics
 from lfbloch.dynamics import (
     DriveEnvelope,
     EmitterParams,
@@ -17,6 +18,7 @@ from lfbloch.dynamics import (
     integrate,
 )
 from lfbloch.medium import HostSpecies, local_field_factor
+from lfbloch.ode import NonFiniteRhsError
 from lfbloch.verify import (
     CheckResult,
     ConvergenceRow,
@@ -354,6 +356,30 @@ class TestConvergenceStudy:
         assert row.fitted_rate_error <= 2e-2
         assert row.fitted_shift == pytest.approx(shift, rel=1e-1)
 
+    def test_rows_equal_lone_runs_bitwise(self):
+        # the study integrates all its kappas as one batch; every row must
+        # be what one weak-excitation run per kappa gives
+        emitter = EmitterParams(delta_a=0.3, eps_a=0.2, gamma_a=1.0)
+        host = HostSpecies(delta_b=8.0, eps_b=7.0, gamma_b=3.0)
+        kappas = (1.0, 3.0, 8.0)
+        rows = convergence_study(MicroscopicParams(emitter=emitter,
+                                                   host=host), kappas)
+        lam_pred = predicted_slow_eigenvalue(local_field_factor(host).ell,
+                                             emitter)
+        window = default_fit_window(-lam_pred.real)
+        for kappa, row in zip(kappas, rows, strict=True):
+            p = MicroscopicParams(emitter=emitter, host=HostSpecies(
+                delta_b=kappa * host.delta_b, eps_b=kappa * host.eps_b,
+                gamma_b=kappa * host.gamma_b))
+            traj = weak_excitation_trajectory(p)
+            rate = fit_decay(traj, observable="abs_s", window=window).rate
+            assert row == ConvergenceRow(
+                kappa=kappa,
+                eigenvalue_error=abs(slow_eigenvalue(p) - lam_pred),
+                fitted_rate=rate,
+                fitted_rate_error=abs(rate + lam_pred.real) / -lam_pred.real,
+                fitted_shift=fit_frequency(traj, window=window).frequency)
+
     def test_kappa_list_must_increase(self):
         with pytest.raises(ValueError):
             convergence_study(CANONICAL, kappas=(2.0, 1.0))
@@ -379,6 +405,37 @@ class TestBattery:
         assert any("identity" in n for n in names)
         assert any("convergence" in n for n in names)
         assert any("conservation" in n for n in names)
+
+    def test_canonical_decay_checks_equal_a_lone_run(self):
+        # both canonical decay checks read the kappa = 1 row of the
+        # battery's convergence study; it must equal a lone run
+        checks = {c.name: c for c in run_battery()}
+        lam_pred = predicted_slow_eigenvalue(local_field_factor(HOST).ell,
+                                             EMITTER)
+        traj = weak_excitation_trajectory(CANONICAL)
+        rate = fit_decay(traj, observable="abs_s",
+                         window=default_fit_window(-lam_pred.real)).rate
+        exact = -slow_eigenvalue(CANONICAL).real
+        check = checks["coherence-decay-vs-eigenvalue"]
+        assert check.value == abs(rate - exact) / exact
+        assert check.detail == (f"fitted {rate:.6f} vs exact eigenvalue "
+                                f"{exact:.6f}")
+        check = checks["coherence-decay-vs-prediction"]
+        assert check.value == abs(rate + lam_pred.real) / -lam_pred.real
+        assert check.detail.startswith(f"fitted {rate:.6f} vs ")
+
+    def test_failed_study_fails_every_check_that_reads_it(self,
+                                                          monkeypatch):
+        def nan_rhs(t, y, p):
+            return np.full_like(y, math.nan)
+
+        monkeypatch.setattr(dynamics, "microscopic_rhs", nan_rhs)
+        checks = run_battery()
+        assert [c.passed for c in checks] == [True] + [False] * 5 + [True]
+        for check in checks[1:6]:
+            assert math.isnan(check.value)
+            assert check.detail.startswith(
+                f"raised {NonFiniteRhsError.__name__}: step size underflow")
 
     def test_corrupted_coupling_fails_identity_check(self, monkeypatch):
         monkeypatch.setattr(
