@@ -35,7 +35,8 @@ model A).
 
 Both right-hand sides act on the real state vector the integrator
 advances: y = (Re s, Im s, w) for model A and
-y = (Re s, Im s, w, Re beta, Im beta) for model B.
+y = (Re s, Im s, w, Re beta, Im beta) for model B.  A batch of runs is
+one ``ode.solve`` call per model, restarting each run at its pulse edges.
 """
 
 from __future__ import annotations
@@ -323,14 +324,14 @@ def integrate(params, initial: SystemState,
 
     Adaptive embedded Runge-Kutta (Dormand-Prince 5(4)) with per-step
     error control on every real component at rtol = atol = tol, dense
-    output on the sample grid, and segmentation at drive discontinuities.
-    Deterministic for identical inputs.
+    output on the sample grid, and a restart at each drive
+    discontinuity.  Deterministic for identical inputs.
 
     The run goes through the code of :func:`integrate_batch` as a batch
-    of one: ``ode.solve`` is called once per drive segment with a (1, n)
-    state, so a run yields the same bits and counters alone or in any
-    batch.  Here a failure raises; ``integrate_batch`` returns it in the
-    run's entry and goes on with the other runs.
+    of one: one ``ode.solve`` call with a (1, n) state and the drive's
+    breakpoints, so a run yields the same bits and counters alone or in
+    any batch.  Here a failure raises; ``integrate_batch`` returns it in
+    the run's entry and goes on with the other runs.
 
     Parameters
     ----------
@@ -369,10 +370,10 @@ def integrate_batch(runs) -> list:
     """Integrate many ``(params, initial, integration)`` runs in lockstep.
 
     Every run is integrated exactly as :func:`integrate` integrates it
-    alone: same steps, same counters, same bits.  Drive segment k of
-    every run that has one goes through one batched ``ode.solve`` call,
-    so runs with different spans, tolerances, grid sizes, models and
-    drives can share a batch.
+    alone: same steps, same counters, same bits.  The runs of each model
+    go through one batched ``ode.solve`` call, which restarts each run
+    at its own drive breakpoints, so runs with different spans,
+    tolerances, grid sizes and drives can share a batch.
 
     Returns
     -------
@@ -407,7 +408,7 @@ def _warn_if_outside_sphere(traj: Trajectory) -> None:
 
 
 class _Run:
-    """One run of a batch: its right-hand side, grid and progress."""
+    """One run of a batch: its right-hand side, state, grid and breakpoints."""
 
     def __init__(self, params, initial: SystemState,
                  integration: IntegrationSpec):
@@ -423,8 +424,9 @@ class _Run:
                 f"initial state lies outside the Bloch sphere: "
                 f"w^2 + 4|s|^2 = {norm!r} > 1 + 100*tol"
             )
-        span = integration.span
-        self.times = np.linspace(0.0, span, integration.points)
+        self.span = integration.span
+        self.times = np.linspace(0.0, self.span, integration.points)
+        self.breakpoints = params.emitter.drive.breakpoints()
 
         # The right-hand side is looked up as a module global on every
         # call, so a wrapper installed on lfbloch.dynamics sees each
@@ -442,35 +444,16 @@ class _Run:
                 return microscopic_rhs(t, y, params)
         self.rhs = rhs
 
-        drive = params.emitter.drive
-        cuts = sorted({b for b in drive.breakpoints() if 0.0 < b < span})
-        self.edges = [0.0, *cuts, span]
-        self.samples = []  # the samples of each segment that has any
-        self.n_accepted = self.n_rejected = self.n_rhs = 0
-
-    def segment(self, k: int) -> tuple[bool, np.ndarray]:
-        """Whether drive segment k holds samples, and its solver grid."""
-        a, b = self.edges[k], self.edges[k + 1]
-        times = self.times
-        mask = (times >= a) & (times <= b) if a == 0.0 \
-            else (times > a) & (times <= b)
-        if np.any(mask):
-            return True, times[mask]
-        return False, np.array([b])
-
-    def trajectory(self) -> Trajectory:
-        # the segments' samples are consecutive slices of the grid
-        y_out = self.samples[0] if len(self.samples) == 1 \
-            else np.concatenate(self.samples)
+    def trajectory(self, y_out: np.ndarray, n_accepted: int,
+                   n_rejected: int, n_rhs: int) -> Trajectory:
         s = y_out[:, 0] + 1j * y_out[:, 1]
         w = y_out[:, 2]
         beta = y_out[:, 3] + 1j * y_out[:, 4] if self.model == "B" else None
         norm_max = float(np.max(w**2 + 4.0 * np.abs(s) ** 2))
         return Trajectory(times=self.times, s=s, w=w, beta=beta,
                           model=self.model, tol=self.tol,
-                          n_accepted=self.n_accepted,
-                          n_rejected=self.n_rejected, n_rhs=self.n_rhs,
-                          bloch_norm_max=norm_max)
+                          n_accepted=n_accepted, n_rejected=n_rejected,
+                          n_rhs=n_rhs, bloch_norm_max=norm_max)
 
 
 def _integrate_runs(runs) -> list:
@@ -483,41 +466,20 @@ def _integrate_runs(runs) -> list:
         except ValueError as exc:
             results[k] = exc
 
-    seg = 0
-    while live := [(k, run) for k, run in prepared
-                   if results[k] is None and seg < len(run.edges) - 1]:
-        for model in ("A", "B"):  # one state size per solve
-            group = [(k, run) for k, run in live if run.model == model]
-            if group:
-                _solve_segment(group, seg, results)
-        seg += 1
-
-    for k, run in prepared:
-        if results[k] is None:
-            results[k] = run.trajectory()
-    return results
-
-
-def _solve_segment(group, seg: int, results: list) -> None:
-    """Advance every run of one model through its drive segment seg."""
-    segments = [run.segment(seg) for _, run in group]
-    res = ode.solve([run.rhs for _, run in group],
-                    [run.edges[seg] for _, run in group],
-                    [run.edges[seg + 1] for _, run in group],
-                    [run.y for _, run in group],
-                    [grid for _, grid in segments],
-                    [run.tol for _, run in group],
-                    [run.tol for _, run in group])
-    n_accepted = res.n_accepted.tolist()
-    n_rejected = res.n_rejected.tolist()
-    n_rhs = res.n_rhs.tolist()
-    for r, ((k, run), (sampled, _)) in enumerate(zip(group, segments)):
-        if res.errors[r] is not None:
-            results[k] = res.errors[r]
+    for model in ("A", "B"):  # one state size per solve
+        group = [(k, run) for k, run in prepared if run.model == model]
+        if not group:
             continue
-        if sampled:
-            run.samples.append(res.row(r)[1])
-        run.y = res.y_end[r]
-        run.n_accepted += n_accepted[r]
-        run.n_rejected += n_rejected[r]
-        run.n_rhs += n_rhs[r]
+        tols = [run.tol for _, run in group]
+        res = ode.solve([run.rhs for _, run in group], [0.0] * len(group),
+                        [run.span for _, run in group],
+                        [run.y for _, run in group],
+                        [run.times for _, run in group], tols, tols,
+                        breakpoints=[run.breakpoints for _, run in group])
+        # Python ints: json.dumps rejects numpy integers
+        counters = zip(res.n_accepted.tolist(), res.n_rejected.tolist(),
+                       res.n_rhs.tolist())
+        for r, ((k, run), counts) in enumerate(zip(group, counters)):
+            results[k] = res.errors[r] or run.trajectory(res.row(r)[1],
+                                                         *counts)
+    return results

@@ -16,6 +16,11 @@ yields the same bits in any batch; a single problem is a batch of one.
 A row whose step size underflows stops with its own error while the
 other rows go on.
 
+A row may carry breakpoints, where its right-hand side jumps (a drive
+pulse edge).  It steps onto each one and restarts there as a fresh call
+would, so one call yields the bits and counters of one call per smooth
+segment, chained through ``y_end``.
+
 The forms that keep a row's bits are narrow: stacked ``np.matmul`` of
 a tableau row with the (B, i, n) stage slices, element-wise operations
 with per-row (B, 1) columns, ``np.add.reduce`` along the row and
@@ -125,8 +130,11 @@ class OdeResult:
         return self.t[lo:hi], self.y[lo:hi]
 
 
-def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
-    """Starting-step heuristic of Hairer, Norsett & Wanner (I.4, alg. 4.14)."""
+def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step) -> float:
+    """Starting-step heuristic of Hairer, Norsett & Wanner (I.4, alg. 4.14).
+
+    ``t_end`` is the end of the smooth segment that starts at t0.
+    """
     scale = atol + rtol * np.abs(y0)
     d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
     d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
@@ -145,7 +153,7 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step):
         h1 = h0
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end - t0, max_step), f1
+    return min(100 * h0, h1, t_end - t0, max_step)
 
 
 def _column(values: list[float]):
@@ -175,11 +183,12 @@ def _underflow(t: float, h: float, nonfinite: bool) -> StepSizeUnderflowError:
 class _Row:
     """Controller state of one unfinished row."""
 
-    __slots__ = ("index", "f", "t", "h", "t_end", "last", "nonfinite",
-                 "K", "times", "out", "i_out")
+    __slots__ = ("index", "f", "t", "h", "stop", "stops", "last",
+                 "nonfinite", "K", "times", "out", "i_out")
 
-    def __init__(self, index, f, t, h, t_end, K, times, out, i_out):
-        self.index, self.f, self.t, self.h, self.t_end = index, f, t, h, t_end
+    def __init__(self, index, f, t, h, stops, K, times, out, i_out):
+        self.index, self.f, self.t, self.h = index, f, t, h
+        self.stop, self.stops = stops[0], stops[:0:-1]  # next ends last
         self.last = self.nonfinite = False
         self.K = K  # this row's (7, n) stages: a view into the batch's
         self.times, self.out, self.i_out = times, out, i_out
@@ -194,12 +203,13 @@ def solve(
     rtol: Sequence[float],
     atol: Sequence[float],
     max_step: float = math.inf,
+    breakpoints: Sequence[Sequence[float]] | None = None,
 ) -> OdeResult:
     """Integrate ``dy_b/dt = rhs[b](t, y_b)`` from t0[b] to t_end[b], b < B.
 
     Every argument but ``max_step`` holds one entry per row.  Rows may
-    differ in span, tolerance and grid length; each is integrated
-    exactly as it would be alone.
+    differ in span, tolerance, grid length and breakpoints; each is
+    integrated exactly as it would be alone.
 
     Parameters
     ----------
@@ -217,6 +227,11 @@ def solve(
         Relative/absolute tolerance of each row's error control.
     max_step : float, optional
         Upper bound on the step size of every row.
+    breakpoints : sequence of B sequences of floats, optional
+        Times where each row's right-hand side may jump; those outside
+        (t0[b], t_end[b]) are ignored.  At each one the row restarts
+        exactly as a new call from there would, at the cost of 2 more
+        right-hand-side evaluations.
 
     Returns
     -------
@@ -242,10 +257,12 @@ def solve(
     if y.ndim != 2:
         raise ValueError(f"y0 must have shape (batch, n), got {y.shape}")
     batch, n = y.shape
+    if breakpoints is None:
+        breakpoints = [()] * batch
     if not (len(rhs) == len(t0) == len(t_end) == len(t_eval) == len(rtol)
-            == len(atol) == batch):
-        raise ValueError("rhs, t0, t_end, t_eval, rtol and atol need one "
-                         "entry per row of y0")
+            == len(atol) == len(breakpoints) == batch):
+        raise ValueError("rhs, t0, t_end, t_eval, rtol, atol and "
+                         "breakpoints need one entry per row of y0")
     t0 = [float(a) for a in t0]
     t_end = [float(b) for b in t_end]
     grids = [np.asarray(g, dtype=float) for g in t_eval]
@@ -268,6 +285,7 @@ def solve(
     y_end = np.full((batch, n), math.nan)
     n_accepted = [0] * batch
     n_rejected = [0] * batch
+    n_segments = [1] * batch
     errors = [None] * batch
 
     K = np.empty((batch, 7, n))
@@ -279,10 +297,12 @@ def solve(
         if grid[0] == t:
             out[0] = y[b]
             i_out = 1
+        stops = [*sorted({float(c) for c in breakpoints[b]
+                          if t < c < t_end[b]}), t_end[b]]
         K[b, 0] = f(t, y[b])
-        h, _ = _initial_step(f, t, y[b], K[b, 0], t_end[b], rtol[b],
-                             atol[b], max_step)
-        act.append(_Row(b, f, t, h, t_end[b], K[b], grid, out, i_out))
+        h = _initial_step(f, t, y[b], K[b, 0], stops[0], rtol[b], atol[b],
+                          max_step)
+        act.append(_Row(b, f, t, h, stops, K[b], grid, out, i_out))
     heads = [K[:, :i] for i in range(7)]
     rtol_col, atol_col = _column(list(rtol)), _column(list(atol))
     abs_y = np.abs(y)
@@ -295,9 +315,11 @@ def solve(
         keep, steps, hs, accepted = [], [], [], []
         for r, row in enumerate(act):
             t, h = row.t, row.h
+            retry = False
             if errs is not None:
                 err = errs[r]
                 if not err <= 1.0:
+                    retry = True
                     n_rejected[row.index] += 1
                     row.nonfinite = not math.isfinite(err)
                     h *= _MIN_FACTOR if row.nonfinite else max(
@@ -306,7 +328,7 @@ def solve(
                     n_accepted[row.index] += 1
                     row.nonfinite = False
                     accepted.append(r)
-                    t_new = row.t_end if row.last else t + h
+                    t_new = row.stop if row.last else t + h
                     # dense output for grid points inside (t, t_new]
                     i_out = row.i_out
                     j = row.times.searchsorted(t_new, "right")
@@ -324,18 +346,27 @@ def solve(
                         _MAX_FACTOR,
                         max(_MIN_FACTOR, _SAFETY * err ** _ORDER_EXPONENT))
                     t = row.t = t_new
-                    if row.last:
-                        # grid points at t_end missed by roundoff
-                        row.out[row.i_out:] = y_new[r]
+                    if row.last and not row.stops:
                         y_end[row.index] = y_new[r]
                         continue
+                    if row.last:  # a breakpoint: restart as a new call
+                        # would; the FSAL copy below moves f(t) to K[0]
+                        row.stop = row.stops.pop()
+                        row.K[6] = row.f(t, y_new[r])
+                        h = _initial_step(row.f, t, y_new[r], row.K[6],
+                                          row.stop, rtol[row.index],
+                                          atol[row.index], max_step)
+                        n_segments[row.index] += 1
             h = min(h, max_step)
-            if not h >= 10.0 * abs(math.nextafter(t, math.inf) - t):
+            row.last = t + h >= row.stop
+            # a step onto the segment end may be shorter than the floor,
+            # unless it repeats a rejected one (it would repeat forever)
+            if not (h >= 10.0 * abs(math.nextafter(t, math.inf) - t)
+                    or row.last and not retry):
                 errors[row.index] = _underflow(t, h, row.nonfinite)
                 continue
-            row.last = t + h >= row.t_end
             if row.last:
-                h = row.t_end - t
+                h = row.stop - t
             row.h = h
             keep.append(r)
             steps.append((row.K, row.f, t, h))
@@ -382,4 +413,5 @@ def solve(
     return OdeResult(t=np.concatenate(grids), y=y_all, offsets=offsets,
                      y_end=y_end, n_accepted=n_accepted,
                      n_rejected=n_rejected,
-                     n_rhs=2 + 6 * (n_accepted + n_rejected), errors=errors)
+                     n_rhs=2 * np.array(n_segments)
+                     + 6 * (n_accepted + n_rejected), errors=errors)

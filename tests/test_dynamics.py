@@ -239,6 +239,25 @@ class TestIntegrateEffective:
         assert_allclose(late.s, prompt.s, atol=1e-12)
         assert_allclose(late.w, prompt.w, atol=1e-12)
 
+    @pytest.mark.parametrize("t_on, t_off, reference", [
+        (5e-324, 1.0, DriveEnvelope("pulse", 1, t_on=0.0, t_off=1.0)),
+        (0.5, math.nextafter(0.5, 1.0), DriveEnvelope()),
+        (0.0, 5e-324, DriveEnvelope()),
+    ])
+    def test_segments_shorter_than_ten_ulps(self, t_on, t_off, reference):
+        # a step onto a segment end this close used to fail its
+        # step-size floor as "too stiff"
+        def run(drive):
+            p = EffectiveParams(emitter=EmitterParams(drive=drive), ell=1)
+            return integrate(p, SystemState(s=0j, w=-1.0),
+                             IntegrationSpec(span=1.0, tol=1e-10))
+
+        got = run(DriveEnvelope("pulse", 1, t_on=t_on, t_off=t_off))
+        want = run(reference)
+        assert got.n_accepted > want.n_accepted
+        assert_allclose(got.s, want.s, atol=1e-8)
+        assert_allclose(got.w, want.w, atol=1e-8)
+
     def test_undamped_conservation_over_long_span(self):
         em = EmitterParams(delta_a=0.2, eps_a=2.0, gamma_a=0.0,
                            drive=DriveEnvelope(kind="constant",
@@ -462,8 +481,8 @@ class TestIntegrateBatch:
     @settings(max_examples=60, deadline=None)
     @given(runs=st.lists(batch_run(), min_size=1, max_size=5))
     def test_batch_equals_lone_runs_bitwise(self, runs):
-        # a run may fail alone (a pulse that starts within 10 ulps of
-        # t = 0 does); its entry must then be the same failure
+        # a run may fail alone (none drawn here is known to); its entry
+        # must then be the same failure
         batch = integrate_batch(runs)
         assert len(batch) == len(runs)
         for got, run in zip(batch, runs):

@@ -50,6 +50,13 @@ RUNS = {
                                        str(CONFIGS / "weak_excitation.json"),
                                        "--output", "weak_excitation.csv"],
                                       ("weak_excitation.csv",)),
+    "simulate_pulse_both": (["simulate", str(CONFIGS / "pulse_both.json"),
+                             "--json", "--output", "pulse_both.csv"],
+                            ("pulse_both_A.csv", "pulse_both_B.csv")),
+    "simulate_pulse_both_text": (["simulate",
+                                  str(CONFIGS / "pulse_both.json"),
+                                  "--output", "pulse_both.csv"],
+                                 ("pulse_both_A.csv", "pulse_both_B.csv")),
     "sweep": (["sweep", str(CONFIGS / "sweep_host_density.json")], ()),
     "verify": (["verify", "--json"], ()),
     "verify_text": (["verify"], ()),
@@ -91,6 +98,22 @@ GOLDEN = {
             "3d0fb98693259ec87bb197ed1d82875aef06ed354d39d8f569aaa5f8c2e2a70d",
         "weak_excitation.csv":
             "c8748a135122f911eeb72601c25bf178faa1e5be233eec83a9e8342d66d48019",
+    },
+    "simulate_pulse_both": {
+        "stdout":
+            "0bae699f89f673130f21ec00aab88085a15a3366cf8ff6efad5a92aa45009285",
+        "pulse_both_A.csv":
+            "3fc01e314fccb4075eab32004f39a153d3ec03f0b5fe7046736a979c43b6932a",
+        "pulse_both_B.csv":
+            "3d1c202b7d2fafcb1b9fb5376b654a248b44d048ee56b9746578a80d8dfce54d",
+    },
+    "simulate_pulse_both_text": {
+        "stdout":
+            "88850c532418add086d704a8906c1f61d327cacd327ebe723ebada432554cd39",
+        "pulse_both_A.csv":
+            "3fc01e314fccb4075eab32004f39a153d3ec03f0b5fe7046736a979c43b6932a",
+        "pulse_both_B.csv":
+            "3d1c202b7d2fafcb1b9fb5376b654a248b44d048ee56b9746578a80d8dfce54d",
     },
     "sweep": {
         "stdout":

@@ -1,7 +1,7 @@
 """Tests for the embedded Dormand-Prince 5(4) integrator: accuracy against
 analytic solutions, convergence order, dense output, statistics, error
-paths, and lockstep batches that reproduce each row's lone run bit for
-bit."""
+paths, lockstep batches that reproduce each row's lone run bit for bit,
+and restarts at breakpoints that reproduce one run per smooth segment."""
 
 import math
 import re
@@ -176,12 +176,29 @@ class TestErrors:
             return np.array([1.0 if t >= t_end else 0.0])
 
         y0 = np.array([0.0])
-        h, _ = _initial_step(jumps, 0.0, y0, jumps(0.0, y0), t_end,
-                             1e-6, 1e-6, math.inf)
+        h = _initial_step(jumps, 0.0, y0, jumps(0.0, y0), t_end,
+                          1e-6, 1e-6, math.inf)
         assert h == t_end
         res = solve_one(jumps, 0.0, t_end, y0, np.array([0.0, t_end]),
                         rtol=1e-6, atol=1e-6)
         assert res.n_accepted[0] == 1
+
+    def test_rejected_step_onto_a_close_end_fails(self):
+        # on a segment one ulp long, a jump this large gets the step onto
+        # its end rejected; the shrunk step still rounds onto the end,
+        # and must fail there instead of being retried forever
+        t_end = math.nextafter(0.5, 1.0)
+        calls = 0
+
+        def jumps(t, y):
+            nonlocal calls
+            calls += 1
+            assert calls < 1000, "the same step is retried forever"
+            return np.array([1e7 if t >= t_end else 0.0])
+
+        with pytest.raises(StepSizeUnderflowError, match="stiff"):
+            solve_one(jumps, 0.5, t_end, np.array([0.0]), np.array([t_end]),
+                      rtol=1e-12, atol=1e-12)
 
     def test_grid_outside_span_rejected(self):
         with pytest.raises(ValueError):
@@ -297,3 +314,89 @@ class TestBatch:
         with pytest.raises(ValueError, match="one entry per row"):
             solve([_decay], [0.0, 0.0], [1.0], np.array([[1.0]]),
                   [np.array([0.0, 1.0])], [1e-8], [1e-8])
+
+
+def _pushed(edges):
+    """A damped oscillator whose unit force flips on or off at each edge."""
+    def f(t, y):
+        force = float(sum(t >= e for e in edges) % 2)
+        return np.array([y[1], force - y[0] - 0.3 * y[1]])
+    return f
+
+
+_GRID = np.linspace(0.0, 3.0, 31)
+# (rhs, t0, t_end, y0, grid, tol, breakpoints)
+BROKEN = [
+    # a first segment shorter than the starting step (0.005): its first
+    # step must be sized toward 0.004, not toward t_end
+    (_pushed([0.004, 1.5]), 0.0, 3.0, [1.0, 0.0], _GRID, 1e-8,
+     [0.004, 1.5]),
+    (_pushed([1e-9, 2.0]), 0.0, 3.0, [1.0, 0.0], _GRID, 1e-8, [2.0, 1e-9]),
+    # (1.01, 1.02] holds no grid point
+    (_pushed([1.01, 1.02]), 0.0, 3.0, [0.2, -0.5], _GRID, 1e-10,
+     [1.01, 1.02]),
+    # breakpoints exactly on grid points
+    (_pushed(_GRID[[12, 20]]), 0.0, 3.0, [0.2, -0.5], _GRID, 1e-6,
+     _GRID[[12, 20]]),
+    # unsorted, repeated, on the span's ends and outside it
+    (_pushed([1.5, 2.25]), 0.5, 3.0, [0.0, 1.0], np.linspace(0.5, 3.0, 26),
+     1e-8, [2.25, 7.0, 1.5, 0.5, -1.0, 3.0, 1.5, math.nan]),
+]
+
+
+def _chained(problem):
+    """One lone solve per smooth segment: the reference for breakpoints.
+
+    The grid is split as (a, b] (the first segment also keeps t0), y0 is
+    the previous segment's ``y_end`` and the counters are summed.
+    """
+    rhs, t0, t_end, y0, grid, tol, breakpoints = problem
+    stops = sorted({c for c in breakpoints if t0 < c < t_end}) + [t_end]
+    a, y, samples, counts = t0, np.array(y0), [], [0, 0, 0]
+    for b in stops:
+        mask = ((grid >= a) if a == t0 else (grid > a)) & (grid <= b)
+        # a lone solve needs a grid point: [b] stands in for none
+        res = solve_one(rhs, a, b, y, grid[mask] if mask.any()
+                        else np.array([b]), rtol=tol, atol=tol)
+        if mask.any():
+            samples.append(res.y)
+        y = res.y_end[0]
+        counts = [c + int(x[0]) for c, x in
+                  zip(counts, (res.n_accepted, res.n_rejected, res.n_rhs))]
+        a = b
+    return np.concatenate(samples), y, counts
+
+
+class TestBreakpoints:
+    def test_rows_equal_chained_lone_solves(self):
+        rhs, t0, t_end, y0, grids, tols, breakpoints = zip(*BROKEN)
+        res = solve(rhs, t0, t_end, np.array(y0), grids, tols, tols,
+                    breakpoints=breakpoints)
+        assert res.errors == [None] * len(BROKEN)
+        for b, problem in enumerate(BROKEN):
+            y, y_end, counts = _chained(problem)
+            assert np.array_equal(res.row(b)[1], y)
+            assert np.array_equal(res.y_end[b], y_end)
+            assert [res.n_accepted[b], res.n_rejected[b],
+                    res.n_rhs[b]] == counts
+
+    def test_rhs_count_is_true_and_two_per_segment(self):
+        rhs, t0, t_end, y0, grid, tol, breakpoints = BROKEN[4]
+        calls = 0
+
+        def counted(t, y):
+            nonlocal calls
+            calls += 1
+            return rhs(t, y)
+
+        res = solve([counted], [t0], [t_end], np.array([y0]), [grid], [tol],
+                    [tol], breakpoints=[breakpoints])
+        attempted = res.n_accepted[0] + res.n_rejected[0]
+        # 3 segments: f and the starting-step probe at each start
+        assert res.n_rhs[0] == calls == 2 * 3 + 6 * attempted
+
+    def test_one_breakpoint_sequence_per_row_required(self):
+        with pytest.raises(ValueError, match="one entry per row"):
+            solve([_decay], [0.0], [1.0], np.array([[1.0]]),
+                  [np.array([0.0, 1.0])], [1e-8], [1e-8],
+                  breakpoints=[[0.5], [0.7]])
