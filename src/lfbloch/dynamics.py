@@ -36,7 +36,7 @@ model A).
 Both right-hand sides act on the real state vector the integrator
 advances: y = (Re s, Im s, w) for model A and
 y = (Re s, Im s, w, Re beta, Im beta) for model B.  A batch of runs is
-one ``ode.solve`` call per model, restarting each run at its pulse edges.
+one ``ode.solve`` call per model, one piece per constant drive of a run.
 """
 
 from __future__ import annotations
@@ -114,11 +114,15 @@ class DriveEnvelope:
             return self.amplitude
         return self.amplitude if self.t_on <= t < self.t_off else 0j
 
-    def breakpoints(self) -> tuple[float, ...]:
-        """Times where the envelope is discontinuous."""
-        if self.kind == "pulse":
-            return (self.t_on, self.t_off)
-        return ()
+    def pieces(self, span: float) -> list[tuple[float, complex]]:
+        """[(end, Omega), ...]: the pieces of constant drive on [0, span].
+
+        Ends rise strictly to span (edges at or past the span's ends are
+        dropped); Omega holds from the previous end, or 0, up to ``end``.
+        """
+        edges = (self.t_on, self.t_off) if self.kind == "pulse" else ()
+        ends = [e for e in edges if 0.0 < e < span] + [span]
+        return list(zip(ends, map(self.value, [0.0, *ends])))
 
 
 @dataclass(frozen=True)
@@ -253,16 +257,17 @@ class Trajectory:
         return self.w**2 + 4.0 * np.abs(self.s) ** 2
 
 
-def effective_rhs(t: float, y: np.ndarray, p: EffectiveParams) -> np.ndarray:
+def effective_rhs(t: float, y: np.ndarray, p: EffectiveParams,
+                  om: complex) -> np.ndarray:
     """Time derivative of model A; see the module docstring for the form.
 
-    y = (Re s, Im s, w); returns (Re ds/dt, Im ds/dt, dw/dt).
+    y = (Re s, Im s, w); returns (Re ds/dt, Im ds/dt, dw/dt).  om is the
+    drive Omega on the piece that holds t; p's drive is not read.
     """
     em = p.emitter
     ell = p.ell
     s_re, s_im, w = y.tolist()
     s = complex(s_re, s_im)
-    om = em.drive.value(t)
     ds = (1j * em.delta_a * s - 1j * ell * em.eps_a * w * s
           + 0.5 * ell * om * w - 0.5 * ell * em.gamma_a * s)
     om_eff = ell * om - 2j * ell * em.eps_a * s
@@ -271,12 +276,12 @@ def effective_rhs(t: float, y: np.ndarray, p: EffectiveParams) -> np.ndarray:
     return np.array((ds.real, ds.imag, dw))
 
 
-def microscopic_rhs(t: float, y: np.ndarray,
-                    p: MicroscopicParams) -> np.ndarray:
+def microscopic_rhs(t: float, y: np.ndarray, p: MicroscopicParams,
+                    om: complex) -> np.ndarray:
     """Time derivative of model B; see the module docstring for the form.
 
     y = (Re s, Im s, w, Re beta, Im beta); returns their time derivatives
-    in the same order.
+    in the same order.  om is the drive Omega on the piece that holds t.
     """
     em = p.emitter
     s_re, s_im, w, beta_re, beta_im = y.tolist()
@@ -285,7 +290,6 @@ def microscopic_rhs(t: float, y: np.ndarray,
     rho = p.dipole_ratio
     c_a = p.coupling_host_to_emitter
     c_b = p.coupling_emitter_to_host
-    om = em.drive.value(t)
     ds = (1j * em.delta_a * s - 1j * em.eps_a * w * s + 0.5 * om * w
           - 0.5 * em.gamma_a * s + c_a * w * beta)
     dbeta = p.host_pole * beta - 0.5 * rho * om + c_b * s
@@ -324,13 +328,13 @@ def integrate(params, initial: SystemState,
 
     Adaptive embedded Runge-Kutta (Dormand-Prince 5(4)) with per-step
     error control on every real component at rtol = atol = tol, dense
-    output on the sample grid, and a restart at each drive
-    discontinuity.  Deterministic for identical inputs.
+    output on the sample grid, and a restart at each pulse edge with
+    the new drive.  Deterministic for identical inputs.
 
     The run goes through the code of :func:`integrate_batch` as a batch
     of one: one ``ode.solve`` call with a (1, n) state and the drive's
-    breakpoints, so a run yields the same bits and counters alone or in
-    any batch.  Here a failure raises; ``integrate_batch`` returns it in
+    pieces, so a run yields the same bits and counters alone or in any
+    batch.  Here a failure raises; ``integrate_batch`` returns it in
     the run's entry and goes on with the other runs.
 
     Parameters
@@ -372,8 +376,8 @@ def integrate_batch(runs) -> list:
     Every run is integrated exactly as :func:`integrate` integrates it
     alone: same steps, same counters, same bits.  The runs of each model
     go through one batched ``ode.solve`` call, which restarts each run
-    at its own drive breakpoints, so runs with different spans,
-    tolerances, grid sizes and drives can share a batch.
+    at its own pulse edges, so runs with different spans, tolerances,
+    grid sizes and drives can share a batch.
 
     Returns
     -------
@@ -408,7 +412,7 @@ def _warn_if_outside_sphere(traj: Trajectory) -> None:
 
 
 class _Run:
-    """One run of a batch: its right-hand side, state, grid and breakpoints."""
+    """One run of a batch: its state, grid and drive pieces."""
 
     def __init__(self, params, initial: SystemState,
                  integration: IntegrationSpec):
@@ -424,25 +428,24 @@ class _Run:
                 f"initial state lies outside the Bloch sphere: "
                 f"w^2 + 4|s|^2 = {norm!r} > 1 + 100*tol"
             )
-        self.span = integration.span
-        self.times = np.linspace(0.0, self.span, integration.points)
-        self.breakpoints = params.emitter.drive.breakpoints()
+        self.times = np.linspace(0.0, integration.span, integration.points)
 
         # The right-hand side is looked up as a module global on every
         # call, so a wrapper installed on lfbloch.dynamics sees each
-        # evaluation.
+        # evaluation.  One closure per piece binds that piece's drive.
         if self.model == "A":
             self.y = np.array([initial.s.real, initial.s.imag, initial.w])
 
-            def rhs(t, y):
-                return effective_rhs(t, y, params)
+            def piece(om):
+                return lambda t, y: effective_rhs(t, y, params, om)
         else:
             self.y = np.array([initial.s.real, initial.s.imag, initial.w,
                                initial.beta.real, initial.beta.imag])
 
-            def rhs(t, y):
-                return microscopic_rhs(t, y, params)
-        self.rhs = rhs
+            def piece(om):
+                return lambda t, y: microscopic_rhs(t, y, params, om)
+        self.pieces = [(end, piece(om)) for end, om
+                       in params.emitter.drive.pieces(integration.span)]
 
     def trajectory(self, y_out: np.ndarray, n_accepted: int,
                    n_rejected: int, n_rhs: int) -> Trajectory:
@@ -471,11 +474,9 @@ def _integrate_runs(runs) -> list:
         if not group:
             continue
         tols = [run.tol for _, run in group]
-        res = ode.solve([run.rhs for _, run in group], [0.0] * len(group),
-                        [run.span for _, run in group],
-                        [run.y for _, run in group],
-                        [run.times for _, run in group], tols, tols,
-                        breakpoints=[run.breakpoints for _, run in group])
+        res = ode.solve([run.pieces for _, run in group],
+                        [0.0] * len(group), [run.y for _, run in group],
+                        [run.times for _, run in group], tols, tols)
         # Python ints: json.dumps rejects numpy integers
         counters = zip(res.n_accepted.tolist(), res.n_rejected.tolist(),
                        res.n_rhs.tolist())

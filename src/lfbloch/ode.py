@@ -16,10 +16,11 @@ yields the same bits in any batch; a single problem is a batch of one.
 A row whose step size underflows stops with its own error while the
 other rows go on.
 
-A row may carry breakpoints, where its right-hand side jumps (a drive
-pulse edge).  It steps onto each one and restarts there as a fresh call
-would, so one call yields the bits and counters of one call per smooth
-segment, chained through ``y_end``.
+A row is a sequence of pieces, each with its own smooth right-hand side
+(say, a drive held constant between pulse edges) that every stage of a
+step inside it calls, those at its end included.  The row restarts at
+each piece's end as a fresh call would, so one call yields the bits and
+counters of one call per piece, chained through ``y_end``.
 
 The forms that keep a row's bits are narrow: stacked ``np.matmul`` of
 a tableau row with the (B, i, n) stage slices, element-wise operations
@@ -133,7 +134,7 @@ class OdeResult:
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step) -> float:
     """Starting-step heuristic of Hairer, Norsett & Wanner (I.4, alg. 4.14).
 
-    ``t_end`` is the end of the smooth segment that starts at t0.
+    ``t_end`` is the end of the piece that starts at t0.
     """
     scale = atol + rtol * np.abs(y0)
     d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
@@ -148,8 +149,8 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step) -> float:
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     elif not math.isfinite(d2):
-        # f1 went non-finite, or 1/h0 overflowed on a segment shorter
-        # than about 1e-302: keep h0, which fits in the segment
+        # f1 went non-finite, or 1/h0 overflowed on a piece shorter
+        # than about 1e-302: keep h0, which fits in the piece
         h1 = h0
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
@@ -183,40 +184,42 @@ def _underflow(t: float, h: float, nonfinite: bool) -> StepSizeUnderflowError:
 class _Row:
     """Controller state of one unfinished row."""
 
-    __slots__ = ("index", "f", "t", "h", "stop", "stops", "last",
+    __slots__ = ("index", "f", "t", "h", "stop", "pieces", "last",
                  "nonfinite", "K", "times", "out", "i_out")
 
-    def __init__(self, index, f, t, h, stops, K, times, out, i_out):
-        self.index, self.f, self.t, self.h = index, f, t, h
-        self.stop, self.stops = stops[0], stops[:0:-1]  # next ends last
+    def __init__(self, index, t, h, pieces, K, times, out, i_out):
+        self.index, self.t, self.h = index, t, h
+        (self.stop, self.f), self.pieces = pieces[0], pieces[:0:-1]
         self.last = self.nonfinite = False
         self.K = K  # this row's (7, n) stages: a view into the batch's
         self.times, self.out, self.i_out = times, out, i_out
 
 
 def solve(
-    rhs: Sequence[Callable[[float, np.ndarray], np.ndarray]],
+    pieces: Sequence[Sequence[tuple[float, Callable]]],
     t0: Sequence[float],
-    t_end: Sequence[float],
     y0: np.ndarray,
     t_eval: Sequence[np.ndarray],
     rtol: Sequence[float],
     atol: Sequence[float],
     max_step: float = math.inf,
-    breakpoints: Sequence[Sequence[float]] | None = None,
 ) -> OdeResult:
-    """Integrate ``dy_b/dt = rhs[b](t, y_b)`` from t0[b] to t_end[b], b < B.
+    """Integrate ``dy_b/dt = f(t, y_b)`` from t0[b] through row b's pieces.
 
     Every argument but ``max_step`` holds one entry per row.  Rows may
-    differ in span, tolerance, grid length and breakpoints; each is
+    differ in span, pieces, tolerance and grid length; each is
     integrated exactly as it would be alone.
 
     Parameters
     ----------
-    rhs : sequence of B callables
-        Right-hand side of each row, returning an array of shape (n,).
-    t0, t_end : sequences of B floats
-        Integration span of each row; ``t_end > t0``.
+    pieces : sequence of B non-empty sequences of (end_k, f_k) pairs
+        Row b's right-hand side is f_k from the previous end (t0[b] for
+        k = 0) up to and including end_k; the ends rise strictly above
+        t0[b], and the last is the row's end.  f returns an array of
+        shape (n,).  At each other end the row restarts as a new call
+        from there would, at the cost of 2 more evaluations.
+    t0 : sequence of B floats
+        Start time of each row.
     y0 : ndarray, shape (B, n)
         Initial state of each row (real components).
     t_eval : sequence of B arrays
@@ -227,11 +230,6 @@ def solve(
         Relative/absolute tolerance of each row's error control.
     max_step : float, optional
         Upper bound on the step size of every row.
-    breakpoints : sequence of B sequences of floats, optional
-        Times where each row's right-hand side may jump; those outside
-        (t0[b], t_end[b]) are ignored.  At each one the row restarts
-        exactly as a new call from there would, at the cost of 2 more
-        right-hand-side evaluations.
 
     Returns
     -------
@@ -250,33 +248,33 @@ def solve(
     ------
     ValueError
         For arguments of different lengths, a ``y0`` that is not 2-D, or
-        a row with an empty or non-increasing grid, a grid outside its
-        span, or a non-positive span.
+        a row with no pieces, piece ends not rising strictly above its
+        t0, an empty or non-increasing grid, or a grid outside its span.
     """
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
         raise ValueError(f"y0 must have shape (batch, n), got {y.shape}")
     batch, n = y.shape
-    if breakpoints is None:
-        breakpoints = [()] * batch
-    if not (len(rhs) == len(t0) == len(t_end) == len(t_eval) == len(rtol)
-            == len(atol) == len(breakpoints) == batch):
-        raise ValueError("rhs, t0, t_end, t_eval, rtol, atol and "
-                         "breakpoints need one entry per row of y0")
+    if not (len(pieces) == len(t0) == len(t_eval) == len(rtol)
+            == len(atol) == batch):
+        raise ValueError("pieces, t0, t_eval, rtol and atol need one "
+                         "entry per row of y0")
     t0 = [float(a) for a in t0]
-    t_end = [float(b) for b in t_end]
+    pieces = [[(float(end), f) for end, f in row] for row in pieces]
     grids = [np.asarray(g, dtype=float) for g in t_eval]
-    for a, b, grid in zip(t0, t_end, grids):
-        if not b > a:
-            raise ValueError(f"require t_end > t0, got [{a!r}, {b!r}]")
+    for a, row, grid in zip(t0, pieces, grids):
+        ends = [a] + [end for end, _ in row]
+        if not row or not all(lo < hi for lo, hi in zip(ends, ends[1:])):
+            raise ValueError(f"piece ends must rise strictly above "
+                             f"t0 = {a!r}, got {ends[1:]!r}")
         if grid.size == 0:
             raise ValueError("empty evaluation grid")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("evaluation grid must be strictly increasing")
-        if grid[0] < a or grid[-1] > b:
+        if grid[0] < a or grid[-1] > ends[-1]:
             raise ValueError(
                 f"evaluation grid [{grid[0]!r}, {grid[-1]!r}] outside "
-                f"integration span [{a!r}, {b!r}]"
+                f"integration span [{a!r}, {ends[-1]!r}]"
             )
 
     offsets = np.zeros(batch + 1, dtype=int)
@@ -285,24 +283,23 @@ def solve(
     y_end = np.full((batch, n), math.nan)
     n_accepted = [0] * batch
     n_rejected = [0] * batch
-    n_segments = [1] * batch
+    n_pieces = [1] * batch
     errors = [None] * batch
 
     K = np.empty((batch, 7, n))
     act = []  # unfinished rows, in the order of the rows of y and K
     for b in range(batch):
-        f, t, grid = rhs[b], t0[b], grids[b]
+        t, grid = t0[b], grids[b]
         out = y_all[offsets[b]:offsets[b + 1]]
         i_out = 0
         if grid[0] == t:
             out[0] = y[b]
             i_out = 1
-        stops = [*sorted({float(c) for c in breakpoints[b]
-                          if t < c < t_end[b]}), t_end[b]]
+        end, f = pieces[b][0]
         K[b, 0] = f(t, y[b])
-        h = _initial_step(f, t, y[b], K[b, 0], stops[0], rtol[b], atol[b],
+        h = _initial_step(f, t, y[b], K[b, 0], end, rtol[b], atol[b],
                           max_step)
-        act.append(_Row(b, f, t, h, stops, K[b], grid, out, i_out))
+        act.append(_Row(b, t, h, pieces[b], K[b], grid, out, i_out))
     heads = [K[:, :i] for i in range(7)]
     rtol_col, atol_col = _column(list(rtol)), _column(list(atol))
     abs_y = np.abs(y)
@@ -346,20 +343,20 @@ def solve(
                         _MAX_FACTOR,
                         max(_MIN_FACTOR, _SAFETY * err ** _ORDER_EXPONENT))
                     t = row.t = t_new
-                    if row.last and not row.stops:
+                    if row.last and not row.pieces:
                         y_end[row.index] = y_new[r]
                         continue
-                    if row.last:  # a breakpoint: restart as a new call
+                    if row.last:  # the next piece: restart as a new call
                         # would; the FSAL copy below moves f(t) to K[0]
-                        row.stop = row.stops.pop()
+                        row.stop, row.f = row.pieces.pop()
                         row.K[6] = row.f(t, y_new[r])
                         h = _initial_step(row.f, t, y_new[r], row.K[6],
                                           row.stop, rtol[row.index],
                                           atol[row.index], max_step)
-                        n_segments[row.index] += 1
+                        n_pieces[row.index] += 1
             h = min(h, max_step)
             row.last = t + h >= row.stop
-            # a step onto the segment end may be shorter than the floor,
+            # a step onto the piece's end may be shorter than the floor,
             # unless it repeats a rejected one (it would repeat forever)
             if not (h >= 10.0 * abs(math.nextafter(t, math.inf) - t)
                     or row.last and not retry):
@@ -413,5 +410,5 @@ def solve(
     return OdeResult(t=np.concatenate(grids), y=y_all, offsets=offsets,
                      y_end=y_end, n_accepted=n_accepted,
                      n_rejected=n_rejected,
-                     n_rhs=2 * np.array(n_segments)
+                     n_rhs=2 * np.array(n_pieces)
                      + 6 * (n_accepted + n_rejected), errors=errors)

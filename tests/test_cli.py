@@ -336,8 +336,8 @@ class TestSimulate:
         # integrate looks the RHS up on lfbloch.dynamics at every call
         rhs = dynamics.effective_rhs
 
-        def turns_nan(t, y, p):
-            return rhs(t, y, p) * (math.nan if t > 0.5 else 1.0)
+        def turns_nan(t, y, p, om):
+            return rhs(t, y, p, om) * (math.nan if t > 0.5 else 1.0)
 
         monkeypatch.setattr(dynamics, "effective_rhs", turns_nan)
         raised = []

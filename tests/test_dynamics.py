@@ -3,6 +3,7 @@ substitutions, integration against closed forms, conservation, reduction
 limits, trajectory bookkeeping, and batches that reproduce each run's
 lone integration bit for bit."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -60,6 +61,34 @@ class TestDriveEnvelope:
         assert d.value(2.9) == 2.0 + 0j
         assert d.value(3.0) == 0j
 
+    @pytest.mark.parametrize("drive, span, pieces", [
+        (DriveEnvelope(), 2.0, [(2.0, 0j)]),
+        (DriveEnvelope("constant", 1 + 2j), 2.0, [(2.0, 1 + 2j)]),
+        (DriveEnvelope("pulse", 2, t_on=1.0, t_off=3.0), 5.0,
+         [(1.0, 0j), (3.0, 2 + 0j), (5.0, 0j)]),
+        # t_on <= 0: the pulse is on from the start
+        (DriveEnvelope("pulse", 2, t_on=-1.0, t_off=3.0), 5.0,
+         [(3.0, 2 + 0j), (5.0, 0j)]),
+        (DriveEnvelope("pulse", 2, t_on=0.0, t_off=3.0), 5.0,
+         [(3.0, 2 + 0j), (5.0, 0j)]),
+        # t_off >= span, or never: the pulse is on to the end
+        (DriveEnvelope("pulse", 2, t_on=1.0, t_off=5.0), 5.0,
+         [(1.0, 0j), (5.0, 2 + 0j)]),
+        (DriveEnvelope("pulse", 2, t_on=1.0, t_off=7.0), 5.0,
+         [(1.0, 0j), (5.0, 2 + 0j)]),
+        (DriveEnvelope("pulse", 2, t_on=1.0), 5.0,
+         [(1.0, 0j), (5.0, 2 + 0j)]),
+        # an edge exactly at the span's end, or past it
+        (DriveEnvelope("pulse", 2, t_on=5.0, t_off=6.0), 5.0, [(5.0, 0j)]),
+        (DriveEnvelope("pulse", 2, t_on=-2.0, t_off=0.0), 5.0, [(5.0, 0j)]),
+        (DriveEnvelope("pulse", 2, t_on=5e-324, t_off=1.0), 5.0,
+         [(5e-324, 0j), (1.0, 2 + 0j), (5.0, 0j)]),
+        (DriveEnvelope("pulse", 2, t_on=0.0, t_off=5e-324), 5.0,
+         [(5e-324, 2 + 0j), (5.0, 0j)]),
+    ])
+    def test_pieces(self, drive, span, pieces):
+        assert drive.pieces(span) == pieces
+
     @pytest.mark.parametrize("bad", [
         dict(kind="sine"),
         dict(kind="pulse", amplitude=1.0 + 0j, t_on=3.0, t_off=1.0),
@@ -106,7 +135,8 @@ class TestEffectiveRhs:
     def test_inverted_atom_decay_example(self):
         # ell = 1.4, s = 0, w = 1: population decays at Re(ell)*gamma_a
         p = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
-        ds_re, ds_im, dw = effective_rhs(0.0, np.array([0.0, 0.0, 1.0]), p)
+        ds_re, ds_im, dw = effective_rhs(0.0, np.array([0.0, 0.0, 1.0]), p,
+                                         0j)
         assert (ds_re, ds_im) == (0.0, 0.0)
         assert dw == pytest.approx(-2.8, rel=1e-15)
 
@@ -117,9 +147,9 @@ class TestEffectiveRhs:
                                                amplitude=0.3 + 0.1j))
         p = EffectiveParams(emitter=em, ell=1.0 + 0j)
         s, w = 0.1 - 0.2j, -0.5
-        ds_re, ds_im, dw = effective_rhs(0.0, np.array([s.real, s.imag, w]),
-                                         p)
         om = 0.3 + 0.1j
+        ds_re, ds_im, dw = effective_rhs(0.0, np.array([s.real, s.imag, w]),
+                                         p, om)
         assert complex(ds_re, ds_im) == pytest.approx(
             1j * 0.7 * s + 0.5 * om * w - 0.5 * s)
         assert dw == pytest.approx(-(w + 1.0) - 2.0 * (om * s.conjugate()).real)
@@ -135,7 +165,7 @@ class TestEffectiveRhs:
                            drive=DriveEnvelope(kind="constant", amplitude=om))
         p = EffectiveParams(emitter=em, ell=complex(ell_re, 0.0))
         ds_re, ds_im, dw = effective_rhs(0.0, np.array([s.real, s.imag, w]),
-                                         p)
+                                         p, om)
         ddt_norm = 2.0 * w * dw + 8.0 * (s.conjugate()
                                          * complex(ds_re, ds_im)).real
         scale = max(1.0, abs(w), abs(s)) * max(1.0, abs(om), eps_a) * ell_re
@@ -148,7 +178,8 @@ class TestMicroscopicRhs:
         p = MicroscopicParams(
             emitter=EMITTER, host=HostSpecies(delta_b=10.0, eps_b=0.0,
                                               gamma_b=4.0))
-        d = microscopic_rhs(0.0, np.array([0.0, 0.0, 1.0, 0.0, 0.0]), p)
+        d = microscopic_rhs(0.0, np.array([0.0, 0.0, 1.0, 0.0, 0.0]), p,
+                            0j)
         assert d[2] == pytest.approx(-2.0, rel=1e-15)
         assert (d[0], d[1]) == (0.0, 0.0)
 
@@ -156,7 +187,8 @@ class TestMicroscopicRhs:
         em = EmitterParams(drive=DriveEnvelope(kind="constant",
                                                amplitude=2.0 + 0j))
         p = MicroscopicParams(emitter=em, host=HOST)
-        d = microscopic_rhs(0.0, np.array([0.0, 0.0, -1.0, 0.0, 0.0]), p)
+        d = microscopic_rhs(0.0, np.array([0.0, 0.0, -1.0, 0.0, 0.0]), p,
+                            2.0 + 0j)
         # -rho*Omega/2 = -2
         assert complex(d[3], d[4]) == pytest.approx(-2.0 + 0j)
 
@@ -172,7 +204,7 @@ class TestMicroscopicRhs:
         for s, beta in [(0.01 + 0j, 0j), (0j, 0.02j), (0.003 - 0.004j, 0.001j)]:
             d = microscopic_rhs(
                 0.0, np.array([s.real, s.imag, -1.0, beta.real, beta.imag]),
-                p)
+                p, 0j)
             ds, dbeta = mat @ np.array([s, beta])
             assert complex(d[0], d[1]) == pytest.approx(ds, rel=1e-14,
                                                         abs=1e-18)
@@ -223,6 +255,25 @@ class TestIntegrateEffective:
         after = traj.times >= math.pi
         assert traj.w[after].max() - traj.w[after].min() < 1e-9
         assert traj.w[-1] == pytest.approx(1.0, abs=1e-7)  # pi pulse inverts
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("model", ["A", "B"])
+    def test_ground_state_stays_put_until_the_pulse(self, model, tol):
+        # the last step before t_on used to evaluate its end stages with
+        # the pulse on, kicking s to -4.5e-6 at t = 0.5 (model A, tol 1e-6)
+        drive = DriveEnvelope("pulse", 1, t_on=0.5, t_off=0.6)
+        emitter = EmitterParams(drive=drive)
+        if model == "A":
+            params = EffectiveParams(emitter=emitter, ell=ELL_LOSSLESS)
+            initial = SystemState(s=0j, w=-1.0)
+        else:
+            params = MicroscopicParams(emitter=emitter, host=HOST)
+            initial = SystemState(s=0j, w=-1.0, beta=0j)
+        traj = integrate(params, initial,
+                         IntegrationSpec(span=1.0, tol=tol, points=801))
+        before = traj.times <= 0.5
+        assert np.all(traj.s[before] == 0)
+        assert np.all(traj.s[~before] != 0)
 
     def test_pulse_starting_just_after_zero(self):
         # a first segment of 2.2e-308 used to start with h = 0 and fail
@@ -330,7 +381,7 @@ class TestIntegrateMicroscopic:
 
         tol = 1e-10
         grid = np.linspace(0.0, 3.0, 4)
-        res = solve([rhs], [0.0], [3.0], np.array([[1.0, 0.0, 0.0, 0.0]]),
+        res = solve([[(3.0, rhs)]], [0.0], np.array([[1.0, 0.0, 0.0, 0.0]]),
                     [grid], rtol=[tol], atol=[tol])
         for i, t in enumerate(grid):
             z = expm(mat * t) @ np.array([1.0, 0.0])
@@ -443,6 +494,13 @@ def batch_run(draw):
             integration)
 
 
+def _with_drive(run, drive):
+    params, initial, integration = run
+    emitter = dataclasses.replace(params.emitter, drive=drive)
+    return (dataclasses.replace(params, emitter=emitter), initial,
+            integration)
+
+
 def _same_trajectory(a: Trajectory, b: Trajectory) -> bool:
     return (np.array_equal(a.times, b.times) and np.array_equal(a.s, b.s)
             and np.array_equal(a.w, b.w)
@@ -470,8 +528,8 @@ def _same_outcome(a, b) -> bool:
 
 def _poisoned(original, bad, t_bad):
     """original, but NaN for params ``bad`` once t passes t_bad."""
-    def rhs(t, y, p):
-        out = original(t, y, p)
+    def rhs(t, y, p, om):
+        out = original(t, y, p, om)
         return np.full_like(out, math.nan) if p is bad and t > t_bad else out
     return rhs
 
@@ -509,6 +567,32 @@ class TestIntegrateBatch:
             if j != k:
                 assert _same_outcome(batch[j], _lone(run))
 
+    @settings(max_examples=30, deadline=None)
+    @given(run=batch_run(), before=st.booleans(), data=st.data())
+    def test_pulse_outside_the_span_is_the_off_run(self, run, before, data):
+        span = run[2].span
+        if before:
+            t_off = data.draw(st.floats(-span, 0.0))
+            t_on = t_off - data.draw(st.floats(1e-3, span))
+        else:
+            t_on = span + data.draw(st.floats(0.0, span))
+            t_off = data.draw(st.sampled_from([t_on + 1.0, math.inf]))
+        pulse = DriveEnvelope("pulse", 1 + 1j, t_on=t_on, t_off=t_off)
+        assert _same_trajectory(integrate(*_with_drive(run, pulse)),
+                                integrate(*_with_drive(run, DriveEnvelope())))
+
+    @settings(max_examples=30, deadline=None)
+    @given(run=batch_run(), data=st.data())
+    def test_pulse_covering_the_span_is_the_constant_run(self, run, data):
+        span = run[2].span
+        t_on = -data.draw(st.floats(0.0, span))
+        t_off = data.draw(st.sampled_from([span, 2.0 * span, math.inf]))
+        amplitude = 0.7 - 0.4j
+        pulse = DriveEnvelope("pulse", amplitude, t_on=t_on, t_off=t_off)
+        constant = DriveEnvelope("constant", amplitude)
+        assert _same_trajectory(integrate(*_with_drive(run, pulse)),
+                                integrate(*_with_drive(run, constant)))
+
     def test_invalid_run_fails_alone(self):
         good = (EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS),
                 SystemState(s=0j, w=1.0), IntegrationSpec(span=1.0))
@@ -524,7 +608,7 @@ class TestIntegrateBatch:
                SystemState(s=0j, w=-1.0), IntegrationSpec(span=1.0,
                                                           points=11))
         with mock.patch.object(dynamics, "effective_rhs",
-                               lambda t, y, p: y):
+                               lambda t, y, p, om: y):
             with pytest.warns(BlochNormWarning) as lone:
                 integrate(*run)
             with pytest.warns(BlochNormWarning) as batch:

@@ -101,19 +101,19 @@ GOLDEN = {
     },
     "simulate_pulse_both": {
         "stdout":
-            "0bae699f89f673130f21ec00aab88085a15a3366cf8ff6efad5a92aa45009285",
+            "60652f6b493ed69d36acbdf710dc2ff84597125949eb2f149451ef008e0ff741",
         "pulse_both_A.csv":
-            "3fc01e314fccb4075eab32004f39a153d3ec03f0b5fe7046736a979c43b6932a",
+            "2985176a2a6a1050af434bd89adcc0d9482cb1a1dbb1f319557b0260dcc0cc2b",
         "pulse_both_B.csv":
-            "3d1c202b7d2fafcb1b9fb5376b654a248b44d048ee56b9746578a80d8dfce54d",
+            "1280bc4406b2fdcdd6e5df28e62155769b1a43c635c6188be20d85ed31cb71cc",
     },
     "simulate_pulse_both_text": {
         "stdout":
-            "88850c532418add086d704a8906c1f61d327cacd327ebe723ebada432554cd39",
+            "c8a3798e83fa42d353af5c8f188f3be1216e7903ac0024ac4b127b7149c932d1",
         "pulse_both_A.csv":
-            "3fc01e314fccb4075eab32004f39a153d3ec03f0b5fe7046736a979c43b6932a",
+            "2985176a2a6a1050af434bd89adcc0d9482cb1a1dbb1f319557b0260dcc0cc2b",
         "pulse_both_B.csv":
-            "3d1c202b7d2fafcb1b9fb5376b654a248b44d048ee56b9746578a80d8dfce54d",
+            "1280bc4406b2fdcdd6e5df28e62155769b1a43c635c6188be20d85ed31cb71cc",
     },
     "sweep": {
         "stdout":

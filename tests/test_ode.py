@@ -1,7 +1,7 @@
 """Tests for the embedded Dormand-Prince 5(4) integrator: accuracy against
 analytic solutions, convergence order, dense output, statistics, error
 paths, lockstep batches that reproduce each row's lone run bit for bit,
-and restarts at breakpoints that reproduce one run per smooth segment."""
+and rows of pieces that reproduce one run per piece."""
 
 import math
 import re
@@ -22,7 +22,7 @@ from lfbloch.ode import (
 
 def solve_one(rhs, t0, t_end, y0, t_eval, rtol, atol, **kwargs):
     """One problem as a batch of one; raises the row's failure."""
-    res = solve([rhs], [t0], [t_end], np.array([y0], dtype=float),
+    res = solve([[(t_end, rhs)]], [t0], np.array([y0], dtype=float),
                 [t_eval], [rtol], [atol], **kwargs)
     if res.errors[0] is not None:
         raise res.errors[0]
@@ -254,7 +254,8 @@ FAILING = [
 
 def _solve_batch(problems):
     rhs, t0, t_end, y0, grids, tols = zip(*problems)
-    return solve(rhs, t0, t_end, np.array(y0), grids, tols, tols)
+    return solve([[(b, f)] for f, b in zip(rhs, t_end)], t0, np.array(y0),
+                 grids, tols, tols)
 
 
 def _lone(problem):
@@ -307,56 +308,59 @@ class TestBatch:
 
     def test_y0_must_be_two_dimensional(self):
         with pytest.raises(ValueError, match="shape"):
-            solve([_decay], [0.0], [1.0], np.array([1.0]),
+            solve([[(1.0, _decay)]], [0.0], np.array([1.0]),
                   [np.array([0.0, 1.0])], [1e-8], [1e-8])
 
     def test_one_entry_per_row_required(self):
         with pytest.raises(ValueError, match="one entry per row"):
-            solve([_decay], [0.0, 0.0], [1.0], np.array([[1.0]]),
+            solve([[(1.0, _decay)]], [0.0, 0.0], np.array([[1.0]]),
                   [np.array([0.0, 1.0])], [1e-8], [1e-8])
 
 
-def _pushed(edges):
-    """A damped oscillator whose unit force flips on or off at each edge."""
+def _forced(force):
+    """A damped oscillator pushed by a constant force."""
     def f(t, y):
-        force = float(sum(t >= e for e in edges) % 2)
         return np.array([y[1], force - y[0] - 0.3 * y[1]])
     return f
 
 
+def _pieces(ends, forces=(0.0, 1.0, 0.0)):
+    return [(end, _forced(force)) for end, force in zip(ends, forces)]
+
+
 _GRID = np.linspace(0.0, 3.0, 31)
-# (rhs, t0, t_end, y0, grid, tol, breakpoints)
-BROKEN = [
-    # a first segment shorter than the starting step (0.005): its first
-    # step must be sized toward 0.004, not toward t_end
-    (_pushed([0.004, 1.5]), 0.0, 3.0, [1.0, 0.0], _GRID, 1e-8,
-     [0.004, 1.5]),
-    (_pushed([1e-9, 2.0]), 0.0, 3.0, [1.0, 0.0], _GRID, 1e-8, [2.0, 1e-9]),
+# (pieces, t0, y0, grid, tol); the force flips at each piece's end
+PIECED = [
+    # a first piece shorter than the starting step (0.005): its first
+    # step must be sized toward 0.004, not toward the row's end
+    (_pieces([0.004, 1.5, 3.0]), 0.0, [1.0, 0.0], _GRID, 1e-8),
+    (_pieces([1e-9, 2.0, 3.0]), 0.0, [1.0, 0.0], _GRID, 1e-8),
     # (1.01, 1.02] holds no grid point
-    (_pushed([1.01, 1.02]), 0.0, 3.0, [0.2, -0.5], _GRID, 1e-10,
-     [1.01, 1.02]),
-    # breakpoints exactly on grid points
-    (_pushed(_GRID[[12, 20]]), 0.0, 3.0, [0.2, -0.5], _GRID, 1e-6,
-     _GRID[[12, 20]]),
-    # unsorted, repeated, on the span's ends and outside it
-    (_pushed([1.5, 2.25]), 0.5, 3.0, [0.0, 1.0], np.linspace(0.5, 3.0, 26),
-     1e-8, [2.25, 7.0, 1.5, 0.5, -1.0, 3.0, 1.5, math.nan]),
+    (_pieces([1.01, 1.02, 3.0]), 0.0, [0.2, -0.5], _GRID, 1e-10),
+    # ends exactly on grid points
+    (_pieces([*_GRID[[12, 20]], 3.0]), 0.0, [0.2, -0.5], _GRID, 1e-6),
+    (_pieces([1.5, 2.25, 3.0]), 0.5, [0.0, 1.0], np.linspace(0.5, 3.0, 26),
+     1e-8),
 ]
 
 
-def _chained(problem):
-    """One lone solve per smooth segment: the reference for breakpoints.
+def _solve_pieced(problems):
+    pieces, t0, y0, grids, tols = zip(*problems)
+    return solve(pieces, t0, np.array(y0), grids, tols, tols)
 
-    The grid is split as (a, b] (the first segment also keeps t0), y0 is
-    the previous segment's ``y_end`` and the counters are summed.
+
+def _chained(problem):
+    """One lone solve per piece: the reference for a row of pieces.
+
+    The grid is split as (a, b] (the first piece also keeps t0), y0 is
+    the previous piece's ``y_end`` and the counters are summed.
     """
-    rhs, t0, t_end, y0, grid, tol, breakpoints = problem
-    stops = sorted({c for c in breakpoints if t0 < c < t_end}) + [t_end]
+    pieces, t0, y0, grid, tol = problem
     a, y, samples, counts = t0, np.array(y0), [], [0, 0, 0]
-    for b in stops:
+    for b, f in pieces:
         mask = ((grid >= a) if a == t0 else (grid > a)) & (grid <= b)
         # a lone solve needs a grid point: [b] stands in for none
-        res = solve_one(rhs, a, b, y, grid[mask] if mask.any()
+        res = solve_one(f, a, b, y, grid[mask] if mask.any()
                         else np.array([b]), rtol=tol, atol=tol)
         if mask.any():
             samples.append(res.y)
@@ -367,36 +371,62 @@ def _chained(problem):
     return np.concatenate(samples), y, counts
 
 
-class TestBreakpoints:
+def _recorded(problem, calls):
+    """problem with each piece's f appending its call times to calls[k]."""
+    def record(f, times):
+        def g(t, y):
+            times.append(t)
+            return f(t, y)
+        return g
+
+    pieces, *rest = problem
+    calls[:] = [[] for _ in pieces]
+    return ([(end, record(f, times))
+             for (end, f), times in zip(pieces, calls)], *rest)
+
+
+class TestPieces:
     def test_rows_equal_chained_lone_solves(self):
-        rhs, t0, t_end, y0, grids, tols, breakpoints = zip(*BROKEN)
-        res = solve(rhs, t0, t_end, np.array(y0), grids, tols, tols,
-                    breakpoints=breakpoints)
-        assert res.errors == [None] * len(BROKEN)
-        for b, problem in enumerate(BROKEN):
+        res = _solve_pieced(PIECED)
+        assert res.errors == [None] * len(PIECED)
+        for b, problem in enumerate(PIECED):
             y, y_end, counts = _chained(problem)
             assert np.array_equal(res.row(b)[1], y)
             assert np.array_equal(res.y_end[b], y_end)
             assert [res.n_accepted[b], res.n_rejected[b],
                     res.n_rhs[b]] == counts
 
-    def test_rhs_count_is_true_and_two_per_segment(self):
-        rhs, t0, t_end, y0, grid, tol, breakpoints = BROKEN[4]
-        calls = 0
+    def test_each_piece_calls_only_its_own_rhs(self):
+        calls = [[] for _ in PIECED]
+        res = _solve_pieced([_recorded(problem, rows)
+                             for problem, rows in zip(PIECED, calls)])
+        for b, ((pieces, t0, *_), rows) in enumerate(zip(PIECED, calls)):
+            starts = [t0] + [end for end, _ in pieces]
+            for k, times in enumerate(rows):
+                # the stages at a piece's end call that piece's f; the
+                # next piece's f is called there once, by the restart
+                assert starts[k] <= min(times)
+                assert max(times) == starts[k + 1]
+                assert times[0] == starts[k]
+                assert k == 0 or times.count(starts[k]) == 1
+            attempted = res.n_accepted[b] + res.n_rejected[b]
+            assert res.n_rhs[b] == sum(map(len, rows)) \
+                == 2 * len(pieces) + 6 * attempted
 
-        def counted(t, y):
-            nonlocal calls
-            calls += 1
-            return rhs(t, y)
+    @pytest.mark.parametrize("pieces, match", [
+        ([], "rise strictly"),
+        (_pieces([1.0, 1.0]), "rise strictly"),
+        (_pieces([2.0, 1.0]), "rise strictly"),
+        (_pieces([0.0, 1.0]), "rise strictly"),
+        (_pieces([-1.0, 1.0]), "rise strictly"),
+    ])
+    def test_invalid_pieces_rejected(self, pieces, match):
+        with pytest.raises(ValueError, match=match):
+            solve([pieces], [0.0], np.array([[1.0, 0.0]]),
+                  [np.array([0.0, 1.0])], [1e-8], [1e-8])
 
-        res = solve([counted], [t0], [t_end], np.array([y0]), [grid], [tol],
-                    [tol], breakpoints=[breakpoints])
-        attempted = res.n_accepted[0] + res.n_rejected[0]
-        # 3 segments: f and the starting-step probe at each start
-        assert res.n_rhs[0] == calls == 2 * 3 + 6 * attempted
-
-    def test_one_breakpoint_sequence_per_row_required(self):
+    def test_one_piece_sequence_per_row_required(self):
         with pytest.raises(ValueError, match="one entry per row"):
-            solve([_decay], [0.0], [1.0], np.array([[1.0]]),
-                  [np.array([0.0, 1.0])], [1e-8], [1e-8],
-                  breakpoints=[[0.5], [0.7]])
+            solve([_pieces([1.0]), _pieces([1.0])], [0.0],
+                  np.array([[1.0, 0.0]]), [np.array([0.0, 1.0])], [1e-8],
+                  [1e-8])

@@ -426,7 +426,7 @@ class TestBattery:
 
     def test_failed_study_fails_every_check_that_reads_it(self,
                                                           monkeypatch):
-        def nan_rhs(t, y, p):
+        def nan_rhs(t, y, p, om):
             return np.full_like(y, math.nan)
 
         monkeypatch.setattr(dynamics, "microscopic_rhs", nan_rhs)
