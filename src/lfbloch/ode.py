@@ -240,9 +240,9 @@ def solve(
         the other rows are integrated to their end.  The message says
         why, and is the same in any batch: the problem is too stiff for
         this explicit method at the given tolerance, or the right-hand
-        side went non-finite (a step whose error estimate is NaN or inf
-        is rejected, never accepted), and then the error is the subclass
-        NonFiniteRhsError.
+        side or the state went non-finite (a step whose error estimate
+        or new state is NaN or inf is rejected, never accepted), and then
+        the error is the subclass NonFiniteRhsError.
 
     Raises
     ------
@@ -401,8 +401,11 @@ def solve(
 
         abs_new = np.abs(y_new)
         scale = atol_col + rtol_col * np.maximum(abs_y, abs_new)
-        # np.mean(..., axis=1) without its Python-level overhead
-        errs = np.sqrt(np.add.reduce((h_col * np.matmul(_E, K) / scale) ** 2,
+        # np.mean(..., axis=1) without its Python-level overhead; adding
+        # abs_new - abs_new (exactly 0, or NaN for a non-finite y_new,
+        # whose inf scale would zero the estimate) rejects such a step
+        errs = np.sqrt(np.add.reduce((h_col * np.matmul(_E, K) / scale) ** 2
+                                     + (abs_new - abs_new),
                                      axis=1) / n).tolist()
 
     n_accepted = np.array(n_accepted)

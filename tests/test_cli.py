@@ -8,10 +8,18 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lfbloch import dynamics
-from lfbloch.cli import COMPARE_MAX_ROWS, SWEEP_CHUNK, main
+from lfbloch import cli, dynamics
+from lfbloch.cli import (
+    COMPARE_MAX_ROWS,
+    SWEEP_CHUNK,
+    TRAJECTORY_HEADER,
+    _write_trajectory_csv,
+    main,
+)
 from lfbloch.ode import NonFiniteRhsError, StepSizeUnderflowError
 
 ELL_CANONICAL = 1.495049504950495 - 0.04950495049504951j
@@ -280,6 +288,47 @@ class TestSimulate:
         assert cross["max_coherence_deviation"] < 1e-9
         assert cross["max_inversion_deviation"] < 1e-9
 
+    @pytest.mark.parametrize("drive", [
+        {"kind": "off"},
+        {"kind": "pulse", "amplitude": [0.8, -0.3], "t_on": 1.0,
+         "t_off": 3.0},
+    ])
+    def test_cross_model_report_is_the_per_sample_maximum(
+            self, tmp_path, capsys, monkeypatch, drive):
+        # an absorptive host: the two models' trajectories differ
+        payload = weak_scenario(model="both")
+        payload["drive"] = drive
+        payload["integration"]["span"] = 4.0
+        config = write_json(tmp_path / "both.json", payload)
+        runs, reports, dumps = [], [], json.dumps
+
+        def recording_integrate(*args):
+            runs.append(dynamics.integrate(*args))
+            return runs[-1]
+
+        def recording_dumps(obj, **kwargs):
+            reports.append(obj)
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr("lfbloch.cli.integrate", recording_integrate)
+        monkeypatch.setattr(cli.json, "dumps", recording_dumps)
+        code, _, _ = run_cli(["simulate", config, "--output",
+                              str(tmp_path / "x.csv"), "--json"], capsys)
+        assert code == 0
+        ta, tb = runs
+        cross = reports[-1]["cross_model"]
+        old = {
+            "max_coherence_deviation": float(max(abs(a - b) for a, b
+                                                 in zip(ta.s, tb.s))),
+            "max_inversion_deviation": float(max(abs(a - b) for a, b
+                                                 in zip(ta.w, tb.w))),
+        }
+        assert old["max_coherence_deviation"] > 0.0
+        assert old["max_inversion_deviation"] > 0.0
+        for key, value in cross.items():
+            assert type(value) is float
+            assert value.hex() == old[key].hex()
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         config = write_json(tmp_path / "decay.json", decay_scenario())
         first = tmp_path / "first.csv"
@@ -376,6 +425,74 @@ class TestSimulate:
         assert code == 0
         run = json.loads(out)["runs"]["A"]
         assert "error" in run["fit"]
+
+
+def _oracle_trajectory_csv(path, traj, failure=None):
+    """The per-cell trajectory writer the fast one must match byte for
+    byte: one formatted string per cell, rows through csv.writer."""
+    def fmt(x):
+        return f"{x:.12g}"
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRAJECTORY_HEADER)
+        if traj is not None:
+            for i in range(len(traj.times)):
+                row = [fmt(traj.times[i]), fmt(traj.s[i].real),
+                       fmt(traj.s[i].imag), fmt(traj.w[i])]
+                if traj.beta is not None:
+                    row += [fmt(traj.beta[i].real), fmt(traj.beta[i].imag)]
+                else:
+                    row += ["", ""]
+                writer.writerow(row)
+        if failure is not None:
+            fh.write(f"# INTEGRATION FAILED: {failure}\n")
+
+
+# every float, plus the edge cases drawn often: signed zeros, NaN, both
+# infinities, subnormals, the extremes and magnitudes of 1e+-300
+SAMPLE = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                     5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                     1.7976931348623157e308, -1.7976931348623157e308,
+                     1e300, -1e300, 1e-300, -1e-300, 0.1, 1.0 / 3.0]),
+)
+
+
+@st.composite
+def trajectories(draw):
+    """A Trajectory of model A (beta None) or B with arbitrary samples."""
+    n = draw(st.integers(0, 12))
+
+    def column():
+        return np.array(draw(st.lists(SAMPLE, min_size=n, max_size=n)),
+                        dtype=float)
+
+    def complex_column():
+        z = np.empty(n, dtype=complex)
+        z.real, z.imag = column(), column()
+        return z
+
+    beta = complex_column() if draw(st.booleans()) else None
+    return dynamics.Trajectory(
+        times=column(), s=complex_column(), w=column(), beta=beta,
+        model="A" if beta is None else "B", tol=1e-8, n_accepted=0,
+        n_rejected=0, n_rhs=0, bloch_norm_max=0.0)
+
+
+class TestTrajectoryWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(traj=st.one_of(st.none(), trajectories()),
+           failure=st.one_of(st.none(), st.text(st.characters(
+               exclude_categories=["Cs"]))))
+    def test_bytes_match_the_per_cell_writer(self, tmp_path_factory, traj,
+                                             failure):
+        out = tmp_path_factory.mktemp("csv")
+        _write_trajectory_csv(out / "fast.csv", traj, failure=failure)
+        _oracle_trajectory_csv(out / "oracle.csv", traj, failure=failure)
+        assert (out / "fast.csv").read_bytes() == \
+            (out / "oracle.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

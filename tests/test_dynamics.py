@@ -29,7 +29,7 @@ from lfbloch.dynamics import (
     integrate_batch,
     microscopic_rhs,
 )
-from lfbloch.medium import HostSpecies
+from lfbloch.medium import HostSpecies, local_field_factor
 from lfbloch.ode import NonFiniteRhsError, StepSizeUnderflowError, solve
 
 # canonical scenario used throughout: bare emitter, absorptive host
@@ -459,11 +459,8 @@ class TestTrajectory:
         assert runs[0].n_rhs == runs[1].n_rhs
 
 
-@st.composite
-def batch_run(draw):
-    """One (params, initial, integration) run of model A or B."""
-    span = draw(st.floats(0.5, 3.0))
-    kind = draw(st.sampled_from(["off", "constant", "pulse"]))
+def _draw_emitter(draw, span, kinds=("off", "constant", "pulse")):
+    kind = draw(st.sampled_from(kinds))
     amplitude = complex(draw(st.floats(-1.5, 1.5)),
                         draw(st.floats(-1.5, 1.5)))
     if kind == "pulse":
@@ -472,16 +469,33 @@ def batch_run(draw):
                               t_off=t_on + draw(st.floats(0.05, span)))
     else:
         drive = DriveEnvelope(kind=kind, amplitude=amplitude)
-    emitter = EmitterParams(delta_a=draw(st.floats(-2.0, 2.0)),
-                            eps_a=draw(st.floats(0.0, 1.0)),
-                            gamma_a=draw(st.floats(0.5, 1.5)), drive=drive)
+    return EmitterParams(delta_a=draw(st.floats(-2.0, 2.0)),
+                         eps_a=draw(st.floats(0.0, 1.0)),
+                         gamma_a=draw(st.floats(0.5, 1.5)), drive=drive)
+
+
+def _draw_state(draw, radius):
+    """(s, w) with |s| <= radius*sqrt(1 - w^2): radius 0.5 reaches the
+    Bloch sphere."""
     w = draw(st.floats(-1.0, 1.0))
-    r = 0.45 * math.sqrt(1.0 - w * w) * draw(st.floats(0.0, 1.0))
+    r = radius * math.sqrt(1.0 - w * w) * draw(st.floats(0.0, 1.0))
     phi = draw(st.floats(0.0, 2.0 * math.pi))
-    s = complex(r * math.cos(phi), r * math.sin(phi))
-    integration = IntegrationSpec(
+    return complex(r * math.cos(phi), r * math.sin(phi)), w
+
+
+def _draw_integration(draw, span):
+    return IntegrationSpec(
         span=span, tol=draw(st.sampled_from([1e-6, 1e-8, 1e-10])),
         points=draw(st.integers(2, 300)))
+
+
+@st.composite
+def batch_run(draw):
+    """One (params, initial, integration) run of model A or B."""
+    span = draw(st.floats(0.5, 3.0))
+    emitter = _draw_emitter(draw, span)
+    s, w = _draw_state(draw, 0.45)
+    integration = _draw_integration(draw, span)
     if draw(st.booleans()):
         ell = complex(draw(st.floats(1.0, 2.0)), draw(st.floats(-0.3, 0.3)))
         return (EffectiveParams(emitter=emitter, ell=ell),
@@ -618,3 +632,50 @@ class TestIntegrateBatch:
 
     def test_empty_batch(self):
         assert integrate_batch([]) == []
+
+
+class TestModelProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           host=st.builds(HostSpecies, delta_b=st.floats(1.0, 20.0),
+                          eps_b=st.floats(0.0, 10.0),
+                          gamma_b=st.floats(0.0, 8.0)),
+           surface=st.booleans())
+    def test_damped_model_a_stays_in_the_bloch_sphere(self, data, host,
+                                                      surface):
+        # d(w^2 + 4|s|^2)/dt = -Re(ell)*gamma_a*(norm - 1 + (w + 1)^2),
+        # which is <= 0 on the sphere for any drive, NDD coupling and
+        # complex ell with Re(ell) > 0
+        span = data.draw(st.floats(0.5, 3.0))
+        emitter = _draw_emitter(data.draw, span)
+        if surface:
+            w = data.draw(st.floats(-1.0, 1.0))
+            s = 0.5 * math.sqrt(1.0 - w * w) + 0j
+        else:
+            s, w = _draw_state(data.draw, 0.5)
+        integration = _draw_integration(data.draw, span)
+        params = EffectiveParams(emitter=emitter,
+                                 ell=local_field_factor(host).ell)
+        traj = integrate(params, SystemState(s=s, w=w), integration)
+        assert traj.bloch_norm_max <= 1.0 + 100.0 * integration.tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), delta_b=st.floats(-8.0, 8.0),
+           gamma_b=st.floats(0.5, 4.0), beta=small_complex(0.1))
+    def test_model_a_is_model_b_in_the_vacuum(self, data, delta_b, gamma_b,
+                                              beta):
+        # eps_b = 0: C_a = 0 decouples the host from the emitter, and
+        # ell = 1, so s and w obey model A whatever beta does
+        span = data.draw(st.floats(0.5, 3.0))
+        emitter = _draw_emitter(data.draw, span,
+                                kinds=("constant", "pulse"))
+        s, w = _draw_state(data.draw, 0.5)
+        integration = _draw_integration(data.draw, span)
+        host = HostSpecies(delta_b=delta_b, eps_b=0.0, gamma_b=gamma_b)
+        ta = integrate(EffectiveParams(emitter=emitter, ell=1.0 + 0j),
+                       SystemState(s=s, w=w), integration)
+        tb = integrate(MicroscopicParams(emitter=emitter, host=host),
+                       SystemState(s=s, w=w, beta=beta), integration)
+        bound = 100.0 * integration.tol
+        assert np.max(np.abs(ta.s - tb.s)) <= bound
+        assert np.max(np.abs(ta.w - tb.w)) <= bound

@@ -167,6 +167,30 @@ class TestErrors:
         assert t_fail <= 0.5
         assert "stiff" not in str(info.value)
 
+    def test_nonfinite_state_is_rejected_not_accepted(self):
+        # y' = 1e308 overflows y near t = 0.7977 while f stays finite; an
+        # inf state made the error scale inf and the estimate 0, so the
+        # step used to be accepted and the row ended without an error,
+        # with y_end inf and NaN samples
+        def huge(t, y):
+            return np.array([1e308])
+
+        grid = np.linspace(0.0, 2.0, 5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = solve([[(2.0, huge)], [(2.0, _decay)]], [0.0, 0.0],
+                        np.array([[1e308], [1.0]]), [grid, grid],
+                        [1e-6, 1e-6], [1e-9, 1e-9])
+        assert isinstance(res.errors[0], NonFiniteRhsError)
+        t_fail = float(re.search(r"at t = (\S+) ",
+                                 str(res.errors[0])).group(1))
+        assert 0.79 < t_fail < 0.8
+        assert np.isnan(res.row(0)[1][2:]).all()
+        assert res.errors[1] is None
+        for b, error in enumerate(res.errors):
+            if error is None:
+                assert np.isfinite(res.row(b)[1]).all()
+                assert np.isfinite(res.y_end[b]).all()
+
     def test_tiny_first_segment_starts_with_its_length(self):
         # on a segment of 2.2e-308, (f1 - f0)/h0 overflows; the start
         # step used to become 0 and fail as "too stiff"
