@@ -389,10 +389,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 # Sweep points integrated per lockstep batch.  Time per point falls
-# with the batch size and levels off past 16 rows, while peak memory
-# keeps growing with it (every row's samples stay alive until the batch
-# ends); see CHANGES.md for the measurements.
-SWEEP_CHUNK = 16
+# with the batch size, since model A's right-hand side runs as arrays
+# from dynamics.ARRAY_RHS_ROWS rows up, while peak memory grows with it
+# (every row's samples stay alive until the batch ends).  On the
+# benchmark's sweep_a (256 points, seeds 1-3, 2-core VM), chunks of
+# 16/32/64 took 0.60/0.48/0.42 s at 33.9/35.3/38.0 MB peak RSS; 64
+# exceeds the benchmark's 10% memory bound over 16.
+SWEEP_CHUNK = 32
 
 
 def _sweep_value(spec: SweepSpec, index: int) -> str:

@@ -33,10 +33,15 @@ Units are scaled: hbar = 1 and every rate is in units of the emitter decay
 rate gamma_a (kept explicit so undamped gamma_a = 0 runs are possible for
 model A).
 
-Both right-hand sides act on the real state vector the integrator
-advances: y = (Re s, Im s, w) for model A and
+Both right-hand sides act on the real state vectors the integrator
+advances, one row per run: y = (Re s, Im s, w) for model A and
 y = (Re s, Im s, w, Re beta, Im beta) for model B.  A batch of runs is
-one ``ode.solve`` call per model, one piece per constant drive of a run.
+one ``ode.solve`` call per model, one piece per constant drive of a run;
+each piece carries the products of parameters and drive that the model
+needs (``rhs_constants``), formed once per piece in the order in which
+the scalar formulas form them, so every stage of the batch is one call
+of ``effective_rhs`` or ``microscopic_rhs`` with the same bits per run
+as the run alone.
 """
 
 from __future__ import annotations
@@ -71,6 +76,11 @@ TOL_MIN = 1e-12
 TOL_MAX = 1e-4
 
 _DRIVE_KINDS = ("off", "constant", "pulse")
+
+
+def _parts(values) -> list[float]:
+    """Re and Im of each complex value, interleaved."""
+    return [x for z in values for x in (z.real, z.imag)]
 
 
 class BlochNormWarning(UserWarning):
@@ -168,6 +178,20 @@ class EffectiveParams:
                 f"got ell = {self.ell!r}"
             )
 
+    def rhs_constants(self, om: complex) -> tuple[float, ...]:
+        """The row of constants ``effective_rhs`` reads on a drive om.
+
+        Re and Im of c and of conj(c) for each c of 1j*delta_a,
+        (0.5*ell)*gamma_a, (2j*ell)*eps_a, (1j*ell)*eps_a and
+        (0.5*ell)*om, then Re and Im of ell*om, then -Re(ell)*gamma_a
+        and 0.0: complex pairs, read as one complex array.
+        """
+        em, ell = self.emitter, self.ell
+        products = (1j * em.delta_a, 0.5 * ell * em.gamma_a,
+                    2j * ell * em.eps_a, 1j * ell * em.eps_a, 0.5 * ell * om)
+        return (*_parts(z for c in products for z in (c, c.conjugate())),
+                *_parts([ell * om]), -ell.real * em.gamma_a, 0.0)
+
 
 @dataclass(frozen=True)
 class MicroscopicParams:
@@ -211,6 +235,20 @@ class MicroscopicParams:
         """C_b = i*rho*eps_a - rho*gamma_a/2 (emitter field driving the host)."""
         rho = self.dipole_ratio
         return 1j * rho * self.emitter.eps_a - rho * self.emitter.gamma_a / 2.0
+
+    def rhs_constants(self, om: complex) -> tuple[float, ...]:
+        """The row of constants ``microscopic_rhs`` reads on a drive om.
+
+        Re and Im of 1j*delta_a, 1j*eps_a, 0.5*om, C_a, alpha,
+        (0.5*rho)*om, C_b, om, 2.0*C_a and 2j*eps_a, then 0.5*gamma_a
+        and -gamma_a: complex pairs, read as one complex array.
+        """
+        em, c_a = self.emitter, self.coupling_host_to_emitter
+        products = (1j * em.delta_a, 1j * em.eps_a, 0.5 * om, c_a,
+                    self.host_pole, 0.5 * self.dipole_ratio * om,
+                    self.coupling_emitter_to_host, om, 2.0 * c_a,
+                    2j * em.eps_a)
+        return (*_parts(products), 0.5 * em.gamma_a, -em.gamma_a)
 
 
 @dataclass(frozen=True)
@@ -257,46 +295,105 @@ class Trajectory:
         return self.w**2 + 4.0 * np.abs(self.s) ** 2
 
 
-def effective_rhs(t: float, y: np.ndarray, p: EffectiveParams,
-                  om: complex) -> np.ndarray:
+# Rows at and above which effective_rhs evaluates a batch as arrays;
+# below it, the scalar code per row is faster (see CHANGES.md)
+ARRAY_RHS_ROWS = 16
+
+
+def effective_rhs(t: np.ndarray, Y: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Time derivative of model A; see the module docstring for the form.
 
-    y = (Re s, Im s, w); returns (Re ds/dt, Im ds/dt, dw/dt).  om is the
-    drive Omega on the piece that holds t; p's drive is not read.
+    Each row of Y is (Re s, Im s, w), and the same row of the result is
+    (Re ds/dt, Im ds/dt, dw/dt).  Row b of P is
+    ``EffectiveParams.rhs_constants(om)`` for the drive Omega on the
+    piece that holds t[b]; t is not read otherwise.
+
+    From ``ARRAY_RHS_ROWS`` rows up the rows are evaluated as arrays in
+    the float operations of CPython 3.11's complex arithmetic, the same
+    bits as the scalar code below, which evaluates smaller batches row
+    by row.
     """
-    em = p.emitter
-    ell = p.ell
-    s_re, s_im, w = y.tolist()
-    s = complex(s_re, s_im)
-    ds = (1j * em.delta_a * s - 1j * ell * em.eps_a * w * s
-          + 0.5 * ell * om * w - 0.5 * ell * em.gamma_a * s)
-    om_eff = ell * om - 2j * ell * em.eps_a * s
-    dw = (-ell.real * em.gamma_a * (w + 1.0)
-          - 2.0 * (om_eff * s.conjugate()).real)
-    return np.array((ds.real, ds.imag, dw))
+    if len(Y) >= ARRAY_RHS_ROWS:
+        return _effective_rhs_rows(Y, P)
+    rows = []
+    for (s_re, s_im, w), (c_d, _, c_g, _, c_e2, _, c_e, _, c_om, _, om_ell,
+                          c_w) in zip(Y.tolist(), P.view(complex).tolist()):
+        s = complex(s_re, s_im)
+        ds = c_d * s - c_e * w * s + c_om * w - c_g * s
+        om_eff = om_ell - c_e2 * s
+        dw = c_w.real * (w + 1.0) - 2.0 * (om_eff * s.conjugate()).real
+        rows.append((ds.real, ds.imag, dw))
+    return np.array(rows)
 
 
-def microscopic_rhs(t: float, y: np.ndarray, p: MicroscopicParams,
-                    om: complex) -> np.ndarray:
+# Operands of the products in _effective_rhs_rows.  First Re and Im of
+# c*s for c_d, c_g and c_e2 and of c*w for c_e and c_om: the pairs of
+# (Re s, Im s, w, 0.0) that multiply (Re c, Im c) and conj(c) ...
+_BY_CONSTANT = np.array([[0, 1], [1, 0]] * 3 + [[2, 3], [3, 2]] * 2)
+# ... then (c_e*w)*s and Re(om_eff*conj(s)): the first products and
+# om_eff (_STATE_FACTORS) times Re s or Im s (_BY_STATE)
+_STATE_FACTORS = np.array([6, 7, 6, 7, 10, 11])
+_BY_STATE = np.array([0, 1, 1, 0, 0, 1])
+
+
+def _effective_rhs_rows(Y: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """effective_rhs on arrays: CPython 3.11 complex rules, spelled out.
+
+    c*z is (Re c*Re z - Im c*Im z) + i(Re c*Im z + Im c*Re z), with a
+    float operand x made complex(x, 0.0) first, so its x*0.0 terms stay
+    and decide the signs of zero results; sums go part by part.  The
+    forms used here have the same bits: a - b*c is a + (-b)*c, so the
+    imaginary part of c*z is Re c*Im z - (-Im c)*Re z, a product with
+    the conj(c) that P stores, and Re(u*conj(s)) is
+    Re u*Re s + Im u*Im s.  The arrays are laid out one row per
+    component (transposed), where numpy's loops are fastest.
+    """
+    batch = len(Y)
+    ops = np.zeros((4, batch))
+    ops[:3] = Y.T
+    consts = np.ascontiguousarray(P.T)
+    terms = consts[:20].reshape(10, 2, batch) * ops[_BY_CONSTANT]
+    first = np.empty((12, batch))
+    # c_d*s, c_g*s, c_e2*s, c_e*w and c_om*w, then om_eff = om_ell - c_e2*s
+    np.subtract(terms[:, 0], terms[:, 1], out=first[:10])
+    np.subtract(consts[20:22], first[4:6], out=first[10:])
+    terms = first[_STATE_FACTORS] * ops[_BY_STATE]
+    # (c_e*w)*s, then Re(om_eff*conj(s))
+    second = np.empty((3, batch))
+    np.subtract(terms[0], terms[1], out=second[0])
+    np.add(terms[2::2], terms[3::2], out=second[1:])
+    out = np.empty((3, batch))
+    # ds = ((c_d*s - c_e*w*s) + c_om*w) - c_g*s
+    np.subtract(first[0:2], second[0:2], out=out[0:2])
+    out[0:2] += first[8:10]
+    out[0:2] -= first[2:4]
+    np.subtract(consts[22] * (ops[2] + 1.0), 2.0 * second[2], out=out[2])
+    return out.T
+
+
+def microscopic_rhs(t: np.ndarray, Y: np.ndarray,
+                    P: np.ndarray) -> np.ndarray:
     """Time derivative of model B; see the module docstring for the form.
 
-    y = (Re s, Im s, w, Re beta, Im beta); returns their time derivatives
-    in the same order.  om is the drive Omega on the piece that holds t.
+    Each row of Y is (Re s, Im s, w, Re beta, Im beta), and the same row
+    of the result holds their time derivatives.  Row b of P is
+    ``MicroscopicParams.rhs_constants(om)`` for the drive Omega on the
+    piece that holds t[b]; t is not read otherwise.  Evaluated row by
+    row.
     """
-    em = p.emitter
-    s_re, s_im, w, beta_re, beta_im = y.tolist()
-    s = complex(s_re, s_im)
-    beta = complex(beta_re, beta_im)
-    rho = p.dipole_ratio
-    c_a = p.coupling_host_to_emitter
-    c_b = p.coupling_emitter_to_host
-    ds = (1j * em.delta_a * s - 1j * em.eps_a * w * s + 0.5 * om * w
-          - 0.5 * em.gamma_a * s + c_a * w * beta)
-    dbeta = p.host_pole * beta - 0.5 * rho * om + c_b * s
-    dw = (-em.gamma_a * (w + 1.0)
-          - 2.0 * ((om + 2.0 * c_a * beta - 2j * em.eps_a * s)
-                   * s.conjugate()).real)
-    return np.array((ds.real, ds.imag, dw, dbeta.real, dbeta.imag))
+    rows = []
+    for ((s_re, s_im, w, beta_re, beta_im),
+         (c_d, c_e, om_half, c_a, pole, om_rho, c_b, om, c_a2, c_e2,
+          gammas)) in zip(Y.tolist(), P.view(complex).tolist()):
+        s = complex(s_re, s_im)
+        beta = complex(beta_re, beta_im)
+        ds = (c_d * s - c_e * w * s + om_half * w - gammas.real * s
+              + c_a * w * beta)
+        dbeta = pole * beta - om_rho + c_b * s
+        dw = (gammas.imag * (w + 1.0)
+              - 2.0 * ((om + c_a2 * beta - c_e2 * s) * s.conjugate()).real)
+        rows.append((ds.real, ds.imag, dw, dbeta.real, dbeta.imag))
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -430,21 +527,12 @@ class _Run:
             )
         self.times = np.linspace(0.0, integration.span, integration.points)
 
-        # The right-hand side is looked up as a module global on every
-        # call, so a wrapper installed on lfbloch.dynamics sees each
-        # evaluation.  One closure per piece binds that piece's drive.
         if self.model == "A":
             self.y = np.array([initial.s.real, initial.s.imag, initial.w])
-
-            def piece(om):
-                return lambda t, y: effective_rhs(t, y, params, om)
         else:
             self.y = np.array([initial.s.real, initial.s.imag, initial.w,
                                initial.beta.real, initial.beta.imag])
-
-            def piece(om):
-                return lambda t, y: microscopic_rhs(t, y, params, om)
-        self.pieces = [(end, piece(om)) for end, om
+        self.pieces = [(end, params.rhs_constants(om)) for end, om
                        in params.emitter.drive.pieces(integration.span)]
 
     def trajectory(self, y_out: np.ndarray, n_accepted: int,
@@ -474,7 +562,11 @@ def _integrate_runs(runs) -> list:
         if not group:
             continue
         tols = [run.tol for _, run in group]
-        res = ode.solve([run.pieces for _, run in group],
+        # the right-hand side is looked up as a module global on every
+        # call, so a wrapper installed on lfbloch.dynamics sees each one
+        rhs = ((lambda t, Y, P: effective_rhs(t, Y, P)) if model == "A"
+               else (lambda t, Y, P: microscopic_rhs(t, Y, P)))
+        res = ode.solve(rhs, [run.pieces for _, run in group],
                         [0.0] * len(group), [run.y for _, run in group],
                         [run.times for _, run in group], tols, tols)
         # Python ints: json.dumps rejects numpy integers

@@ -16,20 +16,25 @@ yields the same bits in any batch; a single problem is a batch of one.
 A row whose step size underflows stops with its own error while the
 other rows go on.
 
-A row is a sequence of pieces, each with its own smooth right-hand side
-(say, a drive held constant between pulse edges) that every stage of a
-step inside it calls, those at its end included.  The row restarts at
-each piece's end as a fresh call would, so one call yields the bits and
+A row is a sequence of pieces, each with its own constants p (say, a
+drive held constant between pulse edges) that every stage of a step
+inside it reads, those at its end included.  The row restarts at each
+piece's end as a fresh call would, so one call yields the bits and
 counters of one call per piece, chained through ``y_end``.
 
-The forms that keep a row's bits are narrow: stacked ``np.matmul`` of
-a tableau row with the (B, i, n) stage slices, element-wise operations
-with per-row (B, 1) columns, ``np.add.reduce`` along the row and
-``np.sqrt``.  The step-size factor stays on Python floats (numpy's
-power differs from CPython's ``**``), and dense output is one
-(m, 4) @ (4, n) product per row and step: a (1, 4) @ (4, n) product is
-not bitwise a row of an (m, 4) @ (4, n) one, and a stage-major
-(7, B*n) product is not bitwise the per-row one either.
+Each stage is one right-hand-side call over all unfinished rows,
+``rhs(t, Y, P)`` with the rows' stage times, states and piece
+constants; the starting-step probe and a restart at a piece's end call
+it on one row.  ``rhs`` must compute each row as it would alone (pure
+element-wise arithmetic does).  The other forms that keep a row's bits
+are narrow: stacked ``np.matmul`` of a tableau row with the (B, i, n)
+stage slices, element-wise operations with per-row (B, 1) columns,
+``np.add.reduce`` along the row and ``np.sqrt``.  The step-size factor
+stays on Python floats (numpy's power differs from CPython's ``**``),
+and dense output is one (m, 4) @ (4, n) product per row and step: a
+(1, 4) @ (4, n) product is not bitwise a row of an (m, 4) @ (4, n)
+one, and a stage-major (7, B*n) product is not bitwise the per-row one
+either.
 
 The run is fully deterministic for identical inputs and reports exact
 accepted/rejected step counts per row.
@@ -101,7 +106,6 @@ _MAX_FACTOR = 10.0
 _ORDER_EXPONENT = -0.2  # 1/(error estimator order + 1)
 
 
-_C_FLOAT = _C.tolist()  # stage times are Python-float arithmetic
 _P_T = _P.T
 
 
@@ -131,10 +135,16 @@ class OdeResult:
         return self.t[lo:hi], self.y[lo:hi]
 
 
-def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step) -> float:
+def _one_row(rhs, t: float, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """rhs at time t on the single row y with constants p."""
+    return rhs(np.array([t]), y[None], p[None])[0]
+
+
+def _initial_step(rhs, t0, y0, p, f0, t_end, rtol, atol, max_step) -> float:
     """Starting-step heuristic of Hairer, Norsett & Wanner (I.4, alg. 4.14).
 
-    ``t_end`` is the end of the piece that starts at t0.
+    ``t_end`` is the end of the piece that starts at t0, whose constants
+    are p.
     """
     scale = atol + rtol * np.abs(y0)
     d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
@@ -143,7 +153,7 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol, max_step) -> float:
     h0 = min(h0, t_end - t0, max_step)
 
     y1 = y0 + h0 * f0
-    f1 = rhs(t0 + h0, y1)
+    f1 = _one_row(rhs, t0 + h0, y1, p)
     d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
 
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -184,19 +194,21 @@ def _underflow(t: float, h: float, nonfinite: bool) -> StepSizeUnderflowError:
 class _Row:
     """Controller state of one unfinished row."""
 
-    __slots__ = ("index", "f", "t", "h", "stop", "pieces", "last",
-                 "nonfinite", "K", "times", "out", "i_out")
+    __slots__ = ("index", "t", "h", "stop", "pieces", "last", "nonfinite",
+                 "K", "times", "out", "i_out")
 
     def __init__(self, index, t, h, pieces, K, times, out, i_out):
         self.index, self.t, self.h = index, t, h
-        (self.stop, self.f), self.pieces = pieces[0], pieces[:0:-1]
+        # the current piece's end, then the later pieces, last first
+        self.stop, self.pieces = pieces[0][0], pieces[:0:-1]
         self.last = self.nonfinite = False
         self.K = K  # this row's (7, n) stages: a view into the batch's
         self.times, self.out, self.i_out = times, out, i_out
 
 
 def solve(
-    pieces: Sequence[Sequence[tuple[float, Callable]]],
+    rhs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    pieces: Sequence[Sequence[tuple[float, Sequence[float]]]],
     t0: Sequence[float],
     y0: np.ndarray,
     t_eval: Sequence[np.ndarray],
@@ -204,30 +216,37 @@ def solve(
     atol: Sequence[float],
     max_step: float = math.inf,
 ) -> OdeResult:
-    """Integrate ``dy_b/dt = f(t, y_b)`` from t0[b] through row b's pieces.
+    """Integrate ``dy_b/dt = rhs(t, y_b, p)`` through row b's pieces.
 
-    Every argument but ``max_step`` holds one entry per row.  Rows may
-    differ in span, pieces, tolerance and grid length; each is
+    Every argument but ``rhs`` and ``max_step`` holds one entry per row.
+    Rows may differ in span, pieces, tolerance and grid length; each is
     integrated exactly as it would be alone.
 
     Parameters
     ----------
-    pieces : sequence of B non-empty sequences of (end_k, f_k) pairs
-        Row b's right-hand side is f_k from the previous end (t0[b] for
-        k = 0) up to and including end_k; the ends rise strictly above
-        t0[b], and the last is the row's end.  f returns an array of
-        shape (n,).  At each other end the row restarts as a new call
-        from there would, at the cost of 2 more evaluations.
+    rhs : callable ``rhs(t, Y, P) -> ndarray``
+        The right-hand side of a set of rows: their times t (shape
+        (m,)), states Y (shape (m, n)) and piece constants P (shape
+        (m, k)); returns the (m, n) derivatives.  Row i of the result
+        must depend on row i of the arguments alone, with the same bits
+        for any m.
+    pieces : sequence of B non-empty sequences of (end_k, p_k) pairs
+        Row b's constants are p_k (k floats, the same k for every
+        piece) from the previous end (t0[b] for k = 0) up to and
+        including end_k; the ends rise strictly above t0[b], and the
+        last is the row's end.  At each other end the row restarts as a
+        new call from there would, at the cost of 2 more evaluations.
     t0 : sequence of B floats
         Start time of each row.
     y0 : ndarray, shape (B, n)
         Initial state of each row (real components).
     t_eval : sequence of B arrays
-        Strictly increasing evaluation grid of each row, inside its
-        span.  The solution is interpolated onto it with the quartic
+        Strictly increasing, finite evaluation grid of each row, inside
+        its span.  The solution is interpolated onto it with the quartic
         dense output.
     rtol, atol : sequences of B floats
-        Relative/absolute tolerance of each row's error control.
+        Relative/absolute tolerance of each row's error control,
+        positive and finite.
     max_step : float, optional
         Upper bound on the step size of every row.
 
@@ -247,9 +266,11 @@ def solve(
     Raises
     ------
     ValueError
-        For arguments of different lengths, a ``y0`` that is not 2-D, or
-        a row with no pieces, piece ends not rising strictly above its
-        t0, an empty or non-increasing grid, or a grid outside its span.
+        For arguments of different lengths, a ``y0`` that is not 2-D, a
+        tolerance that is not positive and finite, or a row with no
+        pieces, piece ends not rising strictly above its t0, pieces
+        with different numbers of constants, an empty, non-finite or
+        non-increasing grid, or a grid outside its span.
     """
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
@@ -259,16 +280,27 @@ def solve(
             == len(atol) == batch):
         raise ValueError("pieces, t0, t_eval, rtol and atol need one "
                          "entry per row of y0")
+    rtol, atol = [float(x) for x in rtol], [float(x) for x in atol]
+    if not all(0.0 < x < math.inf for x in rtol + atol):
+        raise ValueError(f"rtol and atol must be positive and finite, "
+                         f"got rtol = {rtol!r}, atol = {atol!r}")
     t0 = [float(a) for a in t0]
-    pieces = [[(float(end), f) for end, f in row] for row in pieces]
+    pieces = [[(float(end), tuple(map(float, p))) for end, p in row]
+              for row in pieces]
     grids = [np.asarray(g, dtype=float) for g in t_eval]
+    k = len(pieces[0][0][1]) if batch and pieces[0] else 0
     for a, row, grid in zip(t0, pieces, grids):
         ends = [a] + [end for end, _ in row]
         if not row or not all(lo < hi for lo, hi in zip(ends, ends[1:])):
             raise ValueError(f"piece ends must rise strictly above "
                              f"t0 = {a!r}, got {ends[1:]!r}")
+        if any(len(p) != k for _, p in row):
+            raise ValueError("every piece needs the same number of "
+                             "constants")
         if grid.size == 0:
             raise ValueError("empty evaluation grid")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("evaluation grid must be finite")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("evaluation grid must be strictly increasing")
         if grid[0] < a or grid[-1] > ends[-1]:
@@ -286,7 +318,10 @@ def solve(
     n_pieces = [1] * batch
     errors = [None] * batch
 
+    # the constants of each unfinished row's piece, in the order of act
+    P = np.array([row[0][1] for row in pieces]).reshape(batch, k)
     K = np.empty((batch, 7, n))
+    K[:, 0] = rhs(np.array(t0), y, P)
     act = []  # unfinished rows, in the order of the rows of y and K
     for b in range(batch):
         t, grid = t0[b], grids[b]
@@ -295,13 +330,11 @@ def solve(
         if grid[0] == t:
             out[0] = y[b]
             i_out = 1
-        end, f = pieces[b][0]
-        K[b, 0] = f(t, y[b])
-        h = _initial_step(f, t, y[b], K[b, 0], end, rtol[b], atol[b],
-                          max_step)
+        h = _initial_step(rhs, t, y[b], P[b], K[b, 0], pieces[b][0][0],
+                          rtol[b], atol[b], max_step)
         act.append(_Row(b, t, h, pieces[b], K[b], grid, out, i_out))
     heads = [K[:, :i] for i in range(7)]
-    rtol_col, atol_col = _column(list(rtol)), _column(list(atol))
+    rtol_col, atol_col = _column(rtol), _column(atol)
     abs_y = np.abs(y)
     errs = None  # error norm of each row's last attempted step
 
@@ -309,7 +342,7 @@ def solve(
         # One pass over the rows: accept or reject the step just
         # attempted, then schedule the next one, retiring finished and
         # failed rows.  Step sizes and times stay Python floats.
-        keep, steps, hs, accepted = [], [], [], []
+        keep, ts, hs, accepted = [], [], [], []
         for r, row in enumerate(act):
             t, h = row.t, row.h
             retry = False
@@ -348,9 +381,9 @@ def solve(
                         continue
                     if row.last:  # the next piece: restart as a new call
                         # would; the FSAL copy below moves f(t) to K[0]
-                        row.stop, row.f = row.pieces.pop()
-                        row.K[6] = row.f(t, y_new[r])
-                        h = _initial_step(row.f, t, y_new[r], row.K[6],
+                        row.stop, P[r] = row.pieces.pop()
+                        row.K[6] = _one_row(rhs, t, y_new[r], P[r])
+                        h = _initial_step(rhs, t, y_new[r], P[r], row.K[6],
                                           row.stop, rtol[row.index],
                                           atol[row.index], max_step)
                         n_pieces[row.index] += 1
@@ -366,7 +399,7 @@ def solve(
                 h = row.stop - t
             row.h = h
             keep.append(r)
-            steps.append((row.K, row.f, t, h))
+            ts.append(t)
             hs.append(h)
 
         if len(accepted) == len(act):
@@ -380,24 +413,22 @@ def solve(
             break
         if len(keep) < len(act):
             act = [act[r] for r in keep]
-            y, K, abs_y = y[keep], K[keep], abs_y[keep]
+            y, K, P, abs_y = y[keep], K[keep], P[keep], abs_y[keep]
             heads = [K[:, :i] for i in range(7)]
             rtol_col = _column([rtol[row.index] for row in act])
             atol_col = _column([atol[row.index] for row in act])
             for row, K_row in zip(act, K):
                 row.K = K_row
-            steps = [(row.K, row.f, row.t, row.h) for row in act]
 
-        # stage evaluations (k1 carried over from the previous step, FSAL)
+        # stage evaluations (k1 carried over from the previous step,
+        # FSAL), one rhs call each; the last two stages sit at t + h
         h_col = _column(hs)
+        stage_t = np.array(ts)[:, None] + h_col * _C
         for i in range(1, 6):
             stage = y + h_col * np.matmul(_A[i], heads[i])
-            c = _C_FLOAT[i]
-            for (K_row, f, t, h), y_stage in zip(steps, stage):
-                K_row[i] = f(t + c * h, y_stage)
+            K[:, i] = rhs(stage_t[:, i], stage, P)
         y_new = y + h_col * np.matmul(_B, heads[6])
-        for (K_row, f, t, h), y_row in zip(steps, y_new):
-            K_row[6] = f(t + h, y_row)
+        K[:, 6] = rhs(stage_t[:, 5], y_new, P)
 
         abs_new = np.abs(y_new)
         scale = atol_col + rtol_col * np.maximum(abs_y, abs_new)

@@ -385,8 +385,8 @@ class TestSimulate:
         # integrate looks the RHS up on lfbloch.dynamics at every call
         rhs = dynamics.effective_rhs
 
-        def turns_nan(t, y, p, om):
-            return rhs(t, y, p, om) * (math.nan if t > 0.5 else 1.0)
+        def turns_nan(t, Y, P):
+            return rhs(t, Y, P) * np.where(t > 0.5, math.nan, 1.0)[:, None]
 
         monkeypatch.setattr(dynamics, "effective_rhs", turns_nan)
         raised = []

@@ -44,6 +44,12 @@ def small_complex(r):
                               allow_infinity=False)
 
 
+def _at(rhs, p, y, om):
+    """rhs on the single state y, with the constants of p on drive om."""
+    return rhs(np.zeros(1), np.array([y], dtype=float),
+               np.array([p.rhs_constants(om)]))[0]
+
+
 class TestDriveEnvelope:
     def test_off(self):
         d = DriveEnvelope()
@@ -135,8 +141,7 @@ class TestEffectiveRhs:
     def test_inverted_atom_decay_example(self):
         # ell = 1.4, s = 0, w = 1: population decays at Re(ell)*gamma_a
         p = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
-        ds_re, ds_im, dw = effective_rhs(0.0, np.array([0.0, 0.0, 1.0]), p,
-                                         0j)
+        ds_re, ds_im, dw = _at(effective_rhs, p, [0.0, 0.0, 1.0], 0j)
         assert (ds_re, ds_im) == (0.0, 0.0)
         assert dw == pytest.approx(-2.8, rel=1e-15)
 
@@ -148,8 +153,7 @@ class TestEffectiveRhs:
         p = EffectiveParams(emitter=em, ell=1.0 + 0j)
         s, w = 0.1 - 0.2j, -0.5
         om = 0.3 + 0.1j
-        ds_re, ds_im, dw = effective_rhs(0.0, np.array([s.real, s.imag, w]),
-                                         p, om)
+        ds_re, ds_im, dw = _at(effective_rhs, p, [s.real, s.imag, w], om)
         assert complex(ds_re, ds_im) == pytest.approx(
             1j * 0.7 * s + 0.5 * om * w - 0.5 * s)
         assert dw == pytest.approx(-(w + 1.0) - 2.0 * (om * s.conjugate()).real)
@@ -164,8 +168,7 @@ class TestEffectiveRhs:
         em = EmitterParams(delta_a=0.3, eps_a=eps_a, gamma_a=0.0,
                            drive=DriveEnvelope(kind="constant", amplitude=om))
         p = EffectiveParams(emitter=em, ell=complex(ell_re, 0.0))
-        ds_re, ds_im, dw = effective_rhs(0.0, np.array([s.real, s.imag, w]),
-                                         p, om)
+        ds_re, ds_im, dw = _at(effective_rhs, p, [s.real, s.imag, w], om)
         ddt_norm = 2.0 * w * dw + 8.0 * (s.conjugate()
                                          * complex(ds_re, ds_im)).real
         scale = max(1.0, abs(w), abs(s)) * max(1.0, abs(om), eps_a) * ell_re
@@ -178,8 +181,7 @@ class TestMicroscopicRhs:
         p = MicroscopicParams(
             emitter=EMITTER, host=HostSpecies(delta_b=10.0, eps_b=0.0,
                                               gamma_b=4.0))
-        d = microscopic_rhs(0.0, np.array([0.0, 0.0, 1.0, 0.0, 0.0]), p,
-                            0j)
+        d = _at(microscopic_rhs, p, [0.0, 0.0, 1.0, 0.0, 0.0], 0j)
         assert d[2] == pytest.approx(-2.0, rel=1e-15)
         assert (d[0], d[1]) == (0.0, 0.0)
 
@@ -187,8 +189,7 @@ class TestMicroscopicRhs:
         em = EmitterParams(drive=DriveEnvelope(kind="constant",
                                                amplitude=2.0 + 0j))
         p = MicroscopicParams(emitter=em, host=HOST)
-        d = microscopic_rhs(0.0, np.array([0.0, 0.0, -1.0, 0.0, 0.0]), p,
-                            2.0 + 0j)
+        d = _at(microscopic_rhs, p, [0.0, 0.0, -1.0, 0.0, 0.0], 2.0 + 0j)
         # -rho*Omega/2 = -2
         assert complex(d[3], d[4]) == pytest.approx(-2.0 + 0j)
 
@@ -202,14 +203,118 @@ class TestMicroscopicRhs:
             [p.coupling_emitter_to_host, p.host_pole],
         ])
         for s, beta in [(0.01 + 0j, 0j), (0j, 0.02j), (0.003 - 0.004j, 0.001j)]:
-            d = microscopic_rhs(
-                0.0, np.array([s.real, s.imag, -1.0, beta.real, beta.imag]),
-                p, 0j)
+            d = _at(microscopic_rhs, p,
+                    [s.real, s.imag, -1.0, beta.real, beta.imag], 0j)
             ds, dbeta = mat @ np.array([s, beta])
             assert complex(d[0], d[1]) == pytest.approx(ds, rel=1e-14,
                                                         abs=1e-18)
             assert complex(d[3], d[4]) == pytest.approx(dbeta, rel=1e-14,
                                                         abs=1e-18)
+
+
+def _signed(strategy):
+    """strategy, or a signed zero."""
+    return st.sampled_from([0.0, -0.0]) | strategy
+
+
+def _formula_a(p, om, y):
+    """Model A's derivative from the unhoisted scalar formulas."""
+    em, ell = p.emitter, p.ell
+    s, w = complex(y[0], y[1]), y[2]
+    ds = (1j * em.delta_a * s - 1j * ell * em.eps_a * w * s
+          + 0.5 * ell * om * w - 0.5 * ell * em.gamma_a * s)
+    om_eff = ell * om - 2j * ell * em.eps_a * s
+    dw = (-ell.real * em.gamma_a * (w + 1.0)
+          - 2.0 * (om_eff * s.conjugate()).real)
+    return ds.real, ds.imag, dw
+
+
+def _formula_b(p, om, y):
+    """Model B's derivative from the unhoisted scalar formulas."""
+    em = p.emitter
+    s, w, beta = complex(y[0], y[1]), y[2], complex(y[3], y[4])
+    rho = p.dipole_ratio
+    c_a = p.coupling_host_to_emitter
+    c_b = p.coupling_emitter_to_host
+    ds = (1j * em.delta_a * s - 1j * em.eps_a * w * s + 0.5 * om * w
+          - 0.5 * em.gamma_a * s + c_a * w * beta)
+    dbeta = p.host_pole * beta - 0.5 * rho * om + c_b * s
+    dw = (-em.gamma_a * (w + 1.0)
+          - 2.0 * ((om + 2.0 * c_a * beta - 2j * em.eps_a * s)
+                   * s.conjugate()).real)
+    return ds.real, ds.imag, dw, dbeta.real, dbeta.imag
+
+
+def _host(draw):
+    return HostSpecies(delta_b=draw(st.floats(1.0, 20.0)),
+                       eps_b=draw(_signed(st.floats(0.0, 10.0))),
+                       gamma_b=draw(st.floats(0.1, 8.0)))
+
+
+@st.composite
+def rhs_row(draw, model):
+    """(params, om, y): one row of a right-hand-side call of model A or
+    B, on a piece of an off, constant or pulsed drive, with signed zeros
+    in the parameters and the state."""
+    span = 2.0
+    drive = _draw_emitter(draw, span).drive
+    emitter = EmitterParams(
+        delta_a=draw(_signed(st.floats(-2.0, 2.0))),
+        eps_a=draw(_signed(st.floats(0.0, 5.0))),
+        gamma_a=draw(st.floats(0.1, 2.0)) if model == "B"
+        else draw(_signed(st.floats(0.0, 2.0))), drive=drive)
+    om = draw(st.sampled_from([om for _, om in drive.pieces(span)]))
+    y = [draw(_signed(st.floats(-1.0, 1.0))) for _ in range(3)]
+    if model == "B":
+        params = MicroscopicParams(emitter=emitter, host=_host(draw))
+        return params, om, y + [draw(_signed(st.floats(-0.1, 0.1)))
+                                for _ in range(2)]
+    if draw(st.booleans()):
+        ell = local_field_factor(_host(draw)).ell
+    else:
+        ell = complex(draw(st.floats(0.1, 3.0)),
+                      draw(_signed(st.floats(-2.0, 2.0))))
+    return EffectiveParams(emitter=emitter, ell=ell), om, y
+
+
+def _call(rhs, rows):
+    params, oms, ys = zip(*rows)
+    return rhs(np.zeros(len(rows)), np.array(ys),
+               np.array([p.rhs_constants(om) for p, om in zip(params, oms)]))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestRhsBits:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(rhs_row("A"), min_size=1,
+                         max_size=3 * dynamics.ARRAY_RHS_ROWS))
+    def test_array_rows_equal_scalar_rows_bitwise(self, rows):
+        # the array branch spells out CPython 3.11's complex arithmetic;
+        # the scalar branch is the oracle, down to the signs of zeros
+        with mock.patch.object(dynamics, "ARRAY_RHS_ROWS", 1):
+            array = _call(effective_rhs, rows)
+        with mock.patch.object(dynamics, "ARRAY_RHS_ROWS", math.inf):
+            scalar = _call(effective_rhs, rows)
+        assert array.shape == scalar.shape == (len(rows), 3)
+        assert np.array_equal(_bits(array), _bits(scalar))
+        assert np.array_equal(_bits(_call(effective_rhs, rows)),
+                              _bits(scalar))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows_a=st.lists(rhs_row("A"), min_size=1, max_size=4),
+           rows_b=st.lists(rhs_row("B"), min_size=1, max_size=4))
+    def test_scalar_rows_equal_the_unhoisted_formulas_bitwise(self, rows_a,
+                                                               rows_b):
+        # the per-piece constants keep the formulas' left-to-right
+        # products, so hoisting them changes no bit
+        for rhs, formula, rows in ((effective_rhs, _formula_a, rows_a),
+                                   (microscopic_rhs, _formula_b, rows_b)):
+            assert np.array_equal(
+                _bits(_call(rhs, rows)),
+                _bits([formula(p, om, y) for p, om, y in rows]))
 
 
 class TestIntegrateEffective:
@@ -374,15 +479,16 @@ class TestIntegrateMicroscopic:
             [p.coupling_emitter_to_host, p.host_pole],
         ])
 
-        def rhs(t, y):
-            z = np.array([complex(y[0], y[1]), complex(y[2], y[3])])
-            dz = mat @ z
-            return np.array([dz[0].real, dz[0].imag, dz[1].real, dz[1].imag])
+        def rhs(t, Y, P):
+            z = Y[:, 0::2] + 1j * Y[:, 1::2]
+            dz = z @ mat.T
+            return np.stack([dz.real, dz.imag], axis=2).reshape(Y.shape)
 
         tol = 1e-10
         grid = np.linspace(0.0, 3.0, 4)
-        res = solve([[(3.0, rhs)]], [0.0], np.array([[1.0, 0.0, 0.0, 0.0]]),
-                    [grid], rtol=[tol], atol=[tol])
+        res = solve(rhs, [[(3.0, ())]], [0.0],
+                    np.array([[1.0, 0.0, 0.0, 0.0]]), [grid], rtol=[tol],
+                    atol=[tol])
         for i, t in enumerate(grid):
             z = expm(mat * t) @ np.array([1.0, 0.0])
             got = complex(res.y[i, 0], res.y[i, 1])
@@ -540,11 +646,22 @@ def _same_outcome(a, b) -> bool:
     return type(a) is type(b) and str(a) == str(b)
 
 
-def _poisoned(original, bad, t_bad):
-    """original, but NaN for params ``bad`` once t passes t_bad."""
-    def rhs(t, y, p, om):
-        out = original(t, y, p, om)
-        return np.full_like(out, math.nan) if p is bad and t > t_bad else out
+def _piece_rows(run) -> set:
+    """The rows of constants that run's pieces hand the right-hand side."""
+    params, _, integration = run
+    return {params.rhs_constants(om)
+            for _, om in params.emitter.drive.pieces(integration.span)}
+
+
+def _poisoned(original, bad_rows, t_bad):
+    """original, but NaN in every row whose constants are in bad_rows
+    once its t passes t_bad."""
+    def rhs(t, Y, P):
+        out = np.array(original(t, Y, P))
+        for b, (t_b, p) in enumerate(zip(t.tolist(), P.tolist())):
+            if tuple(p) in bad_rows and t_b > t_bad:
+                out[b] = math.nan
+        return out
     return rhs
 
 
@@ -565,18 +682,46 @@ class TestIntegrateBatch:
            data=st.data())
     def test_nonfinite_row_fails_alone(self, runs, data):
         k = data.draw(st.integers(0, len(runs) - 1))
-        bad, _, integration = runs[k]
-        t_bad = data.draw(st.floats(0.0, 0.9)) * integration.span
+        bad_rows = _piece_rows(runs[k])
+        t_bad = data.draw(st.floats(0.0, 0.9)) * runs[k][2].span
         with mock.patch.object(dynamics, "effective_rhs", _poisoned(
-                effective_rhs, bad, t_bad)), \
+                effective_rhs, bad_rows, t_bad)), \
                 mock.patch.object(dynamics, "microscopic_rhs", _poisoned(
-                    microscopic_rhs, bad, t_bad)):
+                    microscopic_rhs, bad_rows, t_bad)):
             batch = integrate_batch(runs)
-            with pytest.raises(StepSizeUnderflowError) as lone:
-                integrate(*runs[k])
+            poisoned = [_lone(run) for run in runs]
         assert isinstance(batch[k], NonFiniteRhsError)
-        assert type(lone.value) is NonFiniteRhsError
-        assert str(batch[k]) == str(lone.value)
+        assert type(poisoned[k]) is NonFiniteRhsError
+        assert str(batch[k]) == str(poisoned[k])
+        for j, run in enumerate(runs):
+            # a run drawn with some of the same constants is poisoned
+            # there too; every other run is untouched
+            shares = j == k or _piece_rows(run) & bad_rows
+            assert _same_outcome(batch[j],
+                                 poisoned[j] if shares else _lone(run))
+
+    def test_nonfinite_row_fails_alone_in_an_array_batch(self):
+        drive = DriveEnvelope("pulse", 0.5 + 0.2j, t_on=0.5, t_off=1.5)
+        runs = [(EffectiveParams(emitter=EmitterParams(delta_a=0.1 * j,
+                                                       eps_a=0.2,
+                                                       drive=drive),
+                                 ell=complex(1.0 + 0.05 * j, 0.1)),
+                 SystemState(s=0.1 + 0j, w=0.5),
+                 IntegrationSpec(span=2.0, tol=1e-8, points=41))
+                for j in range(2 * dynamics.ARRAY_RHS_ROWS)]
+        k, sizes = 5, []
+        poisoned = _poisoned(effective_rhs, _piece_rows(runs[k]), 0.7)
+
+        def rhs(t, Y, P):
+            sizes.append(len(Y))
+            return poisoned(t, Y, P)
+
+        with mock.patch.object(dynamics, "effective_rhs", rhs):
+            batch = integrate_batch(runs)
+            lone = _lone(runs[k])
+        assert max(sizes) == len(runs) >= dynamics.ARRAY_RHS_ROWS
+        assert isinstance(batch[k], NonFiniteRhsError)
+        assert str(batch[k]) == str(lone)
         for j, run in enumerate(runs):
             if j != k:
                 assert _same_outcome(batch[j], _lone(run))
@@ -622,7 +767,7 @@ class TestIntegrateBatch:
                SystemState(s=0j, w=-1.0), IntegrationSpec(span=1.0,
                                                           points=11))
         with mock.patch.object(dynamics, "effective_rhs",
-                               lambda t, y, p, om: y):
+                               lambda t, Y, P: Y):
             with pytest.warns(BlochNormWarning) as lone:
                 integrate(*run)
             with pytest.warns(BlochNormWarning) as batch:

@@ -20,30 +20,49 @@ from lfbloch.ode import (
 )
 
 
-def solve_one(rhs, t0, t_end, y0, t_eval, rtol, atol, **kwargs):
-    """One problem as a batch of one; raises the row's failure."""
-    res = solve([[(t_end, rhs)]], [t0], np.array([y0], dtype=float),
-                [t_eval], [rtol], [atol], **kwargs)
+def _per_row(*functions):
+    """A batch right-hand side from per-row ones.
+
+    Row b of a call is ``functions[P[b, 0]](t[b], y_b, P[b, 1:])``: the
+    first constant of a piece picks its function, the rest are that
+    function's parameters.
+    """
+    def rhs(t, Y, P):
+        return np.array([functions[int(p[0])](t_b, y, p[1:])
+                         for t_b, y, p in zip(t.tolist(), Y, P)])
+    return rhs
+
+
+def solve_one(f, t0, t_end, y0, t_eval, rtol, atol, args=(), **kwargs):
+    """f(t, y, args) as a batch of one; raises the row's failure."""
+    res = solve(_per_row(f), [[(t_end, (0, *args))]], [t0],
+                np.array([y0], dtype=float), [t_eval], [rtol], [atol],
+                **kwargs)
     if res.errors[0] is not None:
         raise res.errors[0]
     return res
 
 
-def _decay(t, y):
+def _decay(t, y, p):
     return -2.0 * y
 
 
-def _harmonic(t, y):
+def _harmonic(t, y, p):
     return np.array([y[1], -y[0]])
 
 
-def _blowup(t, y):
+def _blowup(t, y, p):
     return y * y
 
 
-def _rigid_body(t, y):
+def _rigid_body(t, y, p):
     # Euler equations of a free rigid body; smooth and non-chaotic.
     return np.array([y[1] * y[2], -y[0] * y[2], -0.51 * y[0] * y[1]])
+
+
+def _scipy(f):
+    """f as a right-hand side for scipy's solve_ivp."""
+    return lambda t, y: f(t, y, ())
 
 
 class TestAccuracy:
@@ -74,7 +93,7 @@ class TestAccuracy:
         grid = np.linspace(0.0, 12.0, 13)
         mine = solve_one(_rigid_body, 0.0, 12.0, y0, grid, rtol=1e-11,
                          atol=1e-11)
-        ref = solve_ivp(_rigid_body, (0.0, 12.0), y0, method="DOP853",
+        ref = solve_ivp(_scipy(_rigid_body), (0.0, 12.0), y0, method="DOP853",
                         t_eval=grid, rtol=1e-12, atol=1e-12)
         assert_allclose(mine.y, ref.y.T, atol=1e-9)
 
@@ -110,7 +129,7 @@ class TestStatistics:
     def test_stability_limit_causes_rejections(self):
         # fast linear relaxation at loose tolerance: the controller keeps
         # bouncing off the explicit stability boundary
-        def relax(t, y):
+        def relax(t, y, p):
             return np.array([200.0 * (math.cos(t) - y[0])])
 
         res = solve_one(relax, 0.0, 3.0, np.array([0.0]), np.array([0.0, 3.0]),
@@ -156,7 +175,7 @@ class TestErrors:
         # a NaN error estimate must reject the step (nan > 1 is False), so
         # the run stops at the last finite state instead of writing NaN
         # samples and then blaming stiffness
-        def turns_nan(t, y):
+        def turns_nan(t, y, p):
             return np.full_like(y, math.nan) if t > 0.5 else -y
 
         with pytest.raises(NonFiniteRhsError,
@@ -172,13 +191,13 @@ class TestErrors:
         # inf state made the error scale inf and the estimate 0, so the
         # step used to be accepted and the row ended without an error,
         # with y_end inf and NaN samples
-        def huge(t, y):
+        def huge(t, y, p):
             return np.array([1e308])
 
         grid = np.linspace(0.0, 2.0, 5)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = solve([[(2.0, huge)], [(2.0, _decay)]], [0.0, 0.0],
-                        np.array([[1e308], [1.0]]), [grid, grid],
+            res = solve(_per_row(huge, _decay), [[(2.0, (0,))], [(2.0, (1,))]],
+                        [0.0, 0.0], np.array([[1e308], [1.0]]), [grid, grid],
                         [1e-6, 1e-6], [1e-9, 1e-9])
         assert isinstance(res.errors[0], NonFiniteRhsError)
         t_fail = float(re.search(r"at t = (\S+) ",
@@ -196,12 +215,12 @@ class TestErrors:
         # step used to become 0 and fail as "too stiff"
         t_end = 2.2250738585072014e-308
 
-        def jumps(t, y):
+        def jumps(t, y, p):
             return np.array([1.0 if t >= t_end else 0.0])
 
         y0 = np.array([0.0])
-        h = _initial_step(jumps, 0.0, y0, jumps(0.0, y0), t_end,
-                          1e-6, 1e-6, math.inf)
+        h = _initial_step(_per_row(jumps), 0.0, y0, np.array([0.0]),
+                          jumps(0.0, y0, ()), t_end, 1e-6, 1e-6, math.inf)
         assert h == t_end
         res = solve_one(jumps, 0.0, t_end, y0, np.array([0.0, t_end]),
                         rtol=1e-6, atol=1e-6)
@@ -214,7 +233,7 @@ class TestErrors:
         t_end = math.nextafter(0.5, 1.0)
         calls = 0
 
-        def jumps(t, y):
+        def jumps(t, y, p):
             nonlocal calls
             calls += 1
             assert calls < 1000, "the same step is retried forever"
@@ -228,6 +247,26 @@ class TestErrors:
         with pytest.raises(ValueError):
             solve_one(_decay, 0.0, 1.0, np.array([1.0]), np.array([0.0, 2.0]),
                       rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [math.nan],
+                                      [0.0, math.inf], [-math.inf, 0.5]])
+    def test_nonfinite_grid_rejected(self, grid):
+        # NaN compares false, so it passed the ordering and span checks
+        # and came back as samples [1, nan, nan] with no error
+        with pytest.raises(ValueError, match="finite"):
+            solve_one(_decay, 0.0, 1.0, np.array([1.0]), np.array(grid),
+                      rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf,
+                                     -math.inf])
+    @pytest.mark.parametrize("which", ["rtol", "atol"])
+    def test_tolerance_must_be_positive_and_finite(self, bad, which):
+        # a NaN or zero tolerance used to fail as NonFiniteRhsError and a
+        # negative one to integrate silently
+        tols = {"rtol": 1e-8, "atol": 1e-8, which: bad}
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve_one(_decay, 0.0, 1.0, np.array([1.0]),
+                      np.array([0.0, 1.0]), **tols)
 
     def test_non_increasing_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -246,39 +285,41 @@ class TestErrors:
         assert res.y.shape == (2, 1)
 
 
-def _linear(rate):
-    def f(t, y):
-        return np.array([-rate * y[0] + y[1], -y[0] - rate * y[1],
-                         -2.0 * rate * y[2]])
-    return f
+def _linear(t, y, p):
+    rate = p[0]
+    return np.array([-rate * y[0] + y[1], -y[0] - rate * y[1],
+                     -2.0 * rate * y[2]])
 
 
-def _turns_nan(t, y):
+def _turns_nan(t, y, p):
     return np.full_like(y, math.nan) if t > 0.5 else -y
 
 
-# (rhs, t0, t_end, y0, grid, tol): spans, tolerances and grid lengths
-# differ; the stiff linear row at loose tolerance rejects steps
+# ((f, parameter), t0, t_end, y0, grid, tol): spans, tolerances and grid
+# lengths differ; the stiff linear row at loose tolerance rejects steps
 BATCH = [
-    (_rigid_body, 0.0, 12.0, [1.0, 0.0, 0.9], np.linspace(0.0, 12.0, 13),
-     1e-11),
-    (_linear(0.5), 0.5, 4.0, [0.2, -0.1, 1.0], np.linspace(0.5, 4.0, 801),
+    ((_rigid_body, 0.0), 0.0, 12.0, [1.0, 0.0, 0.9],
+     np.linspace(0.0, 12.0, 13), 1e-11),
+    ((_linear, 0.5), 0.5, 4.0, [0.2, -0.1, 1.0], np.linspace(0.5, 4.0, 801),
      1e-8),
-    (_linear(200.0), 0.0, 1.0, [1.0, 0.0, 1.0], np.array([0.25, 1.0]),
+    ((_linear, 200.0), 0.0, 1.0, [1.0, 0.0, 1.0], np.array([0.25, 1.0]),
      1e-3),
-    (_rigid_body, 1.0, 2.5, [0.0, 1.0, 0.2], np.linspace(1.5, 2.5, 7),
-     1e-6),
+    ((_rigid_body, 0.0), 1.0, 2.5, [0.0, 1.0, 0.2],
+     np.linspace(1.5, 2.5, 7), 1e-6),
 ]
 FAILING = [
-    (_blowup, 0.0, 2.0, [1.0, 1.0, 1.0], np.array([0.0, 2.0]), 1e-10),
-    (_turns_nan, 0.0, 1.0, [1.0, 1.0, 1.0], np.linspace(0.0, 1.0, 11),
-     1e-8),
+    ((_blowup, 0.0), 0.0, 2.0, [1.0, 1.0, 1.0], np.array([0.0, 2.0]), 1e-10),
+    ((_turns_nan, 0.0), 0.0, 1.0, [1.0, 1.0, 1.0],
+     np.linspace(0.0, 1.0, 11), 1e-8),
 ]
 
 
-def _solve_batch(problems):
-    rhs, t0, t_end, y0, grids, tols = zip(*problems)
-    return solve([[(b, f)] for f, b in zip(rhs, t_end)], t0, np.array(y0),
+def _solve_batch(problems, rhs=None):
+    """One solve of the problems; P rows are (function index, parameter)."""
+    fs, t0, t_end, y0, grids, tols = zip(*problems)
+    functions = list(dict.fromkeys(f for f, _ in fs))
+    pieces = [[(b, (functions.index(f), a))] for (f, a), b in zip(fs, t_end)]
+    return solve(rhs or _per_row(*functions), pieces, t0, np.array(y0),
                  grids, tols, tols)
 
 
@@ -309,9 +350,9 @@ class TestBatch:
         problems = [BATCH[0], FAILING[0], BATCH[1], FAILING[1], BATCH[2]]
         res = _solve_batch(problems)
         for b in (1, 3):
+            (f, a), *problem, tol = problems[b]
             with pytest.raises(StepSizeUnderflowError) as lone:
-                solve_one(*problems[b][:5], rtol=problems[b][5],
-                          atol=problems[b][5])
+                solve_one(f, *problem, rtol=tol, atol=tol, args=(a,))
             assert type(res.errors[b]) is type(lone.value)
             assert str(res.errors[b]) == str(lone.value)
             assert np.all(np.isnan(res.y_end[b]))
@@ -330,26 +371,44 @@ class TestBatch:
             int(_lone(p).n_rhs[0]) for p in BATCH)
         assert np.size(res.t) == int(res.offsets[-1])
 
+    def test_one_rhs_call_per_stage(self):
+        # the stages of all rows are one call each; only the start-step
+        # probes call the right-hand side on one row
+        sizes = []
+
+        def counted(t, Y, P):
+            sizes.append(len(Y))
+            return _per_row(_rigid_body, _linear)(t, Y, P)
+
+        res = _solve_batch(BATCH, rhs=counted)
+        attempted = res.n_accepted + res.n_rejected
+        assert sizes[:1 + len(BATCH)] == [len(BATCH)] + [1] * len(BATCH)
+        assert len(sizes) == 1 + len(BATCH) + 6 * int(np.max(attempted))
+        assert sum(sizes) == int(np.sum(res.n_rhs))
+
     def test_y0_must_be_two_dimensional(self):
         with pytest.raises(ValueError, match="shape"):
-            solve([[(1.0, _decay)]], [0.0], np.array([1.0]),
+            solve(_per_row(_decay), [[(1.0, (0,))]], [0.0], np.array([1.0]),
                   [np.array([0.0, 1.0])], [1e-8], [1e-8])
 
     def test_one_entry_per_row_required(self):
         with pytest.raises(ValueError, match="one entry per row"):
-            solve([[(1.0, _decay)]], [0.0, 0.0], np.array([[1.0]]),
-                  [np.array([0.0, 1.0])], [1e-8], [1e-8])
+            solve(_per_row(_decay), [[(1.0, (0,))]], [0.0, 0.0],
+                  np.array([[1.0]]), [np.array([0.0, 1.0])], [1e-8], [1e-8])
+
+    def test_pieces_need_equal_numbers_of_constants(self):
+        with pytest.raises(ValueError, match="number of constants"):
+            solve(_per_row(_decay), [[(0.5, (0,)), (1.0, (0, 1.0))]], [0.0],
+                  np.array([[1.0]]), [np.array([0.0, 1.0])], [1e-8], [1e-8])
 
 
-def _forced(force):
-    """A damped oscillator pushed by a constant force."""
-    def f(t, y):
-        return np.array([y[1], force - y[0] - 0.3 * y[1]])
-    return f
+def _forced(t, y, p):
+    """A damped oscillator pushed by a constant force p[0]."""
+    return np.array([y[1], p[0] - y[0] - 0.3 * y[1]])
 
 
 def _pieces(ends, forces=(0.0, 1.0, 0.0)):
-    return [(end, _forced(force)) for end, force in zip(ends, forces)]
+    return [(end, (0, force)) for end, force in zip(ends, forces)]
 
 
 _GRID = np.linspace(0.0, 3.0, 31)
@@ -368,9 +427,9 @@ PIECED = [
 ]
 
 
-def _solve_pieced(problems):
+def _solve_pieced(problems, rhs=_per_row(_forced)):
     pieces, t0, y0, grids, tols = zip(*problems)
-    return solve(pieces, t0, np.array(y0), grids, tols, tols)
+    return solve(rhs, pieces, t0, np.array(y0), grids, tols, tols)
 
 
 def _chained(problem):
@@ -381,11 +440,12 @@ def _chained(problem):
     """
     pieces, t0, y0, grid, tol = problem
     a, y, samples, counts = t0, np.array(y0), [], [0, 0, 0]
-    for b, f in pieces:
+    for b, (_, force) in pieces:
         mask = ((grid >= a) if a == t0 else (grid > a)) & (grid <= b)
         # a lone solve needs a grid point: [b] stands in for none
-        res = solve_one(f, a, b, y, grid[mask] if mask.any()
-                        else np.array([b]), rtol=tol, atol=tol)
+        res = solve_one(_forced, a, b, y, grid[mask] if mask.any()
+                        else np.array([b]), rtol=tol, atol=tol,
+                        args=(force,))
         if mask.any():
             samples.append(res.y)
         y = res.y_end[0]
@@ -395,18 +455,20 @@ def _chained(problem):
     return np.concatenate(samples), y, counts
 
 
-def _recorded(problem, calls):
-    """problem with each piece's f appending its call times to calls[k]."""
-    def record(f, times):
-        def g(t, y):
-            times.append(t)
-            return f(t, y)
-        return g
+def _recorded(problems):
+    """problems with row b's piece k reading constants (0, force, b, k),
+    and a right-hand side that appends each row's call times to
+    calls[b][k]; returns (problems, rhs, calls)."""
+    calls = [[[] for _ in pieces] for pieces, *_ in problems]
 
-    pieces, *rest = problem
-    calls[:] = [[] for _ in pieces]
-    return ([(end, record(f, times))
-             for (end, f), times in zip(pieces, calls)], *rest)
+    def rhs(t, Y, P):
+        for t_b, (_, _, b, k) in zip(t.tolist(), P.tolist()):
+            calls[int(b)][int(k)].append(t_b)
+        return _per_row(_forced)(t, Y, P)
+
+    marked = [([(end, (*p, b, k)) for k, (end, p) in enumerate(pieces)],
+               *rest) for b, (pieces, *rest) in enumerate(problems)]
+    return marked, rhs, calls
 
 
 class TestPieces:
@@ -421,14 +483,14 @@ class TestPieces:
                     res.n_rhs[b]] == counts
 
     def test_each_piece_calls_only_its_own_rhs(self):
-        calls = [[] for _ in PIECED]
-        res = _solve_pieced([_recorded(problem, rows)
-                             for problem, rows in zip(PIECED, calls)])
+        problems, rhs, calls = _recorded(PIECED)
+        res = _solve_pieced(problems, rhs)
         for b, ((pieces, t0, *_), rows) in enumerate(zip(PIECED, calls)):
             starts = [t0] + [end for end, _ in pieces]
             for k, times in enumerate(rows):
-                # the stages at a piece's end call that piece's f; the
-                # next piece's f is called there once, by the restart
+                # the stages at a piece's end read that piece's
+                # constants; the next piece's are read there once, by
+                # the restart
                 assert starts[k] <= min(times)
                 assert max(times) == starts[k + 1]
                 assert times[0] == starts[k]
@@ -446,11 +508,11 @@ class TestPieces:
     ])
     def test_invalid_pieces_rejected(self, pieces, match):
         with pytest.raises(ValueError, match=match):
-            solve([pieces], [0.0], np.array([[1.0, 0.0]]),
+            solve(_per_row(_forced), [pieces], [0.0], np.array([[1.0, 0.0]]),
                   [np.array([0.0, 1.0])], [1e-8], [1e-8])
 
     def test_one_piece_sequence_per_row_required(self):
         with pytest.raises(ValueError, match="one entry per row"):
-            solve([_pieces([1.0]), _pieces([1.0])], [0.0],
+            solve(_per_row(_forced), [_pieces([1.0]), _pieces([1.0])], [0.0],
                   np.array([[1.0, 0.0]]), [np.array([0.0, 1.0])], [1e-8],
                   [1e-8])

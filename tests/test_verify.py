@@ -426,8 +426,8 @@ class TestBattery:
 
     def test_failed_study_fails_every_check_that_reads_it(self,
                                                           monkeypatch):
-        def nan_rhs(t, y, p, om):
-            return np.full_like(y, math.nan)
+        def nan_rhs(t, Y, P):
+            return np.full_like(Y, math.nan)
 
         monkeypatch.setattr(dynamics, "microscopic_rhs", nan_rhs)
         checks = run_battery()
