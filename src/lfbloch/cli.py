@@ -390,12 +390,14 @@ def cmd_verify(args) -> int:
 
 # Sweep points integrated per lockstep batch.  Time per point falls
 # with the batch size, since model A's right-hand side runs as arrays
-# from dynamics.ARRAY_RHS_ROWS rows up, while peak memory grows with it
+# from dynamics.ARRAY_RHS_ROWS rows up and dense output is stacked from
+# ode.DENSE_ROWS accepted rows up, while peak memory grows with it
 # (every row's samples stay alive until the batch ends).  On the
 # benchmark's sweep_a (256 points, seeds 1-3, 2-core VM), chunks of
-# 16/32/64 took 0.60/0.48/0.42 s at 33.9/35.3/38.0 MB peak RSS; 64
-# exceeds the benchmark's 10% memory bound over 16.
-SWEEP_CHUNK = 32
+# 16/32/64 took 0.51/0.36/0.27 s at 34.0/35.4/38.1 MB peak RSS; 64 is
+# inside the benchmark's 10% memory bound over 32 with per-row dense
+# output (35.2 MB).
+SWEEP_CHUNK = 64
 
 
 def _sweep_value(spec: SweepSpec, index: int) -> str:

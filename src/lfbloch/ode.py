@@ -30,11 +30,20 @@ element-wise arithmetic does).  The other forms that keep a row's bits
 are narrow: stacked ``np.matmul`` of a tableau row with the (B, i, n)
 stage slices, element-wise operations with per-row (B, 1) columns,
 ``np.add.reduce`` along the row and ``np.sqrt``.  The step-size factor
-stays on Python floats (numpy's power differs from CPython's ``**``),
-and dense output is one (m, 4) @ (4, n) product per row and step: a
-(1, 4) @ (4, n) product is not bitwise a row of an (m, 4) @ (4, n)
-one, and a stage-major (7, B*n) product is not bitwise the per-row one
-either.
+stays on Python floats (numpy's power differs from CPython's ``**``).
+
+Dense output runs once per pass, after every row has been accepted or
+rejected, as one stacked product ``_P_T @ K`` over the accepted rows
+with grid points in their step, then the products of the theta powers
+with it.  Below ``DENSE_ROWS`` accepted rows those are one
+(m, 4) @ (4, n) product per row; from ``DENSE_ROWS`` up they are two
+stacked products: a (G, 1, 4) stack of the rows with one sample and a
+(G, mx, 4) stack of the rows with two or more, each padded to the
+longest.  The two stacks stay apart because a (1, 4) @ (4, n)
+product is not bitwise a row of an (m, 4) @ (4, n) one (nor is a
+stage-major (7, B*n) product the per-row one); within each stack a row
+gets the bits of its own product.  A row whose samples come out
+non-finite stops there with ``NonFiniteRhsError``.
 
 The run is fully deterministic for identical inputs and reports exact
 accepted/rejected step counts per row.
@@ -64,7 +73,8 @@ class StepSizeUnderflowError(RuntimeError):
 
 
 class NonFiniteRhsError(StepSizeUnderflowError):
-    """The step underflowed because the right-hand side went non-finite."""
+    """The row stopped on a non-finite value: of the right-hand side, of
+    the state, or of its dense output."""
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +118,11 @@ _ORDER_EXPONENT = -0.2  # 1/(error estimator order + 1)
 
 _P_T = _P.T
 
+# Accepted rows in a pass at and above which dense output is stacked
+# products over the rows; below it, one product per row is faster (see
+# CHANGES.md)
+DENSE_ROWS = 8
+
 
 @dataclass
 class OdeResult:
@@ -149,7 +164,9 @@ def _initial_step(rhs, t0, y0, p, f0, t_end, rtol, atol, max_step) -> float:
     scale = atol + rtol * np.abs(y0)
     d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
     d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    # d1 is inf when f0/scale overflows (1/d1 would make h0 or h1 zero)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 or d1 == math.inf \
+        else 0.01 * d0 / d1
     h0 = min(h0, t_end - t0, max_step)
 
     y1 = y0 + h0 * f0
@@ -158,9 +175,10 @@ def _initial_step(rhs, t0, y0, p, f0, t_end, rtol, atol, max_step) -> float:
 
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
-    elif not math.isfinite(d2):
-        # f1 went non-finite, or 1/h0 overflowed on a piece shorter
-        # than about 1e-302: keep h0, which fits in the piece
+    elif not (math.isfinite(d1) and math.isfinite(d2)):
+        # f0 or f1 overflowed the error scale or went non-finite, or
+        # 1/h0 overflowed on a piece shorter than about 1e-302: keep h0,
+        # which fits in the piece
         h1 = h0
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
@@ -176,10 +194,19 @@ def _column(values: list[float]):
     return values[0] if len(values) == 1 else np.array(values)[:, None]
 
 
-def _underflow(t: float, h: float, nonfinite: bool) -> StepSizeUnderflowError:
-    if nonfinite or not math.isfinite(h):
+def _nonfinite(f: np.ndarray) -> str:
+    """What went non-finite in a step whose right-hand side values are f:
+    those, or else the state."""
+    return "the state" if np.isfinite(f).all() else "the right-hand side"
+
+
+def _underflow(t: float, h: float, culprit: str | None
+               ) -> StepSizeUnderflowError:
+    """The failure of a row whose step fell below the floor at t; culprit
+    names what went non-finite, or is None for a stiff problem."""
+    if culprit:
         error = NonFiniteRhsError
-        cause = ("the right-hand side went non-finite (NaN or inf) "
+        cause = (f"{culprit} went non-finite (NaN or inf) "
                  "and every step past this point was rejected; "
                  "check the parameters and the drive")
     else:
@@ -195,15 +222,91 @@ class _Row:
     """Controller state of one unfinished row."""
 
     __slots__ = ("index", "t", "h", "stop", "pieces", "last", "nonfinite",
-                 "K", "times", "out", "i_out")
+                 "K", "times", "out", "lo", "i_out")
 
-    def __init__(self, index, t, h, pieces, K, times, out, i_out):
+    def __init__(self, index, t, h, pieces, K, times, out, lo, i_out):
         self.index, self.t, self.h = index, t, h
         # the current piece's end, then the later pieces, last first
         self.stop, self.pieces = pieces[0][0], pieces[:0:-1]
         self.last = self.nonfinite = False
         self.K = K  # this row's (7, n) stages: a view into the batch's
-        self.times, self.out, self.i_out = times, out, i_out
+        # the row's grid and samples, which start at index lo of the batch's
+        self.times, self.out, self.lo, self.i_out = times, out, lo, i_out
+
+
+def _samples(times, t, h, y, Q, out):
+    """Write into out the dense output at ``times`` of one row's step of
+    length h from t, with state y and ``Q = _P_T @ K`` of its stages K;
+    return out."""
+    theta = (times - t) / h
+    powers = theta.repeat(4).reshape(theta.size, 4)  # theta^1..4
+    np.multiply.accumulate(powers, out=powers, axis=1)
+    dy = powers @ Q
+    dy *= h
+    return np.add(y, dy, out=out)
+
+
+def _dense_output(jobs, stacked, y, K, t_all, y_all) -> list:
+    """Write the samples of the steps just accepted.
+
+    Each job ``(r, row, t, h, i_out, j)`` is row r's step of length h
+    from t, whose state and stages are ``y[r]`` and ``K[r]``, and the
+    grid points ``i_out:j`` of the row inside it.  ``_P_T @ K`` is one
+    stacked product over the jobs' rows; with ``stacked`` the products
+    with the theta powers are stacked too (see the module docstring).
+    Returns the jobs whose samples are not all finite.
+    """
+    if not jobs:
+        return jobs
+    # the jobs' rows only: a rejected row's stages may be inf or NaN
+    rs = [job[0] for job in jobs]
+    Q = np.matmul(_P_T, K if len(rs) == len(K) else K[rs])
+    if not stacked:
+        finite = True
+        for (r, row, t, h, i_out, j), q in zip(jobs, Q):
+            v = _samples(row.times[i_out:j], t, h, y[r], q,
+                         row.out[i_out:j])
+            # NaN or inf in v makes v . v non-finite (so may an overflow,
+            # which the exact check below then clears)
+            finite = finite and math.isfinite(np.vdot(v, v))
+    else:
+        _, rows, t, h, i_out, j = zip(*jobs)
+        start = np.array([row.lo for row in rows]) + i_out
+        m = np.subtract(j, i_out)
+        t, h = np.array(t), np.array(h)
+        y_r = y[rs]
+        finite = True
+        # the one-sample rows, then the others: a (G, mx, 4) stack with
+        # each row's grid points, padded by repeating its last one
+        for g in (np.flatnonzero(m == 1), np.flatnonzero(m > 1)):
+            if not g.size:
+                continue
+            m_g = m[g, None]
+            cols = np.arange(m_g.max())
+            idx = start[g, None] + np.minimum(cols, m_g - 1)
+            theta = (t_all[idx] - t[g, None]) / h[g, None]
+            powers = theta.repeat(4).reshape(theta.shape + (4,))
+            np.multiply.accumulate(powers, out=powers, axis=2)
+            samples = y_r[g, None] + h[g, None, None] * np.matmul(powers,
+                                                                  Q[g])
+            valid = cols < m_g
+            y_all[idx[valid]] = samples = samples[valid]
+            finite = finite and np.isfinite(samples).all()
+    if finite:
+        return []
+    failed = []
+    for job in jobs:
+        r, row, t, h, i_out, j = job
+        out = row.out[i_out:j]
+        if not np.isfinite(out).all():
+            # a product overflowed on the way (the Shampine coefficients
+            # exceed 1): redo it on y and K scaled by a power of two
+            e = math.frexp(max(np.abs(y[r]).max(), np.abs(K[r]).max()))[1]
+            np.ldexp(_samples(row.times[i_out:j], t, h, np.ldexp(y[r], -e),
+                              _P_T @ np.ldexp(K[r], -e), out), e, out=out)
+            if not np.isfinite(out).all():
+                failed.append(job)
+    return failed
 
 
 def solve(
@@ -261,7 +364,9 @@ def solve(
         this explicit method at the given tolerance, or the right-hand
         side or the state went non-finite (a step whose error estimate
         or new state is NaN or inf is rejected, never accepted), and then
-        the error is the subclass NonFiniteRhsError.
+        the error is the subclass NonFiniteRhsError.  So it is when the
+        samples of an accepted step overflow: the row stops at the
+        step's start.
 
     Raises
     ------
@@ -311,6 +416,7 @@ def solve(
 
     offsets = np.zeros(batch + 1, dtype=int)
     np.cumsum([g.size for g in grids], out=offsets[1:])
+    t_all = np.concatenate(grids)
     y_all = np.full((offsets[-1], n), math.nan)
     y_end = np.full((batch, n), math.nan)
     n_accepted = [0] * batch
@@ -325,14 +431,15 @@ def solve(
     act = []  # unfinished rows, in the order of the rows of y and K
     for b in range(batch):
         t, grid = t0[b], grids[b]
-        out = y_all[offsets[b]:offsets[b + 1]]
+        lo = offsets[b]
+        out = y_all[lo:offsets[b + 1]]
         i_out = 0
         if grid[0] == t:
             out[0] = y[b]
             i_out = 1
         h = _initial_step(rhs, t, y[b], P[b], K[b, 0], pieces[b][0][0],
                           rtol[b], atol[b], max_step)
-        act.append(_Row(b, t, h, pieces[b], K[b], grid, out, i_out))
+        act.append(_Row(b, t, h, pieces[b], K[b], grid, out, lo, i_out))
     heads = [K[:, :i] for i in range(7)]
     rtol_col, atol_col = _column(rtol), _column(atol)
     abs_y = np.abs(y)
@@ -342,10 +449,11 @@ def solve(
         # One pass over the rows: accept or reject the step just
         # attempted, then schedule the next one, retiring finished and
         # failed rows.  Step sizes and times stay Python floats.
-        keep, ts, hs, accepted = [], [], [], []
+        keep, accepted, jobs, restarts = [], [], [], []
         for r, row in enumerate(act):
             t, h = row.t, row.h
             retry = False
+            f = None  # f at t, if the row restarts there
             if errs is not None:
                 err = errs[r]
                 if not err <= 1.0:
@@ -359,18 +467,11 @@ def solve(
                     row.nonfinite = False
                     accepted.append(r)
                     t_new = row.stop if row.last else t + h
-                    # dense output for grid points inside (t, t_new]
-                    i_out = row.i_out
+                    # dense output for grid points inside (t, t_new],
+                    # written once the pass is over
                     j = row.times.searchsorted(t_new, "right")
-                    if j > i_out:
-                        theta = (row.times[i_out:j] - t) / h
-                        # theta^1..4, laid out as np.vander(theta, 5,
-                        # increasing=True)[:, 1:] for the same product
-                        powers = np.empty((j - i_out, 5))[:, 1:]
-                        powers[...] = theta[:, None]
-                        np.multiply.accumulate(powers, out=powers, axis=1)
-                        row.out[i_out:j] = y[r] + h * (powers
-                                                       @ (_P_T @ row.K))
+                    if j > row.i_out:
+                        jobs.append((r, row, t, h, row.i_out, j))
                         row.i_out = j
                     h *= _MAX_FACTOR if err == 0.0 else min(
                         _MAX_FACTOR,
@@ -380,10 +481,12 @@ def solve(
                         y_end[row.index] = y_new[r]
                         continue
                     if row.last:  # the next piece: restart as a new call
-                        # would; the FSAL copy below moves f(t) to K[0]
+                        # would; f goes to K[6] once dense output has read
+                        # K, and the FSAL copy then moves it to K[0]
                         row.stop, P[r] = row.pieces.pop()
-                        row.K[6] = _one_row(rhs, t, y_new[r], P[r])
-                        h = _initial_step(rhs, t, y_new[r], P[r], row.K[6],
+                        f = _one_row(rhs, t, y_new[r], P[r])
+                        restarts.append((r, f))
+                        h = _initial_step(rhs, t, y_new[r], P[r], f,
                                           row.stop, rtol[row.index],
                                           atol[row.index], max_step)
                         n_pieces[row.index] += 1
@@ -393,15 +496,32 @@ def solve(
             # unless it repeats a rejected one (it would repeat forever)
             if not (h >= 10.0 * abs(math.nextafter(t, math.inf) - t)
                     or row.last and not retry):
-                errors[row.index] = _underflow(t, h, row.nonfinite)
+                if row.nonfinite:  # the last attempt's stages
+                    culprit = _nonfinite(row.K)
+                elif math.isfinite(h):
+                    culprit = None
+                else:  # the starting step, from f at t
+                    culprit = _nonfinite(row.K[0] if f is None else f)
+                errors[row.index] = _underflow(t, h, culprit)
                 continue
             if row.last:
                 h = row.stop - t
             row.h = h
             keep.append(r)
-            ts.append(t)
-            hs.append(h)
 
+        failed = _dense_output(jobs, len(accepted) >= DENSE_ROWS, y, K,
+                               t_all, y_all)
+        for r, row, t, h, i_out, _ in failed:  # the row stops at t
+            row.out[i_out:] = math.nan
+            y_end[row.index] = math.nan
+            errors[row.index] = NonFiniteRhsError(
+                f"dense output went non-finite at t = {t:.6g} (h = "
+                f"{h:.3g}): the solution inside the step overflows the "
+                f"float range; check the parameters and the drive")
+            if r in keep:
+                keep.remove(r)
+        for r, f in restarts:
+            K[r, 6] = f
         if len(accepted) == len(act):
             K[:, 0] = K[:, 6]
             y, abs_y = y_new, abs_new
@@ -422,8 +542,8 @@ def solve(
 
         # stage evaluations (k1 carried over from the previous step,
         # FSAL), one rhs call each; the last two stages sit at t + h
-        h_col = _column(hs)
-        stage_t = np.array(ts)[:, None] + h_col * _C
+        h_col = _column([row.h for row in act])
+        stage_t = np.array([row.t for row in act])[:, None] + h_col * _C
         for i in range(1, 6):
             stage = y + h_col * np.matmul(_A[i], heads[i])
             K[:, i] = rhs(stage_t[:, i], stage, P)
@@ -441,7 +561,7 @@ def solve(
 
     n_accepted = np.array(n_accepted)
     n_rejected = np.array(n_rejected)
-    return OdeResult(t=np.concatenate(grids), y=y_all, offsets=offsets,
+    return OdeResult(t=t_all, y=y_all, offsets=offsets,
                      y_end=y_end, n_accepted=n_accepted,
                      n_rejected=n_rejected,
                      n_rhs=2 * np.array(n_pieces)

@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.internal.conjecture import engine
 
 from lfbloch import dynamics
 from numpy.testing import assert_allclose
@@ -288,6 +289,9 @@ def _bits(values):
 
 
 class TestRhsBits:
+    # a failure of up to 48 drawn rows used to shrink for up to
+    # hypothesis's 300 s limit; 20 s still shrinks it part of the way
+    @mock.patch.object(engine, "MAX_SHRINKING_SECONDS", 20)
     @settings(max_examples=80, deadline=None)
     @given(rows=st.lists(rhs_row("A"), min_size=1,
                          max_size=3 * dynamics.ARRAY_RHS_ROWS))

@@ -1,7 +1,9 @@
 """Tests for the embedded Dormand-Prince 5(4) integrator: accuracy against
 analytic solutions, convergence order, dense output, statistics, error
-paths, lockstep batches that reproduce each row's lone run bit for bit,
-and rows of pieces that reproduce one run per piece."""
+paths, lockstep batches that reproduce each row's lone run bit for bit
+(dense output stacked over the rows included), the bit equalities that
+stacking relies on, and rows of pieces that reproduce one run per
+piece."""
 
 import math
 import re
@@ -11,10 +13,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
+from lfbloch import ode
 from lfbloch.ode import (
+    DENSE_ROWS,
     NonFiniteRhsError,
     OdeResult,
     StepSizeUnderflowError,
+    _P_T,
     _initial_step,
     solve,
 )
@@ -210,6 +215,85 @@ class TestErrors:
                 assert np.isfinite(res.row(b)[1]).all()
                 assert np.isfinite(res.y_end[b]).all()
 
+    def test_dense_output_survives_an_overflow_on_the_way(self):
+        # the Shampine coefficients exceed 1, so with stages of 1e308 the
+        # interpolant's products overflow although every sample is
+        # finite; they used to come out NaN on a row with no error
+        def huge(t, y, p):
+            return np.array([1e308])
+
+        grid = np.linspace(0.0, 1.0, 5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = solve_one(huge, 0.0, 1.0, np.array([-1e308]), grid,
+                            rtol=1e-6, atol=1e-9)
+        assert_allclose(res.y[:, 0], -1e308 + 1e308 * grid, rtol=1e-12,
+                        atol=1e294)
+        assert np.isfinite(res.y_end).all()
+
+    @pytest.mark.parametrize("span", [3.0, 6.0])
+    def test_overflowing_dense_output_fails_the_row(self, span):
+        # y = y0 + A sin t peaks one part in 1e9 below the largest float;
+        # at this tolerance the quartic interpolant overshoots it
+        # between two finite states, so the samples near the peak are
+        # inf: the row stops there with NaN samples from the step on
+        # (on the span of 3 that step is the last, on 6 it is not)
+        (f, _, _, y0, _, tol) = PEAK
+        peak = (f, 0.0, span, y0, np.linspace(0.0, span, 3001), tol)
+        with np.errstate(over="ignore"):
+            res = _solve_batch([peak, BATCH[3]])
+        assert isinstance(res.errors[0], NonFiniteRhsError)
+        assert "dense output went non-finite" in str(res.errors[0])
+        t_fail = float(re.search(r"at t = (\S+) ",
+                                 str(res.errors[0])).group(1))
+        t, y = res.row(0)
+        assert t_fail < math.pi / 2
+        assert np.isnan(y[t > t_fail]).all()
+        assert np.isfinite(y[t <= t_fail]).all()
+        assert np.isnan(res.y_end[0]).all()
+        assert res.errors[1] is None
+        _assert_row_equal(res, 1, _lone(BATCH[3]))
+
+    @pytest.mark.parametrize("y0", [0.0, 1.0])
+    def test_huge_derivative_fails_where_the_state_overflows(self, y0):
+        # f0/scale overflowed d1 to inf, so the starting step came out 0
+        # (y0 = 0: "too stiff" at t = 0) or divided by 0 (y0 = 1:
+        # ZeroDivisionError); y = y0 + 1e308 t overflows at t = 1.797
+        def huge(t, y, p):
+            return np.array([1e308])
+
+        with pytest.raises(NonFiniteRhsError,
+                           match="the state went non-finite") as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            solve_one(huge, 0.0, 10.0, np.array([y0]),
+                      np.linspace(0.0, 10.0, 5), rtol=1e-6, atol=1e-9)
+        t_fail = float(re.search(r"at t = (\S+) ", str(info.value)).group(1))
+        assert 1.79 < t_fail < 1.8
+
+    @pytest.mark.parametrize("f, pieces, y0, culprit", [
+        # only the state overflows
+        (lambda t, y, p: np.array([1e308]), [(2.0, 0.0)], 1e308,
+         "the state"),
+        # the state is infinite from the start
+        (lambda t, y, p: np.array([1.0]), [(1.0, 0.0)], math.inf,
+         "the state"),
+        (lambda t, y, p: np.full_like(y, math.nan) if t > 0.5 else -y,
+         [(1.0, 0.0)], 1.0, "the right-hand side"),
+        # f at t0 is NaN: the starting step is NaN
+        (lambda t, y, p: np.array([math.nan]), [(1.0, 0.0)], 1.0,
+         "the right-hand side"),
+        # f of the second piece is NaN: the restart's step is NaN
+        (lambda t, y, p: np.array([math.nan]) if p[0] else -y,
+         [(0.5, 0.0), (1.0, 1.0)], 1.0, "the right-hand side"),
+    ])
+    def test_failure_names_what_went_non_finite(self, f, pieces, y0,
+                                                culprit):
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = solve(_per_row(f), [[(end, (0, a)) for end, a in pieces]],
+                        [0.0], np.array([[y0]]),
+                        [np.array([0.0, pieces[-1][0]])], [1e-6], [1e-9])
+        assert isinstance(res.errors[0], NonFiniteRhsError)
+        assert f"{culprit} went non-finite" in str(res.errors[0])
+
     def test_tiny_first_segment_starts_with_its_length(self):
         # on a segment of 2.2e-308, (f1 - f0)/h0 overflows; the start
         # step used to become 0 and fail as "too stiff"
@@ -313,6 +397,18 @@ FAILING = [
      np.linspace(0.0, 1.0, 11), 1e-8),
 ]
 
+_TOP = np.finfo(float).max
+
+
+def _peak(t, y, p):
+    return np.array([1e307 * math.cos(t), 0.0, 0.0])
+
+
+# dense output overflows near t = pi/2 (see
+# test_overflowing_dense_output_fails_the_row)
+PEAK = ((_peak, 0.0), 0.0, 6.0, [_TOP - 1e307 * (1.0 + 1e-9), 0.0, 0.0],
+        np.linspace(0.0, 6.0, 3001), 1e-2)
+
 
 def _solve_batch(problems, rhs=None):
     """One solve of the problems; P rows are (function index, parameter)."""
@@ -400,6 +496,175 @@ class TestBatch:
         with pytest.raises(ValueError, match="number of constants"):
             solve(_per_row(_decay), [[(0.5, (0,)), (1.0, (0, 1.0))]], [0.0],
                   np.array([[1.0]]), [np.array([0.0, 1.0])], [1e-8], [1e-8])
+
+
+def _one_piece(problem):
+    (f, a), t0, t_end, y0, grid, tol = problem
+    return [(t_end, f, a)], t0, y0, grid, tol
+
+
+_SPARSE = np.array([0.5, 2.0, 5.5, 8.0])
+# (pieces [(end, f, parameter), ...], t0, y0, grid, tol): 18 rows, so
+# that most passes stack their dense output.  The sparse grids get at
+# most one sample per step, the others several; the _linear rows of
+# several pieces change their rate at each end (a restart); the
+# rate-200 rows reject steps; three rows fail
+STACKED = [_one_piece(p) for p in BATCH + FAILING + [PEAK]] + [
+    ([(8.0, _rigid_body, 0.0)], 0.0, [1.0, 0.0, 0.9],
+     np.linspace(0.0, 8.0, 801), tol)
+    for tol in (1e-6, 1e-10)
+] + [
+    ([(8.0, _rigid_body, 0.0)], 0.0, [0.3, 1.0, -0.2], _SPARSE, tol)
+    for tol in (1e-8, 1e-11)
+] + [
+    ([(1.0, _linear, 0.5), (2.5, _linear, 2.0), (8.0, _linear, 1.0)], 0.0,
+     [0.2, -0.1, 1.0], np.linspace(0.0, 8.0, 401), 1e-9),
+    ([(0.7, _linear, 1.0), (3.0, _linear, 0.1), (8.0, _linear, 3.0)], 0.0,
+     [1.0, 1.0, -1.0], _SPARSE, 1e-10),
+    ([(2.0, _linear, 3.0), (8.0, _linear, 200.0)], 0.0, [1.0, 0.5, 0.3],
+     np.linspace(0.0, 8.0, 161), 1e-4),
+    ([(8.0, _linear, 200.0)], 0.0, [0.0, 1.0, 1.0], _SPARSE, 1e-3),
+    ([(8.0, _linear, 0.05)], 0.0, [0.0, 1.0, 1.0],
+     np.linspace(0.0, 8.0, 3), 1e-12),
+    ([(5.0, _linear, 0.8)], 0.5, [0.7, 0.0, -0.4],
+     np.linspace(0.5, 5.0, 1000), 1e-7),
+    ([(6.0, _rigid_body, 0.0)], 2.0, [0.0, 1.0, 0.2], np.array([6.0]),
+     1e-9),
+]
+
+
+def _solve_rows(problems):
+    """One solve of rows of pieces; P rows are (function index,
+    parameter)."""
+    pieces, t0, y0, grids, tols = zip(*problems)
+    functions = list(dict.fromkeys(f for row in pieces for _, f, _ in row))
+    return solve(_per_row(*functions),
+                 [[(end, (functions.index(f), a)) for end, f, a in row]
+                  for row in pieces], t0, np.array(y0), grids, tols, tols)
+
+
+def _spy_dense_output(monkeypatch):
+    """Record [stacked, samples per job, failed jobs] of each dense pass;
+    the last entry is the pass under way."""
+    passes = []
+    dense_output = ode._dense_output
+
+    def spy(jobs, stacked, *args):
+        passes.append([stacked, [j - i for *_, i, j in jobs], 0])
+        failed = dense_output(jobs, stacked, *args)
+        passes[-1][2] = len(failed)
+        return failed
+
+    monkeypatch.setattr(ode, "_dense_output", spy)
+    return passes
+
+
+class TestStackedBatch:
+    def test_rows_match_lone_runs_bitwise(self, monkeypatch):
+        assert len(STACKED) >= 2 * DENSE_ROWS
+        passes = _spy_dense_output(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lone = [_solve_rows([problem]) for problem in STACKED]
+            del passes[:]
+            res = _solve_rows(STACKED)
+        # stacked passes held one-sample and multi-sample rows, and the
+        # dense-output overflow of PEAK was found in one
+        stacked = [(ms, failed) for on, ms, failed in passes if on]
+        assert any(1 in ms and max(ms) > 1 for ms, _ in stacked)
+        assert sum(failed for _, failed in stacked) == 1
+        assert all(len(ms) < DENSE_ROWS for on, ms, _ in passes if not on)
+        for b, alone in enumerate(lone):
+            _assert_row_equal(res, b, alone)
+            assert type(res.errors[b]) is type(alone.errors[0])
+            assert str(res.errors[b]) == str(alone.errors[0])
+        assert [type(e).__name__ for e in res.errors[4:7]] == [
+            "StepSizeUnderflowError", "NonFiniteRhsError",
+            "NonFiniteRhsError"]
+        assert "dense output" in str(res.errors[6])
+        assert res.errors[:4] + res.errors[7:] == [None] * 15
+        assert np.count_nonzero(res.n_rejected) >= 3
+        pieces = (res.n_rhs - 6 * (res.n_accepted + res.n_rejected)) // 2
+        assert np.count_nonzero(pieces > 1) == 3
+
+    def test_stacked_pass_makes_no_per_row_product(self, monkeypatch):
+        passes = _spy_dense_output(monkeypatch)
+        samples = ode._samples
+        per_row = []
+
+        def spy(*args):
+            per_row.append(passes[-1][0])  # the pass under way: stacked?
+            return samples(*args)
+
+        monkeypatch.setattr(ode, "_samples", spy)
+        res = _solve_batch(BATCH * (DENSE_ROWS // 2))
+        assert res.errors == [None] * len(BATCH) * (DENSE_ROWS // 2)
+        assert any(stacked for stacked, _, _ in passes)
+        assert per_row and not any(per_row)
+
+
+def _bits(values):
+    return np.asarray(values).view(np.int64)
+
+
+def _stages(rng, shape):
+    """Normal draws scaled by powers of ten from 1e-12 to 1e12."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-12, 13, shape)
+
+
+def _powers(rng, shape):
+    """theta^1..4 for theta in (0, 1], built as dense output builds them."""
+    theta = rng.uniform(0.0, 1.0, shape)
+    powers = theta.repeat(4).reshape(shape + (4,))
+    np.multiply.accumulate(powers, out=powers, axis=-1)
+    return powers
+
+
+class TestDenseBits:
+    """The bit equalities that stacked dense output relies on, one test
+    each, so that a numpy or BLAS that breaks one fails here by name
+    rather than by moving the golden hashes."""
+
+    SIZES = [(1, 1), (2, 3), (7, 3), (8, 3), (32, 3), (64, 5), (31, 2)]
+
+    @pytest.mark.parametrize("rows, n", SIZES)
+    def test_stacked_tableau_product_equals_per_row(self, rows, n):
+        rng = np.random.default_rng(rows * 100 + n)
+        for _ in range(20):
+            K = _stages(rng, (rows, 7, n))
+            stacked = np.matmul(_P_T, K)
+            for b in range(rows):
+                assert np.array_equal(_bits(stacked[b]), _bits(_P_T @ K[b]))
+
+    @pytest.mark.parametrize("rows, n", SIZES)
+    def test_multi_sample_stack_equals_per_row(self, rows, n):
+        # rows of 2..mx samples, padded to mx with arbitrary powers
+        rng = np.random.default_rng(rows * 100 + n + 1)
+        for mx in (2, 3, 17, 40):
+            m = rng.integers(2, mx + 1, rows)
+            powers = _powers(rng, (rows, mx))
+            Q = _stages(rng, (rows, 4, n))
+            stacked = np.matmul(powers, Q)
+            for b in range(rows):
+                assert np.array_equal(_bits(stacked[b, :m[b]]),
+                                      _bits(powers[b, :m[b]] @ Q[b]))
+
+    @pytest.mark.parametrize("rows, n", SIZES)
+    def test_one_sample_stack_equals_per_row(self, rows, n):
+        rng = np.random.default_rng(rows * 100 + n + 2)
+        for _ in range(20):
+            powers = _powers(rng, (rows, 1))
+            Q = _stages(rng, (rows, 4, n))
+            stacked = np.matmul(powers, Q)
+            for b in range(rows):
+                assert np.array_equal(_bits(stacked[b]),
+                                      _bits(powers[b] @ Q[b]))
+
+    def test_float_power_equals_python_power(self):
+        # the step-size factor err ** -0.2 on arrays (np.power differs)
+        err = np.exp(np.random.default_rng(3).uniform(-40.0, 5.0, 200_000))
+        assert np.array_equal(
+            _bits(np.float_power(err, -0.2)),
+            _bits([e ** -0.2 for e in err.tolist()]))
 
 
 def _forced(t, y, p):
