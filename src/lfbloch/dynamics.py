@@ -36,7 +36,9 @@ model A).
 Both right-hand sides act on the real state vectors the integrator
 advances, one row per run: y = (Re s, Im s, w) for model A and
 y = (Re s, Im s, w, Re beta, Im beta) for model B.  A batch of runs is
-one ``ode.solve`` call per model, one piece per constant drive of a run;
+one ``ode.solve`` call per model and method (model-B runs with a fast
+host pole go to the exponential method, with ``linear_part`` exact),
+one piece per constant drive of a run;
 each piece carries the products of parameters and drive that the model
 needs (``rhs_constants``), formed once per piece in the order in which
 the scalar formulas form them, so every stage of the batch is one call
@@ -236,6 +238,16 @@ class MicroscopicParams:
         rho = self.dipole_ratio
         return 1j * rho * self.emitter.eps_a - rho * self.emitter.gamma_a / 2.0
 
+    @cached_property
+    def linear_part(self) -> tuple[tuple[complex, complex], ...]:
+        """[[A, -C_a], [C_b, alpha]]: ds/dt and dbeta/dt at w = -1 with
+        no drive, A = i*delta_a + i*eps_a - gamma_a/2 (its eigenvalues
+        are the coupled modes of the weak-excitation limit)."""
+        em = self.emitter
+        a_pole = 1j * em.delta_a + 1j * em.eps_a - 0.5 * em.gamma_a
+        return ((a_pole, -self.coupling_host_to_emitter),
+                (self.coupling_emitter_to_host, self.host_pole))
+
     def rhs_constants(self, om: complex) -> tuple[float, ...]:
         """The row of constants ``microscopic_rhs`` reads on a drive om.
 
@@ -294,6 +306,12 @@ class Trajectory:
         """w^2 + 4|s|^2 on the sample grid (<= 1 inside the sphere)."""
         return self.w**2 + 4.0 * np.abs(self.s) ** 2
 
+
+# |alpha|/gamma_a above which a model-B run is integrated by the
+# exponential method, with its linear part exact; at and below it, by
+# Dormand-Prince.  Lone weak-excitation runs cross over there in wall
+# time (see CHANGES.md)
+EXPONENTIAL_POLE = 80.0
 
 # Rows at and above which effective_rhs evaluates a batch as arrays;
 # below it, the scalar code per row is faster (see CHANGES.md)
@@ -423,10 +441,14 @@ def integrate(params, initial: SystemState,
               integration: IntegrationSpec) -> Trajectory:
     """Integrate model A or B over [0, span] in gamma_a units.
 
-    Adaptive embedded Runge-Kutta (Dormand-Prince 5(4)) with per-step
-    error control on every real component at rtol = atol = tol, dense
-    output on the sample grid, and a restart at each pulse edge with
-    the new drive.  Deterministic for identical inputs.
+    Adaptive embedded Runge-Kutta with per-step error control on every
+    real component at rtol = atol = tol, dense output on the sample
+    grid, and a restart at each pulse edge with the new drive.  Model A,
+    and model B with |alpha| <= ``EXPONENTIAL_POLE`` gamma_a, use
+    Dormand-Prince 5(4); model B with a faster host pole uses the
+    exponential method of ``lfbloch.ode`` with L = ``linear_part``
+    exact, whose step count does not grow with |alpha|.  Deterministic
+    for identical inputs.
 
     The run goes through the code of :func:`integrate_batch` as a batch
     of one: one ``ode.solve`` call with a (1, n) state and the drive's
@@ -448,8 +470,8 @@ def integrate(params, initial: SystemState,
     Raises
     ------
     lfbloch.ode.StepSizeUnderflowError
-        If the host pole is too stiff for the explicit method at this
-        tolerance (loosen tol or reduce |alpha|), or, as its subclass
+        If the step size underflows (the problem is too stiff for the
+        method at this tolerance), or, as its subclass
         ``NonFiniteRhsError``, if the right-hand side went non-finite.
     ValueError
         If the initial state does not match the model or lies outside
@@ -534,6 +556,11 @@ class _Run:
                                initial.beta.real, initial.beta.imag])
         self.pieces = [(end, params.rhs_constants(om)) for end, om
                        in params.emitter.drive.pieces(integration.span)]
+        # the integrator's method: Dormand-Prince, or a stiff model-B
+        # run's linear part for the exponential method
+        self.linear = params.linear_part if self.model == "B" and (
+            abs(params.host_pole)
+            > EXPONENTIAL_POLE * params.emitter.gamma_a) else None
 
     def trajectory(self, y_out: np.ndarray, n_accepted: int,
                    n_rejected: int, n_rhs: int) -> Trajectory:
@@ -557,8 +584,10 @@ def _integrate_runs(runs) -> list:
         except ValueError as exc:
             results[k] = exc
 
-    for model in ("A", "B"):  # one state size per solve
-        group = [(k, run) for k, run in prepared if run.model == model]
+    # one state size and one method per solve
+    for model, exponential in (("A", False), ("B", False), ("B", True)):
+        group = [(k, run) for k, run in prepared if run.model == model
+                 and (run.linear is not None) == exponential]
         if not group:
             continue
         tols = [run.tol for _, run in group]
@@ -566,9 +595,12 @@ def _integrate_runs(runs) -> list:
         # call, so a wrapper installed on lfbloch.dynamics sees each one
         rhs = ((lambda t, Y, P: effective_rhs(t, Y, P)) if model == "A"
                else (lambda t, Y, P: microscopic_rhs(t, Y, P)))
+        linear = ([run.linear for _, run in group], (0, 3)) \
+            if exponential else None
         res = ode.solve(rhs, [run.pieces for _, run in group],
                         [0.0] * len(group), [run.y for _, run in group],
-                        [run.times for _, run in group], tols, tols)
+                        [run.times for _, run in group], tols, tols,
+                        linear=linear)
         # Python ints: json.dumps rejects numpy integers
         counters = zip(res.n_accepted.tolist(), res.n_rejected.tolist(),
                        res.n_rhs.tolist())

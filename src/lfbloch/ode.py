@@ -1,10 +1,24 @@
-"""Adaptive embedded Runge-Kutta integrator (Dormand-Prince 5(4)), batched.
+"""Adaptive embedded Runge-Kutta integrators, batched: Dormand-Prince
+5(4), and an exponential Runge-Kutta 4(3) method for stiff linear parts.
 
-Explicit 7-stage FSAL pair: the fifth-order solution is propagated, the
-embedded fourth-order solution provides the per-step error estimate, and a
-quartic interpolant gives dense output on an arbitrary evaluation grid.
-Error control is applied to every real component with the mixed tolerance
-scale ``atol + rtol*|y|``.
+Dormand-Prince is the explicit 7-stage FSAL pair: the fifth-order
+solution is propagated, the embedded fourth-order solution provides the
+per-step error estimate, and a quartic interpolant gives dense output on
+an arbitrary evaluation grid.  Error control is applied to every real
+component with the mixed tolerance scale ``atol + rtol*|y|``.
+
+The exponential method (``solve(..., linear=(L, cols))``) splits each row
+as ``y' = L y + N(t, y)`` with a constant complex 2x2 L acting on two
+complex pairs of the state, and integrates L exactly through the
+phi-functions of h L (``lfbloch.exponential``, imported on first use):
+its step is bounded by N alone, so its step count does not grow with
+the stiffness of L, where Dormand-Prince's grows linearly.  It takes
+seven right-hand-side evaluations per attempted step against
+Dormand-Prince's six, so it pays where L is stiff; the caller picks the
+method per call (``lfbloch.dynamics`` sends model-B runs with a fast
+host pole to it).  Rows integrated by Dormand-Prince keep their bits: a
+call without ``linear`` runs exactly the code it ran before the second
+method existed.
 
 ``solve`` advances a batch of B independent problems ("rows") of the same
 size n in lockstep: one pass of the step loop attempts one step of every
@@ -33,17 +47,19 @@ stage slices, element-wise operations with per-row (B, 1) columns,
 stays on Python floats (numpy's power differs from CPython's ``**``).
 
 Dense output runs once per pass, after every row has been accepted or
-rejected, as one stacked product ``_P_T @ K`` over the accepted rows
-with grid points in their step, then the products of the theta powers
-with it.  Below ``DENSE_ROWS`` accepted rows those are one
-(m, 4) @ (4, n) product per row; from ``DENSE_ROWS`` up they are two
-stacked products: a (G, 1, 4) stack of the rows with one sample and a
-(G, mx, 4) stack of the rows with two or more, each padded to the
-longest.  The two stacks stay apart because a (1, 4) @ (4, n)
-product is not bitwise a row of an (m, 4) @ (4, n) one (nor is a
-stage-major (7, B*n) product the per-row one); within each stack a row
-gets the bits of its own product.  A row whose samples come out
-non-finite stops there with ``NonFiniteRhsError``.
+rejected.  For Dormand-Prince it is one stacked product ``_P_T @ K``
+over the accepted rows with grid points in their step, then the
+products of the theta powers with it.  Below ``DENSE_ROWS`` accepted
+rows those are one (m, 4) @ (4, n) product per row; from
+``DENSE_ROWS`` up they are two stacked products: a (G, 1, 4) stack of
+the rows with one sample and a (G, mx, 4) stack of the rows with two or
+more, each padded to the longest.  The two stacks stay apart because a
+(1, 4) @ (4, n) product is not bitwise a row of an (m, 4) @ (4, n) one
+(nor is a stage-major (7, B*n) product the per-row one); within each
+stack a row gets the bits of its own product.  The exponential method's samples
+come from its own order-4 extension of each step (see
+``lfbloch.exponential``).  A row whose samples come out non-finite stops
+there with ``NonFiniteRhsError``.
 
 The run is fully deterministic for identical inputs and reports exact
 accepted/rejected step counts per row.
@@ -53,7 +69,10 @@ References
 Dormand & Prince, J. Comp. Appl. Math. 6, 19 (1980); Hairer, Norsett &
 Wanner, "Solving Ordinary Differential Equations I" (step-size control and
 starting-step heuristic); Shampine, Math. Comp. 46, 135 (1986) (dense
-output coefficients).
+output coefficients); Hochbruck & Ostermann, SIAM J. Numer. Anal. 43,
+1069 (2005) and Acta Numerica 19, 209 (2010) (exponential Runge-Kutta
+methods); Kassam & Trefethen, SIAM J. Sci. Comput. 26, 1214 (2005)
+(phi-functions by contour integrals).
 """
 
 from __future__ import annotations
@@ -318,6 +337,7 @@ def solve(
     rtol: Sequence[float],
     atol: Sequence[float],
     max_step: float = math.inf,
+    linear: tuple | None = None,
 ) -> OdeResult:
     """Integrate ``dy_b/dt = rhs(t, y_b, p)`` through row b's pieces.
 
@@ -342,16 +362,24 @@ def solve(
     t0 : sequence of B floats
         Start time of each row.
     y0 : ndarray, shape (B, n)
-        Initial state of each row (real components).
+        Initial state of each row (real components), finite.
     t_eval : sequence of B arrays
         Strictly increasing, finite evaluation grid of each row, inside
-        its span.  The solution is interpolated onto it with the quartic
-        dense output.
+        its span.  The solution is interpolated onto it with the
+        method's dense output.
     rtol, atol : sequences of B floats
         Relative/absolute tolerance of each row's error control,
         positive and finite.
     max_step : float, optional
         Upper bound on the step size of every row.
+    linear : (L, cols), optional
+        Integrate every row with the exponential method instead of
+        Dormand-Prince (see the module docstring).  L, shape (B, 2, 2)
+        complex, is each row's constant linear part, the same in all its
+        pieces; it acts on the complex pair ``(y[cols[0]] +
+        1j*y[cols[0] + 1], y[cols[1]] + 1j*y[cols[1] + 1])``, and the
+        other components have none.  ``rhs`` is still the whole right-
+        hand side, L y included; each evaluation of it is counted.
 
     Returns
     -------
@@ -371,8 +399,10 @@ def solve(
     Raises
     ------
     ValueError
-        For arguments of different lengths, a ``y0`` that is not 2-D, a
-        tolerance that is not positive and finite, or a row with no
+        For arguments of different lengths, a ``y0`` that is not 2-D or
+        not finite, a tolerance that is not positive and finite, a
+        ``linear`` part that is not B finite 2x2 matrices on two
+        disjoint pairs of columns, or a row with no
         pieces, piece ends not rising strictly above its t0, pieces
         with different numbers of constants, an empty, non-finite or
         non-increasing grid, or a grid outside its span.
@@ -380,6 +410,8 @@ def solve(
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
         raise ValueError(f"y0 must have shape (batch, n), got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("y0 must be finite")
     batch, n = y.shape
     if not (len(pieces) == len(t0) == len(t_eval) == len(rtol)
             == len(atol) == batch):
@@ -413,6 +445,26 @@ def solve(
                 f"evaluation grid [{grid[0]!r}, {grid[-1]!r}] outside "
                 f"integration span [{a!r}, {ends[-1]!r}]"
             )
+    method = None
+    if linear is not None:
+        L, cols = linear
+        L = np.array(L, dtype=complex)
+        if L.shape != (batch, 2, 2) or not np.isfinite(L).all():
+            raise ValueError(f"linear part must be {batch} finite 2x2 "
+                             f"matrices, got shape {L.shape}")
+        if not (len(cols) == 2 and all(0 <= c < n - 1 for c in cols)
+                and abs(cols[0] - cols[1]) >= 2):
+            raise ValueError(f"linear part needs two disjoint pairs of "
+                             f"state columns, got {cols!r}")
+        # imported on first use: calls without it never compile it
+        from lfbloch.exponential import Exponential
+        method = Exponential(rhs, k, n, tuple(cols))
+        # each row's L rides along with its piece constants
+        extra = method.constants(L)
+        pieces = [[(end, p + tuple(x)) for end, p in row]
+                  for row, x in zip(pieces, extra.tolist())]
+        rhs, k = method.nonlinear, k + extra.shape[1]
+    exponent = method.exponent if method else _ORDER_EXPONENT
 
     offsets = np.zeros(batch + 1, dtype=int)
     np.cumsum([g.size for g in grids], out=offsets[1:])
@@ -426,7 +478,7 @@ def solve(
 
     # the constants of each unfinished row's piece, in the order of act
     P = np.array([row[0][1] for row in pieces]).reshape(batch, k)
-    K = np.empty((batch, 7, n))
+    K = np.empty((batch, method.stages if method else 7, n))
     K[:, 0] = rhs(np.array(t0), y, P)
     act = []  # unfinished rows, in the order of the rows of y and K
     for b in range(batch):
@@ -461,7 +513,7 @@ def solve(
                     n_rejected[row.index] += 1
                     row.nonfinite = not math.isfinite(err)
                     h *= _MIN_FACTOR if row.nonfinite else max(
-                        _MIN_FACTOR, _SAFETY * err ** _ORDER_EXPONENT)
+                        _MIN_FACTOR, _SAFETY * err ** exponent)
                 else:
                     n_accepted[row.index] += 1
                     row.nonfinite = False
@@ -475,14 +527,14 @@ def solve(
                         row.i_out = j
                     h *= _MAX_FACTOR if err == 0.0 else min(
                         _MAX_FACTOR,
-                        max(_MIN_FACTOR, _SAFETY * err ** _ORDER_EXPONENT))
+                        max(_MIN_FACTOR, _SAFETY * err ** exponent))
                     t = row.t = t_new
                     if row.last and not row.pieces:
                         y_end[row.index] = y_new[r]
                         continue
                     if row.last:  # the next piece: restart as a new call
-                        # would; f goes to K[6] once dense output has read
-                        # K, and the FSAL copy then moves it to K[0]
+                        # would; f goes to K[-1] once dense output has
+                        # read K, and the FSAL copy then moves it to K[0]
                         row.stop, P[r] = row.pieces.pop()
                         f = _one_row(rhs, t, y_new[r], P[r])
                         restarts.append((r, f))
@@ -509,8 +561,11 @@ def solve(
             row.h = h
             keep.append(r)
 
-        failed = _dense_output(jobs, len(accepted) >= DENSE_ROWS, y, K,
-                               t_all, y_all)
+        if method:
+            failed = method.dense_output(jobs, y, K, P, t_all, y_all)
+        else:
+            failed = _dense_output(jobs, len(accepted) >= DENSE_ROWS, y, K,
+                                   t_all, y_all)
         for r, row, t, h, i_out, _ in failed:  # the row stops at t
             row.out[i_out:] = math.nan
             y_end[row.index] = math.nan
@@ -521,12 +576,12 @@ def solve(
             if r in keep:
                 keep.remove(r)
         for r, f in restarts:
-            K[r, 6] = f
+            K[r, -1] = f
         if len(accepted) == len(act):
-            K[:, 0] = K[:, 6]
+            K[:, 0] = K[:, -1]
             y, abs_y = y_new, abs_new
         elif accepted:
-            K[accepted, 0] = K[accepted, 6]
+            K[accepted, 0] = K[accepted, -1]
             y[accepted] = y_new[accepted]
             abs_y[accepted] = abs_new[accepted]
         if not keep:
@@ -541,21 +596,28 @@ def solve(
                 row.K = K_row
 
         # stage evaluations (k1 carried over from the previous step,
-        # FSAL), one rhs call each; the last two stages sit at t + h
-        h_col = _column([row.h for row in act])
-        stage_t = np.array([row.t for row in act])[:, None] + h_col * _C
-        for i in range(1, 6):
-            stage = y + h_col * np.matmul(_A[i], heads[i])
-            K[:, i] = rhs(stage_t[:, i], stage, P)
-        y_new = y + h_col * np.matmul(_B, heads[6])
-        K[:, 6] = rhs(stage_t[:, 5], y_new, P)
+        # FSAL), one rhs call each
+        if method:
+            y_new, estimate = method.attempt(
+                y, K, P, np.array([row.t for row in act]),
+                np.array([row.h for row in act]))
+        else:
+            # the last two stages sit at t + h
+            h_col = _column([row.h for row in act])
+            stage_t = np.array([row.t for row in act])[:, None] + h_col * _C
+            for i in range(1, 6):
+                stage = y + h_col * np.matmul(_A[i], heads[i])
+                K[:, i] = rhs(stage_t[:, i], stage, P)
+            y_new = y + h_col * np.matmul(_B, heads[6])
+            K[:, 6] = rhs(stage_t[:, 5], y_new, P)
+            estimate = h_col * np.matmul(_E, K)
 
         abs_new = np.abs(y_new)
         scale = atol_col + rtol_col * np.maximum(abs_y, abs_new)
         # np.mean(..., axis=1) without its Python-level overhead; adding
         # abs_new - abs_new (exactly 0, or NaN for a non-finite y_new,
         # whose inf scale would zero the estimate) rejects such a step
-        errs = np.sqrt(np.add.reduce((h_col * np.matmul(_E, K) / scale) ** 2
+        errs = np.sqrt(np.add.reduce((estimate / scale) ** 2
                                      + (abs_new - abs_new),
                                      axis=1) / n).tolist()
 
@@ -565,4 +627,5 @@ def solve(
                      y_end=y_end, n_accepted=n_accepted,
                      n_rejected=n_rejected,
                      n_rhs=2 * np.array(n_pieces)
-                     + 6 * (n_accepted + n_rejected), errors=errors)
+                     + (K.shape[1] - 1) * (n_accepted + n_rejected),
+                     errors=errors)

@@ -1,10 +1,13 @@
 """Tests for the two Bloch models: right-hand sides against hand
 substitutions, integration against closed forms, conservation, reduction
-limits, trajectory bookkeeping, and batches that reproduce each run's
-lone integration bit for bit."""
+limits, trajectory bookkeeping, batches that reproduce each run's lone
+integration bit for bit, and the exponential method for fast-host
+model-B runs: its accuracy against Dormand-Prince at tol 1e-12 and the
+host pole that selects it."""
 
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -306,6 +309,26 @@ class TestRhsBits:
         assert np.array_equal(_bits(array), _bits(scalar))
         assert np.array_equal(_bits(_call(effective_rhs, rows)),
                               _bits(scalar))
+
+    def test_random_rows_equal_scalar_rows_bitwise(self):
+        # 200 rows drawn with numpy.random (constant drives, uniform
+        # parameters): the drawn examples above can miss a reordered sum
+        # that differs on every one of these rows
+        rng = np.random.default_rng(20261018)
+        rows = []
+        for _ in range(200):
+            em = EmitterParams(delta_a=rng.uniform(-2.0, 2.0),
+                               eps_a=rng.uniform(0.0, 5.0),
+                               gamma_a=rng.uniform(0.0, 2.0))
+            ell = complex(rng.uniform(0.1, 3.0), rng.uniform(-2.0, 2.0))
+            om = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+            rows.append((EffectiveParams(emitter=em, ell=ell), om,
+                         rng.uniform(-1.0, 1.0, 3).tolist()))
+        with mock.patch.object(dynamics, "ARRAY_RHS_ROWS", 1):
+            array = _call(effective_rhs, rows)
+        with mock.patch.object(dynamics, "ARRAY_RHS_ROWS", math.inf):
+            scalar = _call(effective_rhs, rows)
+        assert np.array_equal(_bits(array), _bits(scalar))
 
     @settings(max_examples=40, deadline=None)
     @given(rows_a=st.lists(rhs_row("A"), min_size=1, max_size=4),
@@ -828,3 +851,143 @@ class TestModelProperties:
         bound = 100.0 * integration.tol
         assert np.max(np.abs(ta.s - tb.s)) <= bound
         assert np.max(np.abs(ta.w - tb.w)) <= bound
+
+
+def _exponential_error(run):
+    """Integrate run by the exponential method, and return its error in
+    s against Dormand-Prince at tol 1e-12, on the integrator's own scale
+    (atol = rtol = tol): max |s - s_ref| / max(1, max |s_ref|)."""
+    params, initial, integration = run
+    with mock.patch.object(dynamics, "EXPONENTIAL_POLE", 0.0):
+        traj = integrate(*run)
+    pieces = len(params.emitter.drive.pieces(integration.span))
+    # the exponential method's count: 7 evaluations per attempted step
+    assert traj.n_rhs == 2 * pieces + 7 * (traj.n_accepted
+                                           + traj.n_rejected)
+    with mock.patch.object(dynamics, "EXPONENTIAL_POLE", math.inf):
+        ref = integrate(params, initial,
+                        dataclasses.replace(integration, tol=1e-12))
+    return (float(np.max(np.abs(traj.s - ref.s)))
+            / max(1.0, float(np.max(np.abs(ref.s)))))
+
+
+@st.composite
+def stiff_run(draw, weak):
+    """A model-B run on a host of the box scaled by kappa <= 64: a weak
+    decay from s = 1e-3 with the drive off, or a strongly driven run
+    (|Omega| up to 2, a state anywhere inside the Bloch sphere)."""
+    kappa = draw(st.floats(1.0, 64.0))
+    host = HostSpecies(delta_b=kappa * draw(st.floats(1.0, 20.0)),
+                       eps_b=kappa * draw(st.floats(0.0, 10.0)),
+                       gamma_b=kappa * draw(st.floats(0.5, 8.0)))
+    span = draw(st.floats(1.0, 2.0))
+    tol = draw(st.sampled_from([1e-6, 1e-8, 1e-10]))
+    if weak:
+        emitter = dataclasses.replace(_draw_emitter(draw, span),
+                                      drive=DriveEnvelope())
+        initial = SystemState(s=1e-3, w=-math.sqrt(1.0 - 4e-6), beta=0j)
+    else:
+        emitter = _draw_emitter(draw, span, kinds=("constant", "pulse"))
+        s, w = _draw_state(draw, 0.45)
+        initial = SystemState(s=s, w=w, beta=draw(small_complex(0.1)))
+    return (MicroscopicParams(emitter=emitter, host=host), initial,
+            IntegrationSpec(span=span, tol=tol, points=200))
+
+
+@pytest.mark.filterwarnings("ignore::lfbloch.dynamics.BlochNormWarning")
+class TestExponentialAccuracy:
+    """The exponential method against Dormand-Prince at tol 1e-12.  A
+    run's error is on the integrator's scale, atol + rtol*|s| with
+    atol = rtol = tol; Dormand-Prince itself keeps weak decays
+    (|s| <= 1e-3) only to about 1e-10 absolute at tol 1e-10."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data(), weak=st.booleans())
+    def test_error_within_100_tol_over_the_host_box(self, data, weak):
+        run = data.draw(stiff_run(weak))
+        assert _exponential_error(run) <= 100.0 * run[2].tol
+
+    @pytest.mark.parametrize("drive", [
+        DriveEnvelope(),
+        DriveEnvelope(kind="pulse", amplitude=1.2 - 0.5j, t_on=0.5,
+                      t_off=1.5)])
+    def test_degenerate_modes(self, drive):
+        # a host at which the coupled modes coincide: L is a Jordan block
+        from lfbloch.verify import (DegenerateModesWarning,
+                                    coupled_mode_eigenvalues)
+        p = MicroscopicParams(emitter=dataclasses.replace(EMITTER,
+                                                          drive=drive),
+                              host=HostSpecies(delta_b=-2.0, eps_b=4.0,
+                                               gamma_b=5.0))
+        with pytest.warns(DegenerateModesWarning):
+            coupled_mode_eigenvalues(p)
+        initial = (SystemState(s=1e-3, w=-math.sqrt(1.0 - 4e-6), beta=0j)
+                   if drive.kind == "off"
+                   else SystemState(s=0.3 + 0.1j, w=-0.5, beta=0j))
+        for tol in (1e-6, 1e-10):
+            run = (p, initial, IntegrationSpec(span=3.0, tol=tol,
+                                               points=301))
+            assert _exponential_error(run) <= 100.0 * tol
+
+
+class TestMethodSelection:
+    def _runs(self):
+        drive = DriveEnvelope(kind="pulse", amplitude=0.8, t_on=0.3,
+                              t_off=0.9)
+        runs = []
+        for kappa, drive_k, tol in ((1.0, drive, 1e-8), (8.0, drive, 1e-9),
+                                    (30.0, DriveEnvelope(), 1e-10),
+                                    (64.0, drive, 1e-6)):
+            host = HostSpecies(delta_b=10.0 * kappa, eps_b=10.0 * kappa,
+                               gamma_b=4.0 * kappa)
+            runs.append((MicroscopicParams(
+                emitter=dataclasses.replace(EMITTER, drive=drive_k),
+                host=host), SystemState(s=0.2, w=-0.6, beta=0j),
+                IntegrationSpec(span=1.5, tol=tol, points=151)))
+        return runs
+
+    def test_the_host_pole_picks_the_method(self):
+        # |alpha| = 20 kappa: kappa = 1 stays on Dormand-Prince (6
+        # evaluations per attempted step), the others are exponential (7)
+        for (params, _, integration), traj in zip(
+                self._runs(), map(lambda run: integrate(*run), self._runs())):
+            pieces = len(params.emitter.drive.pieces(integration.span))
+            per_step = 7 if abs(params.host_pole) > \
+                dynamics.EXPONENTIAL_POLE else 6
+            assert traj.n_rhs == 2 * pieces + per_step * (
+                traj.n_accepted + traj.n_rejected)
+        assert abs(self._runs()[0][0].host_pole) < dynamics.EXPONENTIAL_POLE
+        assert abs(self._runs()[1][0].host_pole) > dynamics.EXPONENTIAL_POLE
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_linear_part_has_the_coupled_modes(self, data):
+        from lfbloch.verify import coupled_mode_eigenvalues
+        p = MicroscopicParams(emitter=_draw_emitter(data.draw, 1.0),
+                              host=_host(data.draw))
+        # the sum and product of the modes (well conditioned, unlike
+        # the modes themselves where they meet) are L's trace and det
+        (a, c_a), (c_b, alpha) = p.linear_part
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            slow, fast = coupled_mode_eigenvalues(p)
+        scale = max(1.0, abs(a), abs(alpha))
+        assert abs(slow + fast - (a + alpha)) <= 1e-13 * scale
+        assert abs(slow * fast - (a * alpha - c_a * c_b)) <= 1e-12 * scale ** 2
+
+    def test_exponential_rows_batch_like_lone_runs(self):
+        runs = self._runs()
+        for got, run in zip(integrate_batch(runs), runs):
+            assert _same_trajectory(got, integrate(*run))
+
+    def test_nonfinite_exponential_row_fails_alone(self, monkeypatch):
+        # a right-hand side that goes NaN in one exponential row stops
+        # that row with NonFiniteRhsError; the others are their lone runs
+        runs = self._runs()[1:]
+        monkeypatch.setattr(dynamics, "microscopic_rhs", _poisoned(
+            microscopic_rhs, _piece_rows(runs[1]), 0.5))
+        batch = integrate_batch(runs)
+        assert isinstance(batch[1], NonFiniteRhsError)
+        assert "right-hand side went non-finite" in str(batch[1])
+        for got, run in zip(batch, runs):
+            assert _same_outcome(got, _lone(run))

@@ -119,13 +119,14 @@ GOLDEN = {
         "stdout":
             "3d6cded301f7c9b021673b11bf65009168bc4e2d9cf557def64d33ec179cd962",
     },
+    # the battery's kappa = 4 and 8 runs moved to the exponential method
     "verify": {
         "stdout":
-            "04f5d2b191e7d8584cdcac4d3097d7becb072660cdb3470452926d0857a1cecc",
+            "be67037124c51ec3ca035990e63d85e72a2bda59247c4def0c044850bc3f201e",
     },
     "verify_text": {
         "stdout":
-            "7eba418160e05deebb631728e6ab0cfb00ca327f8233f5ea3455122cde6197f5",
+            "c24518c22d4412f9f678a5ee8e5cc632dfb95b3c63d8a2abe55ad947c21878e8",
     },
 }
 

@@ -1,9 +1,12 @@
-"""Tests for the embedded Dormand-Prince 5(4) integrator: accuracy against
-analytic solutions, convergence order, dense output, statistics, error
-paths, lockstep batches that reproduce each row's lone run bit for bit
-(dense output stacked over the rows included), the bit equalities that
-stacking relies on, and rows of pieces that reproduce one run per
-piece."""
+"""Tests for the batched integrators of ``lfbloch.ode``.  Dormand-Prince
+5(4): accuracy against analytic solutions, convergence order, dense
+output, statistics, error paths, lockstep batches that reproduce each
+row's lone run bit for bit (dense output stacked over the rows
+included), the bit equalities that stacking relies on, and rows of
+pieces that reproduce one run per piece.  The exponential method: its
+phi-functions against the matrix exponential, exact linear problems
+(stiff and degenerate), a tight reference, the order of its dense
+output, lone-run bits in a batch and its evaluation count."""
 
 import math
 import re
@@ -13,7 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from lfbloch import ode
+from lfbloch import exponential, ode
 from lfbloch.ode import (
     DENSE_ROWS,
     NonFiniteRhsError,
@@ -273,8 +276,8 @@ class TestErrors:
         # only the state overflows
         (lambda t, y, p: np.array([1e308]), [(2.0, 0.0)], 1e308,
          "the state"),
-        # the state is infinite from the start
-        (lambda t, y, p: np.array([1.0]), [(1.0, 0.0)], math.inf,
+        # the state overflows on its first step
+        (lambda t, y, p: np.array([1e308]), [(1.0, 0.0)], 1.7e308,
          "the state"),
         (lambda t, y, p: np.full_like(y, math.nan) if t > 0.5 else -y,
          [(1.0, 0.0)], 1.0, "the right-hand side"),
@@ -293,6 +296,21 @@ class TestErrors:
                         [np.array([0.0, pieces[-1][0]])], [1e-6], [1e-9])
         assert isinstance(res.errors[0], NonFiniteRhsError)
         assert f"{culprit} went non-finite" in str(res.errors[0])
+
+    @pytest.mark.parametrize("y0", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_initial_state_rejected(self, y0):
+        # it used to be rejected step by step down to h = 2.5e-323, 2720
+        # right-hand-side evaluations, before failing as non-finite
+        calls = []
+
+        def rhs(t, Y, P):
+            calls.append(len(Y))
+            return np.ones_like(Y)
+
+        with pytest.raises(ValueError, match="y0 must be finite"):
+            solve(rhs, [[(1.0, (0.0,))]], [0.0], np.array([[1.0, y0]]),
+                  [np.array([0.0, 1.0])], [1e-6], [1e-9])
+        assert calls == []
 
     def test_tiny_first_segment_starts_with_its_length(self):
         # on a segment of 2.2e-308, (f1 - f0)/h0 overflows; the start
@@ -781,3 +799,221 @@ class TestPieces:
             solve(_per_row(_forced), [_pieces([1.0]), _pieces([1.0])], [0.0],
                   np.array([[1.0, 0.0]]), [np.array([0.0, 1.0])], [1e-8],
                   [1e-8])
+
+
+# ---------------------------------------------------------------------------
+# the exponential method: a constant linear part L on two complex pairs
+# ---------------------------------------------------------------------------
+PAIRS = (0, 3)  # y = (Re z0, Im z0, w, Re z1, Im z1)
+
+
+def _phi_reference(k, M):
+    """phi_k(M) as a block of the exponential of [[M, I, 0, ...], [0, 0,
+    I, ...], ...] (Al-Mohy & Higham), by scipy's expm."""
+    from scipy.linalg import expm
+    m = len(M)
+    A = np.zeros(((k + 1) * m,) * 2, complex)
+    A[:m, :m] = M
+    for j in range(k):
+        A[j * m:(j + 1) * m, (j + 1) * m:(j + 2) * m] = np.eye(m)
+    return expm(A)[:m, k * m:(k + 1) * m]
+
+
+def _pairs(y):
+    return y[..., 0] + 1j * y[..., 1], y[..., 3] + 1j * y[..., 4]
+
+
+def _constant_forcing(t, y, p):
+    """y' = L y + N with N = (p0, p1, 0.3) on (z0, w, z1): the rhs of the
+    whole state, L y included (L is p[2:])."""
+    L = np.array(p[2:10]).view(complex).reshape(2, 2)
+    z = L @ np.array(_pairs(y))
+    c = complex(p[0], p[1])
+    return np.array([z[0].real + c.real, z[0].imag + c.imag, 0.3,
+                     z[1].real, z[1].imag])
+
+
+def _coupled(t, y, p):
+    """A nonlinear 5-component system whose pair part is L y plus
+    products with w (like model B): the rhs, L y included."""
+    L = np.array(p[2:10]).view(complex).reshape(2, 2)
+    z0, z1 = _pairs(y)
+    w = y[2]
+    lin = L @ np.array([z0, z1])
+    dz0 = lin[0] + 0.7 * (w + 1.0) * z1 + complex(p[0], p[1]) * w
+    dz1 = lin[1] - 0.3 * complex(p[0], p[1])
+    dw = -(w + 1.0) - 2.0 * (complex(p[0], p[1]) * z0.conjugate()).real
+    return np.array([dz0.real, dz0.imag, dw, dz1.real, dz1.imag])
+
+
+def _solve_exp(f, L, pieces, y0, grid, tol):
+    """One row of f with linear part L; pieces are (end, (a, b)) with
+    the drive a + ib."""
+    consts = tuple(np.asarray(L, complex).ravel().view(float))
+    return solve(_per_row(f), [[(end, (0, *ab, *consts))
+                                for end, ab in pieces]], [0.0],
+                 np.array([y0], dtype=float), [grid], [tol], [tol],
+                 linear=([L], PAIRS))
+
+
+class TestExponential:
+    @pytest.mark.parametrize("a, b", [
+        (0.3 - 0.2j, -1.1 + 0.4j),      # series
+        (0.5 + 0.5j, 0.5 + 0.5j),       # series, equal
+        (-0.4, -0.4 + 1e-9j),           # series, nearly equal
+        (-0.7 + 0.1j, -3.0 + 25.0j),    # far: series and direct
+        (-0.2, -5.0 + 1.0j),            # far: contour
+        (-4.0 + 3.0j, -4.1 + 3.2j),     # near: contour
+        (-30.0 + 40.0j, -30.0 + 40.0j),  # equal, large
+        (1.5 + 6.0j, 1.5 + 6.0j + 1e-7),  # near, growing
+    ])
+    def test_phis_match_the_matrix_exponential(self, a, b):
+        # phi_k of [[a, 1], [0, b]] is [[phi_k(a), phi_k[a, b]], [0,
+        # phi_k(b)]]: the values and divided differences Putzer's form
+        # is built from
+        value, divided = exponential._phis(np.array([a]), np.array([b]))
+        # expm loses digits on a nearly defective matrix; phi_k[a, b] is
+        # phi_k'((a + b)/2) + O((a - b)^2) there
+        mu = 0.5 * (a + b)
+        T = np.array([[a, 1.0], [0.0, b]] if abs(a - b) > 1e-6
+                     else [[mu, 1.0], [0.0, mu]])
+        for k in range(5):
+            ref = _phi_reference(k, np.array([[a]]))[0, 0]
+            assert abs(value[k, 0] - ref) <= 1e-13 * abs(ref)
+            ref = _phi_reference(k, T)[0, 1]
+            assert abs(divided[k, 0] - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("fast", [1e2, 1e4, 1e6])
+    def test_constant_forcing_is_integrated_exactly(self, fast):
+        # with N constant every stage agrees, and y(t) = e^{tL} y0 +
+        # t phi_1(tL) N: few steps, however stiff L is
+        L = np.array([[-1.0 + 2.0j, 0.5], [3.0j, -fast + 10.0j * fast]])
+        y0 = [0.2, -0.1, 0.4, 0.05, 0.3]
+        grid = np.linspace(0.0, 5.0, 11)
+        res = _solve_exp(_constant_forcing, L, [(5.0, (0.6, -0.2))], y0,
+                         grid, 1e-8)
+        assert res.errors == [None]
+        assert res.n_accepted[0] <= 15
+        # e^{tL} from L's eigenvectors (far apart, so well conditioned;
+        # expm loses digits at |tL| ~ 1e7)
+        lam, V = np.linalg.eig(L)
+        z0 = np.array(_pairs(np.array(y0)))
+        for t, y in zip(*res.row(0)):
+            E = V @ np.diag(np.exp(t * lam)) @ np.linalg.inv(V)
+            want = E @ z0 + np.linalg.solve(L, (E - np.eye(2))
+                                            @ [0.6 - 0.2j, 0.0])
+            assert_allclose(_pairs(y), want, rtol=0, atol=1e-12)
+            assert y[2] == pytest.approx(0.4 + 0.3 * t, abs=1e-12)
+
+    def test_jordan_block_linear_part(self):
+        # coinciding eigenvalues and one eigenvector: Putzer's form
+        # needs none, so the solution is still exact
+        L = np.array([[-1.0 + 2.0j, 1.0], [0.0, -1.0 + 2.0j]])
+        y0 = [0.2, -0.1, 0.0, 0.05, 0.3]
+        grid = np.linspace(0.0, 4.0, 9)
+        res = _solve_exp(_constant_forcing, L, [(4.0, (0.0, 0.0))], y0,
+                         grid, 1e-10)
+        z0 = np.array(_pairs(np.array(y0)))
+        for t, y in zip(*res.row(0)):
+            assert_allclose(_pairs(y), _phi_reference(0, t * L) @ z0,
+                            rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("fast", [10.0, 1e3])
+    def test_matches_a_tight_reference(self, fast):
+        # Dormand-Prince at tol 1e-12 as the reference, over three pieces
+        L = np.array([[-0.5 + 0.3j, -2.0j], [-1.5, -fast + 4.0j * fast]])
+        y0 = [0.3, 0.1, -0.5, 0.05, -0.02]
+        grid = np.linspace(0.0, 3.0, 301)
+        pieces = [(1.0, (0.8, 0.1)), (2.0, (0.0, 0.0)), (3.0, (-0.5, 0.4))]
+        res = _solve_exp(_coupled, L, pieces, y0, grid, 1e-9)
+        consts = tuple(L.ravel().view(float))
+        ref = solve(_per_row(_coupled), [[(end, (0, *ab, *consts))
+                                          for end, ab in pieces]], [0.0],
+                    np.array([y0]), [grid], [1e-12], [1e-12])
+        assert res.errors == ref.errors == [None]
+        assert np.max(np.abs(res.y - ref.y)) <= 100 * 1e-9
+
+    def test_dense_output_is_of_order_4(self):
+        # one step from the same state with h and h/2, sampled at its
+        # middle: the local error falls by 2^5 = 32 (an order-3
+        # extension of the step's own weights falls by 16)
+        L = np.array([[-0.5 + 0.3j, -2.0j], [-1.5, -3.0 + 10.0j]])
+        consts = (0, 0.8, 0.1, *L.ravel().view(float))
+        y0 = np.array([[0.3, 0.1, -0.5, 0.05, -0.02]])
+        errors = []
+        for h in (0.1, 0.05):
+            method = exponential.Exponential(_per_row(_coupled),
+                                             len(consts), 5, PAIRS)
+            P = np.concatenate([[consts], method.constants(L[None])],
+                               axis=1)
+            K = np.zeros((1, method.stages, 5))
+            K[:, 0] = method.nonlinear(np.zeros(1), y0, P)
+            method.attempt(y0, K, P, np.zeros(1), np.array([h]))
+            out = np.zeros((1, 5))
+
+            class Row:
+                lo = 0
+
+            method.dense_output([(0, Row, 0.0, h, 0, 1)], y0, K, P,
+                                np.array([0.5 * h]), out)
+            ref = solve(_per_row(_coupled), [[(0.5 * h, consts)]], [0.0],
+                        y0, [np.array([0.5 * h])], [1e-13], [1e-13])
+            errors.append(np.max(np.abs(out - ref.y)))
+        assert errors[0] / errors[1] >= 24.0
+
+    def test_rows_match_lone_runs_bitwise(self):
+        Ls = [np.array([[-0.5, -2.0j], [-1.5, -f + 4.0j * f]])
+              for f in (10.0, 300.0, 1e4)]
+        rows = [(_coupled, L, [(1.0, (0.8, 0.1)), (2.5, (0.0, 0.3))],
+                 [0.3, 0.1, -0.5, 0.05, -0.02], np.linspace(0, 2.5, k), tol)
+                for L, k, tol in zip(Ls, (7, 40, 300), (1e-6, 1e-9, 1e-8))]
+        rows.append((_constant_forcing, Ls[1], [(3.0, (0.6, -0.2))],
+                     [0.2, -0.1, 0.4, 0.05, 0.3], np.array([3.0]), 1e-10))
+        res = solve(_per_row(_coupled, _constant_forcing),
+                    [[(end, (int(f is _constant_forcing), *ab,
+                             *np.asarray(L).ravel().view(float)))
+                      for end, ab in pieces]
+                     for f, L, pieces, *_ in rows],
+                    [0.0] * 4, np.array([r[3] for r in rows]),
+                    [r[4] for r in rows], [r[5] for r in rows],
+                    [r[5] for r in rows], linear=([r[1] for r in rows],
+                                                  PAIRS))
+        for b, (f, L, pieces, y0, grid, tol) in enumerate(rows):
+            lone = _solve_exp(f, L, pieces, y0, grid, tol)
+            assert np.array_equal(res.row(b)[1], lone.y)
+            assert np.array_equal(res.y_end[b], lone.y_end[0])
+            for name in ("n_accepted", "n_rejected", "n_rhs"):
+                assert getattr(res, name)[b] == getattr(lone, name)[0]
+
+    def test_rhs_eval_accounting(self):
+        # two evaluations per piece (f at its start and the starting-step
+        # probe), then seven per attempted step: four stages, N at the
+        # new state and N at t + h/3 and t + 2h/3
+        sizes = []
+
+        def counted(t, Y, P):
+            sizes.append(len(Y))
+            return _per_row(_coupled)(t, Y, P)
+
+        L = np.array([[-0.5, -2.0j], [-1.5, -300.0 + 1200.0j]])
+        consts = tuple(L.ravel().view(float))
+        res = solve(counted, [[(1.0, (0, 0.8, 0.1, *consts)),
+                               (2.0, (0, 0.0, 0.0, *consts))]], [0.0],
+                    np.array([[0.3, 0.1, -0.5, 0.05, -0.02]]),
+                    [np.linspace(0.0, 2.0, 50)], [1e-9], [1e-9],
+                    linear=([L], PAIRS))
+        attempted = res.n_accepted[0] + res.n_rejected[0]
+        assert res.n_rhs[0] == 2 * 2 + 7 * attempted == sum(sizes)
+
+    @pytest.mark.parametrize("L, cols, match", [
+        (np.zeros((2, 2, 2)), PAIRS, "2x2"),
+        (np.full((1, 2, 2), np.nan), PAIRS, "finite"),
+        (np.zeros((1, 2, 2)), (0, 1), "pairs"),
+        (np.zeros((1, 2, 2)), (0, 4), "pairs"),
+    ])
+    def test_invalid_linear_part_rejected(self, L, cols, match):
+        with pytest.raises(ValueError, match=match):
+            solve(_per_row(_constant_forcing),
+                  [[(1.0, (0, 0.0, 0.0, *[0.0] * 8))]],
+                  [0.0], np.zeros((1, 5)), [np.array([0.0, 1.0])], [1e-8],
+                  [1e-8], linear=(L, cols))

@@ -16,6 +16,7 @@ from lfbloch.dynamics import (
     SystemState,
     Trajectory,
     integrate,
+    integrate_batch,
 )
 from lfbloch.medium import HostSpecies, local_field_factor
 from lfbloch.ode import NonFiniteRhsError
@@ -37,6 +38,7 @@ from lfbloch.verify import (
     predicted_slow_eigenvalue,
     run_battery,
     slow_eigenvalue,
+    weak_excitation_run,
     weak_excitation_trajectory,
 )
 
@@ -388,10 +390,39 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(CANONICAL, kappas=())
 
-    def test_stiffness_cap_enforced(self):
-        # |alpha| = kappa * sqrt(404); kappa = 50 pushes past 10^3 gamma_a
-        with pytest.raises(ValueError, match="stiff"):
-            convergence_study(CANONICAL, kappas=(1.0, 50.0))
+    def test_study_runs_past_the_old_stiffness_cap(self):
+        # |alpha| = kappa * sqrt(404) = 2573 gamma_a at kappa = 128, past
+        # the 1000 gamma_a at which the study used to stop; the fitted
+        # rate still meets the battery's largest-kappa-rate threshold
+        (row,) = convergence_study(CANONICAL, kappas=(128.0,))
+        assert row.fitted_rate_error <= 2e-2
+
+    def test_elimination_claim_to_kappa_16384(self):
+        # kappa = 4^0 .. 4^7, |alpha| from 20 to 3.3e5 gamma_a.  The
+        # tolerances come from a run made before this test existed: error
+        # ratios 4.016, 4.005, 4.0014, ... (within 0.4% of 4), fits within
+        # 8.7e-10 of the exact decay, 121 to 205 evaluations per run
+        kappas = [4.0 ** i for i in range(8)]
+        scaled = [MicroscopicParams(emitter=EMITTER, host=HostSpecies(
+            delta_b=10.0 * k, eps_b=10.0 * k, gamma_b=4.0 * k))
+            for k in kappas]
+        trajectories = integrate_batch([weak_excitation_run(p)
+                                        for p in scaled])
+        rows = convergence_study(CANONICAL, kappas)
+        errors = [row.eigenvalue_error for row in rows]
+        for a, b in zip(errors, errors[1:]):
+            assert abs(a / b / 4.0 - 1.0) <= 1e-2  # O(1/kappa)
+        fast = [(p, traj, row) for p, traj, row
+                in zip(scaled, trajectories, rows)
+                if abs(p.host_pole) > dynamics.EXPONENTIAL_POLE]
+        assert len(fast) == 7
+        for p, traj, row in fast:
+            lam = slow_eigenvalue(p)
+            assert abs(row.fitted_rate + lam.real) <= 1e-8 * -lam.real
+        # the work per run stays flat, where Dormand-Prince's grows
+        # linearly with |alpha| (it needed 1118 evaluations at kappa 1)
+        work = [traj.n_rhs for _, traj, _ in fast]
+        assert max(work) <= 300 and max(work) <= 2 * min(work)
 
 
 class TestBattery:
