@@ -43,7 +43,9 @@ each piece carries the products of parameters and drive that the model
 needs (``rhs_constants``), formed once per piece in the order in which
 the scalar formulas form them, so every stage of the batch is one call
 of ``effective_rhs`` or ``microscopic_rhs`` with the same bits per run
-as the run alone.
+as the run alone.  A pass of few rows calls the per-row function of
+each (``_effective_row``, ``_microscopic_row``) on lists instead, with
+the same bits.
 """
 
 from __future__ import annotations
@@ -328,20 +330,26 @@ def effective_rhs(t: np.ndarray, Y: np.ndarray, P: np.ndarray) -> np.ndarray:
 
     From ``ARRAY_RHS_ROWS`` rows up the rows are evaluated as arrays in
     the float operations of CPython 3.11's complex arithmetic, the same
-    bits as the scalar code below, which evaluates smaller batches row
-    by row.
+    bits as the scalar code, which evaluates smaller batches row by row
+    with ``_effective_row``.  ``ode.solve`` calls that per-row function
+    directly in its Python-float form of a pass.
     """
     if len(Y) >= ARRAY_RHS_ROWS:
         return _effective_rhs_rows(Y, P)
-    rows = []
-    for (s_re, s_im, w), (c_d, _, c_g, _, c_e2, _, c_e, _, c_om, _, om_ell,
-                          c_w) in zip(Y.tolist(), P.view(complex).tolist()):
-        s = complex(s_re, s_im)
-        ds = c_d * s - c_e * w * s + c_om * w - c_g * s
-        om_eff = om_ell - c_e2 * s
-        dw = c_w.real * (w + 1.0) - 2.0 * (om_eff * s.conjugate()).real
-        rows.append((ds.real, ds.imag, dw))
-    return np.array(rows)
+    return np.array([_effective_row(t_b, y, c) for t_b, y, c in zip(
+        t.tolist(), Y.tolist(), P.view(complex).tolist())])
+
+
+def _effective_row(t: float, y: list, c: list) -> tuple:
+    """effective_rhs on one row: y a list of floats, c its row of P as
+    a list of complex (``_complex_pairs``)."""
+    s_re, s_im, w = y
+    c_d, _, c_g, _, c_e2, _, c_e, _, c_om, _, om_ell, c_w = c
+    s = complex(s_re, s_im)
+    ds = c_d * s - c_e * w * s + c_om * w - c_g * s
+    om_eff = om_ell - c_e2 * s
+    dw = c_w.real * (w + 1.0) - 2.0 * (om_eff * s.conjugate()).real
+    return ds.real, ds.imag, dw
 
 
 # Operands of the products in _effective_rhs_rows.  First Re and Im of
@@ -397,21 +405,36 @@ def microscopic_rhs(t: np.ndarray, Y: np.ndarray,
     of the result holds their time derivatives.  Row b of P is
     ``MicroscopicParams.rhs_constants(om)`` for the drive Omega on the
     piece that holds t[b]; t is not read otherwise.  Evaluated row by
-    row.
+    row with ``_microscopic_row``, which ``ode.solve`` calls directly in
+    its Python-float form of a pass.
     """
-    rows = []
-    for ((s_re, s_im, w, beta_re, beta_im),
-         (c_d, c_e, om_half, c_a, pole, om_rho, c_b, om, c_a2, c_e2,
-          gammas)) in zip(Y.tolist(), P.view(complex).tolist()):
-        s = complex(s_re, s_im)
-        beta = complex(beta_re, beta_im)
-        ds = (c_d * s - c_e * w * s + om_half * w - gammas.real * s
-              + c_a * w * beta)
-        dbeta = pole * beta - om_rho + c_b * s
-        dw = (gammas.imag * (w + 1.0)
-              - 2.0 * ((om + c_a2 * beta - c_e2 * s) * s.conjugate()).real)
-        rows.append((ds.real, ds.imag, dw, dbeta.real, dbeta.imag))
-    return np.array(rows)
+    return np.array([_microscopic_row(t_b, y, c) for t_b, y, c in zip(
+        t.tolist(), Y.tolist(), P.view(complex).tolist())])
+
+
+def _microscopic_row(t: float, y: list, c: list) -> tuple:
+    """microscopic_rhs on one row: y a list of floats, c its row of P as
+    a list of complex (``_complex_pairs``)."""
+    s_re, s_im, w, beta_re, beta_im = y
+    c_d, c_e, om_half, c_a, pole, om_rho, c_b, om, c_a2, c_e2, gammas = c
+    s = complex(s_re, s_im)
+    beta = complex(beta_re, beta_im)
+    ds = (c_d * s - c_e * w * s + om_half * w - gammas.real * s
+          + c_a * w * beta)
+    dbeta = pole * beta - om_rho + c_b * s
+    dw = (gammas.imag * (w + 1.0)
+          - 2.0 * ((om + c_a2 * beta - c_e2 * s) * s.conjugate()).real)
+    return ds.real, ds.imag, dw, dbeta.real, dbeta.imag
+
+
+def _complex_pairs(p) -> list:
+    """A row of piece constants, read as complex pairs: the bits of that
+    row of ``P.view(complex).tolist()``."""
+    return [complex(re, im) for re, im in zip(p[::2], p[1::2])]
+
+
+# the per-row form of each right-hand side, keyed by the array form
+_ROW_FORMS = {effective_rhs: _effective_row, microscopic_rhs: _microscopic_row}
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +615,20 @@ def _integrate_runs(runs) -> list:
             continue
         tols = [run.tol for _, run in group]
         # the right-hand side is looked up as a module global on every
-        # call, so a wrapper installed on lfbloch.dynamics sees each one
+        # call, so a wrapper installed on lfbloch.dynamics sees each one;
+        # its per-row form, which solve calls directly, is offered only
+        # while no wrapper is installed there
         rhs = ((lambda t, Y, P: effective_rhs(t, Y, P)) if model == "A"
                else (lambda t, Y, P: microscopic_rhs(t, Y, P)))
+        row = _ROW_FORMS.get(effective_rhs if model == "A"
+                             else microscopic_rhs)
         linear = ([run.linear for _, run in group], (0, 3)) \
             if exponential else None
         res = ode.solve(rhs, [run.pieces for _, run in group],
                         [0.0] * len(group), [run.y for _, run in group],
                         [run.times for _, run in group], tols, tols,
-                        linear=linear)
+                        linear=linear,
+                        row_rhs=(_complex_pairs, row) if row else None)
         # Python ints: json.dumps rejects numpy integers
         counters = zip(res.n_accepted.tolist(), res.n_rejected.tolist(),
                        res.n_rhs.tolist())

@@ -46,6 +46,20 @@ stage slices, element-wise operations with per-row (B, 1) columns,
 ``np.add.reduce`` along the row and ``np.sqrt``.  The step-size factor
 stays on Python floats (numpy's power differs from CPython's ``**``).
 
+A pass of at most ``FLOAT_ROWS`` Dormand-Prince rows of n < 8
+components runs in Python floats when ``solve`` is also given the
+per-row form of the right-hand side (``row_rhs``): on so few rows numpy's
+call overhead is the cost of a pass.  Only the tableau products stay
+numpy's, the same stacked ``np.matmul`` calls as in the array form,
+read back as lists.  Each stage state ``y + h*k``, the new state and the
+error norm are the array form's operations, element by element, on
+Python floats, which have the same IEEE bits (``x * x`` for ``x ** 2``,
+a comparison for ``np.maximum`` of non-negative values).  The sum of
+squares runs left to right: that is how ``np.add.reduce`` sums fewer
+than 8 terms (from 8 on it sums pairwise, hence the bound on n).  A row
+therefore takes the same steps in either form, and a run may switch to
+the float form as its batch's rows finish.
+
 Dense output runs once per pass, after every row has been accepted or
 rejected.  For Dormand-Prince it is one stacked product ``_P_T @ K``
 over the accepted rows with grid points in their step, then the
@@ -136,11 +150,17 @@ _ORDER_EXPONENT = -0.2  # 1/(error estimator order + 1)
 
 
 _P_T = _P.T
+_C_FLOATS = _C.tolist()
 
 # Accepted rows in a pass at and above which dense output is stacked
 # products over the rows; below it, one product per row is faster (see
 # CHANGES.md)
 DENSE_ROWS = 8
+
+# Unfinished rows at and below which a Dormand-Prince pass runs in
+# Python floats when solve is given a per-row right-hand side; above
+# it, the array form is faster (see CHANGES.md)
+FLOAT_ROWS = 4
 
 
 @dataclass
@@ -240,13 +260,15 @@ def _underflow(t: float, h: float, culprit: str | None
 class _Row:
     """Controller state of one unfinished row."""
 
-    __slots__ = ("index", "t", "h", "stop", "pieces", "last", "nonfinite",
-                 "K", "times", "out", "lo", "i_out")
+    __slots__ = ("index", "t", "h", "stop", "c", "pieces", "last",
+                 "nonfinite", "K", "times", "out", "lo", "i_out")
 
     def __init__(self, index, t, h, pieces, K, times, out, lo, i_out):
         self.index, self.t, self.h = index, t, h
-        # the current piece's end, then the later pieces, last first
-        self.stop, self.pieces = pieces[0][0], pieces[:0:-1]
+        # the current piece's end and constants as the per-row right-hand
+        # side reads them, then the later (end, p, c) pieces, last first
+        self.stop, _, self.c = pieces[0]
+        self.pieces = pieces[:0:-1]
         self.last = self.nonfinite = False
         self.K = K  # this row's (7, n) stages: a view into the batch's
         # the row's grid and samples, which start at index lo of the batch's
@@ -328,6 +350,44 @@ def _dense_output(jobs, stacked, y, K, t_all, y_all) -> list:
     return failed
 
 
+def _attempt_floats(f, act, y, K, heads, rtol, atol):
+    """A Dormand-Prince attempt of every row of act in Python floats:
+    the new states (B, n) and the rows' error norms.
+
+    Only the tableau products are numpy's, the same products as the
+    array form's; the rest is the array form's arithmetic element by
+    element, so each row gets its bits (see the module docstring).
+    """
+    n = y.shape[1]
+    rows = [(row.t, row.h, row.c, y_b, row.K)
+            for row, y_b in zip(act, y.tolist())]
+    for i in range(1, 6):
+        c_i = _C_FLOATS[i]
+        for (t, h, c, y_b, K_b), d in zip(
+                rows, np.matmul(_A[i], heads[i]).tolist()):
+            K_b[i] = f(t + h * c_i, [a + h * b for a, b in zip(y_b, d)], c)
+    new = []
+    for (t, h, c, y_b, K_b), d in zip(rows,
+                                      np.matmul(_B, heads[6]).tolist()):
+        new_b = [a + h * b for a, b in zip(y_b, d)]
+        K_b[6] = f(t + h, new_b, c)
+        new.append(new_b)
+    errs = []
+    for row, (_, h, _, y_b, _), new_b, e_b in zip(
+            act, rows, new, np.matmul(_E, K).tolist()):
+        rtol_b, atol_b = rtol[row.index], atol[row.index]
+        total = None
+        for a, b, e in zip(y_b, new_b, e_b):
+            a, b = abs(a), abs(b)
+            x = h * e / (atol_b + rtol_b * (a if a >= b else b))
+            # b - b is NaN for a non-finite new state, as in the array form
+            x = x * x + (b - b)
+            # left to right, as np.add.reduce sums fewer than 8 terms
+            total = x if total is None else total + x
+        errs.append(math.sqrt(total / n))
+    return np.array(new), errs
+
+
 def solve(
     rhs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     pieces: Sequence[Sequence[tuple[float, Sequence[float]]]],
@@ -338,6 +398,7 @@ def solve(
     atol: Sequence[float],
     max_step: float = math.inf,
     linear: tuple | None = None,
+    row_rhs: tuple | None = None,
 ) -> OdeResult:
     """Integrate ``dy_b/dt = rhs(t, y_b, p)`` through row b's pieces.
 
@@ -380,6 +441,15 @@ def solve(
         1j*y[cols[0] + 1], y[cols[1]] + 1j*y[cols[1] + 1])``, and the
         other components have none.  ``rhs`` is still the whole right-
         hand side, L y included; each evaluation of it is counted.
+    row_rhs : (read, f), optional
+        The per-row form of ``rhs``, for the Python-float form of a pass
+        (see the module docstring).  ``read(p)`` turns a piece's
+        constants into the c that f reads, once per piece; ``f(t, y, c)``
+        returns the derivative of one row, y a list of n floats, as n
+        floats with the bits of that row of ``rhs``.  The float form
+        calls f for the stages of its steps (the first evaluation and
+        the starting-step probes still call ``rhs``).  Not used by the
+        exponential method or for n >= 8.
 
     Returns
     -------
@@ -465,6 +535,12 @@ def solve(
                   for row, x in zip(pieces, extra.tolist())]
         rhs, k = method.nonlinear, k + extra.shape[1]
     exponent = method.exponent if method else _ORDER_EXPONENT
+    # the float form: Dormand-Prince rows whose sums of squares
+    # np.add.reduce takes left to right (it sums 8 terms or more
+    # pairwise); each piece carries its constants as row_rhs reads them
+    floats = row_rhs is not None and method is None and n < 8
+    read = row_rhs[0] if floats else lambda p: None
+    pieces = [[(end, p, read(p)) for end, p in row] for row in pieces]
 
     offsets = np.zeros(batch + 1, dtype=int)
     np.cumsum([g.size for g in grids], out=offsets[1:])
@@ -494,7 +570,6 @@ def solve(
         act.append(_Row(b, t, h, pieces[b], K[b], grid, out, lo, i_out))
     heads = [K[:, :i] for i in range(7)]
     rtol_col, atol_col = _column(rtol), _column(atol)
-    abs_y = np.abs(y)
     errs = None  # error norm of each row's last attempted step
 
     while True:
@@ -535,7 +610,7 @@ def solve(
                     if row.last:  # the next piece: restart as a new call
                         # would; f goes to K[-1] once dense output has
                         # read K, and the FSAL copy then moves it to K[0]
-                        row.stop, P[r] = row.pieces.pop()
+                        row.stop, P[r], row.c = row.pieces.pop()
                         f = _one_row(rhs, t, y_new[r], P[r])
                         restarts.append((r, f))
                         h = _initial_step(rhs, t, y_new[r], P[r], f,
@@ -579,16 +654,15 @@ def solve(
             K[r, -1] = f
         if len(accepted) == len(act):
             K[:, 0] = K[:, -1]
-            y, abs_y = y_new, abs_new
+            y = y_new
         elif accepted:
             K[accepted, 0] = K[accepted, -1]
             y[accepted] = y_new[accepted]
-            abs_y[accepted] = abs_new[accepted]
         if not keep:
             break
         if len(keep) < len(act):
             act = [act[r] for r in keep]
-            y, K, P, abs_y = y[keep], K[keep], P[keep], abs_y[keep]
+            y, K, P = y[keep], K[keep], P[keep]
             heads = [K[:, :i] for i in range(7)]
             rtol_col = _column([rtol[row.index] for row in act])
             atol_col = _column([atol[row.index] for row in act])
@@ -596,7 +670,12 @@ def solve(
                 row.K = K_row
 
         # stage evaluations (k1 carried over from the previous step,
-        # FSAL), one rhs call each
+        # FSAL), one rhs call each, or in the float form one f call per
+        # row, which also yields the error norms
+        if floats and len(act) <= FLOAT_ROWS:
+            y_new, errs = _attempt_floats(row_rhs[1], act, y, K, heads,
+                                          rtol, atol)
+            continue
         if method:
             y_new, estimate = method.attempt(
                 y, K, P, np.array([row.t for row in act]),
@@ -613,7 +692,7 @@ def solve(
             estimate = h_col * np.matmul(_E, K)
 
         abs_new = np.abs(y_new)
-        scale = atol_col + rtol_col * np.maximum(abs_y, abs_new)
+        scale = atol_col + rtol_col * np.maximum(np.abs(y), abs_new)
         # np.mean(..., axis=1) without its Python-level overhead; adding
         # abs_new - abs_new (exactly 0, or NaN for a non-finite y_new,
         # whose inf scale would zero the estimate) rejects such a step

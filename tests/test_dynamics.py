@@ -1,9 +1,10 @@
 """Tests for the two Bloch models: right-hand sides against hand
 substitutions, integration against closed forms, conservation, reduction
 limits, trajectory bookkeeping, batches that reproduce each run's lone
-integration bit for bit, and the exponential method for fast-host
-model-B runs: its accuracy against Dormand-Prince at tol 1e-12 and the
-host pole that selects it."""
+integration bit for bit (a lone run in the Python-float form of a
+pass, its row of a batch in the array form), and the exponential method
+for fast-host model-B runs: its accuracy against Dormand-Prince at tol
+1e-12 and the host pole that selects it."""
 
 import dataclasses
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.internal.conjecture import engine
 
-from lfbloch import dynamics
+from lfbloch import dynamics, ode
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -291,6 +292,12 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def _row_call(row, p, om, y):
+    """A per-row right-hand side on y, with the constants of p on drive
+    om read as solve's float form reads them."""
+    return row(0.0, list(y), dynamics._complex_pairs(p.rhs_constants(om)))
+
+
 class TestRhsBits:
     # a failure of up to 48 drawn rows used to shrink for up to
     # hypothesis's 300 s limit; 20 s still shrinks it part of the way
@@ -329,6 +336,33 @@ class TestRhsBits:
         with mock.patch.object(dynamics, "ARRAY_RHS_ROWS", math.inf):
             scalar = _call(effective_rhs, rows)
         assert np.array_equal(_bits(array), _bits(scalar))
+        assert np.array_equal(
+            _bits([_row_call(dynamics._effective_row, *row)
+                   for row in rows]), _bits(array))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows_a=st.lists(rhs_row("A"), min_size=1, max_size=8),
+           rows_b=st.lists(rhs_row("B"), min_size=1, max_size=4))
+    def test_row_functions_equal_the_array_rows_bitwise(self, rows_a,
+                                                        rows_b):
+        # the per-row functions that ode.solve's float form calls, on
+        # each piece's constants read once as complex pairs: model A's
+        # against the array branch, model B's against its formulas
+        P = np.array([p.rhs_constants(om) for p, om, _ in rows_a])
+        assert np.array_equal(
+            _bits([_row_call(dynamics._effective_row, p, om, y)
+                   for p, om, y in rows_a]),
+            _bits(dynamics._effective_rhs_rows(
+                np.array([y for _, _, y in rows_a]), P)))
+        assert np.array_equal(
+            _bits([_row_call(dynamics._microscopic_row, p, om, y)
+                   for p, om, y in rows_b]),
+            _bits([_formula_b(p, om, y) for p, om, y in rows_b]))
+        for p, om, _ in rows_a + rows_b:
+            c = dynamics._complex_pairs(p.rhs_constants(om))
+            assert np.array_equal(
+                _bits(np.array(c).view(float)),
+                _bits(p.rhs_constants(om)))
 
     @settings(max_examples=40, deadline=None)
     @given(rows_a=st.lists(rhs_row("A"), min_size=1, max_size=4),
@@ -804,6 +838,74 @@ class TestIntegrateBatch:
 
     def test_empty_batch(self):
         assert integrate_batch([]) == []
+
+
+def _float_passes():
+    """A spy on ode's float form of a pass: each call's args[1] holds the
+    rows of one pass that took it."""
+    return mock.patch.object(ode, "_attempt_floats",
+                             wraps=ode._attempt_floats)
+
+
+@pytest.mark.filterwarnings("ignore::lfbloch.dynamics.BlochNormWarning")
+class TestFloatForm:
+    """A lone run takes the float form of a pass (the per-row right-hand
+    side, Python floats); in a batch with ``ode.FLOAT_ROWS`` at 0 it
+    takes the array form.  Both give the same bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=batch_run(), companion=batch_run())
+    def test_lone_run_equals_its_row_in_an_array_batch(self, run,
+                                                        companion):
+        with _float_passes() as floats:
+            lone = _lone(run)
+        assert floats.called
+        assert all(len(call.args[1]) == 1 for call in floats.call_args_list)
+        if isinstance(lone, Trajectory):
+            assert floats.call_count == lone.n_accepted + lone.n_rejected
+        with mock.patch.object(ode, "FLOAT_ROWS", 0), \
+                _float_passes() as floats:
+            batch = integrate_batch([run, companion])
+        assert not floats.called
+        assert _same_outcome(batch[0], lone)
+
+    @pytest.mark.parametrize("model", ["A", "B"])
+    def test_nonfinite_run_fails_alike_in_both_forms(self, model):
+        # a pulse of amplitude 1e308 makes the stages overflow from its
+        # start on: the run fails there after its attempts are rejected
+        drive = DriveEnvelope("pulse", 1e308, t_on=0.5, t_off=1.0)
+        emitter = EmitterParams(delta_a=0.2, drive=drive)
+        params = EffectiveParams(emitter=emitter, ell=1.0) if model == "A" \
+            else MicroscopicParams(emitter=emitter, host=HOST)
+        run = (params, SystemState(s=0.1 + 0j, w=0.5,
+                                   beta=None if model == "A" else 0.01j),
+               IntegrationSpec(span=2.0, tol=1e-8, points=21))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with _float_passes() as floats:
+                lone = _lone(run)
+            with mock.patch.object(ode, "FLOAT_ROWS", 0):
+                batch = integrate_batch([run, run])
+        assert floats.call_count > 10
+        assert isinstance(lone, NonFiniteRhsError)
+        assert "at t = 0.5 " in str(lone)
+        assert _same_outcome(batch[0], lone) and _same_outcome(batch[1], lone)
+
+    def test_a_wrapped_right_hand_side_takes_the_array_form(self):
+        # a wrapper installed on lfbloch.dynamics sees every evaluation
+        run = (EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS),
+               SystemState(s=0.1 + 0j, w=0.5), IntegrationSpec(span=1.0))
+        calls = []
+
+        def wrapper(t, Y, P):
+            calls.append(len(Y))
+            return effective_rhs(t, Y, P)
+
+        with _float_passes() as floats, \
+                mock.patch.object(dynamics, "effective_rhs", wrapper):
+            traj = integrate(*run)
+        assert not floats.called
+        assert sum(calls) == traj.n_rhs
+        assert _same_trajectory(traj, integrate(*run))
 
 
 class TestModelProperties:

@@ -2,8 +2,10 @@
 5(4): accuracy against analytic solutions, convergence order, dense
 output, statistics, error paths, lockstep batches that reproduce each
 row's lone run bit for bit (dense output stacked over the rows
-included), the bit equalities that stacking relies on, and rows of
-pieces that reproduce one run per piece.  The exponential method: its
+included), the bit equalities that stacking relies on, the
+Python-float form of few-row passes against the array form (and the
+bit equalities it relies on), and rows of pieces that reproduce one run
+per piece.  The exponential method: its
 phi-functions against the matrix exponential, exact linear problems
 (stiff and degenerate), a tight reference, the order of its dense
 output, lone-run bits in a batch and its evaluation count."""
@@ -683,6 +685,196 @@ class TestDenseBits:
         assert np.array_equal(
             _bits(np.float_power(err, -0.2)),
             _bits([e ** -0.2 for e in err.tolist()]))
+
+
+class TestFloatBits:
+    """The bit equalities that the Python-float form of a pass relies
+    on, one test each, so that a numpy or BLAS that breaks one fails
+    here by name rather than by moving the golden hashes."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_reduce_sums_left_to_right_below_eight(self, n):
+        # the error norm's sum of squares; from 8 terms np.add.reduce
+        # sums pairwise, which is why rows of 8 or more components keep
+        # the array form
+        rng = np.random.default_rng(n)
+        mismatches = 0
+        for rows in (1, 4, 64):
+            x = rng.uniform(0.0, 1.0, (20_000 // rows, rows, n)) \
+                * 10.0 ** rng.integers(-4, 5, (20_000 // rows, rows, n))
+            # element-wise adds of the columns: left to right in each row
+            total = x[..., 0].copy()
+            for j in range(1, n):
+                total += x[..., j]
+            summed = np.array([np.add.reduce(slab, axis=1) for slab in x])
+            mismatches += np.count_nonzero(_bits(summed) != _bits(total))
+        if n < 8:
+            assert mismatches == 0
+        else:
+            assert mismatches > 1000
+
+    @pytest.mark.parametrize("rows, n", [(1, 1), (2, 3), (3, 5), (4, 3),
+                                         (5, 7), (8, 5), (32, 3)])
+    def test_tableau_products_by_stack_equal_per_row(self, rows, n):
+        # a tableau row times the (B, i, n) stage slices: row b is the
+        # product a batch of one makes on (1, i, n)
+        rng = np.random.default_rng(rows * 10 + n)
+        for _ in range(20):
+            K = _stages(rng, (rows, 7, n))
+            for a, i in [(ode._A[i], i) for i in range(1, 6)] \
+                    + [(ode._B, 6), (ode._E, 7)]:
+                stacked = np.matmul(a, K[:, :i])
+                for b in range(rows):
+                    assert np.array_equal(
+                        _bits(stacked[b]),
+                        _bits(np.matmul(a, K[b:b + 1, :i])[0]))
+
+    def test_square_equals_product(self):
+        # the array form's ** 2 is the float form's x * x
+        x = _stages(np.random.default_rng(5), 200_000)
+        assert np.array_equal(_bits(x ** 2), _bits([v * v for v in
+                                                    x.tolist()]))
+
+
+def _row_form(*functions):
+    """The per-row form of ``_per_row(*functions)`` for ``row_rhs``: a
+    piece's constants are read once into (function, parameters)."""
+    def read(p):
+        return functions[int(p[0])], np.array(p[1:])
+
+    def f(t, y, c):
+        function, p = c
+        return function(t, np.array(y), p).tolist()
+    return read, f
+
+
+def _huge(t, y, p):
+    return np.array([1e308])
+
+
+def _spin(t, y, p):
+    """y' = M y with a rotation-and-decay M of the size of y, plus
+    the force p[0] on the first component."""
+    n = y.size
+    M = np.diag(np.full(n, -p[1])) + np.diag(np.ones(n - 1), 1) \
+        - np.diag(np.ones(n - 1), -1)
+    return M @ y + np.eye(n)[0] * p[0]
+
+
+def _spy_floats(monkeypatch):
+    """Record the rows of each pass that takes the float form."""
+    sizes = []
+    attempt = ode._attempt_floats
+
+    def spy(f, act, *args):
+        sizes.append(len(act))
+        return attempt(f, act, *args)
+
+    monkeypatch.setattr(ode, "_attempt_floats", spy)
+    return sizes
+
+
+# (pieces [(end, f, (force, rate)), ...], t0, y0, grid, tol) of 1, 5, 7
+# and 8 components: y' = 1e308 overflows y near t = 0.7977 while f stays
+# finite (the state goes non-finite), and the forces change at piece ends
+WIDE = {
+    1: [([(2.0, _huge, (0.0, 0.0))], 0.0, [1e308], np.linspace(0, 2, 5),
+         1e-6)],
+    **{n: [([(1.0, _spin, (0.0, 0.1)), (2.5, _spin, (1.0, 0.1)),
+             (4.0, _spin, (0.0, 0.3))], 0.0, np.linspace(0.9, -0.4, n),
+            np.linspace(0.0, 4.0, 81), 1e-9),
+           ([(4.0, _spin, (0.5, 2.0))], 0.5, np.linspace(0.1, 0.3, n),
+            np.array([1.0, 4.0]), 1e-6)]
+       for n in (5, 7, 8)},
+}
+
+
+# STACKED with each parameter as a tuple of constants
+_STACKED = [([(end, f, (a,)) for end, f, a in pieces], *rest)
+            for pieces, *rest in STACKED]
+
+
+class TestFloatForm:
+    """A pass of at most FLOAT_ROWS Dormand-Prince rows given a per-row
+    right-hand side runs in Python floats; each row keeps the bits of
+    the array form."""
+
+    def _solve(self, problems, floats):
+        pieces, t0, y0, grids, tols = zip(*problems)
+        functions = list(dict.fromkeys(
+            f for row in pieces for _, f, _ in row))
+        return solve(_per_row(*functions),
+                     [[(end, (functions.index(f), *a)) for end, f, a in row]
+                      for row in pieces], t0, np.array(y0), grids, tols,
+                     tols, row_rhs=_row_form(*functions) if floats else None)
+
+    def _check(self, monkeypatch, problems, width):
+        """Solve problems as one array-form batch, and in groups of
+        width with the per-row form; return the rows of each float pass
+        and the array-form result."""
+        sizes = _spy_floats(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            array = self._solve(problems, floats=False)
+            assert sizes == []
+            for start in range(0, len(problems), width):
+                group = problems[start:start + width]
+                res = self._solve(group, floats=True)
+                for b, error in enumerate(array.errors[start:start + width]):
+                    _assert_row_equal(res, b, _one_row_of(array, start + b))
+                    assert type(res.errors[b]) is type(error)
+                    assert str(res.errors[b]) == str(error)
+        return sizes, array
+
+    @pytest.mark.parametrize("width", [1, ode.FLOAT_ROWS])
+    def test_rows_equal_the_array_form_bitwise(self, monkeypatch, width):
+        # STACKED: rows that reject steps, restart at piece ends, fail
+        # as stiff, on a non-finite right-hand side and on overflowing
+        # dense output
+        sizes, array = self._check(monkeypatch, _STACKED, width)
+        assert sizes and max(sizes) == width
+        assert np.count_nonzero(array.n_rejected) >= 3
+        assert sum(error is not None for error in array.errors) == 3
+
+    @pytest.mark.parametrize("n", [1, 5, 7])
+    def test_wide_rows_equal_the_array_form_bitwise(self, monkeypatch, n):
+        sizes, array = self._check(monkeypatch, WIDE[n], 2)
+        assert sizes
+        if n == 1:
+            assert isinstance(array.errors[0], NonFiniteRhsError)
+            assert "the state went non-finite" in str(array.errors[0])
+        else:
+            assert array.errors == [None, None]
+
+    def test_eight_components_keep_the_array_form(self, monkeypatch):
+        sizes, _ = self._check(monkeypatch, WIDE[8], 2)
+        assert sizes == []
+
+    def test_more_rows_keep_the_array_form_until_few_are_left(
+            self, monkeypatch):
+        sizes, _ = self._check(monkeypatch, _STACKED, len(_STACKED))
+        assert sizes and max(sizes) <= ode.FLOAT_ROWS
+
+    def test_exponential_method_keeps_the_array_form(self, monkeypatch):
+        sizes = _spy_floats(monkeypatch)
+        L = np.array([[-0.5, -2.0j], [-1.5, -300.0 + 1200.0j]])
+        consts = (0, 0.8, 0.1, *L.ravel().view(float))
+        args = (_per_row(_coupled), [[(1.0, consts)]], [0.0],
+                np.array([[0.3, 0.1, -0.5, 0.05, -0.02]]),
+                [np.linspace(0.0, 1.0, 11)], [1e-9], [1e-9])
+        res = solve(*args, linear=([L], PAIRS),
+                    row_rhs=_row_form(_coupled))
+        assert sizes == []
+        _assert_row_equal(res, 0, solve(*args, linear=([L], PAIRS)))
+
+
+def _one_row_of(res, b):
+    """Row b of res as an OdeResult of one row."""
+    lo, hi = res.offsets[b], res.offsets[b + 1]
+    return OdeResult(t=res.t[lo:hi], y=res.y[lo:hi],
+                     offsets=np.array([0, hi - lo]), y_end=res.y_end[b:b + 1],
+                     n_accepted=res.n_accepted[b:b + 1],
+                     n_rejected=res.n_rejected[b:b + 1],
+                     n_rhs=res.n_rhs[b:b + 1], errors=res.errors[b:b + 1])
 
 
 def _forced(t, y, p):
