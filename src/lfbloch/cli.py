@@ -3,8 +3,11 @@
 Exit codes: 0 success, 2 validation failure (bad arguments or config),
 3 integrator failure (the CSV holds only the header and a failure marker
 line giving the failure time and cause), 4 verification-check failure.
-All numeric output uses 12 significant digits, and identical inputs
-produce byte-identical output.
+All numeric output uses 12 significant digits (``NUMBER_FORMAT``), and
+identical inputs produce byte-identical output.  Text output formats
+one number at a time; the ``simulate`` and ``compare`` tables are
+formatted a block of rows at a time by ``lfbloch.csvrows`` (imported on
+first use), which writes the same bytes as one ``%``-format per row.
 """
 
 from __future__ import annotations
@@ -71,7 +74,10 @@ COMPARE_MAX_ROWS = 100_000
 
 TRAJECTORY_HEADER = ["t", "re_s", "im_s", "w", "re_beta", "im_beta"]
 SWEEP_HEADER = ["value", "re_ell", "im_ell", "gamma_fit", "shift", "error"]
-NUMBER_FORMAT = ".12g"  # of every number written, cell or %-format row
+# of every number written: cells through _fmt, and the simulate and
+# compare tables through lfbloch.csvrows, which writes the bytes of
+# "%.12g" and no other format (tests/test_cli.py pins the two equal)
+NUMBER_FORMAT = ".12g"
 
 
 def _fmt(x: float) -> str:
@@ -164,12 +170,11 @@ def cmd_compare(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
 
-    lines = ["n,re_ell,virtual_cavity,onsager"]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in
-                              (row.n, row.re_ell, row.virtual_cavity,
-                               row.onsager)))
-    text = "\n".join(lines) + "\n"
+    from lfbloch.csvrows import format_rows
+    cols = np.array([(row.n, row.re_ell, row.virtual_cavity, row.onsager)
+                     for row in rows]).T
+    text = "n,re_ell,virtual_cavity,onsager\n" \
+        + b"".join(format_rows(cols)).decode("ascii")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -184,20 +189,19 @@ def cmd_compare(args) -> int:
 
 def _write_trajectory_csv(path: str, traj: Trajectory | None,
                           failure: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(TRAJECTORY_HEADER) + "\n")
+    # imported on first use: sweep and verify never build its tables
+    from lfbloch.csvrows import format_rows
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRAJECTORY_HEADER) + "\n").encode())
         if traj is not None:
             cols = [traj.times, traj.s.real, traj.s.imag, traj.w]
             end = ",,\n"  # model A leaves the beta columns empty
             if traj.beta is not None:
                 cols += [traj.beta.real, traj.beta.imag]
                 end = "\n"
-            # one %-format per row: the bytes of _fmt on each Python float
-            row = ",".join(["%" + NUMBER_FORMAT] * len(cols)) + end
-            fh.writelines(map(row.__mod__,
-                              zip(*(col.tolist() for col in cols))))
+            fh.writelines(format_rows(cols, end))
         if failure is not None:
-            fh.write(f"# INTEGRATION FAILED: {failure}\n")
+            fh.write(f"# INTEGRATION FAILED: {failure}\n".encode())
 
 
 def _model_paths(base: str, models: list[str]) -> dict[str, str]:
@@ -214,7 +218,9 @@ def _build_params(cfg: ScenarioConfig, model: str):
     return MicroscopicParams(emitter=cfg.emitter, host=cfg.host)
 
 
-def _fit_summary(cfg: ScenarioConfig, model: str, traj: Trajectory) -> dict:
+def _fit_summary(cfg: ScenarioConfig, model: str,
+                 params: EffectiveParams | MicroscopicParams,
+                 traj: Trajectory) -> dict:
     """Fit the configured observable and compare to the predictions."""
     ell = cfg.resolved_ell()
     gamma_a = cfg.emitter.gamma_a
@@ -228,7 +234,7 @@ def _fit_summary(cfg: ScenarioConfig, model: str, traj: Trajectory) -> dict:
         }
     }
     if model == "B":
-        lam = slow_eigenvalue(_build_params(cfg, "B"))
+        lam = slow_eigenvalue(params)
         out["predictions"]["slow_eigenvalue"] = [lam.real, lam.imag]
 
     observable = cfg.fit.observable
@@ -321,7 +327,8 @@ def cmd_simulate(args) -> int:
         trajectories[m] = traj
         _write_trajectory_csv(paths[m], traj)
 
-    summaries = {m: _fit_summary(cfg, m, trajectories[m]) for m in models}
+    summaries = {m: _fit_summary(cfg, m, params[m], trajectories[m])
+                 for m in models}
     report: dict = {"model": cfg.model, "runs": {}}
     for m in models:
         traj = trajectories[m]

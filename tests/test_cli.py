@@ -12,14 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfbloch import cli, dynamics
+from lfbloch import cli, csvrows, dynamics
 from lfbloch.cli import (
     COMPARE_MAX_ROWS,
+    NUMBER_FORMAT,
     SWEEP_CHUNK,
     TRAJECTORY_HEADER,
     _write_trajectory_csv,
     main,
 )
+from lfbloch.csvrows import format_rows
 from lfbloch.ode import NonFiniteRhsError, StepSizeUnderflowError
 
 ELL_CANONICAL = 1.495049504950495 - 0.04950495049504951j
@@ -493,6 +495,135 @@ class TestTrajectoryWriter:
         _oracle_trajectory_csv(out / "oracle.csv", traj, failure=failure)
         assert (out / "fast.csv").read_bytes() == \
             (out / "oracle.csv").read_bytes()
+
+
+def _assert_rows_match(table, end="\n"):
+    """format_rows on the columns of ``table`` against the oracle, one
+    "%.12g" format per row, row by row."""
+    cols = [table[:, j] for j in range(table.shape[1])]
+    row = ",".join(["%.12g"] * len(cols)) + end
+    want = [row % tuple(values) for values in table.tolist()]
+    got = b"".join(format_rows(cols, end)).decode("ascii")
+    assert got.endswith(end)
+    lines = got.split(end)[:-1]
+    assert len(lines) == len(want)
+    for line, expected, values in zip(lines, want, table.tolist()):
+        assert line + end == expected, f"row {values!r}"
+
+
+def _in_every_column(values, ncols=6):
+    """Rows of ``ncols`` that hold each value once in each column."""
+    v = np.asarray(values, dtype=float)
+    return np.stack([np.roll(v, -j) for j in range(ncols)], axis=1)
+
+
+def _neighbours(values):
+    x = np.asarray(values, dtype=float)
+    return np.concatenate([x, np.nextafter(x, -np.inf),
+                           np.nextafter(x, np.inf)])
+
+
+def _tie_neighbours():
+    """Doubles x with x * 10**k within 2**-30 of N + 1/2 but not on it,
+    for 12-digit integers N (k = 7..22).
+
+    x = m * 2**-(s + k) makes x * 10**k = m * 5**k / 2**s, so m is chosen
+    with m * 5**k = 2**(s - 1) + d modulo 2**s.  Offsets below 2**-54 are
+    the ones a float sum of the residual cannot tell from a tie.
+    """
+    found = []
+    for k in range(7, 23):
+        five = 5 ** k
+        inverse = pow(five, -1, 2 ** 70)
+        for s in range(31, 70):
+            # m a 53-bit mantissa and x * 10**k in [1e11, 1e12)
+            lo = max(2 ** 52, -(-10 ** 11 * 2 ** s // five))
+            hi = min(2 ** 53, 10 ** 12 * 2 ** s // five)
+            if lo >= hi:
+                continue
+            below = min(2 ** max(s - 54, 0), 512)
+            for d in {1, -1, 2, -3} | set(range(1 - below, below)) - {0}:
+                if abs(d) * 2 ** 30 >= 2 ** s:
+                    continue
+                m = (2 ** (s - 1) + d) * inverse % 2 ** s
+                m += (lo - m + 2 ** s - 1) // 2 ** s * 2 ** s
+                if m < hi:
+                    found.append(math.ldexp(m, -(s + k)))
+    return found
+
+
+class TestCsvRowBits:
+    """format_rows (lfbloch.csvrows) against one "%.12g" format per row
+    on fixed corpora, so that a numpy whose log10, rint or integer
+    arithmetic breaks the kernel fails here by name rather than by
+    moving the golden hashes."""
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (0, 5), (1, 0),
+                                               (1, 1), (3, 17)])
+    def test_full_blocks_and_a_partial_one(self, blocks, extra):
+        rng = np.random.default_rng(blocks * 100 + extra)
+        n = (blocks * csvrows.BLOCK_ROWS + extra) * 6
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-13, 13, n)
+        _assert_rows_match(values.reshape(-1, 6))
+
+    def test_near_ties_at_the_13th_digit(self):
+        rng = np.random.default_rng(13)
+        n = rng.integers(10**11, 10**12, 3000).astype(float)
+        near = (n + 0.5) / 10.0 ** rng.integers(0, 23, 3000)
+        # exact ties: x = m / 2**(j + 1) gives x * 10**j = m * 5**j / 2
+        j = rng.integers(0, 17, 1000)
+        m = np.floor(rng.uniform(np.ceil(2e11 / 5.0 ** j), 2e12 / 5.0 ** j))
+        exact = (m // 2 * 2 + 1) / 2.0 ** (j + 1)
+        _assert_rows_match(_in_every_column(np.concatenate(
+            [_neighbours(near), exact, _tie_neighbours()])))
+
+    def test_every_power_of_ten_and_its_neighbours(self):
+        powers = 10.0 ** np.arange(-12, 14)
+        _assert_rows_match(_in_every_column(
+            _neighbours(np.concatenate([powers, -powers]))))
+
+    def test_domain_edges_and_exponent_form(self):
+        edges = [1e-11, 1e12, 1e-4, 1e-5, 0.1, 999999999999.5,
+                 999999999999.4, 99999999999.95, 9.9999999999995,
+                 9.9999999999994, 9.99999999999949e-5, 9.9999999999995e-12,
+                 1.5e-5, 1.23456789012e-7, 2.5e-11, 1.5e12, 1e15,
+                 123456789012345.0, 1e100, 1e-300]
+        # integers and short decimals: zeros are cut after the point only
+        short = np.arange(-300, 300)[:, None] * 10.0 ** np.arange(-14, 12)
+        _assert_rows_match(_in_every_column(np.concatenate(
+            [_neighbours(edges), -_neighbours(edges), short.ravel()])))
+
+    def test_special_values(self):
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        _assert_rows_match(_in_every_column(
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+             tiny / 3, tiny, -tiny, huge, -huge, 1.0, 0.25]))
+
+    def test_model_a_rows_end_in_two_empty_fields(self):
+        rng = np.random.default_rng(4)
+        n = (2 * csvrows.BLOCK_ROWS + 3) * 4
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, n)
+        values[::97] = np.resize([0.0, -0.0, math.nan, 1e-300, 1e300],
+                                 len(values[::97]))
+        _assert_rows_match(values.reshape(-1, 4), end=",,\n")
+
+    def test_domain_values_take_the_numpy_path(self):
+        # the % fallback writes the same bytes, so only this shows that
+        # the kernel proves the values it is meant to
+        rng = np.random.default_rng(5)
+        n = 6 * csvrows.BLOCK_ROWS
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-11, 12, n)
+        values[::50] = 0.0
+        _, exact = csvrows._block(values.reshape(-1, 6),
+                                  csvrows._separators(6, "\n"))
+        assert exact.all()
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats())
+    def test_number_format_is_the_percent_format(self, x):
+        # cells (_fmt, through format) and the table rows that csvrows
+        # writes (the bytes of %) must agree on every float
+        assert format(x, NUMBER_FORMAT) == "%.12g" % x
 
 
 # ---------------------------------------------------------------------------
