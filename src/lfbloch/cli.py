@@ -194,10 +194,11 @@ def _write_trajectory_csv(path: str, traj: Trajectory | None,
     with open(path, "wb") as fh:
         fh.write((",".join(TRAJECTORY_HEADER) + "\n").encode())
         if traj is not None:
-            cols = [traj.times, traj.s.real, traj.s.imag, traj.w]
+            s, beta = traj.s, traj.beta
+            cols = [traj.times, s.real, s.imag, traj.w]
             end = ",,\n"  # model A leaves the beta columns empty
-            if traj.beta is not None:
-                cols += [traj.beta.real, traj.beta.imag]
+            if beta is not None:
+                cols += [beta.real, beta.imag]
                 end = "\n"
             fh.writelines(format_rows(cols, end))
         if failure is not None:
@@ -396,15 +397,26 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 # Sweep points integrated per lockstep batch.  Time per point falls
-# with the batch size, since model A's right-hand side runs as arrays
-# from dynamics.ARRAY_RHS_ROWS rows up and dense output is stacked from
-# ode.DENSE_ROWS accepted rows up, while peak memory grows with it
-# (every row's samples stay alive until the batch ends).  On the
-# benchmark's sweep_a (256 points, seeds 1-3, 2-core VM), chunks of
-# 16/32/64 took 0.51/0.36/0.27 s at 34.0/35.4/38.1 MB peak RSS; 64 is
-# inside the benchmark's 10% memory bound over 32 with per-row dense
-# output (35.2 MB).
-SWEEP_CHUNK = 64
+# with the batch size, since a pass's fixed numpy call overhead is
+# shared by more rows (model A's right-hand side runs as arrays from
+# dynamics.ARRAY_RHS_ROWS rows up and dense output is stacked from
+# ode.DENSE_ROWS accepted rows up), while peak memory grows with it
+# (every row's samples stay alive until the batch ends).  A model-A
+# batch peaks at 36 traced bytes per sample: its samples (24) and one
+# copy of its grids (8).  It peaked at 57.6 when each run also kept a
+# grid and s of its own.  On the benchmark's sweep_a (256 points, 1601
+# samples, seeds 1-4, medians, 2-core VM, wall time scaled to the
+# benchmark's reference host), at 57.6 and at 36 bytes per sample:
+#
+#            wall_s          peak_rss_mb
+#   chunk   57.6 B   36 B    57.6 B   36 B
+#     64    0.260    0.269   38.2     37.0
+#    128    0.228    0.214   44.0     40.3
+#    256    0.223    0.211   54.5     47.2
+#
+# 128 halves the solve passes of 64 (190 against 380) inside the
+# benchmark's 10% memory bound; 256 gains little more for its memory.
+SWEEP_CHUNK = 128
 
 
 def _sweep_value(spec: SweepSpec, index: int) -> str:

@@ -438,26 +438,40 @@ class SweepSpec:
     overrides: tuple | None
 
     def point_raw(self, index: int) -> dict:
-        """The raw scenario dictionary for one sweep point."""
-        raw = copy.deepcopy(self.base_raw)
+        """The raw scenario dictionary for one sweep point.
+
+        Only the dictionaries that the override and the swept field
+        change are copied; the others are shared with ``base_raw`` and
+        the overrides, which stay as they are.
+        """
+        raw = self.base_raw
         if self.overrides is not None:
-            _deep_merge(raw, self.overrides[index])
+            raw = _merged(raw, self.overrides[index])
+        else:
+            raw = dict(raw)
         value = self.values[index]
         if self.parameter == "ell":
             raw["ell"] = [value.real, value.imag] \
                 if isinstance(value, complex) else value
         else:
             section, field = self.parameter.split(".", 1)
-            raw.setdefault(section, {})[field] = value
+            # an override that makes the section no object leaves it for
+            # parse_scenario to reject
+            if isinstance(raw[section], dict):
+                raw[section] = {**raw[section], field: value}
         return raw
 
 
-def _deep_merge(target: dict, patch: dict) -> None:
+def _merged(target: dict, patch: dict) -> dict:
+    """target with patch merged into it, key by key down every level
+    where both hold a dictionary; neither is changed."""
+    out = dict(target)
     for key, value in patch.items():
-        if isinstance(value, dict) and isinstance(target.get(key), dict):
-            _deep_merge(target[key], value)
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            out[key] = _merged(out[key], value)
         else:
-            target[key] = value
+            out[key] = value
+    return out
 
 
 def _validate_parameter_path(parameter: str, base_raw: dict,

@@ -283,25 +283,48 @@ class SystemState:
             object.__setattr__(self, "beta", complex(self.beta))
 
 
+def _pair(y: np.ndarray, col: int) -> np.ndarray:
+    """The complex samples whose real and imaginary parts are the
+    columns col and col + 1 of y."""
+    return y[:, col] + 1j * y[:, col + 1]
+
+
 @dataclass
 class Trajectory:
     """Sampled solution plus integrator statistics.
 
-    times are strictly increasing; s/w (and beta for model B) hold one
-    sample per time.  bloch_norm_max is the largest sampled w^2 + 4|s|^2,
-    a diagnostic for leaving the Bloch sphere.
+    times are strictly increasing, and y holds one row of real state
+    components per time, in the integrator's order: (Re s, Im s, w) for
+    model A, then (Re beta, Im beta) for model B.  w is a view of its
+    column; s and beta (None for model A) are built from theirs on each
+    read, as ``y[:, 0] + 1j*y[:, 1]``, and not kept: a run fitted on w
+    alone never allocates them, and a batch's trajectories never hold
+    them all at once.  A trajectory of ``integrate_batch`` holds views:
+    its times and y are slices of its batch's grid and samples.
+    bloch_norm_max is the largest sampled w^2 + 4|s|^2, a diagnostic for
+    leaving the Bloch sphere.
     """
 
     times: np.ndarray
-    s: np.ndarray
-    w: np.ndarray
-    beta: np.ndarray | None
+    y: np.ndarray
     model: str
     tol: float
     n_accepted: int
     n_rejected: int
     n_rhs: int
     bloch_norm_max: float
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.y[:, 2]
+
+    @property
+    def s(self) -> np.ndarray:
+        return _pair(self.y, 0)
+
+    @property
+    def beta(self) -> np.ndarray | None:
+        return _pair(self.y, 3) if self.model == "B" else None
 
     @property
     def bloch_norm(self) -> np.ndarray:
@@ -527,8 +550,9 @@ def integrate_batch(runs) -> list:
         One entry per run, in order: its Trajectory, or the ValueError
         or ``lfbloch.ode.StepSizeUnderflowError`` that ``integrate``
         would raise for it (with the same message).  A failing run does
-        not stop the others.  The trajectories of one batch may share a
-        sample buffer, which stays alive while any of them does.
+        not stop the others.  The trajectories of one batch are views of
+        its grid and sample buffer, which stay alive while any of them
+        does.
 
     Warns
     -----
@@ -554,7 +578,7 @@ def _warn_if_outside_sphere(traj: Trajectory) -> None:
 
 
 class _Run:
-    """One run of a batch: its state, grid and drive pieces."""
+    """One run of a batch: its state, grid size and drive pieces."""
 
     def __init__(self, params, initial: SystemState,
                  integration: IntegrationSpec):
@@ -570,7 +594,7 @@ class _Run:
                 f"initial state lies outside the Bloch sphere: "
                 f"w^2 + 4|s|^2 = {norm!r} > 1 + 100*tol"
             )
-        self.times = np.linspace(0.0, integration.span, integration.points)
+        self.span, self.points = integration.span, integration.points
 
         if self.model == "A":
             self.y = np.array([initial.s.real, initial.s.imag, initial.w])
@@ -585,16 +609,15 @@ class _Run:
             abs(params.host_pole)
             > EXPONENTIAL_POLE * params.emitter.gamma_a) else None
 
-    def trajectory(self, y_out: np.ndarray, n_accepted: int,
-                   n_rejected: int, n_rhs: int) -> Trajectory:
-        s = y_out[:, 0] + 1j * y_out[:, 1]
+    def trajectory(self, times: np.ndarray, y_out: np.ndarray,
+                   n_accepted: int, n_rejected: int,
+                   n_rhs: int) -> Trajectory:
         w = y_out[:, 2]
-        beta = y_out[:, 3] + 1j * y_out[:, 4] if self.model == "B" else None
-        norm_max = float(np.max(w**2 + 4.0 * np.abs(s) ** 2))
-        return Trajectory(times=self.times, s=s, w=w, beta=beta,
-                          model=self.model, tol=self.tol,
-                          n_accepted=n_accepted, n_rejected=n_rejected,
-                          n_rhs=n_rhs, bloch_norm_max=norm_max)
+        norm_max = float(np.max(w**2 + 4.0 * np.abs(_pair(y_out, 0)) ** 2))
+        return Trajectory(times=times, y=y_out, model=self.model,
+                          tol=self.tol, n_accepted=n_accepted,
+                          n_rejected=n_rejected, n_rhs=n_rhs,
+                          bloch_norm_max=norm_max)
 
 
 def _integrate_runs(runs) -> list:
@@ -624,15 +647,18 @@ def _integrate_runs(runs) -> list:
                              else microscopic_rhs)
         linear = ([run.linear for _, run in group], (0, 3)) \
             if exponential else None
+        # a generator, so that solve holds the only grid of each run
+        # until its one copy of them all (the trajectories' times)
         res = ode.solve(rhs, [run.pieces for _, run in group],
                         [0.0] * len(group), [run.y for _, run in group],
-                        [run.times for _, run in group], tols, tols,
+                        (np.linspace(0.0, run.span, run.points)
+                         for _, run in group), tols, tols,
                         linear=linear,
                         row_rhs=(_complex_pairs, row) if row else None)
         # Python ints: json.dumps rejects numpy integers
         counters = zip(res.n_accepted.tolist(), res.n_rejected.tolist(),
                        res.n_rhs.tolist())
         for r, ((k, run), counts) in enumerate(zip(group, counters)):
-            results[k] = res.errors[r] or run.trajectory(res.row(r)[1],
+            results[k] = res.errors[r] or run.trajectory(*res.row(r),
                                                          *counts)
     return results

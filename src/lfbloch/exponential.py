@@ -54,6 +54,11 @@ _CIRCLE = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
 # theta^q/q! at the nodes)
 _CUBIC = np.array([[1.0, 0.0, 0.0, 0.0], [-5.5, 9.0, -4.5, 1.0],
                    [18.0, -45.0, 36.0, -9.0], [-27.0, 81.0, -81.0, 27.0]])
+# Samples at most per slice of a pass's dense output: its phi-functions
+# take up to about 3 kB per sample (the contour means and the divided-
+# difference series), so a pass of long steps on many rows is evaluated
+# a slice at a time
+DENSE_SAMPLES = 1024
 
 
 def _phi_direct(z: np.ndarray) -> np.ndarray:
@@ -342,10 +347,14 @@ class Exponential:
                               for (_, row, *_), lo, hi in zip(jobs, i_out, j)])
         job = np.repeat(np.arange(len(jobs)), np.subtract(j, i_out))
         theta = (t_all[idx] - t[job]) / h[job]
-        y_all[idx] = samples = self._extension(
-            theta, job, *_phis(theta * a[job], theta * b[job]), M,
-            self._cubic(y[rs], K[rs], h))
-        if np.isfinite(samples).all():
-            return []
-        bad = set(job[~np.isfinite(samples).all(axis=1)].tolist())
+        V = self._cubic(y[rs], K[rs], h)
+        bad = set()
+        # each sample's bits do not depend on the slice it sits in
+        for lo in range(0, idx.size, DENSE_SAMPLES):
+            part = slice(lo, lo + DENSE_SAMPLES)
+            g, th = job[part], theta[part]
+            y_all[idx[part]] = samples = self._extension(
+                th, g, *_phis(th * a[g], th * b[g]), M, V)
+            if not np.isfinite(samples).all():
+                bad.update(g[~np.isfinite(samples).all(axis=1)].tolist())
         return [jobs[g] for g in sorted(bad)]

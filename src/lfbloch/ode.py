@@ -70,7 +70,9 @@ the rows with one sample and a (G, mx, 4) stack of the rows with two or
 more, each padded to the longest.  The two stacks stay apart because a
 (1, 4) @ (4, n) product is not bitwise a row of an (m, 4) @ (4, n) one
 (nor is a stage-major (7, B*n) product the per-row one); within each
-stack a row gets the bits of its own product.  The exponential method's samples
+stack a row gets the bits of its own product, so a pass of long steps
+stacks its rows a slice of at most ``DENSE_SAMPLES`` samples at a time
+with the same bits.  The exponential method's samples
 come from its own order-4 extension of each step (see
 ``lfbloch.exponential``).  A row whose samples come out non-finite stops
 there with ``NonFiniteRhsError``.
@@ -93,7 +95,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -157,6 +159,11 @@ _C_FLOATS = _C.tolist()
 # CHANGES.md)
 DENSE_ROWS = 8
 
+# Samples at most per stacked product of dense output: a pass of long
+# steps on many rows takes its rows a slice at a time, so that its
+# working set (about 160 bytes per sample) stays bounded
+DENSE_SAMPLES = 2048
+
 # Unfinished rows at and below which a Dormand-Prince pass runs in
 # Python floats when solve is given a per-row right-hand side; above
 # it, the array form is faster (see CHANGES.md)
@@ -168,10 +175,12 @@ class OdeResult:
     """Samples of every row on its grid plus per-row integrator statistics.
 
     Row b's samples are ``t[offsets[b]:offsets[b + 1]]`` and the same rows
-    of ``y`` (see :meth:`row`).  ``errors[b]`` is None, or the
-    StepSizeUnderflowError that stopped row b: its samples past the
-    failure and its ``y_end[b]`` are NaN.  The counters are arrays so
-    that ``np.sum`` totals them over the batch.
+    of ``y`` (see :meth:`row`, which returns views).  ``t`` is the only
+    copy of the grids: ``solve`` keeps none of the arrays of ``t_eval``.
+    ``errors[b]`` is None, or the StepSizeUnderflowError that stopped
+    row b: its samples past the failure and its ``y_end[b]`` are NaN.
+    The counters are arrays so that ``np.sum`` totals them over the
+    batch.
     """
 
     t: np.ndarray           # every row's grid, concatenated
@@ -271,7 +280,8 @@ class _Row:
         self.pieces = pieces[:0:-1]
         self.last = self.nonfinite = False
         self.K = K  # this row's (7, n) stages: a view into the batch's
-        # the row's grid and samples, which start at index lo of the batch's
+        # views of the row's grid and samples, which start at index lo of
+        # the batch's
         self.times, self.out, self.lo, self.i_out = times, out, lo, i_out
 
 
@@ -317,22 +327,25 @@ def _dense_output(jobs, stacked, y, K, t_all, y_all) -> list:
         t, h = np.array(t), np.array(h)
         y_r = y[rs]
         finite = True
-        # the one-sample rows, then the others: a (G, mx, 4) stack with
-        # each row's grid points, padded by repeating its last one
-        for g in (np.flatnonzero(m == 1), np.flatnonzero(m > 1)):
-            if not g.size:
+        # the one-sample rows, then the others: (G, mx, 4) stacks with
+        # each row's grid points, padded by repeating its last one, of at
+        # most DENSE_SAMPLES samples (or one row)
+        for rows_m in (np.flatnonzero(m == 1), np.flatnonzero(m > 1)):
+            if not rows_m.size:
                 continue
-            m_g = m[g, None]
-            cols = np.arange(m_g.max())
-            idx = start[g, None] + np.minimum(cols, m_g - 1)
-            theta = (t_all[idx] - t[g, None]) / h[g, None]
-            powers = theta.repeat(4).reshape(theta.shape + (4,))
-            np.multiply.accumulate(powers, out=powers, axis=2)
-            samples = y_r[g, None] + h[g, None, None] * np.matmul(powers,
-                                                                  Q[g])
-            valid = cols < m_g
-            y_all[idx[valid]] = samples = samples[valid]
-            finite = finite and np.isfinite(samples).all()
+            per = max(1, DENSE_SAMPLES // int(m[rows_m].max()))
+            for g in (rows_m[i:i + per] for i in range(0, rows_m.size, per)):
+                m_g = m[g, None]
+                cols = np.arange(m_g.max())
+                idx = start[g, None] + np.minimum(cols, m_g - 1)
+                theta = (t_all[idx] - t[g, None]) / h[g, None]
+                powers = theta.repeat(4).reshape(theta.shape + (4,))
+                np.multiply.accumulate(powers, out=powers, axis=2)
+                samples = y_r[g, None] + h[g, None, None] * np.matmul(
+                    powers, Q[g])
+                valid = cols < m_g
+                y_all[idx[valid]] = samples = samples[valid]
+                finite = finite and np.isfinite(samples).all()
     if finite:
         return []
     failed = []
@@ -393,7 +406,7 @@ def solve(
     pieces: Sequence[Sequence[tuple[float, Sequence[float]]]],
     t0: Sequence[float],
     y0: np.ndarray,
-    t_eval: Sequence[np.ndarray],
+    t_eval: Iterable[np.ndarray],
     rtol: Sequence[float],
     atol: Sequence[float],
     max_step: float = math.inf,
@@ -424,10 +437,14 @@ def solve(
         Start time of each row.
     y0 : ndarray, shape (B, n)
         Initial state of each row (real components), finite.
-    t_eval : sequence of B arrays
+    t_eval : iterable of B arrays
         Strictly increasing, finite evaluation grid of each row, inside
         its span.  The solution is interpolated onto it with the
-        method's dense output.
+        method's dense output.  The grids are read once, in order, and
+        copied end to end into one array (``OdeResult.t``) before the
+        samples are allocated; every row reads a view of it.  A caller
+        that passes a generator therefore never holds more than one
+        grid besides that copy.
     rtol, atol : sequences of B floats
         Relative/absolute tolerance of each row's error control,
         positive and finite.
@@ -483,10 +500,10 @@ def solve(
     if not np.isfinite(y).all():
         raise ValueError("y0 must be finite")
     batch, n = y.shape
-    if not (len(pieces) == len(t0) == len(t_eval) == len(rtol)
-            == len(atol) == batch):
-        raise ValueError("pieces, t0, t_eval, rtol and atol need one "
-                         "entry per row of y0")
+    mismatch = ValueError("pieces, t0, t_eval, rtol and atol need one "
+                          "entry per row of y0")
+    if not len(pieces) == len(t0) == len(rtol) == len(atol) == batch:
+        raise mismatch
     rtol, atol = [float(x) for x in rtol], [float(x) for x in atol]
     if not all(0.0 < x < math.inf for x in rtol + atol):
         raise ValueError(f"rtol and atol must be positive and finite, "
@@ -494,9 +511,18 @@ def solve(
     t0 = [float(a) for a in t0]
     pieces = [[(float(end), tuple(map(float, p))) for end, p in row]
               for row in pieces]
-    grids = [np.asarray(g, dtype=float) for g in t_eval]
     k = len(pieces[0][0][1]) if batch and pieces[0] else 0
-    for a, row, grid in zip(t0, pieces, grids):
+    # the grids are copied end to end into t_all as they come, so that a
+    # generator's grids are alive one at a time; t_all is sized for the
+    # rest of the rows at the length of the grid that overflows it
+    grids = iter(t_eval)
+    t_all = np.empty(0)
+    offsets = np.zeros(batch + 1, dtype=int)
+    for b, (a, row) in enumerate(zip(t0, pieces)):
+        grid = next(grids, None)
+        if grid is None:
+            raise mismatch
+        grid = np.asarray(grid, dtype=float)
         ends = [a] + [end for end, _ in row]
         if not row or not all(lo < hi for lo, hi in zip(ends, ends[1:])):
             raise ValueError(f"piece ends must rise strictly above "
@@ -515,6 +541,17 @@ def solve(
                 f"evaluation grid [{grid[0]!r}, {grid[-1]!r}] outside "
                 f"integration span [{a!r}, {ends[-1]!r}]"
             )
+        lo = offsets[b]
+        offsets[b + 1] = hi = lo + grid.size
+        if hi > t_all.size:
+            grown = np.empty(lo + grid.size * (batch - b))
+            grown[:lo] = t_all[:lo]
+            t_all = grown
+        t_all[lo:hi] = grid
+    if next(grids, None) is not None:
+        raise mismatch
+    if t_all.size > offsets[-1]:
+        t_all = t_all[:offsets[-1]].copy()
     method = None
     if linear is not None:
         L, cols = linear
@@ -542,9 +579,6 @@ def solve(
     read = row_rhs[0] if floats else lambda p: None
     pieces = [[(end, p, read(p)) for end, p in row] for row in pieces]
 
-    offsets = np.zeros(batch + 1, dtype=int)
-    np.cumsum([g.size for g in grids], out=offsets[1:])
-    t_all = np.concatenate(grids)
     y_all = np.full((offsets[-1], n), math.nan)
     y_end = np.full((batch, n), math.nan)
     n_accepted = [0] * batch
@@ -558,9 +592,8 @@ def solve(
     K[:, 0] = rhs(np.array(t0), y, P)
     act = []  # unfinished rows, in the order of the rows of y and K
     for b in range(batch):
-        t, grid = t0[b], grids[b]
-        lo = offsets[b]
-        out = y_all[lo:offsets[b + 1]]
+        t, lo, hi = t0[b], offsets[b], offsets[b + 1]
+        grid, out = t_all[lo:hi], y_all[lo:hi]
         i_out = 0
         if grid[0] == t:
             out[0] = y[b]

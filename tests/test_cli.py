@@ -16,7 +16,6 @@ from lfbloch import cli, csvrows, dynamics
 from lfbloch.cli import (
     COMPARE_MAX_ROWS,
     NUMBER_FORMAT,
-    SWEEP_CHUNK,
     TRAJECTORY_HEADER,
     _write_trajectory_csv,
     main,
@@ -471,19 +470,16 @@ def trajectories(draw):
         return np.array(draw(st.lists(SAMPLE, min_size=n, max_size=n)),
                         dtype=float)
 
-    def complex_column():
-        z = np.empty(n, dtype=complex)
-        z.real, z.imag = column(), column()
-        return z
-
-    beta = complex_column() if draw(st.booleans()) else None
+    model = draw(st.sampled_from("AB"))
+    y = np.column_stack([column() for _ in range(3 if model == "A" else 5)])
     return dynamics.Trajectory(
-        times=column(), s=complex_column(), w=column(), beta=beta,
-        model="A" if beta is None else "B", tol=1e-8, n_accepted=0,
+        times=column(), y=y, model=model, tol=1e-8, n_accepted=0,
         n_rejected=0, n_rhs=0, bloch_norm_max=0.0)
 
 
 class TestTrajectoryWriter:
+    # s = y[:, 0] + 1j*y[:, 1] warns on the drawn infinities (1j*inf)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(traj=st.one_of(st.none(), trajectories()),
            failure=st.one_of(st.none(), st.text(st.characters(
@@ -717,25 +713,28 @@ class TestSweep:
         assert [float(r[3]) for r in rows] == pytest.approx([1.0] * 3,
                                                             rel=1e-6)
 
-    def test_chunked_rows_match_single_point_sweeps(self, tmp_path, capsys):
+    def test_chunked_rows_match_single_point_sweeps(self, tmp_path, capsys,
+                                                    monkeypatch):
         # more points than one lockstep batch holds, with a point that
-        # fails to parse (index 9) and one whose fit fails (index 14)
-        n = SWEEP_CHUNK + 5
+        # fails to parse (index 5) in the first and one whose fit fails
+        # (index 10) in the second
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", 8)
+        n = cli.SWEEP_CHUNK + 5
         payload = density_sweep()
         payload["values"] = [0.5 * i for i in range(n)]
-        payload["values"][9] = -3.0
+        payload["values"][5] = -3.0
         payload["overrides"] = [{"host": {"delta_b": 20.0 - 0.5 * i},
                                  "integration": {"points": 401}}
                                 for i in range(n)]
-        payload["overrides"][14]["integration"]["points"] = 5
+        payload["overrides"][10]["integration"]["points"] = 5
         spec = write_json(tmp_path / "sweep.json", payload)
         code, out, _ = run_cli(["sweep", spec], capsys)
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert len(rows) == n
         errors = {i for i, row in enumerate(rows) if row.split(",")[5]}
-        assert errors == {9, 14}
-        assert "eps_b" in rows[9]
+        assert errors == {5, 10}
+        assert "eps_b" in rows[5]
         for i in range(n):
             single = dict(payload, values=[payload["values"][i]],
                           overrides=[payload["overrides"][i]])
@@ -746,12 +745,15 @@ class TestSweep:
                 f"point[{i}]", "point[0]")
 
     def test_chunked_model_b_rows_match_single_point_sweeps(self, tmp_path,
-                                                            capsys):
+                                                            capsys,
+                                                            monkeypatch):
         # more points than one lockstep batch holds, with a point that
-        # fails to parse (index 4) and one with no decaying slow mode
-        # (index 11: ell = -1 - i, so the predicted coherence decay
-        # Re(ell)*gamma_a/2 + Im(ell)*eps_a is negative)
-        n = SWEEP_CHUNK + 3
+        # fails to parse (index 4) in the first and one with no decaying
+        # slow mode in the second (index 9: ell = -1 - i, so the
+        # predicted coherence decay Re(ell)*gamma_a/2 + Im(ell)*eps_a is
+        # negative)
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", 8)
+        n = cli.SWEEP_CHUNK + 3
         payload = {
             "parameter": "emitter.eps_a",
             "values": [0.05 * i for i in range(n)],
@@ -761,17 +763,17 @@ class TestSweep:
                           for i in range(n)],
         }
         payload["overrides"][4] = {"host": {"gamma_b": -1.0}}
-        payload["values"][11] = 5.0
-        payload["overrides"][11] = {"host": {"delta_b": -14.0}}
+        payload["values"][9] = 5.0
+        payload["overrides"][9] = {"host": {"delta_b": -14.0}}
         spec = write_json(tmp_path / "sweep.json", payload)
         code, out, _ = run_cli(["sweep", spec], capsys)
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert len(rows) == n
         errors = {i for i, row in enumerate(rows) if row.split(",")[5]}
-        assert errors == {4, 11}
+        assert errors == {4, 9}
         assert "gamma_b" in rows[4]
-        assert "no decaying slow mode" in rows[11]
+        assert "no decaying slow mode" in rows[9]
         for i in range(n):
             single = dict(payload, values=[payload["values"][i]],
                           overrides=[payload["overrides"][i]])
@@ -780,6 +782,58 @@ class TestSweep:
             assert code == 0
             assert out.strip().splitlines()[1] == rows[i].replace(
                 f"point[{i}]", "point[0]")
+
+    @staticmethod
+    def ragged_sweep(model):
+        """Points that leave a ragged last chunk (model A: 131, in chunks
+        of 5, 64 and 128; model B: 67, in chunks of 5 and 64), one
+        failing to parse (index 3) and one failing in its fit or its
+        reduction (index 66)."""
+        if model == "A":
+            n = 131
+            payload = density_sweep()
+            payload["values"] = [0.15 * i for i in range(n)]
+            payload["values"][3] = -3.0
+            payload["overrides"] = [{"host": {"delta_b": 20.0 - 0.1 * i},
+                                     "integration": {"points": 101,
+                                                     "tol": 1e-6}}
+                                    for i in range(n)]
+            payload["overrides"][66]["integration"]["points"] = 5
+            return payload
+        n = 67
+        base = weak_scenario()
+        base["host"] = {"delta_b": 2.0, "eps_b": 1.0, "gamma_b": 1.0}
+        base["integration"]["tol"] = 1e-6
+        payload = {
+            "parameter": "emitter.eps_a",
+            "values": [0.01 * i for i in range(n)],
+            "reduction": "coherence_rate_model_b",
+            "base": base,
+            "overrides": [{"host": {"delta_b": 2.0 + 0.02 * i}}
+                          for i in range(n)],
+        }
+        payload["overrides"][3] = {"host": {"gamma_b": -1.0}}
+        # ell = -1 - i: no decaying slow mode
+        payload["values"][66] = 5.0
+        payload["overrides"][66] = {"host": {"delta_b": -14.0, "eps_b": 10.0,
+                                             "gamma_b": 4.0}}
+        return payload
+
+    @pytest.mark.parametrize("model", ["A", "B"])
+    def test_csv_bytes_do_not_depend_on_the_chunk(self, tmp_path, model,
+                                                  monkeypatch):
+        spec = write_json(tmp_path / "sweep.json", self.ragged_sweep(model))
+        outputs = set()
+        for chunk in (1, 5, 64, 128, 256):
+            monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+            out = tmp_path / f"chunk{chunk}.csv"
+            assert main(["sweep", spec, "--output", str(out)]) == 0
+            outputs.add(out.read_bytes())
+        (csv_bytes,) = outputs
+        rows = csv_bytes.decode().splitlines()[1:]
+        assert len(rows) == len(self.ragged_sweep(model)["values"])
+        assert {i for i, row in enumerate(rows) if row.split(",")[5]} \
+            == {3, 66}
 
     def test_programming_error_propagates(self, tmp_path, capsys,
                                           monkeypatch):

@@ -344,6 +344,61 @@ class TestSweepParsing:
         assert spec.values == (1.0 + 0j, 1.4 - 0.1j)
         assert spec.point_raw(1)["ell"] == [1.4, -0.1]
 
+    # (override of a point, its ConfigError); the point's swept value is
+    # 5.0, but -3.0 for the first
+    BROKEN_POINTS = [
+        ({"host": {"delta_b": 20.0}},
+         "point[0].host: eps_b must be >= 0, got -3.0"),
+        ({"host": {"color": 1.0}},
+         "point[1].host.color: unknown key (allowed: delta_b, eps_b, "
+         "gamma_b)"),
+        ({"host": {"delta_b": "x"}},
+         "point[2].host.delta_b: expected a number, got 'x'"),
+        ({"host": {"delta_b": None}},
+         "point[3].host.delta_b: expected a number, got None"),
+        ({"integration": 5},
+         "point[4].integration: expected an object, got int"),
+        ({"integration": {"points": 801.5}},
+         "point[5].integration.points: expected an integer, got 801.5"),
+        ({"integration": {"tol": 1.0}},
+         "point[6].integration: tol must lie in [1e-12, 0.0001], got 1.0"),
+        ({"integration": {"span": -1.0}},
+         "point[7].integration: span must be positive and finite, "
+         "got -1.0"),
+        ({"colour": 1},
+         "point[8].colour: unknown key (allowed: drive, ell, emitter, fit, "
+         "gaussian_units, host, initial, integration, model, output)"),
+        ({"ell": [1.4, 0.0]},
+         "point[9]: model A needs exactly one of 'ell' or 'host' "
+         "(got both)"),
+        ({"emitter": {"gamma_a": -1.0}},
+         "point[10].emitter: gamma_a must be >= 0, got -1.0"),
+        ({"emitter": {"drive": {"kind": "pulse"}}},
+         "point[11].emitter.drive: unknown key (allowed: delta_a, eps_a, "
+         "gamma_a)"),
+        ({"drive": {"kind": "laser"}},
+         "point[12].drive: drive kind must be one of ('off', 'constant', "
+         "'pulse'), got 'laser'"),
+        ({"initial": {"beta": [0.0, 0.0]}},
+         "point[13].initial.beta: forbidden for model A"),
+        # the swept section replaced by no object (a TypeError once)
+        ({"host": 5}, "point[14].host: expected an object, got int"),
+        ({"host": [1.0]}, "point[15].host: expected an object, got list"),
+    ]
+
+    def test_broken_point_messages_are_pinned(self):
+        raw = eps_b_sweep()
+        raw["values"] = [-3.0] + [5.0] * (len(self.BROKEN_POINTS) - 1)
+        raw["overrides"] = [override for override, _ in self.BROKEN_POINTS]
+        spec = parse_sweep(raw)
+        for i, (_, message) in enumerate(self.BROKEN_POINTS):
+            with pytest.raises(ConfigError) as info:
+                parse_scenario(spec.point_raw(i), source=f"point[{i}]")
+            assert str(info.value) == message
+        # building the points left the base and the overrides untouched
+        assert spec.base_raw == eps_b_sweep()["base"]
+        assert list(spec.overrides) == [o for o, _ in self.BROKEN_POINTS]
+
     def test_load_sweep(self, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(eps_b_sweep()))

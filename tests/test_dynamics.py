@@ -8,6 +8,7 @@ for fast-host model-B runs: its accuracy against Dormand-Prince at tol
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.internal.conjecture import engine
 
-from lfbloch import dynamics, ode
+from lfbloch import dynamics, exponential, ode
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -838,6 +839,78 @@ class TestIntegrateBatch:
 
     def test_empty_batch(self):
         assert integrate_batch([]) == []
+
+
+class TestBatchMemory:
+    """A batch holds its samples and one copy of its grids, which its
+    trajectories view; s and beta are built from the samples on read."""
+
+    def test_model_a_batch_peak_and_views(self):
+        runs = [(EffectiveParams(emitter=EMITTER,
+                                 ell=1.0 + 0.01 * i + 0.002j * i),
+                 SystemState(s=0j, w=1.0),
+                 IntegrationSpec(span=6.5 / (1.0 + 0.01 * i), tol=1e-4,
+                                 points=1601))
+                for i in range(128)]
+        integrate_batch(runs[:2])  # lazy set-up outside the measurement
+        tracemalloc.start()
+        try:
+            batch = integrate_batch(runs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # samples 24 bytes, grid 8, and dense output works in slices, so
+        # the transients of a pass of long steps stay small at any tol;
+        # 65 when each run kept a grid of its own and s and a pass's
+        # dense output was one stack (57.6 at tol 1e-10)
+        assert peak / (128 * 1601) <= 40.0
+        grid = batch[0].times.base
+        assert grid.shape == (128 * 1601,)
+        for traj, (_, _, integration) in zip(batch, runs):
+            assert traj.times.base is grid
+            assert np.shares_memory(traj.times, grid)
+            assert np.array_equal(traj.times, np.linspace(
+                0.0, integration.span, integration.points))
+
+    @pytest.mark.parametrize("model", ["A", "B"])
+    def test_dense_output_slices_keep_the_bits(self, model):
+        # 9 rows of long steps: passes of dozens of samples, which slices
+        # of 5 split many times (model B with a fast host pole takes the
+        # exponential method, whose dense output slices apart)
+        runs = [(EffectiveParams(emitter=EMITTER, ell=1.0 + 0.1 * i),
+                 SystemState(s=0j, w=1.0),
+                 IntegrationSpec(span=4.0, tol=1e-6, points=401))
+                for i in range(9)] if model == "A" else [
+            (MicroscopicParams(emitter=EMITTER, host=HostSpecies(
+                delta_b=100.0 + 10.0 * i, eps_b=20.0, gamma_b=4.0)),
+             SystemState(s=0.01 + 0j, w=-math.sqrt(1.0 - 4e-4), beta=0j),
+             IntegrationSpec(span=8.0, tol=1e-6, points=401))
+            for i in range(9)]
+        whole = integrate_batch(runs)
+        with mock.patch.object(ode if model == "A" else exponential,
+                               "DENSE_SAMPLES", 5):
+            sliced = integrate_batch(runs)
+        for a, b in zip(whole, sliced):
+            assert a.y.tobytes() == b.y.tobytes()
+            assert (a.n_accepted, a.n_rejected) == (b.n_accepted,
+                                                    b.n_rejected)
+
+    def test_s_and_beta_are_the_samples_bit_for_bit(self):
+        # signed zeros, then a failed row's NaN samples
+        y = np.array([[-0.0, -0.0, -1.0, -0.0, 0.0],
+                      [0.0, -0.0, 0.5, -0.0, -0.0],
+                      [-0.0, 1e-300, -0.0, 2.5, -0.0],
+                      [-0.0, 0.0, 0.25, 0.0, -0.0],
+                      [math.nan] * 5,
+                      [math.nan] * 5])
+        traj = Trajectory(times=np.arange(6.0), y=y, model="B", tol=1e-10,
+                          n_accepted=0, n_rejected=0, n_rhs=0,
+                          bloch_norm_max=0.0)
+        # the expressions that built them when trajectories held them
+        assert traj.s.tobytes() == (y[:, 0] + 1j * y[:, 1]).tobytes()
+        assert traj.beta.tobytes() == (y[:, 3] + 1j * y[:, 4]).tobytes()
+        assert traj.w.tobytes() == y[:, 2].tobytes()
+        assert dataclasses.replace(traj, model="A", y=y[:, :3]).beta is None
 
 
 def _float_passes():

@@ -512,6 +512,31 @@ class TestBatch:
             solve(_per_row(_decay), [[(1.0, (0,))]], [0.0, 0.0],
                   np.array([[1.0]]), [np.array([0.0, 1.0])], [1e-8], [1e-8])
 
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 0, 3, 1]])
+    def test_grids_are_read_once_into_one_array(self, order):
+        # grids from a generator, growing and shrinking: t holds them end
+        # to end, each row's t is a view of it, and every row is its
+        # lone run
+        problems = [BATCH[i] for i in order]
+        fs, t0, t_end, y0, grids, tols = zip(*problems)
+        functions = list(dict.fromkeys(f for f, _ in fs))
+        pieces = [[(b, (functions.index(f), a))]
+                  for (f, a), b in zip(fs, t_end)]
+        res = solve(_per_row(*functions), pieces, t0, np.array(y0),
+                    (grid for grid in grids), tols, tols)
+        assert res.t.tobytes() == np.concatenate(grids).tobytes()
+        for b, problem in enumerate(problems):
+            assert res.row(b)[0].base is res.t
+            _assert_row_equal(res, b, _lone(problem))
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_one_grid_per_row_required(self, count):
+        with pytest.raises(ValueError, match="one entry per row"):
+            solve(_per_row(_decay), [[(1.0, (0,))]], [0.0],
+                  np.array([[1.0]]),
+                  (np.array([0.0, 1.0]) for _ in range(count)), [1e-8],
+                  [1e-8])
+
     def test_pieces_need_equal_numbers_of_constants(self):
         with pytest.raises(ValueError, match="number of constants"):
             solve(_per_row(_decay), [[(0.5, (0,)), (1.0, (0, 1.0))]], [0.0],

@@ -75,7 +75,8 @@ def _make_traj(times, s, w):
     times = np.asarray(times, dtype=float)
     s = np.asarray(s, dtype=complex)
     w = np.asarray(w, dtype=float)
-    return Trajectory(times=times, s=s, w=w, beta=None, model="A", tol=1e-10,
+    y = np.column_stack([s.real, s.imag, w])
+    return Trajectory(times=times, y=y, model="A", tol=1e-10,
                       n_accepted=1, n_rejected=0, n_rhs=8,
                       bloch_norm_max=float(np.max(w**2 + 4 * np.abs(s)**2)))
 
