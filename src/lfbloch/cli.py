@@ -401,21 +401,24 @@ def cmd_verify(args) -> int:
 # shared by more rows (model A's right-hand side runs as arrays from
 # dynamics.ARRAY_RHS_ROWS rows up and dense output is stacked from
 # ode.DENSE_ROWS accepted rows up), while peak memory grows with it
-# (every row's samples stay alive until the batch ends).  A model-A
-# batch peaks at 36 traced bytes per sample: its samples (24) and one
-# copy of its grids (8).  It peaked at 57.6 when each run also kept a
-# grid and s of its own.  On the benchmark's sweep_a (256 points, 1601
-# samples, seeds 1-4, medians, 2-core VM, wall time scaled to the
-# benchmark's reference host), at 57.6 and at 36 bytes per sample:
+# (every row's samples stay alive until the batch ends).  A batch keeps
+# only the component that its reduction reads (_SWEEP_POINTS): a
+# model-A batch peaks at 22 traced bytes per sample, its w (8), one
+# copy of its grids (8) and the scratch samples of a few passes.  It
+# peaked at 57.6 when each run kept its whole state and a grid and s of
+# its own.  On the benchmark's sweep_a (256 points, 1601 samples, seeds
+# 1-4, medians, 2-core VM, wall time scaled to the benchmark's
+# reference host), at 57.6 and at 22 bytes per sample:
 #
 #            wall_s          peak_rss_mb
-#   chunk   57.6 B   36 B    57.6 B   36 B
-#     64    0.260    0.269   38.2     37.0
-#    128    0.228    0.214   44.0     40.3
-#    256    0.223    0.211   54.5     47.2
+#   chunk   57.6 B   22 B    57.6 B   22 B
+#     64    0.268    0.283   38.2     35.8
+#    128    0.233    0.227   44.0     37.7
+#    256    0.226    0.211   54.5     41.5
 #
-# 128 halves the solve passes of 64 (190 against 380) inside the
-# benchmark's 10% memory bound; 256 gains little more for its memory.
+# 128 halves the solve passes of 64 (190 against 380) below the memory
+# that 64 took at 57.6 bytes; 256 saves 7% more time for 10% more
+# memory.
 SWEEP_CHUNK = 128
 
 
@@ -473,13 +476,15 @@ def _coherence_rate_point(cfg: ScenarioConfig):
     return run, reduce
 
 
-_SWEEP_POINTS = {"population_rate_model_a": _population_rate_point,
-                 "coherence_rate_model_b": _coherence_rate_point}
+# each reduction's point, and the components that its reduction reads,
+# which are all that its batches keep
+_SWEEP_POINTS = {"population_rate_model_a": (_population_rate_point, ("w",)),
+                 "coherence_rate_model_b": (_coherence_rate_point, ("s",))}
 
 
 def _sweep_chunk(spec: SweepSpec, indices: range) -> list[list[str]]:
     """The rows of a run of sweep points, integrated as one batch."""
-    point = _SWEEP_POINTS[spec.reduction]
+    point, keep = _SWEEP_POINTS[spec.reduction]
     rows: dict[int, list[str]] = {}
     reducers, runs = [], []
     for index in indices:
@@ -492,7 +497,8 @@ def _sweep_chunk(spec: SweepSpec, indices: range) -> list[list[str]]:
         reducers.append((index, reduce))
         runs.append(run)
 
-    for (index, reduce), traj in zip(reducers, integrate_batch(runs)):
+    for (index, reduce), traj in zip(reducers,
+                                     integrate_batch(runs, keep=keep)):
         try:
             if isinstance(traj, Exception):
                 raise traj

@@ -283,10 +283,13 @@ class SystemState:
             object.__setattr__(self, "beta", complex(self.beta))
 
 
-def _pair(y: np.ndarray, col: int) -> np.ndarray:
-    """The complex samples whose real and imaginary parts are the
-    columns col and col + 1 of y."""
-    return y[:, col] + 1j * y[:, col + 1]
+def _bloch_norm(y: np.ndarray) -> np.ndarray:
+    """w^2 + 4|s|^2 of each state row of y."""
+    return y[:, 2] ** 2 + 4.0 * np.abs(y[:, 0] + 1j * y[:, 1]) ** 2
+
+
+# state columns of each component a trajectory may hold
+_COLUMNS = {"s": (0, 1), "w": (2,), "beta": (3, 4)}
 
 
 @dataclass
@@ -295,14 +298,17 @@ class Trajectory:
 
     times are strictly increasing, and y holds one row of real state
     components per time, in the integrator's order: (Re s, Im s, w) for
-    model A, then (Re beta, Im beta) for model B.  w is a view of its
-    column; s and beta (None for model A) are built from theirs on each
-    read, as ``y[:, 0] + 1j*y[:, 1]``, and not kept: a run fitted on w
-    alone never allocates them, and a batch's trajectories never hold
-    them all at once.  A trajectory of ``integrate_batch`` holds views:
-    its times and y are slices of its batch's grid and samples.
-    bloch_norm_max is the largest sampled w^2 + 4|s|^2, a diagnostic for
-    leaving the Bloch sphere.
+    model A, then (Re beta, Im beta) for model B.  A trajectory of
+    ``integrate_batch`` with ``keep`` holds only the columns listed in
+    ``columns``, in that order (None: all of them); reading a component
+    it does not hold raises AttributeError.  w is a view of its column;
+    s and beta (None for model A) are built from theirs on each read, as
+    ``y[:, 0] + 1j*y[:, 1]``, and not kept: a run fitted on w alone
+    never allocates them, and a batch's trajectories never hold them all
+    at once.  A trajectory of ``integrate_batch`` holds views: its times
+    and y are slices of its batch's grid and samples.  bloch_norm_max is
+    the largest sampled w^2 + 4|s|^2 of the whole state, held or not, a
+    diagnostic for leaving the Bloch sphere.
     """
 
     times: np.ndarray
@@ -313,18 +319,28 @@ class Trajectory:
     n_rejected: int
     n_rhs: int
     bloch_norm_max: float
+    columns: tuple | None = None
+
+    def _column(self, name: str, c: int) -> np.ndarray:
+        if self.columns is None:
+            return self.y[:, c]
+        if c not in self.columns:
+            raise AttributeError(f"this trajectory does not hold {name}")
+        return self.y[:, self.columns.index(c)]
 
     @property
     def w(self) -> np.ndarray:
-        return self.y[:, 2]
+        return self._column("w", 2)
 
     @property
     def s(self) -> np.ndarray:
-        return _pair(self.y, 0)
+        return self._column("s", 0) + 1j * self._column("s", 1)
 
     @property
     def beta(self) -> np.ndarray | None:
-        return _pair(self.y, 3) if self.model == "B" else None
+        if self.model == "A":
+            return None
+        return self._column("beta", 3) + 1j * self._column("beta", 4)
 
     @property
     def bloch_norm(self) -> np.ndarray:
@@ -535,7 +551,7 @@ def integrate(params, initial: SystemState,
     return result
 
 
-def integrate_batch(runs) -> list:
+def integrate_batch(runs, keep=None) -> list:
     """Integrate many ``(params, initial, integration)`` runs in lockstep.
 
     Every run is integrated exactly as :func:`integrate` integrates it
@@ -543,6 +559,17 @@ def integrate_batch(runs) -> list:
     go through one batched ``ode.solve`` call, which restarts each run
     at its own pulse edges, so runs with different spans, tolerances,
     grid sizes and drives can share a batch.
+
+    Parameters
+    ----------
+    runs : sequence of (params, initial, integration)
+        As the arguments of :func:`integrate`.
+    keep : collection of "s", "w" and "beta", optional
+        The components that the trajectories hold (default: all): a
+        caller that reads some only saves the memory of the others,
+        which the batch never stores.  Each must hold s or w; beta
+        counts for model B alone.  bloch_norm_max and the warnings
+        still cover the whole state.
 
     Returns
     -------
@@ -560,7 +587,11 @@ def integrate_batch(runs) -> list:
         For each trajectory that leaves the Bloch sphere, as
         :func:`integrate` does.
     """
-    results = _integrate_runs(runs)
+    if keep is not None and not (set(keep) <= set(_COLUMNS)
+                                 and set(keep) & {"s", "w"}):
+        raise ValueError(f"keep must name s or w, and only s, w and "
+                         f"beta, got {keep!r}")
+    results = _integrate_runs(runs, keep)
     for result in results:
         if isinstance(result, Trajectory):
             _warn_if_outside_sphere(result)
@@ -609,18 +640,8 @@ class _Run:
             abs(params.host_pole)
             > EXPONENTIAL_POLE * params.emitter.gamma_a) else None
 
-    def trajectory(self, times: np.ndarray, y_out: np.ndarray,
-                   n_accepted: int, n_rejected: int,
-                   n_rhs: int) -> Trajectory:
-        w = y_out[:, 2]
-        norm_max = float(np.max(w**2 + 4.0 * np.abs(_pair(y_out, 0)) ** 2))
-        return Trajectory(times=times, y=y_out, model=self.model,
-                          tol=self.tol, n_accepted=n_accepted,
-                          n_rejected=n_rejected, n_rhs=n_rhs,
-                          bloch_norm_max=norm_max)
 
-
-def _integrate_runs(runs) -> list:
+def _integrate_runs(runs, keep=None) -> list:
     """integrate_batch without the Bloch-sphere warnings."""
     results: list = [None] * len(runs)
     prepared = []
@@ -647,6 +668,9 @@ def _integrate_runs(runs) -> list:
                              else microscopic_rhs)
         linear = ([run.linear for _, run in group], (0, 3)) \
             if exponential else None
+        columns = None if keep is None else tuple(
+            c for name in ("s", "w", "beta") if name in keep
+            and (name != "beta" or model == "B") for c in _COLUMNS[name])
         # a generator, so that solve holds the only grid of each run
         # until its one copy of them all (the trajectories' times)
         res = ode.solve(rhs, [run.pieces for _, run in group],
@@ -654,11 +678,16 @@ def _integrate_runs(runs) -> list:
                         (np.linspace(0.0, run.span, run.points)
                          for _, run in group), tols, tols,
                         linear=linear,
-                        row_rhs=(_complex_pairs, row) if row else None)
-        # Python ints: json.dumps rejects numpy integers
-        counters = zip(res.n_accepted.tolist(), res.n_rejected.tolist(),
-                       res.n_rhs.tolist())
-        for r, ((k, run), counts) in enumerate(zip(group, counters)):
-            results[k] = res.errors[r] or run.trajectory(*res.row(r),
-                                                         *counts)
+                        row_rhs=(_complex_pairs, row) if row else None,
+                        columns=columns, measure=_bloch_norm)
+        # Python ints and floats: json.dumps rejects numpy integers
+        stats = zip(res.n_accepted.tolist(), res.n_rejected.tolist(),
+                    res.n_rhs.tolist(), res.measure_max.tolist())
+        for r, ((k, run), (acc, rej, rhs_calls, norm_max)) in enumerate(
+                zip(group, stats)):
+            times, y_out = res.row(r)
+            results[k] = res.errors[r] or Trajectory(
+                times=times, y=y_out, model=run.model, tol=run.tol,
+                n_accepted=acc, n_rejected=rej, n_rhs=rhs_calls,
+                bloch_norm_max=norm_max, columns=columns)
     return results

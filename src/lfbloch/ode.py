@@ -70,12 +70,14 @@ the rows with one sample and a (G, mx, 4) stack of the rows with two or
 more, each padded to the longest.  The two stacks stay apart because a
 (1, 4) @ (4, n) product is not bitwise a row of an (m, 4) @ (4, n) one
 (nor is a stage-major (7, B*n) product the per-row one); within each
-stack a row gets the bits of its own product, so a pass of long steps
-stacks its rows a slice of at most ``DENSE_SAMPLES`` samples at a time
-with the same bits.  The exponential method's samples
+stack a row gets the bits of its own product.  The exponential method's samples
 come from its own order-4 extension of each step (see
 ``lfbloch.exponential``).  A row whose samples come out non-finite stops
-there with ``NonFiniteRhsError``.
+there with ``NonFiniteRhsError``.  When ``solve`` keeps only some state
+columns, dense output writes whole samples to a scratch array, from
+which the kept columns are copied to the batch's samples and on which
+the ``measure`` of each sample is taken (see ``lfbloch.scratch``): the
+dropped columns are never stored.
 
 The run is fully deterministic for identical inputs and reports exact
 accepted/rejected step counts per row.
@@ -159,11 +161,6 @@ _C_FLOATS = _C.tolist()
 # CHANGES.md)
 DENSE_ROWS = 8
 
-# Samples at most per stacked product of dense output: a pass of long
-# steps on many rows takes its rows a slice at a time, so that its
-# working set (about 160 bytes per sample) stays bounded
-DENSE_SAMPLES = 2048
-
 # Unfinished rows at and below which a Dormand-Prince pass runs in
 # Python floats when solve is given a per-row right-hand side; above
 # it, the array form is faster (see CHANGES.md)
@@ -177,20 +174,24 @@ class OdeResult:
     Row b's samples are ``t[offsets[b]:offsets[b + 1]]`` and the same rows
     of ``y`` (see :meth:`row`, which returns views).  ``t`` is the only
     copy of the grids: ``solve`` keeps none of the arrays of ``t_eval``.
-    ``errors[b]`` is None, or the StepSizeUnderflowError that stopped
-    row b: its samples past the failure and its ``y_end[b]`` are NaN.
-    The counters are arrays so that ``np.sum`` totals them over the
-    batch.
+    ``y`` holds the state columns that ``solve`` was asked to keep, in
+    that order.  ``errors[b]`` is None, or the StepSizeUnderflowError
+    that stopped row b: its samples past the failure and its
+    ``y_end[b]`` are NaN.  The counters are arrays so that ``np.sum``
+    totals them over the batch.  ``measure_max[b]`` is the largest
+    ``measure`` of row b's samples (NaN for a failed row; None without
+    a measure).
     """
 
     t: np.ndarray           # every row's grid, concatenated
-    y: np.ndarray           # shape (t.size, n)
+    y: np.ndarray           # shape (t.size, number of kept columns)
     offsets: np.ndarray     # shape (B + 1,)
     y_end: np.ndarray       # shape (B, n): state at t_end (for chaining)
     n_accepted: np.ndarray  # shape (B,)
     n_rejected: np.ndarray  # shape (B,)
     n_rhs: np.ndarray       # shape (B,)
     errors: list            # B entries: None or StepSizeUnderflowError
+    measure_max: np.ndarray | None = None  # shape (B,)
 
     def row(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """The (t, y) samples of row b."""
@@ -297,15 +298,17 @@ def _samples(times, t, h, y, Q, out):
     return np.add(y, dy, out=out)
 
 
-def _dense_output(jobs, stacked, y, K, t_all, y_all) -> list:
+def _dense_output(jobs, stacked, y, K, t_all, y_all, scratch) -> list:
     """Write the samples of the steps just accepted.
 
     Each job ``(r, row, t, h, i_out, j)`` is row r's step of length h
     from t, whose state and stages are ``y[r]`` and ``K[r]``, and the
-    grid points ``i_out:j`` of the row inside it.  ``_P_T @ K`` is one
-    stacked product over the jobs' rows; with ``stacked`` the products
-    with the theta powers are stacked too (see the module docstring).
-    Returns the jobs whose samples are not all finite.
+    grid points ``i_out:j`` of the row inside it.  Its samples go to
+    the row's own rows of the batch's samples ``y_all``, or with a
+    ``lfbloch.scratch.Scratch``, to its scratch array.  ``_P_T @ K`` is one stacked
+    product over the jobs' rows; with ``stacked`` the products with the
+    theta powers are stacked too (see the module docstring).  Returns
+    the jobs whose samples are not all finite.
     """
     if not jobs:
         return jobs
@@ -313,10 +316,11 @@ def _dense_output(jobs, stacked, y, K, t_all, y_all) -> list:
     rs = [job[0] for job in jobs]
     Q = np.matmul(_P_T, K if len(rs) == len(K) else K[rs])
     if not stacked:
+        views = [row.out[i_out:j] for _, row, _, _, i_out, j in jobs] \
+            if scratch is None else scratch.views(jobs)
         finite = True
-        for (r, row, t, h, i_out, j), q in zip(jobs, Q):
-            v = _samples(row.times[i_out:j], t, h, y[r], q,
-                         row.out[i_out:j])
+        for (r, row, t, h, i_out, j), q, v in zip(jobs, Q, views):
+            _samples(row.times[i_out:j], t, h, y[r], q, v)
             # NaN or inf in v makes v . v non-finite (so may an overflow,
             # which the exact check below then clears)
             finite = finite and math.isfinite(np.vdot(v, v))
@@ -324,41 +328,44 @@ def _dense_output(jobs, stacked, y, K, t_all, y_all) -> list:
         _, rows, t, h, i_out, j = zip(*jobs)
         start = np.array([row.lo for row in rows]) + i_out
         m = np.subtract(j, i_out)
+        out, first = (y_all, start) if scratch is None \
+            else scratch.place(start, m)
         t, h = np.array(t), np.array(h)
         y_r = y[rs]
         finite = True
-        # the one-sample rows, then the others: (G, mx, 4) stacks with
-        # each row's grid points, padded by repeating its last one, of at
-        # most DENSE_SAMPLES samples (or one row)
-        for rows_m in (np.flatnonzero(m == 1), np.flatnonzero(m > 1)):
-            if not rows_m.size:
+        # the one-sample rows, then the others: a (G, mx, 4) stack with
+        # each row's grid points, padded by repeating its last one
+        for g in (np.flatnonzero(m == 1), np.flatnonzero(m > 1)):
+            if not g.size:
                 continue
-            per = max(1, DENSE_SAMPLES // int(m[rows_m].max()))
-            for g in (rows_m[i:i + per] for i in range(0, rows_m.size, per)):
-                m_g = m[g, None]
-                cols = np.arange(m_g.max())
-                idx = start[g, None] + np.minimum(cols, m_g - 1)
-                theta = (t_all[idx] - t[g, None]) / h[g, None]
-                powers = theta.repeat(4).reshape(theta.shape + (4,))
-                np.multiply.accumulate(powers, out=powers, axis=2)
-                samples = y_r[g, None] + h[g, None, None] * np.matmul(
-                    powers, Q[g])
-                valid = cols < m_g
-                y_all[idx[valid]] = samples = samples[valid]
-                finite = finite and np.isfinite(samples).all()
+            m_g = m[g, None]
+            cols = np.arange(m_g.max())
+            k = np.minimum(cols, m_g - 1)
+            idx = start[g, None] + k
+            theta = (t_all[idx] - t[g, None]) / h[g, None]
+            powers = theta.repeat(4).reshape(theta.shape + (4,))
+            np.multiply.accumulate(powers, out=powers, axis=2)
+            samples = y_r[g, None] + h[g, None, None] * np.matmul(powers,
+                                                                  Q[g])
+            valid = cols < m_g
+            at = idx if scratch is None else first[g, None] + k
+            out[at[valid]] = samples = samples[valid]
+            finite = finite and np.isfinite(samples).all()
+        if not finite:
+            views = [out[a:a + b]
+                     for a, b in zip(first.tolist(), m.tolist())]
     if finite:
         return []
     failed = []
-    for job in jobs:
+    for job, v in zip(jobs, views):
         r, row, t, h, i_out, j = job
-        out = row.out[i_out:j]
-        if not np.isfinite(out).all():
+        if not np.isfinite(v).all():
             # a product overflowed on the way (the Shampine coefficients
             # exceed 1): redo it on y and K scaled by a power of two
             e = math.frexp(max(np.abs(y[r]).max(), np.abs(K[r]).max()))[1]
             np.ldexp(_samples(row.times[i_out:j], t, h, np.ldexp(y[r], -e),
-                              _P_T @ np.ldexp(K[r], -e), out), e, out=out)
-            if not np.isfinite(out).all():
+                              _P_T @ np.ldexp(K[r], -e), v), e, out=v)
+            if not np.isfinite(v).all():
                 failed.append(job)
     return failed
 
@@ -412,6 +419,8 @@ def solve(
     max_step: float = math.inf,
     linear: tuple | None = None,
     row_rhs: tuple | None = None,
+    columns: Sequence[int] | None = None,
+    measure: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> OdeResult:
     """Integrate ``dy_b/dt = rhs(t, y_b, p)`` through row b's pieces.
 
@@ -467,6 +476,17 @@ def solve(
         calls f for the stages of its steps (the first evaluation and
         the starting-step probes still call ``rhs``).  Not used by the
         exponential method or for n >= 8.
+    columns : sequence of ints, optional
+        The state columns that ``OdeResult.y`` holds, in this order
+        (default: all n).  Dropped columns are computed, checked for
+        finiteness and measured as the others, but never stored: a
+        caller that reads some components only holds those.
+    measure : callable ``measure(Y) -> ndarray``, optional
+        Maps (m, n) whole-state samples to m floats, element by element;
+        ``OdeResult.measure_max`` holds each row's largest.  With
+        dropped columns it is taken on the scratch samples of a few
+        passes at a time, with floating-point warnings off; otherwise
+        on each row's samples once it is done.
 
     Returns
     -------
@@ -492,7 +512,8 @@ def solve(
         disjoint pairs of columns, or a row with no
         pieces, piece ends not rising strictly above its t0, pieces
         with different numbers of constants, an empty, non-finite or
-        non-increasing grid, or a grid outside its span.
+        non-increasing grid, a grid outside its span, or ``columns``
+        that are none or not distinct columns of y0.
     """
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
@@ -500,6 +521,11 @@ def solve(
     if not np.isfinite(y).all():
         raise ValueError("y0 must be finite")
     batch, n = y.shape
+    kept = list(range(n)) if columns is None else [int(c) for c in columns]
+    if not kept or len(set(kept)) < len(kept) \
+            or not all(0 <= c < n for c in kept):
+        raise ValueError(f"columns must be distinct columns of the {n} "
+                         f"of y0, got {columns!r}")
     mismatch = ValueError("pieces, t0, t_eval, rtol and atol need one "
                           "entry per row of y0")
     if not len(pieces) == len(t0) == len(rtol) == len(atol) == batch:
@@ -513,8 +539,9 @@ def solve(
               for row in pieces]
     k = len(pieces[0][0][1]) if batch and pieces[0] else 0
     # the grids are copied end to end into t_all as they come, so that a
-    # generator's grids are alive one at a time; t_all is sized for the
-    # rest of the rows at the length of the grid that overflows it
+    # generator's grids are alive one at a time; a grid that overflows
+    # t_all makes room for the rest of the rows at its length, and at
+    # least doubles it, so that rising lengths copy O(total) in all
     grids = iter(t_eval)
     t_all = np.empty(0)
     offsets = np.zeros(batch + 1, dtype=int)
@@ -544,7 +571,8 @@ def solve(
         lo = offsets[b]
         offsets[b + 1] = hi = lo + grid.size
         if hi > t_all.size:
-            grown = np.empty(lo + grid.size * (batch - b))
+            grown = np.empty(max(lo + grid.size * (batch - b),
+                                 2 * t_all.size))
             grown[:lo] = t_all[:lo]
             t_all = grown
         t_all[lo:hi] = grid
@@ -579,7 +607,13 @@ def solve(
     read = row_rhs[0] if floats else lambda p: None
     pieces = [[(end, p, read(p)) for end, p in row] for row in pieces]
 
-    y_all = np.full((offsets[-1], n), math.nan)
+    y_all = np.full((offsets[-1], len(kept)), math.nan)
+    scratch = None
+    if kept != list(range(n)):
+        # imported on first use: solves that keep every column never
+        # compile it
+        from lfbloch.scratch import Scratch
+        scratch = Scratch(y_all, kept, measure, offsets, n)
     y_end = np.full((batch, n), math.nan)
     n_accepted = [0] * batch
     n_rejected = [0] * batch
@@ -596,11 +630,17 @@ def solve(
         grid, out = t_all[lo:hi], y_all[lo:hi]
         i_out = 0
         if grid[0] == t:
-            out[0] = y[b]
+            if scratch is None:
+                out[0] = y[b]
             i_out = 1
         h = _initial_step(rhs, t, y[b], P[b], K[b, 0], pieces[b][0][0],
                           rtol[b], atol[b], max_step)
         act.append(_Row(b, t, h, pieces[b], K[b], grid, out, lo, i_out))
+    if scratch:  # the samples at t0
+        starts = [b for b in range(batch) if act[b].i_out]
+        out, first = scratch.place(offsets[starts],
+                                   np.ones(len(starts), dtype=int))
+        out[first] = y[starts]
     heads = [K[:, :i] for i in range(7)]
     rtol_col, atol_col = _column(rtol), _column(atol)
     errs = None  # error norm of each row's last attempted step
@@ -670,10 +710,13 @@ def solve(
             keep.append(r)
 
         if method:
-            failed = method.dense_output(jobs, y, K, P, t_all, y_all)
+            failed = method.dense_output(jobs, y, K, P, t_all, y_all,
+                                         scratch)
         else:
             failed = _dense_output(jobs, len(accepted) >= DENSE_ROWS, y, K,
-                                   t_all, y_all)
+                                   t_all, y_all, scratch)
+        if scratch and failed:  # before the failed rows' samples turn NaN
+            scratch.flush()
         for r, row, t, h, i_out, _ in failed:  # the row stops at t
             row.out[i_out:] = math.nan
             y_end[row.index] = math.nan
@@ -733,6 +776,16 @@ def solve(
                                      + (abs_new - abs_new),
                                      axis=1) / n).tolist()
 
+    if scratch:
+        scratch.flush()
+    peak = None
+    if measure:
+        peak = scratch.peak if scratch else np.empty(batch)
+        for b, error in enumerate(errors):
+            if error is not None:
+                peak[b] = math.nan
+            elif not scratch:
+                peak[b] = np.max(measure(y_all[offsets[b]:offsets[b + 1]]))
     n_accepted = np.array(n_accepted)
     n_rejected = np.array(n_rejected)
     return OdeResult(t=t_all, y=y_all, offsets=offsets,
@@ -740,4 +793,4 @@ def solve(
                      n_rejected=n_rejected,
                      n_rhs=2 * np.array(n_pieces)
                      + (K.shape[1] - 1) * (n_accepted + n_rejected),
-                     errors=errors)
+                     errors=errors, measure_max=peak)

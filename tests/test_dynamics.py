@@ -7,6 +7,7 @@ for fast-host model-B runs: its accuracy against Dormand-Prince at tol
 1e-12 and the host pole that selects it."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.internal.conjecture import engine
 
-from lfbloch import dynamics, exponential, ode
+from lfbloch import dynamics, exponential, ode, scratch
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -841,29 +842,57 @@ class TestIntegrateBatch:
         assert integrate_batch([]) == []
 
 
+def _decays(count, tol=1e-10, points=1601):
+    """Model-A decays from full inversion, as a population sweep runs
+    them."""
+    return [(EffectiveParams(emitter=EMITTER, ell=1.0 + 0.01 * i + 0.002j * i),
+             SystemState(s=0j, w=1.0),
+             IntegrationSpec(span=6.5 / (1.0 + 0.01 * i), tol=tol,
+                             points=points))
+            for i in range(count)]
+
+
+def _traced_peak(runs, **kwargs):
+    """The batch, and its traced peak in bytes per sample."""
+    integrate_batch(runs[:2], **kwargs)  # lazy set-up outside the peak
+    tracemalloc.start()
+    try:
+        batch = integrate_batch(runs, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return batch, peak / sum(run[2].points for run in runs)
+
+
+@functools.cache
+def _mixed_batch():
+    """Runs of Dormand-Prince stacked (model A, 9 rows) and per row
+    (model B, 2 rows), and of the exponential method (model B, fast
+    host pole, 2 rows); their batch, and its warnings."""
+    runs = _decays(9, tol=1e-8, points=301) + [
+        (MicroscopicParams(emitter=EMITTER, host=HostSpecies(
+            delta_b=delta_b, eps_b=20.0, gamma_b=4.0)),
+         SystemState(s=0.01 + 0j, w=-math.sqrt(1.0 - 4e-4), beta=0j),
+         IntegrationSpec(span=8.0, tol=tol, points=401))
+        for delta_b in (5.0, 150.0) for tol in (1e-9, 1e-4)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batch = integrate_batch(runs)
+    return runs, batch, [str(w.message) for w in caught]
+
+
 class TestBatchMemory:
     """A batch holds its samples and one copy of its grids, which its
-    trajectories view; s and beta are built from the samples on read."""
+    trajectories view; s and beta are built from the samples on read,
+    and a batch that keeps some components stores only those."""
 
     def test_model_a_batch_peak_and_views(self):
-        runs = [(EffectiveParams(emitter=EMITTER,
-                                 ell=1.0 + 0.01 * i + 0.002j * i),
-                 SystemState(s=0j, w=1.0),
-                 IntegrationSpec(span=6.5 / (1.0 + 0.01 * i), tol=1e-4,
-                                 points=1601))
-                for i in range(128)]
-        integrate_batch(runs[:2])  # lazy set-up outside the measurement
-        tracemalloc.start()
-        try:
-            batch = integrate_batch(runs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # samples 24 bytes, grid 8, and dense output works in slices, so
-        # the transients of a pass of long steps stay small at any tol;
-        # 65 when each run kept a grid of its own and s and a pass's
-        # dense output was one stack (57.6 at tol 1e-10)
-        assert peak / (128 * 1601) <= 40.0
+        # at the tolerance of the sweeps: samples 24 bytes, grid 8, and a
+        # pass's dense output; 57.6 when each run kept a grid of its own
+        # and s
+        runs = _decays(128)
+        batch, per_sample = _traced_peak(runs)
+        assert per_sample <= 40.0
         grid = batch[0].times.base
         assert grid.shape == (128 * 1601,)
         for traj, (_, _, integration) in zip(batch, runs):
@@ -872,23 +901,57 @@ class TestBatchMemory:
             assert np.array_equal(traj.times, np.linspace(
                 0.0, integration.span, integration.points))
 
-    @pytest.mark.parametrize("model", ["A", "B"])
-    def test_dense_output_slices_keep_the_bits(self, model):
-        # 9 rows of long steps: passes of dozens of samples, which slices
-        # of 5 split many times (model B with a fast host pole takes the
-        # exponential method, whose dense output slices apart)
-        runs = [(EffectiveParams(emitter=EMITTER, ell=1.0 + 0.1 * i),
-                 SystemState(s=0j, w=1.0),
-                 IntegrationSpec(span=4.0, tol=1e-6, points=401))
-                for i in range(9)] if model == "A" else [
-            (MicroscopicParams(emitter=EMITTER, host=HostSpecies(
-                delta_b=100.0 + 10.0 * i, eps_b=20.0, gamma_b=4.0)),
-             SystemState(s=0.01 + 0j, w=-math.sqrt(1.0 - 4e-4), beta=0j),
-             IntegrationSpec(span=8.0, tol=1e-6, points=401))
-            for i in range(9)]
+    def test_kept_w_peak(self):
+        # w 8 bytes and the grid 8: s only reaches the scratch samples
+        # of a few passes (lfbloch.scratch.SAMPLES).  32 runs read 26
+        # bytes per sample (22 at 128), and 37 when the batch keeps s
+        batch, per_sample = _traced_peak(_decays(32), keep=("w",))
+        assert per_sample <= 30.0
+        assert batch[0].y.shape == (1601, 1)
+
+    @pytest.mark.parametrize("keep, size", [
+        (("w",), scratch.SAMPLES), (("s",), scratch.SAMPLES),
+        (("w", "beta"), scratch.SAMPLES), (("s",), 7)])
+    def test_kept_components_keep_their_bits(self, keep, size):
+        # a scratch array of 7 samples is copied out after every pass
+        # and grown for most
+        runs, whole, whole_warnings = _mixed_batch()
+        with warnings.catch_warnings(record=True) as kept_warnings, \
+                mock.patch.object(scratch, "SAMPLES", size):
+            warnings.simplefilter("always")
+            kept = integrate_batch(runs, keep=keep)
+        assert [str(w.message) for w in kept_warnings] == whole_warnings
+        for a, b in zip(whole, kept):
+            assert (a.n_accepted, a.n_rejected, a.n_rhs) == (
+                b.n_accepted, b.n_rejected, b.n_rhs)
+            assert a.bloch_norm_max == b.bloch_norm_max
+            assert a.times.tobytes() == b.times.tobytes()
+            for name in ("s", "w", "beta"):
+                if name in keep or name == "beta" and a.model == "A":
+                    want, got = getattr(a, name), getattr(b, name)
+                    assert (got is None if want is None
+                            else got.tobytes() == want.tobytes())
+                else:
+                    with pytest.raises(AttributeError, match=name):
+                        getattr(b, name)
+
+    @pytest.mark.parametrize("keep", [(), ("beta",), ("s", "u")])
+    def test_keep_names_s_or_w(self, keep):
+        with pytest.raises(ValueError, match="keep must name"):
+            integrate_batch(_decays(1), keep=keep)
+
+    def test_dense_output_slices_keep_the_bits(self):
+        # 9 rows of long steps with a fast host pole, which take the
+        # exponential method: passes of dozens of samples, which slices
+        # of 5 split many times
+        runs = [(MicroscopicParams(emitter=EMITTER, host=HostSpecies(
+                    delta_b=100.0 + 10.0 * i, eps_b=20.0, gamma_b=4.0)),
+                 SystemState(s=0.01 + 0j, w=-math.sqrt(1.0 - 4e-4),
+                             beta=0j),
+                 IntegrationSpec(span=8.0, tol=1e-6, points=401))
+                for i in range(9)]
         whole = integrate_batch(runs)
-        with mock.patch.object(ode if model == "A" else exponential,
-                               "DENSE_SAMPLES", 5):
+        with mock.patch.object(exponential, "DENSE_SAMPLES", 5):
             sliced = integrate_batch(runs)
         for a, b in zip(whole, sliced):
             assert a.y.tobytes() == b.y.tobytes()

@@ -578,14 +578,57 @@ STACKED = [_one_piece(p) for p in BATCH + FAILING + [PEAK]] + [
 ]
 
 
-def _solve_rows(problems):
+def _solve_rows(problems, **kwargs):
     """One solve of rows of pieces; P rows are (function index,
     parameter)."""
     pieces, t0, y0, grids, tols = zip(*problems)
     functions = list(dict.fromkeys(f for row in pieces for _, f, _ in row))
     return solve(_per_row(*functions),
                  [[(end, (functions.index(f), a)) for end, f, a in row]
-                  for row in pieces], t0, np.array(y0), grids, tols, tols)
+                  for row in pieces], t0, np.array(y0), grids, tols, tols,
+                 **kwargs)
+
+
+def _squares(Y):
+    """A measure: each sample's sum of squares."""
+    return np.sum(Y * Y, axis=1)
+
+
+def _assert_kept(kept, whole, keep):
+    """kept is whole with the columns keep and the _squares measure."""
+    cols = list(range(whole.y.shape[1])) if keep is None else keep
+    assert kept.y.tobytes() == whole.y[:, cols].tobytes()
+    assert kept.t.tobytes() == whole.t.tobytes()
+    assert [repr(e) for e in kept.errors] == [repr(e) for e in whole.errors]
+    for name in ("y_end", "n_accepted", "n_rejected", "n_rhs"):
+        assert np.array_equal(getattr(kept, name), getattr(whole, name),
+                              equal_nan=True)
+    want = [math.nan if error else np.max(_squares(whole.row(b)[1]))
+            for b, error in enumerate(whole.errors)]
+    assert np.array_equal(kept.measure_max, want, equal_nan=True)
+
+
+class TestKeep:
+    """A solve that keeps some state columns stores those columns of the
+    samples that it would store whole, and measures the whole samples."""
+
+    # stacked passes with a dense-output overflow, per-row passes, and
+    # per-row passes with failures and that overflow
+    @pytest.mark.parametrize("rows, keep", [
+        (range(len(STACKED)), [2]), (range(3), [1, 2, 0]),
+        (range(3, 7), None), (range(3, 7), [2, 0])])
+    def test_kept_columns_and_measure(self, rows, keep):
+        problems = [STACKED[i] for i in rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole = _solve_rows(problems)
+            kept = _solve_rows(problems, columns=keep, measure=_squares)
+        assert any(error is None for error in whole.errors)
+        _assert_kept(kept, whole, keep)
+
+    @pytest.mark.parametrize("keep", [[], [0, 0], [3], [-1]])
+    def test_keep_lists_distinct_columns(self, keep):
+        with pytest.raises(ValueError, match="columns must be"):
+            _solve_rows(STACKED[:1], columns=keep)
 
 
 def _spy_dense_output(monkeypatch):
@@ -1024,6 +1067,28 @@ class TestPieces:
 PAIRS = (0, 3)  # y = (Re z0, Im z0, w, Re z1, Im z1)
 
 
+def _exponential_rows(**kwargs):
+    """Four rows of the exponential method with host poles from 10 to
+    1e4 and from 7 grid points to 300, and their solve."""
+    Ls = [np.array([[-0.5, -2.0j], [-1.5, -f + 4.0j * f]])
+          for f in (10.0, 300.0, 1e4)]
+    rows = [(_coupled, L, [(1.0, (0.8, 0.1)), (2.5, (0.0, 0.3))],
+             [0.3, 0.1, -0.5, 0.05, -0.02], np.linspace(0, 2.5, k), tol)
+            for L, k, tol in zip(Ls, (7, 40, 300), (1e-6, 1e-9, 1e-8))]
+    rows.append((_constant_forcing, Ls[1], [(3.0, (0.6, -0.2))],
+                 [0.2, -0.1, 0.4, 0.05, 0.3], np.array([3.0]), 1e-10))
+    res = solve(_per_row(_coupled, _constant_forcing),
+                [[(end, (int(f is _constant_forcing), *ab,
+                         *np.asarray(L).ravel().view(float)))
+                  for end, ab in pieces]
+                 for f, L, pieces, *_ in rows],
+                [0.0] * 4, np.array([r[3] for r in rows]),
+                [r[4] for r in rows], [r[5] for r in rows],
+                [r[5] for r in rows], linear=([r[1] for r in rows], PAIRS),
+                **kwargs)
+    return rows, res
+
+
 def _phi_reference(k, M):
     """phi_k(M) as a block of the exponential of [[M, I, 0, ...], [0, 0,
     I, ...], ...] (Al-Mohy & Higham), by scipy's expm."""
@@ -1172,35 +1237,25 @@ class TestExponential:
                 lo = 0
 
             method.dense_output([(0, Row, 0.0, h, 0, 1)], y0, K, P,
-                                np.array([0.5 * h]), out)
+                                np.array([0.5 * h]), out, None)
             ref = solve(_per_row(_coupled), [[(0.5 * h, consts)]], [0.0],
                         y0, [np.array([0.5 * h])], [1e-13], [1e-13])
             errors.append(np.max(np.abs(out - ref.y)))
         assert errors[0] / errors[1] >= 24.0
 
     def test_rows_match_lone_runs_bitwise(self):
-        Ls = [np.array([[-0.5, -2.0j], [-1.5, -f + 4.0j * f]])
-              for f in (10.0, 300.0, 1e4)]
-        rows = [(_coupled, L, [(1.0, (0.8, 0.1)), (2.5, (0.0, 0.3))],
-                 [0.3, 0.1, -0.5, 0.05, -0.02], np.linspace(0, 2.5, k), tol)
-                for L, k, tol in zip(Ls, (7, 40, 300), (1e-6, 1e-9, 1e-8))]
-        rows.append((_constant_forcing, Ls[1], [(3.0, (0.6, -0.2))],
-                     [0.2, -0.1, 0.4, 0.05, 0.3], np.array([3.0]), 1e-10))
-        res = solve(_per_row(_coupled, _constant_forcing),
-                    [[(end, (int(f is _constant_forcing), *ab,
-                             *np.asarray(L).ravel().view(float)))
-                      for end, ab in pieces]
-                     for f, L, pieces, *_ in rows],
-                    [0.0] * 4, np.array([r[3] for r in rows]),
-                    [r[4] for r in rows], [r[5] for r in rows],
-                    [r[5] for r in rows], linear=([r[1] for r in rows],
-                                                  PAIRS))
+        rows, res = _exponential_rows()
         for b, (f, L, pieces, y0, grid, tol) in enumerate(rows):
             lone = _solve_exp(f, L, pieces, y0, grid, tol)
             assert np.array_equal(res.row(b)[1], lone.y)
             assert np.array_equal(res.y_end[b], lone.y_end[0])
             for name in ("n_accepted", "n_rejected", "n_rhs"):
                 assert getattr(res, name)[b] == getattr(lone, name)[0]
+
+    @pytest.mark.parametrize("keep", [[2], [3, 4, 0]])
+    def test_kept_columns_and_measure(self, keep):
+        _assert_kept(_exponential_rows(columns=keep, measure=_squares)[1],
+                     _exponential_rows()[1], keep)
 
     def test_rhs_eval_accounting(self):
         # two evaluations per piece (f at its start and the starting-step
