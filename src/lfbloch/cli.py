@@ -1,8 +1,9 @@
 """Command-line front end: factor, compare, simulate, verify, sweep.
 
-Exit codes: 0 success, 2 validation failure (bad arguments or config),
-3 integrator failure (the CSV holds only the header and a failure marker
-line giving the failure time and cause), 4 verification-check failure.
+Exit codes: 0 success, 2 validation failure (bad arguments or config,
+or an output file that cannot be opened), 3 integrator failure (the CSV
+holds only the header and a failure marker line giving the failure time
+and cause), 4 verification-check failure.
 All numeric output uses 12 significant digits (``NUMBER_FORMAT``), and
 identical inputs produce byte-identical output.  Text output formats
 one number at a time; the ``simulate`` and ``compare`` tables are
@@ -94,6 +95,10 @@ def _fail(message: str) -> int:
     return EXIT_VALIDATION
 
 
+def _unwritable(path: str, exc: OSError) -> int:
+    return _fail(f"cannot write {path}: {exc.strerror or exc}")
+
+
 # ---------------------------------------------------------------------------
 # factor
 # ---------------------------------------------------------------------------
@@ -176,8 +181,11 @@ def cmd_compare(args) -> int:
     text = "n,re_ell,virtual_cavity,onsager\n" \
         + b"".join(format_rows(cols)).decode("ascii")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _unwritable(args.output, exc)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -316,17 +324,22 @@ def cmd_simulate(args) -> int:
     for m in models:
         # model A carries no host amplitude, even in a "both" scenario
         initial = cfg.initial if m == "B" else replace(cfg.initial, beta=None)
+        failure = None
         try:
             traj = integrate(params[m], initial, cfg.integration)
         except StepSizeUnderflowError as exc:
-            _write_trajectory_csv(paths[m], None, failure=str(exc))
-            print(f"error: model {m} integration failed: {exc}",
-                  file=sys.stderr)
-            return EXIT_INTEGRATION
+            traj, failure = None, str(exc)
         except ValueError as exc:
             return _fail(str(exc))
+        try:
+            _write_trajectory_csv(paths[m], traj, failure)
+        except OSError as exc:
+            return _unwritable(paths[m], exc)
+        if failure is not None:
+            print(f"error: model {m} integration failed: {failure}",
+                  file=sys.stderr)
+            return EXIT_INTEGRATION
         trajectories[m] = traj
-        _write_trajectory_csv(paths[m], traj)
 
     summaries = {m: _fit_summary(cfg, m, params[m], trajectories[m])
                  for m in models}
@@ -403,21 +416,21 @@ def cmd_verify(args) -> int:
 # ode.DENSE_ROWS accepted rows up), while peak memory grows with it
 # (every row's samples stay alive until the batch ends).  A batch keeps
 # only the component that its reduction reads (_SWEEP_POINTS): a
-# model-A batch peaks at 22 traced bytes per sample, its w (8), one
-# copy of its grids (8) and the scratch samples of a few passes.  It
-# peaked at 57.6 when each run kept its whole state and a grid and s of
-# its own.  On the benchmark's sweep_a (256 points, 1601 samples, seeds
-# 1-4, medians, 2-core VM, wall time scaled to the benchmark's
-# reference host), at 57.6 and at 22 bytes per sample:
+# model-A batch peaks at 21 traced bytes per sample, its w (8), one
+# copy of its grids (8) and a pass's dense output.  It peaked at 57.6
+# when each run kept its whole state and a grid and s of its own.  On
+# the benchmark's sweep_a (256 points, 1601 samples, seeds 1-4,
+# medians, 2-core VM, wall time scaled to the benchmark's reference
+# host), at 57.6 and at 21 bytes per sample:
 #
 #            wall_s          peak_rss_mb
-#   chunk   57.6 B   22 B    57.6 B   22 B
-#     64    0.268    0.283   38.2     35.8
-#    128    0.233    0.227   44.0     37.7
-#    256    0.226    0.211   54.5     41.5
+#   chunk   57.6 B   21 B    57.6 B   21 B
+#     64    0.268    0.239   38.2     35.8
+#    128    0.233    0.194   44.0     37.6
+#    256    0.226    0.173   54.5     41.1
 #
 # 128 halves the solve passes of 64 (190 against 380) below the memory
-# that 64 took at 57.6 bytes; 256 saves 7% more time for 10% more
+# that 64 took at 57.6 bytes; 256 saves 11% more time for 9% more
 # memory.
 SWEEP_CHUNK = 128
 
@@ -517,19 +530,20 @@ def cmd_sweep(args) -> int:
     except (ConfigError, OSError) as exc:
         return _fail(str(exc))
 
+    # opened before the first chunk is integrated, so that a path that
+    # cannot be written fails at once
+    try:
+        fh = open(args.output, "w", newline="", encoding="utf-8") \
+            if args.output else sys.stdout
+    except OSError as exc:
+        return _unwritable(args.output, exc)
     n_points = len(spec.values)
-    rows = [row for start in range(0, n_points, SWEEP_CHUNK)
-            for row in _sweep_chunk(
-                spec, range(start, min(start + SWEEP_CHUNK, n_points)))]
-
-    if args.output:
-        fh = open(args.output, "w", newline="", encoding="utf-8")
-    else:
-        fh = sys.stdout
     try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_HEADER)
-        writer.writerows(rows)
+        for start in range(0, n_points, SWEEP_CHUNK):
+            writer.writerows(_sweep_chunk(
+                spec, range(start, min(start + SWEEP_CHUNK, n_points))))
     finally:
         if args.output:
             fh.close()

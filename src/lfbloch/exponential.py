@@ -28,6 +28,8 @@ import math
 
 import numpy as np
 
+from lfbloch.ode import _store
+
 __all__ = ["Exponential"]
 
 # phi_0 = exp and phi_k(z) = (phi_{k-1}(z) - 1/(k-1)!)/z: the weights of
@@ -332,7 +334,7 @@ class Exponential:
         out[:, self.im] = pairs[:, 0].imag
         return out
 
-    def dense_output(self, jobs, y, K, P, t_all, y_all, scratch) -> list:
+    def dense_output(self, jobs, y, K, P, t_all, y_all, subset) -> list:
         """Write the samples of the steps just accepted: the step's
         order-4 extension, the exact phi-weighted integral of the cubic
         through its N at t, t + h/3, t + 2h/3 and t + h.  The arguments
@@ -340,27 +342,24 @@ class Exponential:
         jobs whose samples are not all finite."""
         if not jobs:
             return jobs
-        rs, _, t, h, i_out, j = map(list, zip(*jobs))
+        rs, rows, t, h, i_out, j = map(list, zip(*jobs))
         t, h = np.array(t), np.array(h)
         a, b, M = self._putzer(P[rs], h)
         idx = np.concatenate([np.arange(row.lo + lo, row.lo + hi)
-                              for (_, row, *_), lo, hi in zip(jobs, i_out, j)])
-        m = np.subtract(j, i_out)
-        job = np.repeat(np.arange(len(jobs)), m)
+                              for row, lo, hi in zip(rows, i_out, j)])
+        job = np.repeat(np.arange(len(jobs)), np.subtract(j, i_out))
+        index = np.array([row.index for row in rows])
         theta = (t_all[idx] - t[job]) / h[job]
-        out, at = y_all, idx  # each sample's row of out
-        if scratch is not None:
-            start = idx[np.cumsum(m) - m]
-            out, first = scratch.place(start, m)
-            at = idx + (first - start)[job]
         V = self._cubic(y[rs], K[rs], h)
         bad = set()
         # each sample's bits do not depend on the slice it sits in
         for lo in range(0, idx.size, DENSE_SAMPLES):
             part = slice(lo, lo + DENSE_SAMPLES)
             g, th = job[part], theta[part]
-            out[at[part]] = samples = self._extension(
-                th, g, *_phis(th * a[g], th * b[g]), M, V)
+            samples = self._extension(th, g, *_phis(th * a[g], th * b[g]),
+                                      M, V)
+            # each sample a job of its own
+            _store(y_all, subset, idx[part, None], samples[:, None], index[g])
             if not np.isfinite(samples).all():
                 bad.update(g[~np.isfinite(samples).all(axis=1)].tolist())
         return [jobs[g] for g in sorted(bad)]

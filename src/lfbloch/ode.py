@@ -67,17 +67,19 @@ products of the theta powers with it.  Below ``DENSE_ROWS`` accepted
 rows those are one (m, 4) @ (4, n) product per row; from
 ``DENSE_ROWS`` up they are two stacked products: a (G, 1, 4) stack of
 the rows with one sample and a (G, mx, 4) stack of the rows with two or
-more, each padded to the longest.  The two stacks stay apart because a
-(1, 4) @ (4, n) product is not bitwise a row of an (m, 4) @ (4, n) one
-(nor is a stage-major (7, B*n) product the per-row one); within each
-stack a row gets the bits of its own product.  The exponential method's samples
-come from its own order-4 extension of each step (see
-``lfbloch.exponential``).  A row whose samples come out non-finite stops
-there with ``NonFiniteRhsError``.  When ``solve`` keeps only some state
-columns, dense output writes whole samples to a scratch array, from
-which the kept columns are copied to the batch's samples and on which
-the ``measure`` of each sample is taken (see ``lfbloch.scratch``): the
-dropped columns are never stored.
+more, each padded to the longest by repeating a row's last grid point.
+The two stacks stay apart because a (1, 4) @ (4, n) product is not
+bitwise a row of an (m, 4) @ (4, n) one (nor is a stage-major
+(7, B*n) product the per-row one); within each stack a row gets the
+bits of its own product, and a padding row those of its row's last
+sample, so that a stack is written to the batch's samples whole.  The
+exponential method's samples come from its own order-4 extension of
+each step (see ``lfbloch.exponential``).  A row whose samples come out
+non-finite stops there with ``NonFiniteRhsError``.  When ``solve`` keeps
+only some state columns, every pass is stacked: it writes the kept
+columns of its samples to the batch's and folds the ``measure`` of
+each into a running maximum per row, so the dropped columns are never
+stored.
 
 The run is fully deterministic for identical inputs and reports exact
 accepted/rejected step counts per row.
@@ -298,14 +300,42 @@ def _samples(times, t, h, y, Q, out):
     return np.add(y, dy, out=out)
 
 
-def _dense_output(jobs, stacked, y, K, t_all, y_all, scratch) -> list:
+def _rescaled(times, t, h, y, K, out):
+    """``_samples`` of a step whose product overflowed on the way (the
+    Shampine coefficients exceed 1): redone on y and K scaled by a power
+    of two, then scaled back."""
+    e = math.frexp(max(np.abs(y).max(), np.abs(K).max()))[1]
+    return np.ldexp(_samples(times, t, h, np.ldexp(y, -e),
+                             _P_T @ np.ldexp(K, -e), out), e, out=out)
+
+
+def _store(y_all, subset, at, samples, index):
+    """Write the samples (G, m, n) of G jobs to the rows at (G, m) of the
+    batch's samples y_all: whole, or with ``subset = (columns, measure,
+    peak)`` those columns only, folding the largest measure of each
+    job's samples into ``peak`` at its row's index (shape (G,))."""
+    if subset is None:
+        y_all[at] = samples
+        return
+    columns, measure, peak = subset
+    # a column at a time: numpy scatters 1-D arrays fastest
+    for c, k in enumerate(columns):
+        y_all[:, c][at] = samples[..., k]
+    if measure:
+        with np.errstate(all="ignore"):
+            top = measure(samples.reshape(-1, samples.shape[-1]))
+        # np.maximum propagates NaN, as np.max over a row's samples does
+        np.maximum.at(peak, index, top.reshape(at.shape).max(axis=-1))
+
+
+def _dense_output(jobs, stacked, y, K, t_all, y_all, subset) -> list:
     """Write the samples of the steps just accepted.
 
     Each job ``(r, row, t, h, i_out, j)`` is row r's step of length h
     from t, whose state and stages are ``y[r]`` and ``K[r]``, and the
     grid points ``i_out:j`` of the row inside it.  Its samples go to
-    the row's own rows of the batch's samples ``y_all``, or with a
-    ``lfbloch.scratch.Scratch``, to its scratch array.  ``_P_T @ K`` is one stacked
+    the row's own rows of the batch's samples ``y_all`` (see ``_store``
+    for ``subset``, which needs ``stacked``).  ``_P_T @ K`` is one stacked
     product over the jobs' rows; with ``stacked`` the products with the
     theta powers are stacked too (see the module docstring).  Returns
     the jobs whose samples are not all finite.
@@ -314,59 +344,63 @@ def _dense_output(jobs, stacked, y, K, t_all, y_all, scratch) -> list:
         return jobs
     # the jobs' rows only: a rejected row's stages may be inf or NaN
     rs = [job[0] for job in jobs]
-    Q = np.matmul(_P_T, K if len(rs) == len(K) else K[rs])
+    every = len(rs) == len(K)
+    Q = np.matmul(_P_T, K if every else K[rs])
+    failed = []
     if not stacked:
-        views = [row.out[i_out:j] for _, row, _, _, i_out, j in jobs] \
-            if scratch is None else scratch.views(jobs)
+        views = [row.out[i_out:j] for _, row, _, _, i_out, j in jobs]
         finite = True
         for (r, row, t, h, i_out, j), q, v in zip(jobs, Q, views):
             _samples(row.times[i_out:j], t, h, y[r], q, v)
             # NaN or inf in v makes v . v non-finite (so may an overflow,
             # which the exact check below then clears)
             finite = finite and math.isfinite(np.vdot(v, v))
-    else:
-        _, rows, t, h, i_out, j = zip(*jobs)
-        start = np.array([row.lo for row in rows]) + i_out
-        m = np.subtract(j, i_out)
-        out, first = (y_all, start) if scratch is None \
-            else scratch.place(start, m)
-        t, h = np.array(t), np.array(h)
-        y_r = y[rs]
-        finite = True
-        # the one-sample rows, then the others: a (G, mx, 4) stack with
-        # each row's grid points, padded by repeating its last one
-        for g in (np.flatnonzero(m == 1), np.flatnonzero(m > 1)):
-            if not g.size:
-                continue
-            m_g = m[g, None]
-            cols = np.arange(m_g.max())
-            k = np.minimum(cols, m_g - 1)
-            idx = start[g, None] + k
-            theta = (t_all[idx] - t[g, None]) / h[g, None]
-            powers = theta.repeat(4).reshape(theta.shape + (4,))
-            np.multiply.accumulate(powers, out=powers, axis=2)
-            samples = y_r[g, None] + h[g, None, None] * np.matmul(powers,
-                                                                  Q[g])
-            valid = cols < m_g
-            at = idx if scratch is None else first[g, None] + k
-            out[at[valid]] = samples = samples[valid]
-            finite = finite and np.isfinite(samples).all()
-        if not finite:
-            views = [out[a:a + b]
-                     for a, b in zip(first.tolist(), m.tolist())]
-    if finite:
-        return []
-    failed = []
-    for job, v in zip(jobs, views):
-        r, row, t, h, i_out, j = job
-        if not np.isfinite(v).all():
-            # a product overflowed on the way (the Shampine coefficients
-            # exceed 1): redo it on y and K scaled by a power of two
-            e = math.frexp(max(np.abs(y[r]).max(), np.abs(K[r]).max()))[1]
-            np.ldexp(_samples(row.times[i_out:j], t, h, np.ldexp(y[r], -e),
-                              _P_T @ np.ldexp(K[r], -e), v), e, out=v)
-            if not np.isfinite(v).all():
+        if finite:
+            return failed
+        for job, v in zip(jobs, views):
+            r, row, t, h, i_out, j = job
+            if not np.isfinite(v).all() and not np.isfinite(_rescaled(
+                    row.times[i_out:j], t, h, y[r], K[r], v)).all():
                 failed.append(job)
+        return failed
+    _, rows, t, h, i_out, j = zip(*jobs)
+    i_out, j = np.array((i_out, j))  # one conversion, not two
+    start = np.array([row.lo for row in rows]) + i_out
+    m = j - i_out
+    t, h = np.array(t), np.array(h)
+    index = np.array([row.index for row in rows])
+    y_r = y if every else y[rs]
+    # the one-sample rows, then the others: a (G, mx, 4) stack with each
+    # row's grid points, padded by repeating its last one, whose sample
+    # then repeats the row's last bit for bit
+    for g in (np.flatnonzero(m == 1), np.flatnonzero(m > 1)):
+        if not g.size:
+            continue
+        m_g = m[g, None]
+        at = start[g, None] + np.minimum(np.arange(m_g.max()), m_g - 1)
+        powers = np.empty(at.shape + (4,))
+        theta = powers[..., 0]
+        np.divide(t_all[at] - t[g, None], h[g, None], out=theta)
+        # theta^2..4 by products: the bits of np.multiply.accumulate
+        np.multiply(theta, theta, out=powers[..., 1])
+        np.multiply(powers[..., 1], theta, out=powers[..., 2])
+        np.multiply(powers[..., 2], theta, out=powers[..., 3])
+        samples = np.matmul(powers, Q[g])
+        samples *= h[g, None, None]
+        samples += y_r[g, None]
+        if not np.isfinite(samples).all():
+            ok = np.isfinite(samples).all(axis=(1, 2))
+            for b in g[~ok].tolist():
+                r, row, t_b, h_b, lo, hi = jobs[b]
+                v = _rescaled(row.times[lo:hi], t_b, h_b, y[r], K[r],
+                              np.empty((hi - lo, y.shape[1])))
+                if np.isfinite(v).all():
+                    _store(y_all, subset, row.lo + np.arange(lo, hi)[None],
+                           v[None], index[b:b + 1])
+                else:
+                    failed.append(jobs[b])
+            g, at, samples = g[ok], at[ok], samples[ok]
+        _store(y_all, subset, at, samples, index[g])
     return failed
 
 
@@ -480,13 +514,16 @@ def solve(
         The state columns that ``OdeResult.y`` holds, in this order
         (default: all n).  Dropped columns are computed, checked for
         finiteness and measured as the others, but never stored: a
-        caller that reads some components only holds those.
+        caller that reads some components only holds those.  Such a
+        solve stacks the dense output of every pass, with the same
+        bits.
     measure : callable ``measure(Y) -> ndarray``, optional
         Maps (m, n) whole-state samples to m floats, element by element;
         ``OdeResult.measure_max`` holds each row's largest.  With
-        dropped columns it is taken on the scratch samples of a few
-        passes at a time, with floating-point warnings off; otherwise
-        on each row's samples once it is done.
+        dropped columns it is taken on each pass's whole samples, with
+        floating-point warnings off, and folded into a running maximum
+        per row (``np.maximum``, so NaN propagates); otherwise on each
+        row's samples once it is done.
 
     Returns
     -------
@@ -608,12 +645,10 @@ def solve(
     pieces = [[(end, p, read(p)) for end, p in row] for row in pieces]
 
     y_all = np.full((offsets[-1], len(kept)), math.nan)
-    scratch = None
-    if kept != list(range(n)):
-        # imported on first use: solves that keep every column never
-        # compile it
-        from lfbloch.scratch import Scratch
-        scratch = Scratch(y_all, kept, measure, offsets, n)
+    # the kept columns, and each row's largest measure of its samples so
+    # far; None when every column is kept (measured once a row is done)
+    subset = None if kept == list(range(n)) else (
+        kept, measure, np.full(batch, -math.inf) if measure else None)
     y_end = np.full((batch, n), math.nan)
     n_accepted = [0] * batch
     n_rejected = [0] * batch
@@ -628,19 +663,13 @@ def solve(
     for b in range(batch):
         t, lo, hi = t0[b], offsets[b], offsets[b + 1]
         grid, out = t_all[lo:hi], y_all[lo:hi]
-        i_out = 0
-        if grid[0] == t:
-            if scratch is None:
-                out[0] = y[b]
-            i_out = 1
+        i_out = 1 if grid[0] == t else 0
         h = _initial_step(rhs, t, y[b], P[b], K[b, 0], pieces[b][0][0],
                           rtol[b], atol[b], max_step)
         act.append(_Row(b, t, h, pieces[b], K[b], grid, out, lo, i_out))
-    if scratch:  # the samples at t0
-        starts = [b for b in range(batch) if act[b].i_out]
-        out, first = scratch.place(offsets[starts],
-                                   np.ones(len(starts), dtype=int))
-        out[first] = y[starts]
+    starts = [b for b in range(batch) if act[b].i_out]
+    if starts:  # the samples at t0
+        _store(y_all, subset, offsets[starts, None], y[starts, None], starts)
     heads = [K[:, :i] for i in range(7)]
     rtol_col, atol_col = _column(rtol), _column(atol)
     errs = None  # error norm of each row's last attempted step
@@ -711,12 +740,11 @@ def solve(
 
         if method:
             failed = method.dense_output(jobs, y, K, P, t_all, y_all,
-                                         scratch)
+                                         subset)
         else:
-            failed = _dense_output(jobs, len(accepted) >= DENSE_ROWS, y, K,
-                                   t_all, y_all, scratch)
-        if scratch and failed:  # before the failed rows' samples turn NaN
-            scratch.flush()
+            failed = _dense_output(
+                jobs, subset is not None or len(accepted) >= DENSE_ROWS, y,
+                K, t_all, y_all, subset)
         for r, row, t, h, i_out, _ in failed:  # the row stops at t
             row.out[i_out:] = math.nan
             y_end[row.index] = math.nan
@@ -776,15 +804,13 @@ def solve(
                                      + (abs_new - abs_new),
                                      axis=1) / n).tolist()
 
-    if scratch:
-        scratch.flush()
     peak = None
     if measure:
-        peak = scratch.peak if scratch else np.empty(batch)
+        peak = subset[2] if subset else np.empty(batch)
         for b, error in enumerate(errors):
             if error is not None:
                 peak[b] = math.nan
-            elif not scratch:
+            elif not subset:
                 peak[b] = np.max(measure(y_all[offsets[b]:offsets[b + 1]]))
     n_accepted = np.array(n_accepted)
     n_rejected = np.array(n_rejected)

@@ -189,6 +189,15 @@ class TestCompare:
         assert rows[0] == ["n", "re_ell", "virtual_cavity", "onsager"]
         assert len(rows) == 12
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(["compare", "--output", str(target)],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or " \
+            "directory\n"
+
     def test_endpoint_inclusive(self, capsys):
         _, out, _ = run_cli(["compare", "--n-min", "1.0", "--n-max", "1.3",
                              "--step", "0.1"], capsys)
@@ -364,6 +373,16 @@ class TestSimulate:
                                capsys)
         assert code == 2
         assert "nope.json" in err
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        config = write_json(tmp_path / "decay.json", decay_scenario())
+        target = tmp_path / "missing" / "decay.csv"
+        code, out, err = run_cli(["simulate", config, "--output",
+                                  str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or " \
+            "directory\n"
 
     def test_integrator_failure_exits_3(self, tmp_path, capsys,
                                         monkeypatch):
@@ -889,6 +908,21 @@ class TestSweep:
         assert rows[0] == ["value", "re_ell", "im_ell", "gamma_fit",
                            "shift", "error"]
         assert len(rows) == 4
+
+    def test_unwritable_output_exits_2_before_integrating(
+            self, tmp_path, capsys, monkeypatch):
+        spec = write_json(tmp_path / "sweep.json", density_sweep())
+        target = tmp_path / "missing" / "scan.csv"
+        chunks = []
+        monkeypatch.setattr(cli, "_sweep_chunk",
+                            lambda *args: chunks.append(args) or [])
+        code, out, err = run_cli(["sweep", spec, "--output", str(target)],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or " \
+            "directory\n"
+        assert chunks == []
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.internal.conjecture import engine
 
-from lfbloch import dynamics, exponential, ode, scratch
+from lfbloch import dynamics, exponential, ode
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -865,17 +865,18 @@ def _traced_peak(runs, **kwargs):
 
 
 @functools.cache
-def _mixed_batch():
-    """Runs of Dormand-Prince stacked (model A, 9 rows) and per row
-    (model B, 2 rows), and of the exponential method (model B, fast
-    host pole, 2 rows); their batch, and its warnings."""
+def _mixed_batch(dense_rows):
+    """Runs of Dormand-Prince (model A, 9 rows, and model B, 2 rows) and
+    of the exponential method (model B, fast host pole, 2 rows); their
+    batch with ``ode.DENSE_ROWS`` at dense_rows, and its warnings."""
     runs = _decays(9, tol=1e-8, points=301) + [
         (MicroscopicParams(emitter=EMITTER, host=HostSpecies(
             delta_b=delta_b, eps_b=20.0, gamma_b=4.0)),
          SystemState(s=0.01 + 0j, w=-math.sqrt(1.0 - 4e-4), beta=0j),
          IntegrationSpec(span=8.0, tol=tol, points=401))
         for delta_b in (5.0, 150.0) for tol in (1e-9, 1e-4)]
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, \
+            mock.patch.object(ode, "DENSE_ROWS", dense_rows):
         warnings.simplefilter("always")
         batch = integrate_batch(runs)
     return runs, batch, [str(w.message) for w in caught]
@@ -902,22 +903,22 @@ class TestBatchMemory:
                 0.0, integration.span, integration.points))
 
     def test_kept_w_peak(self):
-        # w 8 bytes and the grid 8: s only reaches the scratch samples
-        # of a few passes (lfbloch.scratch.SAMPLES).  32 runs read 26
-        # bytes per sample (22 at 128), and 37 when the batch keeps s
+        # w 8 bytes and the grid 8: s only reaches a pass's dense
+        # output.  32 runs read 21.3 bytes per sample (21.2 at 128), and
+        # 29 when the batch keeps s
         batch, per_sample = _traced_peak(_decays(32), keep=("w",))
-        assert per_sample <= 30.0
+        assert per_sample <= 25.0
         assert batch[0].y.shape == (1601, 1)
 
-    @pytest.mark.parametrize("keep, size", [
-        (("w",), scratch.SAMPLES), (("s",), scratch.SAMPLES),
-        (("w", "beta"), scratch.SAMPLES), (("s",), 7)])
-    def test_kept_components_keep_their_bits(self, keep, size):
-        # a scratch array of 7 samples is copied out after every pass
-        # and grown for most
-        runs, whole, whole_warnings = _mixed_batch()
+    @pytest.mark.parametrize("dense_rows", [1, 10**6])
+    @pytest.mark.parametrize("keep", [("w",), ("s",), ("w", "beta")])
+    def test_kept_components_keep_their_bits(self, keep, dense_rows):
+        # the whole batch's Dormand-Prince passes all stacked (1) or all
+        # per row (10**6); a batch that keeps some components stacks
+        # every pass, and writes and measures its samples there
+        runs, whole, whole_warnings = _mixed_batch(dense_rows)
         with warnings.catch_warnings(record=True) as kept_warnings, \
-                mock.patch.object(scratch, "SAMPLES", size):
+                mock.patch.object(ode, "DENSE_ROWS", dense_rows):
             warnings.simplefilter("always")
             kept = integrate_batch(runs, keep=keep)
         assert [str(w.message) for w in kept_warnings] == whole_warnings

@@ -424,6 +424,11 @@ def _peak(t, y, p):
     return np.array([1e307 * math.cos(t), 0.0, 0.0])
 
 
+# stages of 1e308: dense output overflows on the way to finite samples
+def _huge_stages(t, y, p):
+    return np.array([1e308, 0.0, 0.0])
+
+
 # dense output overflows near t = pi/2 (see
 # test_overflowing_dense_output_fails_the_row)
 PEAK = ((_peak, 0.0), 0.0, 6.0, [_TOP - 1e307 * (1.0 + 1e-9), 0.0, 0.0],
@@ -625,6 +630,20 @@ class TestKeep:
         assert any(error is None for error in whole.errors)
         _assert_kept(kept, whole, keep)
 
+    @pytest.mark.parametrize("keep", [[0], [2, 0]])
+    def test_overflow_on_the_way_is_redone_before_it_is_kept(self, keep):
+        # stages of 1e308 overflow the interpolant's products although
+        # every sample is finite: the step is redone scaled, and its kept
+        # columns and measure (inf: the squares overflow) come from that
+        problems = [([(1.0, _huge_stages, 0.0)], 0.0, [-1e308, 0.0, 0.0],
+                     np.linspace(0.0, 1.0, 5), 1e-6)] + STACKED[:3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole = _solve_rows(problems)
+            kept = _solve_rows(problems, columns=keep, measure=_squares)
+            assert whole.errors[0] is None
+            assert np.isfinite(whole.row(0)[1]).all()
+            _assert_kept(kept, whole, keep)
+
     @pytest.mark.parametrize("keep", [[], [0, 0], [3], [-1]])
     def test_keep_lists_distinct_columns(self, keep):
         with pytest.raises(ValueError, match="columns must be"):
@@ -746,6 +765,37 @@ class TestDenseBits:
             for b in range(rows):
                 assert np.array_equal(_bits(stacked[b]),
                                       _bits(powers[b] @ Q[b]))
+
+    @pytest.mark.parametrize("rows, n", SIZES)
+    def test_padding_rows_repeat_the_last_sample(self, rows, n):
+        # rows of 2..mx samples, padded to mx by repeating each row's
+        # last powers: a padding row of the product has the bits of its
+        # row's last sample, so a stack is written whole
+        rng = np.random.default_rng(rows * 100 + n + 3)
+        for mx in range(2, 41):
+            m = rng.integers(2, mx + 1, rows)
+            powers = _powers(rng, (rows, mx))
+            k = np.minimum(np.arange(mx), m[:, None] - 1)
+            powers = np.take_along_axis(powers, k[:, :, None], axis=1)
+            stacked = np.matmul(powers, _stages(rng, (rows, 4, n)))
+            for b in range(rows):
+                assert np.array_equal(
+                    _bits(stacked[b, m[b]:]),
+                    _bits(np.broadcast_to(stacked[b, m[b] - 1],
+                                          (mx - m[b], n))))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (126, 20), (1000, 40)])
+    def test_power_products_equal_accumulate(self, shape):
+        # theta, theta*theta, (theta*theta)*theta, ... as stacked dense
+        # output forms them, against np.multiply.accumulate
+        theta = np.random.default_rng(shape[0]).uniform(0.0, 1.0, shape)
+        powers = np.empty(shape + (4,))
+        powers[..., 0] = theta
+        for q in range(1, 4):
+            np.multiply(powers[..., q - 1], theta, out=powers[..., q])
+        want = theta.repeat(4).reshape(shape + (4,))
+        np.multiply.accumulate(want, out=want, axis=-1)
+        assert np.array_equal(_bits(powers), _bits(want))
 
     def test_float_power_equals_python_power(self):
         # the step-size factor err ** -0.2 on arrays (np.power differs)
@@ -1234,7 +1284,7 @@ class TestExponential:
             out = np.zeros((1, 5))
 
             class Row:
-                lo = 0
+                lo = index = 0
 
             method.dense_output([(0, Row, 0.0, h, 0, 1)], y0, K, P,
                                 np.array([0.5 * h]), out, None)
