@@ -192,6 +192,17 @@ class Exponential:
     N; the quadrature's other nodes see it.  The same cubic gives the
     dense output, of order 4.
 
+    The estimate is that of the solution the step keeps (no local
+    extrapolation), so a run's error adds up over its steps, by up to
+    0.14 tol per step on strongly driven runs, whose N is stiff where w
+    is far from -1 and can ask for thousands of steps.  So once a row
+    has taken ``span_steps`` steps, ``solve`` holds it to error per unit
+    step: the estimate of a step shorter than the unit, span/span_steps
+    of the row, is scaled by unit/h (at most ``max_scale``, which keeps
+    a step at the estimate's rounding floor acceptable).  The run's
+    error then stays within about 2 ``span_steps`` steps' worth, however
+    many steps it takes; a row of fewer steps keeps its bits.
+
     Row b of P holds its piece's k constants, then the real (n, n) form
     of its L, then L - lambda_1 I and the eigenvalues lambda_1,
     lambda_2 (the small one first); ``nonlinear`` is ``rhs - L y``, and
@@ -202,6 +213,8 @@ class Exponential:
     """
 
     exponent = -0.25  # 1/(embedded order + 1)
+    span_steps = 100  # steps before error per unit step, span units
+    max_scale = 100.0  # the largest factor on a step's estimate
     # N at c = 0, 1/2, 1/2, 1, 1/2, then at t + h/3 and t + 2h/3, then
     # at the new state (last, for FSAL)
     stages = 8

@@ -12,7 +12,9 @@ as ``y' = L y + N(t, y)`` with a constant complex 2x2 L acting on two
 complex pairs of the state, and integrates L exactly through the
 phi-functions of h L (``lfbloch.exponential``, imported on first use):
 its step is bounded by N alone, so its step count does not grow with
-the stiffness of L, where Dormand-Prince's grows linearly.  It takes
+the stiffness of L, where Dormand-Prince's grows linearly.  A row that
+has taken ``Exponential.span_steps`` steps is then held to error per
+unit step, because the method's error adds up over its steps.  It takes
 seven right-hand-side evaluations per attempted step against
 Dormand-Prince's six, so it pays where L is stiff; the caller picks the
 method per call (``lfbloch.dynamics`` sends model-B runs with a fast
@@ -637,6 +639,9 @@ def solve(
                   for row, x in zip(pieces, extra.tolist())]
         rhs, k = method.nonlinear, k + extra.shape[1]
     exponent = method.exponent if method else _ORDER_EXPONENT
+    # the exponential method's unit step, span/span_steps of each row
+    unit = [(row[-1][0] - a) / method.span_steps
+            for a, row in zip(t0, pieces)] if method else None
     # the float form: Dormand-Prince rows whose sums of squares
     # np.add.reduce takes left to right (it sums 8 terms or more
     # pairwise); each piece carries its constants as row_rhs reads them
@@ -784,6 +789,12 @@ def solve(
             y_new, estimate = method.attempt(
                 y, K, P, np.array([row.t for row in act]),
                 np.array([row.h for row in act]))
+            # a long row's error per unit step (see Exponential)
+            estimate *= np.array([[min(method.max_scale,
+                                       max(1.0, unit[row.index] / row.h))
+                                   if n_accepted[row.index]
+                                   >= method.span_steps else 1.0]
+                                  for row in act])
         else:
             # the last two stages sit at t + h
             h_col = _column([row.h for row in act])

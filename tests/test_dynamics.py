@@ -1146,6 +1146,21 @@ class TestExponentialAccuracy:
         run = data.draw(stiff_run(weak))
         assert _exponential_error(run) <= 100.0 * run[2].tol
 
+    def test_long_driven_run_holds_error_per_unit_step(self):
+        # w far from -1 makes N stiff: about 700 steps at tol 1e-10, each
+        # adding up to 0.14 tol, reached 1.00044e-8 (> 100 tol) before
+        # rows past Exponential.span_steps steps were held to error per
+        # unit step
+        emitter = EmitterParams(delta_a=0.0, eps_a=0.0, gamma_a=1.0,
+                                drive=DriveEnvelope(kind="constant",
+                                                    amplitude=1j))
+        run = (MicroscopicParams(emitter=emitter,
+                                 host=HostSpecies(delta_b=56.0, eps_b=63.0,
+                                                  gamma_b=7.0)),
+               SystemState(s=0j, w=0.0, beta=0.0625 + 0j),
+               IntegrationSpec(span=1.0, tol=1e-10, points=200))
+        assert _exponential_error(run) <= 50.0 * run[2].tol
+
     @pytest.mark.parametrize("drive", [
         DriveEnvelope(),
         DriveEnvelope(kind="pulse", amplitude=1.2 - 0.5j, t_on=0.5,

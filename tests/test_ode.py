@@ -1327,6 +1327,28 @@ class TestExponential:
         attempted = res.n_accepted[0] + res.n_rejected[0]
         assert res.n_rhs[0] == 2 * 2 + 7 * attempted == sum(sizes)
 
+    def test_long_row_that_goes_nonfinite_names_it(self):
+        # 500 steps of max_step put the row under error per unit step
+        # before f goes NaN at t = 0.5; the steps that close in on it
+        # stay at the estimate's rounding floor, which max_scale keeps
+        # acceptable, so the row still fails on the NaN
+        L = np.array([[-0.5 + 0.3j, -2.0j], [-1.5, -30.0 + 120.0j]])
+        consts = tuple(L.ravel().view(float))
+        f = _per_row(_coupled)
+
+        def poisoned(t, Y, P):
+            out = f(t, Y, P)
+            out[np.asarray(t) >= 0.5] = math.nan
+            return out
+
+        res = solve(poisoned, [[(1.0, (0, 0.8, 0.1, *consts))]], [0.0],
+                    np.array([[0.3, 0.1, -0.5, 0.05, -0.02]]),
+                    [np.linspace(0.0, 1.0, 11)], [1e-9], [1e-9],
+                    linear=([L], PAIRS), max_step=1e-3)
+        assert res.n_accepted[0] > exponential.Exponential.span_steps
+        assert isinstance(res.errors[0], NonFiniteRhsError)
+        assert "went non-finite" in str(res.errors[0])
+
     @pytest.mark.parametrize("L, cols, match", [
         (np.zeros((2, 2, 2)), PAIRS, "2x2"),
         (np.full((1, 2, 2), np.nan), PAIRS, "finite"),
