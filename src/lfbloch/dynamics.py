@@ -284,8 +284,10 @@ class SystemState:
 
 
 def _bloch_norm(y: np.ndarray) -> np.ndarray:
-    """w^2 + 4|s|^2 of each state row of y."""
-    return y[:, 2] ** 2 + 4.0 * np.abs(y[:, 0] + 1j * y[:, 1]) ** 2
+    """w^2 + 4|s|^2 of each state row of y, with |s| from a complex view
+    of (Re s, Im s): the bits of ``np.abs(Re s + 1j*Im s)`` on finite
+    values, without building that array."""
+    return y[:, 2] ** 2 + 4.0 * np.abs(y[:, :2].view(complex)[:, 0]) ** 2
 
 
 # state columns of each component a trajectory may hold

@@ -352,16 +352,16 @@ class Exponential:
         order-4 extension, the exact phi-weighted integral of the cubic
         through its N at t, t + h/3, t + 2h/3 and t + h.  The arguments
         but P are as for ``lfbloch.ode._dense_output``.  Returns the
-        jobs whose samples are not all finite."""
-        if not jobs:
-            return jobs
-        rs, rows, t, h, i_out, j = map(list, zip(*jobs))
-        t, h = np.array(t), np.array(h)
+        positions in ``jobs`` of the jobs whose samples are not all
+        finite."""
+        rs, t, h, start, end, index = map(np.asarray, jobs)
+        if not rs.size:
+            return []
         a, b, M = self._putzer(P[rs], h)
-        idx = np.concatenate([np.arange(row.lo + lo, row.lo + hi)
-                              for row, lo, hi in zip(rows, i_out, j)])
-        job = np.repeat(np.arange(len(jobs)), np.subtract(j, i_out))
-        index = np.array([row.index for row in rows])
+        # each job's grid points start:end, end to end
+        m = end - start
+        job = np.repeat(np.arange(rs.size), m)
+        idx = np.arange(job.size) + np.repeat(start - (np.cumsum(m) - m), m)
         theta = (t_all[idx] - t[job]) / h[job]
         V = self._cubic(y[rs], K[rs], h)
         bad = set()
@@ -375,4 +375,4 @@ class Exponential:
             _store(y_all, subset, idx[part, None], samples[:, None], index[g])
             if not np.isfinite(samples).all():
                 bad.update(g[~np.isfinite(samples).all(axis=1)].tolist())
-        return [jobs[g] for g in sorted(bad)]
+        return sorted(bad)

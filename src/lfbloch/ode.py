@@ -40,13 +40,32 @@ counters of one call per piece, chained through ``y_end``.
 
 Each stage is one right-hand-side call over all unfinished rows,
 ``rhs(t, Y, P)`` with the rows' stage times, states and piece
-constants; the starting-step probe and a restart at a piece's end call
-it on one row.  ``rhs`` must compute each row as it would alone (pure
-element-wise arithmetic does).  The other forms that keep a row's bits
-are narrow: stacked ``np.matmul`` of a tableau row with the (B, i, n)
-stage slices, element-wise operations with per-row (B, 1) columns,
-``np.add.reduce`` along the row and ``np.sqrt``.  The step-size factor
-stays on Python floats (numpy's power differs from CPython's ``**``).
+constants; so is the starting-step probe of the first step, and a
+restart at a piece's end calls it on one row.  ``rhs`` must compute
+each row as it would alone (pure element-wise arithmetic does).  The
+other forms that keep a row's bits are narrow: stacked ``np.matmul`` of
+a tableau row with the (B, i, n) stage slices, element-wise operations
+with per-row (B, 1) columns, ``np.add.reduce`` along the row (which
+sums a row of fewer than 8 terms as ``np.mean`` of that row alone does)
+and ``np.sqrt``.
+
+The step-size controller of a pass runs on (B,) arrays while more than
+``FLOAT_ROWS`` rows are unfinished, and on one Python object per row
+from there on (its per-row form, the controller of the float form
+below).  The array form keeps each row's time, step size, piece end,
+whether its step ends the piece, and the indices of its next grid point
+and its grid's end.  Accept/reject is ``err <= 1`` (so NaN is
+rejected).  The step-size factor is ``_SAFETY * err**exponent`` by
+``np.float_power``, which is CPython's ``**`` (``np.power`` is not),
+clipped by ``np.maximum`` and ``np.minimum``; a non-finite error is
+masked to ``_MIN_FACTOR`` (``np.maximum`` would propagate NaN where
+Python's ``max`` drops it), and ``err == 0`` gives ``_MAX_FACTOR``.
+The 10-ulp floor is ``np.nextafter``, and the grid points inside the
+accepted steps come from one bisection over every row's grid.  The
+rare events stay per row in both forms: a restart at a piece's end, a
+failure and its message.  Both forms do the same arithmetic, so a row
+takes the same steps in either, and a run switches to the per-row form
+for good as its rows finish.
 
 A pass of at most ``FLOAT_ROWS`` Dormand-Prince rows of n < 8
 components runs in Python floats when ``solve`` is also given the
@@ -101,7 +120,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -203,45 +222,52 @@ class OdeResult:
         return self.t[lo:hi], self.y[lo:hi]
 
 
-def _one_row(rhs, t: float, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """rhs at time t on the single row y with constants p."""
-    return rhs(np.array([t]), y[None], p[None])[0]
+def _rms(x: np.ndarray) -> np.ndarray:
+    """The root mean square of each row of x: ``np.mean`` of one row,
+    whose sum ``np.add.reduce`` along a row repeats."""
+    return np.sqrt(np.add.reduce(x ** 2, axis=1) / x.shape[1])
 
 
-def _initial_step(rhs, t0, y0, p, f0, t_end, rtol, atol, max_step) -> float:
-    """Starting-step heuristic of Hairer, Norsett & Wanner (I.4, alg. 4.14).
+def _initial_step(rhs, t0, y0, P, f0, t_end, rtol, atol,
+                  max_step) -> np.ndarray:
+    """Starting-step heuristic of Hairer, Norsett & Wanner (I.4, alg. 4.14)
+    of every row at once, with one probe call of rhs over them.
 
-    ``t_end`` is the end of the piece that starts at t0, whose constants
-    are p.
+    Row b starts at t0[b] from y0[b], where ``rhs`` is f0[b], in the
+    piece of constants P[b] that ends at t_end[b]; rtol and atol are
+    (B,) arrays.  Returns the (B,) starting steps, each with the bits of
+    the row's heuristic on Python floats: its branches are masks, and
+    ``np.float_power`` is CPython's ``**``.
     """
-    scale = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
-    # d1 is inf when f0/scale overflows (1/d1 would make h0 or h1 zero)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 or d1 == math.inf \
-        else 0.01 * d0 / d1
-    h0 = min(h0, t_end - t0, max_step)
+    scale = atol[:, None] + rtol[:, None] * np.abs(y0)
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    span = t_end - t0
+    # the Python-float arithmetic of the heuristic raises no warning
+    with np.errstate(all="ignore"):
+        # d1 is inf when f0/scale overflows (1/d1 would make h0 or h1
+        # zero)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5) | (d1 == math.inf), 1e-6,
+                      0.01 * d0 / d1)
+        h0 = np.minimum(np.minimum(h0, span), max_step)
+    f1 = rhs(t0 + h0, y0 + h0[:, None] * f0, P)
+    d2 = _rms((f1 - f0) / scale)
+    with np.errstate(all="ignore"):
+        d2 /= h0
+        # f0 or f1 overflowed the error scale or went non-finite, or 1/h0
+        # overflowed on a piece shorter than about 1e-302: keep h0, which
+        # fits in the piece
+        h1 = np.where(np.isfinite(d1) & np.isfinite(d2),
+                      np.float_power(0.01 / np.maximum(d1, d2), 0.2), h0)
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.maximum(1e-6, h0 * 1e-3), h1)
+        return np.minimum(np.minimum(np.minimum(100 * h0, h1), span),
+                          max_step)
 
-    y1 = y0 + h0 * f0
-    f1 = _one_row(rhs, t0 + h0, y1, p)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
 
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    elif not (math.isfinite(d1) and math.isfinite(d2)):
-        # f0 or f1 overflowed the error scale or went non-finite, or
-        # 1/h0 overflowed on a piece shorter than about 1e-302: keep h0,
-        # which fits in the piece
-        h1 = h0
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end - t0, max_step)
-
-
-def _column(values: list[float]):
+def _column(values: Sequence[float]):
     """Per-row factors that broadcast over the rows of a (B, n) array.
 
-    A batch of one gets its Python float: numpy multiplies an array by a
+    A batch of one gets its float: numpy multiplies an array by a
     scalar faster than by a (1, 1) column, with the same bits.
     """
     return values[0] if len(values) == 1 else np.array(values)[:, None]
@@ -253,10 +279,21 @@ def _nonfinite(f: np.ndarray) -> str:
     return "the state" if np.isfinite(f).all() else "the right-hand side"
 
 
-def _underflow(t: float, h: float, culprit: str | None
-               ) -> StepSizeUnderflowError:
-    """The failure of a row whose step fell below the floor at t; culprit
-    names what went non-finite, or is None for a stiff problem."""
+def _underflow(t: float, h: float, nonfinite: bool, K: np.ndarray,
+               f: np.ndarray | None) -> StepSizeUnderflowError:
+    """The failure of a row whose step h fell below the floor at t.
+
+    What went non-finite: in the row's last attempt, whose stages are K,
+    when ``nonfinite``; else, when h is not finite, in the starting step
+    from f at t (K[0] unless the row restarted there); else nothing, and
+    the problem is too stiff.
+    """
+    if nonfinite:
+        culprit = _nonfinite(K)
+    elif math.isfinite(h):
+        culprit = None
+    else:
+        culprit = _nonfinite(K[0] if f is None else f)
     if culprit:
         error = NonFiniteRhsError
         cause = (f"{culprit} went non-finite (NaN or inf) "
@@ -272,22 +309,56 @@ def _underflow(t: float, h: float, culprit: str | None
 
 
 class _Row:
-    """Controller state of one unfinished row."""
+    """Controller state of one unfinished row in the per-row form."""
 
-    __slots__ = ("index", "t", "h", "stop", "c", "pieces", "last",
-                 "nonfinite", "K", "times", "out", "lo", "i_out")
+    __slots__ = ("index", "t", "h", "stop", "c", "last", "K", "times",
+                 "lo", "i_out")
 
-    def __init__(self, index, t, h, pieces, K, times, out, lo, i_out):
-        self.index, self.t, self.h = index, t, h
-        # the current piece's end and constants as the per-row right-hand
-        # side reads them, then the later (end, p, c) pieces, last first
-        self.stop, _, self.c = pieces[0]
-        self.pieces = pieces[:0:-1]
-        self.last = self.nonfinite = False
+    def __init__(self, index, t, h, stop, c, last, K, times, lo, i_out):
+        self.index, self.t, self.h, self.last = index, t, h, last
+        # the current piece's end, and its constants as the per-row
+        # right-hand side reads them
+        self.stop, self.c = stop, c
         self.K = K  # this row's (7, n) stages: a view into the batch's
-        # views of the row's grid and samples, which start at index lo of
-        # the batch's
-        self.times, self.out, self.lo, self.i_out = times, out, lo, i_out
+        # a view of the row's grid, which starts at index lo of the
+        # batch's, and the index in it of the next grid point to sample
+        self.times, self.lo, self.i_out = times, lo, i_out
+
+
+class _Jobs(NamedTuple):
+    """The steps accepted in a pass with grid points inside them, as
+    sequences with one entry per job.  Job g is the step of length h[g]
+    from t[g] of batch row index[g], at position rows[g] of the pass's
+    rows (its state and stages are ``y[rows[g]]`` and ``K[rows[g]]``);
+    it covers the grid points and samples start[g]:end[g] of the
+    batch's."""
+
+    rows: Sequence[int]
+    t: Sequence[float]
+    h: Sequence[float]
+    start: Sequence[int]
+    end: Sequence[int]
+    index: Sequence[int]
+
+
+_NO_JOBS = _Jobs([], [], [], [], [], [])
+
+
+def _grid_search(t_all, lo, hi, x):
+    """``lo + t_all[lo:hi].searchsorted(x, "right")`` of each entry of
+    the arrays lo, hi and x: the first index of a row's sorted grid
+    segment lo:hi past x, or hi.  One bisection over every row at once
+    (binary lifting on exact comparisons), with no per-sample array."""
+    lo = lo.copy()
+    step = 1 << int((hi - lo).max(initial=0)).bit_length()
+    top = hi - 1
+    while step > 1:
+        step >>= 1
+        # a probe past the segment reads its last point: while that is
+        # at most x, lo runs past hi, and else it stays put, as it should
+        probe = np.minimum(lo + (step - 1), top)
+        np.add(lo, step, out=lo, where=t_all.take(probe, mode="clip") <= x)
+    return np.minimum(lo, hi, out=lo)
 
 
 def _samples(times, t, h, y, Q, out):
@@ -333,44 +404,40 @@ def _store(y_all, subset, at, samples, index):
 def _dense_output(jobs, stacked, y, K, t_all, y_all, subset) -> list:
     """Write the samples of the steps just accepted.
 
-    Each job ``(r, row, t, h, i_out, j)`` is row r's step of length h
-    from t, whose state and stages are ``y[r]`` and ``K[r]``, and the
-    grid points ``i_out:j`` of the row inside it.  Its samples go to
-    the row's own rows of the batch's samples ``y_all`` (see ``_store``
-    for ``subset``, which needs ``stacked``).  ``_P_T @ K`` is one stacked
-    product over the jobs' rows; with ``stacked`` the products with the
-    theta powers are stacked too (see the module docstring).  Returns
-    the jobs whose samples are not all finite.
+    Each job of ``jobs`` (see ``_Jobs``) writes its samples to its rows
+    of the batch's samples ``y_all`` (see ``_store`` for ``subset``,
+    which needs ``stacked``).  ``_P_T @ K`` is one stacked product over
+    the jobs' rows; with ``stacked`` the products with the theta powers
+    are stacked too (see the module docstring).  Returns the positions
+    in ``jobs`` of the jobs whose samples are not all finite.
     """
-    if not jobs:
-        return jobs
+    rs = jobs.rows
+    if not len(rs):
+        return []
     # the jobs' rows only: a rejected row's stages may be inf or NaN
-    rs = [job[0] for job in jobs]
     every = len(rs) == len(K)
-    Q = np.matmul(_P_T, K if every else K[rs])
+    Q = np.matmul(_P_T, K if every else K.take(rs, axis=0))
     failed = []
     if not stacked:
-        views = [row.out[i_out:j] for _, row, _, _, i_out, j in jobs]
         finite = True
-        for (r, row, t, h, i_out, j), q, v in zip(jobs, Q, views):
-            _samples(row.times[i_out:j], t, h, y[r], q, v)
+        for r, t, h, a, b, q in zip(rs, jobs.t, jobs.h, jobs.start,
+                                    jobs.end, Q):
+            v = y_all[a:b]
+            _samples(t_all[a:b], t, h, y[r], q, v)
             # NaN or inf in v makes v . v non-finite (so may an overflow,
             # which the exact check below then clears)
             finite = finite and math.isfinite(np.vdot(v, v))
         if finite:
             return failed
-        for job, v in zip(jobs, views):
-            r, row, t, h, i_out, j = job
+        for g, (r, t, h, a, b) in enumerate(zip(rs, jobs.t, jobs.h,
+                                                jobs.start, jobs.end)):
+            v = y_all[a:b]
             if not np.isfinite(v).all() and not np.isfinite(_rescaled(
-                    row.times[i_out:j], t, h, y[r], K[r], v)).all():
-                failed.append(job)
+                    t_all[a:b], t, h, y[r], K[r], v)).all():
+                failed.append(g)
         return failed
-    _, rows, t, h, i_out, j = zip(*jobs)
-    i_out, j = np.array((i_out, j))  # one conversion, not two
-    start = np.array([row.lo for row in rows]) + i_out
-    m = j - i_out
-    t, h = np.array(t), np.array(h)
-    index = np.array([row.index for row in rows])
+    rs, t, h, start, end, index = map(np.asarray, jobs)
+    m = end - start
     y_r = y if every else y[rs]
     # the one-sample rows, then the others: a (G, mx, 4) stack with each
     # row's grid points, padded by repeating its last one, whose sample
@@ -393,14 +460,14 @@ def _dense_output(jobs, stacked, y, K, t_all, y_all, subset) -> list:
         if not np.isfinite(samples).all():
             ok = np.isfinite(samples).all(axis=(1, 2))
             for b in g[~ok].tolist():
-                r, row, t_b, h_b, lo, hi = jobs[b]
-                v = _rescaled(row.times[lo:hi], t_b, h_b, y[r], K[r],
+                r, lo, hi = rs[b], start[b], end[b]
+                v = _rescaled(t_all[lo:hi], t[b], h[b], y[r], K[r],
                               np.empty((hi - lo, y.shape[1])))
                 if np.isfinite(v).all():
-                    _store(y_all, subset, row.lo + np.arange(lo, hi)[None],
+                    _store(y_all, subset, np.arange(lo, hi)[None],
                            v[None], index[b:b + 1])
                 else:
-                    failed.append(jobs[b])
+                    failed.append(b)
             g, at, samples = g[ok], at[ok], samples[ok]
         _store(y_all, subset, at, samples, index[g])
     return failed
@@ -640,8 +707,8 @@ def solve(
         rhs, k = method.nonlinear, k + extra.shape[1]
     exponent = method.exponent if method else _ORDER_EXPONENT
     # the exponential method's unit step, span/span_steps of each row
-    unit = [(row[-1][0] - a) / method.span_steps
-            for a, row in zip(t0, pieces)] if method else None
+    unit = np.array([(row[-1][0] - a) / method.span_steps
+                     for a, row in zip(t0, pieces)]) if method else None
     # the float form: Dormand-Prince rows whose sums of squares
     # np.add.reduce takes left to right (it sums 8 terms or more
     # pairwise); each piece carries its constants as row_rhs reads them
@@ -655,93 +722,160 @@ def solve(
     subset = None if kept == list(range(n)) else (
         kept, measure, np.full(batch, -math.inf) if measure else None)
     y_end = np.full((batch, n), math.nan)
-    n_accepted = [0] * batch
-    n_rejected = [0] * batch
     n_pieces = [1] * batch
     errors = [None] * batch
+    rtols, atols = np.array(rtol), np.array(atol)
 
-    # the constants of each unfinished row's piece, in the order of act
+    def restart(r, b, t):
+        """Row b, at position r of the pass, restarts at t in its next
+        piece as a new call would: that piece's end and constants as
+        row_rhs reads them, f at t and the starting step.  f goes to
+        K[r, -1] once dense output has read K, and the FSAL copy then
+        moves it to K[r, 0]."""
+        end, P[r], c = pieces[b][n_pieces[b]]
+        n_pieces[b] += 1
+        t1, y1, p1 = np.array([t]), y_new[r:r + 1], P[r:r + 1]
+        f = rhs(t1, y1, p1)
+        h = _initial_step(rhs, t1, y1, p1, f, np.array([end]),
+                          rtols[b:b + 1], atols[b:b + 1], max_step)
+        return end, c, f[0], h.item()
+
+    # The controller state of the unfinished rows, in the order of the
+    # rows of y, K and P: the batch's row index of each, and (B,) arrays
+    # of their times, step sizes, piece ends, whether the step ends the
+    # piece, and the indices into t_all of the next grid point and the
+    # grid's end (the array form); from FLOAT_ROWS rows down, one _Row
+    # each in act (the per-row form), and the counters as lists
+    index = np.arange(batch)
+    T = np.array(t0)
+    stops = np.array([row[0][0] for row in pieces])
     P = np.array([row[0][1] for row in pieces]).reshape(batch, k)
     K = np.empty((batch, method.stages if method else 7, n))
-    K[:, 0] = rhs(np.array(t0), y, P)
-    act = []  # unfinished rows, in the order of the rows of y and K
-    for b in range(batch):
-        t, lo, hi = t0[b], offsets[b], offsets[b + 1]
-        grid, out = t_all[lo:hi], y_all[lo:hi]
-        i_out = 1 if grid[0] == t else 0
-        h = _initial_step(rhs, t, y[b], P[b], K[b, 0], pieces[b][0][0],
-                          rtol[b], atol[b], max_step)
-        act.append(_Row(b, t, h, pieces[b], K[b], grid, out, lo, i_out))
-    starts = [b for b in range(batch) if act[b].i_out]
-    if starts:  # the samples at t0
+    K[:, 0] = rhs(T, y, P)
+    H = _initial_step(rhs, T, y, P, K[:, 0], stops, rtols, atols, max_step)
+    lasts = np.zeros(batch, bool)
+    cur, ends = offsets[:-1] + (t_all[offsets[:-1]] == T), offsets[1:]
+    starts = np.flatnonzero(cur > offsets[:-1])
+    if starts.size:  # the samples at t0
         _store(y_all, subset, offsets[starts, None], y[starts, None], starts)
+    n_accepted, n_rejected = np.zeros(batch, int), np.zeros(batch, int)
+    act = None
     heads = [K[:, :i] for i in range(7)]
     rtol_col, atol_col = _column(rtol), _column(atol)
     errs = None  # error norm of each row's last attempted step
 
     while True:
+        if act is None and len(index) <= FLOAT_ROWS:  # the per-row form
+            act = [_Row(b, t, h, stop, pieces[b][n_pieces[b] - 1][2], last,
+                        K_b, t_all[lo:hi], lo, i - lo)
+                   for b, t, h, stop, last, K_b, lo, hi, i in zip(
+                       index.tolist(), T.tolist(), H.tolist(),
+                       stops.tolist(), lasts.tolist(), K,
+                       offsets[index].tolist(), ends.tolist(),
+                       cur.tolist())]
+            n_accepted, n_rejected = n_accepted.tolist(), n_rejected.tolist()
+            if errs is not None:
+                errs = errs.tolist()
         # One pass over the rows: accept or reject the step just
         # attempted, then schedule the next one, retiring finished and
-        # failed rows.  Step sizes and times stay Python floats.
-        keep, accepted, jobs, restarts = [], [], [], []
-        for r, row in enumerate(act):
-            t, h = row.t, row.h
-            retry = False
-            f = None  # f at t, if the row restarts there
+        # failed rows
+        restarts = []
+        if act is None:
+            nonfinite = retry = np.zeros(len(T), bool)
+            accepted, done, jobs = [], [], _NO_JOBS
             if errs is not None:
-                err = errs[r]
-                if not err <= 1.0:
-                    retry = True
-                    n_rejected[row.index] += 1
-                    row.nonfinite = not math.isfinite(err)
-                    h *= _MIN_FACTOR if row.nonfinite else max(
-                        _MIN_FACTOR, _SAFETY * err ** exponent)
-                else:
-                    n_accepted[row.index] += 1
-                    row.nonfinite = False
-                    accepted.append(r)
-                    t_new = row.stop if row.last else t + h
-                    # dense output for grid points inside (t, t_new],
-                    # written once the pass is over
-                    j = row.times.searchsorted(t_new, "right")
-                    if j > row.i_out:
-                        jobs.append((r, row, t, h, row.i_out, j))
-                        row.i_out = j
-                    h *= _MAX_FACTOR if err == 0.0 else min(
-                        _MAX_FACTOR,
-                        max(_MIN_FACTOR, _SAFETY * err ** exponent))
-                    t = row.t = t_new
-                    if row.last and not row.pieces:
-                        y_end[row.index] = y_new[r]
+                accept = errs <= 1.0  # NaN is rejected
+                retry = ~accept
+                accepted = np.flatnonzero(accept)
+                n_accepted[index[accepted]] += 1
+                n_rejected[index[retry]] += 1
+                nonfinite = ~np.isfinite(errs)
+                with np.errstate(divide="ignore"):  # err = 0: the largest
+                    factor = np.minimum(_MAX_FACTOR, np.maximum(
+                        _MIN_FACTOR,
+                        _SAFETY * np.float_power(errs, exponent)))
+                factor[nonfinite] = _MIN_FACTOR
+                # dense output for the grid points inside (t, t_new],
+                # written once the pass is over
+                T_new = np.where(lasts[accepted], stops[accepted],
+                                 T[accepted] + H[accepted])
+                i_out = cur[accepted]
+                j = _grid_search(t_all, i_out, ends[accepted], T_new)
+                found = j > i_out
+                g = accepted[found]
+                jobs = _Jobs(g, T[g], H[g], i_out[found], j[found], index[g])
+                cur[accepted] = j
+                T[accepted] = T_new
+                H = H * factor
+                for r in accepted[lasts[accepted]].tolist():
+                    b = index[r]
+                    if n_pieces[b] == len(pieces[b]):
+                        y_end[b] = y_new[r]
+                        done.append(r)
                         continue
-                    if row.last:  # the next piece: restart as a new call
-                        # would; f goes to K[-1] once dense output has
-                        # read K, and the FSAL copy then moves it to K[0]
-                        row.stop, P[r], row.c = row.pieces.pop()
-                        f = _one_row(rhs, t, y_new[r], P[r])
-                        restarts.append((r, f))
-                        h = _initial_step(rhs, t, y_new[r], P[r], f,
-                                          row.stop, rtol[row.index],
-                                          atol[row.index], max_step)
-                        n_pieces[row.index] += 1
-            h = min(h, max_step)
-            row.last = t + h >= row.stop
+                    stops[r], _, f, H[r] = restart(r, b, T[r])
+                    restarts.append((r, f))
+            H = np.minimum(H, max_step)
+            lasts = T + H >= stops
             # a step onto the piece's end may be shorter than the floor,
             # unless it repeats a rejected one (it would repeat forever)
-            if not (h >= 10.0 * abs(math.nextafter(t, math.inf) - t)
-                    or row.last and not retry):
-                if row.nonfinite:  # the last attempt's stages
-                    culprit = _nonfinite(row.K)
-                elif math.isfinite(h):
-                    culprit = None
-                else:  # the starting step, from f at t
-                    culprit = _nonfinite(row.K[0] if f is None else f)
-                errors[row.index] = _underflow(t, h, culprit)
-                continue
-            if row.last:
-                h = row.stop - t
-            row.h = h
-            keep.append(r)
+            ok = (H >= 10.0 * (np.nextafter(T, math.inf) - T)) \
+                | lasts & ~retry
+            ok[done] = True  # retired, not failed
+            for r in np.flatnonzero(~ok).tolist():
+                errors[index[r]] = _underflow(T[r], H[r], nonfinite[r], K[r],
+                                              dict(restarts).get(r))
+            ok[done] = False
+            keep = np.flatnonzero(ok)
+            H = np.where(lasts, stops - T, H)
+        else:
+            keep, accepted, found = [], [], []
+            for r, row in enumerate(act):
+                t, h = row.t, row.h
+                retry = nonfinite = False
+                f = None  # f at t, if the row restarts there
+                if errs is not None:
+                    err = errs[r]
+                    if not err <= 1.0:
+                        retry = True
+                        n_rejected[row.index] += 1
+                        nonfinite = not math.isfinite(err)
+                        h *= _MIN_FACTOR if nonfinite else max(
+                            _MIN_FACTOR, _SAFETY * err ** exponent)
+                    else:
+                        n_accepted[row.index] += 1
+                        accepted.append(r)
+                        t_new = row.stop if row.last else t + h
+                        # dense output for grid points inside (t, t_new],
+                        # written once the pass is over
+                        j = row.times.searchsorted(t_new, "right")
+                        if j > row.i_out:
+                            found.append((r, t, h, row.lo + row.i_out,
+                                          row.lo + j, row.index))
+                            row.i_out = j
+                        h *= _MAX_FACTOR if err == 0.0 else min(
+                            _MAX_FACTOR,
+                            max(_MIN_FACTOR, _SAFETY * err ** exponent))
+                        t = row.t = t_new
+                        if row.last:
+                            b = row.index
+                            if n_pieces[b] == len(pieces[b]):
+                                y_end[b] = y_new[r]
+                                continue
+                            row.stop, row.c, f, h = restart(r, b, t)
+                            restarts.append((r, f))
+                h = min(h, max_step)
+                row.last = t + h >= row.stop
+                # the floor, as in the array form
+                if not (h >= 10.0 * abs(math.nextafter(t, math.inf) - t)
+                        or row.last and not retry):
+                    errors[row.index] = _underflow(t, h, nonfinite, row.K, f)
+                    continue
+                if row.last:
+                    h = row.stop - t
+                row.h = h
+                keep.append(r)
+            jobs = _Jobs._make(zip(*found)) if found else _NO_JOBS
 
         if method:
             failed = method.dense_output(jobs, y, K, P, t_all, y_all,
@@ -750,55 +884,63 @@ def solve(
             failed = _dense_output(
                 jobs, subset is not None or len(accepted) >= DENSE_ROWS, y,
                 K, t_all, y_all, subset)
-        for r, row, t, h, i_out, _ in failed:  # the row stops at t
-            row.out[i_out:] = math.nan
-            y_end[row.index] = math.nan
-            errors[row.index] = NonFiniteRhsError(
-                f"dense output went non-finite at t = {t:.6g} (h = "
-                f"{h:.3g}): the solution inside the step overflows the "
-                f"float range; check the parameters and the drive")
-            if r in keep:
-                keep.remove(r)
+        for g in failed:  # the row stops at the step's start
+            b = jobs.index[g]
+            y_all[jobs.start[g]:offsets[b + 1]] = math.nan
+            y_end[b] = math.nan
+            errors[b] = NonFiniteRhsError(
+                f"dense output went non-finite at t = {jobs.t[g]:.6g} (h = "
+                f"{jobs.h[g]:.3g}): the solution inside the step overflows "
+                f"the float range; check the parameters and the drive")
+        if failed:
+            gone = {jobs.rows[g] for g in failed}
+            keep = [r for r in keep if r not in gone]
         for r, f in restarts:
             K[r, -1] = f
-        if len(accepted) == len(act):
+        if len(accepted) == len(y):
             K[:, 0] = K[:, -1]
             y = y_new
-        elif accepted:
+        elif len(accepted):
             K[accepted, 0] = K[accepted, -1]
             y[accepted] = y_new[accepted]
-        if not keep:
+        if not len(keep):
             break
-        if len(keep) < len(act):
-            act = [act[r] for r in keep]
-            y, K, P = y[keep], K[keep], P[keep]
+        if len(keep) < len(y):
+            y, K, P, index = y[keep], K[keep], P[keep], index[keep]
             heads = [K[:, :i] for i in range(7)]
-            rtol_col = _column([rtol[row.index] for row in act])
-            atol_col = _column([atol[row.index] for row in act])
-            for row, K_row in zip(act, K):
-                row.K = K_row
+            rtol_col = _column(rtols[index].tolist())
+            atol_col = _column(atols[index].tolist())
+            if act is None:
+                T, H, stops, lasts, cur, ends = (
+                    a[keep] for a in (T, H, stops, lasts, cur, ends))
+            else:
+                act = [act[r] for r in keep]
+                for row, K_row in zip(act, K):
+                    row.K = K_row
 
         # stage evaluations (k1 carried over from the previous step,
         # FSAL), one rhs call each, or in the float form one f call per
         # row, which also yields the error norms
-        if floats and len(act) <= FLOAT_ROWS:
-            y_new, errs = _attempt_floats(row_rhs[1], act, y, K, heads,
-                                          rtol, atol)
-            continue
+        if act is not None:
+            if floats:
+                y_new, errs = _attempt_floats(row_rhs[1], act, y, K, heads,
+                                              rtol, atol)
+                continue
+            T = np.array([row.t for row in act])
+            H = [row.h for row in act]
         if method:
-            y_new, estimate = method.attempt(
-                y, K, P, np.array([row.t for row in act]),
-                np.array([row.h for row in act]))
+            H = np.asarray(H)
+            y_new, estimate = method.attempt(y, K, P, T, H)
             # a long row's error per unit step (see Exponential)
-            estimate *= np.array([[min(method.max_scale,
-                                       max(1.0, unit[row.index] / row.h))
-                                   if n_accepted[row.index]
-                                   >= method.span_steps else 1.0]
-                                  for row in act])
+            estimate *= np.where(
+                np.asarray(n_accepted)[index] >= method.span_steps,
+                np.minimum(method.max_scale, np.maximum(1.0,
+                                                        unit[index] / H)),
+                1.0)[:, None]
         else:
             # the last two stages sit at t + h
-            h_col = _column([row.h for row in act])
-            stage_t = np.array([row.t for row in act])[:, None] + h_col * _C
+            h_col = _column(H)
+            stage_t = T[:, None] + h_col * _C
             for i in range(1, 6):
                 stage = y + h_col * np.matmul(_A[i], heads[i])
                 K[:, i] = rhs(stage_t[:, i], stage, P)
@@ -813,7 +955,9 @@ def solve(
         # whose inf scale would zero the estimate) rejects such a step
         errs = np.sqrt(np.add.reduce((estimate / scale) ** 2
                                      + (abs_new - abs_new),
-                                     axis=1) / n).tolist()
+                                     axis=1) / n)
+        if act is not None:
+            errs = errs.tolist()
 
     peak = None
     if measure:

@@ -2,10 +2,11 @@
 5(4): accuracy against analytic solutions, convergence order, dense
 output, statistics, error paths, lockstep batches that reproduce each
 row's lone run bit for bit (dense output stacked over the rows
-included), the bit equalities that stacking relies on, the
-Python-float form of few-row passes against the array form (and the
-bit equalities it relies on), and rows of pieces that reproduce one run
-per piece.  The exponential method: its
+included, under either form of the step-size controller), the bit
+equalities that stacking, the array controller and the batched starting
+step rely on, the Python-float form of few-row passes against the array
+form (and the bit equalities it relies on), and rows of pieces that
+reproduce one run per piece.  The exponential method: its
 phi-functions against the matrix exponential, exact linear problems
 (stiff and degenerate), a tight reference, the order of its dense
 output, lone-run bits in a batch and its evaluation count."""
@@ -323,9 +324,11 @@ class TestErrors:
             return np.array([1.0 if t >= t_end else 0.0])
 
         y0 = np.array([0.0])
-        h = _initial_step(_per_row(jumps), 0.0, y0, np.array([0.0]),
-                          jumps(0.0, y0, ()), t_end, 1e-6, 1e-6, math.inf)
-        assert h == t_end
+        h = _initial_step(_per_row(jumps), np.array([0.0]), y0[None],
+                          np.array([[0.0]]), jumps(0.0, y0, ())[None],
+                          np.array([t_end]), np.array([1e-6]),
+                          np.array([1e-6]), math.inf)
+        assert h.tolist() == [t_end]
         res = solve_one(jumps, 0.0, t_end, y0, np.array([0.0, t_end]),
                         rtol=1e-6, atol=1e-6)
         assert res.n_accepted[0] == 1
@@ -346,6 +349,12 @@ class TestErrors:
         with pytest.raises(StepSizeUnderflowError, match="stiff"):
             solve_one(jumps, 0.5, t_end, np.array([0.0]), np.array([t_end]),
                       rtol=1e-12, atol=1e-12)
+
+    def test_array_form_fails_a_rejected_step_onto_a_close_end(
+            self, monkeypatch):
+        # the same row under the array form of the controller
+        monkeypatch.setattr(ode, "FLOAT_ROWS", 0)
+        self.test_rejected_step_onto_a_close_end_fails()
 
     def test_grid_outside_span_rejected(self):
         with pytest.raises(ValueError):
@@ -493,8 +502,8 @@ class TestBatch:
         assert np.size(res.t) == int(res.offsets[-1])
 
     def test_one_rhs_call_per_stage(self):
-        # the stages of all rows are one call each; only the start-step
-        # probes call the right-hand side on one row
+        # the stages of all rows are one call each, and so is the
+        # starting-step probe
         sizes = []
 
         def counted(t, Y, P):
@@ -503,8 +512,8 @@ class TestBatch:
 
         res = _solve_batch(BATCH, rhs=counted)
         attempted = res.n_accepted + res.n_rejected
-        assert sizes[:1 + len(BATCH)] == [len(BATCH)] + [1] * len(BATCH)
-        assert len(sizes) == 1 + len(BATCH) + 6 * int(np.max(attempted))
+        assert sizes[:2] == [len(BATCH)] * 2
+        assert len(sizes) == 2 + 6 * int(np.max(attempted))
         assert sum(sizes) == int(np.sum(res.n_rhs))
 
     def test_y0_must_be_two_dimensional(self):
@@ -657,7 +666,8 @@ def _spy_dense_output(monkeypatch):
     dense_output = ode._dense_output
 
     def spy(jobs, stacked, *args):
-        passes.append([stacked, [j - i for *_, i, j in jobs], 0])
+        passes.append([stacked, [int(b - a) for a, b in zip(jobs.start,
+                                                             jobs.end)], 0])
         failed = dense_output(jobs, stacked, *args)
         passes[-1][2] = len(failed)
         return failed
@@ -666,14 +676,52 @@ def _spy_dense_output(monkeypatch):
     return passes
 
 
+def _spy_grid_search(monkeypatch):
+    """Count the passes of the array form of the controller (each with
+    accepted rows searches their grids)."""
+    calls = []
+    search = ode._grid_search
+
+    def spy(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(ode, "_grid_search", spy)
+    return calls
+
+
+# ode.FLOAT_ROWS of the batch and of the lone runs: as it is; the array
+# controller on every pass of the batch against the per-row one on every
+# pass of the lone runs; and the other way round
+CONTROLLERS = pytest.mark.parametrize(
+    "batch_rows, lone_rows", [(None, None), (0, 10**6), (10**6, 0)],
+    ids=["default", "arrays-rows", "rows-arrays"])
+
+
+def _controllers(monkeypatch, float_rows):
+    """Patch ode.FLOAT_ROWS to float_rows (None: leave it)."""
+    if float_rows is not None:
+        monkeypatch.setattr(ode, "FLOAT_ROWS", float_rows)
+
+
 class TestStackedBatch:
-    def test_rows_match_lone_runs_bitwise(self, monkeypatch):
+    @CONTROLLERS
+    def test_rows_match_lone_runs_bitwise(self, monkeypatch, batch_rows,
+                                          lone_rows):
         assert len(STACKED) >= 2 * DENSE_ROWS
         passes = _spy_dense_output(monkeypatch)
+        searches = _spy_grid_search(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
+            _controllers(monkeypatch, lone_rows)
             lone = [_solve_rows([problem]) for problem in STACKED]
-            del passes[:]
+            lone_searches = len(searches)
+            _controllers(monkeypatch, batch_rows)
+            del passes[:], searches[:]
             res = _solve_rows(STACKED)
+        # the array form ran on the batch's passes, unless they were all
+        # per row, and on the lone runs' only when they were all arrays
+        assert bool(searches) == (batch_rows != 10**6)
+        assert bool(lone_searches) == (lone_rows == 0)
         # stacked passes held one-sample and multi-sample rows, and the
         # dense-output overflow of PEAK was found in one
         stacked = [(ms, failed) for on, ms, failed in passes if on]
@@ -852,6 +900,123 @@ class TestFloatBits:
         x = _stages(np.random.default_rng(5), 200_000)
         assert np.array_equal(_bits(x ** 2), _bits([v * v for v in
                                                     x.tolist()]))
+
+
+def _scalar_initial_step(f, t0, y0, f0, t_end, rtol, atol, max_step):
+    """The starting-step heuristic of one row on Python floats, as solve
+    took it row by row: the reference of the batched _initial_step."""
+    scale = atol + rtol * np.abs(y0)
+    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
+    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 or d1 == math.inf \
+        else 0.01 * d0 / d1
+    h0 = min(h0, t_end - t0, max_step)
+    f1 = f(t0 + h0, y0 + h0 * f0)
+    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    elif not (math.isfinite(d1) and math.isfinite(d2)):
+        h1 = h0
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, t_end - t0, max_step)
+
+
+def _affine(t, Y, P):
+    """y' = a*y + b*t + c, plus d for t > 0, element by element, with a,
+    b, c and d from P."""
+    n = Y.shape[1]
+    return (Y * P[:, :n] + t[:, None] * P[:, n:2 * n] + P[:, 2 * n:3 * n]
+            + (t > 0.0)[:, None] * P[:, 3 * n:])
+
+
+class TestControllerBits:
+    """The bit equalities that the array form of the step-size
+    controller and the batched starting step rely on, one test each, so
+    that a numpy or libm that breaks one fails here by name rather than
+    by moving the golden hashes."""
+
+    @pytest.mark.parametrize("exponent, lo, hi", [(-0.25, -40.0, 5.0),
+                                                  (0.2, -300.0, 300.0)])
+    def test_float_power_equals_python_power(self, exponent, lo, hi):
+        # the exponential method's factor err ** -0.25 and the starting
+        # step's (0.01/d) ** 0.2 (Dormand-Prince's -0.2: TestDenseBits)
+        x = np.exp(np.random.default_rng(4).uniform(lo, hi, 200_000))
+        assert np.array_equal(_bits(np.float_power(x, exponent)),
+                              _bits([v ** exponent for v in x.tolist()]))
+
+    def test_nextafter_equals_math_nextafter(self):
+        # the 10-ulp floor of each row's step at its time t
+        rng = np.random.default_rng(6)
+        t = np.concatenate([
+            rng.normal(size=100_000) * 10.0 ** rng.integers(-310, 307,
+                                                             100_000),
+            [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0 ** -1022, _TOP]])
+        with np.errstate(over="ignore"):  # past the largest float
+            floor = 10.0 * (np.nextafter(t, math.inf) - t)
+        assert np.array_equal(_bits(floor), _bits([
+            10.0 * abs(math.nextafter(v, math.inf) - v) for v in t.tolist()]))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_row_reduce_equals_one_row_mean(self, n):
+        # the starting step's norms: np.add.reduce along every row of a
+        # batch, over n, against np.mean of each row alone
+        rng = np.random.default_rng(20 + n)
+        for rows in (1, 4, 128):
+            x = rng.uniform(0.0, 1.0, (4096 // rows, rows, n)) \
+                * 10.0 ** rng.integers(-150, 150, (4096 // rows, rows, n))
+            batched = np.array([np.add.reduce(slab, axis=1) / n
+                                for slab in x])
+            assert np.array_equal(_bits(batched), _bits(
+                [[np.mean(row) for row in slab] for slab in x]))
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7])
+    def test_initial_step_equals_the_scalar_heuristic(self, n):
+        # every row of one batch against its own heuristic on Python
+        # floats: states and slopes from 1e-12 to 1e12, zero slopes, a
+        # slope that overflows the error scale, a NaN slope, pieces from
+        # 1e-310 long, a slope that jumps right after t0 = 0 (d2
+        # overflows on the shortest pieces), and a finite max_step
+        rng = np.random.default_rng(30 + n)
+        rows = 600
+        y0 = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-12, 13,
+                                                              (rows, 1))
+        P = rng.normal(size=(rows, 4 * n)) \
+            * 10.0 ** rng.integers(-12, 13, (rows, 4 * n))
+        P[::7] = 0.0
+        P[1::11, 2 * n:3 * n] = 1e300
+        P[2::13, 0] = math.nan
+        y0[3::17] = 0.0
+        # spans down to 1e-310 from t0 = 0, from 1e-10 elsewhere
+        t0 = np.where(np.arange(rows) % 3, rng.uniform(-5.0, 5.0, rows), 0.0)
+        t_end = t0 + 10.0 ** np.where(t0, rng.uniform(-10.0, 2.0, rows),
+                                      rng.uniform(-310.0, 2.0, rows))
+        tol = 10.0 ** rng.uniform(-12.0, -3.0, rows)
+        f0 = _affine(t0, y0, P)
+        for max_step in (math.inf, 1e-3):
+            with np.errstate(all="ignore"):
+                got = _initial_step(_affine, t0, y0, P, f0, t_end, tol, tol,
+                                    max_step)
+                want = [_scalar_initial_step(
+                    lambda t, y, p=P[b]: _affine(np.array([t]), y[None],
+                                                 p[None])[0],
+                    t0[b].item(), y0[b], f0[b], t_end[b].item(),
+                    tol[b].item(), tol[b].item(), max_step)
+                    for b in range(rows)]
+            # repr tells every float apart but NaN's sign
+            assert list(map(repr, got.tolist())) == list(map(repr, want))
+
+    def test_bloch_norm_view_equals_complex_sum(self):
+        # each sweep batch's measure: |s| from a complex view of (Re s,
+        # Im s) against the complex array Re s + 1j*Im s
+        from lfbloch.dynamics import _bloch_norm
+        rng = np.random.default_rng(8)
+        for scale in (1e-160, 1e-20, 1.0, 1e20, 1e150, 1e200):
+            y = rng.normal(size=(50_000, 5)) \
+                * scale * 10.0 ** rng.integers(-3, 4, (50_000, 5))
+            with np.errstate(over="ignore", under="ignore"):
+                want = y[:, 2] ** 2 + 4.0 * np.abs(y[:, 0] + 1j * y[:, 1]) ** 2
+                assert np.array_equal(_bits(_bloch_norm(y)), _bits(want))
 
 
 def _row_form(*functions):
@@ -1282,19 +1447,19 @@ class TestExponential:
             K[:, 0] = method.nonlinear(np.zeros(1), y0, P)
             method.attempt(y0, K, P, np.zeros(1), np.array([h]))
             out = np.zeros((1, 5))
-
-            class Row:
-                lo = index = 0
-
-            method.dense_output([(0, Row, 0.0, h, 0, 1)], y0, K, P,
-                                np.array([0.5 * h]), out, None)
+            method.dense_output(ode._Jobs([0], [0.0], [h], [0], [1], [0]),
+                                y0, K, P, np.array([0.5 * h]), out, None)
             ref = solve(_per_row(_coupled), [[(0.5 * h, consts)]], [0.0],
                         y0, [np.array([0.5 * h])], [1e-13], [1e-13])
             errors.append(np.max(np.abs(out - ref.y)))
         assert errors[0] / errors[1] >= 24.0
 
-    def test_rows_match_lone_runs_bitwise(self):
+    @CONTROLLERS
+    def test_rows_match_lone_runs_bitwise(self, monkeypatch, batch_rows,
+                                          lone_rows):
+        _controllers(monkeypatch, batch_rows)
         rows, res = _exponential_rows()
+        _controllers(monkeypatch, lone_rows)
         for b, (f, L, pieces, y0, grid, tol) in enumerate(rows):
             lone = _solve_exp(f, L, pieces, y0, grid, tol)
             assert np.array_equal(res.row(b)[1], lone.y)
