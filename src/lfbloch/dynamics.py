@@ -643,8 +643,24 @@ class _Run:
             > EXPONENTIAL_POLE * params.emitter.gamma_a) else None
 
 
+def _grid(span: float, points: int) -> np.ndarray:
+    """``np.linspace(0.0, span, points)`` with its bits, for points >= 2:
+    ``arange(points) * (span/(points - 1))`` (linspace's + 0.0 changes
+    no bit), its last point set to span.  Where that step underflows to
+    0 it is linspace itself, which then divides before it multiplies."""
+    step = span / (points - 1)
+    if step == 0.0:
+        return np.linspace(0.0, span, points)
+    grid = np.arange(points, dtype=float)
+    grid *= step
+    grid[-1] = span
+    return grid
+
+
 def _integrate_runs(runs, keep=None) -> list:
-    """integrate_batch without the Bloch-sphere warnings."""
+    """integrate_batch without the Bloch-sphere warnings.  Each run's
+    grid is built by _grid, np.linspace's arithmetic without its
+    argument handling."""
     results: list = [None] * len(runs)
     prepared = []
     for k, (params, initial, integration) in enumerate(runs):
@@ -677,7 +693,7 @@ def _integrate_runs(runs, keep=None) -> list:
         # until its one copy of them all (the trajectories' times)
         res = ode.solve(rhs, [run.pieces for _, run in group],
                         [0.0] * len(group), [run.y for _, run in group],
-                        (np.linspace(0.0, run.span, run.points)
+                        (_grid(run.span, run.points)
                          for _, run in group), tols, tols,
                         linear=linear,
                         row_rhs=(_complex_pairs, row) if row else None,

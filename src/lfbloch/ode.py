@@ -61,7 +61,9 @@ clipped by ``np.maximum`` and ``np.minimum``; a non-finite error is
 masked to ``_MIN_FACTOR`` (``np.maximum`` would propagate NaN where
 Python's ``max`` drops it), and ``err == 0`` gives ``_MAX_FACTOR``.
 The 10-ulp floor is ``np.nextafter``, and the grid points inside the
-accepted steps come from one bisection over every row's grid.  The
+accepted steps come from one bisection over every row's grid, as deep
+as the most points that a step can cross at its row's smallest grid
+spacing.  The
 rare events stay per row in both forms: a restart at a piece's end, a
 failure and its message.  Both forms do the same arithmetic, so a row
 takes the same steps in either, and a run switches to the per-row form
@@ -344,13 +346,27 @@ class _Jobs(NamedTuple):
 _NO_JOBS = _Jobs([], [], [], [], [], [])
 
 
-def _grid_search(t_all, lo, hi, x):
+def _grid_search(t_all, lo, hi, x, t, gap):
     """``lo + t_all[lo:hi].searchsorted(x, "right")`` of each entry of
-    the arrays lo, hi and x: the first index of a row's sorted grid
-    segment lo:hi past x, or hi.  One bisection over every row at once
-    (binary lifting on exact comparisons), with no per-sample array."""
+    the arrays lo, hi, x, t and gap: the first index of a row's sorted
+    grid segment lo:hi past x, or hi, where the segment's points lie
+    above t and gap is the smallest rounded difference of two neighbours
+    on the row's grid.  One bisection over every row at once (binary
+    lifting on exact comparisons), with no per-sample array; it starts
+    at the most points that any row's (t, x] can hold, capped by its
+    segment, not at the longest segment."""
+    # The bound.  c points p_k < ... < p_{k+c-1} in (t, x] lie at least
+    # gap/(1 + u) apart in exact arithmetic (gap is a rounded
+    # difference; u the unit roundoff), so (c - 1)*gap/(1 + u) <=
+    # p_{k+c-1} - p_k < x - t, and c <= floor((x - t)*(1 + u)/gap) + 1.
+    # The rounded quotient of the rounded x - t is within a few u of
+    # (x - t)/gap, which the relative margin covers, and within less
+    # than 1 of it where it is subnormal, which the +2 covers.  A
+    # quotient that overflows, or a one-point grid's inf gap, leaves
+    # the segment as the cap (np.fmin drops an inf/inf NaN).
+    width = np.fmin(hi - lo, (x - t) / gap * (1.0 + 1e-12) + 2.0)
     lo = lo.copy()
-    step = 1 << int((hi - lo).max(initial=0)).bit_length()
+    step = 1 << int(width.max(initial=0)).bit_length()
     top = hi - 1
     while step > 1:
         step >>= 1
@@ -442,7 +458,7 @@ def _dense_output(jobs, stacked, y, K, t_all, y_all, subset) -> list:
     # the one-sample rows, then the others: a (G, mx, 4) stack with each
     # row's grid points, padded by repeating its last one, whose sample
     # then repeats the row's last bit for bit
-    for g in (np.flatnonzero(m == 1), np.flatnonzero(m > 1)):
+    for g in ((m == 1).nonzero()[0], (m > 1).nonzero()[0]):
         if not g.size:
             continue
         m_g = m[g, None]
@@ -651,6 +667,7 @@ def solve(
     grids = iter(t_eval)
     t_all = np.empty(0)
     offsets = np.zeros(batch + 1, dtype=int)
+    gaps = np.empty(batch)
     for b, (a, row) in enumerate(zip(t0, pieces)):
         grid = next(grids, None)
         if grid is None:
@@ -667,7 +684,9 @@ def solve(
             raise ValueError("empty evaluation grid")
         if not np.all(np.isfinite(grid)):
             raise ValueError("evaluation grid must be finite")
-        if np.any(np.diff(grid) <= 0.0):
+        # the smallest spacing, which bounds the grid search
+        gaps[b] = np.diff(grid).min(initial=math.inf)
+        if gaps[b] <= 0.0:
             raise ValueError("evaluation grid must be strictly increasing")
         if grid[0] < a or grid[-1] > ends[-1]:
             raise ValueError(
@@ -786,7 +805,7 @@ def solve(
             if errs is not None:
                 accept = errs <= 1.0  # NaN is rejected
                 retry = ~accept
-                accepted = np.flatnonzero(accept)
+                accepted = accept.nonzero()[0]
                 n_accepted[index[accepted]] += 1
                 n_rejected[index[retry]] += 1
                 nonfinite = ~np.isfinite(errs)
@@ -800,7 +819,8 @@ def solve(
                 T_new = np.where(lasts[accepted], stops[accepted],
                                  T[accepted] + H[accepted])
                 i_out = cur[accepted]
-                j = _grid_search(t_all, i_out, ends[accepted], T_new)
+                j = _grid_search(t_all, i_out, ends[accepted], T_new,
+                                 T[accepted], gaps[index[accepted]])
                 found = j > i_out
                 g = accepted[found]
                 jobs = _Jobs(g, T[g], H[g], i_out[found], j[found], index[g])
@@ -822,11 +842,11 @@ def solve(
             ok = (H >= 10.0 * (np.nextafter(T, math.inf) - T)) \
                 | lasts & ~retry
             ok[done] = True  # retired, not failed
-            for r in np.flatnonzero(~ok).tolist():
+            for r in (~ok).nonzero()[0].tolist():
                 errors[index[r]] = _underflow(T[r], H[r], nonfinite[r], K[r],
                                               dict(restarts).get(r))
             ok[done] = False
-            keep = np.flatnonzero(ok)
+            keep = ok.nonzero()[0]
             H = np.where(lasts, stops - T, H)
         else:
             keep, accepted, found = [], [], []

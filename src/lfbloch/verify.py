@@ -70,6 +70,7 @@ DEGENERACY_THRESHOLD = 1e-9
 
 _MIN_FIT_SAMPLES = 20
 _PHASE_STEP_LIMIT = 0.95 * math.pi
+_EPS = np.finfo(float).eps
 
 _WEAK_S0 = 1e-3
 _WEAK_POINTS = 1601
@@ -289,21 +290,42 @@ def default_fit_window(rate_guess: float) -> tuple[float, float]:
     return 2.0 / rate_guess, 6.0 / rate_guess
 
 
-def _window_mask(traj: Trajectory,
-                 window: tuple[float, float] | None) -> tuple:
+def _window(traj: Trajectory,
+            window: tuple[float, float] | None) -> tuple:
+    """The slice lo:hi of the samples inside the closed window [a, b],
+    with (a, b) and their number.  Trajectory times rise strictly, so
+    the slice holds exactly the samples of the mask ``(times >= a) &
+    (times <= b)``."""
     if window is None:
         window = (float(traj.times[0]), float(traj.times[-1]))
     a, b = float(window[0]), float(window[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise FitWindowError(f"invalid fit window ({a!r}, {b!r})")
-    mask = (traj.times >= a) & (traj.times <= b)
-    n = int(np.count_nonzero(mask))
+    lo = int(traj.times.searchsorted(a, "left"))
+    hi = int(traj.times.searchsorted(b, "right"))
+    n = hi - lo
     if n < _MIN_FIT_SAMPLES:
         raise FitWindowError(
             f"fit window [{a:g}, {b:g}] contains {n} samples; "
             f"need >= {_MIN_FIT_SAMPLES}"
         )
-    return mask, (a, b), n
+    return slice(lo, hi), (a, b), n
+
+
+def _line(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.polyfit(t, y, 1)``, [slope, intercept], with its bits: the
+    same steps on the columns [t, 1], without its argument handling."""
+    lhs = np.empty((len(t), 2))
+    lhs[:, 0] = t
+    lhs[:, 1] = 1.0
+    # scale the columns to improve the condition number, as polyfit does
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    c, _, rank, _ = np.linalg.lstsq(lhs, y, len(t) * _EPS)
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned",
+                      np.exceptions.RankWarning, stacklevel=2)
+    return c / scale
 
 
 def fit_decay(traj: Trajectory, observable: str = "w_plus_1",
@@ -314,6 +336,9 @@ def fit_decay(traj: Trajectory, observable: str = "w_plus_1",
     at the full rate) or "abs_s" (coherence magnitude, decaying at half
     the rate for a free emitter).  The observable must be strictly
     positive on the window and the window must hold at least 20 samples.
+    The window is one slice of the samples, found by bisection: it
+    relies on Trajectory's strictly increasing times.  The line has the
+    bits of ``np.polyfit(t, log_y, 1)`` (see _line).
 
     Examples
     --------
@@ -327,16 +352,16 @@ def fit_decay(traj: Trajectory, observable: str = "w_plus_1",
     else:
         raise ValueError(f"unknown observable {observable!r}; "
                          f"expected 'w_plus_1' or 'abs_s'")
-    mask, window, n = _window_mask(traj, window)
-    t = traj.times[mask]
-    y = values[mask]
-    if np.any(y <= 0.0):
+    cut, window, n = _window(traj, window)
+    t = traj.times[cut]
+    y = values[cut]
+    if (y <= 0.0).any():
         raise FitWindowError(
             f"observable {observable!r} must be strictly positive on the "
             f"fit window (min = {float(np.min(y)):.3g})"
         )
     log_y = np.log(y)
-    slope, intercept = np.polyfit(t, log_y, 1)
+    slope, intercept = _line(t, log_y)
     resid = float(np.sqrt(np.mean((log_y - (slope * t + intercept)) ** 2)))
     return FitResult(rate=float(-slope), frequency=math.nan, residual=resid,
                      window=window, n_samples=n)
@@ -348,12 +373,14 @@ def fit_frequency(traj: Trajectory,
 
     The slope is the oscillation frequency (the level shift when
     delta_a = 0).  Per-sample phase steps close to pi cannot be unwrapped
-    reliably, so steps beyond 0.95*pi raise SamplingTooCoarseError.
+    reliably, so steps beyond 0.95*pi raise SamplingTooCoarseError.  As
+    in fit_decay, the window is one slice, which relies on Trajectory's
+    strictly increasing times, and the line has np.polyfit's bits.
     """
-    mask, window, n = _window_mask(traj, window)
-    t = traj.times[mask]
-    s = traj.s[mask]
-    if np.any(s == 0):
+    cut, window, n = _window(traj, window)
+    t = traj.times[cut]
+    s = traj.s[cut]
+    if (s == 0).any():
         raise FitWindowError("coherence vanishes inside the fit window; "
                              "its phase is undefined")
     phase = np.angle(s)
@@ -366,7 +393,7 @@ def fit_frequency(traj: Trajectory,
             f"frequency aliasing"
         )
     unwrapped = np.unwrap(phase)
-    slope, intercept = np.polyfit(t, unwrapped, 1)
+    slope, intercept = _line(t, unwrapped)
     resid = float(np.sqrt(np.mean((unwrapped
                                    - (slope * t + intercept)) ** 2)))
     return FitResult(rate=math.nan, frequency=float(slope), residual=resid,

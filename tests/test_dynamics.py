@@ -882,6 +882,57 @@ def _mixed_batch(dense_rows):
     return runs, batch, [str(w.message) for w in caught]
 
 
+class _Probes(np.ndarray):
+    """A view of the grids that counts the bisection levels of
+    ode._grid_search, one take per level."""
+
+    levels = 0
+
+    def take(self, *args, **kwargs):
+        _Probes.levels += 1
+        return np.ndarray.take(self, *args, **kwargs)
+
+
+class TestGridBits:
+    """Each run's grid is np.linspace's, bit for bit, and a sweep-like
+    batch's grid search bisects from its steps' bound, not from its
+    grids' length."""
+
+    def test_grid_equals_linspace(self):
+        rng = np.random.default_rng(14)
+        spans = [10.0 ** k for k in range(-300, 301, 10)] + list(
+            rng.uniform(1.0, 10.0, 40) * 10.0 ** rng.integers(-300, 300, 40)
+        ) + [6.5 / 1.37, 8.0, 5e-324, 1e-320, np.finfo(float).max]
+        points = [2, 3, 4, 7, 10, 101, 801, 1601, 8001, 10**4]
+        underflows = 0
+        with np.errstate(over="ignore"):  # (points - 1)*step past the top
+            for span in spans:
+                for n in points:
+                    underflows += span / (n - 1) == 0.0
+                    assert np.array_equal(
+                        _bits(dynamics._grid(span, n)),
+                        _bits(np.linspace(0.0, span, n))), (span, n)
+        assert underflows >= 2
+
+    def test_sweep_batch_bisects_few_levels(self, monkeypatch):
+        # 1601-point grids: from the longest grid it takes 11 levels on
+        # every pass; a sweep's steps cross at most a few tens of points
+        levels = []
+        search = ode._grid_search
+
+        def spy(t_all, *args):
+            _Probes.levels = 0
+            found = search(t_all.view(_Probes), *args)
+            levels.append(_Probes.levels)
+            return found
+
+        monkeypatch.setattr(ode, "_grid_search", spy)
+        batch = integrate_batch(_decays(32), keep=("w",))
+        assert all(isinstance(traj, Trajectory) for traj in batch)
+        assert len(levels) >= 50
+        assert max(levels) <= 7, f"bisection levels per pass: {levels}"
+
+
 class TestBatchMemory:
     """A batch holds its samples and one copy of its grids, which its
     trajectories view; s and beta are built from the samples on read,

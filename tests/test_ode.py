@@ -1019,6 +1019,94 @@ class TestControllerBits:
                 assert np.array_equal(_bits(_bloch_norm(y)), _bits(want))
 
 
+def _searches(grids, rng, steps):
+    """Every argument of ode._grid_search for rows on grids, as a solve
+    pass has them (the grids end to end, each row's next point past t,
+    its segment's end, x = t + h and its smallest spacing), and per-row
+    searchsorted's answers.  A row stands at a grid point or between
+    two, and h spans steps grid gaps; x falls on a grid point at times,
+    as a step onto a piece's end does."""
+    t_all = np.concatenate(grids)
+    offsets = np.cumsum([0] + [len(g) for g in grids])
+    lo, hi, x, t, gap, want = [], [], [], [], [], []
+    for grid, start in zip(grids, offsets):
+        step = np.diff(grid).min(initial=math.inf)
+        for _ in range(12):
+            at = rng.integers(0, len(grid))
+            here = grid[at] if rng.random() < 0.5 else \
+                grid[at] - rng.uniform(0.0, 1.0) * min(step, 1.0)
+            ahead = grid[-1] - here
+            h = min(ahead, rng.uniform(0.0, steps) * step) \
+                if ahead > 0.0 else 0.0
+            end = here + h
+            if rng.random() < 0.25 and at + 1 < len(grid):
+                end = grid[min(len(grid) - 1,
+                               at + int(rng.uniform(0.0, steps)))]
+                end = max(end, here)
+            i = start + grid.searchsorted(here, "right")
+            lo.append(i)
+            hi.append(start + len(grid))
+            x.append(end)
+            t.append(here)
+            gap.append(step)
+            want.append(i + t_all[i:start + len(grid)].searchsorted(
+                end, "right"))
+    return (t_all, np.array(lo), np.array(hi), np.array(x), np.array(t),
+            np.array(gap)), np.array(want)
+
+
+class TestGridSearchBits:
+    """The grid search of the array controller, bounded by each row's
+    smallest grid spacing, against per-row searchsorted."""
+
+    @pytest.mark.parametrize("steps", [0.5, 3.0, 40.0, 700.0])
+    def test_bounded_search_equals_searchsorted(self, steps):
+        rng = np.random.default_rng(int(steps * 10))
+        uniform = [np.linspace(0.0, span, n) for span, n in
+                   [(1.0, 2), (6.5, 1601), (1e-3, 801), (3e5, 5000),
+                    (2.0, 17)]]
+        random = [np.unique(rng.uniform(a, a + w, n)) for a, w, n in
+                  [(0.0, 1.0, 1000), (-5.0, 40.0, 3000), (1e6, 1.0, 400)]]
+        # one close pair sets the gap of an otherwise coarse grid
+        narrow = []
+        for at in (1, 500, 998):
+            grid = np.linspace(0.0, 10.0, 1000)
+            grid[at] = grid[at - 1] + 1e-9
+            narrow.append(grid)
+        single = [np.array([0.25]), np.array([3.0])]
+        for grids in (uniform, random, narrow, single,
+                      uniform + single + random + narrow):
+            args, want = _searches(grids, rng, steps)
+            assert np.array_equal(ode._grid_search(*args), want)
+
+    @pytest.mark.parametrize("crossed", [0, 1, 2, 7, 31, 32, 33, 255,
+                                         256, 600])
+    def test_crossings_from_none_to_hundreds(self, crossed):
+        # rows on one 1601-point grid whose steps cross the same number
+        # of points, from a grid point, from just below the next one
+        # (the most points that a step of its length can cross) and
+        # from between two, onto a grid point or past it
+        grid = np.linspace(0.0, 6.5, 1601)
+        gap = np.diff(grid).min()
+        at = np.array([0, 77, 1600 - crossed - 1])
+        below = np.nextafter(grid[at + 1], -math.inf)
+        on = grid[at + crossed]
+        t = np.concatenate([grid[at], below, grid[at] + 0.5 * gap, below])
+        x = np.concatenate([on, np.maximum(on, below), on + 0.75 * gap,
+                            on + 0.75 * gap])
+        i = np.tile(at + 1, 4)
+        hi, gaps = np.full(len(i), len(grid)), np.full(len(i), gap)
+        got = ode._grid_search(grid, i, hi, x, t, gaps)
+        assert np.array_equal(got, i + [grid[a:].searchsorted(b, "right")
+                                        for a, b in zip(i, x)])
+        assert np.array_equal(got - i, np.full(len(i), crossed))
+        # each row alone: its own bound sets the levels
+        for r in range(len(i)):
+            row = slice(r, r + 1)
+            assert ode._grid_search(grid, i[row], hi[row], x[row], t[row],
+                                    gaps[row]) == got[r]
+
+
 def _row_form(*functions):
     """The per-row form of ``_per_row(*functions)`` for ``row_rhs``: a
     piece's constants are read once into (function, parameters)."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from lfbloch import dynamics
+from lfbloch import dynamics, verify
 from lfbloch.dynamics import (
     DriveEnvelope,
     EmitterParams,
@@ -328,6 +328,107 @@ class TestFitFrequency:
                           np.full_like(t, -1.0))
         with pytest.raises(FitWindowError):
             fit_frequency(traj)
+
+
+def _bits(values):
+    return np.asarray(values).view(np.int64)
+
+
+def _fit_corpus():
+    """(t, y) pairs of 20 to 8001 samples: log(w + 1), |s| and the
+    unwrapped phase of integrate runs over windows of each length, then
+    random data from 1e-6 to 1e6."""
+    from lfbloch.dynamics import EffectiveParams
+    detuned = EmitterParams(delta_a=0.7, eps_a=0.3, gamma_a=1.0)
+    runs = [
+        integrate(EffectiveParams(emitter=EMITTER, ell=1.37 + 0.02j),
+                  SystemState(s=0j, w=1.0),
+                  IntegrationSpec(span=6.5 / 1.37, tol=1e-10, points=8001)),
+        integrate(EffectiveParams(emitter=detuned, ell=1.1 - 0.05j),
+                  SystemState(s=0.3 + 0.2j, w=-0.5),
+                  IntegrationSpec(span=9.0, tol=1e-8, points=8001)),
+        weak_excitation_trajectory(CANONICAL, tol=1e-10),
+    ]
+    corpus = []
+    for traj in runs:
+        series = [np.log(traj.w + 1.0), np.abs(traj.s),
+                  np.unwrap(np.angle(traj.s))]
+        for n in (20, 21, 57, 400, 1201, 1601, 4000, len(traj.times)):
+            for start in sorted({0, (len(traj.times) - n) // 3,
+                                 len(traj.times) - n}):
+                t = traj.times[start:start + n]
+                corpus += [(t, y[start:start + n]) for y in series
+                           if np.isfinite(y[start:start + n]).all()]
+    rng = np.random.default_rng(11)
+    for n in (20, 33, 801, 8001):
+        for scale in (1e-6, 1.0, 1e6):
+            t = np.sort(rng.uniform(0.0, scale, n))
+            corpus.append((t, rng.normal(size=n) * scale))
+            corpus.append((t, -2.5 * t + rng.normal(size=n) * 1e-9 * scale))
+    return corpus
+
+
+class TestFitBits:
+    """The bit equalities that the fits of every sweep point rely on, so
+    that a numpy that breaks one fails here by name rather than by
+    moving the golden hashes."""
+
+    def test_line_equals_polyfit(self):
+        corpus = _fit_corpus()
+        assert len(corpus) >= 150
+        assert {len(t) for t, _ in corpus} >= {20, 8001}
+        for t, y in corpus:
+            assert np.array_equal(_bits(verify._line(t, y)),
+                                  _bits(np.polyfit(t, y, 1))), len(t)
+
+    def test_rank_warning_as_polyfit(self):
+        t = np.full(30, 2.0)
+        y = np.linspace(0.0, 1.0, 30)
+        with pytest.warns(np.exceptions.RankWarning) as want:
+            reference = np.polyfit(t, y, 1)
+        with pytest.warns(np.exceptions.RankWarning) as got:
+            line = verify._line(t, y)
+        assert str(got[0].message) == str(want[0].message)
+        assert np.array_equal(_bits(line), _bits(reference))
+
+    def test_slice_window_equals_mask(self):
+        # both fits take one slice for their window; it holds the
+        # samples of the mask because Trajectory's times rise strictly
+        rng = np.random.default_rng(12)
+        grids = [np.linspace(0.0, 5.0, 101),
+                 np.cumsum(rng.uniform(1e-3, 1.0, 300)) - 2.0]
+        for times in grids:
+            traj = _make_traj(times, np.exp((0.3j - 0.2) * times),
+                              np.full_like(times, -0.5))
+            first, last = times[0], times[-1]
+            inner = times[1:-1]
+            windows = [
+                (first, last), (times[3], times[60]),      # on samples
+                (first - 1.0, times[40]), (-1e300, last),  # before the first
+                (times[10], last + 1.0), (times[2], 1e300),  # past the last
+                (first - 2.0, last + 2.0),
+                (float(np.nextafter(times[5], -np.inf)),
+                 float(np.nextafter(times[70], np.inf))),
+                (float(np.nextafter(times[5], np.inf)),
+                 float(np.nextafter(times[70], -np.inf))),
+            ] + [tuple(sorted(rng.uniform(first - 0.5, last + 0.5, 2)))
+                 for _ in range(40)] + [
+                tuple(sorted(rng.choice(inner, 2, replace=False)))
+                for _ in range(40)]
+            for a, b in windows:
+                mask = (times >= a) & (times <= b)
+                if np.count_nonzero(mask) < 20:
+                    with pytest.raises(FitWindowError):
+                        fit_decay(traj, observable="abs_s", window=(a, b))
+                    continue
+                cut, _, n = verify._window(traj, (a, b))
+                assert np.array_equal(times[cut], times[mask])
+                assert n == np.count_nonzero(mask)
+                decay = fit_decay(traj, observable="abs_s", window=(a, b))
+                freq = fit_frequency(traj, window=(a, b))
+                assert decay.n_samples == freq.n_samples == n
+        for fit in (fit_decay, fit_frequency):
+            assert "strictly increasing times" in " ".join(fit.__doc__.split())
 
 
 class TestConvergenceStudy:
