@@ -282,7 +282,7 @@ def _fit_summary(cfg: ScenarioConfig, model: str,
 
 def _print_run_summary(model: str, path: str, traj: Trajectory,
                        summary: dict) -> None:
-    print(f"model {model}: {len(traj.times)} samples -> {path}")
+    print(f"model {model}: {len(traj.y)} samples -> {path}")
     print(f"  integrator: {traj.n_accepted} accepted, "
           f"{traj.n_rejected} rejected, {traj.n_rhs} rhs evaluations")
     pred = summary["predictions"]
@@ -348,7 +348,7 @@ def cmd_simulate(args) -> int:
         traj = trajectories[m]
         report["runs"][m] = {
             "csv": paths[m],
-            "samples": len(traj.times),
+            "samples": len(traj.y),
             "n_accepted": traj.n_accepted,
             "n_rejected": traj.n_rejected,
             "n_rhs": traj.n_rhs,
@@ -409,30 +409,24 @@ def cmd_verify(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-# Sweep points integrated per lockstep batch.  Time per point falls
-# with the batch size, since a pass's fixed numpy call overhead is
-# shared by more rows (model A's right-hand side runs as arrays from
-# dynamics.ARRAY_RHS_ROWS rows up and dense output is stacked from
-# ode.DENSE_ROWS accepted rows up), while peak memory grows with it
-# (every row's samples stay alive until the batch ends).  A batch keeps
-# only the component that its reduction reads (_SWEEP_POINTS): a
-# model-A batch peaks at 21 traced bytes per sample, its w (8), one
-# copy of its grids (8) and a pass's dense output.  It peaked at 57.6
-# when each run kept its whole state and a grid and s of its own.  On
-# the benchmark's sweep_a (256 points, 1601 samples, seeds 1-4,
-# medians, 2-core VM, wall time scaled to the benchmark's reference
-# host), at 57.6 and at 21 bytes per sample:
-#
-#            wall_s          peak_rss_mb
-#   chunk   57.6 B   21 B    57.6 B   21 B
-#     64    0.268    0.239   38.2     35.8
-#    128    0.233    0.194   44.0     37.6
-#    256    0.226    0.173   54.5     41.1
-#
-# 128 halves the solve passes of 64 (190 against 380) below the memory
-# that 64 took at 57.6 bytes; 256 saves 11% more time for 9% more
-# memory.
-SWEEP_CHUNK = 128
+# Sweep points integrated per lockstep batch, by reduction.  Time per
+# point falls with the batch size, since a pass's fixed numpy call
+# overhead is shared by more rows (model A's right-hand side runs as
+# arrays from dynamics.ARRAY_RHS_ROWS rows up and dense output is
+# stacked from ode.DENSE_ROWS accepted rows up), while peak memory grows
+# with it (every row's samples stay alive until the batch ends).  A
+# batch keeps only the component that its reduction reads
+# (_SWEEP_POINTS) and no time arrays: 8 bytes per sample for model A
+# (w) and 16 for model B (s).  Each chunk holds the samples that 128
+# points held when a batch also kept a copy of its grids (16 and 24
+# bytes per sample): 256 points for model A and 192 for model B.  On the
+# benchmark's sweep_a (256 points of 1601 samples: one batch of 95 solve
+# passes, where two 128-point batches took 190), wall_s went from 0.139
+# to 0.132 s with the grids gone, and to 0.106 s at 256 points, while
+# peak_rss_mb went from 38.1 to 36.9, and to 38.8 (medians of 6 and 10
+# pairs on a 2-core VM, scaled to the benchmark's reference host;
+# BENCH_21.json).
+SWEEP_CHUNK = {"population_rate_model_a": 256, "coherence_rate_model_b": 192}
 
 
 def _sweep_value(spec: SweepSpec, index: int) -> str:
@@ -541,9 +535,10 @@ def cmd_sweep(args) -> int:
     try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_HEADER)
-        for start in range(0, n_points, SWEEP_CHUNK):
+        chunk = SWEEP_CHUNK[spec.reduction]
+        for start in range(0, n_points, chunk):
             writer.writerows(_sweep_chunk(
-                spec, range(start, min(start + SWEEP_CHUNK, n_points))))
+                spec, range(start, min(start + chunk, n_points))))
     finally:
         if args.output:
             fh.close()

@@ -298,22 +298,24 @@ _COLUMNS = {"s": (0, 1), "w": (2,), "beta": (3, 4)}
 class Trajectory:
     """Sampled solution plus integrator statistics.
 
-    times are strictly increasing, and y holds one row of real state
-    components per time, in the integrator's order: (Re s, Im s, w) for
-    model A, then (Re beta, Im beta) for model B.  A trajectory of
-    ``integrate_batch`` with ``keep`` holds only the columns listed in
-    ``columns``, in that order (None: all of them); reading a component
-    it does not hold raises AttributeError.  w is a view of its column;
-    s and beta (None for model A) are built from theirs on each read, as
-    ``y[:, 0] + 1j*y[:, 1]``, and not kept: a run fitted on w alone
-    never allocates them, and a batch's trajectories never hold them all
-    at once.  A trajectory of ``integrate_batch`` holds views: its times
-    and y are slices of its batch's grid and samples.  bloch_norm_max is
-    the largest sampled w^2 + 4|s|^2 of the whole state, held or not, a
-    diagnostic for leaving the Bloch sphere.
+    The samples lie on the uniform grid of ``len(y)`` points on [0,
+    span], ``np.linspace(0.0, span, len(y))`` bit for bit; times builds
+    it on each read and no trajectory holds it.  y holds one row of real
+    state components per time, in the integrator's order: (Re s, Im s,
+    w) for model A, then (Re beta, Im beta) for model B.  A trajectory
+    of ``integrate_batch`` with ``keep`` holds only the columns listed
+    in ``columns``, in that order (None: all of them); reading a
+    component it does not hold raises AttributeError.  w is a view of
+    its column; s and beta (None for model A) are built from theirs on
+    each read, as ``y[:, 0] + 1j*y[:, 1]``, and not kept: a run fitted
+    on w alone never allocates them, and a batch's trajectories never
+    hold them all at once.  The y of a trajectory of ``integrate_batch``
+    is a slice of its batch's samples.  bloch_norm_max is the largest
+    sampled w^2 + 4|s|^2 of the whole state, held or not, a diagnostic
+    for leaving the Bloch sphere.
     """
 
-    times: np.ndarray
+    span: float
     y: np.ndarray
     model: str
     tol: float
@@ -322,6 +324,12 @@ class Trajectory:
     n_rhs: int
     bloch_norm_max: float
     columns: tuple | None = None
+
+    @property
+    def times(self) -> np.ndarray:
+        """The sample times from 0 to span: strictly increasing on an
+        integrated run, whose grid solve checks."""
+        return ode.grid(0.0, self.span, len(self.y))
 
     def _column(self, name: str, c: int) -> np.ndarray:
         if self.columns is None:
@@ -580,7 +588,7 @@ def integrate_batch(runs, keep=None) -> list:
         or ``lfbloch.ode.StepSizeUnderflowError`` that ``integrate``
         would raise for it (with the same message).  A failing run does
         not stop the others.  The trajectories of one batch are views of
-        its grid and sample buffer, which stay alive while any of them
+        its sample buffer, which stays alive while any of them
         does.
 
     Warns
@@ -643,24 +651,8 @@ class _Run:
             > EXPONENTIAL_POLE * params.emitter.gamma_a) else None
 
 
-def _grid(span: float, points: int) -> np.ndarray:
-    """``np.linspace(0.0, span, points)`` with its bits, for points >= 2:
-    ``arange(points) * (span/(points - 1))`` (linspace's + 0.0 changes
-    no bit), its last point set to span.  Where that step underflows to
-    0 it is linspace itself, which then divides before it multiplies."""
-    step = span / (points - 1)
-    if step == 0.0:
-        return np.linspace(0.0, span, points)
-    grid = np.arange(points, dtype=float)
-    grid *= step
-    grid[-1] = span
-    return grid
-
-
 def _integrate_runs(runs, keep=None) -> list:
-    """integrate_batch without the Bloch-sphere warnings.  Each run's
-    grid is built by _grid, np.linspace's arithmetic without its
-    argument handling."""
+    """integrate_batch without the Bloch-sphere warnings."""
     results: list = [None] * len(runs)
     prepared = []
     for k, (params, initial, integration) in enumerate(runs):
@@ -689,12 +681,9 @@ def _integrate_runs(runs, keep=None) -> list:
         columns = None if keep is None else tuple(
             c for name in ("s", "w", "beta") if name in keep
             and (name != "beta" or model == "B") for c in _COLUMNS[name])
-        # a generator, so that solve holds the only grid of each run
-        # until its one copy of them all (the trajectories' times)
         res = ode.solve(rhs, [run.pieces for _, run in group],
                         [0.0] * len(group), [run.y for _, run in group],
-                        (_grid(run.span, run.points)
-                         for _, run in group), tols, tols,
+                        [run.points for _, run in group], tols, tols,
                         linear=linear,
                         row_rhs=(_complex_pairs, row) if row else None,
                         columns=columns, measure=_bloch_norm)
@@ -703,9 +692,9 @@ def _integrate_runs(runs, keep=None) -> list:
                     res.n_rhs.tolist(), res.measure_max.tolist())
         for r, ((k, run), (acc, rej, rhs_calls, norm_max)) in enumerate(
                 zip(group, stats)):
-            times, y_out = res.row(r)
             results[k] = res.errors[r] or Trajectory(
-                times=times, y=y_out, model=run.model, tol=run.tol,
+                span=run.span, y=res.y[res.offsets[r]:res.offsets[r + 1]],
+                model=run.model, tol=run.tol,
                 n_accepted=acc, n_rejected=rej, n_rhs=rhs_calls,
                 bloch_norm_max=norm_max, columns=columns)
     return results

@@ -347,7 +347,7 @@ class Exponential:
         out[:, self.im] = pairs[:, 0].imag
         return out
 
-    def dense_output(self, jobs, y, K, P, t_all, y_all, subset) -> list:
+    def dense_output(self, jobs, y, K, P, grids, y_all, subset) -> list:
         """Write the samples of the steps just accepted: the step's
         order-4 extension, the exact phi-weighted integral of the cubic
         through its N at t, t + h/3, t + 2h/3 and t + h.  The arguments
@@ -361,8 +361,10 @@ class Exponential:
         # each job's grid points start:end, end to end
         m = end - start
         job = np.repeat(np.arange(rs.size), m)
-        idx = np.arange(job.size) + np.repeat(start - (np.cumsum(m) - m), m)
-        theta = (t_all[idx] - t[job]) / h[job]
+        times, idx = grids.at(index[job], (np.arange(job.size) + np.repeat(
+            start - (np.cumsum(m) - m), m))[:, None])
+        theta = (times[:, 0] - t[job]) / h[job]
+        idx = idx[:, 0]
         V = self._cubic(y[rs], K[rs], h)
         bad = set()
         # each sample's bits do not depend on the slice it sits in

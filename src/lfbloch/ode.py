@@ -4,7 +4,7 @@
 Dormand-Prince is the explicit 7-stage FSAL pair: the fifth-order
 solution is propagated, the embedded fourth-order solution provides the
 per-step error estimate, and a quartic interpolant gives dense output on
-an arbitrary evaluation grid.  Error control is applied to every real
+each row's uniform sample grid.  Error control is applied to every real
 component with the mixed tolerance scale ``atol + rtol*|y|``.
 
 The exponential method (``solve(..., linear=(L, cols))``) splits each row
@@ -32,6 +32,16 @@ yields the same bits in any batch; a single problem is a batch of one.
 A row whose step size underflows stops with its own error while the
 other rows go on.
 
+Each row is sampled on a uniform grid of its own size from its start to
+its end, ``grid(t0, end, points)``: ``np.linspace``'s points, bit for
+bit.  No array holds the grids.  A grid point is computed where it is
+needed, from its index, by linspace's arithmetic (``_points``), and the
+grid points that a step covers are counted by an index computation: the
+floor of the step's end over the grid step, fixed up by exact
+comparisons with the points on either side (``_grid_index``), which
+equals ``searchsorted`` on the built grid.  A batch therefore holds its
+samples and no time arrays.
+
 A row is a sequence of pieces, each with its own constants p (say, a
 drive held constant between pulse edges) that every stage of a step
 inside it reads, those at its end included.  The row restarts at each
@@ -53,21 +63,28 @@ The step-size controller of a pass runs on (B,) arrays while more than
 ``FLOAT_ROWS`` rows are unfinished, and on one Python object per row
 from there on (its per-row form, the controller of the float form
 below).  The array form keeps each row's time, step size, piece end,
-whether its step ends the piece, and the indices of its next grid point
-and its grid's end.  Accept/reject is ``err <= 1`` (so NaN is
-rejected).  The step-size factor is ``_SAFETY * err**exponent`` by
-``np.float_power``, which is CPython's ``**`` (``np.power`` is not),
-clipped by ``np.maximum`` and ``np.minimum``; a non-finite error is
-masked to ``_MIN_FACTOR`` (``np.maximum`` would propagate NaN where
-Python's ``max`` drops it), and ``err == 0`` gives ``_MAX_FACTOR``.
-The 10-ulp floor is ``np.nextafter``, and the grid points inside the
-accepted steps come from one bisection over every row's grid, as deep
-as the most points that a step can cross at its row's smallest grid
-spacing.  The
-rare events stay per row in both forms: a restart at a piece's end, a
-failure and its message.  Both forms do the same arithmetic, so a row
-takes the same steps in either, and a run switches to the per-row form
-for good as its rows finish.
+whether its step ends the piece, and the index of its next grid point.
+Accept/reject is ``err <= 1`` (so NaN is rejected).  The step-size
+factor is ``_SAFETY * err**exponent`` by ``np.float_power``, which is
+CPython's ``**`` (``np.power`` is not), clipped by ``np.maximum`` and
+``np.minimum``; a non-finite error is masked to ``_MIN_FACTOR``
+(``np.maximum`` would propagate NaN where Python's ``max`` drops it),
+and ``err == 0`` gives ``_MAX_FACTOR``.  The 10-ulp floor is
+``np.nextafter``, and the grid points inside the accepted steps come
+from ``_grid_index`` over every accepted row at once (the per-row form
+runs ``_index``, its arithmetic on Python floats).  The rare events stay
+per row in both forms: a restart at a piece's end, a failure and its
+message.  Both forms do the same arithmetic, so a row takes the same
+steps in either, and a run switches to the per-row form for good as its
+rows finish.
+
+Near the top of the float range a tableau sum of the stages may
+overflow although its product with h does not.  A Dormand-Prince
+attempt whose error norm comes out non-finite, from a finite state and
+first stage, is therefore redone once with its sums taken on the stages
+scaled by a power of two (``_redo``), as dense output redoes an
+overflowing step; a pass whose norms are all finite never gets there.
+The redone attempt's evaluations count in ``n_rhs``.
 
 A pass of at most ``FLOAT_ROWS`` Dormand-Prince rows of n < 8
 components runs in Python floats when ``solve`` is also given the
@@ -86,11 +103,12 @@ the float form as its batch's rows finish.
 Dense output runs once per pass, after every row has been accepted or
 rejected.  For Dormand-Prince it is one stacked product ``_P_T @ K``
 over the accepted rows with grid points in their step, then the
-products of the theta powers with it.  Below ``DENSE_ROWS`` accepted
-rows those are one (m, 4) @ (4, n) product per row; from
-``DENSE_ROWS`` up they are two stacked products: a (G, 1, 4) stack of
-the rows with one sample and a (G, mx, 4) stack of the rows with two or
-more, each padded to the longest by repeating a row's last grid point.
+products of the theta powers with it, theta from the grid points that
+``_points`` computes.  Below ``DENSE_ROWS`` accepted rows those are one
+(m, 4) @ (4, n) product per row; from ``DENSE_ROWS`` up they are two
+stacked products: a (G, 1, 4) stack of the rows with one sample and a
+(G, mx, 4) stack of the rows with two or more, each padded to the
+longest by repeating a row's last grid point.
 The two stacks stay apart because a (1, 4) @ (4, n) product is not
 bitwise a row of an (m, 4) @ (4, n) one (nor is a stage-major
 (7, B*n) product the per-row one); within each stack a row gets the
@@ -121,13 +139,14 @@ methods); Kassam & Trefethen, SIAM J. Sci. Comput. 26, 1214 (2005)
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = ["NonFiniteRhsError", "OdeResult", "StepSizeUnderflowError",
-           "solve"]
+           "grid", "solve"]
 
 
 class StepSizeUnderflowError(RuntimeError):
@@ -191,26 +210,134 @@ DENSE_ROWS = 8
 # it, the array form is faster (see CHANGES.md)
 FLOAT_ROWS = 4
 
+# The smallest normal float: a grid from 0 whose step is at least this
+# has distinct points (see solve)
+_TINY = 2.0 ** -1022
+
+
+def grid(t0: float, end: float, points: int) -> np.ndarray:
+    """``np.linspace(t0, end, points)`` with its bits, for points >= 2.
+
+    Point k is ``k*step + t0`` with ``step = (end - t0)/(points - 1)``,
+    and the last point is end.  Where that step underflows to 0,
+    linspace divides before it multiplies: ``(k/(points - 1))*(end -
+    t0) + t0``.  ``solve`` samples each row on this grid without
+    building it (``_points``).
+    """
+    delta = end - t0
+    step = delta / (points - 1)
+    t = np.arange(points, dtype=float)
+    if step == 0.0:
+        t /= points - 1
+        t *= delta
+    else:
+        t *= step
+    if t0 or delta < 0.0:  # + 0.0 changes no bit of a point >= 0
+        t += t0
+    t[-1] = end
+    return t
+
+
+def _points(k, t0, step, last, end):
+    """The points k of the grids ``grid(t0, end, last + 1)`` whose step
+    is not 0, by grid's arithmetic; the arguments are arrays that
+    broadcast together (k of ints, last of ints or floats)."""
+    t = k * step
+    t += t0
+    return np.where(k == last, end, t)
+
+
+def _grid_index(x, t0, step, last, end):
+    """``grid(t0, end, last + 1).searchsorted(x, "right")`` of each entry
+    of the arrays, without the grids: the number of grid points at most
+    x.
+
+    The floor of ``(x - t0)/step``, clipped to the grid, plus one,
+    misses it by a few points at most on a grid of distinct points (by
+    one from t0 = 0): the points and the quotient are within a few
+    roundings of the exact ones.  Exact comparisons with the points on
+    either side then fix it up, a point per round.
+    """
+    j = np.minimum(np.maximum((x - t0) / step, 0.0), last).astype(int)
+    j += 1
+    while True:
+        # the point before j is past x, or the point at j is not
+        down = (j > 0) & (_points(j - 1, t0, step, last, end) > x)
+        up = (j <= last) & (_points(np.minimum(j, last), t0, step, last,
+                                    end) <= x)
+        if not (down | up).any():
+            return j
+        j += up
+        j -= down
+
+
+def _index(x, t0, step, last, end):
+    """``_grid_index`` of one row on Python floats: the same arithmetic
+    and the same fix-ups (``int`` floors the clipped quotient, which is
+    not negative)."""
+    q = (x - t0) / step
+    j = int(q if q < last else last) + 1 if q > 0.0 else 1
+    while j and (end if j - 1 == last else (j - 1) * step + t0) > x:
+        j -= 1
+    while j <= last and (end if j == last else j * step + t0) <= x:
+        j += 1
+    return j
+
+
+class _Grids(NamedTuple):
+    """Every row's sample grid, by arithmetic: ``params[b]`` is row b's
+    (t0, step, last, end), the grid ``grid(t0, end, last + 1)`` with a
+    step that is not 0; ``rows[b]`` is the same as Python floats.  Row
+    b's samples are the rows offsets[b]:offsets[b + 1] of the batch's,
+    one per grid point (``firsts`` is offsets[:-1] as a list).  ``ks``
+    holds the indices of the longest grid as floats, which a slice
+    reads faster than ``np.arange`` builds them."""
+
+    offsets: np.ndarray  # shape (B + 1,)
+    params: np.ndarray   # shape (B, 4)
+    rows: list
+    firsts: list
+    ks: np.ndarray
+
+    def at(self, b, k):
+        """The points k (G, m) of rows b (G,), and the rows of the
+        batch's samples that hold them."""
+        return (_points(k, *self.params[b].T[:, :, None]),
+                self.offsets[b, None] + k)
+
+    def times(self, b: int, lo: int, hi: int) -> np.ndarray:
+        """The points lo:hi of row b, as ``_points`` computes them (a grid
+        from 0 adds no t0: k*step is not negative, so + 0.0 would change
+        no bit)."""
+        t0, step, last, end = self.rows[b]
+        t = self.ks[lo:hi] * step
+        if t0:
+            t += t0
+        if hi > last:
+            t[-1] = end
+        return t
+
 
 @dataclass
 class OdeResult:
     """Samples of every row on its grid plus per-row integrator statistics.
 
-    Row b's samples are ``t[offsets[b]:offsets[b + 1]]`` and the same rows
-    of ``y`` (see :meth:`row`, which returns views).  ``t`` is the only
-    copy of the grids: ``solve`` keeps none of the arrays of ``t_eval``.
-    ``y`` holds the state columns that ``solve`` was asked to keep, in
-    that order.  ``errors[b]`` is None, or the StepSizeUnderflowError
-    that stopped row b: its samples past the failure and its
-    ``y_end[b]`` are NaN.  The counters are arrays so that ``np.sum``
-    totals them over the batch.  ``measure_max[b]`` is the largest
-    ``measure`` of row b's samples (NaN for a failed row; None without
-    a measure).
+    Row b's samples are the rows ``offsets[b]:offsets[b + 1]`` of ``y``,
+    at the points of ``grid(t0[b], t_end[b], offsets[b + 1] -
+    offsets[b])``; :meth:`row` builds that grid on each call, and no
+    array of the result holds it.  ``y`` holds the state columns that
+    ``solve`` was asked to keep, in that order.  ``errors[b]`` is None,
+    or the StepSizeUnderflowError that stopped row b: its samples past
+    the failure and its ``y_end[b]`` are NaN.  The counters are arrays
+    so that ``np.sum`` totals them over the batch.  ``measure_max[b]``
+    is the largest ``measure`` of row b's samples (NaN for a failed row;
+    None without a measure).
     """
 
-    t: np.ndarray           # every row's grid, concatenated
-    y: np.ndarray           # shape (t.size, number of kept columns)
+    y: np.ndarray           # shape (offsets[-1], number of kept columns)
     offsets: np.ndarray     # shape (B + 1,)
+    t0: np.ndarray          # shape (B,): where each row's grid starts
+    t_end: np.ndarray       # shape (B,): where each row's grid ends
     y_end: np.ndarray       # shape (B, n): state at t_end (for chaining)
     n_accepted: np.ndarray  # shape (B,)
     n_rejected: np.ndarray  # shape (B,)
@@ -219,9 +346,30 @@ class OdeResult:
     measure_max: np.ndarray | None = None  # shape (B,)
 
     def row(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (t, y) samples of row b."""
+        """The (t, y) samples of row b: its grid, built, and a view of
+        its rows of y."""
         lo, hi = self.offsets[b], self.offsets[b + 1]
-        return self.t[lo:hi], self.y[lo:hi]
+        return grid(self.t0[b], self.t_end[b], hi - lo), self.y[lo:hi]
+
+    @property
+    def t(self) -> "_Times":
+        """Every row's grid end to end, without holding it: ``t.size`` is
+        the number of samples, and ``np.asarray(t)`` builds the grids."""
+        return _Times(self)
+
+
+class _Times:
+    """``OdeResult.t``: the size of the grids, and the grids on
+    conversion to an array."""
+
+    def __init__(self, result: OdeResult):
+        self.size = int(result.offsets[-1])
+        self._result = result
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        rows = range(len(self._result.offsets) - 1)
+        return np.concatenate([np.empty(0)] + [
+            self._result.row(b)[0] for b in rows]).astype(dtype or float)
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
@@ -313,18 +461,18 @@ def _underflow(t: float, h: float, nonfinite: bool, K: np.ndarray,
 class _Row:
     """Controller state of one unfinished row in the per-row form."""
 
-    __slots__ = ("index", "t", "h", "stop", "c", "last", "K", "times",
-                 "lo", "i_out")
+    __slots__ = ("index", "t", "h", "stop", "c", "last", "K", "grid",
+                 "i_out")
 
-    def __init__(self, index, t, h, stop, c, last, K, times, lo, i_out):
+    def __init__(self, index, t, h, stop, c, last, K, grid, i_out):
         self.index, self.t, self.h, self.last = index, t, h, last
         # the current piece's end, and its constants as the per-row
         # right-hand side reads them
         self.stop, self.c = stop, c
         self.K = K  # this row's (7, n) stages: a view into the batch's
-        # a view of the row's grid, which starts at index lo of the
-        # batch's, and the index in it of the next grid point to sample
-        self.times, self.lo, self.i_out = times, lo, i_out
+        # the row's grid as (t0, step, last, end) floats, and the index
+        # in it of the next grid point to sample
+        self.grid, self.i_out = grid, i_out
 
 
 class _Jobs(NamedTuple):
@@ -332,8 +480,7 @@ class _Jobs(NamedTuple):
     sequences with one entry per job.  Job g is the step of length h[g]
     from t[g] of batch row index[g], at position rows[g] of the pass's
     rows (its state and stages are ``y[rows[g]]`` and ``K[rows[g]]``);
-    it covers the grid points and samples start[g]:end[g] of the
-    batch's."""
+    it covers the points start[g]:end[g] of its row's grid."""
 
     rows: Sequence[int]
     t: Sequence[float]
@@ -346,42 +493,13 @@ class _Jobs(NamedTuple):
 _NO_JOBS = _Jobs([], [], [], [], [], [])
 
 
-def _grid_search(t_all, lo, hi, x, t, gap):
-    """``lo + t_all[lo:hi].searchsorted(x, "right")`` of each entry of
-    the arrays lo, hi, x, t and gap: the first index of a row's sorted
-    grid segment lo:hi past x, or hi, where the segment's points lie
-    above t and gap is the smallest rounded difference of two neighbours
-    on the row's grid.  One bisection over every row at once (binary
-    lifting on exact comparisons), with no per-sample array; it starts
-    at the most points that any row's (t, x] can hold, capped by its
-    segment, not at the longest segment."""
-    # The bound.  c points p_k < ... < p_{k+c-1} in (t, x] lie at least
-    # gap/(1 + u) apart in exact arithmetic (gap is a rounded
-    # difference; u the unit roundoff), so (c - 1)*gap/(1 + u) <=
-    # p_{k+c-1} - p_k < x - t, and c <= floor((x - t)*(1 + u)/gap) + 1.
-    # The rounded quotient of the rounded x - t is within a few u of
-    # (x - t)/gap, which the relative margin covers, and within less
-    # than 1 of it where it is subnormal, which the +2 covers.  A
-    # quotient that overflows, or a one-point grid's inf gap, leaves
-    # the segment as the cap (np.fmin drops an inf/inf NaN).
-    width = np.fmin(hi - lo, (x - t) / gap * (1.0 + 1e-12) + 2.0)
-    lo = lo.copy()
-    step = 1 << int(width.max(initial=0)).bit_length()
-    top = hi - 1
-    while step > 1:
-        step >>= 1
-        # a probe past the segment reads its last point: while that is
-        # at most x, lo runs past hi, and else it stays put, as it should
-        probe = np.minimum(lo + (step - 1), top)
-        np.add(lo, step, out=lo, where=t_all.take(probe, mode="clip") <= x)
-    return np.minimum(lo, hi, out=lo)
-
-
 def _samples(times, t, h, y, Q, out):
     """Write into out the dense output at ``times`` of one row's step of
     length h from t, with state y and ``Q = _P_T @ K`` of its stages K;
-    return out."""
-    theta = (times - t) / h
+    return out.  times is overwritten with theta."""
+    theta = times
+    theta -= t
+    theta /= h
     powers = theta.repeat(4).reshape(theta.size, 4)  # theta^1..4
     np.multiply.accumulate(powers, out=powers, axis=1)
     dy = powers @ Q
@@ -417,15 +535,16 @@ def _store(y_all, subset, at, samples, index):
         np.maximum.at(peak, index, top.reshape(at.shape).max(axis=-1))
 
 
-def _dense_output(jobs, stacked, y, K, t_all, y_all, subset) -> list:
+def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
     """Write the samples of the steps just accepted.
 
-    Each job of ``jobs`` (see ``_Jobs``) writes its samples to its rows
-    of the batch's samples ``y_all`` (see ``_store`` for ``subset``,
-    which needs ``stacked``).  ``_P_T @ K`` is one stacked product over
-    the jobs' rows; with ``stacked`` the products with the theta powers
-    are stacked too (see the module docstring).  Returns the positions
-    in ``jobs`` of the jobs whose samples are not all finite.
+    Each job of ``jobs`` (see ``_Jobs``) writes its samples at its grid
+    points (of ``grids``, a ``_Grids``) to its rows of the batch's
+    samples ``y_all`` (see ``_store`` for ``subset``, which needs
+    ``stacked``).  ``_P_T @ K`` is one stacked product over the jobs'
+    rows; with ``stacked`` the products with the theta powers are
+    stacked too (see the module docstring).  Returns the positions in
+    ``jobs`` of the jobs whose samples are not all finite.
     """
     rs = jobs.rows
     if not len(rs):
@@ -436,20 +555,21 @@ def _dense_output(jobs, stacked, y, K, t_all, y_all, subset) -> list:
     failed = []
     if not stacked:
         finite = True
-        for r, t, h, a, b, q in zip(rs, jobs.t, jobs.h, jobs.start,
-                                    jobs.end, Q):
-            v = y_all[a:b]
-            _samples(t_all[a:b], t, h, y[r], q, v)
+        for r, t, h, a, b, i, q in zip(rs, jobs.t, jobs.h, jobs.start,
+                                       jobs.end, jobs.index, Q):
+            lo = grids.firsts[i]
+            v = y_all[lo + a:lo + b]
+            _samples(grids.times(i, a, b), t, h, y[r], q, v)
             # NaN or inf in v makes v . v non-finite (so may an overflow,
             # which the exact check below then clears)
             finite = finite and math.isfinite(np.vdot(v, v))
         if finite:
             return failed
-        for g, (r, t, h, a, b) in enumerate(zip(rs, jobs.t, jobs.h,
-                                                jobs.start, jobs.end)):
-            v = y_all[a:b]
+        for g, (r, t, h, a, b, i) in enumerate(zip(rs, *jobs[1:])):
+            lo = grids.firsts[i]
+            v = y_all[lo + a:lo + b]
             if not np.isfinite(v).all() and not np.isfinite(_rescaled(
-                    t_all[a:b], t, h, y[r], K[r], v)).all():
+                    grids.times(i, a, b), t, h, y[r], K[r], v)).all():
                 failed.append(g)
         return failed
     rs, t, h, start, end, index = map(np.asarray, jobs)
@@ -462,10 +582,11 @@ def _dense_output(jobs, stacked, y, K, t_all, y_all, subset) -> list:
         if not g.size:
             continue
         m_g = m[g, None]
-        at = start[g, None] + np.minimum(np.arange(m_g.max()), m_g - 1)
+        times, at = grids.at(index[g], start[g, None] + np.minimum(
+            np.arange(m_g.max()), m_g - 1))
         powers = np.empty(at.shape + (4,))
         theta = powers[..., 0]
-        np.divide(t_all[at] - t[g, None], h[g, None], out=theta)
+        np.divide(times - t[g, None], h[g, None], out=theta)
         # theta^2..4 by products: the bits of np.multiply.accumulate
         np.multiply(theta, theta, out=powers[..., 1])
         np.multiply(powers[..., 1], theta, out=powers[..., 2])
@@ -476,12 +597,12 @@ def _dense_output(jobs, stacked, y, K, t_all, y_all, subset) -> list:
         if not np.isfinite(samples).all():
             ok = np.isfinite(samples).all(axis=(1, 2))
             for b in g[~ok].tolist():
-                r, lo, hi = rs[b], start[b], end[b]
-                v = _rescaled(t_all[lo:hi], t[b], h[b], y[r], K[r],
-                              np.empty((hi - lo, y.shape[1])))
+                r, a, z, i = rs[b], start[b], end[b], index[b]
+                v = _rescaled(grids.times(i, a, z), t[b], h[b], y[r], K[r],
+                              np.empty((z - a, y.shape[1])))
                 if np.isfinite(v).all():
-                    _store(y_all, subset, np.arange(lo, hi)[None],
-                           v[None], index[b:b + 1])
+                    _store(y_all, subset, grids.offsets[i] + np.arange(
+                        a, z)[None], v[None], index[b:b + 1])
                 else:
                     failed.append(b)
             g, at, samples = g[ok], at[ok], samples[ok]
@@ -527,12 +648,55 @@ def _attempt_floats(f, act, y, K, heads, rtol, atol):
     return np.array(new), errs
 
 
+def _norm(estimate, y, y_new, rtol, atol):
+    """Each row's error norm: the root mean square of its estimate over
+    the mixed scale ``atol + rtol*max(|y|, |y_new|)`` (rtol and atol
+    broadcast over the rows), by ``np.add.reduce`` as in np.mean of a
+    row.  Adding abs_new - abs_new (exactly 0, or NaN for a non-finite
+    y_new, whose inf scale would zero the estimate) rejects such a
+    step."""
+    abs_new = np.abs(y_new)
+    scale = atol + rtol * np.maximum(np.abs(y), abs_new)
+    return np.sqrt(np.add.reduce((estimate / scale) ** 2
+                                 + (abs_new - abs_new), axis=1)
+                   / y.shape[1])
+
+
+def _redo(rhs, t, h, y, K, P, rtol, atol):
+    """A Dormand-Prince attempt of m rows again, with its tableau sums on
+    the stages scaled by a power of two: the new states and error norms.
+
+    Near the top of the float range a sum of stages overflows although
+    its product with h does not.  Each sum is taken on K/2**e, e the
+    exponent of the row's largest first stage (0 below 1), and its
+    product with h scaled back by 2**e, which has the bits of the plain
+    attempt wherever neither overflows nor underflows.  t, h, rtol and atol are
+    the rows' (m,) arrays, y and P theirs, and K their (m, 7, n) stages,
+    whose stages 1 to 6 it writes.
+    """
+    e = np.maximum(np.frexp(np.abs(K[:, 0]).max(axis=1))[1], 0)[:, None]
+    scaled = np.ldexp(K, -e[:, :, None])
+    h = h[:, None]
+    stage_t = t[:, None] + h * _C
+
+    def times_h(weights, i):
+        return np.ldexp(h * np.matmul(weights, scaled[:, :i]), e)
+
+    for i in range(1, 7):
+        state = y + times_h(_A[i] if i < 6 else _B, i)
+        # the last two stages sit at t + h
+        K[:, i] = rhs(stage_t[:, min(i, 5)], state, P)
+        scaled[:, i] = np.ldexp(K[:, i], -e)
+    return state, _norm(times_h(_E, 7), y, state, rtol[:, None],
+                        atol[:, None])
+
+
 def solve(
     rhs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     pieces: Sequence[Sequence[tuple[float, Sequence[float]]]],
     t0: Sequence[float],
     y0: np.ndarray,
-    t_eval: Iterable[np.ndarray],
+    points: Sequence[int],
     rtol: Sequence[float],
     atol: Sequence[float],
     max_step: float = math.inf,
@@ -544,7 +708,7 @@ def solve(
     """Integrate ``dy_b/dt = rhs(t, y_b, p)`` through row b's pieces.
 
     Every argument but ``rhs`` and ``max_step`` holds one entry per row.
-    Rows may differ in span, pieces, tolerance and grid length; each is
+    Rows may differ in span, pieces, tolerance and grid size; each is
     integrated exactly as it would be alone.
 
     Parameters
@@ -565,14 +729,13 @@ def solve(
         Start time of each row.
     y0 : ndarray, shape (B, n)
         Initial state of each row (real components), finite.
-    t_eval : iterable of B arrays
-        Strictly increasing, finite evaluation grid of each row, inside
-        its span.  The solution is interpolated onto it with the
-        method's dense output.  The grids are read once, in order, and
-        copied end to end into one array (``OdeResult.t``) before the
-        samples are allocated; every row reads a view of it.  A caller
-        that passes a generator therefore never holds more than one
-        grid besides that copy.
+    points : sequence of B ints
+        The size of each row's sample grid: ``points[b] >= 2`` evenly
+        spaced points from t0[b] to the row's end, ``grid(t0[b], end,
+        points[b])``, which must rise strictly (a step too small for the
+        span repeats points).  The solution is interpolated onto them
+        with the method's dense output.  No grid is built: a point is
+        computed where it is sampled.
     rtol, atol : sequences of B floats
         Relative/absolute tolerance of each row's error control,
         positive and finite.
@@ -592,9 +755,9 @@ def solve(
         constants into the c that f reads, once per piece; ``f(t, y, c)``
         returns the derivative of one row, y a list of n floats, as n
         floats with the bits of that row of ``rhs``.  The float form
-        calls f for the stages of its steps (the first evaluation and
-        the starting-step probes still call ``rhs``).  Not used by the
-        exponential method or for n >= 8.
+        calls f for the stages of its steps (the first evaluation, the
+        starting-step probes and a redone attempt still call ``rhs``).
+        Not used by the exponential method or for n >= 8.
     columns : sequence of ints, optional
         The state columns that ``OdeResult.y`` holds, in this order
         (default: all n).  Dropped columns are computed, checked for
@@ -633,9 +796,10 @@ def solve(
         ``linear`` part that is not B finite 2x2 matrices on two
         disjoint pairs of columns, or a row with no
         pieces, piece ends not rising strictly above its t0, pieces
-        with different numbers of constants, an empty, non-finite or
-        non-increasing grid, a grid outside its span, or ``columns``
-        that are none or not distinct columns of y0.
+        with different numbers of constants, a span that is not finite,
+        a grid of fewer than 2 points or whose points do not rise
+        strictly, or ``columns`` that are none or not distinct columns
+        of y0.
     """
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
@@ -648,31 +812,22 @@ def solve(
             or not all(0 <= c < n for c in kept):
         raise ValueError(f"columns must be distinct columns of the {n} "
                          f"of y0, got {columns!r}")
-    mismatch = ValueError("pieces, t0, t_eval, rtol and atol need one "
-                          "entry per row of y0")
-    if not len(pieces) == len(t0) == len(rtol) == len(atol) == batch:
-        raise mismatch
+    if not len(pieces) == len(t0) == len(points) == len(rtol) == len(atol) \
+            == batch:
+        raise ValueError("pieces, t0, points, rtol and atol need one "
+                         "entry per row of y0")
     rtol, atol = [float(x) for x in rtol], [float(x) for x in atol]
     if not all(0.0 < x < math.inf for x in rtol + atol):
         raise ValueError(f"rtol and atol must be positive and finite, "
                          f"got rtol = {rtol!r}, atol = {atol!r}")
     t0 = [float(a) for a in t0]
+    points = [operator.index(m) for m in points]
     pieces = [[(float(end), tuple(map(float, p))) for end, p in row]
               for row in pieces]
     k = len(pieces[0][0][1]) if batch and pieces[0] else 0
-    # the grids are copied end to end into t_all as they come, so that a
-    # generator's grids are alive one at a time; a grid that overflows
-    # t_all makes room for the rest of the rows at its length, and at
-    # least doubles it, so that rising lengths copy O(total) in all
-    grids = iter(t_eval)
-    t_all = np.empty(0)
-    offsets = np.zeros(batch + 1, dtype=int)
-    gaps = np.empty(batch)
-    for b, (a, row) in enumerate(zip(t0, pieces)):
-        grid = next(grids, None)
-        if grid is None:
-            raise mismatch
-        grid = np.asarray(grid, dtype=float)
+    # each row's grid as (t0, step, last, end)
+    params = []
+    for a, row, m in zip(t0, pieces, points):
         ends = [a] + [end for end, _ in row]
         if not row or not all(lo < hi for lo, hi in zip(ends, ends[1:])):
             raise ValueError(f"piece ends must rise strictly above "
@@ -680,31 +835,25 @@ def solve(
         if any(len(p) != k for _, p in row):
             raise ValueError("every piece needs the same number of "
                              "constants")
-        if grid.size == 0:
-            raise ValueError("empty evaluation grid")
-        if not np.all(np.isfinite(grid)):
-            raise ValueError("evaluation grid must be finite")
-        # the smallest spacing, which bounds the grid search
-        gaps[b] = np.diff(grid).min(initial=math.inf)
-        if gaps[b] <= 0.0:
-            raise ValueError("evaluation grid must be strictly increasing")
-        if grid[0] < a or grid[-1] > ends[-1]:
-            raise ValueError(
-                f"evaluation grid [{grid[0]!r}, {grid[-1]!r}] outside "
-                f"integration span [{a!r}, {ends[-1]!r}]"
-            )
-        lo = offsets[b]
-        offsets[b + 1] = hi = lo + grid.size
-        if hi > t_all.size:
-            grown = np.empty(max(lo + grid.size * (batch - b),
-                                 2 * t_all.size))
-            grown[:lo] = t_all[:lo]
-            t_all = grown
-        t_all[lo:hi] = grid
-    if next(grids, None) is not None:
-        raise mismatch
-    if t_all.size > offsets[-1]:
-        t_all = t_all[:offsets[-1]].copy()
+        if m < 2:
+            raise ValueError(f"a grid needs 2 points or more, got {m}")
+        step = (ends[-1] - a) / (m - 1)
+        if not math.isfinite(step):
+            raise ValueError(f"integration span [{a!r}, {ends[-1]!r}] "
+                             f"must be finite")
+        # from 0, a normal step keeps the points of any grid that fits
+        # in memory apart: k*step rounds to distinct values below the
+        # end.  Any other grid is built once and checked
+        if not (a == 0.0 and step >= _TINY) \
+                and not (np.diff(grid(a, ends[-1], m)) > 0.0).all():
+            raise ValueError(f"the {m} grid points on [{a!r}, "
+                             f"{ends[-1]!r}] must rise strictly")
+        params.append((a, step, m - 1, ends[-1]))
+    offsets = np.zeros(batch + 1, dtype=int)
+    np.cumsum(points, out=offsets[1:])
+    grids = _Grids(offsets, np.array(params).reshape(batch, 4), params,
+                   offsets[:-1].tolist(),
+                   np.arange(max(points, default=0), dtype=float))
     method = None
     if linear is not None:
         L, cols = linear
@@ -742,6 +891,7 @@ def solve(
         kept, measure, np.full(batch, -math.inf) if measure else None)
     y_end = np.full((batch, n), math.nan)
     n_pieces = [1] * batch
+    redone = np.zeros(batch, int)  # attempts redone by _redo
     errors = [None] * batch
     rtols, atols = np.array(rtol), np.array(atol)
 
@@ -759,12 +909,22 @@ def solve(
                           rtols[b:b + 1], atols[b:b + 1], max_step)
         return end, c, f[0], h.item()
 
+    def redo(r, t, h):
+        """_redo of the rows at positions r of the pass, whose times and
+        step sizes are t and h: their new states and error norms."""
+        b = index[r]
+        redone[b] += 1
+        K_r = K[r]
+        y_r, errs_r = _redo(rhs, t, h, y[r], K_r, P[r], rtols[b], atols[b])
+        K[r] = K_r
+        return y_r, errs_r
+
     # The controller state of the unfinished rows, in the order of the
     # rows of y, K and P: the batch's row index of each, and (B,) arrays
     # of their times, step sizes, piece ends, whether the step ends the
-    # piece, and the indices into t_all of the next grid point and the
-    # grid's end (the array form); from FLOAT_ROWS rows down, one _Row
-    # each in act (the per-row form), and the counters as lists
+    # piece, and the index in their grid of the next grid point (the
+    # array form); from FLOAT_ROWS rows down, one _Row each in act (the
+    # per-row form), and the counters as lists
     index = np.arange(batch)
     T = np.array(t0)
     stops = np.array([row[0][0] for row in pieces])
@@ -773,10 +933,9 @@ def solve(
     K[:, 0] = rhs(T, y, P)
     H = _initial_step(rhs, T, y, P, K[:, 0], stops, rtols, atols, max_step)
     lasts = np.zeros(batch, bool)
-    cur, ends = offsets[:-1] + (t_all[offsets[:-1]] == T), offsets[1:]
-    starts = np.flatnonzero(cur > offsets[:-1])
-    if starts.size:  # the samples at t0
-        _store(y_all, subset, offsets[starts, None], y[starts, None], starts)
+    # every grid starts at t0: its first sample is y0
+    _store(y_all, subset, offsets[:-1, None], y[:, None], index)
+    cur = np.ones(batch, int)
     n_accepted, n_rejected = np.zeros(batch, int), np.zeros(batch, int)
     act = None
     heads = [K[:, :i] for i in range(7)]
@@ -786,12 +945,10 @@ def solve(
     while True:
         if act is None and len(index) <= FLOAT_ROWS:  # the per-row form
             act = [_Row(b, t, h, stop, pieces[b][n_pieces[b] - 1][2], last,
-                        K_b, t_all[lo:hi], lo, i - lo)
-                   for b, t, h, stop, last, K_b, lo, hi, i in zip(
+                        K_b, params[b], i)
+                   for b, t, h, stop, last, K_b, i in zip(
                        index.tolist(), T.tolist(), H.tolist(),
-                       stops.tolist(), lasts.tolist(), K,
-                       offsets[index].tolist(), ends.tolist(),
-                       cur.tolist())]
+                       stops.tolist(), lasts.tolist(), K, cur.tolist())]
             n_accepted, n_rejected = n_accepted.tolist(), n_rejected.tolist()
             if errs is not None:
                 errs = errs.tolist()
@@ -804,11 +961,20 @@ def solve(
             accepted, done, jobs = [], [], _NO_JOBS
             if errs is not None:
                 accept = errs <= 1.0  # NaN is rejected
-                retry = ~accept
                 accepted = accept.nonzero()[0]
+                if len(accepted) < len(T):
+                    nonfinite = ~np.isfinite(errs)
+                    if not method and nonfinite.any():
+                        r = (nonfinite & np.isfinite(y).all(axis=1)
+                             & np.isfinite(K[:, 0]).all(axis=1)).nonzero()[0]
+                        if r.size:
+                            y_new[r], errs[r] = redo(r, T[r], H[r])
+                            accept = errs <= 1.0
+                            accepted = accept.nonzero()[0]
+                            nonfinite = ~np.isfinite(errs)
+                    retry = ~accept
+                    n_rejected[index[retry]] += 1
                 n_accepted[index[accepted]] += 1
-                n_rejected[index[retry]] += 1
-                nonfinite = ~np.isfinite(errs)
                 with np.errstate(divide="ignore"):  # err = 0: the largest
                     factor = np.minimum(_MAX_FACTOR, np.maximum(
                         _MIN_FACTOR,
@@ -819,8 +985,7 @@ def solve(
                 T_new = np.where(lasts[accepted], stops[accepted],
                                  T[accepted] + H[accepted])
                 i_out = cur[accepted]
-                j = _grid_search(t_all, i_out, ends[accepted], T_new,
-                                 T[accepted], gaps[index[accepted]])
+                j = _grid_index(T_new, *grids.params[index[accepted]].T)
                 found = j > i_out
                 g = accepted[found]
                 jobs = _Jobs(g, T[g], H[g], i_out[found], j[found], index[g])
@@ -856,6 +1021,13 @@ def solve(
                 f = None  # f at t, if the row restarts there
                 if errs is not None:
                     err = errs[r]
+                    if not err <= 1.0 and not method \
+                            and not math.isfinite(err) \
+                            and np.isfinite(y[r]).all() \
+                            and np.isfinite(row.K[0]).all():
+                        new, norm = redo(np.array([r]), np.array([t]),
+                                         np.array([h]))
+                        y_new[r], err = new[0], norm.item()
                     if not err <= 1.0:
                         retry = True
                         n_rejected[row.index] += 1
@@ -868,10 +1040,9 @@ def solve(
                         t_new = row.stop if row.last else t + h
                         # dense output for grid points inside (t, t_new],
                         # written once the pass is over
-                        j = row.times.searchsorted(t_new, "right")
+                        j = _index(t_new, *row.grid)
                         if j > row.i_out:
-                            found.append((r, t, h, row.lo + row.i_out,
-                                          row.lo + j, row.index))
+                            found.append((r, t, h, row.i_out, j, row.index))
                             row.i_out = j
                         h *= _MAX_FACTOR if err == 0.0 else min(
                             _MAX_FACTOR,
@@ -898,15 +1069,14 @@ def solve(
             jobs = _Jobs._make(zip(*found)) if found else _NO_JOBS
 
         if method:
-            failed = method.dense_output(jobs, y, K, P, t_all, y_all,
-                                         subset)
+            failed = method.dense_output(jobs, y, K, P, grids, y_all, subset)
         else:
             failed = _dense_output(
                 jobs, subset is not None or len(accepted) >= DENSE_ROWS, y,
-                K, t_all, y_all, subset)
+                K, grids, y_all, subset)
         for g in failed:  # the row stops at the step's start
             b = jobs.index[g]
-            y_all[jobs.start[g]:offsets[b + 1]] = math.nan
+            y_all[offsets[b] + jobs.start[g]:offsets[b + 1]] = math.nan
             y_end[b] = math.nan
             errors[b] = NonFiniteRhsError(
                 f"dense output went non-finite at t = {jobs.t[g]:.6g} (h = "
@@ -931,8 +1101,8 @@ def solve(
             rtol_col = _column(rtols[index].tolist())
             atol_col = _column(atols[index].tolist())
             if act is None:
-                T, H, stops, lasts, cur, ends = (
-                    a[keep] for a in (T, H, stops, lasts, cur, ends))
+                T, H, stops, lasts, cur = (
+                    a[keep] for a in (T, H, stops, lasts, cur))
             else:
                 act = [act[r] for r in keep]
                 for row, K_row in zip(act, K):
@@ -968,14 +1138,7 @@ def solve(
             K[:, 6] = rhs(stage_t[:, 5], y_new, P)
             estimate = h_col * np.matmul(_E, K)
 
-        abs_new = np.abs(y_new)
-        scale = atol_col + rtol_col * np.maximum(np.abs(y), abs_new)
-        # np.mean(..., axis=1) without its Python-level overhead; adding
-        # abs_new - abs_new (exactly 0, or NaN for a non-finite y_new,
-        # whose inf scale would zero the estimate) rejects such a step
-        errs = np.sqrt(np.add.reduce((estimate / scale) ** 2
-                                     + (abs_new - abs_new),
-                                     axis=1) / n)
+        errs = _norm(estimate, y, y_new, rtol_col, atol_col)
         if act is not None:
             errs = errs.tolist()
 
@@ -989,9 +1152,9 @@ def solve(
                 peak[b] = np.max(measure(y_all[offsets[b]:offsets[b + 1]]))
     n_accepted = np.array(n_accepted)
     n_rejected = np.array(n_rejected)
-    return OdeResult(t=t_all, y=y_all, offsets=offsets,
-                     y_end=y_end, n_accepted=n_accepted,
-                     n_rejected=n_rejected,
-                     n_rhs=2 * np.array(n_pieces)
-                     + (K.shape[1] - 1) * (n_accepted + n_rejected),
+    return OdeResult(y=y_all, offsets=offsets, t0=grids.params[:, 0],
+                     t_end=grids.params[:, 3], y_end=y_end,
+                     n_accepted=n_accepted, n_rejected=n_rejected,
+                     n_rhs=2 * np.array(n_pieces) + (K.shape[1] - 1)
+                     * (n_accepted + n_rejected + redone),
                      errors=errors, measure_max=peak)

@@ -290,19 +290,19 @@ def default_fit_window(rate_guess: float) -> tuple[float, float]:
     return 2.0 / rate_guess, 6.0 / rate_guess
 
 
-def _window(traj: Trajectory,
+def _window(times: np.ndarray,
             window: tuple[float, float] | None) -> tuple:
-    """The slice lo:hi of the samples inside the closed window [a, b],
-    with (a, b) and their number.  Trajectory times rise strictly, so
-    the slice holds exactly the samples of the mask ``(times >= a) &
-    (times <= b)``."""
+    """The slice lo:hi of the samples at times inside the closed window
+    [a, b], with (a, b) and their number.  Trajectory times rise
+    strictly, so the slice holds exactly the samples of the mask
+    ``(times >= a) & (times <= b)``."""
     if window is None:
-        window = (float(traj.times[0]), float(traj.times[-1]))
+        window = (float(times[0]), float(times[-1]))
     a, b = float(window[0]), float(window[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise FitWindowError(f"invalid fit window ({a!r}, {b!r})")
-    lo = int(traj.times.searchsorted(a, "left"))
-    hi = int(traj.times.searchsorted(b, "right"))
+    lo = int(times.searchsorted(a, "left"))
+    hi = int(times.searchsorted(b, "right"))
     n = hi - lo
     if n < _MIN_FIT_SAMPLES:
         raise FitWindowError(
@@ -352,8 +352,9 @@ def fit_decay(traj: Trajectory, observable: str = "w_plus_1",
     else:
         raise ValueError(f"unknown observable {observable!r}; "
                          f"expected 'w_plus_1' or 'abs_s'")
-    cut, window, n = _window(traj, window)
-    t = traj.times[cut]
+    times = traj.times
+    cut, window, n = _window(times, window)
+    t = times[cut]
     y = values[cut]
     if (y <= 0.0).any():
         raise FitWindowError(
@@ -377,8 +378,9 @@ def fit_frequency(traj: Trajectory,
     in fit_decay, the window is one slice, which relies on Trajectory's
     strictly increasing times, and the line has np.polyfit's bits.
     """
-    cut, window, n = _window(traj, window)
-    t = traj.times[cut]
+    times = traj.times
+    cut, window, n = _window(times, window)
+    t = times[cut]
     s = traj.s[cut]
     if (s == 0).any():
         raise FitWindowError("coherence vanishes inside the fit window; "

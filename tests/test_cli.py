@@ -482,8 +482,9 @@ SAMPLE = st.one_of(
 
 @st.composite
 def trajectories(draw):
-    """A Trajectory of model A (beta None) or B with arbitrary samples."""
-    n = draw(st.integers(0, 12))
+    """A Trajectory of model A (beta None) or B with arbitrary samples,
+    on a grid of any span (subnormal ones repeat points)."""
+    n = draw(st.integers(2, 12))
 
     def column():
         return np.array(draw(st.lists(SAMPLE, min_size=n, max_size=n)),
@@ -491,8 +492,11 @@ def trajectories(draw):
 
     model = draw(st.sampled_from("AB"))
     y = np.column_stack([column() for _ in range(3 if model == "A" else 5)])
+    span = draw(st.one_of(st.floats(5e-324, 1e308),
+                          st.sampled_from([5e-324, 1e-320, 1.0, 6.5 / 1.37,
+                                           1e308])))
     return dynamics.Trajectory(
-        times=column(), y=y, model=model, tol=1e-8, n_accepted=0,
+        span=span, y=y, model=model, tol=1e-8, n_accepted=0,
         n_rejected=0, n_rhs=0, bloch_norm_max=0.0)
 
 
@@ -737,8 +741,8 @@ class TestSweep:
         # more points than one lockstep batch holds, with a point that
         # fails to parse (index 5) in the first and one whose fit fails
         # (index 10) in the second
-        monkeypatch.setattr(cli, "SWEEP_CHUNK", 8)
-        n = cli.SWEEP_CHUNK + 5
+        monkeypatch.setitem(cli.SWEEP_CHUNK, "population_rate_model_a", 8)
+        n = 8 + 5
         payload = density_sweep()
         payload["values"] = [0.5 * i for i in range(n)]
         payload["values"][5] = -3.0
@@ -771,8 +775,8 @@ class TestSweep:
         # slow mode in the second (index 9: ell = -1 - i, so the
         # predicted coherence decay Re(ell)*gamma_a/2 + Im(ell)*eps_a is
         # negative)
-        monkeypatch.setattr(cli, "SWEEP_CHUNK", 8)
-        n = cli.SWEEP_CHUNK + 3
+        monkeypatch.setitem(cli.SWEEP_CHUNK, "coherence_rate_model_b", 8)
+        n = 8 + 3
         payload = {
             "parameter": "emitter.eps_a",
             "values": [0.05 * i for i in range(n)],
@@ -804,12 +808,12 @@ class TestSweep:
 
     @staticmethod
     def ragged_sweep(model):
-        """Points that leave a ragged last chunk (model A: 131, in chunks
-        of 5, 64 and 128; model B: 67, in chunks of 5 and 64), one
-        failing to parse (index 3) and one failing in its fit or its
-        reduction (index 66)."""
+        """Points that leave a ragged last chunk (model A: 259, in chunks
+        of 5, 64, 128 and 256; model B: 195, in chunks of 5, 64, 128 and
+        192), one failing to parse (index 3) and one failing in its fit
+        or its reduction (index 66)."""
         if model == "A":
-            n = 131
+            n = 259
             payload = density_sweep()
             payload["values"] = [0.15 * i for i in range(n)]
             payload["values"][3] = -3.0
@@ -819,16 +823,16 @@ class TestSweep:
                                     for i in range(n)]
             payload["overrides"][66]["integration"]["points"] = 5
             return payload
-        n = 67
+        n = 195
         base = weak_scenario()
         base["host"] = {"delta_b": 2.0, "eps_b": 1.0, "gamma_b": 1.0}
         base["integration"]["tol"] = 1e-6
         payload = {
             "parameter": "emitter.eps_a",
-            "values": [0.01 * i for i in range(n)],
+            "values": [0.0034 * i for i in range(n)],
             "reduction": "coherence_rate_model_b",
             "base": base,
-            "overrides": [{"host": {"delta_b": 2.0 + 0.02 * i}}
+            "overrides": [{"host": {"delta_b": 2.0 + 0.0068 * i}}
                           for i in range(n)],
         }
         payload["overrides"][3] = {"host": {"gamma_b": -1.0}}
@@ -841,10 +845,13 @@ class TestSweep:
     @pytest.mark.parametrize("model", ["A", "B"])
     def test_csv_bytes_do_not_depend_on_the_chunk(self, tmp_path, model,
                                                   monkeypatch):
+        # every chunk size up to the batch size of each reduction
         spec = write_json(tmp_path / "sweep.json", self.ragged_sweep(model))
+        reduction = ("population_rate_model_a" if model == "A"
+                     else "coherence_rate_model_b")
         outputs = set()
-        for chunk in (1, 5, 64, 128, 256):
-            monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+        for chunk in sorted({1, 5, 64, 128, cli.SWEEP_CHUNK[reduction]}):
+            monkeypatch.setitem(cli.SWEEP_CHUNK, reduction, chunk)
             out = tmp_path / f"chunk{chunk}.csv"
             assert main(["sweep", spec, "--output", str(out)]) == 0
             outputs.add(out.read_bytes())

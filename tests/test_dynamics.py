@@ -550,8 +550,8 @@ class TestIntegrateMicroscopic:
         tol = 1e-10
         grid = np.linspace(0.0, 3.0, 4)
         res = solve(rhs, [[(3.0, ())]], [0.0],
-                    np.array([[1.0, 0.0, 0.0, 0.0]]), [grid], rtol=[tol],
-                    atol=[tol])
+                    np.array([[1.0, 0.0, 0.0, 0.0]]), [grid.size],
+                    rtol=[tol], atol=[tol])
         for i, t in enumerate(grid):
             z = expm(mat * t) @ np.array([1.0, 0.0])
             got = complex(res.y[i, 0], res.y[i, 1])
@@ -882,21 +882,10 @@ def _mixed_batch(dense_rows):
     return runs, batch, [str(w.message) for w in caught]
 
 
-class _Probes(np.ndarray):
-    """A view of the grids that counts the bisection levels of
-    ode._grid_search, one take per level."""
-
-    levels = 0
-
-    def take(self, *args, **kwargs):
-        _Probes.levels += 1
-        return np.ndarray.take(self, *args, **kwargs)
-
-
 class TestGridBits:
-    """Each run's grid is np.linspace's, bit for bit, and a sweep-like
-    batch's grid search bisects from its steps' bound, not from its
-    grids' length."""
+    """Each run's grid is np.linspace's, bit for bit: ode.grid, which
+    Trajectory.times reads and whose arithmetic solve samples on, from 0
+    and from any other start."""
 
     def test_grid_equals_linspace(self):
         rng = np.random.default_rng(14)
@@ -910,55 +899,70 @@ class TestGridBits:
                 for n in points:
                     underflows += span / (n - 1) == 0.0
                     assert np.array_equal(
-                        _bits(dynamics._grid(span, n)),
+                        _bits(ode.grid(0.0, span, n)),
                         _bits(np.linspace(0.0, span, n))), (span, n)
         assert underflows >= 2
 
-    def test_sweep_batch_bisects_few_levels(self, monkeypatch):
-        # 1601-point grids: from the longest grid it takes 11 levels on
-        # every pass; a sweep's steps cross at most a few tens of points
-        levels = []
-        search = ode._grid_search
-
-        def spy(t_all, *args):
-            _Probes.levels = 0
-            found = search(t_all.view(_Probes), *args)
-            levels.append(_Probes.levels)
-            return found
-
-        monkeypatch.setattr(ode, "_grid_search", spy)
-        batch = integrate_batch(_decays(32), keep=("w",))
-        assert all(isinstance(traj, Trajectory) for traj in batch)
-        assert len(levels) >= 50
-        assert max(levels) <= 7, f"bisection levels per pass: {levels}"
+    def test_grid_from_any_start_equals_linspace(self):
+        # starts of either sign and any magnitude, spans from subnormal
+        # (whose steps underflow to 0 or round far off) to wider than
+        # the start, and up to 1e6 points
+        rng = np.random.default_rng(15)
+        cases = [(float(rng.normal() * 10.0 ** rng.integers(-300, 300)),
+                  float(rng.uniform(1.0, 10.0)
+                        * 10.0 ** rng.integers(-320, 300)))
+                 for _ in range(300)]
+        cases += [(5e-324, 5e-324), (-1e-320, 3e-320), (1e-310, 1e-320),
+                  (-2.5, 5.0), (1e6, 1e-9), (0.1, 0.2), (-0.0, 1.0)]
+        underflows = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t0, span in cases:
+                end = t0 + span
+                if not end > t0 or not math.isfinite(end):
+                    continue
+                for n in (2, 3, 7, 801, 1601, 10**4, 10**6):
+                    if n == 10**6 and rng.random() > 0.05:
+                        continue
+                    underflows += (end - t0) / (n - 1) == 0.0
+                    assert np.array_equal(
+                        _bits(ode.grid(t0, end, n)),
+                        _bits(np.linspace(t0, end, n))), (t0, end, n)
+            # falling grids, from signed zeros among others
+            for t0, end in [(0.0, -1.0), (-0.0, -2.5), (0.0, -1e-320),
+                            (3.0, -4.0), (-0.0, 5e-324)]:
+                for n in (2, 3, 7, 801):
+                    assert np.array_equal(
+                        _bits(ode.grid(t0, end, n)),
+                        _bits(np.linspace(t0, end, n))), (t0, end, n)
+        assert underflows >= 5
 
 
 class TestBatchMemory:
-    """A batch holds its samples and one copy of its grids, which its
-    trajectories view; s and beta are built from the samples on read,
-    and a batch that keeps some components stores only those."""
+    """A batch holds its samples and no time arrays: its trajectories
+    view the samples and build their times on read, as they build s and
+    beta; a batch that keeps some components stores only those."""
 
     def test_model_a_batch_peak_and_views(self):
-        # at the tolerance of the sweeps: samples 24 bytes, grid 8, and a
-        # pass's dense output; 57.6 when each run kept a grid of its own
-        # and s
+        # at the tolerance of the sweeps: samples 24 bytes and a pass's
+        # dense output, 28.1 measured; 40 with a copy of the grids, and
+        # 57.6 when each run kept a grid of its own and s
         runs = _decays(128)
         batch, per_sample = _traced_peak(runs)
-        assert per_sample <= 40.0
-        grid = batch[0].times.base
-        assert grid.shape == (128 * 1601,)
+        assert per_sample <= 30.0
+        samples = batch[0].y.base
+        assert samples.shape == (128 * 1601, 3)
         for traj, (_, _, integration) in zip(batch, runs):
-            assert traj.times.base is grid
-            assert np.shares_memory(traj.times, grid)
-            assert np.array_equal(traj.times, np.linspace(
-                0.0, integration.span, integration.points))
+            assert traj.y.base is samples
+            assert traj.span == integration.span
+            assert traj.times.tobytes() == np.linspace(
+                0.0, integration.span, integration.points).tobytes()
 
     def test_kept_w_peak(self):
-        # w 8 bytes and the grid 8: s only reaches a pass's dense
-        # output.  32 runs read 21.3 bytes per sample (21.2 at 128), and
-        # 29 when the batch keeps s
+        # w 8 bytes: s only reaches a pass's dense output.  32 runs read
+        # 12.2 bytes per sample (12.1 at 128 and 256), 20.2 when the
+        # batch keeps s; 21.3 and 29 with a copy of the grids
         batch, per_sample = _traced_peak(_decays(32), keep=("w",))
-        assert per_sample <= 25.0
+        assert per_sample <= 14.0
         assert batch[0].y.shape == (1601, 1)
 
     @pytest.mark.parametrize("dense_rows", [1, 10**6])
@@ -1018,9 +1022,10 @@ class TestBatchMemory:
                       [-0.0, 0.0, 0.25, 0.0, -0.0],
                       [math.nan] * 5,
                       [math.nan] * 5])
-        traj = Trajectory(times=np.arange(6.0), y=y, model="B", tol=1e-10,
+        traj = Trajectory(span=5.0, y=y, model="B", tol=1e-10,
                           n_accepted=0, n_rejected=0, n_rhs=0,
                           bloch_norm_max=0.0)
+        assert traj.times.tobytes() == np.arange(6.0).tobytes()
         # the expressions that built them when trajectories held them
         assert traj.s.tobytes() == (y[:, 0] + 1j * y[:, 1]).tobytes()
         assert traj.beta.tobytes() == (y[:, 3] + 1j * y[:, 4]).tobytes()

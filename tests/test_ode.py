@@ -44,10 +44,11 @@ def _per_row(*functions):
     return rhs
 
 
-def solve_one(f, t0, t_end, y0, t_eval, rtol, atol, args=(), **kwargs):
-    """f(t, y, args) as a batch of one; raises the row's failure."""
+def solve_one(f, t0, t_end, y0, points, rtol, atol, args=(), **kwargs):
+    """f(t, y, args) as a batch of one, sampled at points evenly spaced
+    points; raises the row's failure."""
     res = solve(_per_row(f), [[(t_end, (0, *args))]], [t0],
-                np.array([y0], dtype=float), [t_eval], [rtol], [atol],
+                np.array([y0], dtype=float), [points], [rtol], [atol],
                 **kwargs)
     if res.errors[0] is not None:
         raise res.errors[0]
@@ -79,15 +80,14 @@ def _scipy(f):
 class TestAccuracy:
     def test_exponential_decay_endpoint(self):
         grid = np.linspace(0.0, 3.0, 7)
-        res = solve_one(_decay, 0.0, 3.0, np.array([1.0]), grid,
+        res = solve_one(_decay, 0.0, 3.0, np.array([1.0]), grid.size,
                         rtol=1e-10, atol=1e-10)
         assert_allclose(res.y[:, 0], np.exp(-2.0 * grid), rtol=1e-8,
                         atol=1e-12)
 
     def test_harmonic_many_periods(self):
         t_end = 20.0 * math.pi
-        grid = np.array([0.0, t_end])
-        res = solve_one(_harmonic, 0.0, t_end, np.array([1.0, 0.0]), grid,
+        res = solve_one(_harmonic, 0.0, t_end, np.array([1.0, 0.0]), 2,
                         rtol=1e-10, atol=1e-10)
         assert_allclose(res.y[-1], [1.0, 0.0], atol=5e-8)
 
@@ -95,14 +95,14 @@ class TestAccuracy:
         # a fine grid forces interpolation inside accepted steps
         grid = np.linspace(0.0, 2.0 * math.pi, 1001)
         res = solve_one(_harmonic, 0.0, 2.0 * math.pi, np.array([0.0, 1.0]),
-                        grid, rtol=1e-10, atol=1e-10)
+                        grid.size, rtol=1e-10, atol=1e-10)
         assert res.n_accepted[0] < 300  # interpolation actually exercised
         assert_allclose(res.y[:, 0], np.sin(grid), atol=1e-8)
 
     def test_cross_check_against_scipy(self):
         y0 = np.array([1.0, 0.0, 0.9])
         grid = np.linspace(0.0, 12.0, 13)
-        mine = solve_one(_rigid_body, 0.0, 12.0, y0, grid, rtol=1e-11,
+        mine = solve_one(_rigid_body, 0.0, 12.0, y0, grid.size, rtol=1e-11,
                          atol=1e-11)
         ref = solve_ivp(_scipy(_rigid_body), (0.0, 12.0), y0, method="DOP853",
                         t_eval=grid, rtol=1e-12, atol=1e-12)
@@ -117,9 +117,8 @@ class TestOrder:
         errors = []
         for n in (64, 128):
             h = t_end / n
-            res = solve_one(_harmonic, 0.0, t_end, np.array([1.0, 0.0]),
-                            np.array([0.0, t_end]), rtol=1.0, atol=1.0,
-                            max_step=h)
+            res = solve_one(_harmonic, 0.0, t_end, np.array([1.0, 0.0]), 2,
+                            rtol=1.0, atol=1.0, max_step=h)
             errors.append(abs(res.y[-1, 0] - 1.0) + abs(res.y[-1, 1]))
         ratio = errors[0] / errors[1]
         assert 20.0 < ratio < 50.0
@@ -127,8 +126,7 @@ class TestOrder:
 
 class TestStatistics:
     def test_rhs_eval_accounting(self):
-        grid = np.linspace(0.0, 3.0, 4)
-        res = solve_one(_decay, 0.0, 3.0, np.array([1.0]), grid,
+        res = solve_one(_decay, 0.0, 3.0, np.array([1.0]), 4,
                         rtol=1e-8, atol=1e-8)
         # two startup evaluations (f(t0) + starting-step probe), then six
         # per attempted step thanks to the FSAL pair
@@ -143,7 +141,7 @@ class TestStatistics:
         def relax(t, y, p):
             return np.array([200.0 * (math.cos(t) - y[0])])
 
-        res = solve_one(relax, 0.0, 3.0, np.array([0.0]), np.array([0.0, 3.0]),
+        res = solve_one(relax, 0.0, 3.0, np.array([0.0]), 2,
                         rtol=1e-3, atol=1e-9)
         assert res.n_rejected[0] > 0
         lam = 200.0
@@ -151,11 +149,10 @@ class TestStatistics:
         assert_allclose(res.y[-1, 0], exact, atol=1e-3)
 
     def test_tighter_tolerance_smaller_error(self):
-        grid = np.array([0.0, 3.0])
         exact = math.exp(-6.0)
         errs = []
         for tol in (1e-5, 1e-10):
-            res = solve_one(_decay, 0.0, 3.0, np.array([1.0]), grid,
+            res = solve_one(_decay, 0.0, 3.0, np.array([1.0]), 2,
                             rtol=tol, atol=tol)
             errs.append(abs(res.y[-1, 0] - exact))
         assert errs[1] < errs[0]
@@ -163,9 +160,8 @@ class TestStatistics:
 
 class TestDeterminism:
     def test_identical_runs_bitwise_equal(self):
-        grid = np.linspace(0.0, 10.0, 101)
         runs = [
-            solve_one(_harmonic, 0.0, 10.0, np.array([1.0, 0.0]), grid,
+            solve_one(_harmonic, 0.0, 10.0, np.array([1.0, 0.0]), 101,
                       rtol=1e-9, atol=1e-9)
             for _ in range(2)
         ]
@@ -177,7 +173,7 @@ class TestErrors:
     def test_step_underflow_on_blowup(self):
         # solution 1/(1-t) diverges at t = 1; the controller must give up
         with pytest.raises(StepSizeUnderflowError, match="tol") as info:
-            solve_one(_blowup, 0.0, 2.0, np.array([1.0]), np.array([0.0, 2.0]),
+            solve_one(_blowup, 0.0, 2.0, np.array([1.0]), 2,
                       rtol=1e-10, atol=1e-10)
         # too stiff, not non-finite: the base class
         assert type(info.value) is StepSizeUnderflowError
@@ -191,8 +187,8 @@ class TestErrors:
 
         with pytest.raises(NonFiniteRhsError,
                            match="right-hand side went non-finite") as info:
-            solve_one(turns_nan, 0.0, 1.0, np.array([1.0]),
-                      np.linspace(0.0, 1.0, 11), rtol=1e-8, atol=1e-8)
+            solve_one(turns_nan, 0.0, 1.0, np.array([1.0]), 11,
+                      rtol=1e-8, atol=1e-8)
         t_fail = float(re.search(r"at t = (\S+) ", str(info.value)).group(1))
         assert t_fail <= 0.5
         assert "stiff" not in str(info.value)
@@ -205,10 +201,9 @@ class TestErrors:
         def huge(t, y, p):
             return np.array([1e308])
 
-        grid = np.linspace(0.0, 2.0, 5)
         with np.errstate(over="ignore", invalid="ignore"):
             res = solve(_per_row(huge, _decay), [[(2.0, (0,))], [(2.0, (1,))]],
-                        [0.0, 0.0], np.array([[1e308], [1.0]]), [grid, grid],
+                        [0.0, 0.0], np.array([[1e308], [1.0]]), [5, 5],
                         [1e-6, 1e-6], [1e-9, 1e-9])
         assert isinstance(res.errors[0], NonFiniteRhsError)
         t_fail = float(re.search(r"at t = (\S+) ",
@@ -230,7 +225,7 @@ class TestErrors:
 
         grid = np.linspace(0.0, 1.0, 5)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = solve_one(huge, 0.0, 1.0, np.array([-1e308]), grid,
+            res = solve_one(huge, 0.0, 1.0, np.array([-1e308]), grid.size,
                             rtol=1e-6, atol=1e-9)
         assert_allclose(res.y[:, 0], -1e308 + 1e308 * grid, rtol=1e-12,
                         atol=1e294)
@@ -244,7 +239,7 @@ class TestErrors:
         # inf: the row stops there with NaN samples from the step on
         # (on the span of 3 that step is the last, on 6 it is not)
         (f, _, _, y0, _, tol) = PEAK
-        peak = (f, 0.0, span, y0, np.linspace(0.0, span, 3001), tol)
+        peak = (f, 0.0, span, y0, 3001, tol)
         with np.errstate(over="ignore"):
             res = _solve_batch([peak, BATCH[3]])
         assert isinstance(res.errors[0], NonFiniteRhsError)
@@ -270,10 +265,67 @@ class TestErrors:
         with pytest.raises(NonFiniteRhsError,
                            match="the state went non-finite") as info, \
                 np.errstate(over="ignore", invalid="ignore"):
-            solve_one(huge, 0.0, 10.0, np.array([y0]),
-                      np.linspace(0.0, 10.0, 5), rtol=1e-6, atol=1e-9)
+            solve_one(huge, 0.0, 10.0, np.array([y0]), 5, rtol=1e-6,
+                      atol=1e-9)
         t_fail = float(re.search(r"at t = (\S+) ", str(info.value)).group(1))
         assert 1.79 < t_fail < 1.8
+
+    @pytest.mark.parametrize("float_form", [False, True])
+    def test_stage_sums_near_the_top_are_redone_scaled(self, monkeypatch,
+                                                       float_form):
+        # y' = A cos t, A one part in 1e6 below the largest float: the
+        # tableau sums of the stages overflow although h times them does
+        # not.  The run used to fail at t = 0, after 453 rejected steps,
+        # as "the state went non-finite"; each such attempt is redone on
+        # scaled sums, in the array form and in the float form alike
+        top = (1.0 - 1e-6) * _TOP
+
+        def cosine(t, y, p):
+            return np.array([top * math.cos(t)])
+
+        monkeypatch.setattr(ode, "FLOAT_ROWS", 4 if float_form else 0)
+        problems = [[(2.0 * math.pi, (0,))], [(2.0, (1,))]]
+        calls = []
+
+        def rhs(t, Y, P):
+            calls.append(len(Y))
+            return _per_row(cosine, _decay)(t, Y, P)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = solve(rhs, problems, [0.0, 0.0], np.array([[0.0], [1.0]]),
+                        [9, 5], [1e-3, 1e-8], [1e-3, 1e-8],
+                        row_rhs=_row_form(cosine, _decay) if float_form
+                        else None)
+            lone = solve(_per_row(cosine), problems[:1], [0.0],
+                         np.array([[0.0]]), [9], [1e-3], [1e-3])
+        assert res.errors == [None, None]
+        t, y = res.row(0)
+        assert_allclose(y[:, 0] / top, np.sin(t), atol=1e-3)
+        assert np.isfinite(res.y_end).all()
+        # redone attempts count as evaluations, and leave the other row
+        # and the row alone as they are
+        attempts = int(res.n_accepted[0] + res.n_rejected[0])
+        assert res.n_rhs[0] > 2 + 6 * attempts
+        if not float_form:
+            assert sum(calls) == int(np.sum(res.n_rhs))
+        _assert_row_equal(res, 0, lone)
+        _assert_row_equal(res, 1, _lone(((_decay, 0.0), 0.0, 2.0, [1.0], 5,
+                                        1e-8)))
+
+    @pytest.mark.parametrize("y0, error, culprit", [
+        (1.0, StepSizeUnderflowError, "too stiff"),
+        (1e150, NonFiniteRhsError, "the right-hand side went non-finite"),
+        (1e154, NonFiniteRhsError, "the right-hand side went non-finite")])
+    def test_blowup_still_fails_after_its_redone_attempts(self, y0, error,
+                                                          culprit):
+        # y' = y**2: from 1 the step shrinks below the floor near t = 1;
+        # from near the square root of the largest float the stages
+        # overflow for good, so the scaled sums fail as well
+        with pytest.raises(StepSizeUnderflowError, match=culprit) as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            solve_one(_blowup, 0.0, 2.0, np.array([y0]), 2, rtol=1e-10,
+                      atol=1e-10)
+        assert type(info.value) is error
 
     @pytest.mark.parametrize("f, pieces, y0, culprit", [
         # only the state overflows
@@ -295,8 +347,7 @@ class TestErrors:
                                                 culprit):
         with np.errstate(over="ignore", invalid="ignore"):
             res = solve(_per_row(f), [[(end, (0, a)) for end, a in pieces]],
-                        [0.0], np.array([[y0]]),
-                        [np.array([0.0, pieces[-1][0]])], [1e-6], [1e-9])
+                        [0.0], np.array([[y0]]), [2], [1e-6], [1e-9])
         assert isinstance(res.errors[0], NonFiniteRhsError)
         assert f"{culprit} went non-finite" in str(res.errors[0])
 
@@ -311,8 +362,8 @@ class TestErrors:
             return np.ones_like(Y)
 
         with pytest.raises(ValueError, match="y0 must be finite"):
-            solve(rhs, [[(1.0, (0.0,))]], [0.0], np.array([[1.0, y0]]),
-                  [np.array([0.0, 1.0])], [1e-6], [1e-9])
+            solve(rhs, [[(1.0, (0.0,))]], [0.0], np.array([[1.0, y0]]), [2],
+                  [1e-6], [1e-9])
         assert calls == []
 
     def test_tiny_first_segment_starts_with_its_length(self):
@@ -329,8 +380,7 @@ class TestErrors:
                           np.array([t_end]), np.array([1e-6]),
                           np.array([1e-6]), math.inf)
         assert h.tolist() == [t_end]
-        res = solve_one(jumps, 0.0, t_end, y0, np.array([0.0, t_end]),
-                        rtol=1e-6, atol=1e-6)
+        res = solve_one(jumps, 0.0, t_end, y0, 2, rtol=1e-6, atol=1e-6)
         assert res.n_accepted[0] == 1
 
     def test_rejected_step_onto_a_close_end_fails(self):
@@ -347,7 +397,7 @@ class TestErrors:
             return np.array([1e7 if t >= t_end else 0.0])
 
         with pytest.raises(StepSizeUnderflowError, match="stiff"):
-            solve_one(jumps, 0.5, t_end, np.array([0.0]), np.array([t_end]),
+            solve_one(jumps, 0.5, t_end, np.array([0.0]), 2,
                       rtol=1e-12, atol=1e-12)
 
     def test_array_form_fails_a_rejected_step_onto_a_close_end(
@@ -356,19 +406,15 @@ class TestErrors:
         monkeypatch.setattr(ode, "FLOAT_ROWS", 0)
         self.test_rejected_step_onto_a_close_end_fails()
 
-    def test_grid_outside_span_rejected(self):
-        with pytest.raises(ValueError):
-            solve_one(_decay, 0.0, 1.0, np.array([1.0]), np.array([0.0, 2.0]),
-                      rtol=1e-8, atol=1e-8)
-
-    @pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [math.nan],
-                                      [0.0, math.inf], [-math.inf, 0.5]])
+    @pytest.mark.parametrize("grid", [(0.0, math.inf), (-math.inf, 0.5),
+                                      (-1e308, 1e308), (-math.inf, math.inf)])
     def test_nonfinite_grid_rejected(self, grid):
-        # NaN compares false, so it passed the ordering and span checks
-        # and came back as samples [1, nan, nan] with no error
+        # a grid on an infinite span, or on one whose length overflows,
+        # has points that are not finite
+        t0, t_end = grid
         with pytest.raises(ValueError, match="finite"):
-            solve_one(_decay, 0.0, 1.0, np.array([1.0]), np.array(grid),
-                      rtol=1e-8, atol=1e-8)
+            solve_one(_decay, t0, t_end, np.array([1.0]), 11, rtol=1e-8,
+                      atol=1e-8)
 
     @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf,
                                      -math.inf])
@@ -378,22 +424,32 @@ class TestErrors:
         # negative one to integrate silently
         tols = {"rtol": 1e-8, "atol": 1e-8, which: bad}
         with pytest.raises(ValueError, match="positive and finite"):
-            solve_one(_decay, 0.0, 1.0, np.array([1.0]),
-                      np.array([0.0, 1.0]), **tols)
+            solve_one(_decay, 0.0, 1.0, np.array([1.0]), 2, **tols)
 
     def test_non_increasing_grid_rejected(self):
-        with pytest.raises(ValueError):
-            solve_one(_decay, 0.0, 1.0, np.array([1.0]),
-                      np.array([0.0, 0.5, 0.5]), rtol=1e-8, atol=1e-8)
+        # more points than the span holds apart: a step that underflows
+        # to 0 (linspace then divides first), one that rounds onto a
+        # multiple past the end, and one below an ulp of the start; and
+        # a grid of fewer than 2 points
+        for t0, t_end, points in [(0.0, 5e-324, 3), (0.0, 1e-320, 801),
+                                  (1e6, 1e6 + 1e-9, 1000)]:
+            assert not (np.diff(ode.grid(t0, t_end, points)) > 0.0).all()
+            with pytest.raises(ValueError, match="rise strictly"):
+                solve_one(_decay, t0, t_end, np.array([1.0]), points,
+                          rtol=1e-8, atol=1e-8)
+        for points in (1, 0, -1):
+            with pytest.raises(ValueError, match="2 points or more"):
+                solve_one(_decay, 0.0, 1.0, np.array([1.0]), points,
+                          rtol=1e-8, atol=1e-8)
 
     def test_reversed_span_rejected(self):
         with pytest.raises(ValueError):
-            solve_one(_decay, 1.0, 0.0, np.array([1.0]), np.array([1.0]),
+            solve_one(_decay, 1.0, 0.0, np.array([1.0]), 2,
                       rtol=1e-8, atol=1e-8)
 
     def test_returns_result_type(self):
-        res = solve_one(_decay, 0.0, 1.0, np.array([1.0]),
-                        np.array([0.0, 1.0]), rtol=1e-8, atol=1e-8)
+        res = solve_one(_decay, 0.0, 1.0, np.array([1.0]), 2, rtol=1e-8,
+                        atol=1e-8)
         assert isinstance(res, OdeResult)
         assert res.y.shape == (2, 1)
 
@@ -408,22 +464,18 @@ def _turns_nan(t, y, p):
     return np.full_like(y, math.nan) if t > 0.5 else -y
 
 
-# ((f, parameter), t0, t_end, y0, grid, tol): spans, tolerances and grid
-# lengths differ; the stiff linear row at loose tolerance rejects steps
+# ((f, parameter), t0, t_end, y0, points, tol): spans, tolerances and
+# grid sizes differ; the stiff linear row at loose tolerance rejects
+# steps
 BATCH = [
-    ((_rigid_body, 0.0), 0.0, 12.0, [1.0, 0.0, 0.9],
-     np.linspace(0.0, 12.0, 13), 1e-11),
-    ((_linear, 0.5), 0.5, 4.0, [0.2, -0.1, 1.0], np.linspace(0.5, 4.0, 801),
-     1e-8),
-    ((_linear, 200.0), 0.0, 1.0, [1.0, 0.0, 1.0], np.array([0.25, 1.0]),
-     1e-3),
-    ((_rigid_body, 0.0), 1.0, 2.5, [0.0, 1.0, 0.2],
-     np.linspace(1.5, 2.5, 7), 1e-6),
+    ((_rigid_body, 0.0), 0.0, 12.0, [1.0, 0.0, 0.9], 13, 1e-11),
+    ((_linear, 0.5), 0.5, 4.0, [0.2, -0.1, 1.0], 801, 1e-8),
+    ((_linear, 200.0), 0.0, 1.0, [1.0, 0.0, 1.0], 2, 1e-3),
+    ((_rigid_body, 0.0), 1.0, 2.5, [0.0, 1.0, 0.2], 7, 1e-6),
 ]
 FAILING = [
-    ((_blowup, 0.0), 0.0, 2.0, [1.0, 1.0, 1.0], np.array([0.0, 2.0]), 1e-10),
-    ((_turns_nan, 0.0), 0.0, 1.0, [1.0, 1.0, 1.0],
-     np.linspace(0.0, 1.0, 11), 1e-8),
+    ((_blowup, 0.0), 0.0, 2.0, [1.0, 1.0, 1.0], 2, 1e-10),
+    ((_turns_nan, 0.0), 0.0, 1.0, [1.0, 1.0, 1.0], 11, 1e-8),
 ]
 
 _TOP = np.finfo(float).max
@@ -441,16 +493,16 @@ def _huge_stages(t, y, p):
 # dense output overflows near t = pi/2 (see
 # test_overflowing_dense_output_fails_the_row)
 PEAK = ((_peak, 0.0), 0.0, 6.0, [_TOP - 1e307 * (1.0 + 1e-9), 0.0, 0.0],
-        np.linspace(0.0, 6.0, 3001), 1e-2)
+        3001, 1e-2)
 
 
 def _solve_batch(problems, rhs=None):
     """One solve of the problems; P rows are (function index, parameter)."""
-    fs, t0, t_end, y0, grids, tols = zip(*problems)
+    fs, t0, t_end, y0, points, tols = zip(*problems)
     functions = list(dict.fromkeys(f for f, _ in fs))
     pieces = [[(b, (functions.index(f), a))] for (f, a), b in zip(fs, t_end)]
     return solve(rhs or _per_row(*functions), pieces, t0, np.array(y0),
-                 grids, tols, tols)
+                 points, tols, tols)
 
 
 def _lone(problem):
@@ -459,7 +511,7 @@ def _lone(problem):
 
 def _assert_row_equal(batch, b, lone):
     t, y = batch.row(b)
-    assert np.array_equal(t, lone.t)
+    assert t.tobytes() == lone.row(0)[0].tobytes()
     assert np.array_equal(y, lone.y, equal_nan=True)
     assert np.array_equal(batch.y_end[b], lone.y_end[0], equal_nan=True)
     assert batch.n_accepted[b] == lone.n_accepted[0]
@@ -470,7 +522,7 @@ def _assert_row_equal(batch, b, lone):
 class TestBatch:
     def test_rows_match_lone_runs_bitwise(self):
         res = _solve_batch(BATCH)
-        assert res.t.size == sum(p[4].size for p in BATCH)
+        assert res.y.shape[0] == sum(p[4] for p in BATCH)
         assert res.errors == [None] * len(BATCH)
         assert res.n_rejected[2] > 0
         for b, problem in enumerate(BATCH):
@@ -499,7 +551,7 @@ class TestBatch:
         res = _solve_batch(BATCH)
         assert int(np.sum(res.n_rhs)) == sum(
             int(_lone(p).n_rhs[0]) for p in BATCH)
-        assert np.size(res.t) == int(res.offsets[-1])
+        assert res.y.shape[0] == int(res.offsets[-1])
 
     def test_one_rhs_call_per_stage(self):
         # the stages of all rows are one call each, and so is the
@@ -519,87 +571,84 @@ class TestBatch:
     def test_y0_must_be_two_dimensional(self):
         with pytest.raises(ValueError, match="shape"):
             solve(_per_row(_decay), [[(1.0, (0,))]], [0.0], np.array([1.0]),
-                  [np.array([0.0, 1.0])], [1e-8], [1e-8])
+                  [2], [1e-8], [1e-8])
 
     def test_one_entry_per_row_required(self):
         with pytest.raises(ValueError, match="one entry per row"):
             solve(_per_row(_decay), [[(1.0, (0,))]], [0.0, 0.0],
-                  np.array([[1.0]]), [np.array([0.0, 1.0])], [1e-8], [1e-8])
+                  np.array([[1.0]]), [2], [1e-8], [1e-8])
 
     @pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 0, 3, 1]])
-    def test_grids_are_read_once_into_one_array(self, order):
-        # grids from a generator, growing and shrinking: t holds them end
-        # to end, each row's t is a view of it, and every row is its
-        # lone run
+    def test_rows_sample_their_grids(self, order):
+        # grids growing and shrinking: each row's samples lie on
+        # np.linspace's grid of its span, the result holds the grids'
+        # ends and no grid, and every row is its lone run
         problems = [BATCH[i] for i in order]
-        fs, t0, t_end, y0, grids, tols = zip(*problems)
-        functions = list(dict.fromkeys(f for f, _ in fs))
-        pieces = [[(b, (functions.index(f), a))]
-                  for (f, a), b in zip(fs, t_end)]
-        res = solve(_per_row(*functions), pieces, t0, np.array(y0),
-                    (grid for grid in grids), tols, tols)
-        assert res.t.tobytes() == np.concatenate(grids).tobytes()
+        res = _solve_batch(problems)
+        assert sorted(vars(res)) == [
+            "errors", "measure_max", "n_accepted", "n_rejected", "n_rhs",
+            "offsets", "t0", "t_end", "y", "y_end"]
+        assert np.size(res.t) == res.y.shape[0]
+        assert np.asarray(res.t).tobytes() == np.concatenate([
+            np.linspace(t0, t_end, points)
+            for _, t0, t_end, _, points, _ in problems]).tobytes()
         for b, problem in enumerate(problems):
-            assert res.row(b)[0].base is res.t
+            _, t0, t_end, _, points, _ = problem
+            assert res.row(b)[0].tobytes() == np.linspace(
+                t0, t_end, points).tobytes()
             _assert_row_equal(res, b, _lone(problem))
 
     @pytest.mark.parametrize("count", [0, 2])
     def test_one_grid_per_row_required(self, count):
         with pytest.raises(ValueError, match="one entry per row"):
             solve(_per_row(_decay), [[(1.0, (0,))]], [0.0],
-                  np.array([[1.0]]),
-                  (np.array([0.0, 1.0]) for _ in range(count)), [1e-8],
-                  [1e-8])
+                  np.array([[1.0]]), [2] * count, [1e-8], [1e-8])
 
     def test_pieces_need_equal_numbers_of_constants(self):
         with pytest.raises(ValueError, match="number of constants"):
             solve(_per_row(_decay), [[(0.5, (0,)), (1.0, (0, 1.0))]], [0.0],
-                  np.array([[1.0]]), [np.array([0.0, 1.0])], [1e-8], [1e-8])
+                  np.array([[1.0]]), [2], [1e-8], [1e-8])
 
 
 def _one_piece(problem):
-    (f, a), t0, t_end, y0, grid, tol = problem
-    return [(t_end, f, a)], t0, y0, grid, tol
+    (f, a), t0, t_end, y0, points, tol = problem
+    return [(t_end, f, a)], t0, y0, points, tol
 
 
-_SPARSE = np.array([0.5, 2.0, 5.5, 8.0])
-# (pieces [(end, f, parameter), ...], t0, y0, grid, tol): 18 rows, so
+_SPARSE = 4
+# (pieces [(end, f, parameter), ...], t0, y0, points, tol): 18 rows, so
 # that most passes stack their dense output.  The sparse grids get at
 # most one sample per step, the others several; the _linear rows of
 # several pieces change their rate at each end (a restart); the
 # rate-200 rows reject steps; three rows fail
 STACKED = [_one_piece(p) for p in BATCH + FAILING + [PEAK]] + [
-    ([(8.0, _rigid_body, 0.0)], 0.0, [1.0, 0.0, 0.9],
-     np.linspace(0.0, 8.0, 801), tol)
+    ([(8.0, _rigid_body, 0.0)], 0.0, [1.0, 0.0, 0.9], 801, tol)
     for tol in (1e-6, 1e-10)
 ] + [
     ([(8.0, _rigid_body, 0.0)], 0.0, [0.3, 1.0, -0.2], _SPARSE, tol)
     for tol in (1e-8, 1e-11)
 ] + [
     ([(1.0, _linear, 0.5), (2.5, _linear, 2.0), (8.0, _linear, 1.0)], 0.0,
-     [0.2, -0.1, 1.0], np.linspace(0.0, 8.0, 401), 1e-9),
+     [0.2, -0.1, 1.0], 401, 1e-9),
     ([(0.7, _linear, 1.0), (3.0, _linear, 0.1), (8.0, _linear, 3.0)], 0.0,
      [1.0, 1.0, -1.0], _SPARSE, 1e-10),
     ([(2.0, _linear, 3.0), (8.0, _linear, 200.0)], 0.0, [1.0, 0.5, 0.3],
-     np.linspace(0.0, 8.0, 161), 1e-4),
+     161, 1e-4),
     ([(8.0, _linear, 200.0)], 0.0, [0.0, 1.0, 1.0], _SPARSE, 1e-3),
-    ([(8.0, _linear, 0.05)], 0.0, [0.0, 1.0, 1.0],
-     np.linspace(0.0, 8.0, 3), 1e-12),
-    ([(5.0, _linear, 0.8)], 0.5, [0.7, 0.0, -0.4],
-     np.linspace(0.5, 5.0, 1000), 1e-7),
-    ([(6.0, _rigid_body, 0.0)], 2.0, [0.0, 1.0, 0.2], np.array([6.0]),
-     1e-9),
+    ([(8.0, _linear, 0.05)], 0.0, [0.0, 1.0, 1.0], 3, 1e-12),
+    ([(5.0, _linear, 0.8)], 0.5, [0.7, 0.0, -0.4], 1000, 1e-7),
+    ([(6.0, _rigid_body, 0.0)], 2.0, [0.0, 1.0, 0.2], 2, 1e-9),
 ]
 
 
 def _solve_rows(problems, **kwargs):
     """One solve of rows of pieces; P rows are (function index,
     parameter)."""
-    pieces, t0, y0, grids, tols = zip(*problems)
+    pieces, t0, y0, points, tols = zip(*problems)
     functions = list(dict.fromkeys(f for row in pieces for _, f, _ in row))
     return solve(_per_row(*functions),
                  [[(end, (functions.index(f), a)) for end, f, a in row]
-                  for row in pieces], t0, np.array(y0), grids, tols, tols,
+                  for row in pieces], t0, np.array(y0), points, tols, tols,
                  **kwargs)
 
 
@@ -612,7 +661,8 @@ def _assert_kept(kept, whole, keep):
     """kept is whole with the columns keep and the _squares measure."""
     cols = list(range(whole.y.shape[1])) if keep is None else keep
     assert kept.y.tobytes() == whole.y[:, cols].tobytes()
-    assert kept.t.tobytes() == whole.t.tobytes()
+    for name in ("offsets", "t0", "t_end"):
+        assert getattr(kept, name).tobytes() == getattr(whole, name).tobytes()
     assert [repr(e) for e in kept.errors] == [repr(e) for e in whole.errors]
     for name in ("y_end", "n_accepted", "n_rejected", "n_rhs"):
         assert np.array_equal(getattr(kept, name), getattr(whole, name),
@@ -645,7 +695,7 @@ class TestKeep:
         # every sample is finite: the step is redone scaled, and its kept
         # columns and measure (inf: the squares overflow) come from that
         problems = [([(1.0, _huge_stages, 0.0)], 0.0, [-1e308, 0.0, 0.0],
-                     np.linspace(0.0, 1.0, 5), 1e-6)] + STACKED[:3]
+                     5, 1e-6)] + STACKED[:3]
         with np.errstate(over="ignore", invalid="ignore"):
             whole = _solve_rows(problems)
             kept = _solve_rows(problems, columns=keep, measure=_squares)
@@ -676,17 +726,17 @@ def _spy_dense_output(monkeypatch):
     return passes
 
 
-def _spy_grid_search(monkeypatch):
+def _spy_grid_index(monkeypatch):
     """Count the passes of the array form of the controller (each with
-    accepted rows searches their grids)."""
+    attempted rows counts their grid points)."""
     calls = []
-    search = ode._grid_search
+    index = ode._grid_index
 
     def spy(*args):
         calls.append(1)
-        return search(*args)
+        return index(*args)
 
-    monkeypatch.setattr(ode, "_grid_search", spy)
+    monkeypatch.setattr(ode, "_grid_index", spy)
     return calls
 
 
@@ -710,7 +760,7 @@ class TestStackedBatch:
                                           lone_rows):
         assert len(STACKED) >= 2 * DENSE_ROWS
         passes = _spy_dense_output(monkeypatch)
-        searches = _spy_grid_search(monkeypatch)
+        searches = _spy_grid_index(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
             _controllers(monkeypatch, lone_rows)
             lone = [_solve_rows([problem]) for problem in STACKED]
@@ -738,8 +788,11 @@ class TestStackedBatch:
         assert "dense output" in str(res.errors[6])
         assert res.errors[:4] + res.errors[7:] == [None] * 15
         assert np.count_nonzero(res.n_rejected) >= 3
+        # rows that ran to their end (a failing row's redone attempts
+        # count too)
         pieces = (res.n_rhs - 6 * (res.n_accepted + res.n_rejected)) // 2
-        assert np.count_nonzero(pieces > 1) == 3
+        ended = [error is None for error in res.errors]
+        assert np.count_nonzero(pieces[ended] > 1) == 3
 
     def test_stacked_pass_makes_no_per_row_product(self, monkeypatch):
         passes = _spy_dense_output(monkeypatch)
@@ -1019,65 +1072,60 @@ class TestControllerBits:
                 assert np.array_equal(_bits(_bloch_norm(y)), _bits(want))
 
 
-def _searches(grids, rng, steps):
-    """Every argument of ode._grid_search for rows on grids, as a solve
-    pass has them (the grids end to end, each row's next point past t,
-    its segment's end, x = t + h and its smallest spacing), and per-row
-    searchsorted's answers.  A row stands at a grid point or between
-    two, and h spans steps grid gaps; x falls on a grid point at times,
-    as a step onto a piece's end does."""
-    t_all = np.concatenate(grids)
-    offsets = np.cumsum([0] + [len(g) for g in grids])
-    lo, hi, x, t, gap, want = [], [], [], [], [], []
-    for grid, start in zip(grids, offsets):
-        step = np.diff(grid).min(initial=math.inf)
-        for _ in range(12):
-            at = rng.integers(0, len(grid))
-            here = grid[at] if rng.random() < 0.5 else \
-                grid[at] - rng.uniform(0.0, 1.0) * min(step, 1.0)
-            ahead = grid[-1] - here
-            h = min(ahead, rng.uniform(0.0, steps) * step) \
-                if ahead > 0.0 else 0.0
-            end = here + h
-            if rng.random() < 0.25 and at + 1 < len(grid):
-                end = grid[min(len(grid) - 1,
-                               at + int(rng.uniform(0.0, steps)))]
-                end = max(end, here)
-            i = start + grid.searchsorted(here, "right")
-            lo.append(i)
-            hi.append(start + len(grid))
-            x.append(end)
-            t.append(here)
-            gap.append(step)
-            want.append(i + t_all[i:start + len(grid)].searchsorted(
-                end, "right"))
-    return (t_all, np.array(lo), np.array(hi), np.array(x), np.array(t),
-            np.array(gap)), np.array(want)
+# (t0, end, points) of grids with distinct points: from 0 and from
+# starts of either sign, of 2 to 1e6 points, with subnormal steps, and
+# with steps of a few ulps of their start
+GRIDS = [(0.0, 1.0, 2), (0.0, 6.5, 1601), (0.0, 1e-3, 801), (0.0, 3e5, 5000),
+         (0.0, 2.0, 17), (0.0, 8.0, 10**6), (0.5, 4.0, 801), (-5.0, 35.0, 3000),
+         (1e6, 1e6 + 1.0, 400), (-2.5e-3, 1e-3, 7), (0.0, 1e-310, 801),
+         (0.0, 3e-320, 5), (-1e-318, 1e-318, 11), (1.0, 1.0 + 2e-12, 1000),
+         (0.1, 0.7, 10**6)]
+
+
+def _grid_args(grids):
+    """The arrays of (t0, step, last, end) that solve keeps of grids."""
+    return [np.array(column, dtype=float) for column in zip(*[
+        (t0, (end - t0) / (points - 1), points - 1, end)
+        for t0, end, points in grids])]
+
+
+def _probes(grid, rng, steps):
+    """Places x on and about the grid: every tenth point or so, one ulp
+    either side of it, past it by up to steps grid gaps, below the
+    start and past the end."""
+    at = np.unique(rng.integers(0, len(grid), min(len(grid), 40)))
+    on = grid[at]
+    gap = (grid[-1] - grid[0]) / (len(grid) - 1)
+    return np.concatenate([
+        on, np.nextafter(on, -math.inf), np.nextafter(on, math.inf),
+        np.minimum(on + rng.uniform(0.0, steps, on.size) * gap, grid[-1]),
+        [grid[-1], np.nextafter(grid[-1], math.inf), grid[-1] + 1.0,
+         np.nextafter(grid[0], -math.inf)]])
 
 
 class TestGridSearchBits:
-    """The grid search of the array controller, bounded by each row's
-    smallest grid spacing, against per-row searchsorted."""
+    """The grid index of both controller forms (the array form's
+    _grid_index, the per-row form's _index) against searchsorted on the
+    grid that ode.grid builds."""
 
     @pytest.mark.parametrize("steps", [0.5, 3.0, 40.0, 700.0])
     def test_bounded_search_equals_searchsorted(self, steps):
         rng = np.random.default_rng(int(steps * 10))
-        uniform = [np.linspace(0.0, span, n) for span, n in
-                   [(1.0, 2), (6.5, 1601), (1e-3, 801), (3e5, 5000),
-                    (2.0, 17)]]
-        random = [np.unique(rng.uniform(a, a + w, n)) for a, w, n in
-                  [(0.0, 1.0, 1000), (-5.0, 40.0, 3000), (1e6, 1.0, 400)]]
-        # one close pair sets the gap of an otherwise coarse grid
-        narrow = []
-        for at in (1, 500, 998):
-            grid = np.linspace(0.0, 10.0, 1000)
-            grid[at] = grid[at - 1] + 1e-9
-            narrow.append(grid)
-        single = [np.array([0.25]), np.array([3.0])]
-        for grids in (uniform, random, narrow, single,
-                      uniform + single + random + narrow):
-            args, want = _searches(grids, rng, steps)
-            assert np.array_equal(ode._grid_search(*args), want)
+        args = _grid_args(GRIDS)
+        rows, xs, want = [], [], []
+        for row, (t0, end, points) in enumerate(GRIDS):
+            grid = ode.grid(t0, end, points)
+            assert (np.diff(grid) > 0.0).all()
+            x = _probes(grid, rng, steps)
+            rows += [row] * x.size
+            xs.append(x)
+            want.append(grid.searchsorted(x, "right"))
+        rows, x, want = np.array(rows), np.concatenate(xs), np.concatenate(want)
+        with np.errstate(over="ignore"):  # past the end of subnormal steps
+            got = ode._grid_index(x, *(a[rows] for a in args))
+        assert np.array_equal(got, want)
+        for r, x_r, want_r in zip(rows.tolist(), x.tolist(), want.tolist()):
+            assert ode._index(x_r, *(a[r].item() for a in args)) == want_r
 
     @pytest.mark.parametrize("crossed", [0, 1, 2, 7, 31, 32, 33, 255,
                                          256, 600])
@@ -1086,25 +1134,48 @@ class TestGridSearchBits:
         # of points, from a grid point, from just below the next one
         # (the most points that a step of its length can cross) and
         # from between two, onto a grid point or past it
-        grid = np.linspace(0.0, 6.5, 1601)
+        grid = ode.grid(0.0, 6.5, 1601)
         gap = np.diff(grid).min()
         at = np.array([0, 77, 1600 - crossed - 1])
         below = np.nextafter(grid[at + 1], -math.inf)
         on = grid[at + crossed]
-        t = np.concatenate([grid[at], below, grid[at] + 0.5 * gap, below])
         x = np.concatenate([on, np.maximum(on, below), on + 0.75 * gap,
                             on + 0.75 * gap])
-        i = np.tile(at + 1, 4)
-        hi, gaps = np.full(len(i), len(grid)), np.full(len(i), gap)
-        got = ode._grid_search(grid, i, hi, x, t, gaps)
-        assert np.array_equal(got, i + [grid[a:].searchsorted(b, "right")
-                                        for a, b in zip(i, x)])
-        assert np.array_equal(got - i, np.full(len(i), crossed))
-        # each row alone: its own bound sets the levels
-        for r in range(len(i)):
-            row = slice(r, r + 1)
-            assert ode._grid_search(grid, i[row], hi[row], x[row], t[row],
-                                    gaps[row]) == got[r]
+        args = [a.repeat(x.size) for a in _grid_args([(0.0, 6.5, 1601)])]
+        got = ode._grid_index(x, *args)
+        assert np.array_equal(got, grid.searchsorted(x, "right"))
+        assert np.array_equal(got - np.tile(at + 1, 4),
+                              np.full(x.size, crossed))
+        # each row alone, and in the per-row form
+        for r in range(x.size):
+            row = [a[r:r + 1] for a in args]
+            assert ode._grid_index(x[r:r + 1], *row) == got[r]
+            assert ode._index(x[r].item(), *(a.item() for a in row)) \
+                == got[r]
+
+    def test_fixups_from_zero_take_one_round(self, monkeypatch):
+        # from t0 = 0 the floor misses by one point at most: one round of
+        # fix-ups, and a second that finds nothing to fix
+        points = ode._points
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return points(*args)
+
+        monkeypatch.setattr(ode, "_points", spy)
+        rng = np.random.default_rng(16)
+        for t0, end, n in GRIDS:
+            if t0 != 0.0:
+                continue
+            grid = ode.grid(t0, end, n)
+            x = _probes(grid, rng, 40.0)
+            del calls[:]
+            with np.errstate(over="ignore"):
+                got = ode._grid_index(x, *(
+                    a.repeat(x.size) for a in _grid_args([(t0, end, n)])))
+            assert np.array_equal(got, grid.searchsorted(x, "right"))
+            assert len(calls) <= 4
 
 
 def _row_form(*functions):
@@ -1145,17 +1216,16 @@ def _spy_floats(monkeypatch):
     return sizes
 
 
-# (pieces [(end, f, (force, rate)), ...], t0, y0, grid, tol) of 1, 5, 7
+# (pieces [(end, f, (force, rate)), ...], t0, y0, points, tol) of 1, 5, 7
 # and 8 components: y' = 1e308 overflows y near t = 0.7977 while f stays
 # finite (the state goes non-finite), and the forces change at piece ends
 WIDE = {
-    1: [([(2.0, _huge, (0.0, 0.0))], 0.0, [1e308], np.linspace(0, 2, 5),
-         1e-6)],
+    1: [([(2.0, _huge, (0.0, 0.0))], 0.0, [1e308], 5, 1e-6)],
     **{n: [([(1.0, _spin, (0.0, 0.1)), (2.5, _spin, (1.0, 0.1)),
              (4.0, _spin, (0.0, 0.3))], 0.0, np.linspace(0.9, -0.4, n),
-            np.linspace(0.0, 4.0, 81), 1e-9),
+            81, 1e-9),
            ([(4.0, _spin, (0.5, 2.0))], 0.5, np.linspace(0.1, 0.3, n),
-            np.array([1.0, 4.0]), 1e-6)]
+            2, 1e-6)]
        for n in (5, 7, 8)},
 }
 
@@ -1171,12 +1241,12 @@ class TestFloatForm:
     the array form."""
 
     def _solve(self, problems, floats):
-        pieces, t0, y0, grids, tols = zip(*problems)
+        pieces, t0, y0, points, tols = zip(*problems)
         functions = list(dict.fromkeys(
             f for row in pieces for _, f, _ in row))
         return solve(_per_row(*functions),
                      [[(end, (functions.index(f), *a)) for end, f, a in row]
-                      for row in pieces], t0, np.array(y0), grids, tols,
+                      for row in pieces], t0, np.array(y0), points, tols,
                      tols, row_rhs=_row_form(*functions) if floats else None)
 
     def _check(self, monkeypatch, problems, width):
@@ -1230,8 +1300,8 @@ class TestFloatForm:
         L = np.array([[-0.5, -2.0j], [-1.5, -300.0 + 1200.0j]])
         consts = (0, 0.8, 0.1, *L.ravel().view(float))
         args = (_per_row(_coupled), [[(1.0, consts)]], [0.0],
-                np.array([[0.3, 0.1, -0.5, 0.05, -0.02]]),
-                [np.linspace(0.0, 1.0, 11)], [1e-9], [1e-9])
+                np.array([[0.3, 0.1, -0.5, 0.05, -0.02]]), [11], [1e-9],
+                [1e-9])
         res = solve(*args, linear=([L], PAIRS),
                     row_rhs=_row_form(_coupled))
         assert sizes == []
@@ -1241,8 +1311,9 @@ class TestFloatForm:
 def _one_row_of(res, b):
     """Row b of res as an OdeResult of one row."""
     lo, hi = res.offsets[b], res.offsets[b + 1]
-    return OdeResult(t=res.t[lo:hi], y=res.y[lo:hi],
-                     offsets=np.array([0, hi - lo]), y_end=res.y_end[b:b + 1],
+    return OdeResult(y=res.y[lo:hi], offsets=np.array([0, hi - lo]),
+                     t0=res.t0[b:b + 1], t_end=res.t_end[b:b + 1],
+                     y_end=res.y_end[b:b + 1],
                      n_accepted=res.n_accepted[b:b + 1],
                      n_rejected=res.n_rejected[b:b + 1],
                      n_rhs=res.n_rhs[b:b + 1], errors=res.errors[b:b + 1])
@@ -1257,48 +1328,55 @@ def _pieces(ends, forces=(0.0, 1.0, 0.0)):
     return [(end, (0, force)) for end, force in zip(ends, forces)]
 
 
-_GRID = np.linspace(0.0, 3.0, 31)
-# (pieces, t0, y0, grid, tol); the force flips at each piece's end
+_GRID = ode.grid(0.0, 3.0, 31)
+# (pieces, t0, y0, points, tol); the force flips at each piece's end
 PIECED = [
     # a first piece shorter than the starting step (0.005): its first
     # step must be sized toward 0.004, not toward the row's end
-    (_pieces([0.004, 1.5, 3.0]), 0.0, [1.0, 0.0], _GRID, 1e-8),
-    (_pieces([1e-9, 2.0, 3.0]), 0.0, [1.0, 0.0], _GRID, 1e-8),
+    (_pieces([0.004, 1.5, 3.0]), 0.0, [1.0, 0.0], 31, 1e-8),
+    (_pieces([1e-9, 2.0, 3.0]), 0.0, [1.0, 0.0], 31, 1e-8),
     # (1.01, 1.02] holds no grid point
-    (_pieces([1.01, 1.02, 3.0]), 0.0, [0.2, -0.5], _GRID, 1e-10),
+    (_pieces([1.01, 1.02, 3.0]), 0.0, [0.2, -0.5], 31, 1e-10),
     # ends exactly on grid points
-    (_pieces([*_GRID[[12, 20]], 3.0]), 0.0, [0.2, -0.5], _GRID, 1e-6),
-    (_pieces([1.5, 2.25, 3.0]), 0.5, [0.0, 1.0], np.linspace(0.5, 3.0, 26),
-     1e-8),
+    (_pieces([*_GRID[[12, 20]], 3.0]), 0.0, [0.2, -0.5], 31, 1e-6),
+    (_pieces([1.5, 2.25, 3.0]), 0.5, [0.0, 1.0], 26, 1e-8),
 ]
 
 
 def _solve_pieced(problems, rhs=_per_row(_forced)):
-    pieces, t0, y0, grids, tols = zip(*problems)
-    return solve(rhs, pieces, t0, np.array(y0), grids, tols, tols)
+    pieces, t0, y0, points, tols = zip(*problems)
+    return solve(rhs, pieces, t0, np.array(y0), points, tols, tols)
 
 
 def _chained(problem):
     """One lone solve per piece: the reference for a row of pieces.
 
-    The grid is split as (a, b] (the first piece also keeps t0), y0 is
-    the previous piece's ``y_end`` and the counters are summed.
+    Each piece's solve starts from the previous one's ``y_end``, on a
+    grid of as many points as the row's grid has in the piece (2 at
+    least), and the counters are summed.  Returns the mask of the row's
+    grid points that a piece's grid shares (a piece's start but the
+    first's excluded: the row samples it in the piece before), the
+    pieces' samples there, the last y_end and the counters.
     """
-    pieces, t0, y0, grid, tol = problem
-    a, y, samples, counts = t0, np.array(y0), [], [0, 0, 0]
+    pieces, t0, y0, points, tol = problem
+    row = ode.grid(t0, pieces[-1][0], points)
+    shared, samples = np.zeros(points, bool), np.empty((points, len(y0)))
+    a, y, counts = t0, np.array(y0), [0, 0, 0]
     for b, (_, force) in pieces:
-        mask = ((grid >= a) if a == t0 else (grid > a)) & (grid <= b)
-        # a lone solve needs a grid point: [b] stands in for none
-        res = solve_one(_forced, a, b, y, grid[mask] if mask.any()
-                        else np.array([b]), rtol=tol, atol=tol,
-                        args=(force,))
-        if mask.any():
-            samples.append(res.y)
+        inside = ((row >= a) if a == t0 else (row > a)) & (row <= b)
+        res = solve_one(_forced, a, b, y, max(2, np.count_nonzero(inside)),
+                        rtol=tol, atol=tol, args=(force,))
+        times, ys = res.row(0)
+        if a != t0:
+            times, ys = times[1:], ys[1:]
+        common = inside & np.isin(row, times)
+        samples[common] = ys[times.searchsorted(row[common])]
+        shared |= common
         y = res.y_end[0]
         counts = [c + int(x[0]) for c, x in
                   zip(counts, (res.n_accepted, res.n_rejected, res.n_rhs))]
         a = b
-    return np.concatenate(samples), y, counts
+    return shared, samples, y, counts
 
 
 def _recorded(problems):
@@ -1322,8 +1400,12 @@ class TestPieces:
         res = _solve_pieced(PIECED)
         assert res.errors == [None] * len(PIECED)
         for b, problem in enumerate(PIECED):
-            y, y_end, counts = _chained(problem)
-            assert np.array_equal(res.row(b)[1], y)
+            # the samples on grid points that the pieces' grids share:
+            # the ends on grid points at least, and more where linspace's
+            # points of a piece fall on the row's
+            shared, y, y_end, counts = _chained(problem)
+            assert np.count_nonzero(shared) >= 2
+            assert np.array_equal(res.row(b)[1][shared], y[shared])
             assert np.array_equal(res.y_end[b], y_end)
             assert [res.n_accepted[b], res.n_rejected[b],
                     res.n_rhs[b]] == counts
@@ -1355,13 +1437,12 @@ class TestPieces:
     def test_invalid_pieces_rejected(self, pieces, match):
         with pytest.raises(ValueError, match=match):
             solve(_per_row(_forced), [pieces], [0.0], np.array([[1.0, 0.0]]),
-                  [np.array([0.0, 1.0])], [1e-8], [1e-8])
+                  [2], [1e-8], [1e-8])
 
     def test_one_piece_sequence_per_row_required(self):
         with pytest.raises(ValueError, match="one entry per row"):
             solve(_per_row(_forced), [_pieces([1.0]), _pieces([1.0])], [0.0],
-                  np.array([[1.0, 0.0]]), [np.array([0.0, 1.0])], [1e-8],
-                  [1e-8])
+                  np.array([[1.0, 0.0]]), [2], [1e-8], [1e-8])
 
 
 # ---------------------------------------------------------------------------
@@ -1376,10 +1457,10 @@ def _exponential_rows(**kwargs):
     Ls = [np.array([[-0.5, -2.0j], [-1.5, -f + 4.0j * f]])
           for f in (10.0, 300.0, 1e4)]
     rows = [(_coupled, L, [(1.0, (0.8, 0.1)), (2.5, (0.0, 0.3))],
-             [0.3, 0.1, -0.5, 0.05, -0.02], np.linspace(0, 2.5, k), tol)
+             [0.3, 0.1, -0.5, 0.05, -0.02], k, tol)
             for L, k, tol in zip(Ls, (7, 40, 300), (1e-6, 1e-9, 1e-8))]
     rows.append((_constant_forcing, Ls[1], [(3.0, (0.6, -0.2))],
-                 [0.2, -0.1, 0.4, 0.05, 0.3], np.array([3.0]), 1e-10))
+                 [0.2, -0.1, 0.4, 0.05, 0.3], 2, 1e-10))
     res = solve(_per_row(_coupled, _constant_forcing),
                 [[(end, (int(f is _constant_forcing), *ab,
                          *np.asarray(L).ravel().view(float)))
@@ -1431,13 +1512,13 @@ def _coupled(t, y, p):
     return np.array([dz0.real, dz0.imag, dw, dz1.real, dz1.imag])
 
 
-def _solve_exp(f, L, pieces, y0, grid, tol):
-    """One row of f with linear part L; pieces are (end, (a, b)) with
-    the drive a + ib."""
+def _solve_exp(f, L, pieces, y0, points, tol):
+    """One row of f with linear part L, sampled at points evenly spaced
+    points; pieces are (end, (a, b)) with the drive a + ib."""
     consts = tuple(np.asarray(L, complex).ravel().view(float))
     return solve(_per_row(f), [[(end, (0, *ab, *consts))
                                 for end, ab in pieces]], [0.0],
-                 np.array([y0], dtype=float), [grid], [tol], [tol],
+                 np.array([y0], dtype=float), [points], [tol], [tol],
                  linear=([L], PAIRS))
 
 
@@ -1474,9 +1555,8 @@ class TestExponential:
         # t phi_1(tL) N: few steps, however stiff L is
         L = np.array([[-1.0 + 2.0j, 0.5], [3.0j, -fast + 10.0j * fast]])
         y0 = [0.2, -0.1, 0.4, 0.05, 0.3]
-        grid = np.linspace(0.0, 5.0, 11)
         res = _solve_exp(_constant_forcing, L, [(5.0, (0.6, -0.2))], y0,
-                         grid, 1e-8)
+                         11, 1e-8)
         assert res.errors == [None]
         assert res.n_accepted[0] <= 15
         # e^{tL} from L's eigenvectors (far apart, so well conditioned;
@@ -1495,9 +1575,8 @@ class TestExponential:
         # needs none, so the solution is still exact
         L = np.array([[-1.0 + 2.0j, 1.0], [0.0, -1.0 + 2.0j]])
         y0 = [0.2, -0.1, 0.0, 0.05, 0.3]
-        grid = np.linspace(0.0, 4.0, 9)
         res = _solve_exp(_constant_forcing, L, [(4.0, (0.0, 0.0))], y0,
-                         grid, 1e-10)
+                         9, 1e-10)
         z0 = np.array(_pairs(np.array(y0)))
         for t, y in zip(*res.row(0)):
             assert_allclose(_pairs(y), _phi_reference(0, t * L) @ z0,
@@ -1508,13 +1587,12 @@ class TestExponential:
         # Dormand-Prince at tol 1e-12 as the reference, over three pieces
         L = np.array([[-0.5 + 0.3j, -2.0j], [-1.5, -fast + 4.0j * fast]])
         y0 = [0.3, 0.1, -0.5, 0.05, -0.02]
-        grid = np.linspace(0.0, 3.0, 301)
         pieces = [(1.0, (0.8, 0.1)), (2.0, (0.0, 0.0)), (3.0, (-0.5, 0.4))]
-        res = _solve_exp(_coupled, L, pieces, y0, grid, 1e-9)
+        res = _solve_exp(_coupled, L, pieces, y0, 301, 1e-9)
         consts = tuple(L.ravel().view(float))
         ref = solve(_per_row(_coupled), [[(end, (0, *ab, *consts))
                                           for end, ab in pieces]], [0.0],
-                    np.array([y0]), [grid], [1e-12], [1e-12])
+                    np.array([y0]), [301], [1e-12], [1e-12])
         assert res.errors == ref.errors == [None]
         assert np.max(np.abs(res.y - ref.y)) <= 100 * 1e-9
 
@@ -1534,12 +1612,18 @@ class TestExponential:
             K = np.zeros((1, method.stages, 5))
             K[:, 0] = method.nonlinear(np.zeros(1), y0, P)
             method.attempt(y0, K, P, np.zeros(1), np.array([h]))
-            out = np.zeros((1, 5))
-            method.dense_output(ode._Jobs([0], [0.0], [h], [0], [1], [0]),
-                                y0, K, P, np.array([0.5 * h]), out, None)
+            # the middle point of a 3-point grid on [0, h]
+            out = np.zeros((3, 5))
+            grid = (0.0, 0.5 * h, 2, h)
+            method.dense_output(ode._Jobs([0], [0.0], [h], [1], [2], [0]),
+                                y0, K, P, ode._Grids(np.array([0, 3]),
+                                                     np.array([grid]),
+                                                     [grid], [0],
+                                                     np.arange(3.0)),
+                                out, None)
             ref = solve(_per_row(_coupled), [[(0.5 * h, consts)]], [0.0],
-                        y0, [np.array([0.5 * h])], [1e-13], [1e-13])
-            errors.append(np.max(np.abs(out - ref.y)))
+                        y0, [2], [1e-13], [1e-13])
+            errors.append(np.max(np.abs(out[1] - ref.y[-1])))
         assert errors[0] / errors[1] >= 24.0
 
     @CONTROLLERS
@@ -1548,8 +1632,8 @@ class TestExponential:
         _controllers(monkeypatch, batch_rows)
         rows, res = _exponential_rows()
         _controllers(monkeypatch, lone_rows)
-        for b, (f, L, pieces, y0, grid, tol) in enumerate(rows):
-            lone = _solve_exp(f, L, pieces, y0, grid, tol)
+        for b, (f, L, pieces, y0, points, tol) in enumerate(rows):
+            lone = _solve_exp(f, L, pieces, y0, points, tol)
             assert np.array_equal(res.row(b)[1], lone.y)
             assert np.array_equal(res.y_end[b], lone.y_end[0])
             for name in ("n_accepted", "n_rejected", "n_rhs"):
@@ -1575,7 +1659,7 @@ class TestExponential:
         res = solve(counted, [[(1.0, (0, 0.8, 0.1, *consts)),
                                (2.0, (0, 0.0, 0.0, *consts))]], [0.0],
                     np.array([[0.3, 0.1, -0.5, 0.05, -0.02]]),
-                    [np.linspace(0.0, 2.0, 50)], [1e-9], [1e-9],
+                    [50], [1e-9], [1e-9],
                     linear=([L], PAIRS))
         attempted = res.n_accepted[0] + res.n_rejected[0]
         assert res.n_rhs[0] == 2 * 2 + 7 * attempted == sum(sizes)
@@ -1596,7 +1680,7 @@ class TestExponential:
 
         res = solve(poisoned, [[(1.0, (0, 0.8, 0.1, *consts))]], [0.0],
                     np.array([[0.3, 0.1, -0.5, 0.05, -0.02]]),
-                    [np.linspace(0.0, 1.0, 11)], [1e-9], [1e-9],
+                    [11], [1e-9], [1e-9],
                     linear=([L], PAIRS), max_step=1e-3)
         assert res.n_accepted[0] > exponential.Exponential.span_steps
         assert isinstance(res.errors[0], NonFiniteRhsError)
@@ -1612,5 +1696,5 @@ class TestExponential:
         with pytest.raises(ValueError, match=match):
             solve(_per_row(_constant_forcing),
                   [[(1.0, (0, 0.0, 0.0, *[0.0] * 8))]],
-                  [0.0], np.zeros((1, 5)), [np.array([0.0, 1.0])], [1e-8],
-                  [1e-8], linear=(L, cols))
+                  [0.0], np.zeros((1, 5)), [2], [1e-8], [1e-8],
+                  linear=(L, cols))
