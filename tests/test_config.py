@@ -1,5 +1,6 @@
 """Tests for scenario/sweep file parsing and validation."""
 
+import copy
 import json
 import math
 
@@ -405,3 +406,599 @@ class TestSweepParsing:
         spec = load_sweep(str(path))
         assert spec.reduction == "population_rate_model_a"
         assert math.isclose(spec.base.integration.tol, 1e-10)
+
+
+DROP = object()  # a key that _patched removes
+
+
+def _patched(raw, patch: dict):
+    """A deep copy of raw with each dotted key of patch set to its value,
+    or removed where the value is DROP."""
+    raw = copy.deepcopy(raw)
+    for dotted, value in patch.items():
+        *parents, key = dotted.split(".")
+        target = raw
+        for parent in parents:
+            target = target[parent]
+        if value is DROP:
+            del target[key]
+        else:
+            target[key] = value
+    return raw
+
+
+def _ids(cases):
+    return [f"{i}-" + "+".join(map(str, case[1])) for i, case in
+            enumerate(cases)]
+
+
+class TestMessagePins:
+    """Whole ConfigError messages of a corpus of broken scenarios and
+    sweeps, compared as strings.
+
+    A case names its base ("A" decay_scenario, "B" microscopic_scenario,
+    "G" the Gaussian-units scenario, "S" eps_b_sweep, "list" a JSON list
+    where an object belongs) and a patch of dotted keys.  The cases with
+    two faults pin the order of the checks: the message names the fault
+    that the first check finds.
+    """
+
+    BASES = {
+        "A": decay_scenario,
+        "B": microscopic_scenario,
+        "G": lambda: TestGaussianUnits().gaussian_scenario(),
+        "S": lambda: eps_b_sweep(),
+        "list": list,
+    }
+
+    SCENARIO = [
+        ("list", {},
+         "scenario: expected an object, got list"),
+        ("A", {"model": 5},
+         "scenario.model: expected a string, got 5"),
+        ("A", {"model": "C"},
+         "scenario.model: expected one of A, B, both, got 'C'"),
+        ("A", {"model": DROP},
+         "scenario.model: required key missing"),
+        ("A", {"emitter": DROP},
+         "scenario.emitter: required key missing"),
+        ("A", {"initial": DROP},
+         "scenario.initial: required key missing"),
+        ("A", {"integration": DROP},
+         "scenario.integration: required key missing"),
+        ("A", {"bogus": 1},
+         "scenario.bogus: unknown key (allowed: drive, ell, emitter, fit, "
+         "gaussian_units, host, initial, integration, model, output)"),
+        ("A", {"emitter": 5},
+         "scenario.emitter: expected an object, got int"),
+        ("A", {"emitter": []},
+         "scenario.emitter: expected an object, got list"),
+        ("B", {"host": "x"},
+         "scenario.host: expected an object, got str"),
+        ("A", {"ell": "x"},
+         "scenario.ell: expected a number or [re, im] pair, got 'x'"),
+        ("A", {"ell": [1.0]},
+         "scenario.ell: expected a number or [re, im] pair, got [1.0]"),
+        ("A", {"ell": [1.0, True]},
+         "scenario.ell: expected a number or [re, im] pair, got [1.0, True]"),
+        ("A", {"drive": 5},
+         "scenario.drive: expected an object, got int"),
+        ("A", {"initial": None},
+         "scenario.initial: expected an object, got NoneType"),
+        ("A", {"integration": 1.5},
+         "scenario.integration: expected an object, got float"),
+        ("A", {"fit": []},
+         "scenario.fit: expected an object, got list"),
+        ("A", {"output": "x"},
+         "scenario.output: expected an object, got str"),
+        ("A", {"gaussian_units": 1},
+         "scenario.gaussian_units: expected an object, got int"),
+        ("A", {"emitter.delta_a": "x"},
+         "scenario.emitter.delta_a: expected a number, got 'x'"),
+        ("A", {"emitter.eps_a": None},
+         "scenario.emitter.eps_a: expected a number, got None"),
+        ("A", {"emitter.gamma_a": True},
+         "scenario.emitter.gamma_a: expected a number, got True"),
+        ("A", {"emitter.rabi": 2.0},
+         "scenario.emitter.rabi: unknown key (allowed: delta_a, eps_a, "
+         "gamma_a)"),
+        ("A", {"emitter.eps_a": -1.0},
+         "scenario.emitter: eps_a must be >= 0, got -1.0"),
+        ("A", {"emitter.gamma_a": -1.0},
+         "scenario.emitter: gamma_a must be >= 0, got -1.0"),
+        ("A", {"emitter.delta_a": math.inf},
+         "scenario.emitter: delta_a must be finite, got inf"),
+        ("B", {"host.delta_b": "x"},
+         "scenario.host.delta_b: expected a number, got 'x'"),
+        ("B", {"host.eps_b": [1]},
+         "scenario.host.eps_b: expected a number, got [1]"),
+        ("B", {"host.gamma_b": False},
+         "scenario.host.gamma_b: expected a number, got False"),
+        ("B", {"host.delta_b": DROP},
+         "scenario.host.delta_b: required key missing"),
+        ("B", {"host.eps_b": DROP},
+         "scenario.host.eps_b: required key missing"),
+        ("B", {"host.gamma_b": DROP},
+         "scenario.host.gamma_b: required key missing"),
+        ("B", {"host.color": 1},
+         "scenario.host.color: unknown key (allowed: delta_b, eps_b, "
+         "gamma_b)"),
+        ("B", {"host.eps_b": -5.0},
+         "scenario.host: eps_b must be >= 0, got -5.0"),
+        ("B", {"host.gamma_b": -1.0},
+         "scenario.host: gamma_b must be >= 0, got -1.0"),
+        ("B", {"host": {"delta_b": -10.0, "eps_b": 10.0, "gamma_b": 0.0}},
+         "scenario.host: host pole denominator delta_b + eps_b + "
+         "i*gamma_b/2 is zero"),
+        ("B", {"drive.kind": 1},
+         "scenario.drive.kind: expected a string, got 1"),
+        ("B", {"drive.kind": "laser"},
+         "scenario.drive: drive kind must be one of ('off', 'constant', "
+         "'pulse'), got 'laser'"),
+        ("B", {"drive.amplitude": "x"},
+         "scenario.drive.amplitude: expected a number or [re, im] pair, got "
+         "'x'"),
+        ("B", {"drive.amplitude": [1, 2, 3]},
+         "scenario.drive.amplitude: expected a number or [re, im] pair, got "
+         "[1, 2, 3]"),
+        ("B", {"drive.amplitude": math.inf},
+         "scenario.drive: drive amplitude must be finite, got (inf+0j)"),
+        ("B", {"drive.t_on": "x"},
+         "scenario.drive.t_on: expected a number, got 'x'"),
+        ("B", {"drive.t_off": None},
+         "scenario.drive.t_off: expected a number, got None"),
+        ("B", {"drive.shape": "box"},
+         "scenario.drive.shape: unknown key (allowed: amplitude, kind, "
+         "t_off, t_on)"),
+        ("B", {"drive.t_on": 5.0},
+         "scenario.drive: pulse window requires t_on < t_off, got [5.0, "
+         "4.0]"),
+        ("B", {"initial.s": "x"},
+         "scenario.initial.s: expected a number or [re, im] pair, got 'x'"),
+        ("B", {"initial.w": "x"},
+         "scenario.initial.w: expected a number, got 'x'"),
+        ("B", {"initial.beta": [1]},
+         "scenario.initial.beta: expected a number or [re, im] pair, got "
+         "[1]"),
+        ("B", {"initial.w": DROP},
+         "scenario.initial.w: required key missing"),
+        ("B", {"initial.extra": 0},
+         "scenario.initial.extra: unknown key (allowed: beta, s, w)"),
+        ("A", {"initial.beta": [0.0, 0.0]},
+         "scenario.initial.beta: forbidden for model A"),
+        ("A", {"integration.span": "x"},
+         "scenario.integration.span: expected a number, got 'x'"),
+        ("A", {"integration.tol": "x"},
+         "scenario.integration.tol: expected a number, got 'x'"),
+        ("A", {"integration.points": 801.5},
+         "scenario.integration.points: expected an integer, got 801.5"),
+        ("A", {"integration.points": True},
+         "scenario.integration.points: expected an integer, got True"),
+        ("A", {"integration.span": DROP},
+         "scenario.integration.span: required key missing"),
+        ("A", {"integration.dt": 0.1},
+         "scenario.integration.dt: unknown key (allowed: points, span, tol)"),
+        ("A", {"integration.span": -1.0},
+         "scenario.integration: span must be positive and finite, got -1.0"),
+        ("A", {"integration.span": math.inf},
+         "scenario.integration: span must be positive and finite, got inf"),
+        ("A", {"integration.tol": 0.001},
+         "scenario.integration: tol must lie in [1e-12, 0.0001], got 0.001"),
+        ("A", {"integration.tol": 1e-13},
+         "scenario.integration: tol must lie in [1e-12, 0.0001], got 1e-13"),
+        ("A", {"integration.points": 1},
+         "scenario.integration: points must be >= 2, got 1"),
+        ("A", {"fit": {"observable": 1}},
+         "scenario.fit.observable: expected a string, got 1"),
+        ("A", {"fit": {"observable": "w"}},
+         "scenario.fit.observable: expected 'w_plus_1' or 'abs_s', got 'w'"),
+        ("A", {"fit": {"window": 1.0}},
+         "scenario.fit.window: expected [start, end], got 1.0"),
+        ("A", {"fit": {"window": [1.0, 2.0, 3.0]}},
+         "scenario.fit.window: expected [start, end], got [1.0, 2.0, 3.0]"),
+        ("A", {"fit": {"window": ["a", 2.0]}},
+         "scenario.fit.window: expected a number, got 'a'"),
+        ("A", {"fit": {"window": [1.0, "b"]}},
+         "scenario.fit.window: expected a number, got 'b'"),
+        ("A", {"fit": {"window": [3.0, 1.0]}},
+         "scenario.fit.window: start must be below end, got [3.0, 1.0]"),
+        ("A", {"fit": {"window": [1.0, 1.0]}},
+         "scenario.fit.window: start must be below end, got [1.0, 1.0]"),
+        ("A", {"fit": {"smoothing": 3}},
+         "scenario.fit.smoothing: unknown key (allowed: observable, window)"),
+        ("A", {"output": {"trajectory": 5}},
+         "scenario.output.trajectory: expected a string, got 5"),
+        ("A", {"output": {"plot": "x.png"}},
+         "scenario.output.plot: unknown key (allowed: trajectory)"),
+        ("A", {"host": {"delta_b": 10.0, "eps_b": 10.0, "gamma_b": 4.0}},
+         "scenario: model A needs exactly one of 'ell' or 'host' (got both)"),
+        ("A", {"ell": DROP},
+         "scenario: model A needs exactly one of 'ell' or 'host' (got "
+         "neither)"),
+        ("B", {"host": DROP},
+         "scenario.host: required for model B"),
+        ("B", {"model": "both", "host": DROP},
+         "scenario.host: required for model both"),
+        ("B", {"ell": [1.4, 0.0]},
+         "scenario.ell: forbidden for model B; the factor is computed from "
+         "the host"),
+        ("G", {"gaussian_units.emitter.number_density": "x"},
+         "scenario.gaussian_units.emitter.number_density: expected a "
+         "number, got 'x'"),
+        ("G", {"gaussian_units.emitter.dipole_moment": "x"},
+         "scenario.gaussian_units.emitter.dipole_moment: expected a number, "
+         "got 'x'"),
+        ("G", {"gaussian_units.host.angular_frequency": "x"},
+         "scenario.gaussian_units.host.angular_frequency: expected a "
+         "number, got 'x'"),
+        ("G", {"gaussian_units.emitter.number_density": DROP},
+         "scenario.gaussian_units.emitter.number_density: required key "
+         "missing"),
+        ("G", {"gaussian_units.emitter.dipole_moment": DROP},
+         "scenario.gaussian_units.emitter.dipole_moment: required key "
+         "missing"),
+        ("G", {"gaussian_units.host.angular_frequency": DROP},
+         "scenario.gaussian_units.host.angular_frequency: required key "
+         "missing"),
+        ("G", {"gaussian_units.emitter.extra": 1},
+         "scenario.gaussian_units.emitter.extra: unknown key (allowed: "
+         "angular_frequency, dipole_moment, number_density)"),
+        ("G", {"gaussian_units.emitter": 5},
+         "scenario.gaussian_units.emitter: expected an object, got int"),
+        ("G", {"gaussian_units.host": [1]},
+         "scenario.gaussian_units.host: expected an object, got list"),
+        ("G", {"gaussian_units.bogus": {}},
+         "scenario.gaussian_units.bogus: unknown key (allowed: emitter, "
+         "host)"),
+        ("G", {"gaussian_units.emitter.number_density": -1.0},
+         "scenario.gaussian_units.emitter: number_density must be >= 0, got "
+         "-1.0"),
+        ("G", {"gaussian_units.host.angular_frequency": 0.0},
+         "scenario.gaussian_units.host: angular_frequency must be > 0, got "
+         "0.0"),
+        ("G", {"gaussian_units.emitter.dipole_moment": 0.0},
+         "scenario.gaussian_units.emitter: radiative rate is zero "
+         "(dipole_moment must be positive to set the time unit)"),
+        ("G", {"emitter.eps_a": 3.0},
+         "scenario.emitter.eps_a: already derived from "
+         "gaussian_units.emitter; remove one of the two"),
+        ("G", {"emitter.gamma_a": 1.0},
+         "scenario.emitter.gamma_a: already derived from "
+         "gaussian_units.emitter; remove one of the two"),
+        ("G", {"host.eps_b": 1.0},
+         "scenario.host.eps_b: already derived from gaussian_units.host; "
+         "remove one of the two"),
+        ("G", {"host.gamma_b": 4.0},
+         "scenario.host.gamma_b: already derived from gaussian_units.host; "
+         "remove one of the two"),
+        ("G", {"gaussian_units.emitter": DROP},
+         "scenario.gaussian_units.host: requires the gaussian_units.emitter "
+         "section (the emitter's radiative rate sets the time unit)"),
+        ("G", {"host": DROP, "model": "A", "ell": [1.4, 0.0]},
+         "scenario.gaussian_units.host: requires a host section carrying "
+         "delta_b"),
+        ("G", {"host.delta_b": DROP},
+         "scenario.host.delta_b: required key missing"),
+        ("B", {"host.eps_b": "x", "host.delta_b": DROP},
+         "scenario.host.eps_b: expected a number, got 'x'"),
+        ("A", {"integration": {"tol": "x"}},
+         "scenario.integration.span: required key missing"),
+        ("A", {"bogus": 1, "model": DROP},
+         "scenario.bogus: unknown key (allowed: drive, ell, emitter, fit, "
+         "gaussian_units, host, initial, integration, model, output)"),
+        ("A", {"model": DROP, "emitter": DROP},
+         "scenario.model: required key missing"),
+        ("A", {"initial": DROP, "integration": DROP},
+         "scenario.initial: required key missing"),
+        ("A", {"model": "C", "emitter": DROP},
+         "scenario.emitter: required key missing"),
+        ("A", {"zeta": 1, "alpha": 1},
+         "scenario.alpha: unknown key (allowed: drive, ell, emitter, fit, "
+         "gaussian_units, host, initial, integration, model, output)"),
+        ("A", {"emitter.delta_a": "x", "emitter.gamma_a": "y"},
+         "scenario.emitter.delta_a: expected a number, got 'x'"),
+        ("A", {"emitter.gamma_a": -1.0, "drive": {"kind": "laser"}},
+         "scenario.drive: drive kind must be one of ('off', 'constant', "
+         "'pulse'), got 'laser'"),
+        ("A", {"emitter.delta_a": "x", "drive": {"kind": 5}},
+         "scenario.emitter.delta_a: expected a number, got 'x'"),
+        ("A",
+         {"host": {"delta_b": 10.0, "eps_b": "x", "gamma_b": 4.0}, "ell": "y"},
+         "scenario.host.eps_b: expected a number, got 'x'"),
+        ("A",
+         {"host": {"delta_b": 10.0, "eps_b": -1.0, "gamma_b": 4.0},
+          "ell": "y"},
+         "scenario.host: eps_b must be >= 0, got -1.0"),
+        ("A", {"fit": {"observable": "q", "window": "w"}},
+         "scenario.fit.observable: expected 'w_plus_1' or 'abs_s', got 'q'"),
+        ("A", {"integration.span": -1.0, "fit": {"window": [3.0, 1.0]}},
+         "scenario.integration: span must be positive and finite, got -1.0"),
+        ("A", {"initial.beta": "x"},
+         "scenario.initial.beta: expected a number or [re, im] pair, got "
+         "'x'"),
+        ("A",
+         {"host": {"delta_b": 10.0, "eps_b": 10.0, "gamma_b": 4.0},
+          "initial.beta": [0.0, 0.0]},
+         "scenario: model A needs exactly one of 'ell' or 'host' (got both)"),
+        ("B", {"initial": {"s": "x"}},
+         "scenario.initial.w: required key missing"),
+        ("B", {"initial.s": "x", "initial.w": "y"},
+         "scenario.initial.s: expected a number or [re, im] pair, got 'x'"),
+        ("B", {"ell": "x", "host": DROP},
+         "scenario.ell: expected a number or [re, im] pair, got 'x'"),
+        ("B", {"drive.kind": "laser", "host.eps_b": "x"},
+         "scenario.drive: drive kind must be one of ('off', 'constant', "
+         "'pulse'), got 'laser'"),
+        ("B", {"initial.w": "x", "integration.span": "y"},
+         "scenario.initial.w: expected a number, got 'x'"),
+        ("G",
+         {"gaussian_units.emitter.number_density": DROP,
+          "gaussian_units.emitter.dipole_moment": "x"},
+         "scenario.gaussian_units.emitter.number_density: required key "
+         "missing"),
+        ("G", {"gaussian_units.emitter": {}},
+         "scenario.gaussian_units.emitter.angular_frequency: required key "
+         "missing"),
+        ("G",
+         {"gaussian_units.emitter.number_density": "x",
+          "gaussian_units.emitter.angular_frequency": "y"},
+         "scenario.gaussian_units.emitter.number_density: expected a "
+         "number, got 'x'"),
+        ("G",
+         {"gaussian_units.emitter.number_density": -1.0,
+          "gaussian_units.host.number_density": "x"},
+         "scenario.gaussian_units.emitter: number_density must be >= 0, got "
+         "-1.0"),
+        ("G", {"host.eps_b": 1.0, "host.delta_b": DROP},
+         "scenario.host.eps_b: already derived from gaussian_units.host; "
+         "remove one of the two"),
+        ("G",
+         {"emitter.eps_a": 1.0, "gaussian_units.emitter.dipole_moment": 0.0},
+         "scenario.emitter.eps_a: already derived from "
+         "gaussian_units.emitter; remove one of the two"),
+        ("G",
+         {"emitter.delta_a": "x", "gaussian_units.emitter.dipole_moment": 0.0},
+         "scenario.emitter.delta_a: expected a number, got 'x'"),
+        ("G", {"gaussian_units.emitter": DROP, "emitter.delta_a": "x"},
+         "scenario.gaussian_units.host: requires the gaussian_units.emitter "
+         "section (the emitter's radiative rate sets the time unit)"),
+    ]
+    SWEEP = [
+        ("list", {},
+         "sweep: expected an object, got list"),
+        ("S", {"parameter": 5},
+         "sweep.parameter: expected a string, got 5"),
+        ("S", {"parameter": DROP},
+         "sweep.parameter: required key missing"),
+        ("S", {"base": DROP},
+         "sweep.base: required key missing"),
+        ("S", {"bogus": 1},
+         "sweep.bogus: unknown key (allowed: base, overrides, parameter, "
+         "range, reduction, values)"),
+        ("S", {"parameter": "host.color"},
+         "sweep.parameter: 'host.color' does not name a swept field (known: "
+         "ell, drive.amplitude, drive.t_off, drive.t_on, emitter.delta_a, "
+         "emitter.eps_a, emitter.gamma_a, host.delta_b, host.eps_b, "
+         "host.gamma_b, initial.beta, initial.s, initial.w, "
+         "integration.points, integration.span, integration.tol)"),
+        ("S", {"parameter": "host.eps_b.x"},
+         "sweep.parameter: 'host.eps_b.x' does not name a swept field "
+         "(known: ell, drive.amplitude, drive.t_off, drive.t_on, "
+         "emitter.delta_a, emitter.eps_a, emitter.gamma_a, host.delta_b, "
+         "host.eps_b, host.gamma_b, initial.beta, initial.s, initial.w, "
+         "integration.points, integration.span, integration.tol)"),
+        ("S", {"parameter": "color"},
+         "sweep.parameter: 'color' does not name a swept field (known: ell, "
+         "drive.amplitude, drive.t_off, drive.t_on, emitter.delta_a, "
+         "emitter.eps_a, emitter.gamma_a, host.delta_b, host.eps_b, "
+         "host.gamma_b, initial.beta, initial.s, initial.w, "
+         "integration.points, integration.span, integration.tol)"),
+        ("S", {"parameter": "fit.window"},
+         "sweep.parameter: 'fit.window' does not name a swept field (known: "
+         "ell, drive.amplitude, drive.t_off, drive.t_on, emitter.delta_a, "
+         "emitter.eps_a, emitter.gamma_a, host.delta_b, host.eps_b, "
+         "host.gamma_b, initial.beta, initial.s, initial.w, "
+         "integration.points, integration.span, integration.tol)"),
+        ("S", {"parameter": "drive.amplitude", "overrides": DROP},
+         "sweep.parameter: section 'drive' is not present in the base "
+         "scenario"),
+        ("S", {"values": 5, "overrides": DROP},
+         "sweep.values: expected a non-empty list, got 5"),
+        ("S", {"values": [], "overrides": DROP},
+         "sweep.values: expected a non-empty list, got []"),
+        ("S", {"values": [0.0, "x", 1.0]},
+         "sweep.values[1]: expected a number, got 'x'"),
+        ("S", {"values": [True, 1.0, 2.0]},
+         "sweep.values[0]: expected a number, got True"),
+        ("S", {"parameter": "ell", "values": [[1.0, 0.0], "x", 1.0]},
+         "sweep.values[1]: expected a number or [re, im] pair, got 'x'"),
+        ("S",
+         {"parameter": "integration.points", "values": [801, 801.5, 1601]},
+         "sweep.values[1]: expected an integer, got 801.5"),
+        ("S", {"parameter": "initial.s", "values": [[1.0, 0.0], 0.0, 0.0]},
+         "sweep.values[0]: expected a number, got [1.0, 0.0]"),
+        ("S",
+         {"parameter": "drive.amplitude", "values": [[0.5, 0.1], 1.0, 2.0]},
+         "sweep.values[0]: expected a number, got [0.5, 0.1]"),
+        ("S", {"range": {"start": 0.0, "stop": 1.0, "count": 3}},
+         "sweep: exactly one of 'values' or 'range' is required"),
+        ("S", {"values": DROP},
+         "sweep: exactly one of 'values' or 'range' is required"),
+        ("S", {"values": DROP, "overrides": DROP, "range": 5},
+         "sweep.range: expected an object, got int"),
+        ("S",
+         {"values": DROP,
+          "overrides": DROP,
+          "range": {"start": 0.0, "stop": 1.0}},
+         "sweep.range.count: required key missing"),
+        ("S",
+         {"values": DROP,
+          "overrides": DROP,
+          "range": {"start": 0.0, "count": 2}},
+         "sweep.range.stop: required key missing"),
+        ("S",
+         {"values": DROP,
+          "overrides": DROP,
+          "range": {"stop": 1.0, "count": 2}},
+         "sweep.range.start: required key missing"),
+        ("S",
+         {"values": DROP,
+          "overrides": DROP,
+          "range": {"start": 0.0, "stop": 1.0, "count": 0}},
+         "sweep.range.count: must be >= 1, got 0"),
+        ("S",
+         {"values": DROP,
+          "overrides": DROP,
+          "range": {"start": 0.0, "stop": 1.0, "count": "x"}},
+         "sweep.range.count: expected an integer, got 'x'"),
+        ("S",
+         {"values": DROP,
+          "overrides": DROP,
+          "range": {"start": 0.0, "stop": 1.0, "count": 2.5}},
+         "sweep.range.count: expected an integer, got 2.5"),
+        ("S",
+         {"values": DROP,
+          "overrides": DROP,
+          "range": {"start": "x", "stop": 1.0, "count": 2}},
+         "sweep.range: expected a number, got 'x'"),
+        ("S",
+         {"values": DROP,
+          "overrides": DROP,
+          "range": {"start": 0.0, "stop": None, "count": 2}},
+         "sweep.range: expected a number, got None"),
+        ("S",
+         {"values": DROP,
+          "overrides": DROP,
+          "range": {"start": 0.0, "stop": 1.0, "count": 2, "step": 1}},
+         "sweep.range.step: unknown key (allowed: count, start, stop)"),
+        ("S", {"overrides": 5},
+         "sweep.overrides: expected a list, got 5"),
+        ("S", {"overrides": [{}, {}]},
+         "sweep.overrides: length 2 does not match 3 sweep values"),
+        ("S", {"overrides": [{}, 5, {}]},
+         "sweep.overrides[1]: expected an object, got int"),
+        ("S", {"reduction": 5},
+         "sweep.reduction: expected a string, got 5"),
+        ("S", {"reduction": "lineshape"},
+         "sweep.reduction: expected one of population_rate_model_a, "
+         "coherence_rate_model_b, got 'lineshape'"),
+        ("S", {"reduction": "coherence_rate_model_b"},
+         "sweep.base.model: reduction 'coherence_rate_model_b' requires "
+         "model 'B', got 'A'"),
+        ("S", {"base.model": "B"},
+         "sweep.base.model: reduction 'population_rate_model_a' requires "
+         "model 'A', got 'B'"),
+        ("S", {"base": 5},
+         "sweep.base: expected an object, got int"),
+        ("S", {"base.emitter.delta_a": "x"},
+         "sweep.base.emitter.delta_a: expected a number, got 'x'"),
+        ("S", {"base.bogus": 1},
+         "sweep.base.bogus: unknown key (allowed: drive, ell, emitter, fit, "
+         "gaussian_units, host, initial, integration, model, output)"),
+        ("S", {"parameter": DROP, "base": DROP},
+         "sweep.parameter: required key missing"),
+        ("S", {"bogus": 1, "parameter": DROP},
+         "sweep.bogus: unknown key (allowed: base, overrides, parameter, "
+         "range, reduction, values)"),
+        ("S",
+         {"reduction": "x", "range": {"start": 0.0, "stop": 1.0, "count": 3}},
+         "sweep.reduction: expected one of population_rate_model_a, "
+         "coherence_rate_model_b, got 'x'"),
+        ("S", {"parameter": "host.color", "base.emitter.delta_a": "x"},
+         "sweep.base.emitter.delta_a: expected a number, got 'x'"),
+        ("S", {"overrides": [{}, {}], "reduction": "coherence_rate_model_b"},
+         "sweep.overrides: length 2 does not match 3 sweep values"),
+        ("S", {"values": [0.0, "x", 1.0], "base": DROP},
+         "sweep.base: required key missing"),
+        ("S", {"values": [0.0, "x", 1.0], "base": 5},
+         "sweep.values[1]: expected a number, got 'x'"),
+        ("S", {"parameter": "color", "values": ["x", 0.0, 0.0]},
+         "sweep.values[0]: expected a number, got 'x'"),
+        ("S", {"parameter": 5, "reduction": 5},
+         "sweep.parameter: expected a string, got 5"),
+        ("S", {"values": DROP, "overrides": DROP, "range": {}},
+         "sweep.range.start: required key missing"),
+        ("S",
+         {"values": DROP,
+          "overrides": DROP,
+          "range": {"stop": 1.0, "count": "x"}},
+         "sweep.range.start: required key missing"),
+        ("S",
+         {"values": DROP,
+          "overrides": DROP,
+          "range": {"start": "x", "stop": 1.0, "count": "y"}},
+         "sweep.range.count: expected an integer, got 'y'"),
+        ("S",
+         {"values": DROP,
+          "overrides": DROP,
+          "range": {"start": "x", "stop": 1.0, "count": 0}},
+         "sweep.range.count: must be >= 1, got 0"),
+        ("S",
+         {"values": DROP,
+          "overrides": DROP,
+          "range": {"start": "x", "stop": "y", "count": 2}},
+         "sweep.range: expected a number, got 'x'"),
+        ("S", {"overrides": [{}, 5], "base.model": "B"},
+         "sweep.overrides: length 2 does not match 3 sweep values"),
+        ("S",
+         {"parameter": "drive.t_on", "base.model": "B", "overrides": DROP},
+         "sweep.parameter: section 'drive' is not present in the base "
+         "scenario"),
+    ]
+    # (index, patch of eps_b_sweep, message): the point as the sweep
+    # command parses it
+    POINTS = [
+        (1,
+         {"parameter": "integration.points",
+          "values": DROP,
+          "overrides": DROP,
+          "range": {"start": 801, "stop": 802, "count": 3}},
+         "point[1].integration.points: expected an integer, got 801.5"),
+        (0,
+         {"parameter": "ell",
+          "overrides": DROP,
+          "values": [[1.4, 0.0], [1.2, 0.0]]},
+         "point[0]: model A needs exactly one of 'ell' or 'host' (got both)"),
+        (0, {"parameter": "emitter.gamma_a", "values": [-1.0, 1.0, 1.0]},
+         "point[0].emitter: gamma_a must be >= 0, got -1.0"),
+        (1, {"parameter": "integration.tol", "values": [1e-10, 1.0, 1e-10]},
+         "point[1].integration: tol must lie in [1e-12, 0.0001], got 1.0"),
+        (1, {"parameter": "initial.w", "overrides": [{}, {"initial": 5}, {}]},
+         "point[1].initial: expected an object, got int"),
+        (2,
+         {"overrides": [{}, {}, {"host": {"delta_b": -10.0, "gamma_b": 0.0}}],
+          "values": [0.0, 5.0, 10.0]},
+         "point[2].host: host pole denominator delta_b + eps_b + "
+         "i*gamma_b/2 is zero"),
+    ]
+
+    @pytest.mark.parametrize("base, patch, message", SCENARIO,
+                             ids=_ids(SCENARIO))
+    def test_scenario(self, base, patch, message):
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(_patched(self.BASES[base](), patch))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("base, patch, message", SWEEP, ids=_ids(SWEEP))
+    def test_sweep(self, base, patch, message):
+        with pytest.raises(ConfigError) as info:
+            parse_sweep(_patched(self.BASES[base](), patch))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("index, patch, message", POINTS,
+                             ids=_ids(POINTS))
+    def test_sweep_point(self, index, patch, message):
+        spec = parse_sweep(_patched(eps_b_sweep(), patch))
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(spec.point_raw(index), source=f"point[{index}]")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("load", [load_scenario, load_sweep])
+    def test_invalid_json_file(self, tmp_path, load):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        with pytest.raises(ConfigError) as info:
+            load(str(path))
+        assert str(info.value) == (
+            f"{path}: not valid JSON (Expecting property name enclosed in "
+            f"double quotes: line 1 column 2 (char 1))")
