@@ -1,89 +1,35 @@
 """Scenario and sweep files: strict JSON with field-path diagnostics.
 
-A scenario file describes one simulation in scaled units (rates in
-gamma_a units, times in 1/gamma_a):
-
-.. code-block:: json
-
-    {
-      "model": "A",
-      "emitter": {"delta_a": 0.0, "eps_a": 0.0, "gamma_a": 1.0},
-      "ell": [1.4, 0.0],
-      "drive": {"kind": "off"},
-      "initial": {"s": [0.0, 0.0], "w": 1.0},
-      "integration": {"span": 6.0, "tol": 1e-10, "points": 1201},
-      "fit": {"observable": "w_plus_1"},
-      "output": {"trajectory": "decay.csv"}
-    }
-
-Complex numbers are written as [re, im] (a bare number means a real
-value).  Model "A" takes either "ell" directly or a "host" section the
-factor is computed from; models "B" and "both" require "host".  Unknown
-keys anywhere are rejected with the offending path.  An optional
-"gaussian_units" section gives emitter/host number density (cm^-3),
-dipole moment (statC cm), and angular frequency (rad/s); the
-corresponding coupling strengths and rates are then derived instead of
-being written in scaled units, and all rates are rescaled so that
-gamma_a = 1.
-
-A sweep file varies one parameter across a list or range of values:
-
-.. code-block:: json
-
-    {
-      "parameter": "host.eps_b",
-      "values": [0.0, 5.0, 10.0],
-      "reduction": "population_rate_model_a",
-      "base": { ... scenario ... },
-      "overrides": [{"host": {"delta_b": 20.0}}, ...]
-    }
+README ("Scenario files") gives both formats.  Every error is a
+ConfigError whose message names the offending field path, such as
+"scenario.host.eps_b: ...".  ``_TABLE`` is the one list of the keys of
+both files: the object, unknown-key, missing-key and type checks of
+every section, and the fields that a sweep may vary, all come from it.
+The rules that tie fields together are code in ``parse_scenario`` and
+``parse_sweep``.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from lfbloch.dynamics import (
-    DriveEnvelope,
-    EmitterParams,
-    IntegrationSpec,
-    SystemState,
-)
-from lfbloch.medium import (
-    GaussianInputs,
-    HostSpecies,
-    local_field_factor,
-    ndd_strength,
-    radiative_rate,
-)
+from lfbloch.dynamics import (DriveEnvelope, EmitterParams, IntegrationSpec,
+                              SystemState)
+from lfbloch.medium import (GaussianInputs, HostSpecies, local_field_factor,
+                            ndd_strength, radiative_rate)
 
-__all__ = [
-    "ConfigError",
-    "FitSpec",
-    "OutputSpec",
-    "ScenarioConfig",
-    "SweepSpec",
-    "load_scenario",
-    "load_sweep",
-    "parse_scenario",
-    "parse_sweep",
-]
+__all__ = ["ConfigError", "FitSpec", "OutputSpec", "ScenarioConfig",
+           "SweepSpec", "load_scenario", "load_sweep", "parse_scenario",
+           "parse_sweep"]
 
-MODELS = ("A", "B", "both")
-REDUCTIONS = ("population_rate_model_a", "coherence_rate_model_b")
-
-_DRIVE_KEYS = {"kind", "amplitude", "t_on", "t_off"}
-_SWEPT_FIELDS = {
-    "emitter": {"delta_a", "eps_a", "gamma_a"},
-    "host": {"delta_b", "eps_b", "gamma_b"},
-    "drive": {"amplitude", "t_on", "t_off"},
-    "initial": {"s", "w", "beta"},
-    "integration": {"span", "tol", "points"},
-}
+# each reduction of a sweep and the model of its base scenario
+REDUCTIONS = {"population_rate_model_a": "A", "coherence_rate_model_b": "B"}
 
 
 class ConfigError(ValueError):
@@ -91,53 +37,65 @@ class ConfigError(ValueError):
     offending field path."""
 
 
-# ---------------------------------------------------------------------------
-# low-level JSON field helpers
-# ---------------------------------------------------------------------------
-
-def _require_mapping(value, path: str) -> dict:
+def _mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object, got "
                           f"{type(value).__name__}")
     return value
 
 
-def _reject_unknown(d: dict, allowed, path: str) -> None:
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"{path}.{unknown[0]}: unknown key (allowed: "
-            f"{', '.join(sorted(allowed))})"
-        )
+def _typed(types, noun: str, convert=None):
+    """The reader of a value of one of types (a bool is of none)."""
+    def read(value, path: str):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{path}: expected {noun}, got {value!r}")
+        return value if convert is None else convert(value)
+    return read
 
 
-def _real(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+_real = _typed((int, float), "a number", float)
+_integer = _typed(int, "an integer")
+_string = _typed(str, "a string")
 
 
 def _complex(value, path: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{path}: expected a number or [re, im] pair, "
-                      f"got {value!r}")
+    pair = value if isinstance(value, list) and len(value) == 2 else [value, 0]
+    try:
+        return complex(_real(pair[0], path), _real(pair[1], path))
+    except ConfigError:
+        raise ConfigError(f"{path}: expected a number or [re, im] pair, "
+                          f"got {value!r}") from None
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
+def _one_of(*options: str, expected: str = ""):
+    """The reader of a string that must be one of options."""
+    expected = expected or "one of " + ", ".join(options)
+
+    def read(value, path: str) -> str:
+        if value not in options:
+            _string(value, path)
+            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+        return value
+    return read
 
 
-def _string(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    return value
+def _window(value, path: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path}: expected [start, end], got {value!r}")
+    start, end = _real(value[0], path), _real(value[1], path)
+    if not start < end:
+        raise ConfigError(f"{path}: start must be below end, "
+                          f"got [{start!r}, {end!r}]")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ConfigError(f"{path}: bounds must be finite, "
+                          f"got [{start!r}, {end!r}]")
+    return start, end
+
+
+def _gaussian(value, path: str) -> GaussianInputs:
+    # of several missing keys, the first in alphabetical order is named
+    return _rebuild(GaussianInputs, path,
+                    **_section(value, "gaussian", path, missing=min))
 
 
 def _rebuild(factory, path: str, /, **kwargs):
@@ -148,9 +106,94 @@ def _rebuild(factory, path: str, /, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# scenario sections
-# ---------------------------------------------------------------------------
+# Every key of both files: rows of (section, keys, reader, required,
+# sweep).  A reader takes a JSON value and its field path; None leaves
+# the value to the section's code.  sweep reads the values of a sweep
+# over the key (None: not sweepable).  A section reads its keys, and
+# checks that the required ones are present, in the order listed.
+_TABLE = (
+    ("scenario", "model", _one_of("A", "B", "both"), True, None),
+    ("scenario", "emitter initial integration", None, True, None),
+    ("scenario", "gaussian_units drive host", None, False, None),
+    ("scenario", "ell", None, False, _complex),
+    ("scenario", "fit output", None, False, None),
+    ("gaussian_units", "emitter host", _gaussian, False, None),
+    ("gaussian", "number_density dipole_moment angular_frequency", _real,
+     True, None),
+    ("emitter", "delta_a eps_a gamma_a", _real, False, _real),
+    ("drive", "kind", _string, False, None),
+    # a sweep over a complex field other than ell takes real values
+    ("drive", "amplitude", _complex, False, _real),
+    ("drive", "t_on t_off", _real, False, _real),
+    ("host", "delta_b eps_b gamma_b", _real, True, _real),
+    ("initial", "s", _complex, False, _real),
+    ("initial", "w", _real, True, _real),
+    ("initial", "beta", _complex, False, _real),
+    ("integration", "span", _real, True, _real),
+    ("integration", "tol", _real, False, _real),
+    ("integration", "points", _integer, False, _integer),
+    ("fit", "observable",
+     _one_of("w_plus_1", "abs_s", expected="'w_plus_1' or 'abs_s'"),
+     False, None),
+    ("fit", "window", _window, False, None),
+    ("output", "trajectory", _string, False, None),
+    ("sweep", "parameter", _string, True, None),
+    ("sweep", "values range", None, False, None),
+    ("sweep", "reduction", _one_of(*REDUCTIONS), False, None),
+    ("sweep", "base", None, True, None),
+    ("sweep", "overrides", None, False, None),
+    # start and stop are read after count, under the range's own path
+    ("range", "start stop", None, True, None),
+    ("range", "count", _integer, True, None),
+)
+
+
+def _sections(table) -> dict[str, tuple[set, dict, list]]:
+    """Each section of table as its keys, its required keys (a dict, in
+    order) and the (key, reader) pairs of its keys that have a reader."""
+    sections: dict[str, tuple[set, dict, list]] = {}
+    for section, keys, read, required, _ in table:
+        known, needed, reads = sections.setdefault(section, (set(), {}, []))
+        for key in keys.split():
+            known.add(key)
+            if required:
+                needed[key] = None
+            if read is not None:
+                reads.append((key, read))
+    return sections
+
+
+_SECTIONS = _sections(_TABLE)
+# the reader of each sweepable field's values, by its name in a sweep
+_SWEPT = {key if section == "scenario" else f"{section}.{key}": sweep
+          for section, keys, _, _, sweep in _TABLE if sweep is not None
+          for key in keys.split()}
+
+
+def _require(present, section: str, path: str, missing=itemgetter(0)):
+    """Reject the required keys of section that present lacks, naming the
+    one that missing picks from them (by default the first)."""
+    absent = [key for key in _SECTIONS[section][1] if key not in present]
+    if absent:
+        raise ConfigError(f"{path}.{missing(absent)}: required key missing")
+
+
+def _section(raw, section: str, path: str, missing=itemgetter(0)) -> dict:
+    """The values of a section's keys that have a reader, read in order,
+    after the checks that every section shares, in this order: an object,
+    no unknown key, no required key missing (None: not checked here)."""
+    known, required, reads = _SECTIONS[section]
+    if not known.issuperset(_mapping(raw, path)):
+        raise ConfigError(f"{path}.{min(set(raw) - known)}: unknown key "
+                          f"(allowed: {', '.join(sorted(known))})")
+    if missing is not None and not raw.keys() >= required.keys():
+        _require(raw, section, path, missing)
+    values = {}
+    for key, read in reads:
+        if key in raw:
+            values[key] = read(raw[key], f"{path}.{key}")
+    return values
+
 
 @dataclass(frozen=True)
 class FitSpec:
@@ -169,10 +212,8 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One validated simulation scenario.
-
-    host and ell are mutually exclusive handles on the medium: model "A"
-    takes either, models "B" and "both" need the explicit host.
+    """One validated simulation scenario.  host and ell are exclusive
+    handles on the medium: model "A" takes either, "B" and "both" the host.
     """
 
     model: str
@@ -191,244 +232,89 @@ class ScenarioConfig:
         return local_field_factor(self.host).ell
 
 
-def _parse_drive(raw, path: str) -> DriveEnvelope:
-    raw = _require_mapping(raw, path)
-    _reject_unknown(raw, _DRIVE_KEYS, path)
-    kwargs = {}
-    if "kind" in raw:
-        kwargs["kind"] = _string(raw["kind"], f"{path}.kind")
-    if "amplitude" in raw:
-        kwargs["amplitude"] = _complex(raw["amplitude"], f"{path}.amplitude")
-    if "t_on" in raw:
-        kwargs["t_on"] = _real(raw["t_on"], f"{path}.t_on")
-    if "t_off" in raw:
-        kwargs["t_off"] = _real(raw["t_off"], f"{path}.t_off")
-    return _rebuild(DriveEnvelope, path, **kwargs)
-
-
-def _parse_gaussian(raw, path: str) -> GaussianInputs:
-    raw = _require_mapping(raw, path)
-    keys = {"number_density", "dipole_moment", "angular_frequency"}
-    _reject_unknown(raw, keys, path)
-    missing = sorted(keys - set(raw))
-    if missing:
-        raise ConfigError(f"{path}.{missing[0]}: required key missing")
-    return _rebuild(
-        GaussianInputs, path,
-        number_density=_real(raw["number_density"], f"{path}.number_density"),
-        dipole_moment=_real(raw["dipole_moment"], f"{path}.dipole_moment"),
-        angular_frequency=_real(raw["angular_frequency"],
-                                f"{path}.angular_frequency"),
-    )
-
-
 def parse_scenario(raw: dict, source: str = "scenario") -> ScenarioConfig:
-    """Validate a scenario dictionary into a ScenarioConfig.
+    """Validate a scenario dictionary into a ScenarioConfig; the domain
+    dataclasses re-check their invariants, reported with the path."""
+    model = _section(raw, "scenario", source)["model"]
 
-    Every module-level invariant is re-checked by constructing the
-    domain dataclasses; any violation is reported as ConfigError with
-    the field path (e.g. "scenario.host.eps_b: ...").
-    """
-    raw = _require_mapping(raw, source)
-    _reject_unknown(raw, {"model", "emitter", "host", "ell", "drive",
-                          "initial", "integration", "fit", "output",
-                          "gaussian_units"}, source)
+    def part(key: str) -> dict:
+        return _section(raw[key], key, f"{source}.{key}")
 
-    for key in ("model", "emitter", "initial", "integration"):
-        if key not in raw:
-            raise ConfigError(f"{source}.{key}: required key missing")
-    model = _string(raw["model"], f"{source}.model")
-    if model not in MODELS:
-        raise ConfigError(f"{source}.model: expected one of "
-                          f"{', '.join(MODELS)}, got {model!r}")
+    def reject_written(values: dict, keys, origin: str) -> None:
+        for key in keys:
+            if key in values:
+                raise ConfigError(f"{source}.{origin}.{key}: already derived "
+                                  f"from gaussian_units.{origin}; remove one "
+                                  f"of the two")
 
     # optional Gaussian-units section: derive scaled rates at load
-    gaussian_emitter = gaussian_host = None
-    if "gaussian_units" in raw:
-        g = _require_mapping(raw["gaussian_units"],
-                             f"{source}.gaussian_units")
-        _reject_unknown(g, {"emitter", "host"}, f"{source}.gaussian_units")
-        if "emitter" in g:
-            gaussian_emitter = _parse_gaussian(
-                g["emitter"], f"{source}.gaussian_units.emitter")
-        if "host" in g:
-            gaussian_host = _parse_gaussian(
-                g["host"], f"{source}.gaussian_units.host")
-        if gaussian_emitter is None and gaussian_host is not None:
-            raise ConfigError(
-                f"{source}.gaussian_units.host: requires the "
-                f"gaussian_units.emitter section (the emitter's radiative "
-                f"rate sets the time unit)"
-            )
-
-    # emitter
-    em_raw = _require_mapping(raw["emitter"], f"{source}.emitter")
-    _reject_unknown(em_raw, {"delta_a", "eps_a", "gamma_a"},
-                    f"{source}.emitter")
-    em_kwargs = {}
-    for key in ("delta_a", "eps_a", "gamma_a"):
-        if key in em_raw:
-            em_kwargs[key] = _real(em_raw[key], f"{source}.emitter.{key}")
-    if gaussian_emitter is not None:
-        for key in ("eps_a", "gamma_a"):
-            if key in em_kwargs:
-                raise ConfigError(
-                    f"{source}.emitter.{key}: already derived from "
-                    f"gaussian_units.emitter; remove one of the two"
-                )
-        gamma_phys = radiative_rate(gaussian_emitter)
+    gaussian = part("gaussian_units") if "gaussian_units" in raw else {}
+    if "host" in gaussian and "emitter" not in gaussian:
+        raise ConfigError(f"{source}.gaussian_units.host: requires the "
+                          f"gaussian_units.emitter section (the emitter's "
+                          f"radiative rate sets the time unit)")
+    emitter = part("emitter")
+    if "emitter" in gaussian:
+        reject_written(emitter, ("eps_a", "gamma_a"), "emitter")
+        gamma_phys = radiative_rate(gaussian["emitter"])
         if gamma_phys <= 0.0:
-            raise ConfigError(
-                f"{source}.gaussian_units.emitter: radiative rate is zero "
-                f"(dipole_moment must be positive to set the time unit)"
-            )
-        em_kwargs["eps_a"] = ndd_strength(gaussian_emitter) / gamma_phys
-        em_kwargs["gamma_a"] = 1.0
-    drive = _parse_drive(raw.get("drive", {}), f"{source}.drive")
-    emitter = _rebuild(EmitterParams, f"{source}.emitter",
-                       drive=drive, **em_kwargs)
+            raise ConfigError(f"{source}.gaussian_units.emitter: radiative "
+                              f"rate is zero (dipole_moment must be "
+                              f"positive to set the time unit)")
+        emitter["eps_a"] = ndd_strength(gaussian["emitter"]) / gamma_phys
+        emitter["gamma_a"] = 1.0
+    drive = _rebuild(DriveEnvelope, f"{source}.drive", **part("drive")) \
+        if "drive" in raw else DriveEnvelope()
+    emitter = _rebuild(EmitterParams, f"{source}.emitter", drive=drive,
+                       **emitter)
 
-    # host and/or ell
+    # the host's keys are required once the gaussian units derived theirs
     host = None
     if "host" in raw:
-        host_raw = _require_mapping(raw["host"], f"{source}.host")
-        _reject_unknown(host_raw, {"delta_b", "eps_b", "gamma_b"},
-                        f"{source}.host")
-        host_kwargs = {}
-        for key in ("delta_b", "eps_b", "gamma_b"):
-            if key in host_raw:
-                host_kwargs[key] = _real(host_raw[key],
-                                         f"{source}.host.{key}")
-        if gaussian_host is not None:
-            for key in ("eps_b", "gamma_b"):
-                if key in host_kwargs:
-                    raise ConfigError(
-                        f"{source}.host.{key}: already derived from "
-                        f"gaussian_units.host; remove one of the two"
-                    )
-            gamma_phys = radiative_rate(gaussian_emitter)
-            host_kwargs["eps_b"] = ndd_strength(gaussian_host) / gamma_phys
-            host_kwargs["gamma_b"] = (radiative_rate(gaussian_host)
-                                      / gamma_phys)
-        missing = sorted({"delta_b", "eps_b", "gamma_b"}
-                         - set(host_kwargs))
-        if missing:
-            raise ConfigError(f"{source}.host.{missing[0]}: "
-                              f"required key missing")
-        host = _rebuild(HostSpecies, f"{source}.host", **host_kwargs)
-    elif gaussian_host is not None:
+        path = f"{source}.host"
+        values = _section(raw["host"], "host", path, missing=None)
+        if "host" in gaussian:
+            reject_written(values, ("eps_b", "gamma_b"), "host")
+            # gamma_phys is the emitter's rate, which this section requires
+            values["eps_b"] = ndd_strength(gaussian["host"]) / gamma_phys
+            values["gamma_b"] = radiative_rate(gaussian["host"]) / gamma_phys
+        _require(values, "host", path)
+        host = _rebuild(HostSpecies, path, **values)
+    elif "host" in gaussian:
         raise ConfigError(f"{source}.gaussian_units.host: requires a host "
                           f"section carrying delta_b")
 
-    ell = None
-    if "ell" in raw:
-        ell = _complex(raw["ell"], f"{source}.ell")
-
+    ell = _complex(raw["ell"], f"{source}.ell") if "ell" in raw else None
     if model == "A":
         if (host is None) == (ell is None):
-            raise ConfigError(
-                f"{source}: model A needs exactly one of 'ell' or 'host' "
-                f"(got {'both' if host is not None else 'neither'})"
-            )
-    else:
-        if host is None:
-            raise ConfigError(f"{source}.host: required for model {model}")
-        if ell is not None:
-            raise ConfigError(
-                f"{source}.ell: forbidden for model {model}; the factor "
-                f"is computed from the host"
-            )
+            raise ConfigError(f"{source}: model A needs exactly one of "
+                              f"'ell' or 'host' (got "
+                              f"{'both' if host is not None else 'neither'})")
+    elif host is None:
+        raise ConfigError(f"{source}.host: required for model {model}")
+    elif ell is not None:
+        raise ConfigError(f"{source}.ell: forbidden for model {model}; the "
+                          f"factor is computed from the host")
 
-    # initial state
-    init_raw = _require_mapping(raw["initial"], f"{source}.initial")
-    _reject_unknown(init_raw, {"s", "w", "beta"}, f"{source}.initial")
-    if "w" not in init_raw:
-        raise ConfigError(f"{source}.initial.w: required key missing")
-    s0 = _complex(init_raw.get("s", 0.0), f"{source}.initial.s")
-    w0 = _real(init_raw["w"], f"{source}.initial.w")
-    beta0 = None
-    if "beta" in init_raw:
-        beta0 = _complex(init_raw["beta"], f"{source}.initial.beta")
-    if model == "A":
-        if beta0 is not None:
-            raise ConfigError(f"{source}.initial.beta: forbidden for "
-                              f"model A")
-    elif beta0 is None:
-        beta0 = 0j
-    initial = SystemState(s=s0, w=w0, beta=beta0)
-
-    # integration
-    path = f"{source}.integration"
-    integ_raw = _require_mapping(raw["integration"], path)
-    _reject_unknown(integ_raw, {"span", "tol", "points"}, path)
-    if "span" not in integ_raw:
-        raise ConfigError(f"{path}.span: required key missing")
-    integ_kwargs = {}
-    for key, read in (("span", _real), ("tol", _real), ("points", _integer)):
-        if key in integ_raw:
-            integ_kwargs[key] = read(integ_raw[key], f"{path}.{key}")
-    integration = _rebuild(IntegrationSpec, path, **integ_kwargs)
-
-    # fit
-    fit_kwargs = {}
-    if "fit" in raw:
-        fit_raw = _require_mapping(raw["fit"], f"{source}.fit")
-        _reject_unknown(fit_raw, {"observable", "window"}, f"{source}.fit")
-        if "observable" in fit_raw:
-            obs = _string(fit_raw["observable"], f"{source}.fit.observable")
-            if obs not in ("w_plus_1", "abs_s"):
-                raise ConfigError(f"{source}.fit.observable: expected "
-                                  f"'w_plus_1' or 'abs_s', got {obs!r}")
-            fit_kwargs["observable"] = obs
-        if "window" in fit_raw:
-            win = fit_raw["window"]
-            if (not isinstance(win, list) or len(win) != 2):
-                raise ConfigError(f"{source}.fit.window: expected "
-                                  f"[start, end], got {win!r}")
-            a = _real(win[0], f"{source}.fit.window")
-            b = _real(win[1], f"{source}.fit.window")
-            if not a < b:
-                raise ConfigError(f"{source}.fit.window: start must be "
-                                  f"below end, got [{a!r}, {b!r}]")
-            fit_kwargs["window"] = (a, b)
-    fit = FitSpec(**fit_kwargs)
-
-    # output
-    out_kwargs = {}
-    if "output" in raw:
-        out_raw = _require_mapping(raw["output"], f"{source}.output")
-        _reject_unknown(out_raw, {"trajectory"}, f"{source}.output")
-        if "trajectory" in out_raw:
-            out_kwargs["trajectory"] = _string(out_raw["trajectory"],
-                                               f"{source}.output.trajectory")
-    output = OutputSpec(**out_kwargs)
-
+    values = part("initial")
+    if model == "A" and "beta" in values:
+        raise ConfigError(f"{source}.initial.beta: forbidden for model A")
+    beta = values.get("beta", None if model == "A" else 0j)
+    initial = SystemState(s=values.get("s", 0j), w=values["w"], beta=beta)
+    integration = _rebuild(IntegrationSpec, f"{source}.integration",
+                           **part("integration"))
+    fit = FitSpec(**part("fit")) if "fit" in raw else FitSpec()
+    output = OutputSpec(**part("output")) if "output" in raw else OutputSpec()
     return ScenarioConfig(model=model, emitter=emitter, host=host, ell=ell,
                           initial=initial, integration=integration,
                           fit=fit, output=output)
 
 
-def load_scenario(path: str) -> ScenarioConfig:
-    """Read and validate a scenario JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_scenario(raw, source="scenario")
-
-
-# ---------------------------------------------------------------------------
-# sweeps
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter over explicit values with per-point overrides.
-
-    base_raw keeps the unparsed base scenario so each point can be
-    rebuilt (override-merged, value applied, revalidated) independently.
-    """
+    """One swept parameter over explicit values with per-point overrides;
+    base_raw keeps the unparsed base scenario, from which each point is
+    rebuilt (override merged, value applied) and parsed on its own."""
 
     parameter: str
     values: tuple
@@ -438,27 +324,20 @@ class SweepSpec:
     overrides: tuple | None
 
     def point_raw(self, index: int) -> dict:
-        """The raw scenario dictionary for one sweep point.
-
-        Only the dictionaries that the override and the swept field
-        change are copied; the others are shared with ``base_raw`` and
-        the overrides, which stay as they are.
-        """
-        raw = self.base_raw
-        if self.overrides is not None:
-            raw = _merged(raw, self.overrides[index])
-        else:
-            raw = dict(raw)
+        """The raw scenario dictionary for one sweep point.  Only the
+        dictionaries that the override and the swept value change are
+        copied; ``base_raw`` and the overrides stay as they are."""
+        raw = _merged(self.base_raw,
+                      self.overrides[index] if self.overrides else {})
         value = self.values[index]
-        if self.parameter == "ell":
-            raw["ell"] = [value.real, value.imag] \
-                if isinstance(value, complex) else value
-        else:
-            section, field = self.parameter.split(".", 1)
-            # an override that makes the section no object leaves it for
-            # parse_scenario to reject
-            if isinstance(raw[section], dict):
-                raw[section] = {**raw[section], field: value}
+        if isinstance(value, complex):
+            value = [value.real, value.imag]
+        section, _, key = self.parameter.rpartition(".")
+        if not section:
+            raw[key] = value
+        # a section that an override made no object is left to the parse
+        elif isinstance(raw[section], dict):
+            raw[section] = {**raw[section], key: value}
         return raw
 
 
@@ -474,109 +353,86 @@ def _merged(target: dict, patch: dict) -> dict:
     return out
 
 
-def _validate_parameter_path(parameter: str, base_raw: dict,
-                             source: str) -> None:
-    if parameter == "ell":
-        return
-    parts = parameter.split(".")
-    if len(parts) != 2 or parts[0] not in _SWEPT_FIELDS \
-            or parts[1] not in _SWEPT_FIELDS[parts[0]]:
-        known = ["ell"] + [f"{sec}.{field}"
-                           for sec, fields in sorted(_SWEPT_FIELDS.items())
-                           for field in sorted(fields)]
-        raise ConfigError(
-            f"{source}.parameter: {parameter!r} does not name a swept "
-            f"field (known: {', '.join(known)})"
-        )
-    if parts[0] not in base_raw:
-        raise ConfigError(
-            f"{source}.parameter: section {parts[0]!r} is not present in "
-            f"the base scenario"
-        )
-
-
 def parse_sweep(raw: dict, source: str = "sweep") -> SweepSpec:
     """Validate a sweep dictionary into a SweepSpec."""
-    raw = _require_mapping(raw, source)
-    _reject_unknown(raw, {"parameter", "values", "range", "reduction",
-                          "base", "overrides"}, source)
-    for key in ("parameter", "base"):
-        if key not in raw:
-            raise ConfigError(f"{source}.{key}: required key missing")
-
-    parameter = _string(raw["parameter"], f"{source}.parameter")
-    reduction = _string(raw.get("reduction", REDUCTIONS[0]),
-                        f"{source}.reduction")
-    if reduction not in REDUCTIONS:
-        raise ConfigError(f"{source}.reduction: expected one of "
-                          f"{', '.join(REDUCTIONS)}, got {reduction!r}")
-
+    fields = _section(raw, "sweep", source)
+    parameter = fields["parameter"]
+    reduction = fields.get("reduction", "population_rate_model_a")
     if ("values" in raw) == ("range" in raw):
         raise ConfigError(f"{source}: exactly one of 'values' or 'range' "
                           f"is required")
+    # the base parses before an unknown parameter, whose values are reals
+    read = _SWEPT.get(parameter, _real)
     if "values" in raw:
-        seq = raw["values"]
-        if not isinstance(seq, list) or not seq:
+        values = raw["values"]
+        if not isinstance(values, list) or not values:
             raise ConfigError(f"{source}.values: expected a non-empty "
-                              f"list, got {seq!r}")
-        read = (_complex if parameter == "ell"
-                else _integer if parameter == "integration.points"
-                else _real)
+                              f"list, got {values!r}")
         values = tuple(read(v, f"{source}.values[{i}]")
-                       for i, v in enumerate(seq))
+                       for i, v in enumerate(values))
     else:
-        rng = _require_mapping(raw["range"], f"{source}.range")
-        _reject_unknown(rng, {"start", "stop", "count"}, f"{source}.range")
-        for key in ("start", "stop", "count"):
-            if key not in rng:
-                raise ConfigError(f"{source}.range.{key}: required key "
-                                  f"missing")
-        count = _integer(rng["count"], f"{source}.range.count")
+        path = f"{source}.range"
+        count = _section(raw["range"], "range", path)["count"]
         if count < 1:
-            raise ConfigError(f"{source}.range.count: must be >= 1, "
-                              f"got {count}")
-        values = tuple(np.linspace(_real(rng["start"], f"{source}.range"),
-                                   _real(rng["stop"], f"{source}.range"),
+            raise ConfigError(f"{path}.count: must be >= 1, got {count}")
+        values = tuple(np.linspace(_real(raw["range"]["start"], path),
+                                   _real(raw["range"]["stop"], path),
                                    count).tolist())
-        if parameter == "integration.points":
+        if read is _integer:
             # whole grid sizes become ints; any other value fails per point
             values = tuple(int(v) if v.is_integer() else v for v in values)
 
-    base_raw = _require_mapping(raw["base"], f"{source}.base")
-    base = parse_scenario(base_raw, source=f"{source}.base")
-    _validate_parameter_path(parameter, base_raw, source)
+    base = parse_scenario(raw["base"], source=f"{source}.base")
+    if parameter not in _SWEPT:
+        known = sorted(_SWEPT, key=lambda name: ("." in name, name))
+        raise ConfigError(f"{source}.parameter: {parameter!r} does not name "
+                          f"a swept field (known: {', '.join(known)})")
+    section = parameter.rpartition(".")[0]
+    if section and section not in raw["base"]:
+        raise ConfigError(f"{source}.parameter: section {section!r} is not "
+                          f"present in the base scenario")
 
     overrides = None
     if "overrides" in raw:
-        ov = raw["overrides"]
-        if not isinstance(ov, list):
+        overrides = raw["overrides"]
+        if not isinstance(overrides, list):
             raise ConfigError(f"{source}.overrides: expected a list, "
-                              f"got {ov!r}")
-        if len(ov) != len(values):
-            raise ConfigError(
-                f"{source}.overrides: length {len(ov)} does not match "
-                f"{len(values)} sweep values"
-            )
-        overrides = tuple(_require_mapping(o, f"{source}.overrides[{i}]")
-                          for i, o in enumerate(ov))
+                              f"got {overrides!r}")
+        if len(overrides) != len(values):
+            raise ConfigError(f"{source}.overrides: length "
+                              f"{len(overrides)} does not match "
+                              f"{len(values)} sweep values")
+        overrides = tuple(_mapping(o, f"{source}.overrides[{i}]")
+                          for i, o in enumerate(overrides))
 
-    expected_model = "A" if reduction == "population_rate_model_a" else "B"
-    if base.model != expected_model:
-        raise ConfigError(
-            f"{source}.base.model: reduction {reduction!r} requires model "
-            f"{expected_model!r}, got {base.model!r}"
-        )
-
+    if base.model != REDUCTIONS[reduction]:
+        raise ConfigError(f"{source}.base.model: reduction {reduction!r} "
+                          f"requires model {REDUCTIONS[reduction]!r}, "
+                          f"got {base.model!r}")
     return SweepSpec(parameter=parameter, values=values, reduction=reduction,
-                     base=base, base_raw=copy.deepcopy(base_raw),
+                     base=base, base_raw=copy.deepcopy(raw["base"]),
                      overrides=overrides)
+
+
+def _load(path: str, parse, source: str):
+    """Read the file at path as strict JSON, without the NaN and Infinity
+    that Python's json accepts, and validate it with parse."""
+    def not_json(token: str):
+        raise ValueError(f"{token} is not a JSON value")
+
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh, parse_constant=not_json)
+        except ValueError as exc:  # also text that is not UTF-8
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    return parse(raw, source=source)
+
+
+def load_scenario(path: str) -> ScenarioConfig:
+    """Read and validate a scenario JSON file."""
+    return _load(path, parse_scenario, "scenario")
 
 
 def load_sweep(path: str) -> SweepSpec:
     """Read and validate a sweep JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_sweep(raw, source="sweep")
+    return _load(path, parse_sweep, "sweep")

@@ -368,6 +368,17 @@ class TestSimulate:
         assert code == 2
         assert "span" in err
 
+    def test_non_json_token_exits_2(self, tmp_path, capsys):
+        # json.dumps writes NaN, which is not JSON
+        payload = decay_scenario()
+        payload["initial"]["w"] = float("nan")
+        config = write_json(tmp_path / "nan.json", payload)
+        code, out, err = run_cli(["simulate", config], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {config}: not valid JSON (NaN is not a JSON " \
+            "value)\n"
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(["simulate", str(tmp_path / "nope.json")],
                                capsys)
@@ -895,6 +906,16 @@ class TestSweep:
         code, _, err = run_cli(["sweep", spec], capsys)
         assert code == 2
         assert "values" in err
+
+    def test_non_json_token_exits_2(self, tmp_path, capsys):
+        payload = density_sweep()
+        payload["values"][2] = float("inf")
+        spec = write_json(tmp_path / "sweep.json", payload)
+        code, out, err = run_cli(["sweep", spec], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {spec}: not valid JSON (Infinity is not a " \
+            "JSON value)\n"
 
     def test_bad_worker_count_exit_2(self, tmp_path, capsys):
         # --workers is gone: any worker count is an unknown argument

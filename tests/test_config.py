@@ -679,6 +679,7 @@ class TestMessagePins:
          "delta_b"),
         ("G", {"host.delta_b": DROP},
          "scenario.host.delta_b: required key missing"),
+        # two faults each: the first check names its fault
         ("B", {"host.eps_b": "x", "host.delta_b": DROP},
          "scenario.host.eps_b: expected a number, got 'x'"),
         ("A", {"integration": {"tol": "x"}},
@@ -762,6 +763,11 @@ class TestMessagePins:
         ("G", {"gaussian_units.emitter": DROP, "emitter.delta_a": "x"},
          "scenario.gaussian_units.host: requires the gaussian_units.emitter "
          "section (the emitter's radiative rate sets the time unit)"),
+        # a window bound that is not finite (a dict caller's float)
+        ("A", {"fit": {"window": [0.1, math.inf]}},
+         "scenario.fit.window: bounds must be finite, got [0.1, inf]"),
+        ("A", {"fit": {"window": [-math.inf, 1.0]}},
+         "scenario.fit.window: bounds must be finite, got [-inf, 1.0]"),
     ]
     SWEEP = [
         ("list", {},
@@ -895,6 +901,7 @@ class TestMessagePins:
         ("S", {"base.bogus": 1},
          "sweep.base.bogus: unknown key (allowed: drive, ell, emitter, fit, "
          "gaussian_units, host, initial, integration, model, output)"),
+        # two faults each: the first check names its fault
         ("S", {"parameter": DROP, "base": DROP},
          "sweep.parameter: required key missing"),
         ("S", {"bogus": 1, "parameter": DROP},
@@ -1002,3 +1009,28 @@ class TestMessagePins:
         assert str(info.value) == (
             f"{path}: not valid JSON (Expecting property name enclosed in "
             f"double quotes: line 1 column 2 (char 1))")
+
+    # the JSON text of each file, with a token that is not JSON
+    TOKENS = [("NaN", '"initial": {"w": NaN}'),
+              ("Infinity", '"ell": [Infinity, 0]'),
+              ("-Infinity", '"fit": {"window": [0.1, -Infinity]}')]
+
+    @pytest.mark.parametrize("load", [load_scenario, load_sweep])
+    @pytest.mark.parametrize("token, text", TOKENS,
+                             ids=[token for token, _ in TOKENS])
+    def test_non_json_token_in_file(self, tmp_path, load, token, text):
+        path = tmp_path / "token.json"
+        path.write_text('{"model": "A", ' + text + '}')
+        with pytest.raises(ConfigError) as info:
+            load(str(path))
+        assert str(info.value) == (
+            f"{path}: not valid JSON ({token} is not a JSON value)")
+
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"model": "\xe9"}')
+        with pytest.raises(ConfigError) as info:
+            load_scenario(str(path))
+        assert str(info.value) == (
+            f"{path}: not valid JSON ('utf-8' codec can't decode byte 0xe9 "
+            f"in position 11: invalid continuation byte)")
