@@ -28,8 +28,12 @@ __all__ = ["ConfigError", "FitSpec", "OutputSpec", "ScenarioConfig",
            "SweepSpec", "load_scenario", "load_sweep", "parse_scenario",
            "parse_sweep"]
 
-# each reduction of a sweep and the model of its base scenario
-REDUCTIONS = {"population_rate_model_a": "A", "coherence_rate_model_b": "B"}
+# each reduction of a sweep: the model of its base scenario, and the
+# fields (sections, or section.key) that its run sets itself
+REDUCTIONS = {
+    "population_rate_model_a": ("A", "drive initial integration.span"),
+    "coherence_rate_model_b": ("B", "drive initial integration.span "
+                                    "integration.points")}
 
 
 class ConfigError(ValueError):
@@ -405,10 +409,14 @@ def parse_sweep(raw: dict, source: str = "sweep") -> SweepSpec:
         overrides = tuple(_mapping(o, f"{source}.overrides[{i}]")
                           for i, o in enumerate(overrides))
 
-    if base.model != REDUCTIONS[reduction]:
+    model, fixed = REDUCTIONS[reduction]
+    if base.model != model:
         raise ConfigError(f"{source}.base.model: reduction {reduction!r} "
-                          f"requires model {REDUCTIONS[reduction]!r}, "
-                          f"got {base.model!r}")
+                          f"requires model {model!r}, got {base.model!r}")
+    if not {parameter, section}.isdisjoint(fixed.split()):
+        raise ConfigError(f"{source}.parameter: reduction {reduction!r} sets "
+                          f"{parameter!r} itself, so a sweep over it varies "
+                          f"nothing (it sets {fixed.replace(' ', ', ')})")
     return SweepSpec(parameter=parameter, values=values, reduction=reduction,
                      base=base, base_raw=copy.deepcopy(raw["base"]),
                      overrides=overrides)
@@ -416,13 +424,22 @@ def parse_sweep(raw: dict, source: str = "sweep") -> SweepSpec:
 
 def _load(path: str, parse, source: str):
     """Read the file at path as strict JSON, without the NaN and Infinity
-    that Python's json accepts, and validate it with parse."""
+    that Python's json accepts nor numbers past the float range, and
+    validate it with parse."""
     def not_json(token: str):
         raise ValueError(f"{token} is not a JSON value")
 
+    def finite(number):
+        def read(token: str):
+            if not math.isfinite(float(token)):  # inf past the float range
+                raise ValueError(f"{token} is outside the float range")
+            return number(token)
+        return read
+
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh, parse_constant=not_json)
+            raw = json.load(fh, parse_constant=not_json,
+                            parse_float=finite(float), parse_int=finite(int))
         except ValueError as exc:  # also text that is not UTF-8
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return parse(raw, source=source)

@@ -331,7 +331,7 @@ class Trajectory:
         integrated run, whose grid solve checks."""
         return ode.grid(0.0, self.span, len(self.y))
 
-    def _column(self, name: str, c: int) -> np.ndarray:
+    def _component(self, name: str, c: int) -> np.ndarray:
         if self.columns is None:
             return self.y[:, c]
         if c not in self.columns:
@@ -340,17 +340,17 @@ class Trajectory:
 
     @property
     def w(self) -> np.ndarray:
-        return self._column("w", 2)
+        return self._component("w", 2)
 
     @property
     def s(self) -> np.ndarray:
-        return self._column("s", 0) + 1j * self._column("s", 1)
+        return self._component("s", 0) + 1j * self._component("s", 1)
 
     @property
     def beta(self) -> np.ndarray | None:
         if self.model == "A":
             return None
-        return self._column("beta", 3) + 1j * self._column("beta", 4)
+        return self._component("beta", 3) + 1j * self._component("beta", 4)
 
     @property
     def bloch_norm(self) -> np.ndarray:
@@ -514,10 +514,10 @@ def integrate(params, initial: SystemState,
     """Integrate model A or B over [0, span] in gamma_a units.
 
     Adaptive embedded Runge-Kutta with per-step error control on every
-    real component at rtol = atol = tol, dense output on the sample
-    grid, and a restart at each pulse edge with the new drive.  Model A,
-    and model B with |alpha| <= ``EXPONENTIAL_POLE`` gamma_a, use
-    Dormand-Prince 5(4); model B with a faster host pole uses the
+    real component y at the scale tol + tol*|y|, dense output on the
+    sample grid, and a restart at each pulse edge with the new drive.
+    Model A, and model B with |alpha| <= ``EXPONENTIAL_POLE`` gamma_a,
+    use Dormand-Prince 5(4); model B with a faster host pole uses the
     exponential method of ``lfbloch.ode`` with L = ``linear_part``
     exact, whose step count does not grow with |alpha|.  Deterministic
     for identical inputs.
@@ -667,7 +667,6 @@ def _integrate_runs(runs, keep=None) -> list:
                  and (run.linear is not None) == exponential]
         if not group:
             continue
-        tols = [run.tol for _, run in group]
         # the right-hand side is looked up as a module global on every
         # call, so a wrapper installed on lfbloch.dynamics sees each one;
         # its per-row form, which solve calls directly, is offered only
@@ -683,7 +682,8 @@ def _integrate_runs(runs, keep=None) -> list:
             and (name != "beta" or model == "B") for c in _COLUMNS[name])
         res = ode.solve(rhs, [run.pieces for _, run in group],
                         [0.0] * len(group), [run.y for _, run in group],
-                        [run.points for _, run in group], tols, tols,
+                        [run.points for _, run in group],
+                        [run.tol for _, run in group],
                         linear=linear,
                         row_rhs=(_complex_pairs, row) if row else None,
                         columns=columns, measure=_bloch_norm)

@@ -5,7 +5,7 @@ Dormand-Prince is the explicit 7-stage FSAL pair: the fifth-order
 solution is propagated, the embedded fourth-order solution provides the
 per-step error estimate, and a quartic interpolant gives dense output on
 each row's uniform sample grid.  Error control is applied to every real
-component with the mixed tolerance scale ``atol + rtol*|y|``.
+component with the row's error scale ``tol + tol*|y|``.
 
 The exponential method (``solve(..., linear=(L, cols))``) splits each row
 as ``y' = L y + N(t, y)`` with a constant complex 2x2 L acting on two
@@ -25,7 +25,7 @@ method existed.
 ``solve`` advances a batch of B independent problems ("rows") of the same
 size n in lockstep: one pass of the step loop attempts one step of every
 unfinished row.  Each row keeps its own time, step size, accept/reject
-decision, tolerances, sample grid and counters, and the stage algebra is
+decision, tolerance, sample grid and counters, and the stage algebra is
 arranged so that each row's floating-point operations are exactly those
 of the row integrated alone.  A row therefore takes the same steps and
 yields the same bits in any batch; a single problem is a batch of one.
@@ -81,9 +81,11 @@ rows finish.
 Near the top of the float range a tableau sum of the stages may
 overflow although its product with h does not.  A Dormand-Prince
 attempt whose error norm comes out non-finite, from a finite state and
-first stage, is therefore redone once with its sums taken on the stages
-scaled by a power of two (``_redo``), as dense output redoes an
-overflowing step; a pass whose norms are all finite never gets there.
+a first stage whose largest component is finite and 1 or more in size
+(below 1 the scaling is 1 and would repeat the attempt), is therefore
+redone once with its sums taken on the stages scaled by a power of two
+(``_redo``), as dense output redoes an overflowing step; a pass whose
+norms are all finite never gets there.
 The redone attempt's evaluations count in ``n_rhs``.
 
 A pass of at most ``FLOAT_ROWS`` Dormand-Prince rows of n < 8
@@ -378,18 +380,17 @@ def _rms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x ** 2, axis=1) / x.shape[1])
 
 
-def _initial_step(rhs, t0, y0, P, f0, t_end, rtol, atol,
-                  max_step) -> np.ndarray:
+def _initial_step(rhs, t0, y0, P, f0, t_end, tol) -> np.ndarray:
     """Starting-step heuristic of Hairer, Norsett & Wanner (I.4, alg. 4.14)
     of every row at once, with one probe call of rhs over them.
 
     Row b starts at t0[b] from y0[b], where ``rhs`` is f0[b], in the
-    piece of constants P[b] that ends at t_end[b]; rtol and atol are
-    (B,) arrays.  Returns the (B,) starting steps, each with the bits of
-    the row's heuristic on Python floats: its branches are masks, and
-    ``np.float_power`` is CPython's ``**``.
+    piece of constants P[b] that ends at t_end[b]; tol is the (B, 1)
+    column of their tolerances.  Returns the (B,) starting steps, each
+    with the bits of the row's heuristic on Python floats: its branches
+    are masks, and ``np.float_power`` is CPython's ``**``.
     """
-    scale = atol[:, None] + rtol[:, None] * np.abs(y0)
+    scale = tol + tol * np.abs(y0)
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     span = t_end - t0
     # the Python-float arithmetic of the heuristic raises no warning
@@ -398,7 +399,7 @@ def _initial_step(rhs, t0, y0, P, f0, t_end, rtol, atol,
         # zero)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5) | (d1 == math.inf), 1e-6,
                       0.01 * d0 / d1)
-        h0 = np.minimum(np.minimum(h0, span), max_step)
+        h0 = np.minimum(h0, span)
     f1 = rhs(t0 + h0, y0 + h0[:, None] * f0, P)
     d2 = _rms((f1 - f0) / scale)
     with np.errstate(all="ignore"):
@@ -410,17 +411,7 @@ def _initial_step(rhs, t0, y0, P, f0, t_end, rtol, atol,
                       np.float_power(0.01 / np.maximum(d1, d2), 0.2), h0)
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                       np.maximum(1e-6, h0 * 1e-3), h1)
-        return np.minimum(np.minimum(np.minimum(100 * h0, h1), span),
-                          max_step)
-
-
-def _column(values: Sequence[float]):
-    """Per-row factors that broadcast over the rows of a (B, n) array.
-
-    A batch of one gets its float: numpy multiplies an array by a
-    scalar faster than by a (1, 1) column, with the same bits.
-    """
-    return values[0] if len(values) == 1 else np.array(values)[:, None]
+        return np.minimum(np.minimum(100 * h0, h1), span)
 
 
 def _nonfinite(f: np.ndarray) -> str:
@@ -610,7 +601,7 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
     return failed
 
 
-def _attempt_floats(f, act, y, K, heads, rtol, atol):
+def _attempt_floats(f, act, y, K, heads, tol):
     """A Dormand-Prince attempt of every row of act in Python floats:
     the new states (B, n) and the rows' error norms.
 
@@ -635,11 +626,11 @@ def _attempt_floats(f, act, y, K, heads, rtol, atol):
     errs = []
     for row, (_, h, _, y_b, _), new_b, e_b in zip(
             act, rows, new, np.matmul(_E, K).tolist()):
-        rtol_b, atol_b = rtol[row.index], atol[row.index]
+        tol_b = tol[row.index]
         total = None
         for a, b, e in zip(y_b, new_b, e_b):
             a, b = abs(a), abs(b)
-            x = h * e / (atol_b + rtol_b * (a if a >= b else b))
+            x = h * e / (tol_b + tol_b * (a if a >= b else b))
             # b - b is NaN for a non-finite new state, as in the array form
             x = x * x + (b - b)
             # left to right, as np.add.reduce sums fewer than 8 terms
@@ -648,33 +639,32 @@ def _attempt_floats(f, act, y, K, heads, rtol, atol):
     return np.array(new), errs
 
 
-def _norm(estimate, y, y_new, rtol, atol):
+def _norm(estimate, y, y_new, tol):
     """Each row's error norm: the root mean square of its estimate over
-    the mixed scale ``atol + rtol*max(|y|, |y_new|)`` (rtol and atol
-    broadcast over the rows), by ``np.add.reduce`` as in np.mean of a
-    row.  Adding abs_new - abs_new (exactly 0, or NaN for a non-finite
-    y_new, whose inf scale would zero the estimate) rejects such a
-    step."""
+    the scale ``tol + tol*max(|y|, |y_new|)`` (tol the rows' (B, 1)
+    column), by ``np.add.reduce`` as in np.mean of a row.  Adding
+    abs_new - abs_new (exactly 0, or NaN for a non-finite y_new, whose
+    inf scale would zero the estimate) rejects such a step."""
     abs_new = np.abs(y_new)
-    scale = atol + rtol * np.maximum(np.abs(y), abs_new)
+    scale = tol + tol * np.maximum(np.abs(y), abs_new)
     return np.sqrt(np.add.reduce((estimate / scale) ** 2
                                  + (abs_new - abs_new), axis=1)
                    / y.shape[1])
 
 
-def _redo(rhs, t, h, y, K, P, rtol, atol):
+def _redo(rhs, t, h, y, K, P, tol):
     """A Dormand-Prince attempt of m rows again, with its tableau sums on
     the stages scaled by a power of two: the new states and error norms.
 
     Near the top of the float range a sum of stages overflows although
-    its product with h does not.  Each sum is taken on K/2**e, e the
-    exponent of the row's largest first stage (0 below 1), and its
-    product with h scaled back by 2**e, which has the bits of the plain
-    attempt wherever neither overflows nor underflows.  t, h, rtol and atol are
-    the rows' (m,) arrays, y and P theirs, and K their (m, 7, n) stages,
-    whose stages 1 to 6 it writes.
+    its product with h does not.  Each sum is taken on K/2**e, e >= 1 the
+    exponent of the row's largest first stage, and its product with h
+    scaled back by 2**e, which has the bits of the plain attempt wherever
+    neither overflows nor underflows.  t and h are the rows' (m,) arrays,
+    tol their (m, 1) column, y, P and K (m, 7, n) stages theirs; it
+    writes stages 1 to 6.
     """
-    e = np.maximum(np.frexp(np.abs(K[:, 0]).max(axis=1))[1], 0)[:, None]
+    e = np.frexp(np.abs(K[:, 0]).max(axis=1))[1][:, None]
     scaled = np.ldexp(K, -e[:, :, None])
     h = h[:, None]
     stage_t = t[:, None] + h * _C
@@ -687,8 +677,7 @@ def _redo(rhs, t, h, y, K, P, rtol, atol):
         # the last two stages sit at t + h
         K[:, i] = rhs(stage_t[:, min(i, 5)], state, P)
         scaled[:, i] = np.ldexp(K[:, i], -e)
-    return state, _norm(times_h(_E, 7), y, state, rtol[:, None],
-                        atol[:, None])
+    return state, _norm(times_h(_E, 7), y, state, tol)
 
 
 def solve(
@@ -697,9 +686,7 @@ def solve(
     t0: Sequence[float],
     y0: np.ndarray,
     points: Sequence[int],
-    rtol: Sequence[float],
-    atol: Sequence[float],
-    max_step: float = math.inf,
+    tol: Sequence[float],
     linear: tuple | None = None,
     row_rhs: tuple | None = None,
     columns: Sequence[int] | None = None,
@@ -707,7 +694,7 @@ def solve(
 ) -> OdeResult:
     """Integrate ``dy_b/dt = rhs(t, y_b, p)`` through row b's pieces.
 
-    Every argument but ``rhs`` and ``max_step`` holds one entry per row.
+    Every argument but ``rhs`` holds one entry per row.
     Rows may differ in span, pieces, tolerance and grid size; each is
     integrated exactly as it would be alone.
 
@@ -736,11 +723,10 @@ def solve(
         span repeats points).  The solution is interpolated onto them
         with the method's dense output.  No grid is built: a point is
         computed where it is sampled.
-    rtol, atol : sequences of B floats
-        Relative/absolute tolerance of each row's error control,
-        positive and finite.
-    max_step : float, optional
-        Upper bound on the step size of every row.
+    tol : sequence of B floats
+        The tolerance of each row's error control, positive and finite:
+        the error scale of a component y is ``tol + tol*|y|``.  No step
+        size is capped but by its piece's end.
     linear : (L, cols), optional
         Integrate every row with the exponential method instead of
         Dormand-Prince (see the module docstring).  L, shape (B, 2, 2)
@@ -812,14 +798,12 @@ def solve(
             or not all(0 <= c < n for c in kept):
         raise ValueError(f"columns must be distinct columns of the {n} "
                          f"of y0, got {columns!r}")
-    if not len(pieces) == len(t0) == len(points) == len(rtol) == len(atol) \
-            == batch:
-        raise ValueError("pieces, t0, points, rtol and atol need one "
-                         "entry per row of y0")
-    rtol, atol = [float(x) for x in rtol], [float(x) for x in atol]
-    if not all(0.0 < x < math.inf for x in rtol + atol):
-        raise ValueError(f"rtol and atol must be positive and finite, "
-                         f"got rtol = {rtol!r}, atol = {atol!r}")
+    if not len(pieces) == len(t0) == len(points) == len(tol) == batch:
+        raise ValueError("pieces, t0, points and tol need one entry per "
+                         "row of y0")
+    tol = [float(x) for x in tol]
+    if not all(0.0 < x < math.inf for x in tol):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     t0 = [float(a) for a in t0]
     points = [operator.index(m) for m in points]
     pieces = [[(float(end), tuple(map(float, p))) for end, p in row]
@@ -893,7 +877,7 @@ def solve(
     n_pieces = [1] * batch
     redone = np.zeros(batch, int)  # attempts redone by _redo
     errors = [None] * batch
-    rtols, atols = np.array(rtol), np.array(atol)
+    tol_col = np.array(tol).reshape(batch, 1)  # in the order of y's rows
 
     def restart(r, b, t):
         """Row b, at position r of the pass, restarts at t in its next
@@ -906,16 +890,15 @@ def solve(
         t1, y1, p1 = np.array([t]), y_new[r:r + 1], P[r:r + 1]
         f = rhs(t1, y1, p1)
         h = _initial_step(rhs, t1, y1, p1, f, np.array([end]),
-                          rtols[b:b + 1], atols[b:b + 1], max_step)
+                          tol_col[r:r + 1])
         return end, c, f[0], h.item()
 
     def redo(r, t, h):
         """_redo of the rows at positions r of the pass, whose times and
         step sizes are t and h: their new states and error norms."""
-        b = index[r]
-        redone[b] += 1
+        redone[index[r]] += 1
         K_r = K[r]
-        y_r, errs_r = _redo(rhs, t, h, y[r], K_r, P[r], rtols[b], atols[b])
+        y_r, errs_r = _redo(rhs, t, h, y[r], K_r, P[r], tol_col[r])
         K[r] = K_r
         return y_r, errs_r
 
@@ -931,7 +914,7 @@ def solve(
     P = np.array([row[0][1] for row in pieces]).reshape(batch, k)
     K = np.empty((batch, method.stages if method else 7, n))
     K[:, 0] = rhs(T, y, P)
-    H = _initial_step(rhs, T, y, P, K[:, 0], stops, rtols, atols, max_step)
+    H = _initial_step(rhs, T, y, P, K[:, 0], stops, tol_col)
     lasts = np.zeros(batch, bool)
     # every grid starts at t0: its first sample is y0
     _store(y_all, subset, offsets[:-1, None], y[:, None], index)
@@ -939,7 +922,6 @@ def solve(
     n_accepted, n_rejected = np.zeros(batch, int), np.zeros(batch, int)
     act = None
     heads = [K[:, :i] for i in range(7)]
-    rtol_col, atol_col = _column(rtol), _column(atol)
     errs = None  # error norm of each row's last attempted step
 
     while True:
@@ -965,8 +947,10 @@ def solve(
                 if len(accepted) < len(T):
                     nonfinite = ~np.isfinite(errs)
                     if not method and nonfinite.any():
+                        # a first stage below 1 would be scaled by 1
+                        top = np.abs(K[:, 0]).max(axis=1)
                         r = (nonfinite & np.isfinite(y).all(axis=1)
-                             & np.isfinite(K[:, 0]).all(axis=1)).nonzero()[0]
+                             & (top >= 1.0) & (top < math.inf)).nonzero()[0]
                         if r.size:
                             y_new[r], errs[r] = redo(r, T[r], H[r])
                             accept = errs <= 1.0
@@ -1000,7 +984,6 @@ def solve(
                         continue
                     stops[r], _, f, H[r] = restart(r, b, T[r])
                     restarts.append((r, f))
-            H = np.minimum(H, max_step)
             lasts = T + H >= stops
             # a step onto the piece's end may be shorter than the floor,
             # unless it repeats a rejected one (it would repeat forever)
@@ -1024,7 +1007,7 @@ def solve(
                     if not err <= 1.0 and not method \
                             and not math.isfinite(err) \
                             and np.isfinite(y[r]).all() \
-                            and np.isfinite(row.K[0]).all():
+                            and 1.0 <= np.abs(row.K[0]).max() < math.inf:
                         new, norm = redo(np.array([r]), np.array([t]),
                                          np.array([h]))
                         y_new[r], err = new[0], norm.item()
@@ -1055,7 +1038,6 @@ def solve(
                                 continue
                             row.stop, row.c, f, h = restart(r, b, t)
                             restarts.append((r, f))
-                h = min(h, max_step)
                 row.last = t + h >= row.stop
                 # the floor, as in the array form
                 if not (h >= 10.0 * abs(math.nextafter(t, math.inf) - t)
@@ -1096,10 +1078,9 @@ def solve(
         if not len(keep):
             break
         if len(keep) < len(y):
-            y, K, P, index = y[keep], K[keep], P[keep], index[keep]
+            y, K, P, index, tol_col = (
+                a[keep] for a in (y, K, P, index, tol_col))
             heads = [K[:, :i] for i in range(7)]
-            rtol_col = _column(rtols[index].tolist())
-            atol_col = _column(atols[index].tolist())
             if act is None:
                 T, H, stops, lasts, cur = (
                     a[keep] for a in (T, H, stops, lasts, cur))
@@ -1114,12 +1095,11 @@ def solve(
         if act is not None:
             if floats:
                 y_new, errs = _attempt_floats(row_rhs[1], act, y, K, heads,
-                                              rtol, atol)
+                                              tol)
                 continue
             T = np.array([row.t for row in act])
-            H = [row.h for row in act]
+            H = np.array([row.h for row in act])
         if method:
-            H = np.asarray(H)
             y_new, estimate = method.attempt(y, K, P, T, H)
             # a long row's error per unit step (see Exponential)
             estimate *= np.where(
@@ -1129,7 +1109,7 @@ def solve(
                 1.0)[:, None]
         else:
             # the last two stages sit at t + h
-            h_col = _column(H)
+            h_col = H[:, None]
             stage_t = T[:, None] + h_col * _C
             for i in range(1, 6):
                 stage = y + h_col * np.matmul(_A[i], heads[i])
@@ -1138,7 +1118,7 @@ def solve(
             K[:, 6] = rhs(stage_t[:, 5], y_new, P)
             estimate = h_col * np.matmul(_E, K)
 
-        errs = _norm(estimate, y, y_new, rtol_col, atol_col)
+        errs = _norm(estimate, y, y_new, tol_col)
         if act is not None:
             errs = errs.tolist()
 

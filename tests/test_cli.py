@@ -4,6 +4,7 @@ Each subcommand is exercised through ``main(argv)`` so exit codes and
 emitted files are checked exactly as a shell user would see them.
 """
 
+import copy
 import csv
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfbloch import cli, csvrows, dynamics
+from lfbloch import cli, config, csvrows, dynamics
 from lfbloch.cli import (
     COMPARE_MAX_ROWS,
     NUMBER_FORMAT,
@@ -82,6 +83,10 @@ def density_sweep():
             "integration": {"span": 8.0, "tol": 1e-10, "points": 1601},
         },
     }
+
+
+# JSON numbers whose floats overflow: a float and an integer literal
+PAST_FLOATS = ["1e999", "1" + "0" * 330]
 
 
 def read_rows(path):
@@ -378,6 +383,20 @@ class TestSimulate:
         assert out == ""
         assert err == f"error: {config}: not valid JSON (NaN is not a JSON " \
             "value)\n"
+
+    @pytest.mark.parametrize("token", PAST_FLOATS, ids=["1e999", "integer"])
+    def test_number_past_the_float_range_exits_2(self, tmp_path, capsys,
+                                                 token):
+        # 1e999 used to load as inf, and an integer as long to end in an
+        # OverflowError traceback (exit 1)
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(decay_scenario(span="SPAN")).replace(
+            '"SPAN"', token), encoding="utf-8")
+        code, out, err = run_cli(["simulate", str(config)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {config}: not valid JSON ({token} is " \
+            "outside the float range)\n"
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(["simulate", str(tmp_path / "nope.json")],
@@ -916,6 +935,86 @@ class TestSweep:
         assert out == ""
         assert err == f"error: {spec}: not valid JSON (Infinity is not a " \
             "JSON value)\n"
+
+    @pytest.mark.parametrize("token", PAST_FLOATS, ids=["1e999", "integer"])
+    def test_number_past_the_float_range_exits_2(self, tmp_path, capsys,
+                                                 token):
+        payload = density_sweep()
+        payload["values"][2] = "VALUE"
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps(payload).replace('"VALUE"', token),
+                        encoding="utf-8")
+        code, out, err = run_cli(["sweep", str(spec)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {spec}: not valid JSON ({token} is " \
+            "outside the float range)\n"
+
+    # two values of every sweepable field, and a base scenario that holds
+    # a section for each
+    SWEPT = {"ell": ([1.4, 0.0], [1.2, 0.0]),
+             "emitter.delta_a": (0.1, 0.3), "emitter.eps_a": (0.2, 0.4),
+             "emitter.gamma_a": (1.0, 1.5), "drive.amplitude": (0.5, 0.7),
+             "drive.t_on": (1.0, 1.5), "drive.t_off": (4.0, 3.0),
+             "host.delta_b": (20.0, 15.0), "host.eps_b": (3.0, 5.0),
+             "host.gamma_b": (4.0, 6.0), "initial.s": (0.1, 0.2),
+             "initial.w": (0.5, 0.0), "initial.beta": (0.0, 0.1),
+             "integration.span": (8.0, 9.0),
+             "integration.tol": (1e-8, 1e-9),
+             "integration.points": (801, 1601)}
+    BASE = {"emitter": {"delta_a": 0.1, "eps_a": 0.2, "gamma_a": 1.0},
+            "host": {"delta_b": 20.0, "eps_b": 3.0, "gamma_b": 4.0},
+            "drive": {"kind": "pulse", "amplitude": 0.5, "t_on": 1.0,
+                      "t_off": 4.0},
+            "initial": {"s": 0.1, "w": 0.5},
+            "integration": {"span": 8.0, "tol": 1e-8, "points": 801}}
+
+    @pytest.mark.parametrize("reduction", list(config.REDUCTIONS))
+    def test_fields_the_reduction_sets_are_those_its_run_ignores(
+            self, reduction):
+        # a field's two values give the same run from the point builder
+        # if and only if the reduction declares the field set, over
+        # every field that its model takes (model A takes no beta, model
+        # B no ell)
+        model, fixed = config.REDUCTIONS[reduction]
+        point, _ = cli._SWEEP_POINTS[reduction]
+        assert sorted(self.SWEPT) == sorted(config._SWEPT)
+        checked = []
+        for field, values in self.SWEPT.items():
+            section, _, key = field.rpartition(".")
+            runs = []
+            for value in values:
+                raw = copy.deepcopy({"model": model, **self.BASE})
+                if section:
+                    raw[section][key] = value
+                else:  # ell stands in for the host
+                    del raw["host"]
+                    raw[key] = value
+                try:
+                    runs.append(point(config.parse_scenario(raw))[0])
+                except config.ConfigError:
+                    break
+            if len(runs) < 2:
+                assert field == ("initial.beta" if model == "A" else "ell")
+                continue
+            checked.append(field)
+            assert (runs[0] == runs[1]) == bool(
+                {field, section} & set(fixed.split())), field
+        assert len(checked) == len(self.SWEPT) - 1
+
+    def test_field_the_reduction_sets_exits_2(self, tmp_path, capsys):
+        # the population reduction starts every point from w = 1: a sweep
+        # of initial.w used to exit 0 with identical rows
+        payload = density_sweep()
+        payload["parameter"] = "initial.w"
+        spec = write_json(tmp_path / "sweep.json", payload)
+        code, out, err = run_cli(["sweep", spec], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: sweep.parameter: reduction 'population_rate_model_a' "
+            "sets 'initial.w' itself, so a sweep over it varies nothing (it "
+            "sets drive, initial, integration.span)\n")
 
     def test_bad_worker_count_exit_2(self, tmp_path, capsys):
         # --workers is gone: any worker count is an unknown argument

@@ -951,6 +951,32 @@ class TestMessagePins:
          {"parameter": "drive.t_on", "base.model": "B", "overrides": DROP},
          "sweep.parameter: section 'drive' is not present in the base "
          "scenario"),
+        # a field that the reduction sets itself: whole sections, single
+        # keys, and a key that only the model-B reduction sets
+        ("S", {"parameter": "initial.w"},
+         "sweep.parameter: reduction 'population_rate_model_a' sets "
+         "'initial.w' itself, so a sweep over it varies nothing (it sets "
+         "drive, initial, integration.span)"),
+        ("S", {"parameter": "integration.span"},
+         "sweep.parameter: reduction 'population_rate_model_a' sets "
+         "'integration.span' itself, so a sweep over it varies nothing (it "
+         "sets drive, initial, integration.span)"),
+        ("S",
+         {"parameter": "integration.points",
+          "values": [801, 1601, 3201],
+          "reduction": "coherence_rate_model_b",
+          "base.model": "B"},
+         "sweep.parameter: reduction 'coherence_rate_model_b' sets "
+         "'integration.points' itself, so a sweep over it varies nothing "
+         "(it sets drive, initial, integration.span, integration.points)"),
+        # it is the last check: the others name their faults first
+        ("S", {"parameter": "initial.w", "base.model": "B"},
+         "sweep.base.model: reduction 'population_rate_model_a' requires "
+         "model 'A', got 'B'"),
+        ("S", {"parameter": "initial.w", "overrides": [{}, {}]},
+         "sweep.overrides: length 2 does not match 3 sweep values"),
+        ("S", {"parameter": "initial.w", "values": [1.0, "x", 0.0]},
+         "sweep.values[1]: expected a number, got 'x'"),
     ]
     # (index, patch of eps_b_sweep, message): the point as the sweep
     # command parses it
@@ -970,8 +996,9 @@ class TestMessagePins:
          "point[0].emitter: gamma_a must be >= 0, got -1.0"),
         (1, {"parameter": "integration.tol", "values": [1e-10, 1.0, 1e-10]},
          "point[1].integration: tol must lie in [1e-12, 0.0001], got 1.0"),
-        (1, {"parameter": "initial.w", "overrides": [{}, {"initial": 5}, {}]},
-         "point[1].initial: expected an object, got int"),
+        (1,
+         {"parameter": "emitter.eps_a", "overrides": [{}, {"emitter": 5}, {}]},
+         "point[1].emitter: expected an object, got int"),
         (2,
          {"overrides": [{}, {}, {"host": {"delta_b": -10.0, "gamma_b": 0.0}}],
           "values": [0.0, 5.0, 10.0]},
@@ -1025,6 +1052,24 @@ class TestMessagePins:
             load(str(path))
         assert str(info.value) == (
             f"{path}: not valid JSON ({token} is not a JSON value)")
+
+    # the JSON text of each file, with a number whose float overflows
+    PAST_FLOATS = [("1e999", '"initial": {"w": 1e999}'),
+                   ("-1e999", '"ell": [-1e999, 0]'),
+                   ("1" + "0" * 330,
+                    '"integration": {"span": 1' + "0" * 330 + '}')]
+
+    @pytest.mark.parametrize("load", [load_scenario, load_sweep])
+    @pytest.mark.parametrize("token, text", PAST_FLOATS,
+                             ids=["1e999", "-1e999", "integer"])
+    def test_number_past_the_float_range_in_file(self, tmp_path, load,
+                                                  token, text):
+        path = tmp_path / "huge.json"
+        path.write_text('{"model": "A", ' + text + '}')
+        with pytest.raises(ConfigError) as info:
+            load(str(path))
+        assert str(info.value) == (
+            f"{path}: not valid JSON ({token} is outside the float range)")
 
     def test_file_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.json"

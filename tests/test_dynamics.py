@@ -550,8 +550,7 @@ class TestIntegrateMicroscopic:
         tol = 1e-10
         grid = np.linspace(0.0, 3.0, 4)
         res = solve(rhs, [[(3.0, ())]], [0.0],
-                    np.array([[1.0, 0.0, 0.0, 0.0]]), [grid.size],
-                    rtol=[tol], atol=[tol])
+                    np.array([[1.0, 0.0, 0.0, 0.0]]), [grid.size], [tol])
         for i, t in enumerate(grid):
             z = expm(mat * t) @ np.array([1.0, 0.0])
             got = complex(res.y[i, 0], res.y[i, 1])
@@ -1151,7 +1150,7 @@ class TestModelProperties:
 def _exponential_error(run):
     """Integrate run by the exponential method, and return its error in
     s against Dormand-Prince at tol 1e-12, on the integrator's own scale
-    (atol = rtol = tol): max |s - s_ref| / max(1, max |s_ref|)."""
+    (tol + tol*|s|): max |s - s_ref| / max(1, max |s_ref|)."""
     params, initial, integration = run
     with mock.patch.object(dynamics, "EXPONENTIAL_POLE", 0.0):
         traj = integrate(*run)
@@ -1192,8 +1191,8 @@ def stiff_run(draw, weak):
 @pytest.mark.filterwarnings("ignore::lfbloch.dynamics.BlochNormWarning")
 class TestExponentialAccuracy:
     """The exponential method against Dormand-Prince at tol 1e-12.  A
-    run's error is on the integrator's scale, atol + rtol*|s| with
-    atol = rtol = tol; Dormand-Prince itself keeps weak decays
+    run's error is on the integrator's scale, tol + tol*|s|;
+    Dormand-Prince itself keeps weak decays
     (|s| <= 1e-3) only to about 1e-10 absolute at tol 1e-10."""
 
     @settings(max_examples=12, deadline=None)
