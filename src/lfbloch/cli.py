@@ -409,23 +409,12 @@ def cmd_verify(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-# Sweep points integrated per lockstep batch, by reduction.  Time per
-# point falls with the batch size, since a pass's fixed numpy call
-# overhead is shared by more rows (model A's right-hand side runs as
-# arrays from dynamics.ARRAY_RHS_ROWS rows up and dense output is
-# stacked from ode.DENSE_ROWS accepted rows up), while peak memory grows
-# with it (every row's samples stay alive until the batch ends).  A
-# batch keeps only the component that its reduction reads
-# (_SWEEP_POINTS) and no time arrays: 8 bytes per sample for model A
-# (w) and 16 for model B (s).  Each chunk holds the samples that 128
-# points held when a batch also kept a copy of its grids (16 and 24
-# bytes per sample): 256 points for model A and 192 for model B.  On the
-# benchmark's sweep_a (256 points of 1601 samples: one batch of 95 solve
-# passes, where two 128-point batches took 190), wall_s went from 0.139
-# to 0.132 s with the grids gone, and to 0.106 s at 256 points, while
-# peak_rss_mb went from 38.1 to 36.9, and to 38.8 (medians of 6 and 10
-# pairs on a 2-core VM, scaled to the benchmark's reference host;
-# BENCH_21.json).
+# Sweep points integrated per lockstep batch, by reduction: in a larger
+# batch a pass's fixed numpy call overhead is shared by more rows, while
+# peak memory grows with it (every row's samples stay alive until the
+# batch ends).  A batch keeps only the component that its reduction
+# reads (_SWEEP_POINTS) and no time arrays: 8 bytes per sample for
+# model A (w) and 16 for model B (s).
 SWEEP_CHUNK = {"population_rate_model_a": 256, "coherence_rate_model_b": 192}
 
 

@@ -391,10 +391,14 @@ def parse_sweep(raw: dict, source: str = "sweep") -> SweepSpec:
         known = sorted(_SWEPT, key=lambda name: ("." in name, name))
         raise ConfigError(f"{source}.parameter: {parameter!r} does not name "
                           f"a swept field (known: {', '.join(known)})")
+    # an override only merges keys, so no point can add what the base
+    # lacks: the swept field's section, or ell itself (which a model-A
+    # base with a host, or any model-B base, does not hold)
     section = parameter.rpartition(".")[0]
-    if section and section not in raw["base"]:
-        raise ConfigError(f"{source}.parameter: section {section!r} is not "
-                          f"present in the base scenario")
+    if (section or parameter) not in raw["base"]:
+        what = f"section {section!r}" if section else repr(parameter)
+        raise ConfigError(f"{source}.parameter: {what} is not present in "
+                          f"the base scenario")
 
     overrides = None
     if "overrides" in raw:

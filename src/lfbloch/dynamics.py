@@ -364,9 +364,14 @@ class Trajectory:
 # time (see CHANGES.md)
 EXPONENTIAL_POLE = 80.0
 
-# Rows at and above which effective_rhs evaluates a batch as arrays;
-# below it, the scalar code per row is faster (see CHANGES.md)
-ARRAY_RHS_ROWS = 16
+# Operands of the products in effective_rhs.  First Re and Im of c*s
+# for c_d, c_g and c_e2 and of c*w for c_e and c_om: the pairs of
+# (Re s, Im s, w, 0.0) that multiply (Re c, Im c) and conj(c) ...
+_BY_CONSTANT = np.array([[0, 1], [1, 0]] * 3 + [[2, 3], [3, 2]] * 2)
+# ... then (c_e*w)*s and Re(om_eff*conj(s)): the first products and
+# om_eff (_STATE_FACTORS) times Re s or Im s (_BY_STATE)
+_STATE_FACTORS = np.array([6, 7, 6, 7, 10, 11])
+_BY_STATE = np.array([0, 1, 1, 0, 0, 1])
 
 
 def effective_rhs(t: np.ndarray, Y: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -377,49 +382,16 @@ def effective_rhs(t: np.ndarray, Y: np.ndarray, P: np.ndarray) -> np.ndarray:
     ``EffectiveParams.rhs_constants(om)`` for the drive Omega on the
     piece that holds t[b]; t is not read otherwise.
 
-    From ``ARRAY_RHS_ROWS`` rows up the rows are evaluated as arrays in
-    the float operations of CPython 3.11's complex arithmetic, the same
-    bits as the scalar code, which evaluates smaller batches row by row
-    with ``_effective_row``.  ``ode.solve`` calls that per-row function
-    directly in its Python-float form of a pass.
-    """
-    if len(Y) >= ARRAY_RHS_ROWS:
-        return _effective_rhs_rows(Y, P)
-    return np.array([_effective_row(t_b, y, c) for t_b, y, c in zip(
-        t.tolist(), Y.tolist(), P.view(complex).tolist())])
-
-
-def _effective_row(t: float, y: list, c: list) -> tuple:
-    """effective_rhs on one row: y a list of floats, c its row of P as
-    a list of complex (``_complex_pairs``)."""
-    s_re, s_im, w = y
-    c_d, _, c_g, _, c_e2, _, c_e, _, c_om, _, om_ell, c_w = c
-    s = complex(s_re, s_im)
-    ds = c_d * s - c_e * w * s + c_om * w - c_g * s
-    om_eff = om_ell - c_e2 * s
-    dw = c_w.real * (w + 1.0) - 2.0 * (om_eff * s.conjugate()).real
-    return ds.real, ds.imag, dw
-
-
-# Operands of the products in _effective_rhs_rows.  First Re and Im of
-# c*s for c_d, c_g and c_e2 and of c*w for c_e and c_om: the pairs of
-# (Re s, Im s, w, 0.0) that multiply (Re c, Im c) and conj(c) ...
-_BY_CONSTANT = np.array([[0, 1], [1, 0]] * 3 + [[2, 3], [3, 2]] * 2)
-# ... then (c_e*w)*s and Re(om_eff*conj(s)): the first products and
-# om_eff (_STATE_FACTORS) times Re s or Im s (_BY_STATE)
-_STATE_FACTORS = np.array([6, 7, 6, 7, 10, 11])
-_BY_STATE = np.array([0, 1, 1, 0, 0, 1])
-
-
-def _effective_rhs_rows(Y: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """effective_rhs on arrays: CPython 3.11 complex rules, spelled out.
-
-    c*z is (Re c*Re z - Im c*Im z) + i(Re c*Im z + Im c*Re z), with a
-    float operand x made complex(x, 0.0) first, so its x*0.0 terms stay
-    and decide the signs of zero results; sums go part by part.  The
-    forms used here have the same bits: a - b*c is a + (-b)*c, so the
-    imaginary part of c*z is Re c*Im z - (-Im c)*Re z, a product with
-    the conj(c) that P stores, and Re(u*conj(s)) is
+    The rows are evaluated as arrays in the float operations of CPython
+    3.11's complex arithmetic, spelled out, at any row count: each row
+    gets the bits of ``_effective_row``, the scalar code on one row,
+    which ``ode.solve`` calls directly in its Python-float form of a
+    pass.  c*z is (Re c*Re z - Im c*Im z) + i(Re c*Im z + Im c*Re z),
+    with a float operand x made complex(x, 0.0) first, so its x*0.0
+    terms stay and decide the signs of zero results; sums go part by
+    part.  The forms used here have the same bits: a - b*c is
+    a + (-b)*c, so the imaginary part of c*z is Re c*Im z - (-Im c)*Re z,
+    a product with the conj(c) that P stores, and Re(u*conj(s)) is
     Re u*Re s + Im u*Im s.  The arrays are laid out one row per
     component (transposed), where numpy's loops are fastest.
     """
@@ -444,6 +416,18 @@ def _effective_rhs_rows(Y: np.ndarray, P: np.ndarray) -> np.ndarray:
     out[0:2] -= first[2:4]
     np.subtract(consts[22] * (ops[2] + 1.0), 2.0 * second[2], out=out[2])
     return out.T
+
+
+def _effective_row(t: float, y: list, c: list) -> tuple:
+    """effective_rhs on one row: y a list of floats, c its row of P as
+    a list of complex (``_complex_pairs``)."""
+    s_re, s_im, w = y
+    c_d, _, c_g, _, c_e2, _, c_e, _, c_om, _, om_ell, c_w = c
+    s = complex(s_re, s_im)
+    ds = c_d * s - c_e * w * s + c_om * w - c_g * s
+    om_eff = om_ell - c_e2 * s
+    dw = c_w.real * (w + 1.0) - 2.0 * (om_eff * s.conjugate()).real
+    return ds.real, ds.imag, dw
 
 
 def microscopic_rhs(t: np.ndarray, Y: np.ndarray,

@@ -83,10 +83,10 @@ overflow although its product with h does not.  A Dormand-Prince
 attempt whose error norm comes out non-finite, from a finite state and
 a first stage whose largest component is finite and 1 or more in size
 (below 1 the scaling is 1 and would repeat the attempt), is therefore
-redone once with its sums taken on the stages scaled by a power of two
-(``_redo``), as dense output redoes an overflowing step; a pass whose
-norms are all finite never gets there.
-The redone attempt's evaluations count in ``n_rhs``.
+redone once by the same function (``_attempt`` given the exponent e of
+that stage) with its sums taken on the stages scaled by 2**-e, as dense
+output redoes an overflowing step; a pass whose norms are all finite
+never gets there.  The redone attempt's evaluations count in ``n_rhs``.
 
 A pass of at most ``FLOAT_ROWS`` Dormand-Prince rows of n < 8
 components runs in Python floats when ``solve`` is also given the
@@ -103,26 +103,26 @@ therefore takes the same steps in either form, and a run may switch to
 the float form as its batch's rows finish.
 
 Dense output runs once per pass, after every row has been accepted or
-rejected.  For Dormand-Prince it is one stacked product ``_P_T @ K``
-over the accepted rows with grid points in their step, then the
-products of the theta powers with it, theta from the grid points that
-``_points`` computes.  Below ``DENSE_ROWS`` accepted rows those are one
-(m, 4) @ (4, n) product per row; from ``DENSE_ROWS`` up they are two
-stacked products: a (G, 1, 4) stack of the rows with one sample and a
-(G, mx, 4) stack of the rows with two or more, each padded to the
-longest by repeating a row's last grid point.
-The two stacks stay apart because a (1, 4) @ (4, n) product is not
-bitwise a row of an (m, 4) @ (4, n) one (nor is a stage-major
-(7, B*n) product the per-row one); within each stack a row gets the
-bits of its own product, and a padding row those of its row's last
-sample, so that a stack is written to the batch's samples whole.  The
-exponential method's samples come from its own order-4 extension of
+rejected, in the form of the pass's controller.  For Dormand-Prince it
+is one stacked product ``_P_T @ K`` over the accepted rows with grid
+points in their step, then the products of the theta powers with it,
+theta from the grid points that ``_points`` computes.  On a pass of the
+per-row controller those are one (m, 4) @ (4, n) product per row; on a
+pass of the array controller they are two stacked products: a (G, 1,
+4) stack of the rows with one sample and a (G, mx, 4) stack of the rows
+with two or more, each padded to the longest by repeating a row's last
+grid point.  The two stacks stay apart because a (1, 4) @ (4, n)
+product is not bitwise a row of an (m, 4) @ (4, n) one (nor is a
+stage-major (7, B*n) product the per-row one); within each stack a row
+gets the bits of its own product, and a padding row those of its row's
+last sample, so that a stack is written to the batch's samples whole.
+The exponential method's samples come from its own order-4 extension of
 each step (see ``lfbloch.exponential``).  A row whose samples come out
 non-finite stops there with ``NonFiniteRhsError``.  When ``solve`` keeps
-only some state columns, every pass is stacked: it writes the kept
-columns of its samples to the batch's and folds the ``measure`` of
-each into a running maximum per row, so the dropped columns are never
-stored.
+only some state columns, every pass is stacked, per-row passes too: it
+writes the kept columns of its samples to the batch's and folds the
+``measure`` of each into a running maximum per row, so the dropped
+columns are never stored.
 
 The run is fully deterministic for identical inputs and reports exact
 accepted/rejected step counts per row.
@@ -202,14 +202,11 @@ _ORDER_EXPONENT = -0.2  # 1/(error estimator order + 1)
 _P_T = _P.T
 _C_FLOATS = _C.tolist()
 
-# Accepted rows in a pass at and above which dense output is stacked
-# products over the rows; below it, one product per row is faster (see
-# CHANGES.md)
-DENSE_ROWS = 8
-
-# Unfinished rows at and below which a Dormand-Prince pass runs in
+# Unfinished rows at and below which a pass runs the per-row form of
+# the controller and of dense output, and a Dormand-Prince pass runs in
 # Python floats when solve is given a per-row right-hand side; above
-# it, the array form is faster (see CHANGES.md)
+# it, the array form is faster (see CHANGES.md).  The one switch
+# between the two forms
 FLOAT_ROWS = 4
 
 # The smallest normal float: a grid from 0 whose step is at least this
@@ -652,31 +649,31 @@ def _norm(estimate, y, y_new, tol):
                    / y.shape[1])
 
 
-def _redo(rhs, t, h, y, K, P, tol):
-    """A Dormand-Prince attempt of m rows again, with its tableau sums on
-    the stages scaled by a power of two: the new states and error norms.
+def _attempt(rhs, t, h, y, K, P, tol, e=None):
+    """A Dormand-Prince attempt of m rows: the new states and error norms.
 
-    Near the top of the float range a sum of stages overflows although
-    its product with h does not.  Each sum is taken on K/2**e, e >= 1 the
-    exponent of the row's largest first stage, and its product with h
-    scaled back by 2**e, which has the bits of the plain attempt wherever
-    neither overflows nor underflows.  t and h are the rows' (m,) arrays,
-    tol their (m, 1) column, y, P and K (m, 7, n) stages theirs; it
-    writes stages 1 to 6.
+    t and h are the rows' (m,) times and step sizes, tol their (m, 1)
+    column, y, P and K (m, 7, n) stages theirs; it writes stages 1 to 6.
+    With e, the rows' (m, 1) column of exponents, each tableau sum is
+    taken on the stages scaled by 2**-e and its product with h scaled
+    back by 2**e: near the top of the float range a sum of stages
+    overflows although its product with h does not, and wherever
+    neither overflows nor underflows these are the bits of the plain
+    attempt.
     """
-    e = np.frexp(np.abs(K[:, 0]).max(axis=1))[1][:, None]
-    scaled = np.ldexp(K, -e[:, :, None])
     h = h[:, None]
     stage_t = t[:, None] + h * _C
 
     def times_h(weights, i):
-        return np.ldexp(h * np.matmul(weights, scaled[:, :i]), e)
+        if e is None:
+            return h * np.matmul(weights, K[:, :i])
+        return np.ldexp(h * np.matmul(weights, np.ldexp(K[:, :i],
+                                                        -e[:, :, None])), e)
 
     for i in range(1, 7):
         state = y + times_h(_A[i] if i < 6 else _B, i)
         # the last two stages sit at t + h
         K[:, i] = rhs(stage_t[:, min(i, 5)], state, P)
-        scaled[:, i] = np.ldexp(K[:, i], -e)
     return state, _norm(times_h(_E, 7), y, state, tol)
 
 
@@ -875,7 +872,7 @@ def solve(
         kept, measure, np.full(batch, -math.inf) if measure else None)
     y_end = np.full((batch, n), math.nan)
     n_pieces = [1] * batch
-    redone = np.zeros(batch, int)  # attempts redone by _redo
+    redone = np.zeros(batch, int)  # attempts redone scaled
     errors = [None] * batch
     tol_col = np.array(tol).reshape(batch, 1)  # in the order of y's rows
 
@@ -894,11 +891,14 @@ def solve(
         return end, c, f[0], h.item()
 
     def redo(r, t, h):
-        """_redo of the rows at positions r of the pass, whose times and
-        step sizes are t and h: their new states and error norms."""
+        """The attempt of the rows at positions r of the pass, whose times
+        and step sizes are t and h, redone on stages scaled by the
+        exponent of each row's largest first stage: their new states and
+        error norms."""
         redone[index[r]] += 1
         K_r = K[r]
-        y_r, errs_r = _redo(rhs, t, h, y[r], K_r, P[r], tol_col[r])
+        e = np.frexp(np.abs(K_r[:, 0]).max(axis=1))[1][:, None]
+        y_r, errs_r = _attempt(rhs, t, h, y[r], K_r, P[r], tol_col[r], e)
         K[r] = K_r
         return y_r, errs_r
 
@@ -1053,9 +1053,8 @@ def solve(
         if method:
             failed = method.dense_output(jobs, y, K, P, grids, y_all, subset)
         else:
-            failed = _dense_output(
-                jobs, subset is not None or len(accepted) >= DENSE_ROWS, y,
-                K, grids, y_all, subset)
+            failed = _dense_output(jobs, act is None or subset is not None,
+                                   y, K, grids, y_all, subset)
         for g in failed:  # the row stops at the step's start
             b = jobs.index[g]
             y_all[offsets[b] + jobs.start[g]:offsets[b + 1]] = math.nan
@@ -1107,18 +1106,9 @@ def solve(
                 np.minimum(method.max_scale, np.maximum(1.0,
                                                         unit[index] / H)),
                 1.0)[:, None]
+            errs = _norm(estimate, y, y_new, tol_col)
         else:
-            # the last two stages sit at t + h
-            h_col = H[:, None]
-            stage_t = T[:, None] + h_col * _C
-            for i in range(1, 6):
-                stage = y + h_col * np.matmul(_A[i], heads[i])
-                K[:, i] = rhs(stage_t[:, i], stage, P)
-            y_new = y + h_col * np.matmul(_B, heads[6])
-            K[:, 6] = rhs(stage_t[:, 5], y_new, P)
-            estimate = h_col * np.matmul(_E, K)
-
-        errs = _norm(estimate, y, y_new, tol_col)
+            y_new, errs = _attempt(rhs, T, H, y, K, P, tol_col)
         if act is not None:
             errs = errs.tolist()
 

@@ -1016,6 +1016,25 @@ class TestSweep:
             "sets 'initial.w' itself, so a sweep over it varies nothing (it "
             "sets drive, initial, integration.span)\n")
 
+    @pytest.mark.parametrize("model", ["A", "B"])
+    def test_sweep_over_ell_needs_ell_in_its_base_exit_2(self, tmp_path,
+                                                         capsys, model):
+        # a base with a host holds no ell: every point used to fail alone
+        # (model A: ell and host both; model B: ell forbidden) and the
+        # command exited 0 with one error row per point
+        payload = density_sweep()
+        payload.update(parameter="ell", values=[[1.4, 0.0], [1.2, 0.0]])
+        payload.pop("overrides", None)
+        if model == "B":
+            payload["reduction"] = "coherence_rate_model_b"
+            payload["base"]["model"] = "B"
+        spec = write_json(tmp_path / "sweep.json", payload)
+        code, out, err = run_cli(["sweep", spec], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: sweep.parameter: 'ell' is not present in "
+                       "the base scenario\n")
+
     def test_bad_worker_count_exit_2(self, tmp_path, capsys):
         # --workers is gone: any worker count is an unknown argument
         spec = write_json(tmp_path / "sweep.json", density_sweep())

@@ -977,6 +977,19 @@ class TestMessagePins:
          "sweep.overrides: length 2 does not match 3 sweep values"),
         ("S", {"parameter": "initial.w", "values": [1.0, "x", 0.0]},
          "sweep.values[1]: expected a number, got 'x'"),
+        # a sweep over ell itself needs ell in its base: a model-A base
+        # with a host and a model-B base hold none, and no override can
+        # add it
+        ("S", {"parameter": "ell", "values": [[1.4, 0.0], [1.2, 0.0]],
+               "overrides": DROP},
+         "sweep.parameter: 'ell' is not present in the base scenario"),
+        ("S",
+         {"parameter": "ell",
+          "values": [[1.4, 0.0], [1.2, 0.0]],
+          "overrides": DROP,
+          "reduction": "coherence_rate_model_b",
+          "base.model": "B"},
+         "sweep.parameter: 'ell' is not present in the base scenario"),
     ]
     # (index, patch of eps_b_sweep, message): the point as the sweep
     # command parses it
@@ -988,9 +1001,9 @@ class TestMessagePins:
           "range": {"start": 801, "stop": 802, "count": 3}},
          "point[1].integration.points: expected an integer, got 801.5"),
         (0,
-         {"parameter": "ell",
-          "overrides": DROP,
-          "values": [[1.4, 0.0], [1.2, 0.0]]},
+         {"parameter": "emitter.eps_a",
+          "overrides": [{"ell": [1.4, 0.0]}, {}],
+          "values": [0.0, 1.0]},
          "point[0]: model A needs exactly one of 'ell' or 'host' (got both)"),
         (0, {"parameter": "emitter.gamma_a", "values": [-1.0, 1.0, 1.0]},
          "point[0].emitter: gamma_a must be >= 0, got -1.0"),

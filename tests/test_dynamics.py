@@ -300,24 +300,30 @@ def _row_call(row, p, om, y):
     return row(0.0, list(y), dynamics._complex_pairs(p.rhs_constants(om)))
 
 
+def _rows_call(rows):
+    """effective_rhs's per-row form on each (p, om, y) of rows, as solve's
+    float form calls it."""
+    return [_row_call(dynamics._effective_row, *row) for row in rows]
+
+
 class TestRhsBits:
     # a failure of up to 48 drawn rows used to shrink for up to
     # hypothesis's 300 s limit; 20 s still shrinks it part of the way
     @mock.patch.object(engine, "MAX_SHRINKING_SECONDS", 20)
     @settings(max_examples=80, deadline=None)
-    @given(rows=st.lists(rhs_row("A"), min_size=1,
-                         max_size=3 * dynamics.ARRAY_RHS_ROWS))
+    @given(rows=st.lists(rhs_row("A"), min_size=1, max_size=48))
     def test_array_rows_equal_scalar_rows_bitwise(self, rows):
-        # the array branch spells out CPython 3.11's complex arithmetic;
-        # the scalar branch is the oracle, down to the signs of zeros
-        with mock.patch.object(dynamics, "ARRAY_RHS_ROWS", 1):
-            array = _call(effective_rhs, rows)
-        with mock.patch.object(dynamics, "ARRAY_RHS_ROWS", math.inf):
-            scalar = _call(effective_rhs, rows)
-        assert array.shape == scalar.shape == (len(rows), 3)
-        assert np.array_equal(_bits(array), _bits(scalar))
-        assert np.array_equal(_bits(_call(effective_rhs, rows)),
-                              _bits(scalar))
+        # effective_rhs spells out CPython 3.11's complex arithmetic on
+        # arrays at any row count; the per-row form is the oracle, down
+        # to the signs of zeros, so a row may take either form in a
+        # batch of any size
+        array = _call(effective_rhs, rows)
+        assert array.shape == (len(rows), 3)
+        assert np.array_equal(_bits(array), _bits(_rows_call(rows)))
+        # and each row alone, as a one-row batch
+        assert np.array_equal(
+            _bits(np.concatenate([_call(effective_rhs, [row])
+                                  for row in rows])), _bits(array))
 
     def test_random_rows_equal_scalar_rows_bitwise(self):
         # 200 rows drawn with numpy.random (constant drives, uniform
@@ -333,14 +339,8 @@ class TestRhsBits:
             om = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             rows.append((EffectiveParams(emitter=em, ell=ell), om,
                          rng.uniform(-1.0, 1.0, 3).tolist()))
-        with mock.patch.object(dynamics, "ARRAY_RHS_ROWS", 1):
-            array = _call(effective_rhs, rows)
-        with mock.patch.object(dynamics, "ARRAY_RHS_ROWS", math.inf):
-            scalar = _call(effective_rhs, rows)
-        assert np.array_equal(_bits(array), _bits(scalar))
-        assert np.array_equal(
-            _bits([_row_call(dynamics._effective_row, *row)
-                   for row in rows]), _bits(array))
+        assert np.array_equal(_bits(_call(effective_rhs, rows)),
+                              _bits(_rows_call(rows)))
 
     @settings(max_examples=60, deadline=None)
     @given(rows_a=st.lists(rhs_row("A"), min_size=1, max_size=8),
@@ -350,12 +350,8 @@ class TestRhsBits:
         # the per-row functions that ode.solve's float form calls, on
         # each piece's constants read once as complex pairs: model A's
         # against the array branch, model B's against its formulas
-        P = np.array([p.rhs_constants(om) for p, om, _ in rows_a])
-        assert np.array_equal(
-            _bits([_row_call(dynamics._effective_row, p, om, y)
-                   for p, om, y in rows_a]),
-            _bits(dynamics._effective_rhs_rows(
-                np.array([y for _, _, y in rows_a]), P)))
+        assert np.array_equal(_bits(_rows_call(rows_a)),
+                              _bits(_call(effective_rhs, rows_a)))
         assert np.array_equal(
             _bits([_row_call(dynamics._microscopic_row, p, om, y)
                    for p, om, y in rows_b]),
@@ -770,18 +766,25 @@ class TestIntegrateBatch:
                                  ell=complex(1.0 + 0.05 * j, 0.1)),
                  SystemState(s=0.1 + 0j, w=0.5),
                  IntegrationSpec(span=2.0, tol=1e-8, points=41))
-                for j in range(2 * dynamics.ARRAY_RHS_ROWS)]
-        k, sizes = 5, []
+                for j in range(32)]
+        k, sizes, searches = 5, [], []
         poisoned = _poisoned(effective_rhs, _piece_rows(runs[k]), 0.7)
+        grid_index = ode._grid_index
 
         def rhs(t, Y, P):
             sizes.append(len(Y))
             return poisoned(t, Y, P)
 
+        def spy(*args):  # the array controller's passes call it
+            searches.append(1)
+            return grid_index(*args)
+
         with mock.patch.object(dynamics, "effective_rhs", rhs):
-            batch = integrate_batch(runs)
+            with mock.patch.object(ode, "_grid_index", spy):
+                batch = integrate_batch(runs)
             lone = _lone(runs[k])
-        assert max(sizes) == len(runs) >= dynamics.ARRAY_RHS_ROWS
+        assert max(sizes) == len(runs)
+        assert searches
         assert isinstance(batch[k], NonFiniteRhsError)
         assert str(batch[k]) == str(lone)
         for j, run in enumerate(runs):
@@ -864,10 +867,10 @@ def _traced_peak(runs, **kwargs):
 
 
 @functools.cache
-def _mixed_batch(dense_rows):
+def _mixed_batch(float_rows):
     """Runs of Dormand-Prince (model A, 9 rows, and model B, 2 rows) and
     of the exponential method (model B, fast host pole, 2 rows); their
-    batch with ``ode.DENSE_ROWS`` at dense_rows, and its warnings."""
+    batch with ``ode.FLOAT_ROWS`` at float_rows, and its warnings."""
     runs = _decays(9, tol=1e-8, points=301) + [
         (MicroscopicParams(emitter=EMITTER, host=HostSpecies(
             delta_b=delta_b, eps_b=20.0, gamma_b=4.0)),
@@ -875,7 +878,7 @@ def _mixed_batch(dense_rows):
          IntegrationSpec(span=8.0, tol=tol, points=401))
         for delta_b in (5.0, 150.0) for tol in (1e-9, 1e-4)]
     with warnings.catch_warnings(record=True) as caught, \
-            mock.patch.object(ode, "DENSE_ROWS", dense_rows):
+            mock.patch.object(ode, "FLOAT_ROWS", float_rows):
         warnings.simplefilter("always")
         batch = integrate_batch(runs)
     return runs, batch, [str(w.message) for w in caught]
@@ -964,15 +967,17 @@ class TestBatchMemory:
         assert per_sample <= 14.0
         assert batch[0].y.shape == (1601, 1)
 
-    @pytest.mark.parametrize("dense_rows", [1, 10**6])
+    @pytest.mark.parametrize("float_rows", [0, 10**6])
     @pytest.mark.parametrize("keep", [("w",), ("s",), ("w", "beta")])
-    def test_kept_components_keep_their_bits(self, keep, dense_rows):
-        # the whole batch's Dormand-Prince passes all stacked (1) or all
-        # per row (10**6); a batch that keeps some components stacks
-        # every pass, and writes and measures its samples there
-        runs, whole, whole_warnings = _mixed_batch(dense_rows)
+    def test_kept_components_keep_their_bits(self, keep, float_rows):
+        # the whole batch's passes all on the array controller, whose
+        # Dormand-Prince dense output is stacked (0), or all on the
+        # per-row one, whose is not (10**6); a batch that keeps some
+        # components stacks every pass, and writes and measures its
+        # samples there
+        runs, whole, whole_warnings = _mixed_batch(float_rows)
         with warnings.catch_warnings(record=True) as kept_warnings, \
-                mock.patch.object(ode, "DENSE_ROWS", dense_rows):
+                mock.patch.object(ode, "FLOAT_ROWS", float_rows):
             warnings.simplefilter("always")
             kept = integrate_batch(runs, keep=keep)
         assert [str(w.message) for w in kept_warnings] == whole_warnings

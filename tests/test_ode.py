@@ -1,8 +1,9 @@
 """Tests for the batched integrators of ``lfbloch.ode``.  Dormand-Prince
 5(4): accuracy against analytic solutions, convergence order, dense
 output, statistics, error paths, lockstep batches that reproduce each
-row's lone run bit for bit (dense output stacked over the rows
-included, under either form of the step-size controller), the bit
+row's lone run bit for bit (dense output stacked over the rows on
+the array form's passes of the step-size controller, per row on the
+other form's), the bit
 equalities that stacking, the array controller and the batched starting
 step rely on, the Python-float form of few-row passes against the array
 form (and the bit equalities it relies on), and rows of pieces that
@@ -21,7 +22,6 @@ from scipy.integrate import solve_ivp
 
 from lfbloch import exponential, ode
 from lfbloch.ode import (
-    DENSE_ROWS,
     NonFiniteRhsError,
     OdeResult,
     StepSizeUnderflowError,
@@ -635,10 +635,11 @@ def _one_piece(problem):
 
 _SPARSE = 4
 # (pieces [(end, f, parameter), ...], t0, y0, points, tol): 18 rows, so
-# that most passes stack their dense output.  The sparse grids get at
-# most one sample per step, the others several; the _linear rows of
-# several pieces change their rate at each end (a restart); the
-# rate-200 rows reject steps; three rows fail
+# that most passes run the array controller and stack their dense
+# output.  The sparse grids get at most one sample per step, the
+# others several; the _linear rows of several pieces change their rate
+# at each end (a restart); the rate-200 rows reject steps; three rows
+# fail
 STACKED = [_one_piece(p) for p in BATCH + FAILING + [PEAK]] + [
     ([(8.0, _rigid_body, 0.0)], 0.0, [1.0, 0.0, 0.9], 801, tol)
     for tol in (1e-6, 1e-10)
@@ -728,15 +729,16 @@ class TestKeep:
 
 
 def _spy_dense_output(monkeypatch):
-    """Record [stacked, samples per job, failed jobs] of each dense pass;
-    the last entry is the pass under way."""
+    """Record [stacked, samples per job, failed jobs, rows of the pass]
+    of each dense pass; the last entry is the pass under way."""
     passes = []
     dense_output = ode._dense_output
 
-    def spy(jobs, stacked, *args):
+    def spy(jobs, stacked, y, *args):
         passes.append([stacked, [int(b - a) for a, b in zip(jobs.start,
-                                                             jobs.end)], 0])
-        failed = dense_output(jobs, stacked, *args)
+                                                             jobs.end)], 0,
+                       len(y)])
+        failed = dense_output(jobs, stacked, y, *args)
         passes[-1][2] = len(failed)
         return failed
 
@@ -776,7 +778,7 @@ class TestStackedBatch:
     @CONTROLLERS
     def test_rows_match_lone_runs_bitwise(self, monkeypatch, batch_rows,
                                           lone_rows):
-        assert len(STACKED) >= 2 * DENSE_ROWS
+        assert len(STACKED) > ode.FLOAT_ROWS
         passes = _spy_dense_output(monkeypatch)
         searches = _spy_grid_index(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -790,12 +792,16 @@ class TestStackedBatch:
         # per row, and on the lone runs' only when they were all arrays
         assert bool(searches) == (batch_rows != 10**6)
         assert bool(lone_searches) == (lone_rows == 0)
-        # stacked passes held one-sample and multi-sample rows, and the
-        # dense-output overflow of PEAK was found in one
-        stacked = [(ms, failed) for on, ms, failed in passes if on]
-        assert any(1 in ms and max(ms) > 1 for ms, _ in stacked)
-        assert sum(failed for _, failed in stacked) == 1
-        assert all(len(ms) < DENSE_ROWS for on, ms, _ in passes if not on)
+        # dense output follows the controller: stacked on a pass of more
+        # than FLOAT_ROWS rows (the array form), per row on the others
+        assert all(on == (rows > ode.FLOAT_ROWS)
+                   for on, _, _, rows in passes)
+        # the dense-output overflow of PEAK was found once, and stacked
+        # passes held one-sample and multi-sample rows
+        assert sum(failed for _, _, failed, _ in passes) == 1
+        stacked = [ms for on, ms, _, _ in passes if on]
+        assert bool(stacked) == (batch_rows != 10**6)
+        assert not stacked or any(1 in ms and max(ms) > 1 for ms in stacked)
         for b, alone in enumerate(lone):
             _assert_row_equal(res, b, alone)
             assert type(res.errors[b]) is type(alone.errors[0])
@@ -822,9 +828,9 @@ class TestStackedBatch:
             return samples(*args)
 
         monkeypatch.setattr(ode, "_samples", spy)
-        res = _solve_batch(BATCH * (DENSE_ROWS // 2))
-        assert res.errors == [None] * len(BATCH) * (DENSE_ROWS // 2)
-        assert any(stacked for stacked, _, _ in passes)
+        res = _solve_batch(BATCH * 4)
+        assert res.errors == [None] * len(BATCH) * 4
+        assert any(stacked for stacked, _, _, _ in passes)
         assert per_row and not any(per_row)
 
 
