@@ -331,6 +331,10 @@ def cmd_simulate(args) -> int:
             traj, failure = None, str(exc)
         except ValueError as exc:
             return _fail(str(exc))
+        except MemoryError:
+            return _fail(f"scenario.integration.points: "
+                         f"{cfg.integration.points} samples do not fit in "
+                         f"memory")
         try:
             _write_trajectory_csv(paths[m], traj, failure)
         except OSError as exc:

@@ -379,9 +379,13 @@ def parse_sweep(raw: dict, source: str = "sweep") -> SweepSpec:
         count = _section(raw["range"], "range", path)["count"]
         if count < 1:
             raise ConfigError(f"{path}.count: must be >= 1, got {count}")
-        values = tuple(np.linspace(_real(raw["range"]["start"], path),
-                                   _real(raw["range"]["stop"], path),
-                                   count).tolist())
+        try:
+            values = tuple(np.linspace(_real(raw["range"]["start"], path),
+                                       _real(raw["range"]["stop"], path),
+                                       count).tolist())
+        except MemoryError:
+            raise ConfigError(f"{path}.count: {count} values do not fit "
+                              f"in memory") from None
         if read is _integer:
             # whole grid sizes become ints; any other value fails per point
             values = tuple(int(v) if v.is_integer() else v for v in values)
@@ -428,10 +432,19 @@ def parse_sweep(raw: dict, source: str = "sweep") -> SweepSpec:
 
 def _load(path: str, parse, source: str):
     """Read the file at path as strict JSON, without the NaN and Infinity
-    that Python's json accepts nor numbers past the float range, and
-    validate it with parse."""
+    that Python's json accepts, numbers past the float range or a key
+    repeated in an object (json keeps the last), and validate it with
+    parse."""
     def not_json(token: str):
         raise ValueError(f"{token} is not a JSON value")
+
+    def unique(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"duplicate key {key!r}")
+            obj[key] = value
+        return obj
 
     def finite(number):
         def read(token: str):
@@ -442,7 +455,8 @@ def _load(path: str, parse, source: str):
 
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh, parse_constant=not_json,
+            raw = json.load(fh, object_pairs_hook=unique,
+                            parse_constant=not_json,
                             parse_float=finite(float), parse_int=finite(int))
         except ValueError as exc:  # also text that is not UTF-8
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc

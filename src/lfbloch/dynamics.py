@@ -466,10 +466,6 @@ def _complex_pairs(p) -> list:
     return [complex(re, im) for re, im in zip(p[::2], p[1::2])]
 
 
-# the per-row form of each right-hand side, keyed by the array form
-_ROW_FORMS = {effective_rhs: _effective_row, microscopic_rhs: _microscopic_row}
-
-
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
@@ -651,14 +647,8 @@ def _integrate_runs(runs, keep=None) -> list:
                  and (run.linear is not None) == exponential]
         if not group:
             continue
-        # the right-hand side is looked up as a module global on every
-        # call, so a wrapper installed on lfbloch.dynamics sees each one;
-        # its per-row form, which solve calls directly, is offered only
-        # while no wrapper is installed there
-        rhs = ((lambda t, Y, P: effective_rhs(t, Y, P)) if model == "A"
-               else (lambda t, Y, P: microscopic_rhs(t, Y, P)))
-        row = _ROW_FORMS.get(effective_rhs if model == "A"
-                             else microscopic_rhs)
+        rhs, row = ((effective_rhs, _effective_row) if model == "A"
+                    else (microscopic_rhs, _microscopic_row))
         linear = ([run.linear for _, run in group], (0, 3)) \
             if exponential else None
         columns = None if keep is None else tuple(
@@ -669,7 +659,7 @@ def _integrate_runs(runs, keep=None) -> list:
                         [run.points for _, run in group],
                         [run.tol for _, run in group],
                         linear=linear,
-                        row_rhs=(_complex_pairs, row) if row else None,
+                        row_rhs=(_complex_pairs, row),
                         columns=columns, measure=_bloch_norm)
         # Python ints and floats: json.dumps rejects numpy integers
         stats = zip(res.n_accepted.tolist(), res.n_rejected.tolist(),

@@ -143,6 +143,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -218,29 +219,27 @@ def grid(t0: float, end: float, points: int) -> np.ndarray:
     """``np.linspace(t0, end, points)`` with its bits, for points >= 2.
 
     Point k is ``k*step + t0`` with ``step = (end - t0)/(points - 1)``,
-    and the last point is end.  Where that step underflows to 0,
-    linspace divides before it multiplies: ``(k/(points - 1))*(end -
-    t0) + t0``.  ``solve`` samples each row on this grid without
-    building it (``_points``).
+    and the last point is end (``_points``, by which ``solve`` samples
+    each row on this grid without building it).  Where that step
+    underflows to 0, linspace divides before it multiplies: ``(k/(points
+    - 1))*(end - t0) + t0``.
     """
     delta = end - t0
     step = delta / (points - 1)
+    if step != 0.0:
+        return _points(np.arange(points), t0, step, points - 1, end)
     t = np.arange(points, dtype=float)
-    if step == 0.0:
-        t /= points - 1
-        t *= delta
-    else:
-        t *= step
-    if t0 or delta < 0.0:  # + 0.0 changes no bit of a point >= 0
-        t += t0
+    t /= points - 1
+    t *= delta
+    t += t0
     t[-1] = end
     return t
 
 
 def _points(k, t0, step, last, end):
     """The points k of the grids ``grid(t0, end, last + 1)`` whose step
-    is not 0, by grid's arithmetic; the arguments are arrays that
-    broadcast together (k of ints, last of ints or floats)."""
+    is not 0; the arguments are arrays or numbers that broadcast
+    together (k of ints, last of ints or floats)."""
     t = k * step
     t += t0
     return np.where(k == last, end, t)
@@ -351,24 +350,10 @@ class OdeResult:
         return grid(self.t0[b], self.t_end[b], hi - lo), self.y[lo:hi]
 
     @property
-    def t(self) -> "_Times":
-        """Every row's grid end to end, without holding it: ``t.size`` is
-        the number of samples, and ``np.asarray(t)`` builds the grids."""
-        return _Times(self)
-
-
-class _Times:
-    """``OdeResult.t``: the size of the grids, and the grids on
-    conversion to an array."""
-
-    def __init__(self, result: OdeResult):
-        self.size = int(result.offsets[-1])
-        self._result = result
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        rows = range(len(self._result.offsets) - 1)
-        return np.concatenate([np.empty(0)] + [
-            self._result.row(b)[0] for b in rows]).astype(dtype or float)
+    def t(self) -> SimpleNamespace:
+        """The size of every row's grid end to end, ``t.size``: the
+        number of samples (:meth:`row` builds a row's grid)."""
+        return SimpleNamespace(size=int(self.offsets[-1]))
 
 
 def _rms(x: np.ndarray) -> np.ndarray:

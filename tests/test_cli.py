@@ -398,6 +398,32 @@ class TestSimulate:
         assert err == f"error: {config}: not valid JSON ({token} is " \
             "outside the float range)\n"
 
+    def test_duplicate_key_exits_2(self, tmp_path, capsys):
+        # json keeps the last of two equal keys: this ran a span of 0.5
+        config = tmp_path / "twice.json"
+        config.write_text(json.dumps(decay_scenario()).replace(
+            '"points": 1601', '"points": 1601, "span": 0.5'),
+            encoding="utf-8")
+        code, out, err = run_cli(["simulate", str(config), "--output",
+                                  str(tmp_path / "out.csv")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {config}: not valid JSON (duplicate key " \
+            "'span')\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_points_past_memory_exit_2(self, tmp_path, capsys):
+        # 10**15 samples (7.1 PiB) exceed any address space: numpy refuses
+        # them at once (this ended in a MemoryError traceback, exit 1)
+        config = write_json(tmp_path / "huge.json",
+                            decay_scenario(points=10**15))
+        code, out, err = run_cli(["simulate", config, "--output",
+                                  str(tmp_path / "out.csv")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: scenario.integration.points: " \
+            "1000000000000000 samples do not fit in memory\n"
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(["simulate", str(tmp_path / "nope.json")],
                                capsys)
@@ -432,13 +458,17 @@ class TestSimulate:
 
     def test_nonfinite_rhs_exits_3_without_nan_rows(self, tmp_path, capsys,
                                                     monkeypatch):
-        # integrate looks the RHS up on lfbloch.dynamics at every call
-        rhs = dynamics.effective_rhs
+        # integrate reads both forms of the RHS on lfbloch.dynamics
+        rhs, row = dynamics.effective_rhs, dynamics._effective_row
 
         def turns_nan(t, Y, P):
             return rhs(t, Y, P) * np.where(t > 0.5, math.nan, 1.0)[:, None]
 
+        def row_turns_nan(t, y, c):
+            return (math.nan,) * len(y) if t > 0.5 else row(t, y, c)
+
         monkeypatch.setattr(dynamics, "effective_rhs", turns_nan)
+        monkeypatch.setattr(dynamics, "_effective_row", row_turns_nan)
         raised = []
 
         def recording_integrate(*args):
@@ -925,6 +955,31 @@ class TestSweep:
         code, _, err = run_cli(["sweep", spec], capsys)
         assert code == 2
         assert "values" in err
+
+    def test_duplicate_key_exits_2(self, tmp_path, capsys):
+        # in an override: json would keep the last delta_b
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps(density_sweep()).replace(
+            '{"delta_b": 15.0}', '{"delta_b": 15.0, "delta_b": 30.0}'),
+            encoding="utf-8")
+        code, out, err = run_cli(["sweep", str(spec)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {spec}: not valid JSON (duplicate key " \
+            "'delta_b')\n"
+
+    def test_count_past_memory_exit_2(self, tmp_path, capsys):
+        # 10**15 values (7.1 PiB) exceed any address space: numpy refuses
+        # them at once (this ended in a MemoryError traceback, exit 1)
+        payload = density_sweep()
+        del payload["values"], payload["overrides"]
+        payload["range"] = {"start": 1.1, "stop": 1.5, "count": 10**15}
+        spec = write_json(tmp_path / "sweep.json", payload)
+        code, out, err = run_cli(["sweep", spec], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: sweep.range.count: 1000000000000000 values " \
+            "do not fit in memory\n"
 
     def test_non_json_token_exits_2(self, tmp_path, capsys):
         payload = density_sweep()

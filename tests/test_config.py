@@ -1084,6 +1084,26 @@ class TestMessagePins:
         assert str(info.value) == (
             f"{path}: not valid JSON ({token} is outside the float range)")
 
+    # a key repeated in each file kind, at its top level and deeper: the
+    # scenario's integration, a sweep's base and one of its overrides
+    DUPLICATES = [(load_scenario, '{"model": "A", "model": "B"}', "model"),
+                  (load_scenario, '{"integration": {"span": 8.0, '
+                   '"points": 1601, "span": 0.5}}', "span"),
+                  (load_sweep, '{"base": {"ell": 1.4, "ell": 1.2}}', "ell"),
+                  (load_sweep, '{"overrides": [{}, {"host": {"eps_b": 1, '
+                   '"eps_b": 2}}]}', "eps_b")]
+
+    @pytest.mark.parametrize("load, text, key", DUPLICATES,
+                             ids=["scenario", "integration", "base",
+                                  "overrides"])
+    def test_duplicate_key_in_file(self, tmp_path, load, text, key):
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load(str(path))
+        assert str(info.value) == (
+            f"{path}: not valid JSON (duplicate key {key!r})")
+
     def test_file_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"model": "\xe9"}')

@@ -6,6 +6,7 @@ pass, its row of a batch in the array form), and the exponential method
 for fast-host model-B runs: its accuracy against Dormand-Prince at tol
 1e-12 and the host pole that selects it."""
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -723,6 +724,30 @@ def _poisoned(original, bad_rows, t_bad):
     return rhs
 
 
+def _poisoned_row(original, bad_rows, t_bad):
+    """The per-row form original, poisoned as ``_poisoned`` poisons the
+    array form: c is its row of constants as complex pairs."""
+    def row(t, y, c):
+        if t > t_bad and tuple(x for z in c for x in (z.real, z.imag)) \
+                in bad_rows:
+            return (math.nan,) * len(y)
+        return original(t, y, c)
+    return row
+
+
+def _poisoning(bad_rows, t_bad):
+    """Both forms of both right-hand sides on lfbloch.dynamics, poisoned
+    by ``_poisoned`` and ``_poisoned_row``."""
+    stack = contextlib.ExitStack()
+    for name, poison in (("effective_rhs", _poisoned),
+                         ("microscopic_rhs", _poisoned),
+                         ("_effective_row", _poisoned_row),
+                         ("_microscopic_row", _poisoned_row)):
+        stack.enter_context(mock.patch.object(dynamics, name, poison(
+            getattr(dynamics, name), bad_rows, t_bad)))
+    return stack
+
+
 @pytest.mark.filterwarnings("ignore::lfbloch.dynamics.BlochNormWarning")
 class TestIntegrateBatch:
     @settings(max_examples=60, deadline=None)
@@ -742,10 +767,7 @@ class TestIntegrateBatch:
         k = data.draw(st.integers(0, len(runs) - 1))
         bad_rows = _piece_rows(runs[k])
         t_bad = data.draw(st.floats(0.0, 0.9)) * runs[k][2].span
-        with mock.patch.object(dynamics, "effective_rhs", _poisoned(
-                effective_rhs, bad_rows, t_bad)), \
-                mock.patch.object(dynamics, "microscopic_rhs", _poisoned(
-                    microscopic_rhs, bad_rows, t_bad)):
+        with _poisoning(bad_rows, t_bad):
             batch = integrate_batch(runs)
             poisoned = [_lone(run) for run in runs]
         assert isinstance(batch[k], NonFiniteRhsError)
@@ -768,21 +790,23 @@ class TestIntegrateBatch:
                  IntegrationSpec(span=2.0, tol=1e-8, points=41))
                 for j in range(32)]
         k, sizes, searches = 5, [], []
-        poisoned = _poisoned(effective_rhs, _piece_rows(runs[k]), 0.7)
         grid_index = ode._grid_index
-
-        def rhs(t, Y, P):
-            sizes.append(len(Y))
-            return poisoned(t, Y, P)
 
         def spy(*args):  # the array controller's passes call it
             searches.append(1)
             return grid_index(*args)
 
-        with mock.patch.object(dynamics, "effective_rhs", rhs):
-            with mock.patch.object(ode, "_grid_index", spy):
-                batch = integrate_batch(runs)
-            lone = _lone(runs[k])
+        with _poisoning(_piece_rows(runs[k]), 0.7):
+            poisoned = dynamics.effective_rhs
+
+            def rhs(t, Y, P):
+                sizes.append(len(Y))
+                return poisoned(t, Y, P)
+
+            with mock.patch.object(dynamics, "effective_rhs", rhs):
+                with mock.patch.object(ode, "_grid_index", spy):
+                    batch = integrate_batch(runs)
+                lone = _lone(runs[k])
         assert max(sizes) == len(runs)
         assert searches
         assert isinstance(batch[k], NonFiniteRhsError)
@@ -1087,22 +1111,41 @@ class TestFloatForm:
         assert "at t = 0.5 " in str(lone)
         assert _same_outcome(batch[0], lone) and _same_outcome(batch[1], lone)
 
-    def test_a_wrapped_right_hand_side_takes_the_array_form(self):
-        # a wrapper installed on lfbloch.dynamics sees every evaluation
-        run = (EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS),
-               SystemState(s=0.1 + 0j, w=0.5), IntegrationSpec(span=1.0))
+    def test_a_wrapped_right_hand_side_keeps_the_float_form(self):
+        # a pass-through wrapper installed on lfbloch.dynamics sees the
+        # array evaluations and changes nothing: every pass still takes
+        # the float form, whose per-row evaluations it does not see
+        drive = DriveEnvelope("pulse", 0.3 + 0.1j, t_on=0.4, t_off=1.2)
+        emitter = EmitterParams(delta_a=0.2, eps_a=0.3, drive=drive)
+        runs = [(EffectiveParams(emitter=emitter, ell=ELL_LOSSLESS),
+                 SystemState(s=0.1 + 0j, w=0.5), IntegrationSpec(span=2.0)),
+                (MicroscopicParams(emitter=emitter, host=HOST),
+                 SystemState(s=0.1 + 0j, w=0.5, beta=0.01j),
+                 IntegrationSpec(span=2.0))]
         calls = []
 
-        def wrapper(t, Y, P):
-            calls.append(len(Y))
-            return effective_rhs(t, Y, P)
+        def wrap(rhs):
+            def wrapper(t, Y, P):
+                calls.append(len(Y))
+                return rhs(t, Y, P)
+            return wrapper
 
-        with _float_passes() as floats, \
-                mock.patch.object(dynamics, "effective_rhs", wrapper):
-            traj = integrate(*run)
-        assert not floats.called
-        assert sum(calls) == traj.n_rhs
-        assert _same_trajectory(traj, integrate(*run))
+        for run in runs:
+            calls.clear()
+            with _float_passes() as floats, \
+                    mock.patch.object(dynamics, "effective_rhs",
+                                      wrap(effective_rhs)), \
+                    mock.patch.object(dynamics, "microscopic_rhs",
+                                      wrap(microscopic_rhs)):
+                traj = integrate(*run)
+            plain = integrate(*run)
+            assert floats.call_count == traj.n_accepted + traj.n_rejected
+            assert 0 < sum(calls) < traj.n_rhs
+            assert traj.y.tobytes() == plain.y.tobytes()
+            assert (traj.n_accepted, traj.n_rejected, traj.n_rhs,
+                    traj.bloch_norm_max) == (plain.n_accepted,
+                                             plain.n_rejected, plain.n_rhs,
+                                             plain.bloch_norm_max)
 
 
 class TestModelProperties:
@@ -1294,14 +1337,14 @@ class TestMethodSelection:
         for got, run in zip(integrate_batch(runs), runs):
             assert _same_trajectory(got, integrate(*run))
 
-    def test_nonfinite_exponential_row_fails_alone(self, monkeypatch):
+    def test_nonfinite_exponential_row_fails_alone(self):
         # a right-hand side that goes NaN in one exponential row stops
         # that row with NonFiniteRhsError; the others are their lone runs
         runs = self._runs()[1:]
-        monkeypatch.setattr(dynamics, "microscopic_rhs", _poisoned(
-            microscopic_rhs, _piece_rows(runs[1]), 0.5))
-        batch = integrate_batch(runs)
+        with _poisoning(_piece_rows(runs[1]), 0.5):
+            batch = integrate_batch(runs)
+            lone = [_lone(run) for run in runs]
         assert isinstance(batch[1], NonFiniteRhsError)
         assert "right-hand side went non-finite" in str(batch[1])
-        for got, run in zip(batch, runs):
-            assert _same_outcome(got, _lone(run))
+        for got, alone in zip(batch, lone):
+            assert _same_outcome(got, alone)

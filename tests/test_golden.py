@@ -5,9 +5,13 @@ by its sha256; ``factor``, ``simulate`` and ``verify`` are pinned in
 both their ``--json`` and their text form.  A change meant to leave the
 numbers alone (a refactor, a removal) must leave every hash here
 unchanged; a change that moves a number on purpose updates the hash and
-says why.  The hashes were recorded with Python 3.11 and numpy 2.4;
-another numpy or BLAS build may move the last printed digit of a fitted
-value.
+says why.  The hashes were recorded with Python 3.11 and numpy 2.4 on
+an x86-64 CPU with AVX-512, where OpenBLAS picks its SkylakeX kernel.
+The bytes depend on that kernel, not only on the build: on the same
+numpy, ``OPENBLAS_CORETYPE=Haswell`` moves the trajectory CSVs and the
+stdout of ``simulate_decay``, ``simulate_pulse_both`` and
+``simulate_weak_excitation`` and the stdout of ``verify``, in both the
+JSON and the text form (ROADMAP item 1).
 
 Runs happen inside ``tmp_path`` with relative ``--output`` names, so the
 paths echoed in the JSON reports are the same on every machine.

@@ -607,9 +607,6 @@ class TestBatch:
             "errors", "measure_max", "n_accepted", "n_rejected", "n_rhs",
             "offsets", "t0", "t_end", "y", "y_end"]
         assert np.size(res.t) == res.y.shape[0]
-        assert np.asarray(res.t).tobytes() == np.concatenate([
-            np.linspace(t0, t_end, points)
-            for _, t0, t_end, _, points, _ in problems]).tobytes()
         for b, problem in enumerate(problems):
             _, t0, t_end, _, points, _ = problem
             assert res.row(b)[0].tobytes() == np.linspace(
