@@ -497,8 +497,14 @@ def _sweep_chunk(spec: SweepSpec, indices: range) -> list[list[str]]:
         reducers.append((index, reduce))
         runs.append(run)
 
-    for (index, reduce), traj in zip(reducers,
-                                     integrate_batch(runs, keep=keep)):
+    try:
+        trajectories = integrate_batch(runs, keep=keep)
+    except MemoryError:  # named by the point with the most samples
+        k = max(range(len(runs)), key=lambda k: runs[k][2].points)
+        raise ConfigError(f"point[{reducers[k][0]}].integration.points: "
+                          f"{runs[k][2].points} samples do not fit in "
+                          f"memory") from None
+    for (index, reduce), traj in zip(reducers, trajectories):
         try:
             if isinstance(traj, Exception):
                 raise traj
@@ -532,6 +538,8 @@ def cmd_sweep(args) -> int:
         for start in range(0, n_points, chunk):
             writer.writerows(_sweep_chunk(
                 spec, range(start, min(start + chunk, n_points))))
+    except ConfigError as exc:  # a chunk too large for memory
+        return _fail(str(exc))
     finally:
         if args.output:
             fh.close()

@@ -205,7 +205,9 @@ class MicroscopicParams:
     species radiate at the drive frequency, which fixes
     rho = sqrt(gamma_b/gamma_a); the couplings follow from requiring that
     eliminating the host reproduces the ell-renormalized effective model
-    exactly.  They are computed once per parameter object, on first use.
+    exactly.  They are computed once per parameter object, when it is
+    built; a rho of 0 or a derived constant past the float range is a
+    ValueError that names it.
     """
 
     emitter: EmitterParams
@@ -218,6 +220,19 @@ class MicroscopicParams:
         if not self.host.gamma_b > 0.0:
             raise ValueError("microscopic model requires gamma_b > 0 "
                              "(a non-radiating host has no dipole moment)")
+        # past the float range a derived constant would reach the
+        # integrator as inf or NaN, or as a rho of 0 that C_a divides by
+        for name, attr in (
+                ("rho = sqrt(gamma_b/gamma_a)", "dipole_ratio"),
+                ("alpha = i*(delta_b + eps_b + i*gamma_b/2)", "host_pole"),
+                ("C_a = i*eps_b/rho", "coupling_host_to_emitter"),
+                ("C_b = i*rho*eps_a - rho*gamma_a/2",
+                 "coupling_emitter_to_host")):
+            value = getattr(self, attr)
+            zero = value == 0.0 and attr == "dipole_ratio"
+            if zero or not cmath.isfinite(value):
+                raise ValueError(f"microscopic model: {name} is {value!r}: "
+                                 f"the rates leave the float range")
 
     @cached_property
     def dipole_ratio(self) -> float:
@@ -269,7 +284,8 @@ class MicroscopicParams:
 class SystemState:
     """Initial mean-field state: coherence s, inversion w, host amplitude beta.
 
-    beta is None for the effective model.
+    beta is None for the effective model.  Each is finite (a ValueError
+    otherwise).
     """
 
     s: complex
@@ -281,6 +297,11 @@ class SystemState:
         object.__setattr__(self, "w", float(self.w))
         if self.beta is not None:
             object.__setattr__(self, "beta", complex(self.beta))
+        for name in ("s", "w", "beta"):
+            value = getattr(self, name)
+            if value is not None and not cmath.isfinite(value):
+                raise ValueError(f"initial {name} must be finite, "
+                                 f"got {value!r}")
 
 
 def _bloch_norm(y: np.ndarray) -> np.ndarray:
@@ -609,8 +630,11 @@ class _Run:
             raise ValueError("model A initial state must not carry beta")
         if self.model == "B" and initial.beta is None:
             raise ValueError("model B initial state must carry beta")
-        norm = initial.w**2 + 4.0 * abs(initial.s) ** 2
-        if not math.isfinite(norm) or norm > 1.0 + 100.0 * tol:
+        try:
+            norm = initial.w**2 + 4.0 * abs(initial.s) ** 2
+        except OverflowError:  # Python's ** and abs raise past the range
+            norm = math.inf
+        if norm > 1.0 + 100.0 * tol:
             raise ValueError(
                 f"initial state lies outside the Bloch sphere: "
                 f"w^2 + 4|s|^2 = {norm!r} > 1 + 100*tol"
@@ -649,8 +673,7 @@ def _integrate_runs(runs, keep=None) -> list:
             continue
         rhs, row = ((effective_rhs, _effective_row) if model == "A"
                     else (microscopic_rhs, _microscopic_row))
-        linear = ([run.linear for _, run in group], (0, 3)) \
-            if exponential else None
+        linear = [run.linear for _, run in group] if exponential else None
         columns = None if keep is None else tuple(
             c for name in ("s", "w", "beta") if name in keep
             and (name != "beta" or model == "B") for c in _COLUMNS[name])

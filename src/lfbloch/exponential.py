@@ -1,9 +1,10 @@
 """The exponential Runge-Kutta method of ``lfbloch.ode.solve``.
 
-``solve(..., linear=(L, cols))`` integrates each row as
-``y' = L y + N(t, y)`` with a constant complex 2x2 L on two complex
-pairs of the state, L exactly: its step is bounded by N alone, so its
-step count does not grow with the stiffness of L.  The pass loop, the
+``solve(..., linear=L)`` integrates each row as ``y' = L y + N(t, y)``
+with a constant complex 2x2 L on the two complex pairs of the state
+``(Re z0, Im z0, w, Re z1, Im z1)`` (``N`` = 5 components; w has no
+linear part), L exactly: its step is bounded by N alone, so its step
+count does not grow with the stiffness of L.  The pass loop, the
 step-size controller, the failure handling and the counters are those of
 ``solve``; this module supplies the step, its error estimate and its
 dense output (:class:`Exponential`), and the phi-functions of h L they
@@ -56,6 +57,10 @@ _CIRCLE = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
 # theta^q/q! at the nodes)
 _CUBIC = np.array([[1.0, 0.0, 0.0, 0.0], [-5.5, 9.0, -4.5, 1.0],
                    [18.0, -45.0, 36.0, -9.0], [-27.0, 81.0, -81.0, 27.0]])
+# The state layout (Re z0, Im z0, w, Re z1, Im z1): the columns of the
+# real and imaginary parts of z0 and z1, on which L acts, and of w
+N = 5
+_RE, _IM, _REST = np.array([0, 3]), np.array([1, 4]), [2]
 # Samples at most per slice of a pass's dense output: its phi-functions
 # take up to about 3 kB per sample (the contour means and the divided-
 # difference series), so a pass of long steps on many rows is evaluated
@@ -203,7 +208,7 @@ class Exponential:
     error then stays within about 2 ``span_steps`` steps' worth, however
     many steps it takes; a row of fewer steps keeps its bits.
 
-    Row b of P holds its piece's k constants, then the real (n, n) form
+    Row b of P holds its piece's k constants, then the real (N, N) form
     of its L, then L - lambda_1 I and the eigenvalues lambda_1,
     lambda_2 (the small one first); ``nonlinear`` is ``rhs - L y``, and
     the stages K hold N.  Each phi_k(c h L) is Putzer's form
@@ -219,29 +224,19 @@ class Exponential:
     # at the new state (last, for FSAL)
     stages = 8
 
-    def __init__(self, rhs, k: int, n: int, cols: tuple[int, int]):
-        self.rhs, self.k, self.n = rhs, k, n
-        self.re = list(cols)
-        self.im = [c + 1 for c in cols]
-        self.rest = [c for c in range(n) if c not in self.re + self.im]
-        re, im = np.array(self.re), np.array(self.im)
-        # where Re W and Im W go in the real (n, n) form of a pair block W
-        self.blocks = [((re[:, None], re), 1, "real"),
-                       ((re[:, None], im), -1, "imag"),
-                       ((im[:, None], re), 1, "imag"),
-                       ((im[:, None], im), 1, "real")]
+    def __init__(self, rhs, k: int):
+        self.rhs, self.k = rhs, k
 
-    def real_form(self, W: np.ndarray, rest) -> np.ndarray:
-        """The real (n, n) matrices that act on a state as the complex
-        2x2 matrices W act on its pairs, times rest on the others."""
-        out = np.zeros(W.shape[:-2] + (self.n, self.n))
-        for (rows, cols), sign, part in self.blocks:
-            out[..., rows, cols] = sign * getattr(W, part)
-        out[..., self.rest, self.rest] = np.asarray(rest)[..., None]
+    @staticmethod
+    def real_form(W: np.ndarray, rest) -> np.ndarray:
+        """The real (N, N) matrices that act on a state as the complex
+        2x2 matrices W act on its pairs, times rest on w."""
+        out = np.zeros(W.shape[:-2] + (N, N))
+        out[..., _RE[:, None], _RE] = out[..., _IM[:, None], _IM] = W.real
+        out[..., _RE[:, None], _IM] = -W.imag
+        out[..., _IM[:, None], _RE] = W.imag
+        out[..., _REST, _REST] = np.asarray(rest)[..., None]
         return out
-
-    def _pairs(self, Y: np.ndarray) -> np.ndarray:
-        return Y[..., self.re] + 1j * Y[..., self.im]
 
     def constants(self, L: np.ndarray) -> np.ndarray:
         """What each row's P carries after its piece constants: the real
@@ -254,16 +249,16 @@ class Exponential:
 
     def nonlinear(self, t, Y, P):
         """N = rhs - L y."""
-        k, n = self.k, self.n
+        k = self.k
         F = np.array(self.rhs(t, Y, P[:, :k]), dtype=float)
-        F -= np.matmul(P[:, k:k + n * n].reshape(-1, n, n),
+        F -= np.matmul(P[:, k:k + N * N].reshape(-1, N, N),
                        Y[:, :, None])[:, :, 0]
         return F
 
     def _putzer(self, P, h):
         """h lambda_1, h lambda_2 and M = h (L - lambda_1 I) of each row
         at its step h."""
-        rest = P[:, self.k + self.n * self.n:].view(complex)
+        rest = P[:, self.k + N * N:].view(complex)
         M = rest[:, :4].reshape(-1, 2, 2) * h[:, None, None]
         return h * rest[:, 4], h * rest[:, 5], M
 
@@ -338,13 +333,13 @@ class Exponential:
         Vg = V[job]
         out = np.matmul((powers * _INV_FACTORIAL[:terms])[:, None],
                         Vg)[:, 0]
-        z = self._pairs(V)
+        z = V[..., _RE] + 1j * V[..., _IM]
         Mz = np.matmul(z, M.transpose(0, 2, 1))
         pairs = (np.matmul((powers * value[:terms].T)[:, None], z[job])
                  + np.matmul((powers * theta[:, None]
                               * divided[:terms].T)[:, None], Mz[job]))
-        out[:, self.re] = pairs[:, 0].real
-        out[:, self.im] = pairs[:, 0].imag
+        out[:, _RE] = pairs[:, 0].real
+        out[:, _IM] = pairs[:, 0].imag
         return out
 
     def dense_output(self, jobs, y, K, P, grids, y_all, subset) -> list:

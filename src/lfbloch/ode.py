@@ -7,20 +7,20 @@ per-step error estimate, and a quartic interpolant gives dense output on
 each row's uniform sample grid.  Error control is applied to every real
 component with the row's error scale ``tol + tol*|y|``.
 
-The exponential method (``solve(..., linear=(L, cols))``) splits each row
-as ``y' = L y + N(t, y)`` with a constant complex 2x2 L acting on two
-complex pairs of the state, and integrates L exactly through the
-phi-functions of h L (``lfbloch.exponential``, imported on first use):
-its step is bounded by N alone, so its step count does not grow with
-the stiffness of L, where Dormand-Prince's grows linearly.  A row that
-has taken ``Exponential.span_steps`` steps is then held to error per
-unit step, because the method's error adds up over its steps.  It takes
-seven right-hand-side evaluations per attempted step against
-Dormand-Prince's six, so it pays where L is stiff; the caller picks the
-method per call (``lfbloch.dynamics`` sends model-B runs with a fast
-host pole to it).  Rows integrated by Dormand-Prince keep their bits: a
-call without ``linear`` runs exactly the code it ran before the second
-method existed.
+The exponential method (``solve(..., linear=L)``) splits each row of the
+state ``(Re z0, Im z0, w, Re z1, Im z1)`` as ``y' = L y + N(t, y)`` with
+a constant complex 2x2 L acting on the pair (z0, z1), and integrates L
+exactly through the phi-functions of h L (``lfbloch.exponential``,
+imported on first use): its step is bounded by N alone, so its step
+count does not grow with the stiffness of L, where Dormand-Prince's
+grows linearly.  A row that has taken ``Exponential.span_steps`` steps is
+then held to error per unit step, because the method's error adds up
+over its steps.  It takes seven right-hand-side evaluations per attempted
+step against Dormand-Prince's six, so it pays where L is stiff; the
+caller picks the method per call (``lfbloch.dynamics`` sends model-B
+runs with a fast host pole to it).  Rows integrated by Dormand-Prince
+keep their bits: a call without ``linear`` runs exactly the code it ran
+before the second method existed.
 
 ``solve`` advances a batch of B independent problems ("rows") of the same
 size n in lockstep: one pass of the step loop attempts one step of every
@@ -59,11 +59,12 @@ with per-row (B, 1) columns, ``np.add.reduce`` along the row (which
 sums a row of fewer than 8 terms as ``np.mean`` of that row alone does)
 and ``np.sqrt``.
 
-The step-size controller of a pass runs on (B,) arrays while more than
-``FLOAT_ROWS`` rows are unfinished, and on one Python object per row
-from there on (its per-row form, the controller of the float form
-below).  The array form keeps each row's time, step size, piece end,
-whether its step ends the piece, and the index of its next grid point.
+The step-size controller keeps each unfinished row's time, step size,
+piece end, whether its step ends the piece, and the index of its next
+grid point: as (B,) arrays while more than ``FLOAT_ROWS`` rows are
+unfinished (its array form), and from there on as lists of the same
+Python numbers (its per-row form, the controller of the float form
+below), with each row's piece constants as ``row_rhs`` reads them.
 Accept/reject is ``err <= 1`` (so NaN is rejected).  The step-size
 factor is ``_SAFETY * err**exponent`` by ``np.float_power``, which is
 CPython's ``**`` (``np.power`` is not), clipped by ``np.maximum`` and
@@ -85,8 +86,10 @@ a first stage whose largest component is finite and 1 or more in size
 (below 1 the scaling is 1 and would repeat the attempt), is therefore
 redone once by the same function (``_attempt`` given the exponent e of
 that stage) with its sums taken on the stages scaled by 2**-e, as dense
-output redoes an overflowing step; a pass whose norms are all finite
-never gets there.  The redone attempt's evaluations count in ``n_rhs``.
+output redoes an overflowing step.  The redo runs right after the
+attempt, in either form, before a controller form reads the norm; an
+attempt whose norms are all finite never gets there.  The redone
+attempt's evaluations count in ``n_rhs``.
 
 A pass of at most ``FLOAT_ROWS`` Dormand-Prince rows of n < 8
 components runs in Python floats when ``solve`` is also given the
@@ -164,7 +167,9 @@ class NonFiniteRhsError(StepSizeUnderflowError):
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) tableau
 # ---------------------------------------------------------------------------
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+# stage 6 is f at the new state (FSAL): its row of A is the weights B
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -172,8 +177,8 @@ _A = [
     np.array([44 / 45, -56 / 15, 32 / 9]),
     np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    _B,
 ]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 # difference between the 5th- and 4th-order weights, applied to all 7 stages
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                22 / 525, -1 / 40])
@@ -431,23 +436,6 @@ def _underflow(t: float, h: float, nonfinite: bool, K: np.ndarray,
                  f"{cause}")
 
 
-class _Row:
-    """Controller state of one unfinished row in the per-row form."""
-
-    __slots__ = ("index", "t", "h", "stop", "c", "last", "K", "grid",
-                 "i_out")
-
-    def __init__(self, index, t, h, stop, c, last, K, grid, i_out):
-        self.index, self.t, self.h, self.last = index, t, h, last
-        # the current piece's end, and its constants as the per-row
-        # right-hand side reads them
-        self.stop, self.c = stop, c
-        self.K = K  # this row's (7, n) stages: a view into the batch's
-        # the row's grid as (t0, step, last, end) floats, and the index
-        # in it of the next grid point to sample
-        self.grid, self.i_out = grid, i_out
-
-
 class _Jobs(NamedTuple):
     """The steps accepted in a pass with grid points inside them, as
     sequences with one entry per job.  Job g is the step of length h[g]
@@ -583,36 +571,36 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
     return failed
 
 
-def _attempt_floats(f, act, y, K, heads, tol):
-    """A Dormand-Prince attempt of every row of act in Python floats:
-    the new states (B, n) and the rows' error norms.
+def _attempt_floats(f, T, H, C, index, y, K, heads, tol):
+    """A Dormand-Prince attempt in Python floats of every row r of the
+    pass, from T[r] by H[r] with piece constants C[r] and tolerance
+    ``tol[index[r]]``: the new states (B, n) and the rows' error norms.
 
     Only the tableau products are numpy's, the same products as the
     array form's; the rest is the array form's arithmetic element by
     element, so each row gets its bits (see the module docstring).
     """
     n = y.shape[1]
-    rows = [(row.t, row.h, row.c, y_b, row.K)
-            for row, y_b in zip(act, y.tolist())]
+    rows = list(zip(T, H, C, y.tolist(), K))
     for i in range(1, 6):
         c_i = _C_FLOATS[i]
-        for (t, h, c, y_b, K_b), d in zip(
+        for (t, h, c, y_r, K_r), d in zip(
                 rows, np.matmul(_A[i], heads[i]).tolist()):
-            K_b[i] = f(t + h * c_i, [a + h * b for a, b in zip(y_b, d)], c)
+            K_r[i] = f(t + h * c_i, [a + h * b for a, b in zip(y_r, d)], c)
     new = []
-    for (t, h, c, y_b, K_b), d in zip(rows,
+    for (t, h, c, y_r, K_r), d in zip(rows,
                                       np.matmul(_B, heads[6]).tolist()):
-        new_b = [a + h * b for a, b in zip(y_b, d)]
-        K_b[6] = f(t + h, new_b, c)
-        new.append(new_b)
+        new_r = [a + h * b for a, b in zip(y_r, d)]
+        K_r[6] = f(t + h, new_r, c)
+        new.append(new_r)
     errs = []
-    for row, (_, h, _, y_b, _), new_b, e_b in zip(
-            act, rows, new, np.matmul(_E, K).tolist()):
-        tol_b = tol[row.index]
+    for i, (_, h, _, y_r, _), new_r, e_r in zip(index, rows, new,
+                                                np.matmul(_E, K).tolist()):
+        tol_r = tol[i]
         total = None
-        for a, b, e in zip(y_b, new_b, e_b):
+        for a, b, e in zip(y_r, new_r, e_r):
             a, b = abs(a), abs(b)
-            x = h * e / (tol_b + tol_b * (a if a >= b else b))
+            x = h * e / (tol_r + tol_r * (a if a >= b else b))
             # b - b is NaN for a non-finite new state, as in the array form
             x = x * x + (b - b)
             # left to right, as np.add.reduce sums fewer than 8 terms
@@ -656,9 +644,8 @@ def _attempt(rhs, t, h, y, K, P, tol, e=None):
                                                         -e[:, :, None])), e)
 
     for i in range(1, 7):
-        state = y + times_h(_A[i] if i < 6 else _B, i)
-        # the last two stages sit at t + h
-        K[:, i] = rhs(stage_t[:, min(i, 5)], state, P)
+        state = y + times_h(_A[i], i)
+        K[:, i] = rhs(stage_t[:, i], state, P)
     return state, _norm(times_h(_E, 7), y, state, tol)
 
 
@@ -709,14 +696,14 @@ def solve(
         The tolerance of each row's error control, positive and finite:
         the error scale of a component y is ``tol + tol*|y|``.  No step
         size is capped but by its piece's end.
-    linear : (L, cols), optional
+    linear : array_like, shape (B, 2, 2), optional
         Integrate every row with the exponential method instead of
-        Dormand-Prince (see the module docstring).  L, shape (B, 2, 2)
-        complex, is each row's constant linear part, the same in all its
-        pieces; it acts on the complex pair ``(y[cols[0]] +
-        1j*y[cols[0] + 1], y[cols[1]] + 1j*y[cols[1] + 1])``, and the
-        other components have none.  ``rhs`` is still the whole right-
-        hand side, L y included; each evaluation of it is counted.
+        Dormand-Prince (see the module docstring).  Row b's complex
+        2x2 matrix is its constant linear part, the same in all its
+        pieces; the state must be ``(Re z0, Im z0, w, Re z1, Im z1)``
+        (n = 5), L acts on the pair (z0, z1), and w has none.  ``rhs``
+        is still the whole right-hand side, L y included; each
+        evaluation of it is counted.
     row_rhs : (read, f), optional
         The per-row form of ``rhs``, for the Python-float form of a pass
         (see the module docstring).  ``read(p)`` turns a piece's
@@ -761,8 +748,8 @@ def solve(
     ValueError
         For arguments of different lengths, a ``y0`` that is not 2-D or
         not finite, a tolerance that is not positive and finite, a
-        ``linear`` part that is not B finite 2x2 matrices on two
-        disjoint pairs of columns, or a row with no
+        ``linear`` part that is not B finite 2x2 matrices or on states
+        of other than 5 components, or a row with no
         pieces, piece ends not rising strictly above its t0, pieces
         with different numbers of constants, a span that is not finite,
         a grid of fewer than 2 points or whose points do not rise
@@ -822,18 +809,17 @@ def solve(
                    np.arange(max(points, default=0), dtype=float))
     method = None
     if linear is not None:
-        L, cols = linear
-        L = np.array(L, dtype=complex)
+        L = np.array(linear, dtype=complex)
         if L.shape != (batch, 2, 2) or not np.isfinite(L).all():
             raise ValueError(f"linear part must be {batch} finite 2x2 "
                              f"matrices, got shape {L.shape}")
-        if not (len(cols) == 2 and all(0 <= c < n - 1 for c in cols)
-                and abs(cols[0] - cols[1]) >= 2):
-            raise ValueError(f"linear part needs two disjoint pairs of "
-                             f"state columns, got {cols!r}")
         # imported on first use: calls without it never compile it
-        from lfbloch.exponential import Exponential
-        method = Exponential(rhs, k, n, tuple(cols))
+        from lfbloch.exponential import N, Exponential
+        if n != N:
+            raise ValueError(f"the exponential method needs states of {N} "
+                             f"components (Re z0, Im z0, w, Re z1, Im z1), "
+                             f"got {n}")
+        method = Exponential(rhs, k)
         # each row's L rides along with its piece constants
         extra = method.constants(L)
         pieces = [[(end, p + tuple(x)) for end, p in row]
@@ -875,24 +861,30 @@ def solve(
                           tol_col[r:r + 1])
         return end, c, f[0], h.item()
 
-    def redo(r, t, h):
-        """The attempt of the rows at positions r of the pass, whose times
-        and step sizes are t and h, redone on stages scaled by the
-        exponent of each row's largest first stage: their new states and
-        error norms."""
-        redone[index[r]] += 1
+    def redo(t, h, errs):
+        """Redo scaled the attempt just made of the rows whose norm in
+        errs is non-finite, from a finite state and a first stage of size
+        1 or more (see the module docstring); t and h are the pass's
+        times and step sizes.  Writes their y_new and errs."""
+        top = np.abs(K[:, 0]).max(axis=1)
+        r = (~np.isfinite(errs) & np.isfinite(y).all(axis=1)
+             & (top >= 1.0) & (top < math.inf)).nonzero()[0]
+        if not r.size:
+            return
+        redone[np.take(index, r)] += 1
         K_r = K[r]
-        e = np.frexp(np.abs(K_r[:, 0]).max(axis=1))[1][:, None]
-        y_r, errs_r = _attempt(rhs, t, h, y[r], K_r, P[r], tol_col[r], e)
+        e = np.frexp(top[r])[1][:, None]
+        y_new[r], norms = _attempt(rhs, np.take(t, r), np.take(h, r), y[r],
+                                   K_r, P[r], tol_col[r], e)
         K[r] = K_r
-        return y_r, errs_r
+        for i, err in zip(r.tolist(), norms.tolist()):
+            errs[i] = err
 
     # The controller state of the unfinished rows, in the order of the
-    # rows of y, K and P: the batch's row index of each, and (B,) arrays
-    # of their times, step sizes, piece ends, whether the step ends the
-    # piece, and the index in their grid of the next grid point (the
-    # array form); from FLOAT_ROWS rows down, one _Row each in act (the
-    # per-row form), and the counters as lists
+    # rows of y, K and P: the batch's row index of each, their times,
+    # step sizes, piece ends, whether the step ends the piece, and the
+    # index in their grid of the next grid point; in the per-row form
+    # lists, with the counters and C, their piece constants for row_rhs
     index = np.arange(batch)
     T = np.array(t0)
     stops = np.array([row[0][0] for row in pieces])
@@ -905,25 +897,24 @@ def solve(
     _store(y_all, subset, offsets[:-1, None], y[:, None], index)
     cur = np.ones(batch, int)
     n_accepted, n_rejected = np.zeros(batch, int), np.zeros(batch, int)
-    act = None
+    per_row = False
     heads = [K[:, :i] for i in range(7)]
     errs = None  # error norm of each row's last attempted step
 
     while True:
-        if act is None and len(index) <= FLOAT_ROWS:  # the per-row form
-            act = [_Row(b, t, h, stop, pieces[b][n_pieces[b] - 1][2], last,
-                        K_b, params[b], i)
-                   for b, t, h, stop, last, K_b, i in zip(
-                       index.tolist(), T.tolist(), H.tolist(),
-                       stops.tolist(), lasts.tolist(), K, cur.tolist())]
-            n_accepted, n_rejected = n_accepted.tolist(), n_rejected.tolist()
+        if not per_row and len(index) <= FLOAT_ROWS:  # the per-row form
+            per_row = True
+            index, T, H, stops, lasts, cur, n_accepted, n_rejected = (
+                a.tolist() for a in (index, T, H, stops, lasts, cur,
+                                     n_accepted, n_rejected))
+            C = [pieces[b][n_pieces[b] - 1][2] for b in index]
             if errs is not None:
                 errs = errs.tolist()
         # One pass over the rows: accept or reject the step just
         # attempted, then schedule the next one, retiring finished and
         # failed rows
         restarts = []
-        if act is None:
+        if not per_row:
             nonfinite = retry = np.zeros(len(T), bool)
             accepted, done, jobs = [], [], _NO_JOBS
             if errs is not None:
@@ -931,16 +922,6 @@ def solve(
                 accepted = accept.nonzero()[0]
                 if len(accepted) < len(T):
                     nonfinite = ~np.isfinite(errs)
-                    if not method and nonfinite.any():
-                        # a first stage below 1 would be scaled by 1
-                        top = np.abs(K[:, 0]).max(axis=1)
-                        r = (nonfinite & np.isfinite(y).all(axis=1)
-                             & (top >= 1.0) & (top < math.inf)).nonzero()[0]
-                        if r.size:
-                            y_new[r], errs[r] = redo(r, T[r], H[r])
-                            accept = errs <= 1.0
-                            accepted = accept.nonzero()[0]
-                            nonfinite = ~np.isfinite(errs)
                     retry = ~accept
                     n_rejected[index[retry]] += 1
                 n_accepted[index[accepted]] += 1
@@ -983,62 +964,50 @@ def solve(
             H = np.where(lasts, stops - T, H)
         else:
             keep, accepted, found = [], [], []
-            for r, row in enumerate(act):
-                t, h = row.t, row.h
+            for r, b in enumerate(index):
+                t, h = T[r], H[r]
                 retry = nonfinite = False
                 f = None  # f at t, if the row restarts there
                 if errs is not None:
                     err = errs[r]
-                    if not err <= 1.0 and not method \
-                            and not math.isfinite(err) \
-                            and np.isfinite(y[r]).all() \
-                            and 1.0 <= np.abs(row.K[0]).max() < math.inf:
-                        new, norm = redo(np.array([r]), np.array([t]),
-                                         np.array([h]))
-                        y_new[r], err = new[0], norm.item()
                     if not err <= 1.0:
                         retry = True
-                        n_rejected[row.index] += 1
+                        n_rejected[b] += 1
                         nonfinite = not math.isfinite(err)
                         h *= _MIN_FACTOR if nonfinite else max(
                             _MIN_FACTOR, _SAFETY * err ** exponent)
                     else:
-                        n_accepted[row.index] += 1
+                        n_accepted[b] += 1
                         accepted.append(r)
-                        t_new = row.stop if row.last else t + h
-                        # dense output for grid points inside (t, t_new],
-                        # written once the pass is over
-                        j = _index(t_new, *row.grid)
-                        if j > row.i_out:
-                            found.append((r, t, h, row.i_out, j, row.index))
-                            row.i_out = j
+                        t_new = stops[r] if lasts[r] else t + h
+                        j = _index(t_new, *params[b])  # as in the array form
+                        if j > cur[r]:
+                            found.append((r, t, h, cur[r], j, b))
+                            cur[r] = j
                         h *= _MAX_FACTOR if err == 0.0 else min(
                             _MAX_FACTOR,
                             max(_MIN_FACTOR, _SAFETY * err ** exponent))
-                        t = row.t = t_new
-                        if row.last:
-                            b = row.index
+                        t = T[r] = t_new
+                        if lasts[r]:
                             if n_pieces[b] == len(pieces[b]):
                                 y_end[b] = y_new[r]
                                 continue
-                            row.stop, row.c, f, h = restart(r, b, t)
+                            stops[r], C[r], f, h = restart(r, b, t)
                             restarts.append((r, f))
-                row.last = t + h >= row.stop
+                last = lasts[r] = t + h >= stops[r]
                 # the floor, as in the array form
                 if not (h >= 10.0 * abs(math.nextafter(t, math.inf) - t)
-                        or row.last and not retry):
-                    errors[row.index] = _underflow(t, h, nonfinite, row.K, f)
+                        or last and not retry):
+                    errors[b] = _underflow(t, h, nonfinite, K[r], f)
                     continue
-                if row.last:
-                    h = row.stop - t
-                row.h = h
+                H[r] = stops[r] - t if last else h
                 keep.append(r)
             jobs = _Jobs._make(zip(*found)) if found else _NO_JOBS
 
         if method:
             failed = method.dense_output(jobs, y, K, P, grids, y_all, subset)
         else:
-            failed = _dense_output(jobs, act is None or subset is not None,
+            failed = _dense_output(jobs, not per_row or subset is not None,
                                    y, K, grids, y_all, subset)
         for g in failed:  # the row stops at the step's start
             b = jobs.index[g]
@@ -1062,39 +1031,42 @@ def solve(
         if not len(keep):
             break
         if len(keep) < len(y):
-            y, K, P, index, tol_col = (
-                a[keep] for a in (y, K, P, index, tol_col))
+            y, K, P, tol_col = (a[keep] for a in (y, K, P, tol_col))
             heads = [K[:, :i] for i in range(7)]
-            if act is None:
-                T, H, stops, lasts, cur = (
-                    a[keep] for a in (T, H, stops, lasts, cur))
+            if per_row:
+                index, T, H, stops, lasts, cur, C = (
+                    [a[r] for r in keep]
+                    for a in (index, T, H, stops, lasts, cur, C))
             else:
-                act = [act[r] for r in keep]
-                for row, K_row in zip(act, K):
-                    row.K = K_row
+                index, T, H, stops, lasts, cur = (
+                    a[keep] for a in (index, T, H, stops, lasts, cur))
 
         # stage evaluations (k1 carried over from the previous step,
         # FSAL), one rhs call each, or in the float form one f call per
-        # row, which also yields the error norms
-        if act is not None:
-            if floats:
-                y_new, errs = _attempt_floats(row_rhs[1], act, y, K, heads,
-                                              tol)
-                continue
-            T = np.array([row.t for row in act])
-            H = np.array([row.h for row in act])
+        # row, which also yields the error norms; a Dormand-Prince
+        # attempt with a non-finite norm is redone at once
+        if per_row and floats:
+            y_new, errs = _attempt_floats(row_rhs[1], T, H, C, index, y, K,
+                                          heads, tol)
+            # NaN or inf, or finite norms whose sum overflows
+            if not math.isfinite(sum(errs)):
+                redo(T, H, errs)
+            continue
+        t, h = (np.array(T), np.array(H)) if per_row else (T, H)
         if method:
-            y_new, estimate = method.attempt(y, K, P, T, H)
+            y_new, estimate = method.attempt(y, K, P, t, h)
             # a long row's error per unit step (see Exponential)
             estimate *= np.where(
                 np.asarray(n_accepted)[index] >= method.span_steps,
                 np.minimum(method.max_scale, np.maximum(1.0,
-                                                        unit[index] / H)),
+                                                        unit[index] / h)),
                 1.0)[:, None]
             errs = _norm(estimate, y, y_new, tol_col)
         else:
-            y_new, errs = _attempt(rhs, T, H, y, K, P, tol_col)
-        if act is not None:
+            y_new, errs = _attempt(rhs, t, h, y, K, P, tol_col)
+            if not np.isfinite(errs).all():
+                redo(t, h, errs)
+        if per_row:
             errs = errs.tolist()
 
     peak = None
@@ -1105,8 +1077,7 @@ def solve(
                 peak[b] = math.nan
             elif not subset:
                 peak[b] = np.max(measure(y_all[offsets[b]:offsets[b + 1]]))
-    n_accepted = np.array(n_accepted)
-    n_rejected = np.array(n_rejected)
+    n_accepted, n_rejected = np.array(n_accepted), np.array(n_rejected)
     return OdeResult(y=y_all, offsets=offsets, t0=grids.params[:, 0],
                      t_end=grids.params[:, 3], y_end=y_end,
                      n_accepted=n_accepted, n_rejected=n_rejected,

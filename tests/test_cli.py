@@ -424,6 +424,30 @@ class TestSimulate:
         assert err == "error: scenario.integration.points: " \
             "1000000000000000 samples do not fit in memory\n"
 
+    @pytest.mark.parametrize("gamma_a, host, message", [
+        # gamma_b/gamma_a underflows: rho is 0, and C_a divided by it (a
+        # ZeroDivisionError traceback, exit 1)
+        (1e10, (0.0, 1.0, 1e-320),
+         "rho = sqrt(gamma_b/gamma_a) is 0.0: the rates leave the float "
+         "range"),
+        # C_a = i*eps_b/rho overflows (solve refused the linear part with
+        # a message that named no field)
+        (1.0, (0.0, 1e308, 1e-300),
+         "C_a = i*eps_b/rho is infj: the rates leave the float range"),
+    ], ids=["rho", "C_a"])
+    def test_host_constants_past_the_float_range_exit_2(
+            self, tmp_path, capsys, gamma_a, host, message):
+        payload = weak_scenario()
+        payload["emitter"]["gamma_a"] = gamma_a
+        payload["host"] = dict(zip(("delta_b", "eps_b", "gamma_b"), host))
+        config = write_json(tmp_path / "host.json", payload)
+        code, out, err = run_cli(["simulate", config, "--output",
+                                  str(tmp_path / "out.csv")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: microscopic model: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(["simulate", str(tmp_path / "nope.json")],
                                capsys)
@@ -933,6 +957,24 @@ class TestSweep:
         with pytest.raises(TypeError, match="broken fit"):
             main(["sweep", spec])
 
+    def test_point_past_the_float_range_fails_alone(self, tmp_path, capsys):
+        # at eps_b = 1e308, C_a = i*eps_b/rho overflows; solve refused
+        # the batch's linear part, a ValueError traceback (exit 1) that
+        # lost point 0's row
+        base = weak_scenario()
+        base["host"]["gamma_b"] = 1e-300
+        payload = {"parameter": "host.eps_b", "values": [1.0, 1e308],
+                   "reduction": "coherence_rate_model_b", "base": base}
+        spec = write_json(tmp_path / "sweep.json", payload)
+        code, out, _ = run_cli(["sweep", spec], capsys)
+        assert code == 0
+        rows = list(csv.reader(out.strip().splitlines()))[1:]
+        assert rows[0][0] == "1" and rows[0][5] == ""
+        assert rows[1] == ["1e+308", "", "", "", "",
+                           "ValueError: microscopic model: C_a = "
+                           "i*eps_b/rho is infj: the rates leave the float "
+                           "range"]
+
     def test_coherence_reduction(self, tmp_path, capsys):
         payload = {
             "parameter": "emitter.eps_a",
@@ -980,6 +1022,43 @@ class TestSweep:
         assert out == ""
         assert err == "error: sweep.range.count: 1000000000000000 values " \
             "do not fit in memory\n"
+
+    def test_point_samples_past_memory_exit_2(self, tmp_path, capsys):
+        # 10**15 samples a point (7.1 PiB) exceed any address space:
+        # numpy refuses them at once (this ended in a MemoryError
+        # traceback, exit 1)
+        payload = density_sweep()
+        del payload["overrides"]
+        payload["values"] = [0.0, 5.0]
+        payload["base"]["integration"]["points"] = 10**15
+        spec = write_json(tmp_path / "sweep.json", payload)
+        code, out, err = run_cli(["sweep", spec], capsys)
+        assert code == 2
+        assert out == ",".join(cli.SWEEP_HEADER) + "\n"
+        assert err == "error: point[0].integration.points: " \
+            "1000000000000000 samples do not fit in memory\n"
+
+    def test_rows_before_a_chunk_past_memory_stay(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # chunks of 2: the first chunk's rows are written, and the
+        # second, whose point 3 asks 10**15 samples, exits 2 naming it
+        monkeypatch.setitem(cli.SWEEP_CHUNK, "population_rate_model_a", 2)
+        payload = density_sweep()
+        del payload["overrides"]
+        payload["values"] = [0.0, 5.0, 10.0, 20.0]
+        payload["base"]["integration"]["points"] = 101
+        good = write_json(tmp_path / "good.json", payload)
+        payload["overrides"] = [{}, {}, {},
+                                {"integration": {"points": 10**15}}]
+        spec = write_json(tmp_path / "sweep.json", payload)
+        code, out, err = run_cli(["sweep", spec], capsys)
+        assert code == 2
+        assert err == "error: point[3].integration.points: " \
+            "1000000000000000 samples do not fit in memory\n"
+        # the header and points 0 and 1, as a sweep that fits writes them
+        code, whole, _ = run_cli(["sweep", good], capsys)
+        assert code == 0
+        assert out.splitlines() == whole.splitlines()[:3]
 
     def test_non_json_token_exits_2(self, tmp_path, capsys):
         payload = density_sweep()

@@ -136,6 +136,34 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             MicroscopicParams(emitter=EmitterParams(gamma_a=0.0), host=HOST)
 
+    @pytest.mark.parametrize("emitter, host, name", [
+        # gamma_b/gamma_a underflows to rho = 0, which C_a divides by (a
+        # ZeroDivisionError once the run was integrated)
+        (EmitterParams(gamma_a=1e10), HostSpecies(0.0, 1.0, 1e-320),
+         "rho"),
+        (EmitterParams(gamma_a=1e-300), HostSpecies(0.0, 1.0, 1e300),
+         "rho"),
+        (EMITTER, HostSpecies(1e308, 1e308, 1.0), "alpha"),
+        # C_a overflows (solve refused the run's linear part, a message
+        # that named no field)
+        (EMITTER, HostSpecies(0.0, 1e308, 1e-300), "C_a"),
+        (EmitterParams(eps_a=1e308), HostSpecies(0.0, 1.0, 100.0), "C_b"),
+    ])
+    def test_derived_constants_past_the_float_range_rejected(
+            self, emitter, host, name):
+        with pytest.raises(ValueError, match=f"microscopic model: {name} "):
+            MicroscopicParams(emitter=emitter, host=host)
+
+    @pytest.mark.parametrize("name", ["s", "w", "beta"])
+    def test_nonfinite_state_rejected(self, name):
+        # a NaN beta passed the Bloch-sphere check and reached solve,
+        # which refused the y0 of the whole batch, model-A runs included
+        values = {"s": 0.001 + 0j, "w": -0.999998, "beta": 0j}
+        values[name] = complex(math.nan, 0.0) if name != "w" else math.inf
+        with pytest.raises(ValueError,
+                           match=f"initial {name} must be finite"):
+            SystemState(**values)
+
     def test_derived_couplings_frozen_example(self):
         p = MicroscopicParams(emitter=EMITTER, host=HOST)
         assert p.dipole_ratio == pytest.approx(2.0, rel=1e-15)
@@ -563,6 +591,14 @@ class TestIntegrateValidation:
         with pytest.raises(ValueError):
             integrate(p, SystemState(s=0j, w=1.2),
                       IntegrationSpec(span=1.0, tol=1e-8))
+
+    def test_state_past_the_float_range_is_outside(self):
+        # w**2 raised OverflowError (a traceback from simulate)
+        p = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
+        for state in (SystemState(s=0j, w=1e200),
+                      SystemState(s=1e308 + 1e308j, w=0.0)):
+            with pytest.raises(ValueError, match="= inf > 1 "):
+                integrate(p, state, IntegrationSpec(span=1.0, tol=1e-8))
 
     def test_tolerance_range_enforced(self):
         for tol in (1e-3, 1e-13, math.nan):

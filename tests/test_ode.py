@@ -310,6 +310,42 @@ class TestErrors:
         _assert_row_equal(res, 1, _lone(((_decay, 0.0), 0.0, 2.0, [1.0], 5,
                                         1e-8)))
 
+    def test_overflowing_row_is_redone_across_the_hand_over(
+            self, monkeypatch):
+        # the cosine row above beside FLOAT_ROWS decays that finish
+        # within the first passes: its attempts are redone scaled on the
+        # array form's passes and then on the float form's, and it keeps
+        # the bits and counters of the row alone
+        top = (1.0 - 1e-6) * _TOP
+
+        def cosine(t, y, p):
+            return np.array([top * math.cos(t)])
+
+        scaled = []
+        attempt = ode._attempt
+
+        def spy(rhs, t, h, y, K, P, tol, e=None):
+            scaled.append(e is not None)
+            return attempt(rhs, t, h, y, K, P, tol, e)
+
+        monkeypatch.setattr(ode, "_attempt", spy)
+        rows = ode.FLOAT_ROWS + 1
+        wave = [(2.0 * math.pi, (0,))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = solve(_per_row(cosine, _decay),
+                        [wave] + [[(0.1, (1,))]] * (rows - 1), [0.0] * rows,
+                        np.array([[0.0]] + [[1.0]] * (rows - 1)),
+                        [9] + [5] * (rows - 1), [1e-3] * rows,
+                        row_rhs=_row_form(cosine, _decay))
+            batch = scaled[:]
+            lone = solve(_per_row(cosine), [wave], [0.0], np.array([[0.0]]),
+                         [9], [1e-3])
+        assert res.errors == [None] * rows
+        _assert_row_equal(res, 0, lone)
+        # with row_rhs, an attempt that is not scaled is an array pass's
+        last = len(batch) - 1 - batch[::-1].index(False)
+        assert any(batch[:last]) and any(batch[last + 1:])
+
     @pytest.mark.parametrize("y0, error, culprit", [
         (1.0, StepSizeUnderflowError, "too stiff"),
         (1e150, NonFiniteRhsError, "the right-hand side went non-finite"),
@@ -1226,9 +1262,9 @@ def _spy_floats(monkeypatch):
     sizes = []
     attempt = ode._attempt_floats
 
-    def spy(f, act, *args):
-        sizes.append(len(act))
-        return attempt(f, act, *args)
+    def spy(f, T, *args):
+        sizes.append(len(T))
+        return attempt(f, T, *args)
 
     monkeypatch.setattr(ode, "_attempt_floats", spy)
     return sizes
@@ -1319,10 +1355,10 @@ class TestFloatForm:
         consts = (0, 0.8, 0.1, *L.ravel().view(float))
         args = (_per_row(_coupled), [[(1.0, consts)]], [0.0],
                 np.array([[0.3, 0.1, -0.5, 0.05, -0.02]]), [11], [1e-9])
-        res = solve(*args, linear=([L], PAIRS),
+        res = solve(*args, linear=[L],
                     row_rhs=_row_form(_coupled))
         assert sizes == []
-        _assert_row_equal(res, 0, solve(*args, linear=([L], PAIRS)))
+        _assert_row_equal(res, 0, solve(*args, linear=[L]))
 
 
 def _one_row_of(res, b):
@@ -1463,11 +1499,9 @@ class TestPieces:
 
 
 # ---------------------------------------------------------------------------
-# the exponential method: a constant linear part L on two complex pairs
+# the exponential method: a constant linear part L on the complex pairs
+# of y = (Re z0, Im z0, w, Re z1, Im z1)
 # ---------------------------------------------------------------------------
-PAIRS = (0, 3)  # y = (Re z0, Im z0, w, Re z1, Im z1)
-
-
 def _exponential_rows(**kwargs):
     """Four rows of the exponential method with host poles from 10 to
     1e4 and from 7 grid points to 300, and their solve."""
@@ -1485,7 +1519,7 @@ def _exponential_rows(**kwargs):
                  for f, L, pieces, *_ in rows],
                 [0.0] * 4, np.array([r[3] for r in rows]),
                 [r[4] for r in rows], [r[5] for r in rows],
-                linear=([r[1] for r in rows], PAIRS),
+                linear=[r[1] for r in rows],
                 **kwargs)
     return rows, res
 
@@ -1536,7 +1570,7 @@ def _solve_exp(f, L, pieces, y0, points, tol):
     return solve(_per_row(f), [[(end, (0, *ab, *consts))
                                 for end, ab in pieces]], [0.0],
                  np.array([y0], dtype=float), [points], [tol],
-                 linear=([L], PAIRS))
+                 linear=[L])
 
 
 class TestExponential:
@@ -1623,7 +1657,7 @@ class TestExponential:
         errors = []
         for h in (0.1, 0.05):
             method = exponential.Exponential(_per_row(_coupled),
-                                             len(consts), 5, PAIRS)
+                                             len(consts))
             P = np.concatenate([[consts], method.constants(L[None])],
                                axis=1)
             K = np.zeros((1, method.stages, 5))
@@ -1677,7 +1711,7 @@ class TestExponential:
                                (2.0, (0, 0.0, 0.0, *consts))]], [0.0],
                     np.array([[0.3, 0.1, -0.5, 0.05, -0.02]]),
                     [50], [1e-9],
-                    linear=([L], PAIRS))
+                    linear=[L])
         attempted = res.n_accepted[0] + res.n_rejected[0]
         assert res.n_rhs[0] == 2 * 2 + 7 * attempted == sum(sizes)
 
@@ -1699,20 +1733,19 @@ class TestExponential:
         res = solve(poisoned, [[(k / 400, (0, 0.8, 0.1, *consts))
                                 for k in range(1, 401)]], [0.0],
                     np.array([[0.3, 0.1, -0.5, 0.05, -0.02]]),
-                    [11], [1e-9], linear=([L], PAIRS))
+                    [11], [1e-9], linear=[L])
         assert res.n_accepted[0] > exponential.Exponential.span_steps
         assert isinstance(res.errors[0], NonFiniteRhsError)
         assert "went non-finite" in str(res.errors[0])
 
-    @pytest.mark.parametrize("L, cols, match", [
-        (np.zeros((2, 2, 2)), PAIRS, "2x2"),
-        (np.full((1, 2, 2), np.nan), PAIRS, "finite"),
-        (np.zeros((1, 2, 2)), (0, 1), "pairs"),
-        (np.zeros((1, 2, 2)), (0, 4), "pairs"),
+    @pytest.mark.parametrize("L, n, match", [
+        (np.zeros((2, 2, 2)), 5, "2x2"),
+        (np.full((1, 2, 2), np.nan), 5, "finite"),
+        # the method's state layout is (Re z0, Im z0, w, Re z1, Im z1)
+        (np.zeros((1, 2, 2)), 7, "states of 5 components"),
     ])
-    def test_invalid_linear_part_rejected(self, L, cols, match):
+    def test_invalid_linear_part_rejected(self, L, n, match):
         with pytest.raises(ValueError, match=match):
             solve(_per_row(_constant_forcing),
                   [[(1.0, (0, 0.0, 0.0, *[0.0] * 8))]],
-                  [0.0], np.zeros((1, 5)), [2], [1e-8],
-                  linear=(L, cols))
+                  [0.0], np.zeros((1, n)), [2], [1e-8], linear=L)
