@@ -5,7 +5,7 @@ Subpackage map:
 - :mod:`lfbloch.medium`: complex Lorentz enhancement factor, Gaussian-unit
   conversions, lossless rate-comparison table.
 - :mod:`lfbloch.ode`: batched adaptive Runge-Kutta integrators:
-  Dormand-Prince 5(4) with dense output, and an exponential method for
+  Dormand-Prince 8(5,3) with dense output, and an exponential method for
   stiff linear parts (:mod:`lfbloch.exponential`, imported on first use).
 - :mod:`lfbloch.dynamics`: the microscopic (emitter + host oscillator) and
   effective (factor-renormalized) semiclassical Bloch models.

@@ -218,6 +218,7 @@ class Exponential:
     """
 
     exponent = -0.25  # 1/(embedded order + 1)
+    start_exponent = 0.2  # of solve's starting-step heuristic
     span_steps = 100  # steps before error per unit step, span units
     max_scale = 100.0  # the largest factor on a step's estimate
     # N at c = 0, 1/2, 1/2, 1, 1/2, then at t + h/3 and t + 2h/3, then

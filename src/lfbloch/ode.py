@@ -1,11 +1,14 @@
 """Adaptive embedded Runge-Kutta integrators, batched: Dormand-Prince
-5(4), and an exponential Runge-Kutta 4(3) method for stiff linear parts.
+8(5,3), and an exponential Runge-Kutta 4(3) method for stiff linear parts.
 
-Dormand-Prince is the explicit 7-stage FSAL pair: the fifth-order
-solution is propagated, the embedded fourth-order solution provides the
-per-step error estimate, and a quartic interpolant gives dense output on
-each row's uniform sample grid.  Error control is applied to every real
-component with the row's error scale ``tol + tol*|y|``.
+Dormand-Prince is the explicit 12-stage FSAL method of order 8 (DOP853
+of Hairer, Norsett & Wanner): the eighth-order solution is propagated,
+its embedded fifth- and third-order estimates combine into the per-step
+error norm ``e5/sqrt((e5 + 0.01*e3)*n)`` (e5 and e3 their sums of
+squares over the error scale), and an order-7 interpolant, with 3 more
+stages evaluated only for steps that hold grid points, gives dense
+output on each row's uniform sample grid.  Error control is applied to
+every real component with the row's error scale ``tol + tol*|y|``.
 
 The exponential method (``solve(..., linear=L)``) splits each row of the
 state ``(Re z0, Im z0, w, Re z1, Im z1)`` as ``y' = L y + N(t, y)`` with
@@ -16,11 +19,10 @@ count does not grow with the stiffness of L, where Dormand-Prince's
 grows linearly.  A row that has taken ``Exponential.span_steps`` steps is
 then held to error per unit step, because the method's error adds up
 over its steps.  It takes seven right-hand-side evaluations per attempted
-step against Dormand-Prince's six, so it pays where L is stiff; the
-caller picks the method per call (``lfbloch.dynamics`` sends model-B
-runs with a fast host pole to it).  Rows integrated by Dormand-Prince
-keep their bits: a call without ``linear`` runs exactly the code it ran
-before the second method existed.
+step against Dormand-Prince's twelve, but its step is not bounded by L,
+so it pays where L is stiff; the caller picks the method per call
+(``lfbloch.dynamics`` sends model-B runs with a fast host pole to it).
+A call without ``linear`` never imports or runs the second method.
 
 ``solve`` advances a batch of B independent problems ("rows") of the same
 size n in lockstep: one pass of the step loop attempts one step of every
@@ -51,7 +53,10 @@ counters of one call per piece, chained through ``y_end``.
 Each stage is one right-hand-side call over all unfinished rows,
 ``rhs(t, Y, P)`` with the rows' stage times, states and piece
 constants; so is the starting-step probe of the first step, and a
-restart at a piece's end calls it on one row.  ``rhs`` must compute
+restart at a piece's end calls it on one row.  Each extra stage of
+dense output is one call over the rows that need it, with the
+constants of the piece their step lies in (a restart's take over once
+dense output is done).  ``rhs`` must compute
 each row as it would alone (pure element-wise arithmetic does).  The
 other forms that keep a row's bits are narrow: stacked ``np.matmul`` of
 a tableau row with the (B, i, n) stage slices, element-wise operations
@@ -88,8 +93,10 @@ redone once by the same function (``_attempt`` given the exponent e of
 that stage) with its sums taken on the stages scaled by 2**-e, as dense
 output redoes an overflowing step.  The redo runs right after the
 attempt, in either form, before a controller form reads the norm; an
-attempt whose norms are all finite never gets there.  The redone
-attempt's evaluations count in ``n_rhs``.
+attempt whose norms are all finite never gets there.  The extra stages
+of dense output are redone so too (``_extra_stages``), for a step whose
+extra stages come out non-finite from 13 finite ones.  The redone
+evaluations count in ``n_rhs``.
 
 A pass of at most ``FLOAT_ROWS`` Dormand-Prince rows of n < 8
 components runs in Python floats when ``solve`` is also given the
@@ -107,18 +114,21 @@ the float form as its batch's rows finish.
 
 Dense output runs once per pass, after every row has been accepted or
 rejected, in the form of the pass's controller.  For Dormand-Prince it
-is one stacked product ``_P_T @ K`` over the accepted rows with grid
-points in their step, then the products of the theta powers with it,
-theta from the grid points that ``_points`` computes.  On a pass of the
-per-row controller those are one (m, 4) @ (4, n) product per row; on a
-pass of the array controller they are two stacked products: a (G, 1,
-4) stack of the rows with one sample and a (G, mx, 4) stack of the rows
-with two or more, each padded to the longest by repeating a row's last
-grid point.  The two stacks stay apart because a (1, 4) @ (4, n)
-product is not bitwise a row of an (m, 4) @ (4, n) one (nor is a
-stage-major (7, B*n) product the per-row one); within each stack a row
-gets the bits of its own product, and a padding row those of its row's
-last sample, so that a stack is written to the batch's samples whole.
+first evaluates the 3 extra stages of the accepted rows with grid
+points in their step (in Python floats on a float-form pass), then
+takes one stacked product ``_P_T @ K`` of their 16 stages, then the
+products of the theta powers theta^1..7 with it, theta from the grid
+points that ``_points`` computes.  On a pass of the per-row controller
+those are one (m, 7) @ (7, n) product per row; on a pass of the array
+controller they are stacked products: (G, 1, 7) stacks of the rows with
+one sample and (G, mx, 7) stacks of the rows with two or more, each
+padded to the longest by repeating a row's last grid point, and each of
+at most ``DENSE_SAMPLES`` samples or of one row.  One-sample and
+multi-sample stacks stay apart because a (1, 7) @ (7, n) product is not
+bitwise a row of an (m, 7) @ (7, n) one (nor is a stage-major (16, B*n)
+product the per-row one); within each stack a row gets the bits of its
+own product, and a padding row those of its row's last sample, so that
+a stack is written to the batch's samples whole.
 The exponential method's samples come from its own order-4 extension of
 each step (see ``lfbloch.exponential``).  A row whose samples come out
 non-finite stops there with ``NonFiniteRhsError``.  When ``solve`` keeps
@@ -132,13 +142,13 @@ accepted/rejected step counts per row.
 
 References
 ----------
-Dormand & Prince, J. Comp. Appl. Math. 6, 19 (1980); Hairer, Norsett &
-Wanner, "Solving Ordinary Differential Equations I" (step-size control and
-starting-step heuristic); Shampine, Math. Comp. 46, 135 (1986) (dense
-output coefficients); Hochbruck & Ostermann, SIAM J. Numer. Anal. 43,
-1069 (2005) and Acta Numerica 19, 209 (2010) (exponential Runge-Kutta
-methods); Kassam & Trefethen, SIAM J. Sci. Comput. 26, 1214 (2005)
-(phi-functions by contour integrals).
+Prince & Dormand, J. Comp. Appl. Math. 7, 67 (1981); Hairer, Norsett &
+Wanner, "Solving Ordinary Differential Equations I", 2nd ed., Sec.
+II.4-II.6 (DOP853: its coefficients, error estimator and dense output;
+step-size control and the starting-step heuristic); Hochbruck &
+Ostermann, SIAM J. Numer. Anal. 43, 1069 (2005) and Acta Numerica 19,
+209 (2010) (exponential Runge-Kutta methods); Kassam & Trefethen, SIAM
+J. Sci. Comput. 26, 1214 (2005) (phi-functions by contour integrals).
 """
 
 from __future__ import annotations
@@ -165,45 +175,185 @@ class NonFiniteRhsError(StepSizeUnderflowError):
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 8(5,3) tableau (DOP853 of Hairer, Norsett & Wanner)
 # ---------------------------------------------------------------------------
-# stage 6 is f at the new state (FSAL): its row of A is the weights B
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    _B,
+# Stages 0..11 make a step; stage 12 is f at the new state (FSAL): its
+# row of A is the weights B.  Stages 13..15 are evaluated for dense
+# output only.  A row of A as {stage: coefficient}, zero elsewhere
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-1,
+    0.789002279381515978178381316732e-1, 0.118350341907227396726757197510,
+    0.281649658092772603273242802490, 0.333333333333333333333333333333,
+    0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6,
+    0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
+    0.777777777777777777777777777778])
+_A_ROWS = [
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2,
+     1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2,
+     2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1,
+     2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2,
+     3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2,
+     3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1,
+     5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1,
+     3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1,
+     5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1,
+     7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1,
+     3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1,
+     5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1,
+     7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1,
+     3: 5.18637242884406370830023853209, 4: 1.09143734899672957818500254654,
+     5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1,
+     7: 2.27394870993505042818970056734e1, 8: 2.49360555267965238987089396762,
+     9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449,
+     3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444,
+     5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1,
+     7: -2.85899827713502369474065508674, 8: -8.87285693353062954433549289258,
+     9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    {0: 5.42937341165687622380535766363e-2,
+     5: 4.45031289275240888144113950566, 6: 1.89151789931450038304281599044,
+     7: -5.8012039600105847814672114227, 8: 3.1116436695781989440891606237e-1,
+     9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1,
+     11: 4.47106157277725905176885569043e-2},
+    {0: 5.61675022830479523392909219681e-2,
+     6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1,
+     8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1,
+     10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2,
+     5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2,
+     7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4,
+     11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4,
+     13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1,
+     5: -4.69762141536116384314449447206, 6: 7.68342119606259904184240953878,
+     7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1,
+     12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
 ]
-# difference between the 5th- and 4th-order weights, applied to all 7 stages
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-               22 / 525, -1 / 40])
-# dense-output polynomial coefficients (Shampine): y(t0 + theta*h) =
-# y0 + h * K.T @ _P @ [theta, theta^2, theta^3, theta^4]
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+_A = [np.array([row.get(j, 0.0) for j in range(i)])
+      for i, row in enumerate(_A_ROWS)]
+_B = _A[12]
+# the errors of the 5th- and 3rd-order embedded solutions, on stages 0..11
+_E5 = np.array([0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+                -0.1225156446376204440720569753e+1,
+                -0.4957589496572501915214079952,
+                0.1664377182454986536961530415e+1,
+                -0.3503288487499736816886487290,
+                0.3341791187130174790297318841,
+                0.8192320648511571246570742613e-1,
+                -0.2235530786388629525884427845e-1])
+_E3 = _B - np.array([0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0,
+                     0.0, 0.0, 0.0, 0.733846688281611857341361741547, 0.0,
+                     0.0, 0.220588235294117647058823529412e-1])
+# the order-7 interpolant: y(t0 + theta*h) = y0 + h*sum_j F_j b_j(theta)
+# with F = W @ K on all 16 stages and b_j(theta) = theta,
+# theta(1-theta), theta^2(1-theta), theta^2(1-theta)^2,
+# theta^3(1-theta)^2, theta^3(1-theta)^3, theta^4(1-theta)^3 ...
+_D_ROWS = [
+    {0: -0.84289382761090128651353491142e+1,
+     5: 0.56671495351937776962531783590,
+     6: -0.30689499459498916912797304727e+1,
+     7: 0.23846676565120698287728149680e+1,
+     8: 0.21170345824450282767155149946e+1,
+     9: -0.87139158377797299206789907490,
+     10: 0.22404374302607882758541771650e+1,
+     11: 0.63157877876946881815570249290,
+     12: -0.88990336451333310820698117400e-1,
+     13: 0.18148505520854727256656404962e+2,
+     14: -0.91946323924783554000451984436e+1,
+     15: -0.44360363875948939664310572000e+1},
+    {0: 0.10427508642579134603413151009e+2,
+     5: 0.24228349177525818288430175319e+3,
+     6: 0.16520045171727028198505394887e+3,
+     7: -0.37454675472269020279518312152e+3,
+     8: -0.22113666853125306036270938578e+2,
+     9: 0.77334326684722638389603898808e+1,
+     10: -0.30674084731089398182061213626e+2,
+     11: -0.93321305264302278729567221706e+1,
+     12: 0.15697238121770843886131091075e+2,
+     13: -0.31139403219565177677282850411e+2,
+     14: -0.93529243588444783865713862664e+1,
+     15: 0.35816841486394083752465898540e+2},
+    {0: 0.19985053242002433820987653617e+2,
+     5: -0.38703730874935176555105901742e+3,
+     6: -0.18917813819516756882830838328e+3,
+     7: 0.52780815920542364900561016686e+3,
+     8: -0.11573902539959630126141871134e+2,
+     9: 0.68812326946963000169666922661e+1,
+     10: -0.10006050966910838403183860980e+1,
+     11: 0.77771377980534432092869265740,
+     12: -0.27782057523535084065932004339e+1,
+     13: -0.60196695231264120758267380846e+2,
+     14: 0.84320405506677161018159903784e+2,
+     15: 0.11992291136182789328035130030e+2},
+    {0: -0.25693933462703749003312586129e+2,
+     5: -0.15418974869023643374053993627e+3,
+     6: -0.23152937917604549567536039109e+3,
+     7: 0.35763911791061412378285349910e+3,
+     8: 0.93405324183624310003907691704e+2,
+     9: -0.37458323136451633156875139351e+2,
+     10: 0.10409964950896230045147246184e+3,
+     11: 0.29840293426660503123344363579e+2,
+     12: -0.43533456590011143754432175058e+2,
+     13: 0.96324553959188282948394950600e+2,
+     14: -0.39177261675615439165231486172e+2,
+     15: -0.14972683625798562581422125276e+3},
+]
+_B16 = [*_B, 0.0, 0.0, 0.0, 0.0]  # the weights B on all 16 stages
+_W = [_B16,
+      [(s == 0) - b for s, b in enumerate(_B16)],
+      [2.0 * b - (s == 0) - (s == 12) for s, b in enumerate(_B16)],
+      *([row.get(s, 0.0) for s in range(16)] for row in _D_ROWS)]
+# ... which in powers theta^1..7 are the rows of _BASIS: then y(t0 +
+# theta*h) = y0 + h * K.T @ _P @ [theta, theta^2, ..., theta^7], each
+# entry of _P summed by math.fsum, with the same bits on any machine
+_BASIS = [[1, 0, 0, 0, 0, 0, 0], [1, -1, 0, 0, 0, 0, 0],
+          [0, 1, -1, 0, 0, 0, 0], [0, 1, -2, 1, 0, 0, 0],
+          [0, 0, 1, -2, 1, 0, 0], [0, 0, 1, -3, 3, -1, 0],
+          [0, 0, 0, 1, -3, 3, -1]]
+_P = np.array([[math.fsum(w[s] * b[q] for w, b in zip(_W, _BASIS))
+                for q in range(7)] for s in range(16)])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-_ORDER_EXPONENT = -0.2  # 1/(error estimator order + 1)
-
+_ORDER_EXPONENT = -0.125  # -1/(error estimator order + 1)
+_START_EXPONENT = 0.125   # of the starting-step heuristic
+_FSAL = 12  # the stage that is f at the new state
+_EXTRA = range(_FSAL + 1, len(_C))  # the stages of dense output alone
 
 _P_T = _P.T
 _C_FLOATS = _C.tolist()
@@ -214,6 +364,12 @@ _C_FLOATS = _C.tolist()
 # it, the array form is faster (see CHANGES.md).  The one switch
 # between the two forms
 FLOAT_ROWS = 4
+
+# Samples at most per stacked product of a pass's dense output (but for
+# a stack of one row): a row's bits do not depend on its stack, and a
+# pass of long steps on many rows is written a stack at a time, with
+# about 0.13 kB of arrays per sample
+DENSE_SAMPLES = 1024
 
 # The smallest normal float: a grid from 0 whose step is at least this
 # has distinct points (see solve)
@@ -367,15 +523,17 @@ def _rms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x ** 2, axis=1) / x.shape[1])
 
 
-def _initial_step(rhs, t0, y0, P, f0, t_end, tol) -> np.ndarray:
+def _initial_step(rhs, t0, y0, P, f0, t_end, tol,
+                  power=_START_EXPONENT) -> np.ndarray:
     """Starting-step heuristic of Hairer, Norsett & Wanner (I.4, alg. 4.14)
     of every row at once, with one probe call of rhs over them.
 
     Row b starts at t0[b] from y0[b], where ``rhs`` is f0[b], in the
     piece of constants P[b] that ends at t_end[b]; tol is the (B, 1)
-    column of their tolerances.  Returns the (B,) starting steps, each
-    with the bits of the row's heuristic on Python floats: its branches
-    are masks, and ``np.float_power`` is CPython's ``**``.
+    column of their tolerances, and power 1/(error estimator order + 1)
+    of the method.  Returns the (B,) starting steps, each with the bits
+    of the row's heuristic on Python floats: its branches are masks, and
+    ``np.float_power`` is CPython's ``**``.
     """
     scale = tol + tol * np.abs(y0)
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
@@ -395,7 +553,8 @@ def _initial_step(rhs, t0, y0, P, f0, t_end, tol) -> np.ndarray:
         # overflowed on a piece shorter than about 1e-302: keep h0, which
         # fits in the piece
         h1 = np.where(np.isfinite(d1) & np.isfinite(d2),
-                      np.float_power(0.01 / np.maximum(d1, d2), 0.2), h0)
+                      np.float_power(0.01 / np.maximum(d1, d2), power),
+                      h0)
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                       np.maximum(1e-6, h0 * 1e-3), h1)
         return np.minimum(np.minimum(100 * h0, h1), span)
@@ -461,7 +620,7 @@ def _samples(times, t, h, y, Q, out):
     theta = times
     theta -= t
     theta /= h
-    powers = theta.repeat(4).reshape(theta.size, 4)  # theta^1..4
+    powers = theta.repeat(7).reshape(theta.size, 7)  # theta^1..7
     np.multiply.accumulate(powers, out=powers, axis=1)
     dy = powers @ Q
     dy *= h
@@ -470,8 +629,8 @@ def _samples(times, t, h, y, Q, out):
 
 def _rescaled(times, t, h, y, K, out):
     """``_samples`` of a step whose product overflowed on the way (the
-    Shampine coefficients exceed 1): redone on y and K scaled by a power
-    of two, then scaled back."""
+    interpolant's coefficients exceed 1): redone on y and K scaled by a
+    power of two, then scaled back."""
     e = math.frexp(max(np.abs(y).max(), np.abs(K).max()))[1]
     return np.ldexp(_samples(times, t, h, np.ldexp(y, -e),
                              _P_T @ np.ldexp(K, -e), out), e, out=out)
@@ -502,10 +661,11 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
     Each job of ``jobs`` (see ``_Jobs``) writes its samples at its grid
     points (of ``grids``, a ``_Grids``) to its rows of the batch's
     samples ``y_all`` (see ``_store`` for ``subset``, which needs
-    ``stacked``).  ``_P_T @ K`` is one stacked product over the jobs'
-    rows; with ``stacked`` the products with the theta powers are
-    stacked too (see the module docstring).  Returns the positions in
-    ``jobs`` of the jobs whose samples are not all finite.
+    ``stacked``); its row of K holds all 16 stages.  ``_P_T @ K`` is one
+    stacked product over the jobs' rows; with ``stacked`` the products
+    with the theta powers are stacked too (see the module docstring).
+    Returns the positions in ``jobs`` of the jobs whose samples are not
+    all finite.
     """
     rs = jobs.rows
     if not len(rs):
@@ -536,22 +696,26 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
     rs, t, h, start, end, index = map(np.asarray, jobs)
     m = end - start
     y_r = y if every else y[rs]
-    # the one-sample rows, then the others: a (G, mx, 4) stack with each
+    # the one-sample rows, then the others: a (G, mx, 7) stack with each
     # row's grid points, padded by repeating its last one, whose sample
-    # then repeats the row's last bit for bit
-    for g in ((m == 1).nonzero()[0], (m > 1).nonzero()[0]):
-        if not g.size:
-            continue
+    # then repeats the row's last bit for bit.  A stack holds
+    # DENSE_SAMPLES samples or fewer, or one row
+    one, many = (m == 1).nonzero()[0], (m > 1).nonzero()[0]
+    stacks = [one[lo:lo + DENSE_SAMPLES]
+              for lo in range(0, one.size, DENSE_SAMPLES)]
+    if many.size:
+        rows = max(1, DENSE_SAMPLES // int(m[many].max()))
+        stacks += [many[lo:lo + rows] for lo in range(0, many.size, rows)]
+    for g in stacks:
         m_g = m[g, None]
         times, at = grids.at(index[g], start[g, None] + np.minimum(
             np.arange(m_g.max()), m_g - 1))
-        powers = np.empty(at.shape + (4,))
+        powers = np.empty(at.shape + (7,))
         theta = powers[..., 0]
         np.divide(times - t[g, None], h[g, None], out=theta)
-        # theta^2..4 by products: the bits of np.multiply.accumulate
-        np.multiply(theta, theta, out=powers[..., 1])
-        np.multiply(powers[..., 1], theta, out=powers[..., 2])
-        np.multiply(powers[..., 2], theta, out=powers[..., 3])
+        # theta^2..7 by products: the bits of np.multiply.accumulate
+        for q in range(1, 7):
+            np.multiply(powers[..., q - 1], theta, out=powers[..., q])
         samples = np.matmul(powers, Q[g])
         samples *= h[g, None, None]
         samples += y_r[g, None]
@@ -571,7 +735,64 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
     return failed
 
 
-def _attempt_floats(f, T, H, C, index, y, K, heads, tol):
+def _extra_stages(jobs, y, K, P, rhs, f=None, C=None) -> list:
+    """Evaluate the interpolant's extra stages of the jobs' rows of K
+    (only theirs: a rejected row's stages may be inf or NaN), from their
+    states y and piece constants P: one rhs call each, or, given f (the
+    per-row form of rhs) and C (each row's constants as f reads them),
+    in Python floats.
+
+    A job whose extra stages come out non-finite from a finite state, 13
+    finite stages and a first stage of size 1 or more is redone once on
+    the stages scaled by 2**-e, e the exponent of that stage, by rhs, as
+    ``solve`` redoes an overflowing attempt.  Returns the positions in
+    ``jobs`` of the jobs redone.
+    """
+    rs = list(jobs.rows)
+    if len(rs) == len(K):
+        y_j, K_j, P_j = y, K, P
+    else:
+        y_j, K_j, P_j = y[rs], K[rs], P[rs]
+    if f:
+        _stages_floats(f, list(zip(jobs.t, jobs.h, [C[r] for r in rs],
+                                   y_j.tolist(), K_j)), K_j, _EXTRA)
+    else:
+        _stages(rhs, np.asarray(jobs.t), np.asarray(jobs.h), y_j, K_j, P_j,
+                _EXTRA)
+    redone = []
+    if not np.isfinite(K_j[:, _EXTRA.start:]).all():
+        top = np.abs(K_j[:, 0]).max(axis=1)
+        g = (~np.isfinite(K_j[:, _EXTRA.start:]).all(axis=(1, 2))
+             & np.isfinite(y_j).all(axis=1)
+             & np.isfinite(K_j[:, :_EXTRA.start]).all(axis=(1, 2))
+             & (top >= 1.0) & (top < math.inf)).nonzero()[0]
+        if g.size:
+            K_g = K_j[g]
+            _stages(rhs, np.take(jobs.t, g), np.take(jobs.h, g), y_j[g],
+                    K_g, P_j[g], _EXTRA, np.frexp(top[g])[1][:, None])
+            K_j[g] = K_g
+            redone = g.tolist()
+    if K_j is not K:
+        K[rs, _EXTRA.start:] = K_j[:, _EXTRA.start:]
+    return redone
+
+
+def _stages_floats(f, rows, K, stages):
+    """Evaluate the stages of K in Python floats, each row of rows (t, h,
+    c, y, K_r) by f: stage i at t + c_i*h from ``y + h*(A_i @ K_r[:i])``,
+    whose product is numpy's stacked one over the rows, as in the array
+    form (``_stages``).  Returns the last stage's states."""
+    for i in stages:
+        c_i, states = _C_FLOATS[i], []
+        for (t, h, c, y_r, K_r), d in zip(rows,
+                                         np.matmul(_A[i], K[:, :i]).tolist()):
+            state = [a + h * b for a, b in zip(y_r, d)]
+            K_r[i] = f(t + h * c_i, state, c)
+            states.append(state)
+    return states
+
+
+def _attempt_floats(f, T, H, C, index, y, K, tol):
     """A Dormand-Prince attempt in Python floats of every row r of the
     pass, from T[r] by H[r] with piece constants C[r] and tolerance
     ``tol[index[r]]``: the new states (B, n) and the rows' error norms.
@@ -582,71 +803,88 @@ def _attempt_floats(f, T, H, C, index, y, K, heads, tol):
     """
     n = y.shape[1]
     rows = list(zip(T, H, C, y.tolist(), K))
-    for i in range(1, 6):
-        c_i = _C_FLOATS[i]
-        for (t, h, c, y_r, K_r), d in zip(
-                rows, np.matmul(_A[i], heads[i]).tolist()):
-            K_r[i] = f(t + h * c_i, [a + h * b for a, b in zip(y_r, d)], c)
-    new = []
-    for (t, h, c, y_r, K_r), d in zip(rows,
-                                      np.matmul(_B, heads[6]).tolist()):
-        new_r = [a + h * b for a, b in zip(y_r, d)]
-        K_r[6] = f(t + h, new_r, c)
-        new.append(new_r)
+    new = _stages_floats(f, rows, K, range(1, _FSAL + 1))
     errs = []
-    for i, (_, h, _, y_r, _), new_r, e_r in zip(index, rows, new,
-                                                np.matmul(_E, K).tolist()):
+    for i, (_, h, _, y_r, _), new_r, e5_r, e3_r in zip(
+            index, rows, new, np.matmul(_E5, K[:, :_FSAL]).tolist(),
+            np.matmul(_E3, K[:, :_FSAL]).tolist()):
         tol_r = tol[i]
-        total = None
-        for a, b, e in zip(y_r, new_r, e_r):
+        s5 = s3 = None
+        for a, b, e5, e3 in zip(y_r, new_r, e5_r, e3_r):
             a, b = abs(a), abs(b)
-            x = h * e / (tol_r + tol_r * (a if a >= b else b))
+            scale = tol_r + tol_r * (a if a >= b else b)
+            x, z = h * e5 / scale, h * e3 / scale
             # b - b is NaN for a non-finite new state, as in the array form
             x = x * x + (b - b)
             # left to right, as np.add.reduce sums fewer than 8 terms
-            total = x if total is None else total + x
-        errs.append(math.sqrt(total / n))
+            s5 = x if s5 is None else s5 + x
+            s3 = z * z if s3 is None else s3 + z * z
+        d = (s5 + 0.01 * s3) * n
+        errs.append((s5 / math.sqrt(d) if s5 > 0.0 else s5) + (d - d))
     return np.array(new), errs
 
 
-def _norm(estimate, y, y_new, tol):
+def _norm(estimate, y, y_new, tol, third=None):
     """Each row's error norm: the root mean square of its estimate over
     the scale ``tol + tol*max(|y|, |y_new|)`` (tol the rows' (B, 1)
     column), by ``np.add.reduce`` as in np.mean of a row.  Adding
     abs_new - abs_new (exactly 0, or NaN for a non-finite y_new, whose
-    inf scale would zero the estimate) rejects such a step."""
+    inf scale would zero the estimate) rejects such a step.
+
+    With ``third``, the 3rd-order estimate of Dormand-Prince 8(5,3), the
+    norm is DOP853's: with e5 and e3 the sums of squares of the scaled
+    estimates, ``e5/sqrt((e5 + 0.01*e3)*n)``, 0 where e5 is 0, and NaN
+    where that denominator is not finite.
+    """
     abs_new = np.abs(y_new)
     scale = tol + tol * np.maximum(np.abs(y), abs_new)
-    return np.sqrt(np.add.reduce((estimate / scale) ** 2
-                                 + (abs_new - abs_new), axis=1)
-                   / y.shape[1])
+    e5 = np.add.reduce((estimate / scale) ** 2 + (abs_new - abs_new),
+                       axis=1)
+    if third is None:
+        return np.sqrt(e5 / y.shape[1])
+    d = (e5 + 0.01 * np.add.reduce((third / scale) ** 2, axis=1)) \
+        * y.shape[1]
+    return np.divide(e5, np.sqrt(d), out=e5.copy(), where=e5 > 0.0) \
+        + (d - d)
+
+
+def _stages(rhs, t, h, y, K, P, stages, e=None):
+    """Evaluate the stages of K (m, 16, n) of m rows, one rhs call each:
+    stage i at ``t + c_i*h`` from ``y + h*(A_i @ K[:, :i])``, t and h
+    the rows' (m,) times and step sizes.  Returns the last stage's
+    states.  With e, see ``_attempt``."""
+    h_col = h[:, None]
+    for i in stages:
+        state = y + _times_h(h_col, _A[i], K[:, :i], e)
+        K[:, i] = rhs(t + h * _C[i], state, P)
+    return state
+
+
+def _times_h(h, weights, K, e=None):
+    """``h * (weights @ K)`` of each row, h the rows' (m, 1) column; with
+    e, the sum taken on K scaled by 2**-e and the product with h scaled
+    back by 2**e (see ``_attempt``)."""
+    if e is None:
+        return h * np.matmul(weights, K)
+    return np.ldexp(h * np.matmul(weights, np.ldexp(K, -e[:, :, None])), e)
 
 
 def _attempt(rhs, t, h, y, K, P, tol, e=None):
     """A Dormand-Prince attempt of m rows: the new states and error norms.
 
     t and h are the rows' (m,) times and step sizes, tol their (m, 1)
-    column, y, P and K (m, 7, n) stages theirs; it writes stages 1 to 6.
-    With e, the rows' (m, 1) column of exponents, each tableau sum is
-    taken on the stages scaled by 2**-e and its product with h scaled
+    column, y, P and K (m, 16, n) stages theirs; it writes stages 1 to
+    12.  With e, the rows' (m, 1) column of exponents, each tableau sum
+    is taken on the stages scaled by 2**-e and its product with h scaled
     back by 2**e: near the top of the float range a sum of stages
     overflows although its product with h does not, and wherever
     neither overflows nor underflows these are the bits of the plain
     attempt.
     """
-    h = h[:, None]
-    stage_t = t[:, None] + h * _C
-
-    def times_h(weights, i):
-        if e is None:
-            return h * np.matmul(weights, K[:, :i])
-        return np.ldexp(h * np.matmul(weights, np.ldexp(K[:, :i],
-                                                        -e[:, :, None])), e)
-
-    for i in range(1, 7):
-        state = y + times_h(_A[i], i)
-        K[:, i] = rhs(stage_t[:, i], state, P)
-    return state, _norm(times_h(_E, 7), y, state, tol)
+    state = _stages(rhs, t, h, y, K, P, range(1, _FSAL + 1), e)
+    h_col, heads = h[:, None], K[:, :_FSAL]
+    return state, _norm(_times_h(h_col, _E5, heads, e), y, state, tol,
+                        _times_h(h_col, _E3, heads, e))
 
 
 def solve(
@@ -710,8 +948,9 @@ def solve(
         constants into the c that f reads, once per piece; ``f(t, y, c)``
         returns the derivative of one row, y a list of n floats, as n
         floats with the bits of that row of ``rhs``.  The float form
-        calls f for the stages of its steps (the first evaluation, the
-        starting-step probes and a redone attempt still call ``rhs``).
+        calls f for the stages of its steps and of their dense output
+        (the first evaluation, the starting-step probes and a redone
+        attempt still call ``rhs``).
         Not used by the exponential method or for n >= 8.
     columns : sequence of ints, optional
         The state columns that ``OdeResult.y`` holds, in this order
@@ -731,7 +970,11 @@ def solve(
     Returns
     -------
     OdeResult
-        All rows' samples, final states, counters and failures.  A row
+        All rows' samples, final states, counters and failures.
+        ``n_rhs`` counts 2 evaluations per piece, 12 per attempted
+        Dormand-Prince step (7 for the exponential method), 12 per
+        redone attempt and 3 per Dormand-Prince step with grid points,
+        those of its interpolant (3 more where they are redone).  A row
         whose step size falls below the floating-point floor does not
         raise: its StepSizeUnderflowError is stored in ``errors`` and
         the other rows are integrated to their end.  The message says
@@ -826,6 +1069,9 @@ def solve(
                   for row, x in zip(pieces, extra.tolist())]
         rhs, k = method.nonlinear, k + extra.shape[1]
     exponent = method.exponent if method else _ORDER_EXPONENT
+    power = method.start_exponent if method else _START_EXPONENT
+    # the stage that is f at the new state: the evaluations of an attempt
+    fsal = method.stages - 1 if method else _FSAL
     # the exponential method's unit step, span/span_steps of each row
     unit = np.array([(row[-1][0] - a) / method.span_steps
                      for a, row in zip(t0, pieces)]) if method else None
@@ -844,22 +1090,26 @@ def solve(
     y_end = np.full((batch, n), math.nan)
     n_pieces = [1] * batch
     redone = np.zeros(batch, int)  # attempts redone scaled
+    # Dormand-Prince steps with grid points, and their extra stages
+    # redone scaled
+    dense = [0] * batch
     errors = [None] * batch
     tol_col = np.array(tol).reshape(batch, 1)  # in the order of y's rows
 
     def restart(r, b, t):
         """Row b, at position r of the pass, restarts at t in its next
-        piece as a new call would: that piece's end and constants as
-        row_rhs reads them, f at t and the starting step.  f goes to
-        K[r, -1] once dense output has read K, and the FSAL copy then
-        moves it to K[r, 0]."""
-        end, P[r], c = pieces[b][n_pieces[b]]
+        piece as a new call would: that piece's end, and the restart
+        (r, p, c, f) of its constants, those as row_rhs reads them and f
+        at t, and the starting step.  They go to P[r], C and K[r, fsal]
+        once dense output has read the step's, and the FSAL copy then
+        moves f to K[r, 0]."""
+        end, p, c = pieces[b][n_pieces[b]]
         n_pieces[b] += 1
-        t1, y1, p1 = np.array([t]), y_new[r:r + 1], P[r:r + 1]
+        t1, y1, p1 = np.array([t]), y_new[r:r + 1], np.array([p])
         f = rhs(t1, y1, p1)
         h = _initial_step(rhs, t1, y1, p1, f, np.array([end]),
-                          tol_col[r:r + 1])
-        return end, c, f[0], h.item()
+                          tol_col[r:r + 1], power)
+        return end, (r, p, c, f[0]), h.item()
 
     def redo(t, h, errs):
         """Redo scaled the attempt just made of the rows whose norm in
@@ -889,16 +1139,15 @@ def solve(
     T = np.array(t0)
     stops = np.array([row[0][0] for row in pieces])
     P = np.array([row[0][1] for row in pieces]).reshape(batch, k)
-    K = np.empty((batch, method.stages if method else 7, n))
+    K = np.empty((batch, fsal + 1 if method else len(_C), n))
     K[:, 0] = rhs(T, y, P)
-    H = _initial_step(rhs, T, y, P, K[:, 0], stops, tol_col)
+    H = _initial_step(rhs, T, y, P, K[:, 0], stops, tol_col, power)
     lasts = np.zeros(batch, bool)
     # every grid starts at t0: its first sample is y0
     _store(y_all, subset, offsets[:-1, None], y[:, None], index)
     cur = np.ones(batch, int)
     n_accepted, n_rejected = np.zeros(batch, int), np.zeros(batch, int)
     per_row = False
-    heads = [K[:, :i] for i in range(7)]
     errs = None  # error norm of each row's last attempted step
 
     while True:
@@ -948,8 +1197,8 @@ def solve(
                         y_end[b] = y_new[r]
                         done.append(r)
                         continue
-                    stops[r], _, f, H[r] = restart(r, b, T[r])
-                    restarts.append((r, f))
+                    stops[r], pending, H[r] = restart(r, b, T[r])
+                    restarts.append(pending)
             lasts = T + H >= stops
             # a step onto the piece's end may be shorter than the floor,
             # unless it repeats a rejected one (it would repeat forever)
@@ -957,8 +1206,9 @@ def solve(
                 | lasts & ~retry
             ok[done] = True  # retired, not failed
             for r in (~ok).nonzero()[0].tolist():
-                errors[index[r]] = _underflow(T[r], H[r], nonfinite[r], K[r],
-                                              dict(restarts).get(r))
+                errors[index[r]] = _underflow(
+                    T[r], H[r], nonfinite[r], K[r, :fsal + 1],
+                    {q: f for q, _, _, f in restarts}.get(r))
             ok[done] = False
             keep = ok.nonzero()[0]
             H = np.where(lasts, stops - T, H)
@@ -992,13 +1242,15 @@ def solve(
                             if n_pieces[b] == len(pieces[b]):
                                 y_end[b] = y_new[r]
                                 continue
-                            stops[r], C[r], f, h = restart(r, b, t)
-                            restarts.append((r, f))
+                            stops[r], pending, h = restart(r, b, t)
+                            restarts.append(pending)
+                            f = pending[-1]
                 last = lasts[r] = t + h >= stops[r]
                 # the floor, as in the array form
                 if not (h >= 10.0 * abs(math.nextafter(t, math.inf) - t)
                         or last and not retry):
-                    errors[b] = _underflow(t, h, nonfinite, K[r], f)
+                    errors[b] = _underflow(t, h, nonfinite, K[r, :fsal + 1],
+                                           f)
                     continue
                 H[r] = stops[r] - t if last else h
                 keep.append(r)
@@ -1007,6 +1259,13 @@ def solve(
         if method:
             failed = method.dense_output(jobs, y, K, P, grids, y_all, subset)
         else:
+            if len(jobs.rows):
+                redone_extra = _extra_stages(jobs, y, K, P, rhs, *(
+                    (row_rhs[1], C) if per_row and floats else ()))
+                for b in jobs.index:
+                    dense[b] += 1
+                for g in redone_extra:  # 3 more evaluations
+                    dense[jobs.index[g]] += 1
             failed = _dense_output(jobs, not per_row or subset is not None,
                                    y, K, grids, y_all, subset)
         for g in failed:  # the row stops at the step's start
@@ -1020,19 +1279,20 @@ def solve(
         if failed:
             gone = {jobs.rows[g] for g in failed}
             keep = [r for r in keep if r not in gone]
-        for r, f in restarts:
-            K[r, -1] = f
+        for r, p, c, f in restarts:
+            P[r], K[r, fsal] = p, f
+            if per_row:
+                C[r] = c
         if len(accepted) == len(y):
-            K[:, 0] = K[:, -1]
+            K[:, 0] = K[:, fsal]
             y = y_new
         elif len(accepted):
-            K[accepted, 0] = K[accepted, -1]
+            K[accepted, 0] = K[accepted, fsal]
             y[accepted] = y_new[accepted]
         if not len(keep):
             break
         if len(keep) < len(y):
             y, K, P, tol_col = (a[keep] for a in (y, K, P, tol_col))
-            heads = [K[:, :i] for i in range(7)]
             if per_row:
                 index, T, H, stops, lasts, cur, C = (
                     [a[r] for r in keep]
@@ -1047,7 +1307,7 @@ def solve(
         # attempt with a non-finite norm is redone at once
         if per_row and floats:
             y_new, errs = _attempt_floats(row_rhs[1], T, H, C, index, y, K,
-                                          heads, tol)
+                                          tol)
             # NaN or inf, or finite norms whose sum overflows
             if not math.isfinite(sum(errs)):
                 redo(T, H, errs)
@@ -1081,6 +1341,7 @@ def solve(
     return OdeResult(y=y_all, offsets=offsets, t0=grids.params[:, 0],
                      t_end=grids.params[:, 3], y_end=y_end,
                      n_accepted=n_accepted, n_rejected=n_rejected,
-                     n_rhs=2 * np.array(n_pieces) + (K.shape[1] - 1)
-                     * (n_accepted + n_rejected + redone),
+                     n_rhs=2 * np.array(n_pieces) + fsal
+                     * (n_accepted + n_rejected + redone)
+                     + len(_EXTRA) * np.array(dense),
                      errors=errors, measure_max=peak)

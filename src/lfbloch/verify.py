@@ -418,7 +418,10 @@ def weak_excitation_run(p: MicroscopicParams, tol: float = 1e-10) -> tuple:
     when the host pole is fast (|alpha| above
     ``lfbloch.dynamics.EXPONENTIAL_POLE`` gamma_a) the run is integrated
     by the exponential method, whose step count does not grow with
-    |alpha|, so any kappa is affordable.
+    |alpha|, so any kappa is affordable.  Raises ``ValueError`` when the
+    predicted slow mode does not decay, or when the host-like mode
+    decays no faster than it (so that it would dominate |s| in the fit
+    window).
     """
     ell = local_field_factor(p.host).ell
     rate_guess = -predicted_slow_eigenvalue(ell, p.emitter).real
@@ -426,6 +429,16 @@ def weak_excitation_run(p: MicroscopicParams, tol: float = 1e-10) -> tuple:
         raise ValueError(
             f"no decaying slow mode to observe: predicted coherence decay "
             f"= {rate_guess!r} <= 0"
+        )
+    # near-degenerate modes warn where the modes are reported, not here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateModesWarning)
+        slow, fast = coupled_mode_eigenvalues(p)
+    if not -fast.real > -slow.real:
+        raise ValueError(
+            f"the host-like mode decays no faster than the emitter-like "
+            f"one: decay {-fast.real!r} <= {-slow.real!r}, so it would "
+            f"dominate the coherence in the fit window"
         )
     emitter = replace(p.emitter, drive=DriveEnvelope())
     params = MicroscopicParams(emitter=emitter, host=p.host)
@@ -567,8 +580,9 @@ def conservation_battery() -> list[tuple[str, float]]:
     integration error (span 100, tol 1e-10, 2001 samples).  The drive
     rates are of order 0.5/gamma_a or slower so the accumulated drift
     over the span stays within the 100*tol conservation bound (the
-    per-step error of an order-5(4) scheme at tol grows linearly with
-    the step count, which grows with the drive frequency).
+    global error of Dormand-Prince 8(5,3) at tol, 1.8e-9 at most over
+    these drives, grows with the step count, which grows with the
+    drive frequency).
     """
     scenarios = [
         ("off", 0.5, DriveEnvelope()),

@@ -909,7 +909,10 @@ class TestSweep:
             return payload
         n = 195
         base = weak_scenario()
-        base["host"] = {"delta_b": 2.0, "eps_b": 1.0, "gamma_b": 1.0}
+        # a host whose own mode decays faster than the emitter's at
+        # every point (at gamma_b = 1 it decays slower, at 0.33 against
+        # 0.67, and every point would be an error row)
+        base["host"] = {"delta_b": 2.0, "eps_b": 1.0, "gamma_b": 2.0}
         base["integration"]["tol"] = 1e-6
         payload = {
             "parameter": "emitter.eps_a",
@@ -960,10 +963,12 @@ class TestSweep:
     def test_point_past_the_float_range_fails_alone(self, tmp_path, capsys):
         # at eps_b = 1e308, C_a = i*eps_b/rho overflows; solve refused
         # the batch's linear part, a ValueError traceback (exit 1) that
-        # lost point 0's row
+        # lost point 0's row.  Point 0's host is damped enough for its
+        # own mode to decay faster than the emitter's
         base = weak_scenario()
         base["host"]["gamma_b"] = 1e-300
         payload = {"parameter": "host.eps_b", "values": [1.0, 1e308],
+                   "overrides": [{"host": {"gamma_b": 4.0}}, {}],
                    "reduction": "coherence_rate_model_b", "base": base}
         spec = write_json(tmp_path / "sweep.json", payload)
         code, out, _ = run_cli(["sweep", spec], capsys)
@@ -974,6 +979,27 @@ class TestSweep:
                            "ValueError: microscopic model: C_a = "
                            "i*eps_b/rho is infj: the rates leave the float "
                            "range"]
+
+    def test_weakly_damped_host_points_are_error_rows(self, tmp_path,
+                                                       capsys):
+        # below some gamma_b the host-like mode decays no faster than the
+        # emitter-like one (its root's real part is -1.75 at gamma_b = 4,
+        # +0.245 at 0.01 and +0.250 at 1e-6) and dominates |s| in the
+        # fit window: those points wrote a wrong rate with an empty error
+        # column (gamma_fit 0.00564 and -0.0130 against about 1.5)
+        payload = {"parameter": "host.gamma_b", "values": [4.0, 0.01, 1e-6],
+                   "reduction": "coherence_rate_model_b",
+                   "base": weak_scenario()}
+        spec = write_json(tmp_path / "sweep.json", payload)
+        code, out, _ = run_cli(["sweep", spec], capsys)
+        assert code == 0
+        rows = list(csv.reader(out.strip().splitlines()))[1:]
+        assert rows[0][5] == ""
+        assert float(rows[0][3]) == pytest.approx(2.0 * SLOW_DECAY, rel=1e-3)
+        for row in rows[1:]:
+            assert row[1:5] == ["", "", "", ""]
+            assert row[5].startswith("ValueError: the host-like mode decays "
+                                     "no faster than the emitter-like one")
 
     def test_coherence_reduction(self, tmp_path, capsys):
         payload = {

@@ -887,12 +887,15 @@ class TestIntegrateBatch:
         assert _same_trajectory(batch[1], integrate(*good))
 
     def test_bloch_warning_names_the_caller(self):
-        # a right-hand side that inflates the state leaves the sphere
+        # a right-hand side that inflates the state leaves the sphere:
+        # both forms of it, the batch's and the one-row passes'
         run = (EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS),
                SystemState(s=0j, w=-1.0), IntegrationSpec(span=1.0,
                                                           points=11))
         with mock.patch.object(dynamics, "effective_rhs",
-                               lambda t, Y, P: Y):
+                               lambda t, Y, P: Y), \
+                mock.patch.object(dynamics, "_effective_row",
+                                  lambda t, y, c: y):
             with pytest.warns(BlochNormWarning) as lone:
                 integrate(*run)
             with pytest.warns(BlochNormWarning) as batch:
@@ -1006,8 +1009,10 @@ class TestBatchMemory:
 
     def test_model_a_batch_peak_and_views(self):
         # at the tolerance of the sweeps: samples 24 bytes and a pass's
-        # dense output, 28.1 measured; 40 with a copy of the grids, and
-        # 57.6 when each run kept a grid of its own and s
+        # dense output, a stack of at most ode.DENSE_SAMPLES samples at
+        # a time, 27.2 measured (35.8 with the whole pass in one stack);
+        # 40 with a copy of the grids, and 57.6 when each run kept a
+        # grid of its own and s
         runs = _decays(128)
         batch, per_sample = _traced_peak(runs)
         assert per_sample <= 30.0
@@ -1021,8 +1026,9 @@ class TestBatchMemory:
 
     def test_kept_w_peak(self):
         # w 8 bytes: s only reaches a pass's dense output.  32 runs read
-        # 12.2 bytes per sample (12.1 at 128 and 256), 20.2 when the
-        # batch keeps s; 21.3 and 29 with a copy of the grids
+        # 13.4 bytes per sample (10.9 at 128 and 10.8 at 256; 21.7 with
+        # the whole pass in one stack), 20.2 when the batch keeps s; 21.3
+        # and 29 with a copy of the grids
         batch, per_sample = _traced_peak(_decays(32), keep=("w",))
         assert per_sample <= 14.0
         assert batch[0].y.shape == (1601, 1)
@@ -1274,7 +1280,7 @@ def stiff_run(draw, weak):
 
 @pytest.mark.filterwarnings("ignore::lfbloch.dynamics.BlochNormWarning")
 class TestExponentialAccuracy:
-    """The exponential method against Dormand-Prince at tol 1e-12.  A
+    """The exponential method against Dormand-Prince 8(5,3) at tol 1e-12.  A
     run's error is on the integrator's scale, tol + tol*|s|;
     Dormand-Prince itself keeps weak decays
     (|s| <= 1e-3) only to about 1e-10 absolute at tol 1e-10."""
@@ -1340,15 +1346,17 @@ class TestMethodSelection:
         return runs
 
     def test_the_host_pole_picks_the_method(self):
-        # |alpha| = 20 kappa: kappa = 1 stays on Dormand-Prince (6
-        # evaluations per attempted step), the others are exponential (7)
+        # |alpha| = 20 kappa: kappa = 1 stays on Dormand-Prince (12
+        # evaluations per attempted step, and 3 per accepted one, each
+        # with points of the 151-point grid), the others are exponential
+        # (7 per attempted step)
         for (params, _, integration), traj in zip(
                 self._runs(), map(lambda run: integrate(*run), self._runs())):
             pieces = len(params.emitter.drive.pieces(integration.span))
-            per_step = 7 if abs(params.host_pole) > \
-                dynamics.EXPONENTIAL_POLE else 6
+            per_step, dense = (7, 0) if abs(params.host_pole) > \
+                dynamics.EXPONENTIAL_POLE else (12, 3)
             assert traj.n_rhs == 2 * pieces + per_step * (
-                traj.n_accepted + traj.n_rejected)
+                traj.n_accepted + traj.n_rejected) + dense * traj.n_accepted
         assert abs(self._runs()[0][0].host_pole) < dynamics.EXPONENTIAL_POLE
         assert abs(self._runs()[1][0].host_pole) > dynamics.EXPONENTIAL_POLE
 

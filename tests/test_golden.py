@@ -66,6 +66,8 @@ RUNS = {
     "verify_text": (["verify"], ()),
 }
 
+# Every hash of an integrated output moved once when Dormand-Prince
+# 8(5,3) replaced 5(4) (the step counts of each run are in CHANGES.md)
 GOLDEN = {
     "compare": {
         "stdout":
@@ -81,56 +83,55 @@ GOLDEN = {
     },
     "simulate_decay": {
         "stdout":
-            "32b964f1cee40da35aafc15f8b55d300945948e86e25c260e03f4c5f9e54a8ba",
+            "3cfa0a86279941044df8155f38bdf20d9c64bbc5ebd8cd9c8a96c0f1a43d4761",
         "decay.csv":
-            "e774679399e2f0db9c0f1aef37f95aacd20b286e77aec2f85d5a8c76ae81925c",
+            "ded84cac1dafdd016503c65e99d079c10c7fe494bf8804d3bb9de72ca5e646ce",
     },
     "simulate_decay_text": {
         "stdout":
-            "38776ca44b7dfd1b3388c910ddd5330d431e1aa431d20b6f3be8d1ef77da8f42",
+            "2f90c813e1c171e364f9ae74af21dd7b8f0de7b907522d6daae570d3a0e31a95",
         "decay.csv":
-            "e774679399e2f0db9c0f1aef37f95aacd20b286e77aec2f85d5a8c76ae81925c",
+            "ded84cac1dafdd016503c65e99d079c10c7fe494bf8804d3bb9de72ca5e646ce",
     },
     "simulate_weak_excitation": {
         "stdout":
-            "daa3fec5efcbb484bce97df9f7c243108579a6fcc95503bf7f1df3e8afb12231",
+            "43545814d53326589aa27b26872aa397fa4f81fc2d71080d6de039c1b174e96c",
         "weak_excitation.csv":
-            "c8748a135122f911eeb72601c25bf178faa1e5be233eec83a9e8342d66d48019",
+            "92eb0c3dbbdb3786f5db738bf9a71cac94a18f25d5b952c4097b9ee3bd6dfc4b",
     },
     "simulate_weak_excitation_text": {
         "stdout":
-            "3d0fb98693259ec87bb197ed1d82875aef06ed354d39d8f569aaa5f8c2e2a70d",
+            "c36acdfd7bce2381030eced27b1a360285fba4872515f9e0ed7a74b058255ce2",
         "weak_excitation.csv":
-            "c8748a135122f911eeb72601c25bf178faa1e5be233eec83a9e8342d66d48019",
+            "92eb0c3dbbdb3786f5db738bf9a71cac94a18f25d5b952c4097b9ee3bd6dfc4b",
     },
     "simulate_pulse_both": {
         "stdout":
-            "60652f6b493ed69d36acbdf710dc2ff84597125949eb2f149451ef008e0ff741",
+            "372a8e7df44c9e19bbe587686152815979cc31ee247bbb6717023d311ea165c7",
         "pulse_both_A.csv":
-            "2985176a2a6a1050af434bd89adcc0d9482cb1a1dbb1f319557b0260dcc0cc2b",
+            "54bbc3d26464a2d519cccb85e1e10acb3bbf5b2784d14e3c9143985b27aa697a",
         "pulse_both_B.csv":
-            "1280bc4406b2fdcdd6e5df28e62155769b1a43c635c6188be20d85ed31cb71cc",
+            "4553394bc173327a83289d3c180f08d6affdf94ea01b5a03dfce349811ea39b1",
     },
     "simulate_pulse_both_text": {
         "stdout":
-            "c8a3798e83fa42d353af5c8f188f3be1216e7903ac0024ac4b127b7149c932d1",
+            "d021422b0afb286f05f498df8aea0ef092558fa4534a1a1784048c4e0110537c",
         "pulse_both_A.csv":
-            "2985176a2a6a1050af434bd89adcc0d9482cb1a1dbb1f319557b0260dcc0cc2b",
+            "54bbc3d26464a2d519cccb85e1e10acb3bbf5b2784d14e3c9143985b27aa697a",
         "pulse_both_B.csv":
-            "1280bc4406b2fdcdd6e5df28e62155769b1a43c635c6188be20d85ed31cb71cc",
+            "4553394bc173327a83289d3c180f08d6affdf94ea01b5a03dfce349811ea39b1",
     },
     "sweep": {
         "stdout":
-            "3d6cded301f7c9b021673b11bf65009168bc4e2d9cf557def64d33ec179cd962",
+            "4e01c88e388e63d730bf231b774d08cadd842dbe6f33908a4ae6b7126c65639a",
     },
-    # the battery's kappa = 4 and 8 runs moved to the exponential method
     "verify": {
         "stdout":
-            "be67037124c51ec3ca035990e63d85e72a2bda59247c4def0c044850bc3f201e",
+            "bca237f850f335b34473f930c2cfe9018a51642f3337edb263560201473164fa",
     },
     "verify_text": {
         "stdout":
-            "c24518c22d4412f9f678a5ee8e5cc632dfb95b3c63d8a2abe55ad947c21878e8",
+            "cecafefdc2fa20dfeef323c481aa6a19eb811a67fb6a264cbd3fcfea69463a3b",
     },
 }
 

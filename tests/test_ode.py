@@ -1,14 +1,16 @@
 """Tests for the batched integrators of ``lfbloch.ode``.  Dormand-Prince
-5(4): accuracy against analytic solutions, convergence order, dense
-output, statistics, error paths, lockstep batches that reproduce each
-row's lone run bit for bit (dense output stacked over the rows on
-the array form's passes of the step-size controller, per row on the
-other form's), the bit
-equalities that stacking, the array controller and the batched starting
-step rely on, the Python-float form of few-row passes against the array
-form (and the bit equalities it relies on), and rows of pieces that
-reproduce one run per piece.  The exponential method: its
-phi-functions against the matrix exponential, exact linear problems
+8(5,3): accuracy against analytic solutions, its order 8 on fixed steps
+and the order 7 of its dense output between steps, statistics (12
+evaluations per attempted step, 3 per step with grid points), error
+paths, lockstep batches that reproduce each row's lone run bit for bit
+(dense output stacked over the rows on the array form's passes of the
+step-size controller, per row on the other form's), the bit equalities
+that stacking, the array controller and the batched starting step rely
+on (16-stage stacks, 7 theta powers), the Python-float form of few-row
+passes against the array form (and the bit equalities it relies on),
+and rows of pieces that reproduce one run per piece.  The exponential
+method: its phi-functions against the matrix exponential, exact linear
+problems
 (stiff and degenerate), a tight reference, the order of its dense
 output, lone-run bits in a batch and its evaluation count."""
 
@@ -107,43 +109,70 @@ class TestAccuracy:
         assert_allclose(mine.y, ref.y.T, atol=1e-9)
 
 
+# the band of an error ratio of order 8 per halving of the step:
+# 2**8 = 256 within half a power of 2 either way
+ORDER_8 = (2.0 ** 7.5, 2.0 ** 8.5)
+
+
 class TestOrder:
-    def test_fifth_order_convergence(self):
+    def test_eighth_order_convergence(self):
         """With error control disabled (a huge tolerance) and n pieces of
         length h = t_end/n, each taken in one step onto its end, halving
-        the step divides the endpoint error by about 2**5."""
+        the step divides the endpoint error by about 2**8 (267 here; from
+        n = 64 on the error is at rounding)."""
         t_end = 2.0 * math.pi
         errors = []
-        for n in (64, 128):
+        for n in (16, 32):
             res = solve(_per_row(_harmonic),
                         [[(t_end * k / n, (0,)) for k in range(1, n + 1)]],
                         [0.0], np.array([[1.0, 0.0]]), [2], [1.0])
             assert (res.n_accepted[0], res.n_rejected[0]) == (n, 0)
             errors.append(abs(res.y[-1, 0] - 1.0) + abs(res.y[-1, 1]))
-        ratio = errors[0] / errors[1]
-        assert 20.0 < ratio < 50.0
+        assert ORDER_8[0] < errors[0] / errors[1] < ORDER_8[1]
+
+    def test_dense_output_order_between_steps(self):
+        """One step of h from the same state, sampled at h/3 and 2h/3 by
+        the order-7 interpolant: halving h divides its error there by
+        about 2**8 (258 here), where its step's end falls by 2**9."""
+        errors = []
+        for h in (0.5, 0.25):
+            res = solve(_per_row(_harmonic), [[(h, (0,))]], [0.0],
+                        np.array([[1.0, 0.0]]), [4], [1.0])
+            assert (res.n_accepted[0], res.n_rejected[0]) == (1, 0)
+            t = res.row(0)[0][1:3]
+            errors.append(np.max(np.abs(
+                res.y[1:3] - np.stack([np.cos(t), -np.sin(t)], axis=1))))
+        assert ORDER_8[0] < errors[0] / errors[1] < ORDER_8[1]
 
 
 class TestStatistics:
     def test_rhs_eval_accounting(self):
-        res = solve_one(_decay, 0.0, 3.0, np.array([1.0]), 4,
-                        tol=1e-8)
-        # two startup evaluations (f(t0) + starting-step probe), then six
-        # per attempted step thanks to the FSAL pair
-        assert res.n_rhs[0] == 2 + 6 * (res.n_accepted[0]
-                                        + res.n_rejected[0])
-        assert res.n_accepted[0] > 0
-        assert res.n_rejected[0] >= 0
+        # two startup evaluations (f(t0) + starting-step probe), then
+        # twelve per attempted step thanks to the FSAL pair, and three
+        # per accepted step with grid points for its interpolant: on 2
+        # points the last step alone, on 1001 (0.003 apart) every step
+        for points in (2, 1001):
+            res = solve_one(_decay, 0.0, 3.0, np.array([1.0]), points,
+                            tol=1e-8)
+            dense = 1 if points == 2 else res.n_accepted[0]
+            assert res.n_rhs[0] == 2 + 12 * (
+                res.n_accepted[0] + res.n_rejected[0]) + 3 * dense
+            assert res.n_accepted[0] > 1
+            assert res.n_rejected[0] >= 0
 
     def test_stability_limit_causes_rejections(self):
         # fast linear relaxation at loose tolerance: the controller keeps
-        # bouncing off the explicit stability boundary
+        # bouncing off the explicit stability boundary, h*lambda = -6.39
+        # on the real axis for this pair (-3.31 for the 5(4) one), so it
+        # takes 3*lambda/6.39 = 94 steps at least (98 accepted, 4
+        # rejected)
         def relax(t, y, p):
             return np.array([200.0 * (math.cos(t) - y[0])])
 
         res = solve_one(relax, 0.0, 3.0, np.array([0.0]), 2, tol=1e-3)
         assert res.n_rejected[0] > 0
         lam = 200.0
+        assert res.n_accepted[0] >= 3.0 * lam / 6.39
         exact = (lam * lam * math.cos(3.0) + lam * math.sin(3.0)) / (lam * lam + 1.0)
         assert_allclose(res.y[-1, 0], exact, atol=1e-3)
 
@@ -216,9 +245,11 @@ class TestErrors:
                 assert np.isfinite(res.y_end[b]).all()
 
     def test_dense_output_survives_an_overflow_on_the_way(self):
-        # the Shampine coefficients exceed 1, so with stages of 1e308 the
-        # interpolant's products overflow although every sample is
-        # finite; they used to come out NaN on a row with no error
+        # the interpolant's coefficients exceed 1 (up to 5e2), so with
+        # stages of 1e308 its products overflow although every sample is
+        # finite; they used to come out NaN on a row with no error.  The
+        # redone products cancel to about 1e-14 of the stages' size
+        # (the last sample, 0 exactly, comes out 1.5e294)
         def huge(t, y, p):
             return np.array([1e308])
 
@@ -227,19 +258,19 @@ class TestErrors:
             res = solve_one(huge, 0.0, 1.0, np.array([-1e308]), grid.size,
                             tol=1e-6)
         assert_allclose(res.y[:, 0], -1e308 + 1e308 * grid, rtol=1e-12,
-                        atol=1e294)
+                        atol=1e295)
         assert np.isfinite(res.y_end).all()
 
     @pytest.mark.parametrize("span", [3.0, 6.0])
     def test_overflowing_dense_output_fails_the_row(self, span):
-        # y = y0 + A sin t peaks one part in 1e9 below the largest float;
-        # at this tolerance the quartic interpolant overshoots it
-        # between two finite states, so the samples near the peak are
-        # inf: the row stops there with NaN samples from the step on
-        # (on the span of 3 that step is the last, on 6 it is not)
+        # y = y0 + A sin t peaks one part in 1e3 of A above the largest
+        # float, inside a step between two finite states, so the
+        # samples near the peak are inf: the row stops there with NaN
+        # samples from the step on (on the span of 3 that step is the
+        # last, on 6 it is not)
         (f, _, _, y0, _, tol) = PEAK
         peak = (f, 0.0, span, y0, 3001, tol)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             res = _solve_batch([peak, BATCH[3]])
         assert isinstance(res.errors[0], NonFiniteRhsError)
         assert "dense output went non-finite" in str(res.errors[0])
@@ -300,12 +331,53 @@ class TestErrors:
         t, y = res.row(0)
         assert_allclose(y[:, 0] / top, np.sin(t), atol=1e-3)
         assert np.isfinite(res.y_end).all()
-        # redone attempts count as evaluations, and leave the other row
-        # and the row alone as they are
+        # redone attempts count as evaluations (12 each, past the 3 of
+        # each step with grid points), and leave the other row and the
+        # row alone as they are
         attempts = int(res.n_accepted[0] + res.n_rejected[0])
-        assert res.n_rhs[0] > 2 + 6 * attempts
+        assert res.n_rhs[0] > 2 + 12 * attempts + 3 * res.n_accepted[0]
         if not float_form:
             assert sum(calls) == int(np.sum(res.n_rhs))
+        _assert_row_equal(res, 0, lone)
+        _assert_row_equal(res, 1, _lone(((_decay, 0.0), 0.0, 2.0, [1.0], 5,
+                                        1e-8)))
+
+    @pytest.mark.parametrize("float_form", [False, True])
+    def test_extra_stages_near_the_top_are_redone_scaled(self, monkeypatch,
+                                                         float_form):
+        # y' = A cos t + 1e-300 y, A one part in 1e6 below the largest
+        # float: the tableau sums of the interpolant's extra stages
+        # overflow, their states are inf and so is f there, and the row
+        # failed as "dense output went non-finite" at t = 0.11.  Such
+        # stages are redone once on scaled sums by rhs, in either form,
+        # and count 3 more evaluations
+        top = (1.0 - 1e-6) * _TOP
+
+        def wave(t, y, p):
+            return np.array([top * math.cos(t) + 1e-300 * y[0]])
+
+        scaled = []
+        stages = ode._stages
+
+        def spy(rhs, t, h, y, K, P, which, e=None):
+            scaled.append(which is ode._EXTRA and e is not None)
+            return stages(rhs, t, h, y, K, P, which, e)
+
+        monkeypatch.setattr(ode, "_stages", spy)
+        monkeypatch.setattr(ode, "FLOAT_ROWS", 4 if float_form else 0)
+        problems = [[(2.0 * math.pi, (0,))], [(2.0, (1,))]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = solve(_per_row(wave, _decay), problems, [0.0, 0.0],
+                        np.array([[0.0], [1.0]]), [9, 5], [1e-3, 1e-8],
+                        row_rhs=_row_form(wave, _decay) if float_form
+                        else None)
+            redone = sum(scaled)
+            lone = solve(_per_row(wave), problems[:1], [0.0],
+                         np.array([[0.0]]), [9], [1e-3])
+        assert res.errors == [None, None]
+        assert redone > 0
+        t, y = res.row(0)
+        assert_allclose(y[:, 0] / top, np.sin(t), atol=1e-3)
         _assert_row_equal(res, 0, lone)
         _assert_row_equal(res, 1, _lone(((_decay, 0.0), 0.0, 2.0, [1.0], 5,
                                         1e-8)))
@@ -365,8 +437,9 @@ class TestErrors:
                                                float_rows):
         # y' = -y goes NaN from t = 0.5: every first stage is below 1 in
         # size, where the scaled sums would repeat the attempt bit for
-        # bit, so no attempt is redone (it took 1082 evaluations, 6 more
-        # for each rejected attempt), under either controller form
+        # bit, so no attempt is redone, under either controller form:
+        # 1523 = 2 + 12 per attempt + 3 for each of the 3 steps with grid
+        # points (a redone attempt would add 12)
         def turns_nan(t, y, p):
             return np.full_like(y, math.nan) if t >= 0.5 else -y
 
@@ -375,9 +448,9 @@ class TestErrors:
                     np.array([[1.0]]), [11], [1e-8],
                     row_rhs=_row_form(turns_nan))
         assert (res.n_accepted[0], res.n_rejected[0], res.n_rhs[0]) == (
-            40, 70, 662)
+            44, 82, 1523)
         assert str(res.errors[0]) == (
-            "step size underflow at t = 0.5 (h = 3.35e-16): the right-hand "
+            "step size underflow at t = 0.5 (h = 3.45e-16): the right-hand "
             "side went non-finite (NaN or inf) and every step past this "
             "point was rejected; check the parameters and the drive")
 
@@ -546,7 +619,7 @@ def _huge_stages(t, y, p):
 
 # dense output overflows near t = pi/2 (see
 # test_overflowing_dense_output_fails_the_row)
-PEAK = ((_peak, 0.0), 0.0, 6.0, [_TOP - 1e307 * (1.0 + 1e-9), 0.0, 0.0],
+PEAK = ((_peak, 0.0), 0.0, 6.0, [_TOP - 1e307 * (1.0 - 1e-3), 0.0, 0.0],
         3001, 1e-2)
 
 
@@ -607,20 +680,26 @@ class TestBatch:
             int(_lone(p).n_rhs[0]) for p in BATCH)
         assert res.y.shape[0] == int(res.offsets[-1])
 
-    def test_one_rhs_call_per_stage(self):
+    def test_one_rhs_call_per_stage(self, monkeypatch):
         # the stages of all rows are one call each, and so is the
-        # starting-step probe
+        # starting-step probe; so is each extra stage of the
+        # interpolants of a pass's steps with grid points, over their
+        # rows alone
         sizes = []
 
         def counted(t, Y, P):
             sizes.append(len(Y))
             return _per_row(_rigid_body, _linear)(t, Y, P)
 
+        passes = _spy_dense_output(monkeypatch)
         res = _solve_batch(BATCH, rhs=counted)
         attempted = res.n_accepted + res.n_rejected
         assert sizes[:2] == [len(BATCH)] * 2
-        assert len(sizes) == 2 + 6 * int(np.max(attempted))
+        dense = [len(ms) for _, ms, _, _, _ in passes if ms]
+        assert len(sizes) == 2 + 12 * int(np.max(attempted)) + 3 * len(dense)
         assert sum(sizes) == int(np.sum(res.n_rhs))
+        assert sum(sizes) == 2 * len(BATCH) + 12 * int(np.sum(attempted)) \
+            + 3 * sum(dense)
 
     def test_y0_must_be_two_dimensional(self):
         with pytest.raises(ValueError, match="shape"):
@@ -762,15 +841,16 @@ class TestKeep:
 
 
 def _spy_dense_output(monkeypatch):
-    """Record [stacked, samples per job, failed jobs, rows of the pass]
-    of each dense pass; the last entry is the pass under way."""
+    """Record [stacked, samples per job, failed jobs, rows of the pass,
+    batch rows of the jobs] of each dense pass; the last entry is the
+    pass under way."""
     passes = []
     dense_output = ode._dense_output
 
     def spy(jobs, stacked, y, *args):
         passes.append([stacked, [int(b - a) for a, b in zip(jobs.start,
                                                              jobs.end)], 0,
-                       len(y)])
+                       len(y), [int(b) for b in jobs.index]])
         failed = dense_output(jobs, stacked, y, *args)
         passes[-1][2] = len(failed)
         return failed
@@ -828,11 +908,11 @@ class TestStackedBatch:
         # dense output follows the controller: stacked on a pass of more
         # than FLOAT_ROWS rows (the array form), per row on the others
         assert all(on == (rows > ode.FLOAT_ROWS)
-                   for on, _, _, rows in passes)
+                   for on, _, _, rows, _ in passes)
         # the dense-output overflow of PEAK was found once, and stacked
         # passes held one-sample and multi-sample rows
-        assert sum(failed for _, _, failed, _ in passes) == 1
-        stacked = [ms for on, ms, _, _ in passes if on]
+        assert sum(failed for _, _, failed, _, _ in passes) == 1
+        stacked = [ms for on, ms, _, _, _ in passes if on]
         assert bool(stacked) == (batch_rows != 10**6)
         assert not stacked or any(1 in ms and max(ms) > 1 for ms in stacked)
         for b, alone in enumerate(lone):
@@ -846,8 +926,11 @@ class TestStackedBatch:
         assert res.errors[:4] + res.errors[7:] == [None] * 15
         assert np.count_nonzero(res.n_rejected) >= 3
         # rows that ran to their end (a failing row's redone attempts
-        # count too)
-        pieces = (res.n_rhs - 6 * (res.n_accepted + res.n_rejected)) // 2
+        # count too), past 3 evaluations per step with grid points
+        dense = np.bincount([b for *_, rows in passes for b in rows],
+                            minlength=len(STACKED))
+        pieces = (res.n_rhs - 12 * (res.n_accepted + res.n_rejected)
+                  - 3 * dense) // 2
         ended = [error is None for error in res.errors]
         assert np.count_nonzero(pieces[ended] > 1) == 3
 
@@ -863,7 +946,7 @@ class TestStackedBatch:
         monkeypatch.setattr(ode, "_samples", spy)
         res = _solve_batch(BATCH * 4)
         assert res.errors == [None] * len(BATCH) * 4
-        assert any(stacked for stacked, _, _, _ in passes)
+        assert any(stacked for stacked, _, _, _, _ in passes)
         assert per_row and not any(per_row)
 
 
@@ -877,9 +960,9 @@ def _stages(rng, shape):
 
 
 def _powers(rng, shape):
-    """theta^1..4 for theta in (0, 1], built as dense output builds them."""
+    """theta^1..7 for theta in (0, 1], built as dense output builds them."""
     theta = rng.uniform(0.0, 1.0, shape)
-    powers = theta.repeat(4).reshape(shape + (4,))
+    powers = theta.repeat(7).reshape(shape + (7,))
     np.multiply.accumulate(powers, out=powers, axis=-1)
     return powers
 
@@ -895,7 +978,7 @@ class TestDenseBits:
     def test_stacked_tableau_product_equals_per_row(self, rows, n):
         rng = np.random.default_rng(rows * 100 + n)
         for _ in range(20):
-            K = _stages(rng, (rows, 7, n))
+            K = _stages(rng, (rows, 16, n))
             stacked = np.matmul(_P_T, K)
             for b in range(rows):
                 assert np.array_equal(_bits(stacked[b]), _bits(_P_T @ K[b]))
@@ -907,7 +990,7 @@ class TestDenseBits:
         for mx in (2, 3, 17, 40):
             m = rng.integers(2, mx + 1, rows)
             powers = _powers(rng, (rows, mx))
-            Q = _stages(rng, (rows, 4, n))
+            Q = _stages(rng, (rows, 7, n))
             stacked = np.matmul(powers, Q)
             for b in range(rows):
                 assert np.array_equal(_bits(stacked[b, :m[b]]),
@@ -918,7 +1001,7 @@ class TestDenseBits:
         rng = np.random.default_rng(rows * 100 + n + 2)
         for _ in range(20):
             powers = _powers(rng, (rows, 1))
-            Q = _stages(rng, (rows, 4, n))
+            Q = _stages(rng, (rows, 7, n))
             stacked = np.matmul(powers, Q)
             for b in range(rows):
                 assert np.array_equal(_bits(stacked[b]),
@@ -935,7 +1018,7 @@ class TestDenseBits:
             powers = _powers(rng, (rows, mx))
             k = np.minimum(np.arange(mx), m[:, None] - 1)
             powers = np.take_along_axis(powers, k[:, :, None], axis=1)
-            stacked = np.matmul(powers, _stages(rng, (rows, 4, n)))
+            stacked = np.matmul(powers, _stages(rng, (rows, 7, n)))
             for b in range(rows):
                 assert np.array_equal(
                     _bits(stacked[b, m[b]:]),
@@ -947,20 +1030,20 @@ class TestDenseBits:
         # theta, theta*theta, (theta*theta)*theta, ... as stacked dense
         # output forms them, against np.multiply.accumulate
         theta = np.random.default_rng(shape[0]).uniform(0.0, 1.0, shape)
-        powers = np.empty(shape + (4,))
+        powers = np.empty(shape + (7,))
         powers[..., 0] = theta
-        for q in range(1, 4):
+        for q in range(1, 7):
             np.multiply(powers[..., q - 1], theta, out=powers[..., q])
-        want = theta.repeat(4).reshape(shape + (4,))
+        want = theta.repeat(7).reshape(shape + (7,))
         np.multiply.accumulate(want, out=want, axis=-1)
         assert np.array_equal(_bits(powers), _bits(want))
 
     def test_float_power_equals_python_power(self):
-        # the step-size factor err ** -0.2 on arrays (np.power differs)
+        # the step-size factor err ** -0.125 on arrays (np.power differs)
         err = np.exp(np.random.default_rng(3).uniform(-40.0, 5.0, 200_000))
         assert np.array_equal(
-            _bits(np.float_power(err, -0.2)),
-            _bits([e ** -0.2 for e in err.tolist()]))
+            _bits(np.float_power(err, -0.125)),
+            _bits([e ** -0.125 for e in err.tolist()]))
 
 
 class TestFloatBits:
@@ -992,13 +1075,16 @@ class TestFloatBits:
     @pytest.mark.parametrize("rows, n", [(1, 1), (2, 3), (3, 5), (4, 3),
                                          (5, 7), (8, 5), (32, 3)])
     def test_tableau_products_by_stack_equal_per_row(self, rows, n):
-        # a tableau row times the (B, i, n) stage slices: row b is the
-        # product a batch of one makes on (1, i, n)
+        # a tableau row times the (B, i, n) stage slices of the 16-stage
+        # stack (rows 1..12 of A, B among them, the two error weights,
+        # and rows 13..15, which dense output takes on the stack of its
+        # jobs' rows): row b is the product a batch of one makes on (1,
+        # i, n)
         rng = np.random.default_rng(rows * 10 + n)
         for _ in range(20):
-            K = _stages(rng, (rows, 7, n))
-            for a, i in [(ode._A[i], i) for i in range(1, 6)] \
-                    + [(ode._B, 6), (ode._E, 7)]:
+            K = _stages(rng, (rows, 16, n))
+            for a, i in [(ode._A[i], i) for i in range(1, 16)] \
+                    + [(ode._E5, 12), (ode._E3, 12)]:
                 stacked = np.matmul(a, K[:, :i])
                 for b in range(rows):
                     assert np.array_equal(
@@ -1012,7 +1098,7 @@ class TestFloatBits:
                                                     x.tolist()]))
 
 
-def _scalar_initial_step(f, t0, y0, f0, t_end, tol):
+def _scalar_initial_step(f, t0, y0, f0, t_end, tol, power):
     """The starting-step heuristic of one row on Python floats, as solve
     took it row by row: the reference of the batched _initial_step."""
     scale = tol + tol * np.abs(y0)
@@ -1028,7 +1114,7 @@ def _scalar_initial_step(f, t0, y0, f0, t_end, tol):
     elif not (math.isfinite(d1) and math.isfinite(d2)):
         h1 = h0
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** power
     return min(100 * h0, h1, t_end - t0)
 
 
@@ -1047,10 +1133,12 @@ class TestControllerBits:
     by moving the golden hashes."""
 
     @pytest.mark.parametrize("exponent, lo, hi", [(-0.25, -40.0, 5.0),
-                                                  (0.2, -300.0, 300.0)])
+                                                  (0.2, -300.0, 300.0),
+                                                  (0.125, -300.0, 300.0)])
     def test_float_power_equals_python_power(self, exponent, lo, hi):
-        # the exponential method's factor err ** -0.25 and the starting
-        # step's (0.01/d) ** 0.2 (Dormand-Prince's -0.2: TestDenseBits)
+        # the exponential method's factor err ** -0.25 and starting step
+        # (0.01/d) ** 0.2, and Dormand-Prince's starting step (0.01/d)
+        # ** 0.125 (its factor's -0.125: TestDenseBits)
         x = np.exp(np.random.default_rng(4).uniform(lo, hi, 200_000))
         assert np.array_equal(_bits(np.float_power(x, exponent)),
                               _bits([v ** exponent for v in x.tolist()]))
@@ -1086,7 +1174,8 @@ class TestControllerBits:
         # floats: states and slopes from 1e-12 to 1e12, zero slopes, a
         # slope that overflows the error scale, a NaN slope, pieces from
         # 1e-310 long, a slope that jumps right after t0 = 0 (d2
-        # overflows on the shortest pieces)
+        # overflows on the shortest pieces); with Dormand-Prince's power
+        # 1/8 and the exponential method's 1/5
         rng = np.random.default_rng(30 + n)
         rows = 600
         y0 = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-12, 13,
@@ -1103,15 +1192,19 @@ class TestControllerBits:
                                       rng.uniform(-310.0, 2.0, rows))
         tol = 10.0 ** rng.uniform(-12.0, -3.0, rows)
         f0 = _affine(t0, y0, P)
-        with np.errstate(all="ignore"):
-            got = _initial_step(_affine, t0, y0, P, f0, t_end, tol[:, None])
-            want = [_scalar_initial_step(
-                lambda t, y, p=P[b]: _affine(np.array([t]), y[None],
-                                             p[None])[0],
-                t0[b].item(), y0[b], f0[b], t_end[b].item(), tol[b].item())
-                for b in range(rows)]
-        # repr tells every float apart but NaN's sign
-        assert list(map(repr, got.tolist())) == list(map(repr, want))
+        for power in (ode._START_EXPONENT, exponential.Exponential
+                      .start_exponent):
+            with np.errstate(all="ignore"):
+                got = _initial_step(_affine, t0, y0, P, f0, t_end,
+                                    tol[:, None], power)
+                want = [_scalar_initial_step(
+                    lambda t, y, p=P[b]: _affine(np.array([t]), y[None],
+                                                 p[None])[0],
+                    t0[b].item(), y0[b], f0[b], t_end[b].item(),
+                    tol[b].item(), power)
+                    for b in range(rows)]
+            # repr tells every float apart but NaN's sign
+            assert list(map(repr, got.tolist())) == list(map(repr, want))
 
     def test_bloch_norm_view_equals_complex_sum(self):
         # each sweep batch's measure: |s| from a complex view of (Re s,
@@ -1401,7 +1494,16 @@ def _solve_pieced(problems, rhs=_per_row(_forced)):
     return solve(rhs, pieces, t0, np.array(y0), points, tols)
 
 
-def _chained(problem):
+def _dense_steps(passes, rows):
+    """The steps with grid points of each of rows batch rows, from the
+    passes of ``_spy_dense_output``; passes is then emptied."""
+    steps = np.bincount([b for *_, jobs in passes for b in jobs],
+                        minlength=rows)
+    del passes[:]
+    return steps
+
+
+def _chained(problem, passes):
     """One lone solve per piece: the reference for a row of pieces.
 
     Each piece's solve starts from the previous one's ``y_end``, on a
@@ -1409,7 +1511,11 @@ def _chained(problem):
     least), and the counters are summed.  Returns the mask of the row's
     grid points that a piece's grid shares (a piece's start but the
     first's excluded: the row samples it in the piece before), the
-    pieces' samples there, the last y_end and the counters.
+    pieces' samples there, the last y_end and the counters: accepted and
+    rejected steps, and evaluations but the extra stages of dense output
+    (3 per step with grid points, which the passes of
+    ``_spy_dense_output`` tell; the pieces' grids have other points than
+    the row's).
     """
     pieces, t0, y0, points, tol = problem
     row = ode.grid(t0, pieces[-1][0], points)
@@ -1417,8 +1523,10 @@ def _chained(problem):
     a, y, counts = t0, np.array(y0), [0, 0, 0]
     for b, (_, force) in pieces:
         inside = ((row >= a) if a == t0 else (row > a)) & (row <= b)
+        del passes[:]
         res = solve_one(_forced, a, b, y, max(2, np.count_nonzero(inside)),
                         tol=tol, args=(force,))
+        res.n_rhs -= 3 * _dense_steps(passes, 1)
         times, ys = res.row(0)
         if a != t0:
             times, ys = times[1:], ys[1:]
@@ -1449,36 +1557,40 @@ def _recorded(problems):
 
 
 class TestPieces:
-    def test_rows_equal_chained_lone_solves(self):
+    def test_rows_equal_chained_lone_solves(self, monkeypatch):
+        passes = _spy_dense_output(monkeypatch)
         res = _solve_pieced(PIECED)
+        res.n_rhs -= 3 * _dense_steps(passes, len(PIECED))
         assert res.errors == [None] * len(PIECED)
         for b, problem in enumerate(PIECED):
             # the samples on grid points that the pieces' grids share:
             # the ends on grid points at least, and more where linspace's
             # points of a piece fall on the row's
-            shared, y, y_end, counts = _chained(problem)
+            shared, y, y_end, counts = _chained(problem, passes)
             assert np.count_nonzero(shared) >= 2
             assert np.array_equal(res.row(b)[1][shared], y[shared])
             assert np.array_equal(res.y_end[b], y_end)
             assert [res.n_accepted[b], res.n_rejected[b],
                     res.n_rhs[b]] == counts
 
-    def test_each_piece_calls_only_its_own_rhs(self):
+    def test_each_piece_calls_only_its_own_rhs(self, monkeypatch):
         problems, rhs, calls = _recorded(PIECED)
+        passes = _spy_dense_output(monkeypatch)
         res = _solve_pieced(problems, rhs)
+        dense = _dense_steps(passes, len(PIECED))
         for b, ((pieces, t0, *_), rows) in enumerate(zip(PIECED, calls)):
             starts = [t0] + [end for end, _ in pieces]
             for k, times in enumerate(rows):
-                # the stages at a piece's end read that piece's
-                # constants; the next piece's are read there once, by
-                # the restart
+                # the stages at a piece's end, and the interpolant's of
+                # its last step, read that piece's constants; the next
+                # piece's are read there once, by the restart
                 assert starts[k] <= min(times)
                 assert max(times) == starts[k + 1]
                 assert times[0] == starts[k]
                 assert k == 0 or times.count(starts[k]) == 1
             attempted = res.n_accepted[b] + res.n_rejected[b]
             assert res.n_rhs[b] == sum(map(len, rows)) \
-                == 2 * len(pieces) + 6 * attempted
+                == 2 * len(pieces) + 12 * attempted + 3 * dense[b]
 
     @pytest.mark.parametrize("pieces, match", [
         ([], "rise strictly"),
