@@ -162,16 +162,13 @@ def cmd_compare(args) -> int:
         return _fail(f"--step {args.step!r} over [{args.n_min!r}, "
                      f"{args.n_max!r}] gives {rows_wanted:.4g} rows; at "
                      f"most {COMPARE_MAX_ROWS} are allowed")
-    grid = []
-    k = 0
-    while True:
-        n = args.n_min + k * args.step
-        if n > args.n_max + 1e-9:
-            break
-        grid.append(n)
-        k += 1
+    if args.n_min + args.step == args.n_min:
+        return _fail(f"--step {args.step!r} does not advance --n-min "
+                     f"{args.n_min!r}: it is below the float spacing there")
     try:
-        rows = [rate_comparison(n) for n in grid]
+        # n_max is a row when it lies within 1e-9 of a step of the grid
+        rows = [rate_comparison(args.n_min + k * args.step)
+                for k in range(math.floor(rows_wanted + 1e-9))]
     except ValueError as exc:
         return _fail(str(exc))
 

@@ -224,7 +224,6 @@ class MicroscopicParams:
         # integrator as inf or NaN, or as a rho of 0 that C_a divides by
         for name, attr in (
                 ("rho = sqrt(gamma_b/gamma_a)", "dipole_ratio"),
-                ("alpha = i*(delta_b + eps_b + i*gamma_b/2)", "host_pole"),
                 ("C_a = i*eps_b/rho", "coupling_host_to_emitter"),
                 ("C_b = i*rho*eps_a - rho*gamma_a/2",
                  "coupling_emitter_to_host")):

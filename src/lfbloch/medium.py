@@ -132,6 +132,9 @@ class HostSpecies:
     SingularHostError
         If the pole denominator delta_b + eps_b + i*gamma_b/2 evaluates to
         zero (including a gamma_b so small that gamma_b/2 underflows).
+    ValueError
+        If it is not finite: delta_b + eps_b overflows, and the factor
+        would read as the vacuum's.
     """
 
     delta_b: float
@@ -149,6 +152,10 @@ class HostSpecies:
             raise SingularHostError(
                 "host pole denominator delta_b + eps_b + i*gamma_b/2 is zero"
             )
+        if not cmath.isfinite(self.pole_denominator):
+            raise ValueError(
+                f"host pole denominator: delta_b + eps_b is "
+                f"{self.delta_b + self.eps_b!r}: it leaves the float range")
 
     @property
     def pole_denominator(self) -> complex:
@@ -225,7 +232,9 @@ def rate_comparison(n: float) -> RateComparison:
 
     The ``re_ell`` column is smaller than ``virtual_cavity`` for every
     n > 1: accounting for the host's own dynamics weakens the predicted
-    enhancement relative to the static virtual-cavity factor.
+    enhancement relative to the static virtual-cavity factor.  An n
+    below 1, not finite, or whose columns leave the float range (from
+    about n = 1e62) is a ValueError.
 
     Examples
     --------
@@ -238,9 +247,10 @@ def rate_comparison(n: float) -> RateComparison:
                          f"got {n!r}")
     ell = (n * n + 2.0) / 3.0
     onsager_factor = 3.0 * n * n / (2.0 * n * n + 1.0)
-    return RateComparison(
-        n=n,
-        re_ell=ell,
-        virtual_cavity=n * ell * ell,
-        onsager=n * onsager_factor * onsager_factor,
-    )
+    virtual, onsager = n * ell * ell, n * onsager_factor * onsager_factor
+    # n*ell**2 overflows from about n = 1e62, and n*n from about 1e154
+    if not (math.isfinite(virtual) and math.isfinite(onsager)):
+        raise ValueError(f"rate comparison at n = {n!r} leaves the float "
+                         f"range")
+    return RateComparison(n=n, re_ell=ell, virtual_cavity=virtual,
+                          onsager=onsager)

@@ -40,8 +40,8 @@ bit.  No array holds the grids.  A grid point is computed where it is
 needed, from its index, by linspace's arithmetic (``_points``), and the
 grid points that a step covers are counted by an index computation: the
 floor of the step's end over the grid step, fixed up by exact
-comparisons with the points on either side (``_grid_index``), which
-equals ``searchsorted`` on the built grid.  A batch therefore holds its
+comparisons with the points on either side (``_index``), which equals
+``searchsorted`` on the built grid.  A batch therefore holds its
 samples and no time arrays.
 
 A row is a sequence of pieces, each with its own constants p (say, a
@@ -66,73 +66,66 @@ and ``np.sqrt``.
 
 The step-size controller keeps each unfinished row's time, step size,
 piece end, whether its step ends the piece, and the index of its next
-grid point: as (B,) arrays while more than ``FLOAT_ROWS`` rows are
-unfinished (its array form), and from there on as lists of the same
-Python numbers (its per-row form, the controller of the float form
-below), with each row's piece constants as ``row_rhs`` reads them.
-Accept/reject is ``err <= 1`` (so NaN is rejected).  The step-size
-factor is ``_SAFETY * err**exponent`` by ``np.float_power``, which is
-CPython's ``**`` (``np.power`` is not), clipped by ``np.maximum`` and
-``np.minimum``; a non-finite error is masked to ``_MIN_FACTOR``
-(``np.maximum`` would propagate NaN where Python's ``max`` drops it),
-and ``err == 0`` gives ``_MAX_FACTOR``.  The 10-ulp floor is
-``np.nextafter``, and the grid points inside the accepted steps come
-from ``_grid_index`` over every accepted row at once (the per-row form
-runs ``_index``, its arithmetic on Python floats).  The rare events stay
-per row in both forms: a restart at a piece's end, a failure and its
-message.  Both forms do the same arithmetic, so a row takes the same
-steps in either, and a run switches to the per-row form for good as its
-rows finish.
+grid point as lists of Python numbers, with each row's piece constants
+as ``row_rhs`` reads them; only the first starting step is taken over
+all rows at once (``_initial_step``, whose masks and ``np.float_power``
+give the bits of the heuristic on Python floats).  Each pass then goes
+through its rows one by one: accept/reject is ``err <= 1`` (so NaN is
+rejected), the step-size factor ``_SAFETY * err**exponent`` is clipped
+to [``_MIN_FACTOR``, ``_MAX_FACTOR``] (``_MIN_FACTOR`` for a non-finite
+error), the floor is 10 ulps of the row's time, ``_index`` counts the
+grid points inside an accepted step, and a restart at a piece's end or
+a failure is the row's own.
 
 Near the top of the float range a tableau sum of the stages may
 overflow although its product with h does not.  A Dormand-Prince
 attempt whose error norm comes out non-finite, from a finite state and
 a first stage whose largest component is finite and 1 or more in size
 (below 1 the scaling is 1 and would repeat the attempt), is therefore
-redone once by the same function (``_attempt`` given the exponent e of
-that stage) with its sums taken on the stages scaled by 2**-e, as dense
-output redoes an overflowing step.  The redo runs right after the
-attempt, in either form, before a controller form reads the norm; an
-attempt whose norms are all finite never gets there.  The extra stages
-of dense output are redone so too (``_extra_stages``), for a step whose
-extra stages come out non-finite from 13 finite ones.  The redone
-evaluations count in ``n_rhs``.
+redone once by ``_attempt`` given the exponent e of that stage, with
+its sums taken on the stages scaled by 2**-e, as dense output redoes an
+overflowing step.  The redo runs right after the attempt, in either
+form, before the controller reads the norm; an attempt whose norms are
+all finite never gets there.  The extra stages of dense output are
+redone so too (``_extra_stages``), for a step whose extra stages come
+out non-finite from 13 finite ones.  The redone evaluations count in
+``n_rhs``.
 
-A pass of at most ``FLOAT_ROWS`` Dormand-Prince rows of n < 8
-components runs in Python floats when ``solve`` is also given the
-per-row form of the right-hand side (``row_rhs``): on so few rows numpy's
-call overhead is the cost of a pass.  Only the tableau products stay
-numpy's, the same stacked ``np.matmul`` calls as in the array form,
-read back as lists.  Each stage state ``y + h*k``, the new state and the
-error norm are the array form's operations, element by element, on
-Python floats, which have the same IEEE bits (``x * x`` for ``x ** 2``,
-a comparison for ``np.maximum`` of non-negative values).  The sum of
-squares runs left to right: that is how ``np.add.reduce`` sums fewer
-than 8 terms (from 8 on it sums pairwise, hence the bound on n).  A row
-therefore takes the same steps in either form, and a run may switch to
-the float form as its batch's rows finish.
+A pass of more than ``FLOAT_ROWS`` rows attempts its steps on arrays
+(``_attempt``).  A pass of at most ``FLOAT_ROWS`` Dormand-Prince rows
+of n < 8 components attempts them in Python floats when ``solve`` is
+also given the per-row form of the right-hand side (``row_rhs``): on so
+few rows numpy's call overhead is the cost of a pass.  Only the tableau
+products stay numpy's, the same stacked ``np.matmul`` calls as on
+arrays, read back as lists.  Each stage state ``y + h*k``, the new
+state and the error norm are the array form's operations, element by
+element, on Python floats, which have the same IEEE bits (``x * x`` for
+``x ** 2``, a comparison for ``np.maximum`` of non-negative values).
+The sum of squares runs left to right: that is how ``np.add.reduce``
+sums fewer than 8 terms (from 8 on it sums pairwise, hence the bound
+on n).  A row therefore takes the same steps in either form, and a run
+switches to the float form as its batch's rows finish.
 
 Dense output runs once per pass, after every row has been accepted or
-rejected, in the form of the pass's controller.  For Dormand-Prince it
-first evaluates the 3 extra stages of the accepted rows with grid
-points in their step (in Python floats on a float-form pass), then
-takes one stacked product ``_P_T @ K`` of their 16 stages, then the
-products of the theta powers theta^1..7 with it, theta from the grid
-points that ``_points`` computes.  On a pass of the per-row controller
-those are one (m, 7) @ (7, n) product per row; on a pass of the array
-controller they are stacked products: (G, 1, 7) stacks of the rows with
-one sample and (G, mx, 7) stacks of the rows with two or more, each
-padded to the longest by repeating a row's last grid point, and each of
-at most ``DENSE_SAMPLES`` samples or of one row.  One-sample and
-multi-sample stacks stay apart because a (1, 7) @ (7, n) product is not
-bitwise a row of an (m, 7) @ (7, n) one (nor is a stage-major (16, B*n)
-product the per-row one); within each stack a row gets the bits of its
-own product, and a padding row those of its row's last sample, so that
-a stack is written to the batch's samples whole.
+rejected.  For Dormand-Prince it first evaluates the 3 extra stages of
+the accepted rows with grid points in their step (in Python floats on a
+float-form pass), then takes one stacked product ``_P_T @ K`` of their
+16 stages, then the products of the theta powers theta^1..7 with it,
+theta from the grid points that ``_points`` computes.  On a pass of at
+most ``FLOAT_ROWS`` rows those are one (m, 7) @ (7, n) product per row;
+on a wider pass they are stacked products: (G, 1, 7) stacks of the rows
+with one sample and (G, mx, 7) stacks of the rows with two or more,
+each padded to the longest by repeating a row's last grid point, and
+each of at most ``DENSE_SAMPLES`` samples or of one row.  One-sample
+and multi-sample stacks stay apart because a (1, 7) @ (7, n) product is
+not bitwise a row of an (m, 7) @ (7, n) one (nor is a stage-major (16,
+B*n) product the per-row one); within each stack a row gets the bits of
+its own product, and a padding row those of its row's last sample, so
+that a stack is written to the batch's samples whole.
 The exponential method's samples come from its own order-4 extension of
 each step (see ``lfbloch.exponential``).  A row whose samples come out
 non-finite stops there with ``NonFiniteRhsError``.  When ``solve`` keeps
-only some state columns, every pass is stacked, per-row passes too: it
+only some state columns, every pass is stacked, narrow passes too: it
 writes the kept columns of its samples to the batch's and folds the
 ``measure`` of each into a running maximum per row, so the dropped
 columns are never stored.
@@ -358,11 +351,11 @@ _EXTRA = range(_FSAL + 1, len(_C))  # the stages of dense output alone
 _P_T = _P.T
 _C_FLOATS = _C.tolist()
 
-# Unfinished rows at and below which a pass runs the per-row form of
-# the controller and of dense output, and a Dormand-Prince pass runs in
-# Python floats when solve is given a per-row right-hand side; above
-# it, the array form is faster (see CHANGES.md).  The one switch
-# between the two forms
+# Unfinished rows at and below which a pass writes its dense output row
+# by row, and a Dormand-Prince pass attempts its steps in Python floats
+# when solve is given a per-row right-hand side; above it, stacked
+# products and attempts on arrays are faster (see CHANGES.md).  The one
+# switch between the two forms of a pass
 FLOAT_ROWS = 4
 
 # Samples at most per stacked product of a pass's dense output (but for
@@ -406,34 +399,17 @@ def _points(k, t0, step, last, end):
     return np.where(k == last, end, t)
 
 
-def _grid_index(x, t0, step, last, end):
-    """``grid(t0, end, last + 1).searchsorted(x, "right")`` of each entry
-    of the arrays, without the grids: the number of grid points at most
-    x.
+def _index(x, t0, step, last, end):
+    """``grid(t0, end, last + 1).searchsorted(x, "right")`` without the
+    grid: the number of grid points at most x.
 
     The floor of ``(x - t0)/step``, clipped to the grid, plus one,
     misses it by a few points at most on a grid of distinct points (by
     one from t0 = 0): the points and the quotient are within a few
     roundings of the exact ones.  Exact comparisons with the points on
-    either side then fix it up, a point per round.
+    either side then fix it up (``int`` floors the clipped quotient,
+    which is not negative).
     """
-    j = np.minimum(np.maximum((x - t0) / step, 0.0), last).astype(int)
-    j += 1
-    while True:
-        # the point before j is past x, or the point at j is not
-        down = (j > 0) & (_points(j - 1, t0, step, last, end) > x)
-        up = (j <= last) & (_points(np.minimum(j, last), t0, step, last,
-                                    end) <= x)
-        if not (down | up).any():
-            return j
-        j += up
-        j -= down
-
-
-def _index(x, t0, step, last, end):
-    """``_grid_index`` of one row on Python floats: the same arithmetic
-    and the same fix-ups (``int`` floors the clipped quotient, which is
-    not negative)."""
     q = (x - t0) / step
     j = int(q if q < last else last) + 1 if q > 0.0 else 1
     while j and (end if j - 1 == last else (j - 1) * step + t0) > x:
@@ -903,7 +879,11 @@ def solve(
 
     Every argument but ``rhs`` holds one entry per row.
     Rows may differ in span, pieces, tolerance and grid size; each is
-    integrated exactly as it would be alone.
+    integrated exactly as it would be alone.  One step-size controller
+    goes through every pass row by row; a pass of more than
+    ``FLOAT_ROWS`` rows attempts its steps on arrays and stacks their
+    dense output, a narrower one attempts them in Python floats (given
+    ``row_rhs``) and writes their dense output row by row.
 
     Parameters
     ----------
@@ -1089,7 +1069,7 @@ def solve(
         kept, measure, np.full(batch, -math.inf) if measure else None)
     y_end = np.full((batch, n), math.nan)
     n_pieces = [1] * batch
-    redone = np.zeros(batch, int)  # attempts redone scaled
+    redone = [0] * batch  # attempts redone scaled
     # Dormand-Prince steps with grid points, and their extra stages
     # redone scaled
     dense = [0] * batch
@@ -1111,162 +1091,86 @@ def solve(
                           tol_col[r:r + 1], power)
         return end, (r, p, c, f[0]), h.item()
 
-    def redo(t, h, errs):
-        """Redo scaled the attempt just made of the rows whose norm in
-        errs is non-finite, from a finite state and a first stage of size
-        1 or more (see the module docstring); t and h are the pass's
-        times and step sizes.  Writes their y_new and errs."""
-        top = np.abs(K[:, 0]).max(axis=1)
-        r = (~np.isfinite(errs) & np.isfinite(y).all(axis=1)
-             & (top >= 1.0) & (top < math.inf)).nonzero()[0]
-        if not r.size:
-            return
-        redone[np.take(index, r)] += 1
-        K_r = K[r]
-        e = np.frexp(top[r])[1][:, None]
-        y_new[r], norms = _attempt(rhs, np.take(t, r), np.take(h, r), y[r],
-                                   K_r, P[r], tol_col[r], e)
-        K[r] = K_r
-        for i, err in zip(r.tolist(), norms.tolist()):
-            errs[i] = err
-
-    # The controller state of the unfinished rows, in the order of the
-    # rows of y, K and P: the batch's row index of each, their times,
-    # step sizes, piece ends, whether the step ends the piece, and the
-    # index in their grid of the next grid point; in the per-row form
-    # lists, with the counters and C, their piece constants for row_rhs
-    index = np.arange(batch)
-    T = np.array(t0)
-    stops = np.array([row[0][0] for row in pieces])
+    # The controller state of the unfinished rows, as lists in the order
+    # of the rows of y, K and P: each one's batch row index, time, step
+    # size, piece end, whether its step ends the piece, the index of its
+    # next grid point and (C) its piece constants as row_rhs reads them
+    index, T = list(range(batch)), t0[:]
+    stops = [row[0][0] for row in pieces]
     P = np.array([row[0][1] for row in pieces]).reshape(batch, k)
     K = np.empty((batch, fsal + 1 if method else len(_C), n))
-    K[:, 0] = rhs(T, y, P)
-    H = _initial_step(rhs, T, y, P, K[:, 0], stops, tol_col, power)
-    lasts = np.zeros(batch, bool)
+    K[:, 0] = rhs(np.array(T), y, P)
+    H = _initial_step(rhs, np.array(T), y, P, K[:, 0], np.array(stops),
+                      tol_col, power).tolist()
+    lasts, cur = [False] * batch, [1] * batch
+    n_accepted, n_rejected = [0] * batch, [0] * batch
+    C = [row[0][2] for row in pieces]
     # every grid starts at t0: its first sample is y0
     _store(y_all, subset, offsets[:-1, None], y[:, None], index)
-    cur = np.ones(batch, int)
-    n_accepted, n_rejected = np.zeros(batch, int), np.zeros(batch, int)
-    per_row = False
     errs = None  # error norm of each row's last attempted step
 
     while True:
-        if not per_row and len(index) <= FLOAT_ROWS:  # the per-row form
-            per_row = True
-            index, T, H, stops, lasts, cur, n_accepted, n_rejected = (
-                a.tolist() for a in (index, T, H, stops, lasts, cur,
-                                     n_accepted, n_rejected))
-            C = [pieces[b][n_pieces[b] - 1][2] for b in index]
-            if errs is not None:
-                errs = errs.tolist()
         # One pass over the rows: accept or reject the step just
         # attempted, then schedule the next one, retiring finished and
-        # failed rows
-        restarts = []
-        if not per_row:
-            nonfinite = retry = np.zeros(len(T), bool)
-            accepted, done, jobs = [], [], _NO_JOBS
+        # failed rows.  A pass of at most FLOAT_ROWS rows takes the
+        # per-row forms of dense output and of the next attempt
+        few = len(index) <= FLOAT_ROWS
+        restarts, keep, accepted, found = [], [], [], []
+        for r, b in enumerate(index):
+            t, h = T[r], H[r]
+            retry = nonfinite = False
+            f = None  # f at t, if the row restarts there
             if errs is not None:
-                accept = errs <= 1.0  # NaN is rejected
-                accepted = accept.nonzero()[0]
-                if len(accepted) < len(T):
-                    nonfinite = ~np.isfinite(errs)
-                    retry = ~accept
-                    n_rejected[index[retry]] += 1
-                n_accepted[index[accepted]] += 1
-                with np.errstate(divide="ignore"):  # err = 0: the largest
-                    factor = np.minimum(_MAX_FACTOR, np.maximum(
-                        _MIN_FACTOR,
-                        _SAFETY * np.float_power(errs, exponent)))
-                factor[nonfinite] = _MIN_FACTOR
-                # dense output for the grid points inside (t, t_new],
-                # written once the pass is over
-                T_new = np.where(lasts[accepted], stops[accepted],
-                                 T[accepted] + H[accepted])
-                i_out = cur[accepted]
-                j = _grid_index(T_new, *grids.params[index[accepted]].T)
-                found = j > i_out
-                g = accepted[found]
-                jobs = _Jobs(g, T[g], H[g], i_out[found], j[found], index[g])
-                cur[accepted] = j
-                T[accepted] = T_new
-                H = H * factor
-                for r in accepted[lasts[accepted]].tolist():
-                    b = index[r]
-                    if n_pieces[b] == len(pieces[b]):
-                        y_end[b] = y_new[r]
-                        done.append(r)
-                        continue
-                    stops[r], pending, H[r] = restart(r, b, T[r])
-                    restarts.append(pending)
-            lasts = T + H >= stops
+                err = errs[r]
+                if not err <= 1.0:  # NaN is rejected
+                    retry = True
+                    n_rejected[b] += 1
+                    nonfinite = not math.isfinite(err)
+                    h *= _MIN_FACTOR if nonfinite else max(
+                        _MIN_FACTOR, _SAFETY * err ** exponent)
+                else:
+                    n_accepted[b] += 1
+                    accepted.append(r)
+                    # dense output for the grid points inside (t, t_new],
+                    # written once the pass is over
+                    t_new = stops[r] if lasts[r] else t + h
+                    j = _index(t_new, *params[b])
+                    if j > cur[r]:
+                        found.append((r, t, h, cur[r], j, b))
+                        cur[r] = j
+                    h *= _MAX_FACTOR if err == 0.0 else min(
+                        _MAX_FACTOR,
+                        max(_MIN_FACTOR, _SAFETY * err ** exponent))
+                    t = T[r] = t_new
+                    if lasts[r]:
+                        if n_pieces[b] == len(pieces[b]):
+                            y_end[b] = y_new[r]
+                            continue
+                        stops[r], pending, h = restart(r, b, t)
+                        restarts.append(pending)
+                        f = pending[-1]
+            last = lasts[r] = t + h >= stops[r]
             # a step onto the piece's end may be shorter than the floor,
             # unless it repeats a rejected one (it would repeat forever)
-            ok = (H >= 10.0 * (np.nextafter(T, math.inf) - T)) \
-                | lasts & ~retry
-            ok[done] = True  # retired, not failed
-            for r in (~ok).nonzero()[0].tolist():
-                errors[index[r]] = _underflow(
-                    T[r], H[r], nonfinite[r], K[r, :fsal + 1],
-                    {q: f for q, _, _, f in restarts}.get(r))
-            ok[done] = False
-            keep = ok.nonzero()[0]
-            H = np.where(lasts, stops - T, H)
-        else:
-            keep, accepted, found = [], [], []
-            for r, b in enumerate(index):
-                t, h = T[r], H[r]
-                retry = nonfinite = False
-                f = None  # f at t, if the row restarts there
-                if errs is not None:
-                    err = errs[r]
-                    if not err <= 1.0:
-                        retry = True
-                        n_rejected[b] += 1
-                        nonfinite = not math.isfinite(err)
-                        h *= _MIN_FACTOR if nonfinite else max(
-                            _MIN_FACTOR, _SAFETY * err ** exponent)
-                    else:
-                        n_accepted[b] += 1
-                        accepted.append(r)
-                        t_new = stops[r] if lasts[r] else t + h
-                        j = _index(t_new, *params[b])  # as in the array form
-                        if j > cur[r]:
-                            found.append((r, t, h, cur[r], j, b))
-                            cur[r] = j
-                        h *= _MAX_FACTOR if err == 0.0 else min(
-                            _MAX_FACTOR,
-                            max(_MIN_FACTOR, _SAFETY * err ** exponent))
-                        t = T[r] = t_new
-                        if lasts[r]:
-                            if n_pieces[b] == len(pieces[b]):
-                                y_end[b] = y_new[r]
-                                continue
-                            stops[r], pending, h = restart(r, b, t)
-                            restarts.append(pending)
-                            f = pending[-1]
-                last = lasts[r] = t + h >= stops[r]
-                # the floor, as in the array form
-                if not (h >= 10.0 * abs(math.nextafter(t, math.inf) - t)
-                        or last and not retry):
-                    errors[b] = _underflow(t, h, nonfinite, K[r, :fsal + 1],
-                                           f)
-                    continue
-                H[r] = stops[r] - t if last else h
-                keep.append(r)
-            jobs = _Jobs._make(zip(*found)) if found else _NO_JOBS
+            if not (h >= 10.0 * abs(math.nextafter(t, math.inf) - t)
+                    or last and not retry):
+                errors[b] = _underflow(t, h, nonfinite, K[r, :fsal + 1], f)
+                continue
+            H[r] = stops[r] - t if last else h
+            keep.append(r)
+        jobs = _Jobs._make(zip(*found)) if found else _NO_JOBS
 
         if method:
             failed = method.dense_output(jobs, y, K, P, grids, y_all, subset)
         else:
             if len(jobs.rows):
                 redone_extra = _extra_stages(jobs, y, K, P, rhs, *(
-                    (row_rhs[1], C) if per_row and floats else ()))
+                    (row_rhs[1], C) if few and floats else ()))
                 for b in jobs.index:
                     dense[b] += 1
                 for g in redone_extra:  # 3 more evaluations
                     dense[jobs.index[g]] += 1
-            failed = _dense_output(jobs, not per_row or subset is not None,
+            failed = _dense_output(jobs, not few or subset is not None,
                                    y, K, grids, y_all, subset)
         for g in failed:  # the row stops at the step's start
             b = jobs.index[g]
@@ -1280,9 +1184,7 @@ def solve(
             gone = {jobs.rows[g] for g in failed}
             keep = [r for r in keep if r not in gone]
         for r, p, c, f in restarts:
-            P[r], K[r, fsal] = p, f
-            if per_row:
-                C[r] = c
+            P[r], K[r, fsal], C[r] = p, f, c
         if len(accepted) == len(y):
             K[:, 0] = K[:, fsal]
             y = y_new
@@ -1293,41 +1195,47 @@ def solve(
             break
         if len(keep) < len(y):
             y, K, P, tol_col = (a[keep] for a in (y, K, P, tol_col))
-            if per_row:
-                index, T, H, stops, lasts, cur, C = (
-                    [a[r] for r in keep]
-                    for a in (index, T, H, stops, lasts, cur, C))
-            else:
-                index, T, H, stops, lasts, cur = (
-                    a[keep] for a in (index, T, H, stops, lasts, cur))
+            index, T, H, stops, lasts, cur, C = (
+                [a[r] for r in keep]
+                for a in (index, T, H, stops, lasts, cur, C))
 
         # stage evaluations (k1 carried over from the previous step,
         # FSAL), one rhs call each, or in the float form one f call per
-        # row, which also yields the error norms; a Dormand-Prince
-        # attempt with a non-finite norm is redone at once
-        if per_row and floats:
+        # row, which also yields the error norms
+        if few and floats:
             y_new, errs = _attempt_floats(row_rhs[1], T, H, C, index, y, K,
                                           tol)
-            # NaN or inf, or finite norms whose sum overflows
-            if not math.isfinite(sum(errs)):
-                redo(T, H, errs)
-            continue
-        t, h = (np.array(T), np.array(H)) if per_row else (T, H)
-        if method:
-            y_new, estimate = method.attempt(y, K, P, t, h)
+        elif method:
+            h = np.array(H)
+            y_new, estimate = method.attempt(y, K, P, np.array(T), h)
             # a long row's error per unit step (see Exponential)
             estimate *= np.where(
-                np.asarray(n_accepted)[index] >= method.span_steps,
+                np.array(n_accepted)[index] >= method.span_steps,
                 np.minimum(method.max_scale, np.maximum(1.0,
                                                         unit[index] / h)),
                 1.0)[:, None]
-            errs = _norm(estimate, y, y_new, tol_col)
+            errs = _norm(estimate, y, y_new, tol_col).tolist()
         else:
-            y_new, errs = _attempt(rhs, t, h, y, K, P, tol_col)
-            if not np.isfinite(errs).all():
-                redo(t, h, errs)
-        if per_row:
+            y_new, errs = _attempt(rhs, np.array(T), np.array(H), y, K, P,
+                                   tol_col)
             errs = errs.tolist()
+        # a norm NaN or inf (or finite norms whose sum overflows): redo
+        # at once, scaled, the Dormand-Prince attempts whose norm is not
+        # finite, from a finite state and a first stage of size 1 or more
+        # (see the module docstring)
+        if not method and not math.isfinite(sum(errs)):
+            top = np.abs(K[:, 0]).max(axis=1)
+            r = (~np.isfinite(errs) & np.isfinite(y).all(axis=1)
+                 & (top >= 1.0) & (top < math.inf)).nonzero()[0].tolist()
+            if r:
+                K_r = K[r]
+                y_new[r], norms = _attempt(
+                    rhs, np.take(T, r), np.take(H, r), y[r], K_r, P[r],
+                    tol_col[r], np.frexp(top[r])[1][:, None])
+                K[r] = K_r
+                for i, err in zip(r, norms.tolist()):
+                    errs[i] = err
+                    redone[index[i]] += 1
 
     peak = None
     if measure:

@@ -137,6 +137,14 @@ class TestFactor:
         assert out == ""
         assert "pole" in err
 
+    def test_overflowing_pole_rejected(self, capsys):
+        # delta_b + eps_b overflows: the factor read 1, the vacuum's
+        code, out, err = run_cli(["factor", "--eps-b", "1e308", "--delta-b",
+                                  "1e308", "--gamma-b", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "delta_b + eps_b is inf" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_gamma_a_rejected(self, value, capsys):
         code, out, err = run_cli(["factor", "--eps-b", "5", "--gamma-a",
@@ -210,6 +218,15 @@ class TestCompare:
         assert [line.split(",")[0] for line in lines[1:]] == \
             ["1", "1.1", "1.2", "1.3"]
 
+    def test_grid_ends_at_n_max(self, capsys):
+        # n_min + k*step up to n_max + 1e-9 wrote 10 rows past n_max on
+        # a step of 1e-10
+        _, out, _ = run_cli(["compare", "--n-min", "1", "--n-max",
+                             "1.0000001", "--step", "1e-10"], capsys)
+        lines = out.strip().splitlines()
+        assert len(lines) == 1002
+        assert lines[-1].split(",")[0] == "1.0000001"
+
     def test_subunit_index_rejected(self, capsys):
         code, _, err = run_cli(["compare", "--n-min", "0.9"], capsys)
         assert code == 2
@@ -236,6 +253,26 @@ class TestCompare:
         assert code == 2
         assert out == ""
         assert f"at most {COMPARE_MAX_ROWS}" in err
+
+    def test_step_below_the_float_spacing_rejected(self, capsys):
+        # n_min + k*step rounds to n_min: this wrote 8193 identical rows
+        # for its one value (and from about n_min = 1e155 the grid never
+        # passed n_max)
+        code, out, err = run_cli(["compare", "--n-min", "1e20", "--n-max",
+                                  "1e20", "--step", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--step 1.0 does not advance --n-min 1e+20" in err
+
+    @pytest.mark.parametrize("n", ["1e62", "1e154"])
+    def test_index_past_the_float_range_rejected(self, n, capsys):
+        # virtual_cavity read inf from about n = 1e62, onsager nan from
+        # about 1e154
+        code, out, err = run_cli(["compare", "--n-min", n, "--n-max", n,
+                                  "--step", "1e150"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"n = {float(n)!r} leaves the float range" in err
 
     def test_largest_grid_accepted(self, capsys):
         step = 1.0 / (COMPARE_MAX_ROWS - 1)
@@ -372,6 +409,20 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", config], capsys)
         assert code == 2
         assert "span" in err
+
+    def test_overflowing_host_pole_exits_2(self, tmp_path, capsys):
+        # delta_b + eps_b overflows: the model-A run took ell = 1, the
+        # vacuum's, and exited 0
+        payload = decay_scenario()
+        del payload["ell"]
+        payload["host"] = {"delta_b": 1e308, "eps_b": 1e308, "gamma_b": 1.0}
+        config = write_json(tmp_path / "pole.json", payload)
+        code, out, err = run_cli(["simulate", config, "--output",
+                                  str(tmp_path / "pole.csv")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: scenario.host: ")
+        assert "delta_b + eps_b is inf" in err
 
     def test_non_json_token_exits_2(self, tmp_path, capsys):
         # json.dumps writes NaN, which is not JSON
@@ -979,6 +1030,21 @@ class TestSweep:
                            "ValueError: microscopic model: C_a = "
                            "i*eps_b/rho is infj: the rates leave the float "
                            "range"]
+
+    def test_overflowing_host_pole_point_fails_alone(self, tmp_path,
+                                                     capsys):
+        # delta_b + eps_b overflows at point 1: it ran as the vacuum (ell
+        # = 1) and wrote a rate of 1
+        payload = density_sweep()
+        payload["values"] = [5.0, 1e308]
+        payload["overrides"] = [{}, {"host": {"delta_b": 1e308}}]
+        spec = write_json(tmp_path / "sweep.json", payload)
+        code, out, _ = run_cli(["sweep", spec], capsys)
+        assert code == 0
+        rows = list(csv.reader(out.strip().splitlines()))[1:]
+        assert rows[0][5] == ""
+        assert rows[1][1:5] == ["", "", "", ""]
+        assert "delta_b + eps_b is inf" in rows[1][5]
 
     def test_weakly_damped_host_points_are_error_rows(self, tmp_path,
                                                        capsys):

@@ -143,7 +143,6 @@ class TestParamValidation:
          "rho"),
         (EmitterParams(gamma_a=1e-300), HostSpecies(0.0, 1.0, 1e300),
          "rho"),
-        (EMITTER, HostSpecies(1e308, 1e308, 1.0), "alpha"),
         # C_a overflows (solve refused the run's linear part, a message
         # that named no field)
         (EMITTER, HostSpecies(0.0, 1e308, 1e-300), "C_a"),
@@ -825,12 +824,12 @@ class TestIntegrateBatch:
                  SystemState(s=0.1 + 0j, w=0.5),
                  IntegrationSpec(span=2.0, tol=1e-8, points=41))
                 for j in range(32)]
-        k, sizes, searches = 5, [], []
-        grid_index = ode._grid_index
+        k, sizes, attempts = 5, [], []
+        attempt = ode._attempt
 
-        def spy(*args):  # the array controller's passes call it
-            searches.append(1)
-            return grid_index(*args)
+        def spy(*args):  # a wide pass attempts its rows on arrays
+            attempts.append(len(args[3]))
+            return attempt(*args)
 
         with _poisoning(_piece_rows(runs[k]), 0.7):
             poisoned = dynamics.effective_rhs
@@ -840,11 +839,11 @@ class TestIntegrateBatch:
                 return poisoned(t, Y, P)
 
             with mock.patch.object(dynamics, "effective_rhs", rhs):
-                with mock.patch.object(ode, "_grid_index", spy):
+                with mock.patch.object(ode, "_attempt", spy):
                     batch = integrate_batch(runs)
                 lone = _lone(runs[k])
         assert max(sizes) == len(runs)
-        assert searches
+        assert max(attempts) == len(runs)
         assert isinstance(batch[k], NonFiniteRhsError)
         assert str(batch[k]) == str(lone)
         for j, run in enumerate(runs):
@@ -1036,9 +1035,9 @@ class TestBatchMemory:
     @pytest.mark.parametrize("float_rows", [0, 10**6])
     @pytest.mark.parametrize("keep", [("w",), ("s",), ("w", "beta")])
     def test_kept_components_keep_their_bits(self, keep, float_rows):
-        # the whole batch's passes all on the array controller, whose
-        # Dormand-Prince dense output is stacked (0), or all on the
-        # per-row one, whose is not (10**6); a batch that keeps some
+        # the whole batch's passes all wide, whose Dormand-Prince dense
+        # output is stacked (0), or all narrow, whose is written row by
+        # row (10**6); a batch that keeps some
         # components stacks every pass, and writes and measures its
         # samples there
         runs, whole, whole_warnings = _mixed_batch(float_rows)

@@ -104,6 +104,15 @@ class TestLocalFieldFactor:
         with pytest.raises(SingularHostError):
             HostSpecies(delta_b=-1.0, eps_b=1.0, gamma_b=5e-324)
 
+    @pytest.mark.parametrize("delta_b", [1e308, 1.7e308])
+    def test_overflowing_pole_rejected(self, delta_b):
+        # delta_b + eps_b overflows: ell read 1, the vacuum's, for a host
+        # whose factor is 1.5
+        with pytest.raises(ValueError,
+                           match=r"delta_b \+ eps_b is inf") as caught:
+            HostSpecies(delta_b=delta_b, eps_b=1e308, gamma_b=1.0)
+        assert not isinstance(caught.value, SingularHostError)
+
     @pytest.mark.parametrize("bad", [
         dict(delta_b=0.0, eps_b=-1.0, gamma_b=0.0),
         dict(delta_b=0.0, eps_b=1.0, gamma_b=-0.5),
@@ -193,6 +202,17 @@ class TestRateComparison:
         assert_allclose(row.virtual_cavity, 3.010416666666667, rtol=1e-15)
         assert_allclose(row.onsager, 2.259297520661157, rtol=1e-15)
         assert_allclose(row.virtual_cavity / row.re_ell, 2.125, rtol=1e-15)
+
+    @pytest.mark.parametrize("n", [1e62, 1e154, 1e300])
+    def test_rejects_columns_past_the_float_range(self, n):
+        # n*ell**2 overflowed to inf, and n*n to an onsager of nan
+        with pytest.raises(ValueError, match="leaves the float range"):
+            rate_comparison(n)
+
+    def test_largest_indices_in_range(self):
+        row = rate_comparison(1e61)
+        assert math.isfinite(row.virtual_cavity)
+        assert row.onsager == pytest.approx(2.25e61, rel=1e-15)
 
     def test_rejects_sub_vacuum_index(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,10 @@
 and the order 7 of its dense output between steps, statistics (12
 evaluations per attempted step, 3 per step with grid points), error
 paths, lockstep batches that reproduce each row's lone run bit for bit
-(dense output stacked over the rows on the array form's passes of the
-step-size controller, per row on the other form's), the bit equalities
-that stacking, the array controller and the batched starting step rely
-on (16-stage stacks, 7 theta powers), the Python-float form of few-row
+(dense output stacked over the rows on passes of more than FLOAT_ROWS
+rows, per row on the others), the bit equalities that stacking, the
+batched starting step and the grid index rely on (16-stage stacks, 7
+theta powers), the Python-float form of few-row
 passes against the array form (and the bit equalities it relies on),
 and rows of pieces that reproduce one run per piece.  The exponential
 method: its phi-functions against the matrix exponential, exact linear
@@ -437,7 +437,7 @@ class TestErrors:
                                                float_rows):
         # y' = -y goes NaN from t = 0.5: every first stage is below 1 in
         # size, where the scaled sums would repeat the attempt bit for
-        # bit, so no attempt is redone, under either controller form:
+        # bit, so no attempt is redone, in either attempt form:
         # 1523 = 2 + 12 per attempt + 3 for each of the 3 steps with grid
         # points (a redone attempt would add 12)
         def turns_nan(t, y, p):
@@ -528,7 +528,7 @@ class TestErrors:
 
     def test_array_form_fails_a_rejected_step_onto_a_close_end(
             self, monkeypatch):
-        # the same row under the array form of the controller
+        # the same row with its steps attempted on arrays
         monkeypatch.setattr(ode, "FLOAT_ROWS", 0)
         self.test_rejected_step_onto_a_close_end_fails()
 
@@ -747,8 +747,8 @@ def _one_piece(problem):
 
 _SPARSE = 4
 # (pieces [(end, f, parameter), ...], t0, y0, points, tol): 18 rows, so
-# that most passes run the array controller and stack their dense
-# output.  The sparse grids get at most one sample per step, the
+# that most passes are wide (more than FLOAT_ROWS rows) and stack their
+# dense output.  The sparse grids get at most one sample per step, the
 # others several; the _linear rows of several pieces change their rate
 # at each end (a restart); the rate-200 rows reject steps; three rows
 # fail
@@ -859,23 +859,10 @@ def _spy_dense_output(monkeypatch):
     return passes
 
 
-def _spy_grid_index(monkeypatch):
-    """Count the passes of the array form of the controller (each with
-    attempted rows counts their grid points)."""
-    calls = []
-    index = ode._grid_index
-
-    def spy(*args):
-        calls.append(1)
-        return index(*args)
-
-    monkeypatch.setattr(ode, "_grid_index", spy)
-    return calls
-
-
-# ode.FLOAT_ROWS of the batch and of the lone runs: as it is; the array
-# controller on every pass of the batch against the per-row one on every
-# pass of the lone runs; and the other way round
+# ode.FLOAT_ROWS of the batch and of the lone runs: as it is; the wide
+# pass's forms (stacked dense output) on every pass of the batch against
+# the per-row forms on every pass of the lone runs; and the other way
+# round
 CONTROLLERS = pytest.mark.parametrize(
     "batch_rows, lone_rows", [(None, None), (0, 10**6), (10**6, 0)],
     ids=["default", "arrays-rows", "rows-arrays"])
@@ -893,20 +880,18 @@ class TestStackedBatch:
                                           lone_rows):
         assert len(STACKED) > ode.FLOAT_ROWS
         passes = _spy_dense_output(monkeypatch)
-        searches = _spy_grid_index(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
             _controllers(monkeypatch, lone_rows)
             lone = [_solve_rows([problem]) for problem in STACKED]
-            lone_searches = len(searches)
+            lone_stacked = [on for on, *_ in passes]
             _controllers(monkeypatch, batch_rows)
-            del passes[:], searches[:]
+            del passes[:]
             res = _solve_rows(STACKED)
-        # the array form ran on the batch's passes, unless they were all
-        # per row, and on the lone runs' only when they were all arrays
-        assert bool(searches) == (batch_rows != 10**6)
-        assert bool(lone_searches) == (lone_rows == 0)
-        # dense output follows the controller: stacked on a pass of more
-        # than FLOAT_ROWS rows (the array form), per row on the others
+        # the lone runs stacked their dense output only when every pass
+        # did
+        assert any(lone_stacked) == (lone_rows == 0)
+        # dense output is stacked on a pass of more than FLOAT_ROWS rows
+        # (the wide form), per row on the others
         assert all(on == (rows > ode.FLOAT_ROWS)
                    for on, _, _, rows, _ in passes)
         # the dense-output overflow of PEAK was found once, and stacked
@@ -1038,13 +1023,6 @@ class TestDenseBits:
         np.multiply.accumulate(want, out=want, axis=-1)
         assert np.array_equal(_bits(powers), _bits(want))
 
-    def test_float_power_equals_python_power(self):
-        # the step-size factor err ** -0.125 on arrays (np.power differs)
-        err = np.exp(np.random.default_rng(3).uniform(-40.0, 5.0, 200_000))
-        assert np.array_equal(
-            _bits(np.float_power(err, -0.125)),
-            _bits([e ** -0.125 for e in err.tolist()]))
-
 
 class TestFloatBits:
     """The bit equalities that the Python-float form of a pass relies
@@ -1127,33 +1105,19 @@ def _affine(t, Y, P):
 
 
 class TestControllerBits:
-    """The bit equalities that the array form of the step-size
-    controller and the batched starting step rely on, one test each, so
-    that a numpy or libm that breaks one fails here by name rather than
-    by moving the golden hashes."""
+    """The bit equalities that the batched starting step of the
+    step-size controller relies on, one test each, so that a numpy or
+    libm that breaks one fails here by name rather than by moving the
+    golden hashes."""
 
-    @pytest.mark.parametrize("exponent, lo, hi", [(-0.25, -40.0, 5.0),
-                                                  (0.2, -300.0, 300.0),
+    @pytest.mark.parametrize("exponent, lo, hi", [(0.2, -300.0, 300.0),
                                                   (0.125, -300.0, 300.0)])
     def test_float_power_equals_python_power(self, exponent, lo, hi):
-        # the exponential method's factor err ** -0.25 and starting step
-        # (0.01/d) ** 0.2, and Dormand-Prince's starting step (0.01/d)
-        # ** 0.125 (its factor's -0.125: TestDenseBits)
+        # the starting step's (0.01/d) ** 0.2 of the exponential method
+        # and (0.01/d) ** 0.125 of Dormand-Prince
         x = np.exp(np.random.default_rng(4).uniform(lo, hi, 200_000))
         assert np.array_equal(_bits(np.float_power(x, exponent)),
                               _bits([v ** exponent for v in x.tolist()]))
-
-    def test_nextafter_equals_math_nextafter(self):
-        # the 10-ulp floor of each row's step at its time t
-        rng = np.random.default_rng(6)
-        t = np.concatenate([
-            rng.normal(size=100_000) * 10.0 ** rng.integers(-310, 307,
-                                                             100_000),
-            [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0 ** -1022, _TOP]])
-        with np.errstate(over="ignore"):  # past the largest float
-            floor = 10.0 * (np.nextafter(t, math.inf) - t)
-        assert np.array_equal(_bits(floor), _bits([
-            10.0 * abs(math.nextafter(v, math.inf) - v) for v in t.tolist()]))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_row_reduce_equals_one_row_mean(self, n):
@@ -1251,8 +1215,7 @@ def _probes(grid, rng, steps):
 
 
 class TestGridSearchBits:
-    """The grid index of both controller forms (the array form's
-    _grid_index, the per-row form's _index) against searchsorted on the
+    """The controller's grid index, _index, against searchsorted on the
     grid that ode.grid builds."""
 
     @pytest.mark.parametrize("steps", [0.5, 3.0, 40.0, 700.0])
@@ -1267,11 +1230,8 @@ class TestGridSearchBits:
             rows += [row] * x.size
             xs.append(x)
             want.append(grid.searchsorted(x, "right"))
-        rows, x, want = np.array(rows), np.concatenate(xs), np.concatenate(want)
-        with np.errstate(over="ignore"):  # past the end of subnormal steps
-            got = ode._grid_index(x, *(a[rows] for a in args))
-        assert np.array_equal(got, want)
-        for r, x_r, want_r in zip(rows.tolist(), x.tolist(), want.tolist()):
+        x, want = np.concatenate(xs), np.concatenate(want)
+        for r, x_r, want_r in zip(rows, x.tolist(), want.tolist()):
             assert ode._index(x_r, *(a[r].item() for a in args)) == want_r
 
     @pytest.mark.parametrize("crossed", [0, 1, 2, 7, 31, 32, 33, 255,
@@ -1288,41 +1248,11 @@ class TestGridSearchBits:
         on = grid[at + crossed]
         x = np.concatenate([on, np.maximum(on, below), on + 0.75 * gap,
                             on + 0.75 * gap])
-        args = [a.repeat(x.size) for a in _grid_args([(0.0, 6.5, 1601)])]
-        got = ode._grid_index(x, *args)
+        args = [a.item() for a in _grid_args([(0.0, 6.5, 1601)])]
+        got = np.array([ode._index(x_r, *args) for x_r in x.tolist()])
         assert np.array_equal(got, grid.searchsorted(x, "right"))
         assert np.array_equal(got - np.tile(at + 1, 4),
                               np.full(x.size, crossed))
-        # each row alone, and in the per-row form
-        for r in range(x.size):
-            row = [a[r:r + 1] for a in args]
-            assert ode._grid_index(x[r:r + 1], *row) == got[r]
-            assert ode._index(x[r].item(), *(a.item() for a in row)) \
-                == got[r]
-
-    def test_fixups_from_zero_take_one_round(self, monkeypatch):
-        # from t0 = 0 the floor misses by one point at most: one round of
-        # fix-ups, and a second that finds nothing to fix
-        points = ode._points
-        calls = []
-
-        def spy(*args):
-            calls.append(1)
-            return points(*args)
-
-        monkeypatch.setattr(ode, "_points", spy)
-        rng = np.random.default_rng(16)
-        for t0, end, n in GRIDS:
-            if t0 != 0.0:
-                continue
-            grid = ode.grid(t0, end, n)
-            x = _probes(grid, rng, 40.0)
-            del calls[:]
-            with np.errstate(over="ignore"):
-                got = ode._grid_index(x, *(
-                    a.repeat(x.size) for a in _grid_args([(t0, end, n)])))
-            assert np.array_equal(got, grid.searchsorted(x, "right"))
-            assert len(calls) <= 4
 
 
 def _row_form(*functions):
