@@ -165,10 +165,18 @@ def cmd_compare(args) -> int:
     if args.n_min + args.step == args.n_min:
         return _fail(f"--step {args.step!r} does not advance --n-min "
                      f"{args.n_min!r}: it is below the float spacing there")
+    # n_max is a row when it lies within 1e-9 of a step of the grid
+    ns = [args.n_min + k * args.step
+          for k in range(math.floor(rows_wanted + 1e-9))]
+    # n rises with k, and so does its %.12g: a repeat is of neighbours
+    printed = ["%.12g" % n for n in ns]
+    for k, (a, b) in enumerate(zip(printed, printed[1:])):
+        if a == b:
+            return _fail(f"--step {args.step!r} is below the 12 significant "
+                         f"digits of the table: rows {k} and {k + 1} "
+                         f"both print n = {a}")
     try:
-        # n_max is a row when it lies within 1e-9 of a step of the grid
-        rows = [rate_comparison(args.n_min + k * args.step)
-                for k in range(math.floor(rows_wanted + 1e-9))]
+        rows = [rate_comparison(n) for n in ns]
     except ValueError as exc:
         return _fail(str(exc))
 

@@ -421,10 +421,27 @@ def parse_sweep(raw: dict, source: str = "sweep") -> SweepSpec:
     if base.model != model:
         raise ConfigError(f"{source}.base.model: reduction {reduction!r} "
                           f"requires model {model!r}, got {base.model!r}")
+    sets = f"(it sets {fixed.replace(' ', ', ')})"
     if not {parameter, section}.isdisjoint(fixed.split()):
         raise ConfigError(f"{source}.parameter: reduction {reduction!r} sets "
                           f"{parameter!r} itself, so a sweep over it varies "
-                          f"nothing (it sets {fixed.replace(' ', ', ')})")
+                          f"nothing {sets}")
+    # nor may an override set them, or another model: the reduction
+    # would ignore it.  A section that an override makes no object is
+    # left to the point's parse
+    for i, override in enumerate(overrides or ()):
+        path = f"{source}.overrides[{i}]"
+        if override.get("model", model) != model:
+            raise ConfigError(f"{path}.model: reduction {reduction!r} "
+                              f"requires model {model!r}, got "
+                              f"{override['model']!r}")
+        for name, value in override.items():
+            for key in value if isinstance(value, dict) else ():
+                if not {name, f"{name}.{key}"}.isdisjoint(fixed.split()):
+                    raise ConfigError(
+                        f"{path}.{name}.{key}: reduction {reduction!r} sets "
+                        f"'{name}.{key}' itself, so an override of it "
+                        f"changes nothing {sets}")
     return SweepSpec(parameter=parameter, values=values, reduction=reduction,
                      base=base, base_raw=copy.deepcopy(raw["base"]),
                      overrides=overrides)

@@ -319,8 +319,8 @@ class Trajectory:
     """Sampled solution plus integrator statistics.
 
     The samples lie on the uniform grid of ``len(y)`` points on [0,
-    span], ``np.linspace(0.0, span, len(y))`` bit for bit; times builds
-    it on each read and no trajectory holds it.  y holds one row of real
+    span], ``np.linspace(0.0, span, len(y))``, which times builds on
+    each read; no trajectory holds it.  y holds one row of real
     state components per time, in the integrator's order: (Re s, Im s,
     w) for model A, then (Re beta, Im beta) for model B.  A trajectory
     of ``integrate_batch`` with ``keep`` holds only the columns listed
@@ -349,7 +349,7 @@ class Trajectory:
     def times(self) -> np.ndarray:
         """The sample times from 0 to span: strictly increasing on an
         integrated run, whose grid solve checks."""
-        return ode.grid(0.0, self.span, len(self.y))
+        return np.linspace(0.0, self.span, len(self.y))
 
     def _component(self, name: str, c: int) -> np.ndarray:
         if self.columns is None:
@@ -443,7 +443,7 @@ def effective_rhs(t: np.ndarray, Y: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 def _effective_row(t: float, y: list, c: list) -> tuple:
     """effective_rhs on one row: y a list of floats, c its row of P as
-    a list of complex (``_complex_pairs``)."""
+    a list of complex, ``P[b].view(complex).tolist()``."""
     s_re, s_im, w = y
     c_d, _, c_g, _, c_e2, _, c_e, _, c_om, _, om_ell, c_w = c
     s = complex(s_re, s_im)
@@ -470,7 +470,7 @@ def microscopic_rhs(t: np.ndarray, Y: np.ndarray,
 
 def _microscopic_row(t: float, y: list, c: list) -> tuple:
     """microscopic_rhs on one row: y a list of floats, c its row of P as
-    a list of complex (``_complex_pairs``)."""
+    a list of complex, ``P[b].view(complex).tolist()``."""
     s_re, s_im, w, beta_re, beta_im = y
     c_d, c_e, om_half, c_a, pole, om_rho, c_b, om, c_a2, c_e2, gammas = c
     s = complex(s_re, s_im)
@@ -481,12 +481,6 @@ def _microscopic_row(t: float, y: list, c: list) -> tuple:
     dw = (gammas.imag * (w + 1.0)
           - 2.0 * ((om + c_a2 * beta - c_e2 * s) * s.conjugate()).real)
     return ds.real, ds.imag, dw, dbeta.real, dbeta.imag
-
-
-def _complex_pairs(p) -> list:
-    """A row of piece constants, read as complex pairs: the bits of that
-    row of ``P.view(complex).tolist()``."""
-    return [complex(re, im) for re, im in zip(p[::2], p[1::2])]
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +678,8 @@ def _integrate_runs(runs, keep=None) -> list:
                         [run.points for _, run in group],
                         [run.tol for _, run in group],
                         linear=linear,
-                        row_rhs=(_complex_pairs, row),
+                        row_rhs=(lambda p: np.array(p).view(complex).tolist(),
+                                 row),
                         columns=columns, measure=_bloch_norm)
         # Python ints and floats: json.dumps rejects numpy integers
         stats = zip(res.n_accepted.tolist(), res.n_rejected.tolist(),

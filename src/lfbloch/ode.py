@@ -35,14 +35,13 @@ A row whose step size underflows stops with its own error while the
 other rows go on.
 
 Each row is sampled on a uniform grid of its own size from its start to
-its end, ``grid(t0, end, points)``: ``np.linspace``'s points, bit for
-bit.  No array holds the grids.  A grid point is computed where it is
-needed, from its index, by linspace's arithmetic (``_points``), and the
-grid points that a step covers are counted by an index computation: the
-floor of the step's end over the grid step, fixed up by exact
-comparisons with the points on either side (``_index``), which equals
-``searchsorted`` on the built grid.  A batch therefore holds its
-samples and no time arrays.
+its end, ``np.linspace(t0, end, points)``.  No array holds the grids.  A
+grid point is computed where it is needed, from its index, by
+linspace's arithmetic (``_points``), and the grid points that a step
+covers are counted by an index computation: the floor of the step's end
+over the grid step, fixed up by exact comparisons with the points on
+either side (``_index``), which equals ``searchsorted`` on the built
+grid.  A batch therefore holds its samples and no time arrays.
 
 A row is a sequence of pieces, each with its own constants p (say, a
 drive held constant between pulse edges) that every stage of a step
@@ -155,7 +154,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 __all__ = ["NonFiniteRhsError", "OdeResult", "StepSizeUnderflowError",
-           "grid", "solve"]
+           "solve"]
 
 
 class StepSizeUnderflowError(RuntimeError):
@@ -369,39 +368,20 @@ DENSE_SAMPLES = 1024
 _TINY = 2.0 ** -1022
 
 
-def grid(t0: float, end: float, points: int) -> np.ndarray:
-    """``np.linspace(t0, end, points)`` with its bits, for points >= 2.
-
-    Point k is ``k*step + t0`` with ``step = (end - t0)/(points - 1)``,
-    and the last point is end (``_points``, by which ``solve`` samples
-    each row on this grid without building it).  Where that step
-    underflows to 0, linspace divides before it multiplies: ``(k/(points
-    - 1))*(end - t0) + t0``.
-    """
-    delta = end - t0
-    step = delta / (points - 1)
-    if step != 0.0:
-        return _points(np.arange(points), t0, step, points - 1, end)
-    t = np.arange(points, dtype=float)
-    t /= points - 1
-    t *= delta
-    t += t0
-    t[-1] = end
-    return t
-
-
 def _points(k, t0, step, last, end):
-    """The points k of the grids ``grid(t0, end, last + 1)`` whose step
-    is not 0; the arguments are arrays or numbers that broadcast
-    together (k of ints, last of ints or floats)."""
+    """The points k of the grids ``np.linspace(t0, end, last + 1)``
+    whose step ``(end - t0)/last`` is not 0, by linspace's arithmetic:
+    ``k*step + t0``, and end for the last.  The arguments are arrays or
+    numbers that broadcast together (k of ints, last of ints or
+    floats)."""
     t = k * step
     t += t0
     return np.where(k == last, end, t)
 
 
 def _index(x, t0, step, last, end):
-    """``grid(t0, end, last + 1).searchsorted(x, "right")`` without the
-    grid: the number of grid points at most x.
+    """``np.linspace(t0, end, last + 1).searchsorted(x, "right")``
+    without the grid: the number of grid points at most x.
 
     The floor of ``(x - t0)/step``, clipped to the grid, plus one,
     misses it by a few points at most on a grid of distinct points (by
@@ -421,12 +401,12 @@ def _index(x, t0, step, last, end):
 
 class _Grids(NamedTuple):
     """Every row's sample grid, by arithmetic: ``params[b]`` is row b's
-    (t0, step, last, end), the grid ``grid(t0, end, last + 1)`` with a
-    step that is not 0; ``rows[b]`` is the same as Python floats.  Row
-    b's samples are the rows offsets[b]:offsets[b + 1] of the batch's,
-    one per grid point (``firsts`` is offsets[:-1] as a list).  ``ks``
-    holds the indices of the longest grid as floats, which a slice
-    reads faster than ``np.arange`` builds them."""
+    (t0, step, last, end), the grid ``np.linspace(t0, end, last + 1)``
+    with a step that is not 0; ``rows[b]`` is the same as Python floats.
+    Row b's samples are the rows offsets[b]:offsets[b + 1] of the
+    batch's, one per grid point (``firsts`` is offsets[:-1] as a list).
+    ``ks`` holds the indices of the longest grid as floats, which a
+    slice reads faster than ``np.arange`` builds them."""
 
     offsets: np.ndarray  # shape (B + 1,)
     params: np.ndarray   # shape (B, 4)
@@ -435,15 +415,16 @@ class _Grids(NamedTuple):
     ks: np.ndarray
 
     def at(self, b, k):
-        """The points k (G, m) of rows b (G,), and the rows of the
-        batch's samples that hold them."""
+        """The points k (G, m) of rows b (G,), those of their
+        ``np.linspace`` grids, and the rows of the batch's samples that
+        hold them."""
         return (_points(k, *self.params[b].T[:, :, None]),
                 self.offsets[b, None] + k)
 
     def times(self, b: int, lo: int, hi: int) -> np.ndarray:
-        """The points lo:hi of row b, as ``_points`` computes them (a grid
-        from 0 adds no t0: k*step is not negative, so + 0.0 would change
-        no bit)."""
+        """The points lo:hi of row b's ``np.linspace`` grid, as
+        ``_points`` computes them (a grid from 0 adds no t0: k*step is
+        not negative, so + 0.0 would change no bit)."""
         t0, step, last, end = self.rows[b]
         t = self.ks[lo:hi] * step
         if t0:
@@ -458,7 +439,7 @@ class OdeResult:
     """Samples of every row on its grid plus per-row integrator statistics.
 
     Row b's samples are the rows ``offsets[b]:offsets[b + 1]`` of ``y``,
-    at the points of ``grid(t0[b], t_end[b], offsets[b + 1] -
+    at the points of ``np.linspace(t0[b], t_end[b], offsets[b + 1] -
     offsets[b])``; :meth:`row` builds that grid on each call, and no
     array of the result holds it.  ``y`` holds the state columns that
     ``solve`` was asked to keep, in that order.  ``errors[b]`` is None,
@@ -484,7 +465,7 @@ class OdeResult:
         """The (t, y) samples of row b: its grid, built, and a view of
         its rows of y."""
         lo, hi = self.offsets[b], self.offsets[b + 1]
-        return grid(self.t0[b], self.t_end[b], hi - lo), self.y[lo:hi]
+        return np.linspace(self.t0[b], self.t_end[b], hi - lo), self.y[lo:hi]
 
     @property
     def t(self) -> SimpleNamespace:
@@ -905,9 +886,9 @@ def solve(
         Initial state of each row (real components), finite.
     points : sequence of B ints
         The size of each row's sample grid: ``points[b] >= 2`` evenly
-        spaced points from t0[b] to the row's end, ``grid(t0[b], end,
-        points[b])``, which must rise strictly (a step too small for the
-        span repeats points).  The solution is interpolated onto them
+        spaced points from t0[b] to the row's end, ``np.linspace(t0[b],
+        end, points[b])``, which must rise strictly (a step too small
+        for the span repeats points).  The solution is interpolated onto them
         with the method's dense output.  No grid is built: a point is
         computed where it is sampled.
     tol : sequence of B floats
@@ -1021,7 +1002,7 @@ def solve(
         # in memory apart: k*step rounds to distinct values below the
         # end.  Any other grid is built once and checked
         if not (a == 0.0 and step >= _TINY) \
-                and not (np.diff(grid(a, ends[-1], m)) > 0.0).all():
+                and not (np.diff(np.linspace(a, ends[-1], m)) > 0.0).all():
             raise ValueError(f"the {m} grid points on [{a!r}, "
                              f"{ends[-1]!r}] must rise strictly")
         params.append((a, step, m - 1, ends[-1]))

@@ -70,7 +70,6 @@ DEGENERACY_THRESHOLD = 1e-9
 
 _MIN_FIT_SAMPLES = 20
 _PHASE_STEP_LIMIT = 0.95 * math.pi
-_EPS = np.finfo(float).eps
 
 _WEAK_S0 = 1e-3
 _WEAK_POINTS = 1601
@@ -312,22 +311,6 @@ def _window(times: np.ndarray,
     return slice(lo, hi), (a, b), n
 
 
-def _line(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.polyfit(t, y, 1)``, [slope, intercept], with its bits: the
-    same steps on the columns [t, 1], without its argument handling."""
-    lhs = np.empty((len(t), 2))
-    lhs[:, 0] = t
-    lhs[:, 1] = 1.0
-    # scale the columns to improve the condition number, as polyfit does
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    c, _, rank, _ = np.linalg.lstsq(lhs, y, len(t) * _EPS)
-    if rank != 2:
-        warnings.warn("Polyfit may be poorly conditioned",
-                      np.exceptions.RankWarning, stacklevel=2)
-    return c / scale
-
-
 def fit_decay(traj: Trajectory, observable: str = "w_plus_1",
               window: tuple[float, float] | None = None) -> FitResult:
     """Fit log(observable) to a line; the rate is minus the slope.
@@ -337,8 +320,8 @@ def fit_decay(traj: Trajectory, observable: str = "w_plus_1",
     the rate for a free emitter).  The observable must be strictly
     positive on the window and the window must hold at least 20 samples.
     The window is one slice of the samples, found by bisection: it
-    relies on Trajectory's strictly increasing times.  The line has the
-    bits of ``np.polyfit(t, log_y, 1)`` (see _line).
+    relies on Trajectory's strictly increasing times.  The line is
+    ``np.polyfit(t, log_y, 1)``.
 
     Examples
     --------
@@ -362,7 +345,7 @@ def fit_decay(traj: Trajectory, observable: str = "w_plus_1",
             f"fit window (min = {float(np.min(y)):.3g})"
         )
     log_y = np.log(y)
-    slope, intercept = _line(t, log_y)
+    slope, intercept = np.polyfit(t, log_y, 1)
     resid = float(np.sqrt(np.mean((log_y - (slope * t + intercept)) ** 2)))
     return FitResult(rate=float(-slope), frequency=math.nan, residual=resid,
                      window=window, n_samples=n)
@@ -376,7 +359,7 @@ def fit_frequency(traj: Trajectory,
     delta_a = 0).  Per-sample phase steps close to pi cannot be unwrapped
     reliably, so steps beyond 0.95*pi raise SamplingTooCoarseError.  As
     in fit_decay, the window is one slice, which relies on Trajectory's
-    strictly increasing times, and the line has np.polyfit's bits.
+    strictly increasing times, and the line is np.polyfit's.
     """
     times = traj.times
     cut, window, n = _window(times, window)
@@ -395,7 +378,7 @@ def fit_frequency(traj: Trajectory,
             f"frequency aliasing"
         )
     unwrapped = np.unwrap(phase)
-    slope, intercept = _line(t, unwrapped)
+    slope, intercept = np.polyfit(t, unwrapped, 1)
     resid = float(np.sqrt(np.mean((unwrapped
                                    - (slope * t + intercept)) ** 2)))
     return FitResult(rate=math.nan, frequency=float(slope), residual=resid,

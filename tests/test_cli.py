@@ -264,6 +264,24 @@ class TestCompare:
         assert out == ""
         assert "--step 1.0 does not advance --n-min 1e+20" in err
 
+    @pytest.mark.parametrize("n_max, step, message", [
+        # every n printed 10-11 times over 50001 rows
+        ("1.00000005", "1e-12",
+         "rows 0 and 1 both print n = 1"),
+        # a step between half a unit and one unit of the 12th digit: the
+        # first and the last pair print apart, the middle one alike
+        ("1.000000000021", "7e-12",
+         "rows 1 and 2 both print n = 1.00000000001"),
+    ], ids=["repeats", "alternating"])
+    def test_step_below_the_printed_digits_rejected(self, n_max, step,
+                                                    message, capsys):
+        code, out, err = run_cli(["compare", "--n-min", "1", "--n-max",
+                                  n_max, "--step", step], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --step {float(step)!r} is below the 12 " \
+            f"significant digits of the table: {message}\n"
+
     @pytest.mark.parametrize("n", ["1e62", "1e154"])
     def test_index_past_the_float_range_rejected(self, n, capsys):
         # virtual_cavity read inf from about n = 1e62, onsager nan from
@@ -1030,6 +1048,32 @@ class TestSweep:
                            "ValueError: microscopic model: C_a = "
                            "i*eps_b/rho is infj: the rates leave the float "
                            "range"]
+
+    def test_override_that_the_reduction_ignores_exits_2(self, tmp_path,
+                                                         capsys):
+        # overrides of initial.w, the model and integration.span, which
+        # the population reduction sets itself, wrote two identical rows
+        payload = density_sweep()
+        payload["values"] = [5.0, 5.0]
+        payload["overrides"] = [
+            {"initial": {"w": 1.0}},
+            {"initial": {"w": -0.5}, "model": "B",
+             "integration": {"span": 0.01}}]
+        spec = write_json(tmp_path / "sweep.json", payload)
+        code, out, err = run_cli(["sweep", spec], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sweep.overrides[0].initial.w: "
+                              "reduction 'population_rate_model_a' sets "
+                              "'initial.w' itself")
+        # the keys that the reduction reads still vary the points
+        payload["overrides"] = [{"model": "A"},
+                                {"drive": {}, "integration": {"tol": 1e-6}}]
+        write_json(tmp_path / "sweep.json", payload)
+        code, out, _ = run_cli(["sweep", spec], capsys)
+        rows = list(csv.reader(out.strip().splitlines()))[1:]
+        assert code == 0 and rows[0][5] == rows[1][5] == ""
+        assert rows[0][3] != rows[1][3]
 
     def test_overflowing_host_pole_point_fails_alone(self, tmp_path,
                                                      capsys):

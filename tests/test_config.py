@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -390,8 +391,14 @@ class TestSweepParsing:
     def test_broken_point_messages_are_pinned(self):
         raw = eps_b_sweep()
         raw["values"] = [-3.0] + [5.0] * (len(self.BROKEN_POINTS) - 1)
-        raw["overrides"] = [override for override, _ in self.BROKEN_POINTS]
-        spec = parse_sweep(raw)
+        overrides = [override for override, _ in self.BROKEN_POINTS]
+        # parse_sweep refuses the overrides of points 7, 12 and 13, which
+        # set fields that the reduction sets itself (TestMessagePins pins
+        # those messages); the scenarios of those points are built and
+        # parsed as the others are
+        raw["overrides"] = [{} if i in (7, 12, 13) else override
+                            for i, override in enumerate(overrides)]
+        spec = replace(parse_sweep(raw), overrides=tuple(overrides))
         for i, (_, message) in enumerate(self.BROKEN_POINTS):
             with pytest.raises(ConfigError) as info:
                 parse_scenario(spec.point_raw(i), source=f"point[{i}]")
@@ -990,6 +997,59 @@ class TestMessagePins:
           "reduction": "coherence_rate_model_b",
           "base.model": "B"},
          "sweep.parameter: 'ell' is not present in the base scenario"),
+        # an override that sets a field the reduction sets itself, or
+        # another model, which the reduction would ignore: each key of a
+        # section, named with its override (a non-object section is a
+        # point's error, see POINTS)
+        ("S", {"overrides": [{}, {"integration": {"span": -1.0}}, {}]},
+         "sweep.overrides[1].integration.span: reduction "
+         "'population_rate_model_a' sets 'integration.span' itself, so an "
+         "override of it changes nothing (it sets drive, initial, "
+         "integration.span)"),
+        ("S", {"overrides": [{}, {}, {"drive": {"kind": "laser"}}]},
+         "sweep.overrides[2].drive.kind: reduction 'population_rate_model_a' "
+         "sets 'drive.kind' itself, so an override of it changes nothing (it "
+         "sets drive, initial, integration.span)"),
+        ("S", {"overrides": [{"initial": {"beta": [0.0, 0.0]}}, {}, {}]},
+         "sweep.overrides[0].initial.beta: reduction "
+         "'population_rate_model_a' sets 'initial.beta' itself, so an "
+         "override of it changes nothing (it sets drive, initial, "
+         "integration.span)"),
+        ("S", {"overrides": [{}, {"model": "B"}, {}]},
+         "sweep.overrides[1].model: reduction 'population_rate_model_a' "
+         "requires model 'A', got 'B'"),
+        ("S",
+         {"reduction": "coherence_rate_model_b",
+          "base.model": "B",
+          "overrides": [{}, {"integration": {"tol": 1e-8, "points": 801}},
+                        {}]},
+         "sweep.overrides[1].integration.points: reduction "
+         "'coherence_rate_model_b' sets 'integration.points' itself, so an "
+         "override of it changes nothing (it sets drive, initial, "
+         "integration.span, integration.points)"),
+        # the first override, and in it the model, name their faults
+        # first; the other checks precede them
+        ("S",
+         {"values": [5.0, 5.0],
+          "overrides": [{"initial": {"w": 1.0}},
+                        {"initial": {"w": -0.5}, "model": "B",
+                         "integration": {"span": 0.01}}]},
+         "sweep.overrides[0].initial.w: reduction 'population_rate_model_a' "
+         "sets 'initial.w' itself, so an override of it changes nothing (it "
+         "sets drive, initial, integration.span)"),
+        ("S",
+         {"overrides": [{}, {"initial": {"w": -0.5}, "model": "B"}, {}]},
+         "sweep.overrides[1].model: reduction 'population_rate_model_a' "
+         "requires model 'A', got 'B'"),
+        ("S", {"parameter": "initial.w", "overrides": [{"model": "B"}, {},
+                                                       {}]},
+         "sweep.parameter: reduction 'population_rate_model_a' sets "
+         "'initial.w' itself, so a sweep over it varies nothing (it sets "
+         "drive, initial, integration.span)"),
+        ("S", {"overrides": [{"drive": {}}, {"model": "B"}, {}],
+               "base.model": "B"},
+         "sweep.base.model: reduction 'population_rate_model_a' requires "
+         "model 'A', got 'B'"),
     ]
     # (index, patch of eps_b_sweep, message): the point as the sweep
     # command parses it
@@ -1017,6 +1077,10 @@ class TestMessagePins:
           "values": [0.0, 5.0, 10.0]},
          "point[2].host: host pole denominator delta_b + eps_b + "
          "i*gamma_b/2 is zero"),
+        # a section that the reduction sets, made no object by an
+        # override: the point's parse names it
+        (0, {"overrides": [{"drive": 5}, {}, {}]},
+         "point[0].drive: expected an object, got int"),
     ]
 
     @pytest.mark.parametrize("base, patch, message", SCENARIO,

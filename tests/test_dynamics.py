@@ -322,10 +322,16 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def _read(p, om):
+    """The constants of p on drive om as complex pairs, as
+    ``_integrate_runs`` hands them to solve's float form."""
+    return np.array(p.rhs_constants(om)).view(complex).tolist()
+
+
 def _row_call(row, p, om, y):
     """A per-row right-hand side on y, with the constants of p on drive
     om read as solve's float form reads them."""
-    return row(0.0, list(y), dynamics._complex_pairs(p.rhs_constants(om)))
+    return row(0.0, list(y), _read(p, om))
 
 
 def _rows_call(rows):
@@ -385,9 +391,8 @@ class TestRhsBits:
                    for p, om, y in rows_b]),
             _bits([_formula_b(p, om, y) for p, om, y in rows_b]))
         for p, om, _ in rows_a + rows_b:
-            c = dynamics._complex_pairs(p.rhs_constants(om))
             assert np.array_equal(
-                _bits(np.array(c).view(float)),
+                _bits(np.array(_read(p, om)).view(float)),
                 _bits(p.rhs_constants(om)))
 
     @settings(max_examples=40, deadline=None)
@@ -946,59 +951,116 @@ def _mixed_batch(float_rows):
     return runs, batch, [str(w.message) for w in caught]
 
 
-class TestGridBits:
-    """Each run's grid is np.linspace's, bit for bit: ode.grid, which
-    Trajectory.times reads and whose arithmetic solve samples on, from 0
-    and from any other start."""
+def _grids(cases):
+    """The ``_Grids`` that solve keeps of the grids (t0, end, points) of
+    cases, one row each."""
+    params = [(t0, (end - t0) / (n - 1), n - 1, end) for t0, end, n in cases]
+    points = [n for *_, n in cases]
+    offsets = np.zeros(len(cases) + 1, dtype=int)
+    np.cumsum(points, out=offsets[1:])
+    return ode._Grids(offsets, np.array(params).reshape(len(cases), 4),
+                      params, offsets[:-1].tolist(),
+                      np.arange(max(points), dtype=float))
 
-    def test_grid_equals_linspace(self):
+
+class TestGridBits:
+    """Each run samples np.linspace's grid, bit for bit, from 0 and from
+    any other start: Trajectory.times is np.linspace itself, and solve
+    computes its sample times by linspace's arithmetic, _points, on a
+    step that is not 0 (where the step underflows to 0, linspace divides
+    first, and solve refuses the grid), in three ways: _points itself,
+    _Grids.times (per-row dense output) and _Grids.at (stacked dense
+    output and the exponential method)."""
+
+    @staticmethod
+    def from_zero():
+        # spans from subnormal to the top of the float range
         rng = np.random.default_rng(14)
         spans = [10.0 ** k for k in range(-300, 301, 10)] + list(
             rng.uniform(1.0, 10.0, 40) * 10.0 ** rng.integers(-300, 300, 40)
         ) + [6.5 / 1.37, 8.0, 5e-324, 1e-320, np.finfo(float).max]
-        points = [2, 3, 4, 7, 10, 101, 801, 1601, 8001, 10**4]
-        underflows = 0
+        return [(0.0, float(span), n) for span in spans
+                for n in (2, 3, 4, 7, 10, 101, 801, 1601, 8001, 10**4)]
+
+    @staticmethod
+    def from_any_start():
+        # starts of either sign and any magnitude, -0.0 among them, spans
+        # from subnormal (whose steps underflow to 0 or round far off)
+        # to wider than the start, and up to 1e6 points
+        rng = np.random.default_rng(15)
+        starts = [(float(rng.normal() * 10.0 ** rng.integers(-300, 300)),
+                   float(rng.uniform(1.0, 10.0)
+                         * 10.0 ** rng.integers(-320, 300)))
+                  for _ in range(300)]
+        starts += [(5e-324, 5e-324), (-1e-320, 3e-320), (1e-310, 1e-320),
+                   (-2.5, 5.0), (1e6, 1e-9), (0.1, 0.2), (-0.0, 1.0)]
+        cases = []
+        for t0, span in starts:
+            end = t0 + span
+            if not end > t0 or not math.isfinite(end):
+                continue
+            for n in (2, 3, 7, 801, 1601, 10**4, 10**6):
+                if n == 10**6 and rng.random() > 0.05:
+                    continue
+                cases.append((t0, end, n))
+        return cases
+
+    @staticmethod
+    def assert_points(cases):
+        """_points on every grid point of cases whose step is not 0
+        against np.linspace; returns how many grids were checked."""
+        checked = 0
         with np.errstate(over="ignore"):  # (points - 1)*step past the top
-            for span in spans:
-                for n in points:
-                    underflows += span / (n - 1) == 0.0
-                    assert np.array_equal(
-                        _bits(ode.grid(0.0, span, n)),
-                        _bits(np.linspace(0.0, span, n))), (span, n)
-        assert underflows >= 2
+            for t0, end, n in cases:
+                step = (end - t0) / (n - 1)
+                if step == 0.0:
+                    continue
+                checked += 1
+                assert np.array_equal(
+                    _bits(ode._points(np.arange(n), t0, step, n - 1, end)),
+                    _bits(np.linspace(t0, end, n))), (t0, end, n)
+        return checked
+
+    def test_grid_equals_linspace(self):
+        assert self.assert_points(self.from_zero()) >= 1000
 
     def test_grid_from_any_start_equals_linspace(self):
-        # starts of either sign and any magnitude, spans from subnormal
-        # (whose steps underflow to 0 or round far off) to wider than
-        # the start, and up to 1e6 points
-        rng = np.random.default_rng(15)
-        cases = [(float(rng.normal() * 10.0 ** rng.integers(-300, 300)),
-                  float(rng.uniform(1.0, 10.0)
-                        * 10.0 ** rng.integers(-320, 300)))
-                 for _ in range(300)]
-        cases += [(5e-324, 5e-324), (-1e-320, 3e-320), (1e-310, 1e-320),
-                  (-2.5, 5.0), (1e6, 1e-9), (0.1, 0.2), (-0.0, 1.0)]
-        underflows = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t0, span in cases:
-                end = t0 + span
-                if not end > t0 or not math.isfinite(end):
-                    continue
-                for n in (2, 3, 7, 801, 1601, 10**4, 10**6):
-                    if n == 10**6 and rng.random() > 0.05:
-                        continue
-                    underflows += (end - t0) / (n - 1) == 0.0
-                    assert np.array_equal(
-                        _bits(ode.grid(t0, end, n)),
-                        _bits(np.linspace(t0, end, n))), (t0, end, n)
-            # falling grids, from signed zeros among others
-            for t0, end in [(0.0, -1.0), (-0.0, -2.5), (0.0, -1e-320),
-                            (3.0, -4.0), (-0.0, 5e-324)]:
-                for n in (2, 3, 7, 801):
-                    assert np.array_equal(
-                        _bits(ode.grid(t0, end, n)),
-                        _bits(np.linspace(t0, end, n))), (t0, end, n)
-        assert underflows >= 5
+        # and falling grids, from signed zeros among others, which
+        # solve refuses
+        falling = [(t0, end, n) for t0, end in [
+            (0.0, -1.0), (-0.0, -2.5), (0.0, -1e-320), (3.0, -4.0),
+            (-0.0, 5e-324)] for n in (2, 3, 7, 801)]
+        assert self.assert_points(self.from_any_start() + falling) >= 900
+
+    @pytest.mark.parametrize("which", ["from_zero", "from_any_start"])
+    def test_sample_times_equal_linspace(self, which):
+        # rising grids whose step is not 0, as solve keeps them: the
+        # points lo:hi of a row (times), from the first point, inside and
+        # up to the last, and stacks of rows' points (at) with the last
+        # point of each row among them
+        rng = np.random.default_rng(16)
+        cases = [(t0, end, n) for t0, end, n in getattr(self, which)()
+                 if (end - t0) / (n - 1) != 0.0]
+        assert len(cases) >= 500
+        with np.errstate(over="ignore"):
+            for lo in range(0, len(cases), 64):
+                chunk = cases[lo:lo + 64]
+                grids = _grids(chunk)
+                rows = np.arange(len(chunk))
+                ks = np.stack([np.append(rng.integers(0, n, 5), n - 1)
+                               for *_, n in chunk])
+                times, at = grids.at(rows, ks)
+                assert np.array_equal(at, grids.offsets[rows, None] + ks)
+                for b, (t0, end, n) in enumerate(chunk):
+                    want = np.linspace(t0, end, n)
+                    assert np.array_equal(_bits(times[b]),
+                                          _bits(want[ks[b]])), (t0, end, n)
+                    i, j = sorted(rng.integers(0, n, 2).tolist())
+                    for a, z in {(0, n), (0, 1), (i, j + 1), (i, n),
+                                 (n - 1, n)}:
+                        assert np.array_equal(
+                            _bits(grids.times(b, a, z)),
+                            _bits(want[a:z])), (t0, end, n, a, z)
 
 
 class TestBatchMemory:

@@ -561,7 +561,7 @@ class TestErrors:
         # a grid of fewer than 2 points
         for t0, t_end, points in [(0.0, 5e-324, 3), (0.0, 1e-320, 801),
                                   (1e6, 1e6 + 1e-9, 1000)]:
-            assert not (np.diff(ode.grid(t0, t_end, points)) > 0.0).all()
+            assert not (np.diff(np.linspace(t0, t_end, points)) > 0.0).all()
             with pytest.raises(ValueError, match="rise strictly"):
                 solve_one(_decay, t0, t_end, np.array([1.0]), points,
                           tol=1e-8)
@@ -1216,7 +1216,7 @@ def _probes(grid, rng, steps):
 
 class TestGridSearchBits:
     """The controller's grid index, _index, against searchsorted on the
-    grid that ode.grid builds."""
+    grid that np.linspace builds."""
 
     @pytest.mark.parametrize("steps", [0.5, 3.0, 40.0, 700.0])
     def test_bounded_search_equals_searchsorted(self, steps):
@@ -1224,7 +1224,7 @@ class TestGridSearchBits:
         args = _grid_args(GRIDS)
         rows, xs, want = [], [], []
         for row, (t0, end, points) in enumerate(GRIDS):
-            grid = ode.grid(t0, end, points)
+            grid = np.linspace(t0, end, points)
             assert (np.diff(grid) > 0.0).all()
             x = _probes(grid, rng, steps)
             rows += [row] * x.size
@@ -1241,7 +1241,7 @@ class TestGridSearchBits:
         # of points, from a grid point, from just below the next one
         # (the most points that a step of its length can cross) and
         # from between two, onto a grid point or past it
-        grid = ode.grid(0.0, 6.5, 1601)
+        grid = np.linspace(0.0, 6.5, 1601)
         gap = np.diff(grid).min()
         at = np.array([0, 77, 1600 - crossed - 1])
         below = np.nextafter(grid[at + 1], -math.inf)
@@ -1404,7 +1404,7 @@ def _pieces(ends, forces=(0.0, 1.0, 0.0)):
     return [(end, (0, force)) for end, force in zip(ends, forces)]
 
 
-_GRID = ode.grid(0.0, 3.0, 31)
+_GRID = np.linspace(0.0, 3.0, 31)
 # (pieces, t0, y0, points, tol); the force flips at each piece's end
 PIECED = [
     # a first piece shorter than the starting step (0.005): its first
@@ -1448,7 +1448,7 @@ def _chained(problem, passes):
     the row's).
     """
     pieces, t0, y0, points, tol = problem
-    row = ode.grid(t0, pieces[-1][0], points)
+    row = np.linspace(t0, pieces[-1][0], points)
     shared, samples = np.zeros(points, bool), np.empty((points, len(y0)))
     a, y, counts = t0, np.array(y0), [0, 0, 0]
     for b, (_, force) in pieces:

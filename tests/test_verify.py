@@ -333,66 +333,10 @@ class TestFitFrequency:
             fit_frequency(traj)
 
 
-def _bits(values):
-    return np.asarray(values).view(np.int64)
-
-
-def _fit_corpus():
-    """(t, y) pairs of 20 to 8001 samples: log(w + 1), |s| and the
-    unwrapped phase of integrate runs over windows of each length, then
-    random data from 1e-6 to 1e6."""
-    from lfbloch.dynamics import EffectiveParams
-    detuned = EmitterParams(delta_a=0.7, eps_a=0.3, gamma_a=1.0)
-    runs = [
-        integrate(EffectiveParams(emitter=EMITTER, ell=1.37 + 0.02j),
-                  SystemState(s=0j, w=1.0),
-                  IntegrationSpec(span=6.5 / 1.37, tol=1e-10, points=8001)),
-        integrate(EffectiveParams(emitter=detuned, ell=1.1 - 0.05j),
-                  SystemState(s=0.3 + 0.2j, w=-0.5),
-                  IntegrationSpec(span=9.0, tol=1e-8, points=8001)),
-        weak_excitation_trajectory(CANONICAL, tol=1e-10),
-    ]
-    corpus = []
-    for traj in runs:
-        series = [np.log(traj.w + 1.0), np.abs(traj.s),
-                  np.unwrap(np.angle(traj.s))]
-        for n in (20, 21, 57, 400, 1201, 1601, 4000, len(traj.times)):
-            for start in sorted({0, (len(traj.times) - n) // 3,
-                                 len(traj.times) - n}):
-                t = traj.times[start:start + n]
-                corpus += [(t, y[start:start + n]) for y in series
-                           if np.isfinite(y[start:start + n]).all()]
-    rng = np.random.default_rng(11)
-    for n in (20, 33, 801, 8001):
-        for scale in (1e-6, 1.0, 1e6):
-            t = np.sort(rng.uniform(0.0, scale, n))
-            corpus.append((t, rng.normal(size=n) * scale))
-            corpus.append((t, -2.5 * t + rng.normal(size=n) * 1e-9 * scale))
-    return corpus
-
-
 class TestFitBits:
-    """The bit equalities that the fits of every sweep point rely on, so
-    that a numpy that breaks one fails here by name rather than by
-    moving the golden hashes."""
-
-    def test_line_equals_polyfit(self):
-        corpus = _fit_corpus()
-        assert len(corpus) >= 150
-        assert {len(t) for t, _ in corpus} >= {20, 8001}
-        for t, y in corpus:
-            assert np.array_equal(_bits(verify._line(t, y)),
-                                  _bits(np.polyfit(t, y, 1))), len(t)
-
-    def test_rank_warning_as_polyfit(self):
-        t = np.full(30, 2.0)
-        y = np.linspace(0.0, 1.0, 30)
-        with pytest.warns(np.exceptions.RankWarning) as want:
-            reference = np.polyfit(t, y, 1)
-        with pytest.warns(np.exceptions.RankWarning) as got:
-            line = verify._line(t, y)
-        assert str(got[0].message) == str(want[0].message)
-        assert np.array_equal(_bits(line), _bits(reference))
+    """The equality that the fits of every sweep point rely on, their
+    window as one slice, so that a numpy that breaks it fails here by
+    name rather than by moving the golden hashes."""
 
     def test_slice_window_equals_mask(self):
         # both fits take one slice for their window; it holds the
