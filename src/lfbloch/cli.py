@@ -435,8 +435,8 @@ def _sweep_value(spec: SweepSpec, index: int) -> str:
 
 def _sweep_error(spec: SweepSpec, index: int, exc: Exception) -> list[str]:
     # every domain error is a ValueError (config, singular host, fit
-    # window, aliasing, LinAlgError) or an integrator failure; recorded
-    # per point, the run continues
+    # window, aliasing) or an integrator failure; recorded per point,
+    # the run continues
     return [_sweep_value(spec, index), "", "", "", "",
             f"{type(exc).__name__}: {exc}"]
 

@@ -3,9 +3,11 @@
 ``solve(..., linear=L)`` integrates each row as ``y' = L y + N(t, y)``
 with a constant complex 2x2 L on the two complex pairs of the state
 ``(Re z0, Im z0, w, Re z1, Im z1)`` (``N`` = 5 components; w has no
-linear part), L exactly: its step is bounded by N alone, so its step
-count does not grow with the stiffness of L.  The pass loop, the
-step-size controller, the failure handling and the counters are those of
+linear part), L exactly: its step is bounded by the nonlinear part
+rather than by L, so no stability limit of L shortens it; its step
+count is measured, not flat, in the stiffness of L (see
+``lfbloch.dynamics.integrate``).  The pass loop, the step-size
+controller, the failure handling and the counters are those of
 ``solve``; this module supplies the step, its error estimate and its
 dense output (:class:`Exponential`), and the phi-functions of h L they
 are built from.  ``solve`` imports it on first use.

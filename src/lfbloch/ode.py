@@ -14,12 +14,14 @@ The exponential method (``solve(..., linear=L)``) splits each row of the
 state ``(Re z0, Im z0, w, Re z1, Im z1)`` as ``y' = L y + N(t, y)`` with
 a constant complex 2x2 L acting on the pair (z0, z1), and integrates L
 exactly through the phi-functions of h L (``lfbloch.exponential``,
-imported on first use): its step is bounded by N alone, so its step
-count does not grow with the stiffness of L, where Dormand-Prince's
-grows linearly.  A row that has taken ``Exponential.span_steps`` steps is
-then held to error per unit step, because the method's error adds up
-over its steps.  It takes seven right-hand-side evaluations per attempted
-step against Dormand-Prince's twelve, but its step is not bounded by L,
+imported on first use): its step is bounded by N rather than by L,
+where Dormand-Prince's stability bounds its step by L, so that its
+step count grows linearly with the stiffness; the exponential
+method's count is measured, not flat.  A row that has taken
+``Exponential.span_steps`` steps is then held to error per unit step,
+because the method's error adds up over its steps.  It takes seven
+right-hand-side evaluations per attempted step against
+Dormand-Prince's twelve, but its step is not bounded by L,
 so it pays where L is stiff; the caller picks the method per call
 (``lfbloch.dynamics`` sends model-B runs with a fast host pole to it).
 A call without ``linear`` never imports or runs the second method.

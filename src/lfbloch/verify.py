@@ -311,6 +311,33 @@ def _window(times: np.ndarray,
     return slice(lo, hi), (a, b), n
 
 
+def _line(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The least-squares line through (t, y): its slope and intercept.
+
+    Centred closed form: slope = sum((t - tm)*(y - ym)) / sum((t - tm)^2)
+    about the means tm and ym, intercept = ym - slope*tm.  Every sum is
+    an ``np.add.reduce`` over a contiguous float64 array, whose order
+    numpy fixes in its own loop, so the bits do not depend on the BLAS
+    or LAPACK kernel.  ``_window`` admits only 20 or more strictly
+    increasing times; times so close together that the squares of
+    their deviations underflow to 0, or so far apart that they
+    overflow, raise FitWindowError.
+    """
+    n = len(t)
+    t_mean = np.add.reduce(t) / n
+    y_mean = np.add.reduce(y) / n
+    dt = t - t_mean
+    sxx = np.add.reduce(dt * dt)
+    if not 0.0 < sxx < math.inf:
+        raise FitWindowError(
+            f"fit window times from {t[0]:g} to {t[-1]:g} are too close "
+            f"together or too far apart for a line: their squared "
+            f"deviations sum to {sxx:g}"
+        )
+    slope = np.add.reduce(dt * (y - y_mean)) / sxx
+    return float(slope), float(y_mean - slope * t_mean)
+
+
 def fit_decay(traj: Trajectory, observable: str = "w_plus_1",
               window: tuple[float, float] | None = None) -> FitResult:
     """Fit log(observable) to a line; the rate is minus the slope.
@@ -320,34 +347,31 @@ def fit_decay(traj: Trajectory, observable: str = "w_plus_1",
     the rate for a free emitter).  The observable must be strictly
     positive on the window and the window must hold at least 20 samples.
     The window is one slice of the samples, found by bisection: it
-    relies on Trajectory's strictly increasing times.  The line is
-    ``np.polyfit(t, log_y, 1)``.
+    relies on Trajectory's strictly increasing times.  The line is the
+    centred closed-form least-squares line of ``_line``, whose sums are
+    taken in numpy's fixed order.
 
     Examples
     --------
     A free effective-model decay with ell = 1.4 fits back the
     renormalized population rate Re(ell)*gamma_a = 1.4 to 1e-6 relative.
     """
-    if observable == "w_plus_1":
-        values = traj.w + 1.0
-    elif observable == "abs_s":
-        values = np.abs(traj.s)
-    else:
+    if observable not in ("w_plus_1", "abs_s"):
         raise ValueError(f"unknown observable {observable!r}; "
                          f"expected 'w_plus_1' or 'abs_s'")
     times = traj.times
     cut, window, n = _window(times, window)
     t = times[cut]
-    y = values[cut]
+    y = traj.w[cut] + 1.0 if observable == "w_plus_1" else np.abs(traj.s[cut])
     if (y <= 0.0).any():
         raise FitWindowError(
             f"observable {observable!r} must be strictly positive on the "
             f"fit window (min = {float(np.min(y)):.3g})"
         )
     log_y = np.log(y)
-    slope, intercept = np.polyfit(t, log_y, 1)
+    slope, intercept = _line(t, log_y)
     resid = float(np.sqrt(np.mean((log_y - (slope * t + intercept)) ** 2)))
-    return FitResult(rate=float(-slope), frequency=math.nan, residual=resid,
+    return FitResult(rate=-slope, frequency=math.nan, residual=resid,
                      window=window, n_samples=n)
 
 
@@ -359,7 +383,7 @@ def fit_frequency(traj: Trajectory,
     delta_a = 0).  Per-sample phase steps close to pi cannot be unwrapped
     reliably, so steps beyond 0.95*pi raise SamplingTooCoarseError.  As
     in fit_decay, the window is one slice, which relies on Trajectory's
-    strictly increasing times, and the line is np.polyfit's.
+    strictly increasing times, and the line is ``_line``'s.
     """
     times = traj.times
     cut, window, n = _window(times, window)
@@ -378,10 +402,10 @@ def fit_frequency(traj: Trajectory,
             f"frequency aliasing"
         )
     unwrapped = np.unwrap(phase)
-    slope, intercept = np.polyfit(t, unwrapped, 1)
+    slope, intercept = _line(t, unwrapped)
     resid = float(np.sqrt(np.mean((unwrapped
                                    - (slope * t + intercept)) ** 2)))
-    return FitResult(rate=math.nan, frequency=float(slope), residual=resid,
+    return FitResult(rate=math.nan, frequency=slope, residual=resid,
                      window=window, n_samples=n)
 
 
@@ -400,8 +424,10 @@ def weak_excitation_run(p: MicroscopicParams, tol: float = 1e-10) -> tuple:
     it with ``integrate(*run)`` or, with other runs, ``integrate_batch``:
     when the host pole is fast (|alpha| above
     ``lfbloch.dynamics.EXPONENTIAL_POLE`` gamma_a) the run is integrated
-    by the exponential method, whose step count does not grow with
-    |alpha|, so any kappa is affordable.  Raises ``ValueError`` when the
+    by the exponential method, whose step is bounded by the nonlinear
+    part rather than by the host pole, so large kappas stay affordable;
+    its step count is measured, not flat, in |alpha| (see
+    ``lfbloch.dynamics.integrate``).  Raises ``ValueError`` when the
     predicted slow mode does not decay, or when the host-like mode
     decays no faster than it (so that it would dominate |s| in the fit
     window).

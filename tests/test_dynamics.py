@@ -907,6 +907,26 @@ class TestIntegrateBatch:
         assert [w.filename for w in lone] == [__file__]
         assert [w.filename for w in batch] == [__file__] * 2
 
+    def test_bloch_warning_states_the_excess(self):
+        # a constant dw/dt of 5e-9 from w = 1 ends at w = 1 + 5e-9, a
+        # norm of 1 + 1e-8: the message gives that excess against
+        # 100*tol, where a norm in 6 digits would read 1
+        run = (EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS),
+               SystemState(s=0j, w=1.0),
+               IntegrationSpec(span=1.0, tol=1e-11, points=11))
+        with mock.patch.object(dynamics, "effective_rhs",
+                               lambda t, Y, P: Y * 0.0 + [0.0, 0.0, 5e-9]), \
+                mock.patch.object(dynamics, "_effective_row",
+                                  lambda t, y, c: (0.0, 0.0, 5e-9)):
+            with pytest.warns(BlochNormWarning) as lone:
+                integrate(*run)
+            with pytest.warns(BlochNormWarning) as batch:
+                integrate_batch([run, run])
+        message = ("trajectory left the Bloch sphere: max(w^2 + 4|s|^2) - 1 "
+                   "= 1e-08 > 100*tol = 1e-09")
+        assert [str(w.message) for w in lone] == [message]
+        assert [str(w.message) for w in batch] == [message] * 2
+
     def test_empty_batch(self):
         assert integrate_batch([]) == []
 

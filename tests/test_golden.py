@@ -11,7 +11,10 @@ The bytes depend on that kernel, not only on the build: on the same
 numpy, ``OPENBLAS_CORETYPE=Haswell`` moves the trajectory CSVs and the
 stdout of ``simulate_decay``, ``simulate_pulse_both`` and
 ``simulate_weak_excitation`` and the stdout of ``verify``, in both the
-JSON and the text form (ROADMAP item 1).
+JSON and the text form, and ``Sandybridge`` moves ``sweep`` too
+(ROADMAP item 1).  They move through the integrator's BLAS products
+(its stage sums and dense output); the fits take no BLAS or LAPACK
+call, and ``tests/test_verify.py::TestFitBits`` pins their bits.
 
 Runs happen inside ``tmp_path`` with relative ``--output`` names, so the
 paths echoed in the JSON reports are the same on every machine.
@@ -68,6 +71,9 @@ RUNS = {
 
 # Every hash of an integrated output moved once when Dormand-Prince
 # 8(5,3) replaced 5(4) (the step counts of each run are in CHANGES.md)
+# The hashes of outputs that print a fitted rate or shift to all its
+# digits moved once more when the fits' line went from np.polyfit to the
+# centred closed form (the old and new values are in CHANGES.md)
 GOLDEN = {
     "compare": {
         "stdout":
@@ -83,7 +89,7 @@ GOLDEN = {
     },
     "simulate_decay": {
         "stdout":
-            "3cfa0a86279941044df8155f38bdf20d9c64bbc5ebd8cd9c8a96c0f1a43d4761",
+            "3a62b1be459fc613e7d015a55f4a3395d6e2cdfdbe3be9c30c4a8f349129467c",
         "decay.csv":
             "ded84cac1dafdd016503c65e99d079c10c7fe494bf8804d3bb9de72ca5e646ce",
     },
@@ -95,19 +101,19 @@ GOLDEN = {
     },
     "simulate_weak_excitation": {
         "stdout":
-            "43545814d53326589aa27b26872aa397fa4f81fc2d71080d6de039c1b174e96c",
+            "0ed4a552ceeacc8ced4fb193e406922e54869cf8694bc3dbfd0ccc15707f1a84",
         "weak_excitation.csv":
             "92eb0c3dbbdb3786f5db738bf9a71cac94a18f25d5b952c4097b9ee3bd6dfc4b",
     },
     "simulate_weak_excitation_text": {
         "stdout":
-            "c36acdfd7bce2381030eced27b1a360285fba4872515f9e0ed7a74b058255ce2",
+            "2c911334096c3355c7ac446fc6a92c6d2d0dc4a709c6615442155ee09a23c0b6",
         "weak_excitation.csv":
             "92eb0c3dbbdb3786f5db738bf9a71cac94a18f25d5b952c4097b9ee3bd6dfc4b",
     },
     "simulate_pulse_both": {
         "stdout":
-            "372a8e7df44c9e19bbe587686152815979cc31ee247bbb6717023d311ea165c7",
+            "45f0a173c34c37e55ac518fd3e7784ae053645955581a7104c582856862c1934",
         "pulse_both_A.csv":
             "54bbc3d26464a2d519cccb85e1e10acb3bbf5b2784d14e3c9143985b27aa697a",
         "pulse_both_B.csv":
@@ -115,7 +121,7 @@ GOLDEN = {
     },
     "simulate_pulse_both_text": {
         "stdout":
-            "d021422b0afb286f05f498df8aea0ef092558fa4534a1a1784048c4e0110537c",
+            "6117a201c857d3556f0f415c6561887676c3d11942b26f1ba43d0311bd4bb4c2",
         "pulse_both_A.csv":
             "54bbc3d26464a2d519cccb85e1e10acb3bbf5b2784d14e3c9143985b27aa697a",
         "pulse_both_B.csv":
@@ -127,11 +133,11 @@ GOLDEN = {
     },
     "verify": {
         "stdout":
-            "bca237f850f335b34473f930c2cfe9018a51642f3337edb263560201473164fa",
+            "377dd1291290e767e492387ffcbe664e79996255623102005bf0b68431956347",
     },
     "verify_text": {
         "stdout":
-            "cecafefdc2fa20dfeef323c481aa6a19eb811a67fb6a264cbd3fcfea69463a3b",
+            "e3fbdad2d9bb23dd06882ed688de6a6909d9d1c35619c99a93e400d07222f258",
     },
 }
 

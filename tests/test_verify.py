@@ -1,6 +1,7 @@
 """Tests for host elimination, eigenvalue oracles, fits, and convergence."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -333,10 +334,93 @@ class TestFitFrequency:
             fit_frequency(traj)
 
 
+def _fit_samples(n, rate):
+    """A log-observable on the window [2/rate, 6/rate]: a line with a
+    wobble of 5e-5, built by exact integer and correctly rounded float
+    arithmetic alone, so that its bits do not depend on the CPU."""
+    t = np.linspace(2.0 / rate, 6.0 / rate, n)
+    wobble = (np.arange(n) * 7919 % 101 - 50) * 1e-6
+    return t, 0.3 - rate * t + wobble
+
+
+# _line against np.polyfit, in units of the data's own scale (the
+# slope's |slope| + max|y|/width, the intercept's |intercept| +
+# |slope|*max|t| + max|y|): fixed at 1e-13 before the test first ran,
+# where a scan of 30000 such windows read at most 4.1e-15
+LINE_AGREEMENT = 1e-13
+
+
 class TestFitBits:
-    """The equality that the fits of every sweep point rely on, their
-    window as one slice, so that a numpy that breaks it fails here by
-    name rather than by moving the golden hashes."""
+    """The equalities that the fits of every sweep point rely on, their
+    window as one slice and the bits of their line, so that a numpy
+    that breaks one fails here by name rather than by moving the golden
+    hashes.  The line takes no BLAS or LAPACK call: these pins hold
+    under every OpenBLAS kernel."""
+
+    # float.hex of _line's (slope, intercept) on _fit_samples(n, rate)
+    LINE_PINS = {
+        (20, 0.7): ("-0x1.6665dfadd0076p-1", "0x1.332c29ce6cfd8p-2"),
+        (101, 1.4): ("-0x1.6666432af7fb4p+0", "0x1.3331a08bfc218p-2"),
+        (984, 1.5): ("-0x1.7ffffe92d5dc1p+0", "0x1.33331f8d43010p-2"),
+        (1601, 4.0): ("-0x1.ffffff84de3bcp+1", "0x1.33332bb492a90p-2"),
+    }
+
+    def test_line_bits_are_pinned(self):
+        for (n, rate), pins in self.LINE_PINS.items():
+            slope, intercept = verify._line(*_fit_samples(n, rate))
+            assert (slope.hex(), intercept.hex()) == pins
+
+    @settings(max_examples=300)
+    @given(n=st.integers(20, 2000),
+           width_exp=st.floats(-3.0, 3.0),
+           offset=st.floats(0.0, 4.0),
+           slope_exp=st.floats(-4.0, 3.0),
+           sign=st.sampled_from((-1.0, 1.0)),
+           level=st.floats(-50.0, 50.0),
+           noise=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_line_agrees_with_polyfit(self, n, width_exp, offset, slope_exp,
+                                      sign, level, noise, seed):
+        # np.polyfit is the oracle only; the fits do not call it
+        width = 10.0 ** width_exp
+        t = np.linspace(offset * width, (offset + 1.0) * width, n)
+        slope = sign * 10.0 ** slope_exp / width
+        y = level + slope * t + noise * abs(slope) * width \
+            * np.random.default_rng(seed).standard_normal(n)
+        got = verify._line(t, y)
+        want = np.polyfit(t, y, 1)
+        y_max = float(np.max(np.abs(y)))
+        slope_scale = abs(want[0]) + y_max / width
+        intercept_scale = abs(want[1]) + abs(want[0]) * t[-1] + y_max
+        assert abs(got[0] - want[0]) <= LINE_AGREEMENT * slope_scale
+        assert abs(got[1] - want[1]) <= LINE_AGREEMENT * intercept_scale
+
+    def test_equal_times_never_reach_the_line(self):
+        # a window whose samples share one time holds at most one
+        # sample of a trajectory's strictly rising times, and _window
+        # rejects it before the line's denominator could be 0
+        t = np.linspace(0.0, 5.0, 101)
+        traj = _make_traj(t, np.exp((0.3j - 0.2) * t), np.full_like(t, -0.5))
+        windows = [(x, x) for x in (t[0], t[37], t[-1])] + [
+            (float(np.nextafter(x, -np.inf)), float(np.nextafter(x, np.inf)))
+            for x in (t[0], t[37], t[-1])]
+        with mock.patch.object(verify, "_line",
+                               side_effect=AssertionError("reached _line")):
+            for window in windows:
+                for fit in (lambda: fit_decay(traj, "abs_s", window),
+                            lambda: fit_frequency(traj, window)):
+                    with pytest.raises(FitWindowError):
+                        fit()
+
+    def test_times_whose_squares_underflow_are_rejected(self):
+        # distinct times 5e-304 apart: their squared deviations underflow
+        # to 0, which a typed error reports in place of a nan rate
+        t = np.linspace(0.0, 1e-300, 2001)
+        assert np.all(np.diff(t) > 0.0)
+        traj = _make_traj(t, np.full(t.shape, 0.1 + 0j), np.full_like(t, -0.5))
+        with pytest.raises(FitWindowError,
+                           match="squared deviations sum to 0"):
+            fit_decay(traj)
 
     def test_slice_window_equals_mask(self):
         # both fits take one slice for their window; it holds the
