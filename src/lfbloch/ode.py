@@ -59,11 +59,19 @@ dense output is one call over the rows that need it, with the
 constants of the piece their step lies in (a restart's take over once
 dense output is done).  ``rhs`` must compute
 each row as it would alone (pure element-wise arithmetic does).  The
-other forms that keep a row's bits are narrow: stacked ``np.matmul`` of
-a tableau row with the (B, i, n) stage slices, element-wise operations
-with per-row (B, 1) columns, ``np.add.reduce`` along the row (which
-sums a row of fewer than 8 terms as ``np.mean`` of that row alone does)
-and ``np.sqrt``.
+other forms that keep a row's bits are narrow: ``np.matmul`` of a
+tableau row with the (B, i, w) stage slices of a stack whose last axis
+is strided, element-wise operations with per-row (B, 1) columns,
+``np.add.reduce`` along the row (which sums a row of fewer than 8 terms
+as ``np.mean`` of that row alone does) and ``np.sqrt``.  The stage
+stack K is ``[..., ::2]`` of a (B, 16, 2w) buffer, w = max(n, 2) (a row
+of one component repeats it in the second), and every copy of it that
+a pass takes is strided too (``_strided``, ``_take``): numpy then sums
+each tableau product in its own loop, left to right over every weight
+from +0.0, with no BLAS call, so that a stage sum has the same bits on
+any BLAS kernel, in any batch and in either form of a pass (numpy
+sends a contiguous stack, or a last axis of one item, to BLAS, whose
+order depends on its kernel).
 
 The step-size controller keeps each unfinished row's time, step size,
 piece end, whether its step ends the piece, and the index of its next
@@ -96,16 +104,21 @@ A pass of more than ``FLOAT_ROWS`` rows attempts its steps on arrays
 (``_attempt``).  A pass of at most ``FLOAT_ROWS`` Dormand-Prince rows
 of n < 8 components attempts them in Python floats when ``solve`` is
 also given the per-row form of the right-hand side (``row_rhs``): on so
-few rows numpy's call overhead is the cost of a pass.  Only the tableau
-products stay numpy's, the same stacked ``np.matmul`` calls as on
-arrays, read back as lists.  Each stage state ``y + h*k``, the new
-state and the error norm are the array form's operations, element by
-element, on Python floats, which have the same IEEE bits (``x * x`` for
-``x ** 2``, a comparison for ``np.maximum`` of non-negative values).
-The sum of squares runs left to right: that is how ``np.add.reduce``
-sums fewer than 8 terms (from 8 on it sums pairwise, hence the bound
-on n).  A row therefore takes the same steps in either form, and a run
-switches to the float form as its batch's rows finish.
+few rows numpy's call overhead is the cost of a pass.  Its code is
+straight-line Python, built from the tableau once per n on the first
+float-form pass and cached (``_float_code``; it takes milliseconds to
+compile, so it is not built at import): every tableau and error sum is
+written out left to right over every weight, zeros included, from
++0.0, the order of numpy's loop on arrays, and the stages go to K in
+one write per attempt, with no numpy call per stage.  Each stage state
+``y + h*k``, the new state and the error norm are the array form's
+operations, element by element, on Python floats, which have the same
+IEEE bits (``x * x`` for ``x ** 2``, a comparison for ``np.maximum`` of
+non-negative values).  The sum of squares runs left to right: that is
+how ``np.add.reduce`` sums fewer than 8 terms (from 8 on it sums
+pairwise, hence the bound on n).  A row therefore takes the same steps
+in either form, and a run switches to the float form as its batch's
+rows finish.
 
 Dense output runs once per pass, after every row has been accepted or
 rejected.  For Dormand-Prince it first evaluates the 3 extra stages of
@@ -147,6 +160,7 @@ J. Sci. Comput. 26, 1214 (2005) (phi-functions by contour integrals).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -350,7 +364,6 @@ _FSAL = 12  # the stage that is f at the new state
 _EXTRA = range(_FSAL + 1, len(_C))  # the stages of dense output alone
 
 _P_T = _P.T
-_C_FLOATS = _C.tolist()
 
 # Unfinished rows at and below which a pass writes its dense output row
 # by row, and a Dormand-Prince pass attempts its steps in Python floats
@@ -699,7 +712,7 @@ def _extra_stages(jobs, y, K, P, rhs, f=None, C=None) -> list:
     (only theirs: a rejected row's stages may be inf or NaN), from their
     states y and piece constants P: one rhs call each, or, given f (the
     per-row form of rhs) and C (each row's constants as f reads them),
-    in Python floats.
+    in Python floats by the straight-line code of ``_float_code``.
 
     A job whose extra stages come out non-finite from a finite state, 13
     finite stages and a first stage of size 1 or more is redone once on
@@ -708,25 +721,31 @@ def _extra_stages(jobs, y, K, P, rhs, f=None, C=None) -> list:
     ``jobs`` of the jobs redone.
     """
     rs = list(jobs.rows)
+    n = y.shape[1]
     if len(rs) == len(K):
         y_j, K_j, P_j = y, K, P
     else:
-        y_j, K_j, P_j = y[rs], K[rs], P[rs]
+        y_j, K_j, P_j = y[rs], _take(K, rs), P[rs]
     if f:
-        _stages_floats(f, list(zip(jobs.t, jobs.h, [C[r] for r in rs],
-                                   y_j.tolist(), K_j)), K_j, _EXTRA)
+        stages, total = _float_code(n).extra(
+            f, jobs.t, jobs.h, [C[r] for r in rs], y_j.tolist(),
+            K_j[:, :_EXTRA.start, :n].tolist())
+        K_j[:, _EXTRA.start:] = stages
     else:
         _stages(rhs, np.asarray(jobs.t), np.asarray(jobs.h), y_j, K_j, P_j,
                 _EXTRA)
+        total = math.nan
     redone = []
-    if not np.isfinite(K_j[:, _EXTRA.start:]).all():
+    # the float form's stages are finite where their sum is
+    if not math.isfinite(total) \
+            and not np.isfinite(K_j[:, _EXTRA.start:]).all():
         top = np.abs(K_j[:, 0]).max(axis=1)
         g = (~np.isfinite(K_j[:, _EXTRA.start:]).all(axis=(1, 2))
              & np.isfinite(y_j).all(axis=1)
              & np.isfinite(K_j[:, :_EXTRA.start]).all(axis=(1, 2))
              & (top >= 1.0) & (top < math.inf)).nonzero()[0]
         if g.size:
-            K_g = K_j[g]
+            K_g = _take(K_j, g)
             _stages(rhs, np.take(jobs.t, g), np.take(jobs.h, g), y_j[g],
                     K_g, P_j[g], _EXTRA, np.frexp(top[g])[1][:, None])
             K_j[g] = K_g
@@ -736,51 +755,103 @@ def _extra_stages(jobs, y, K, P, rhs, f=None, C=None) -> list:
     return redone
 
 
-def _stages_floats(f, rows, K, stages):
-    """Evaluate the stages of K in Python floats, each row of rows (t, h,
-    c, y, K_r) by f: stage i at t + c_i*h from ``y + h*(A_i @ K_r[:i])``,
-    whose product is numpy's stacked one over the rows, as in the array
-    form (``_stages``).  Returns the last stage's states."""
-    for i in stages:
-        c_i, states = _C_FLOATS[i], []
-        for (t, h, c, y_r, K_r), d in zip(rows,
-                                         np.matmul(_A[i], K[:, :i]).tolist()):
-            state = [a + h * b for a, b in zip(y_r, d)]
-            K_r[i] = f(t + h * c_i, state, c)
-            states.append(state)
-    return states
+def _sum(weights, j):
+    """Python source of the tableau sum of component j of the stages
+    ``k{s}_{j}`` with the weights: left to right over every weight, zeros
+    included, from +0.0, as numpy's own matmul loop takes it."""
+    return "(0.0" + "".join(f" + {w!r} * k{s}_{j}"
+                            for s, w in enumerate(weights)) + ")"
+
+
+def _names(stem, n, brackets="[]"):
+    """Python source of the names stem0 .. stem{n-1}, bracketed."""
+    return brackets[0] + "".join(f"{stem}{j}, " for j in range(n)) \
+        + brackets[1]
+
+
+def _stage(i, n, states):
+    """Python source that evaluates stage i of a row by f from the
+    sources of its n state components."""
+    return (f"        {_names(f'k{i}_', n, '()')} = f(t + h * {_C[i]!r}, "
+            f"[{', '.join(states)}], c)\n")
+
+
+def _state(i, n):
+    """Python source of the n components of stage i's state."""
+    return [f"y{j} + h * {_sum(_A[i].tolist(), j)}" for j in range(n)]
+
+
+@functools.cache
+def _float_code(n):
+    """The float form's straight-line code for rows of n components,
+    compiled on first use: ``attempt``, the body of ``_attempt_floats``,
+    and ``extra(f, T, H, C, Y, Ks)``, the interpolant's stages 13..15
+    of rows (t, h, c, y, stages 0..12 as lists), with the sum of all
+    their components.  Every tableau and error sum is written out by
+    ``_sum``, so a row's sums have the bits of the array form's strided
+    ``np.matmul``, with no numpy call per stage."""
+    js, ys = range(n), _names("y", n, "()")
+    lines = [
+        "def attempt(f, T, H, C, index, y, K, tol):\n"
+        "    news, stages, errs = [], [], []\n"
+        f"    for t, h, c, i, {ys}, {_names('k0_', n, '()')} in zip(\n"
+        f"            T, H, C, index, y.tolist(), K[:, 0, :{n}].tolist()):\n",
+        *(_stage(i, n, _state(i, n)) for i in range(1, _FSAL)),
+        *(f"        z{j} = {z}\n" for j, z in enumerate(_state(_FSAL, n))),
+        _stage(_FSAL, n, [f"z{j}" for j in js]),
+        "        tl = tol[i]\n"]
+    for j in js:
+        # the array form's _norm, element by element (x * x for x ** 2,
+        # a comparison for np.maximum); b - b is NaN for a non-finite
+        # new state
+        lines.append(
+            f"        a, b = abs(y{j}), abs(z{j})\n"
+            "        sc = tl + tl * (a if a >= b else b)\n"
+            f"        x{j} = h * {_sum(_E5.tolist(), j)} / sc\n"
+            f"        x{j} = x{j} * x{j} + (b - b)\n"
+            f"        v{j} = h * {_sum(_E3.tolist(), j)} / sc\n")
+    # the sums of squares left to right, as np.add.reduce sums fewer
+    # than 8 terms; one write of the stages
+    lines.append(
+        f"        s5 = {' + '.join(f'x{j}' for j in js)}\n"
+        f"        s3 = {' + '.join(f'v{j} * v{j}' for j in js)}\n"
+        f"        d = (s5 + 0.01 * s3) * {n}\n"
+        "        errs.append((s5 / sqrt(d) if s5 > 0.0 else s5) + (d - d))\n"
+        f"        news.append({_names('z', n)})\n"
+        "        stages.append(["
+        + ", ".join(_names(f"k{i}_", n) for i in range(1, _FSAL + 1))
+        + "])\n"
+        f"    K[:, 1:{_FSAL + 1}] = stages\n"
+        "    return np.array(news), errs\n"
+        "def extra(f, T, H, C, Y, Ks):\n"
+        "    out, total = [], 0.0\n"
+        f"    for t, h, c, {ys}, ("
+        + "".join(_names(f"k{i}_", n, "()") + ", " for i in range(_FSAL + 1))
+        + ") in zip(T, H, C, Y, Ks):\n")
+    lines += [_stage(i, n, _state(i, n)) for i in _EXTRA]
+    lines.append(
+        "        out.append(["
+        + ", ".join(_names(f"k{i}_", n) for i in _EXTRA) + "])\n"
+        "        total += " + " + ".join(f"k{i}_{j}" for i in _EXTRA
+                                        for j in js) + "\n"
+        "    return out, total\n")
+    space = {"np": np, "sqrt": math.sqrt}
+    exec(compile("".join(lines), f"<ode float form, n = {n}>", "exec"),
+         space)
+    return SimpleNamespace(attempt=space["attempt"], extra=space["extra"])
 
 
 def _attempt_floats(f, T, H, C, index, y, K, tol):
     """A Dormand-Prince attempt in Python floats of every row r of the
     pass, from T[r] by H[r] with piece constants C[r] and tolerance
     ``tol[index[r]]``: the new states (B, n) and the rows' error norms.
+    It writes stages 1 to 12 of K once, at the end.
 
-    Only the tableau products are numpy's, the same products as the
-    array form's; the rest is the array form's arithmetic element by
+    The straight-line code of ``_float_code`` takes every sum in the
+    order of the array form's and the rest of its arithmetic element by
     element, so each row gets its bits (see the module docstring).
     """
-    n = y.shape[1]
-    rows = list(zip(T, H, C, y.tolist(), K))
-    new = _stages_floats(f, rows, K, range(1, _FSAL + 1))
-    errs = []
-    for i, (_, h, _, y_r, _), new_r, e5_r, e3_r in zip(
-            index, rows, new, np.matmul(_E5, K[:, :_FSAL]).tolist(),
-            np.matmul(_E3, K[:, :_FSAL]).tolist()):
-        tol_r = tol[i]
-        s5 = s3 = None
-        for a, b, e5, e3 in zip(y_r, new_r, e5_r, e3_r):
-            a, b = abs(a), abs(b)
-            scale = tol_r + tol_r * (a if a >= b else b)
-            x, z = h * e5 / scale, h * e3 / scale
-            # b - b is NaN for a non-finite new state, as in the array form
-            x = x * x + (b - b)
-            # left to right, as np.add.reduce sums fewer than 8 terms
-            s5 = x if s5 is None else s5 + x
-            s3 = z * z if s3 is None else s3 + z * z
-        d = (s5 + 0.01 * s3) * n
-        errs.append((s5 / math.sqrt(d) if s5 > 0.0 else s5) + (d - d))
-    return np.array(new), errs
+    return _float_code(y.shape[1]).attempt(f, T, H, C, index, y, K, tol)
 
 
 def _norm(estimate, y, y_new, tol, third=None):
@@ -807,43 +878,60 @@ def _norm(estimate, y, y_new, tol, third=None):
         + (d - d)
 
 
+def _strided(shape):
+    """An empty float array of shape (..., w), w >= 2, whose last axis
+    has a stride of two items.  ``np.matmul`` of a vector with a stack
+    of such arrays runs numpy's own loop, which sums left to right over
+    every weight from +0.0, where a contiguous stack goes to BLAS, whose
+    order depends on its kernel (numpy ignores the stride of an axis of
+    one item, hence w >= 2)."""
+    return np.empty((*shape[:-1], 2 * shape[-1]))[..., ::2]
+
+
+def _take(K, rows):
+    """The rows of the stage stack K, strided as ``_strided``."""
+    return np.take(K, rows, axis=0, out=_strided((len(rows), *K.shape[1:])))
+
+
 def _stages(rhs, t, h, y, K, P, stages, e=None):
-    """Evaluate the stages of K (m, 16, n) of m rows, one rhs call each:
+    """Evaluate the stages of K (m, 16, w) of m rows, one rhs call each:
     stage i at ``t + c_i*h`` from ``y + h*(A_i @ K[:, :i])``, t and h
     the rows' (m,) times and step sizes.  Returns the last stage's
     states.  With e, see ``_attempt``."""
-    h_col = h[:, None]
+    h_col, n = h[:, None], y.shape[1]
     for i in stages:
-        state = y + _times_h(h_col, _A[i], K[:, :i], e)
+        state = y + _times_h(h_col, _A[i], K[:, :i], n, e)
         K[:, i] = rhs(t + h * _C[i], state, P)
     return state
 
 
-def _times_h(h, weights, K, e=None):
-    """``h * (weights @ K)`` of each row, h the rows' (m, 1) column; with
-    e, the sum taken on K scaled by 2**-e and the product with h scaled
-    back by 2**e (see ``_attempt``)."""
+def _times_h(h, weights, K, n, e=None):
+    """``h * (weights @ K)`` of each row on its n components, h the
+    rows' (m, 1) column and K strided (``_strided``); with e, the sum
+    taken on K scaled by 2**-e and the product with h scaled back by
+    2**e (see ``_attempt``)."""
     if e is None:
-        return h * np.matmul(weights, K)
-    return np.ldexp(h * np.matmul(weights, np.ldexp(K, -e[:, :, None])), e)
+        return h * np.matmul(weights, K)[:, :n]
+    K = np.ldexp(K, -e[:, :, None], out=_strided(K.shape))
+    return np.ldexp(h * np.matmul(weights, K)[:, :n], e)
 
 
 def _attempt(rhs, t, h, y, K, P, tol, e=None):
     """A Dormand-Prince attempt of m rows: the new states and error norms.
 
     t and h are the rows' (m,) times and step sizes, tol their (m, 1)
-    column, y, P and K (m, 16, n) stages theirs; it writes stages 1 to
-    12.  With e, the rows' (m, 1) column of exponents, each tableau sum
-    is taken on the stages scaled by 2**-e and its product with h scaled
-    back by 2**e: near the top of the float range a sum of stages
-    overflows although its product with h does not, and wherever
-    neither overflows nor underflows these are the bits of the plain
-    attempt.
+    column, y (m, n), P and K (m, 16, w) stages theirs, K strided
+    (``_strided``); it writes stages 1 to 12.  With e, the rows' (m, 1)
+    column of exponents, each tableau sum is taken on the stages scaled
+    by 2**-e and its product with h scaled back by 2**e: near the top
+    of the float range a sum of stages overflows although its product
+    with h does not, and wherever neither overflows nor underflows these
+    are the bits of the plain attempt.
     """
     state = _stages(rhs, t, h, y, K, P, range(1, _FSAL + 1), e)
-    h_col, heads = h[:, None], K[:, :_FSAL]
-    return state, _norm(_times_h(h_col, _E5, heads, e), y, state, tol,
-                        _times_h(h_col, _E3, heads, e))
+    h_col, heads, n = h[:, None], K[:, :_FSAL], y.shape[1]
+    return state, _norm(_times_h(h_col, _E5, heads, n, e), y, state, tol,
+                        _times_h(h_col, _E3, heads, n, e))
 
 
 def solve(
@@ -1081,10 +1169,13 @@ def solve(
     index, T = list(range(batch)), t0[:]
     stops = [row[0][0] for row in pieces]
     P = np.array([row[0][1] for row in pieces]).reshape(batch, k)
-    K = np.empty((batch, fsal + 1 if method else len(_C), n))
+    # the stages; Dormand-Prince's strided, of 2 components at least
+    # (see _strided), where a row of 1 repeats it in the second
+    K = np.empty((batch, fsal + 1, n)) if method else _strided(
+        (batch, len(_C), max(n, 2)))
     K[:, 0] = rhs(np.array(T), y, P)
-    H = _initial_step(rhs, np.array(T), y, P, K[:, 0], np.array(stops),
-                      tol_col, power).tolist()
+    H = _initial_step(rhs, np.array(T), y, P, K[:, 0, :n],
+                      np.array(stops), tol_col, power).tolist()
     lasts, cur = [False] * batch, [1] * batch
     n_accepted, n_rejected = [0] * batch, [0] * batch
     C = [row[0][2] for row in pieces]
@@ -1154,7 +1245,7 @@ def solve(
                 for g in redone_extra:  # 3 more evaluations
                     dense[jobs.index[g]] += 1
             failed = _dense_output(jobs, not few or subset is not None,
-                                   y, K, grids, y_all, subset)
+                                   y, K[..., :n], grids, y_all, subset)
         for g in failed:  # the row stops at the step's start
             b = jobs.index[g]
             y_all[offsets[b] + jobs.start[g]:offsets[b + 1]] = math.nan
@@ -1177,7 +1268,8 @@ def solve(
         if not len(keep):
             break
         if len(keep) < len(y):
-            y, K, P, tol_col = (a[keep] for a in (y, K, P, tol_col))
+            y, P, tol_col = (a[keep] for a in (y, P, tol_col))
+            K = K[keep] if method else _take(K, keep)
             index, T, H, stops, lasts, cur, C = (
                 [a[r] for r in keep]
                 for a in (index, T, H, stops, lasts, cur, C))
@@ -1211,7 +1303,7 @@ def solve(
             r = (~np.isfinite(errs) & np.isfinite(y).all(axis=1)
                  & (top >= 1.0) & (top < math.inf)).nonzero()[0].tolist()
             if r:
-                K_r = K[r]
+                K_r = _take(K, r)
                 y_new[r], norms = _attempt(
                     rhs, np.take(T, r), np.take(H, r), y[r], K_r, P[r],
                     tol_col[r], np.frexp(top[r])[1][:, None])

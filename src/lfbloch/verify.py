@@ -70,6 +70,7 @@ DEGENERACY_THRESHOLD = 1e-9
 
 _MIN_FIT_SAMPLES = 20
 _PHASE_STEP_LIMIT = 0.95 * math.pi
+_SMALLEST_NORMAL = 2.0 ** -1022
 
 _WEAK_S0 = 1e-3
 _WEAK_POINTS = 1601
@@ -319,20 +320,23 @@ def _line(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     an ``np.add.reduce`` over a contiguous float64 array, whose order
     numpy fixes in its own loop, so the bits do not depend on the BLAS
     or LAPACK kernel.  ``_window`` admits only 20 or more strictly
-    increasing times; times so close together that the squares of
-    their deviations underflow to 0, or so far apart that they
-    overflow, raise FitWindowError.
+    increasing times; times so close together that the mean square of
+    their deviations is below the smallest normal float (the squares
+    then lose bits to gradual underflow, or underflow to 0), or so far
+    apart that the squares overflow, raise FitWindowError.
     """
     n = len(t)
     t_mean = np.add.reduce(t) / n
     y_mean = np.add.reduce(y) / n
     dt = t - t_mean
     sxx = np.add.reduce(dt * dt)
-    if not 0.0 < sxx < math.inf:
+    low = n * _SMALLEST_NORMAL
+    if not low <= sxx < math.inf:
         raise FitWindowError(
             f"fit window times from {t[0]:g} to {t[-1]:g} are too close "
             f"together or too far apart for a line: their squared "
-            f"deviations sum to {sxx:g}"
+            f"deviations sum to {sxx:g}, outside [{low:g}, inf) for {n} "
+            f"samples"
         )
     slope = np.add.reduce(dt * (y - y_mean)) / sxx
     return float(slope), float(y_mean - slope * t_mean)

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.internal.conjecture import engine
 
 from lfbloch import dynamics, exponential, ode
@@ -695,13 +695,14 @@ def _draw_integration(draw, span):
 
 
 @st.composite
-def batch_run(draw):
-    """One (params, initial, integration) run of model A or B."""
+def batch_run(draw, model=None):
+    """One (params, initial, integration) run of model A or B (of the
+    model given)."""
     span = draw(st.floats(0.5, 3.0))
     emitter = _draw_emitter(draw, span)
     s, w = _draw_state(draw, 0.45)
     integration = _draw_integration(draw, span)
-    if draw(st.booleans()):
+    if draw(st.booleans()) if model is None else model == "A":
         ell = complex(draw(st.floats(1.0, 2.0)), draw(st.floats(-0.3, 0.3)))
         return (EffectiveParams(emitter=emitter, ell=ell),
                 SystemState(s=s, w=w), integration)
@@ -711,6 +712,20 @@ def batch_run(draw):
     return (MicroscopicParams(emitter=emitter, host=host),
             SystemState(s=s, w=w, beta=draw(small_complex(0.1))),
             integration)
+
+
+@st.composite
+def crossing_batch(draw):
+    """FLOAT_ROWS + 1 or + 2 runs of one model, run k on 2**k times the
+    first one's span: the batch's rows finish on different passes, so
+    that its passes go from arrays to Python floats."""
+    runs = draw(st.lists(batch_run(draw(st.sampled_from("AB"))),
+                         min_size=ode.FLOAT_ROWS + 1,
+                         max_size=ode.FLOAT_ROWS + 2))
+    span = runs[0][2].span
+    return [(params, initial,
+             dataclasses.replace(integration, span=2**k * span))
+            for k, (params, initial, integration) in enumerate(runs)]
 
 
 def _with_drive(run, drive):
@@ -799,6 +814,28 @@ class TestIntegrateBatch:
         assert len(batch) == len(runs)
         for got, run in zip(batch, runs):
             assert _same_outcome(got, _lone(run))
+
+    @pytest.mark.parametrize("lone_rows", [0, 10**6],
+                             ids=["lone-arrays", "lone-floats"])
+    @settings(max_examples=12, deadline=None)
+    @given(runs=crossing_batch())
+    def test_rows_crossing_float_rows_match_lone_runs(self, lone_rows,
+                                                      runs):
+        # random hosts, drives and tolerances: a batch whose passes go
+        # from arrays to Python floats as its rows finish gives each row
+        # the bits and counters of the row alone, on arrays (FLOAT_ROWS
+        # 0) or in Python floats (10**6) on every pass
+        with mock.patch.object(ode, "_attempt", wraps=ode._attempt) as wide, \
+                _float_passes() as floats:
+            batch = integrate_batch(runs)
+        assert any(len(call.args[3]) > ode.FLOAT_ROWS
+                   for call in wide.call_args_list)
+        # a batch whose last rows end one pass after the others takes
+        # that pass's attempt on arrays too, and crosses nothing
+        assume(floats.called)
+        with mock.patch.object(ode, "FLOAT_ROWS", lone_rows):
+            for got, run in zip(batch, runs):
+                assert _same_outcome(got, _lone(run))
 
     @settings(max_examples=30, deadline=None)
     @given(runs=st.lists(batch_run(), min_size=2, max_size=4),

@@ -7,14 +7,16 @@ numbers alone (a refactor, a removal) must leave every hash here
 unchanged; a change that moves a number on purpose updates the hash and
 says why.  The hashes were recorded with Python 3.11 and numpy 2.4 on
 an x86-64 CPU with AVX-512, where OpenBLAS picks its SkylakeX kernel.
-The bytes depend on that kernel, not only on the build: on the same
-numpy, ``OPENBLAS_CORETYPE=Haswell`` moves the trajectory CSVs and the
-stdout of ``simulate_decay``, ``simulate_pulse_both`` and
-``simulate_weak_excitation`` and the stdout of ``verify``, in both the
-JSON and the text form, and ``Sandybridge`` moves ``sweep`` too
-(ROADMAP item 1).  They move through the integrator's BLAS products
-(its stage sums and dense output); the fits take no BLAS or LAPACK
-call, and ``tests/test_verify.py::TestFitBits`` pins their bits.
+The bytes still depend on that kernel, not only on the build: on the
+same numpy, ``OPENBLAS_CORETYPE=Haswell`` moves the model-B CSVs
+(``weak_excitation.csv`` and ``pulse_both_B.csv``, so the runs of
+``simulate_weak_excitation`` and ``simulate_pulse_both`` in both forms)
+and the JSON stdout of ``verify``, and ``Sandybridge`` moves every
+``simulate`` and ``verify`` run, both forms (ROADMAP item 1).  They
+move through dense output's BLAS products and the exponential method's.
+The stage sums take no BLAS call (``tests/test_ode.py::TestFloatBits``
+pins their order), nor do the fits
+(``tests/test_verify.py::TestFitBits``).
 
 Runs happen inside ``tmp_path`` with relative ``--output`` names, so the
 paths echoed in the JSON reports are the same on every machine.
@@ -74,6 +76,9 @@ RUNS = {
 # The hashes of outputs that print a fitted rate or shift to all its
 # digits moved once more when the fits' line went from np.polyfit to the
 # centred closed form (the old and new values are in CHANGES.md)
+# Every hash of an integrated output moved once more when the stage
+# sums went from BLAS to one fixed order, left to right from +0.0 (step
+# counts unchanged; the old and new values are in CHANGES.md)
 GOLDEN = {
     "compare": {
         "stdout":
@@ -89,55 +94,55 @@ GOLDEN = {
     },
     "simulate_decay": {
         "stdout":
-            "3a62b1be459fc613e7d015a55f4a3395d6e2cdfdbe3be9c30c4a8f349129467c",
+            "a0eb1f83ba1355dd1cc0b3a7ce259eef4fcccccfd27f93c9f860ae440bbb121f",
         "decay.csv":
-            "ded84cac1dafdd016503c65e99d079c10c7fe494bf8804d3bb9de72ca5e646ce",
+            "1861c8580cffffa16c3423db2b640312cd4dada4b4c666aab5c1484f837e3476",
     },
     "simulate_decay_text": {
         "stdout":
-            "2f90c813e1c171e364f9ae74af21dd7b8f0de7b907522d6daae570d3a0e31a95",
+            "acbe60d2f0c61fedd8910906d731ff3d1fb7c5b4a7ddccf189254d7cc2fc6cdb",
         "decay.csv":
-            "ded84cac1dafdd016503c65e99d079c10c7fe494bf8804d3bb9de72ca5e646ce",
+            "1861c8580cffffa16c3423db2b640312cd4dada4b4c666aab5c1484f837e3476",
     },
     "simulate_weak_excitation": {
         "stdout":
-            "0ed4a552ceeacc8ced4fb193e406922e54869cf8694bc3dbfd0ccc15707f1a84",
+            "234d6baf2df5af9f0e2fac7cc8aaa437d2b34d00fd7c1a83cd23aa4c90317041",
         "weak_excitation.csv":
-            "92eb0c3dbbdb3786f5db738bf9a71cac94a18f25d5b952c4097b9ee3bd6dfc4b",
+            "9381e804154aca64b56ac28001b0be717504cfa43e17c6efa194cf10b0f5b7cf",
     },
     "simulate_weak_excitation_text": {
         "stdout":
-            "2c911334096c3355c7ac446fc6a92c6d2d0dc4a709c6615442155ee09a23c0b6",
+            "c217ca4eb075ac3f841ed534e708abebfb8797f0fb68dcf79e3e389f78fe92bf",
         "weak_excitation.csv":
-            "92eb0c3dbbdb3786f5db738bf9a71cac94a18f25d5b952c4097b9ee3bd6dfc4b",
+            "9381e804154aca64b56ac28001b0be717504cfa43e17c6efa194cf10b0f5b7cf",
     },
     "simulate_pulse_both": {
         "stdout":
-            "45f0a173c34c37e55ac518fd3e7784ae053645955581a7104c582856862c1934",
+            "5fe63ade2e51202af0895615bd5226473641e33c2148f42983bccf2e7c1df855",
         "pulse_both_A.csv":
-            "54bbc3d26464a2d519cccb85e1e10acb3bbf5b2784d14e3c9143985b27aa697a",
+            "54c46a916b5f0468b4ae6bc894c9cfa256993a7d155aa62cbe952ed4e7cd3546",
         "pulse_both_B.csv":
-            "4553394bc173327a83289d3c180f08d6affdf94ea01b5a03dfce349811ea39b1",
+            "ffd35f4d6393f9dc7ccf93e8c3afb874c08ec58b55a1b958e0176e9eb28a7a83",
     },
     "simulate_pulse_both_text": {
         "stdout":
-            "6117a201c857d3556f0f415c6561887676c3d11942b26f1ba43d0311bd4bb4c2",
+            "5f04ab1a5053399f9748ff710b75ff60be1eb05df3d863147527c1042d9249d6",
         "pulse_both_A.csv":
-            "54bbc3d26464a2d519cccb85e1e10acb3bbf5b2784d14e3c9143985b27aa697a",
+            "54c46a916b5f0468b4ae6bc894c9cfa256993a7d155aa62cbe952ed4e7cd3546",
         "pulse_both_B.csv":
-            "4553394bc173327a83289d3c180f08d6affdf94ea01b5a03dfce349811ea39b1",
+            "ffd35f4d6393f9dc7ccf93e8c3afb874c08ec58b55a1b958e0176e9eb28a7a83",
     },
     "sweep": {
         "stdout":
-            "4e01c88e388e63d730bf231b774d08cadd842dbe6f33908a4ae6b7126c65639a",
+            "fb8169e269d4fe74d644296c801d303cfd34ceeef385e58218f5d03ae568f15b",
     },
     "verify": {
         "stdout":
-            "377dd1291290e767e492387ffcbe664e79996255623102005bf0b68431956347",
+            "6915bc95f641d5e93e567855bcf4e9507822494f79215deec0d4ea7bc6abadbf",
     },
     "verify_text": {
         "stdout":
-            "e3fbdad2d9bb23dd06882ed688de6a6909d9d1c35619c99a93e400d07222f258",
+            "890db924b14a30c45876b07b43be8e4733ad9c005033eac2e47fbcca9cd1d91b",
     },
 }
 

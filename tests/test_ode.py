@@ -6,8 +6,9 @@ paths, lockstep batches that reproduce each row's lone run bit for bit
 (dense output stacked over the rows on passes of more than FLOAT_ROWS
 rows, per row on the others), the bit equalities that stacking, the
 batched starting step and the grid index rely on (16-stage stacks, 7
-theta powers), the Python-float form of few-row
-passes against the array form (and the bit equalities it relies on),
+theta powers), every stage sum left to right from +0.0 on a strided
+stack, the Python-float form of few-row passes against the array form
+(and the bit equalities it relies on),
 and rows of pieces that reproduce one run per piece.  The exponential
 method: its phi-functions against the matrix exponential, exact linear
 problems
@@ -438,7 +439,7 @@ class TestErrors:
         # y' = -y goes NaN from t = 0.5: every first stage is below 1 in
         # size, where the scaled sums would repeat the attempt bit for
         # bit, so no attempt is redone, in either attempt form:
-        # 1523 = 2 + 12 per attempt + 3 for each of the 3 steps with grid
+        # 1355 = 2 + 12 per attempt + 3 for each of the 3 steps with grid
         # points (a redone attempt would add 12)
         def turns_nan(t, y, p):
             return np.full_like(y, math.nan) if t >= 0.5 else -y
@@ -447,10 +448,11 @@ class TestErrors:
         res = solve(_per_row(turns_nan), [[(1.0, (0,))]], [0.0],
                     np.array([[1.0]]), [11], [1e-8],
                     row_rhs=_row_form(turns_nan))
+        attempts = int(res.n_accepted[0] + res.n_rejected[0])
         assert (res.n_accepted[0], res.n_rejected[0], res.n_rhs[0]) == (
-            44, 82, 1523)
+            38, 74, 1355) == (38, 74, 2 + 12 * attempts + 3 * 3)
         assert str(res.errors[0]) == (
-            "step size underflow at t = 0.5 (h = 3.45e-16): the right-hand "
+            "step size underflow at t = 0.5 (h = 1.35e-16): the right-hand "
             "side went non-finite (NaN or inf) and every step past this "
             "point was rejected; check the parameters and the drive")
 
@@ -1024,10 +1026,75 @@ class TestDenseBits:
         assert np.array_equal(_bits(powers), _bits(want))
 
 
+# the number of rows in a stack of the pins below
+WIDTHS = [1, 2, 4, 5, 7, 256]
+# every tableau sum of the stages: rows 1..15 of A, each on its stages
+# 0..i-1, and both error weights on stages 0..11
+SUMS = [(ode._A[i], i) for i in range(1, 16)] \
+    + [(ode._E5, 12), (ode._E3, 12)]
+_ODD = [0.0, -0.0, 5e-324, -2.5e-310, 1e-308 / 7, math.inf, -math.inf,
+        math.nan]
+
+
+def _odd_stages(rng, shape, odd_values=_ODD):
+    """``_stages`` draws with about one entry in 20 replaced by one of
+    odd_values: +-0.0, a subnormal, +-inf or NaN."""
+    K = _stages(rng, shape)
+    odd = rng.random(shape) < 0.05
+    K[odd] = rng.choice(odd_values, np.count_nonzero(odd))
+    return K
+
+
+def _left_to_right(weights, column):
+    """The sum of weights times column in Python floats, left to right
+    from +0.0."""
+    total = 0.0
+    for w, k in zip(weights.tolist(), column):
+        total += w * k
+    return total
+
+
+def _ldexp(x, e):
+    """math.ldexp, inf where it overflows as np.ldexp's does."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _assert_same_bits(got, want):
+    """The same bits, but any NaN for a NaN (a NaN's sign and payload
+    depend on the operand order of the hardware's adds)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(_bits(got)[~nan], _bits(want)[~nan])
+
+
+def _replay(draws):
+    """A right-hand side in both forms that returns row b's stages
+    draws[b, 1], draws[b, 2], ... on its successive calls, whatever the
+    state, and records the states: states[b] lists row b's.  The per-row
+    form reads b as its constants."""
+    states = [[] for _ in draws]
+
+    def rhs(t, Y, P):
+        for b, row in enumerate(Y.tolist()):
+            states[b].append(row)
+        return draws[:, len(states[0])]
+
+    def f(t, y, b):
+        states[b].append(y)
+        return draws[b, len(states[b])].tolist()
+    return rhs, f, states
+
+
 class TestFloatBits:
-    """The bit equalities that the Python-float form of a pass relies
-    on, one test each, so that a numpy or BLAS that breaks one fails
-    here by name rather than by moving the golden hashes."""
+    """The bit equalities that both forms of a pass rely on, one test
+    each, so that a numpy that breaks one fails here by name rather than
+    by moving the golden hashes: every tableau sum is numpy's own loop
+    on a strided stack, left to right from +0.0 on any BLAS kernel, and
+    the float form's straight-line sums equal it."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_reduce_sums_left_to_right_below_eight(self, n):
@@ -1053,21 +1120,125 @@ class TestFloatBits:
     @pytest.mark.parametrize("rows, n", [(1, 1), (2, 3), (3, 5), (4, 3),
                                          (5, 7), (8, 5), (32, 3)])
     def test_tableau_products_by_stack_equal_per_row(self, rows, n):
-        # a tableau row times the (B, i, n) stage slices of the 16-stage
-        # stack (rows 1..12 of A, B among them, the two error weights,
-        # and rows 13..15, which dense output takes on the stack of its
-        # jobs' rows): row b is the product a batch of one makes on (1,
-        # i, n)
+        # every tableau sum on a strided stack of rows (a row of one
+        # component repeated in a second, as solve stores it): row b is
+        # the product that a stack of that row alone makes, numpy's own
+        # loop on both
         rng = np.random.default_rng(rows * 10 + n)
+        K = ode._strided((rows, 16, max(n, 2)))
         for _ in range(20):
-            K = _stages(rng, (rows, 16, n))
-            for a, i in [(ode._A[i], i) for i in range(1, 16)] \
-                    + [(ode._E5, 12), (ode._E3, 12)]:
-                stacked = np.matmul(a, K[:, :i])
+            K[...] = _stages(rng, K.shape)
+            for weights, i in SUMS:
+                stacked = np.matmul(weights, K[:, :i])
                 for b in range(rows):
                     assert np.array_equal(
                         _bits(stacked[b]),
-                        _bits(np.matmul(a, K[b:b + 1, :i])[0]))
+                        _bits(np.matmul(weights, K[b:b + 1, :i])[0]))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("rows", WIDTHS)
+    def test_strided_sums_run_left_to_right(self, rows, n):
+        # every tableau sum of the array form, on a strided stack of
+        # stages that hold +-0.0, subnormals, +-inf and NaN among normal
+        # draws, plain and scaled by 2**-e as a redone attempt takes it:
+        # numpy's own loop, a left-to-right sum from +0.0 (a row of one
+        # component repeats it in the second, as solve stores it)
+        rng = np.random.default_rng(rows * 10 + n)
+        K = ode._strided((rows, 16, max(n, 2)))
+        h = rng.uniform(1e-3, 1.0, (rows, 1))
+        for _ in range(2 if rows == 256 else 10):
+            K[...] = _odd_stages(rng, K.shape)
+            if n == 1:
+                K[..., 1] = K[..., 0]
+            e = rng.integers(1, 1025, (rows, 1))
+            for weights, i in SUMS:
+                with np.errstate(all="ignore"):
+                    got = np.matmul(weights, K[:, :i])[:, :n]
+                    scaled = ode._times_h(h, weights, K[:, :i], n, e)
+                stages = K[:, :i, :n].tolist()
+                for b, (h_b, e_b) in enumerate(zip(h[:, 0].tolist(),
+                                                   e[:, 0].tolist())):
+                    assert _bits(got[b]).tolist() == _bits(
+                        [_left_to_right(weights, column)
+                         for column in zip(*stages[b])]).tolist()
+                    assert _bits(scaled[b]).tolist() == _bits(
+                        [_ldexp(h_b * _left_to_right(
+                            weights, [math.ldexp(k, -e_b) for k in column]),
+                            e_b) for column in zip(*stages[b])]).tolist()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("rows", WIDTHS)
+    def test_float_form_sums_equal_the_array_form(self, rows, n):
+        # an attempt and the extra stages in either form on replayed
+        # stages (stage i of a row is the draw's, whatever its state):
+        # both forms hand the right-hand side y + h times the
+        # left-to-right sums, write the same stages and return the same
+        # states and error norms.  Stages 13..15 are finite, so that no
+        # extra stage is redone.  States of -0.0 keep the sign of a zero
+        # sum, which starts from +0.0: so does a last row of -0.0 alone
+        rng = np.random.default_rng(rows * 10 + n + 1)
+        draws = _odd_stages(rng, (rows, 16, n))
+        draws[:, 13:] = _stages(rng, (rows, 3, n))
+        y = _odd_stages(rng, (rows, n), _ODD[:5])
+        h = rng.uniform(1e-3, 1.0, rows)
+        if rows > 1:
+            draws[-1, :13], y[-1] = -0.0, -0.0
+        t, tol, P = rng.uniform(0.0, 1.0, rows), [1e-8] * rows, draws[:, 0]
+        jobs = ode._Jobs(range(rows), t.tolist(), h.tolist(), [1] * rows,
+                         [2] * rows, range(rows))
+        forms = []
+        for floats in (False, True):
+            K = ode._strided((rows, 16, max(n, 2)))
+            K[:, 0] = draws[:, 0]
+            rhs, f, states = _replay(draws)
+            with np.errstate(all="ignore"):
+                if floats:
+                    new, errs = ode._attempt_floats(
+                        f, t.tolist(), h.tolist(), range(rows),
+                        range(rows), y, K, tol)
+                    ode._extra_stages(jobs, y, K, P, None, f, range(rows))
+                else:
+                    new, errs = ode._attempt(rhs, t, h, y, K, P,
+                                             np.array(tol)[:, None])
+                    ode._extra_stages(jobs, y, K, P, rhs)
+            forms.append((np.array(states), K[..., :n].copy(), new,
+                          np.array(errs)))
+        for array, floats in zip(*forms):
+            _assert_same_bits(floats, array)
+        states, K = forms[0][:2]
+        _assert_same_bits(K, draws)
+        with np.errstate(all="ignore"):
+            _assert_same_bits(states, [[[
+                y_j + h_b * _left_to_right(weights, column)
+                for y_j, column in zip(y[b].tolist(), zip(*draws[b, :i]))]
+                for weights, i in SUMS[:12] + SUMS[12:15]]
+                for b, h_b in enumerate(h.tolist())])
+
+    def test_stacks_stay_strided_as_rows_retire(self, monkeypatch):
+        # the stacks that every tableau sum reads, on arrays and in
+        # Python floats, as rows retire, restart, fail, are redone
+        # scaled and evaluate their extra stages: none is contiguous
+        strides = []
+        for name, at in (("_stages", 4), ("_attempt_floats", 6)):
+            def spy(*args, _form=getattr(ode, name), _at=at):
+                strides.append((args[_at].strides[-1], args[_at].shape[-1]))
+                return _form(*args)
+            monkeypatch.setattr(ode, name, spy)
+        top = (1.0 - 1e-6) * _TOP
+
+        def cosine(t, y, p):
+            return np.array([top * math.cos(t)])
+
+        rows = ode.FLOAT_ROWS + 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            _solve_rows(STACKED)
+            solve(_per_row(cosine, _decay),
+                  [[(2.0 * math.pi, (0,))]] + [[(0.1, (1,))]] * rows,
+                  [0.0] * (rows + 1),
+                  np.array([[0.0]] + [[1.0]] * rows), [9] + [5] * rows,
+                  [1e-3] * (rows + 1), row_rhs=_row_form(cosine, _decay))
+        assert len(strides) > 100
+        assert set(strides) == {(16, 3), (16, 2)}
 
     def test_square_equals_product(self):
         # the array form's ** 2 is the float form's x * x

@@ -422,6 +422,37 @@ class TestFitBits:
                            match="squared deviations sum to 0"):
             fit_decay(traj)
 
+    @pytest.mark.parametrize("width, message", [
+        (1e-160, "fit window times from 0 to 1e-160 are too close together "
+                 "or too far apart for a line: their squared deviations sum "
+                 "to 8.34931e-319, outside [2.22507e-305, inf) for 1000 "
+                 "samples"),
+        (1e-156, "fit window times from 0 to 1e-156 are too close together "
+                 "or too far apart for a line: their squared deviations sum "
+                 "to 8.35002e-311, outside [2.22507e-305, inf) for 1000 "
+                 "samples")])
+    def test_squares_in_gradual_underflow_are_rejected(self, width, message):
+        # squared deviations of about 1e-320 and 1e-312 are subnormal:
+        # their sum is positive but has lost bits, so the slope would
+        # too, with no error
+        t = np.linspace(0.0, width, 1000)
+        dt = t - np.add.reduce(t) / t.size
+        assert 0.0 < np.max(dt * dt) < 2.0 ** -1022
+        with pytest.raises(FitWindowError) as info:
+            verify._line(t, 0.5 * t / width)
+        assert str(info.value) == message
+
+    def test_normal_squares_keep_their_bits(self):
+        # windows whose mean squared deviation is normal fit as they did
+        # before the bound: the pinned lines, and a window of 1e-153
+        # (mean square 8.3e-308), whose line has the bits it had
+        self.test_line_bits_are_pinned()
+        t = np.linspace(0.0, 1e-153, 1000)
+        slope, intercept = verify._line(t, 0.5 * t / 1e-153)
+        assert (slope.hex(), intercept.hex()) == ("0x1.317e5ef3ab327p+507",
+                                                  "0x0.0p+0")
+        assert slope == 5e152
+
     def test_slice_window_equals_mask(self):
         # both fits take one slice for their window; it holds the
         # samples of the mask because Trajectory's times rise strictly
