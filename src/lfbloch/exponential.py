@@ -7,10 +7,13 @@ linear part), L exactly: its step is bounded by the nonlinear part
 rather than by L, so no stability limit of L shortens it; its step
 count is measured, not flat, in the stiffness of L (see
 ``lfbloch.dynamics.integrate``).  The pass loop, the step-size
-controller, the failure handling and the counters are those of
-``solve``; this module supplies the step, its error estimate and its
-dense output (:class:`Exponential`), and the phi-functions of h L they
-are built from.  ``solve`` imports it on first use.
+controller, the failure handling, the counters and the stage stack
+(``solve``'s strided K, whose stages 0..7 it fills) are those of
+``solve``, and so is ``DENSE_SAMPLES``, the size of a slice of its dense
+output; this module supplies the step with its error norm, under its
+own rule of error per unit step, and its dense output
+(:class:`Exponential`), and the phi-functions of h L they are built
+from.  ``solve`` imports it on first use.
 
 The phi-functions come from L's two eigenvalues in Putzer's form, with
 the values and divided differences of the scalar phi_k from a Taylor
@@ -31,7 +34,7 @@ import math
 
 import numpy as np
 
-from lfbloch.ode import _store
+from lfbloch import ode
 
 __all__ = ["Exponential"]
 
@@ -63,11 +66,6 @@ _CUBIC = np.array([[1.0, 0.0, 0.0, 0.0], [-5.5, 9.0, -4.5, 1.0],
 # real and imaginary parts of z0 and z1, on which L acts, and of w
 N = 5
 _RE, _IM, _REST = np.array([0, 3]), np.array([1, 4]), [2]
-# Samples at most per slice of a pass's dense output: its phi-functions
-# take up to about 3 kB per sample (the contour means and the divided-
-# difference series), so a pass of long steps on many rows is evaluated
-# a slice at a time
-DENSE_SAMPLES = 1024
 
 
 def _phi_direct(z: np.ndarray) -> np.ndarray:
@@ -203,20 +201,21 @@ class Exponential:
     extrapolation), so a run's error adds up over its steps, by up to
     0.14 tol per step on strongly driven runs, whose N is stiff where w
     is far from -1 and can ask for thousands of steps.  So once a row
-    has taken ``span_steps`` steps, ``solve`` holds it to error per unit
-    step: the estimate of a step shorter than the unit, span/span_steps
-    of the row, is scaled by unit/h (at most ``max_scale``, which keeps
-    a step at the estimate's rounding floor acceptable).  The run's
-    error then stays within about 2 ``span_steps`` steps' worth, however
-    many steps it takes; a row of fewer steps keeps its bits.
+    has taken ``span_steps`` steps, ``attempt`` holds it to error per
+    unit step: the estimate of a step shorter than the unit,
+    span/span_steps of the row, is scaled by unit/h (at most
+    ``max_scale``, which keeps a step at the estimate's rounding floor
+    acceptable).  The run's error then stays within about 2
+    ``span_steps`` steps' worth, however many steps it takes; a row of
+    fewer steps keeps its bits.
 
     Row b of P holds its piece's k constants, then the real (N, N) form
     of its L, then L - lambda_1 I and the eigenvalues lambda_1,
-    lambda_2 (the small one first); ``nonlinear`` is ``rhs - L y``, and
-    the stages K hold N.  Each phi_k(c h L) is Putzer's form
-    ``phi_k(c a) I + c phi_k[c a, c b] h (L - lambda_1 I)`` with
-    a, b = h lambda_1, h lambda_2: no eigenvectors, and exact where the
-    eigenvalues meet.
+    lambda_2 (the small one first), then its unit step; ``nonlinear``
+    is ``rhs - L y``, and the stages K hold N.  Each phi_k(c h L) is
+    Putzer's form ``phi_k(c a) I + c phi_k[c a, c b] h (L - lambda_1
+    I)`` with a, b = h lambda_1, h lambda_2: no eigenvectors, and exact
+    where the eigenvalues meet.
     """
 
     exponent = -0.25  # 1/(embedded order + 1)
@@ -241,14 +240,16 @@ class Exponential:
         out[..., _REST, _REST] = np.asarray(rest)[..., None]
         return out
 
-    def constants(self, L: np.ndarray) -> np.ndarray:
+    def constants(self, L: np.ndarray, spans: np.ndarray) -> np.ndarray:
         """What each row's P carries after its piece constants: the real
-        form of L, then L - lambda_1 I and lambda_1, lambda_2."""
+        form of L, then L - lambda_1 I and lambda_1, lambda_2, then the
+        row's unit step, its span over ``span_steps``."""
         lam1, lam2 = _eigenvalues(L)
         return np.concatenate([
             self.real_form(L, 0.0).reshape(len(L), -1),
             (L - lam1[:, None, None] * np.eye(2)).reshape(-1, 4).view(float),
-            np.stack([lam1, lam2], axis=1).view(float)], axis=1)
+            np.stack([lam1, lam2], axis=1).view(float),
+            spans[:, None] / self.span_steps], axis=1)
 
     def nonlinear(self, t, Y, P):
         """N = rhs - L y."""
@@ -261,13 +262,16 @@ class Exponential:
     def _putzer(self, P, h):
         """h lambda_1, h lambda_2 and M = h (L - lambda_1 I) of each row
         at its step h."""
-        rest = P[:, self.k + N * N:].view(complex)
+        rest = P[:, self.k + N * N:-1].view(complex)
         M = rest[:, :4].reshape(-1, 2, 2) * h[:, None, None]
         return h * rest[:, 4], h * rest[:, 5], M
 
-    def attempt(self, y, K, P, t, h):
-        """One step of every row from y, whose N is K[:, 0]; fills
-        K[:, 1:] and returns the new state and its error estimate."""
+    def attempt(self, t, h, y, K, P, tol, steps):
+        """One step of every row from y, whose N is K[:, 0], as
+        ``lfbloch.ode._attempt`` takes one: fills K[:, 1:8] and returns
+        the new states and their error norms.  ``steps`` holds the steps
+        each row has taken: from ``span_steps`` on, its error is per unit
+        step."""
         f = self.nonlinear
         a, b, M = self._putzer(P, h)
         # phi_k(c h L) for c = 1/2, 1, 1/3 and 2/3, in that order
@@ -318,7 +322,13 @@ class Exponential:
         quadrature = self._extension(
             nodes[batch:2 * batch], rows, value[:, batch:2 * batch],
             divided[:, batch:2 * batch], M, self._cubic(y, K, h))
-        return y_new, np.hypot(embedded, y_new - quadrature)
+        estimate = np.hypot(embedded, y_new - quadrature)
+        # a long row's error per unit step, its unit the last of P
+        estimate *= np.where(
+            steps >= self.span_steps,
+            np.minimum(self.max_scale, np.maximum(1.0, P[:, -1] / h)),
+            1.0)[:, None]
+        return y_new, ode._norm(estimate, y, y_new, tol)
 
     def _cubic(self, y, K, h):
         """The vectors of the order-4 extension of each row's step: y,
@@ -366,13 +376,14 @@ class Exponential:
         V = self._cubic(y[rs], K[rs], h)
         bad = set()
         # each sample's bits do not depend on the slice it sits in
-        for lo in range(0, idx.size, DENSE_SAMPLES):
-            part = slice(lo, lo + DENSE_SAMPLES)
+        for lo in range(0, idx.size, ode.DENSE_SAMPLES):
+            part = slice(lo, lo + ode.DENSE_SAMPLES)
             g, th = job[part], theta[part]
             samples = self._extension(th, g, *_phis(th * a[g], th * b[g]),
                                       M, V)
             # each sample a job of its own
-            _store(y_all, subset, idx[part, None], samples[:, None], index[g])
+            ode._store(y_all, subset, idx[part, None], samples[:, None],
+                       index[g])
             if not np.isfinite(samples).all():
                 bad.update(g[~np.isfinite(samples).all(axis=1)].tolist())
         return sorted(bad)

@@ -17,9 +17,11 @@ exactly through the phi-functions of h L (``lfbloch.exponential``,
 imported on first use): its step is bounded by N rather than by L,
 where Dormand-Prince's stability bounds its step by L, so that its
 step count grows linearly with the stiffness; the exponential
-method's count is measured, not flat.  A row that has taken
-``Exponential.span_steps`` steps is then held to error per unit step,
-because the method's error adds up over its steps.  It takes seven
+method's count is measured, not flat.  The method holds a row that has
+taken ``Exponential.span_steps`` steps to error per unit step, because
+its error adds up over its steps: each row's unit step rides in its
+piece constants with its L, and ``Exponential.attempt`` returns error
+norms as ``_attempt`` does.  It takes seven
 right-hand-side evaluations per attempted step against
 Dormand-Prince's twelve, but its step is not bounded by L,
 so it pays where L is stiff; the caller picks the method per call
@@ -64,14 +66,15 @@ tableau row with the (B, i, w) stage slices of a stack whose last axis
 is strided, element-wise operations with per-row (B, 1) columns,
 ``np.add.reduce`` along the row (which sums a row of fewer than 8 terms
 as ``np.mean`` of that row alone does) and ``np.sqrt``.  The stage
-stack K is ``[..., ::2]`` of a (B, 16, 2w) buffer, w = max(n, 2) (a row
-of one component repeats it in the second), and every copy of it that
-a pass takes is strided too (``_strided``, ``_take``): numpy then sums
-each tableau product in its own loop, left to right over every weight
-from +0.0, with no BLAS call, so that a stage sum has the same bits on
-any BLAS kernel, in any batch and in either form of a pass (numpy
-sends a contiguous stack, or a last axis of one item, to BLAS, whose
-order depends on its kernel).
+stack K of either method is ``[..., ::2]`` of a (B, 16, 2w) buffer, w =
+max(n, 2) (a row of one component repeats it in the second; the
+exponential method fills stages 0..7), and every copy of it that a pass
+takes, as rows retire too, is strided (``_strided``, ``_take``): numpy
+then sums each tableau product in its own loop, left to right over
+every weight from +0.0, with no BLAS call, so that a stage sum has the
+same bits on any BLAS kernel, in any batch and in either form of a pass
+(numpy sends a contiguous stack, or a last axis of one item, to BLAS,
+whose order depends on its kernel).
 
 The step-size controller keeps each unfinished row's time, step size,
 piece end, whether its step ends the piece, and the index of its next
@@ -97,7 +100,8 @@ overflowing step.  The redo runs right after the attempt, in either
 form, before the controller reads the norm; an attempt whose norms are
 all finite never gets there.  The extra stages of dense output are
 redone so too (``_extra_stages``), for a step whose extra stages come
-out non-finite from 13 finite ones.  The redone evaluations count in
+out non-finite from 13 finite ones.  One rule, ``_redo``, picks the
+rows and exponents of both redos.  The redone evaluations count in
 ``n_rhs``.
 
 A pass of more than ``FLOAT_ROWS`` rows attempts its steps on arrays
@@ -117,8 +121,11 @@ IEEE bits (``x * x`` for ``x ** 2``, a comparison for ``np.maximum`` of
 non-negative values).  The sum of squares runs left to right: that is
 how ``np.add.reduce`` sums fewer than 8 terms (from 8 on it sums
 pairwise, hence the bound on n).  A row therefore takes the same steps
-in either form, and a run switches to the float form as its batch's
-rows finish.
+in either form.  Whether the rows are ``FLOAT_ROWS`` or fewer is
+decided once each time they change, at the start and when rows retire,
+and read by the next attempt, its extra stages and its dense output: a
+run switches to the float form at the first attempt after its batch
+drops to ``FLOAT_ROWS`` rows.
 
 Dense output runs once per pass, after every row has been accepted or
 rejected.  For Dormand-Prince it first evaluates the 3 extra stages of
@@ -130,14 +137,17 @@ most ``FLOAT_ROWS`` rows those are one (m, 7) @ (7, n) product per row;
 on a wider pass they are stacked products: (G, 1, 7) stacks of the rows
 with one sample and (G, mx, 7) stacks of the rows with two or more,
 each padded to the longest by repeating a row's last grid point, and
-each of at most ``DENSE_SAMPLES`` samples or of one row.  One-sample
+each of at most ``DENSE_SAMPLES`` samples or of one row.  A job of the
+per-row form whose samples come out non-finite is redone on the spot
+(``_rescaled``).  One-sample
 and multi-sample stacks stay apart because a (1, 7) @ (7, n) product is
 not bitwise a row of an (m, 7) @ (7, n) one (nor is a stage-major (16,
 B*n) product the per-row one); within each stack a row gets the bits of
 its own product, and a padding row those of its row's last sample, so
 that a stack is written to the batch's samples whole.
 The exponential method's samples come from its own order-4 extension of
-each step (see ``lfbloch.exponential``).  A row whose samples come out
+each step (see ``lfbloch.exponential``), in slices of at most
+``DENSE_SAMPLES`` samples.  A row whose samples come out
 non-finite stops there with ``NonFiniteRhsError``.  When ``solve`` keeps
 only some state columns, every pass is stacked, narrow passes too: it
 writes the kept columns of its samples to the batch's and folds the
@@ -373,9 +383,11 @@ _P_T = _P.T
 FLOAT_ROWS = 4
 
 # Samples at most per stacked product of a pass's dense output (but for
-# a stack of one row): a row's bits do not depend on its stack, and a
-# pass of long steps on many rows is written a stack at a time, with
-# about 0.13 kB of arrays per sample
+# a stack of one row), and per slice of the exponential method's: a
+# row's bits do not depend on its stack, and a pass of long steps on
+# many rows is written a stack at a time, with about 0.13 kB of arrays
+# per sample (up to about 3 kB for the exponential method's
+# phi-functions, their contour means and divided-difference series)
 DENSE_SAMPLES = 1024
 
 # The smallest normal float: a grid from 0 whose step is at least this
@@ -647,22 +659,16 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
     Q = np.matmul(_P_T, K if every else K.take(rs, axis=0))
     failed = []
     if not stacked:
-        finite = True
-        for r, t, h, a, b, i, q in zip(rs, jobs.t, jobs.h, jobs.start,
-                                       jobs.end, jobs.index, Q):
+        for g, (r, t, h, a, b, i, q) in enumerate(zip(rs, *jobs[1:], Q)):
             lo = grids.firsts[i]
             v = y_all[lo + a:lo + b]
             _samples(grids.times(i, a, b), t, h, y[r], q, v)
             # NaN or inf in v makes v . v non-finite (so may an overflow,
-            # which the exact check below then clears)
-            finite = finite and math.isfinite(np.vdot(v, v))
-        if finite:
-            return failed
-        for g, (r, t, h, a, b, i) in enumerate(zip(rs, *jobs[1:])):
-            lo = grids.firsts[i]
-            v = y_all[lo + a:lo + b]
-            if not np.isfinite(v).all() and not np.isfinite(_rescaled(
-                    grids.times(i, a, b), t, h, y[r], K[r], v)).all():
+            # which the exact check then clears): the job is redone
+            if not math.isfinite(np.vdot(v, v)) \
+                    and not np.isfinite(v).all() and not np.isfinite(
+                        _rescaled(grids.times(i, a, b), t, h, y[r], K[r],
+                                  v)).all():
                 failed.append(g)
         return failed
     rs, t, h, start, end, index = map(np.asarray, jobs)
@@ -739,20 +745,31 @@ def _extra_stages(jobs, y, K, P, rhs, f=None, C=None) -> list:
     # the float form's stages are finite where their sum is
     if not math.isfinite(total) \
             and not np.isfinite(K_j[:, _EXTRA.start:]).all():
-        top = np.abs(K_j[:, 0]).max(axis=1)
-        g = (~np.isfinite(K_j[:, _EXTRA.start:]).all(axis=(1, 2))
-             & np.isfinite(y_j).all(axis=1)
-             & np.isfinite(K_j[:, :_EXTRA.start]).all(axis=(1, 2))
-             & (top >= 1.0) & (top < math.inf)).nonzero()[0]
+        g, e = _redo(~np.isfinite(K_j[:, _EXTRA.start:]).all(axis=(1, 2)),
+                     y_j, K_j, _EXTRA.start)
         if g.size:
             K_g = _take(K_j, g)
             _stages(rhs, np.take(jobs.t, g), np.take(jobs.h, g), y_j[g],
-                    K_g, P_j[g], _EXTRA, np.frexp(top[g])[1][:, None])
+                    K_g, P_j[g], _EXTRA, e)
             K_j[g] = K_g
             redone = g.tolist()
     if K_j is not K:
         K[rs, _EXTRA.start:] = K_j[:, _EXTRA.start:]
     return redone
+
+
+def _redo(bad, y, K, stages):
+    """The rows of a scaled redo, and their (m, 1) column of exponents:
+    the rows whose result is not finite (``bad``) from a finite state y
+    and finite stages ``K[:, :stages]``, whose first stage's largest
+    component is 1 or more in size (below 1 the scaling is 1 and would
+    repeat the attempt); each exponent is that component's.  The one
+    rule of ``solve``'s redone attempts and of ``_extra_stages``."""
+    top = np.abs(K[:, 0]).max(axis=1)
+    rows = (bad & np.isfinite(y).all(axis=1)
+            & np.isfinite(K[:, :stages]).all(axis=(1, 2))
+            & (top >= 1.0) & (top < math.inf)).nonzero()[0]
+    return rows, np.frexp(top[rows])[1][:, None]
 
 
 def _sum(weights, j):
@@ -1114,8 +1131,8 @@ def solve(
                              f"components (Re z0, Im z0, w, Re z1, Im z1), "
                              f"got {n}")
         method = Exponential(rhs, k)
-        # each row's L rides along with its piece constants
-        extra = method.constants(L)
+        # each row's L and unit step ride along with its piece constants
+        extra = method.constants(L, grids.params[:, 3] - grids.params[:, 0])
         pieces = [[(end, p + tuple(x)) for end, p in row]
                   for row, x in zip(pieces, extra.tolist())]
         rhs, k = method.nonlinear, k + extra.shape[1]
@@ -1123,9 +1140,6 @@ def solve(
     power = method.start_exponent if method else _START_EXPONENT
     # the stage that is f at the new state: the evaluations of an attempt
     fsal = method.stages - 1 if method else _FSAL
-    # the exponential method's unit step, span/span_steps of each row
-    unit = np.array([(row[-1][0] - a) / method.span_steps
-                     for a, row in zip(t0, pieces)]) if method else None
     # the float form: Dormand-Prince rows whose sums of squares
     # np.add.reduce takes left to right (it sums 8 terms or more
     # pairwise); each piece carries its constants as row_rhs reads them
@@ -1169,10 +1183,9 @@ def solve(
     index, T = list(range(batch)), t0[:]
     stops = [row[0][0] for row in pieces]
     P = np.array([row[0][1] for row in pieces]).reshape(batch, k)
-    # the stages; Dormand-Prince's strided, of 2 components at least
-    # (see _strided), where a row of 1 repeats it in the second
-    K = np.empty((batch, fsal + 1, n)) if method else _strided(
-        (batch, len(_C), max(n, 2)))
+    # the stages, strided, of 2 components at least (see _strided),
+    # where a row of 1 repeats it in the second
+    K = _strided((batch, len(_C), max(n, 2)))
     K[:, 0] = rhs(np.array(T), y, P)
     H = _initial_step(rhs, np.array(T), y, P, K[:, 0, :n],
                       np.array(stops), tol_col, power).tolist()
@@ -1182,13 +1195,15 @@ def solve(
     # every grid starts at t0: its first sample is y0
     _store(y_all, subset, offsets[:-1, None], y[:, None], index)
     errs = None  # error norm of each row's last attempted step
+    # whether the rows are FLOAT_ROWS or fewer, set as they change: such
+    # rows take the per-row forms of the next attempt and of its dense
+    # output
+    few = batch <= FLOAT_ROWS
 
     while True:
         # One pass over the rows: accept or reject the step just
         # attempted, then schedule the next one, retiring finished and
-        # failed rows.  A pass of at most FLOAT_ROWS rows takes the
-        # per-row forms of dense output and of the next attempt
-        few = len(index) <= FLOAT_ROWS
+        # failed rows
         restarts, keep, accepted, found = [], [], [], []
         for r, b in enumerate(index):
             t, h = T[r], H[r]
@@ -1269,10 +1284,11 @@ def solve(
             break
         if len(keep) < len(y):
             y, P, tol_col = (a[keep] for a in (y, P, tol_col))
-            K = K[keep] if method else _take(K, keep)
+            K = _take(K, keep)
             index, T, H, stops, lasts, cur, C = (
                 [a[r] for r in keep]
                 for a in (index, T, H, stops, lasts, cur, C))
+            few = len(keep) <= FLOAT_ROWS
 
         # stage evaluations (k1 carried over from the previous step,
         # FSAL), one rhs call each, or in the float form one f call per
@@ -1280,33 +1296,22 @@ def solve(
         if few and floats:
             y_new, errs = _attempt_floats(row_rhs[1], T, H, C, index, y, K,
                                           tol)
-        elif method:
-            h = np.array(H)
-            y_new, estimate = method.attempt(y, K, P, np.array(T), h)
-            # a long row's error per unit step (see Exponential)
-            estimate *= np.where(
-                np.array(n_accepted)[index] >= method.span_steps,
-                np.minimum(method.max_scale, np.maximum(1.0,
-                                                        unit[index] / h)),
-                1.0)[:, None]
-            errs = _norm(estimate, y, y_new, tol_col).tolist()
         else:
-            y_new, errs = _attempt(rhs, np.array(T), np.array(H), y, K, P,
-                                   tol_col)
+            t, h = np.array(T), np.array(H)
+            y_new, errs = method.attempt(
+                t, h, y, K, P, tol_col, np.take(n_accepted, index)) \
+                if method else _attempt(rhs, t, h, y, K, P, tol_col)
             errs = errs.tolist()
         # a norm NaN or inf (or finite norms whose sum overflows): redo
-        # at once, scaled, the Dormand-Prince attempts whose norm is not
-        # finite, from a finite state and a first stage of size 1 or more
+        # at once, scaled, the Dormand-Prince attempts that _redo picks
         # (see the module docstring)
         if not method and not math.isfinite(sum(errs)):
-            top = np.abs(K[:, 0]).max(axis=1)
-            r = (~np.isfinite(errs) & np.isfinite(y).all(axis=1)
-                 & (top >= 1.0) & (top < math.inf)).nonzero()[0].tolist()
-            if r:
+            r, e = _redo(~np.isfinite(errs), y, K, 1)
+            if r.size:
                 K_r = _take(K, r)
                 y_new[r], norms = _attempt(
                     rhs, np.take(T, r), np.take(H, r), y[r], K_r, P[r],
-                    tol_col[r], np.frexp(top[r])[1][:, None])
+                    tol_col[r], e)
                 K[r] = K_r
                 for i, err in zip(r, norms.tolist()):
                     errs[i] = err

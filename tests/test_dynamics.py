@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.internal.conjecture import engine
 
-from lfbloch import dynamics, exponential, ode
+from lfbloch import dynamics, ode
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -1195,7 +1195,7 @@ class TestBatchMemory:
                  IntegrationSpec(span=8.0, tol=1e-6, points=401))
                 for i in range(9)]
         whole = integrate_batch(runs)
-        with mock.patch.object(exponential, "DENSE_SAMPLES", 5):
+        with mock.patch.object(ode, "DENSE_SAMPLES", 5):
             sliced = integrate_batch(runs)
         for a, b in zip(whole, sliced):
             assert a.y.tobytes() == b.y.tobytes()

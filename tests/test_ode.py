@@ -385,9 +385,10 @@ class TestErrors:
 
     def test_overflowing_row_is_redone_across_the_hand_over(
             self, monkeypatch):
-        # the cosine row above beside FLOAT_ROWS decays that finish
-        # within the first passes: its attempts are redone scaled on the
-        # array form's passes and then on the float form's, and it keeps
+        # the cosine row above beside FLOAT_ROWS decays of span 2 that
+        # finish within the first passes: its attempts are redone scaled
+        # on the array form's passes and then on the float form's, which
+        # takes over at the first attempt after they finish, and it keeps
         # the bits and counters of the row alone
         top = (1.0 - 1e-6) * _TOP
 
@@ -406,7 +407,7 @@ class TestErrors:
         wave = [(2.0 * math.pi, (0,))]
         with np.errstate(over="ignore", invalid="ignore"):
             res = solve(_per_row(cosine, _decay),
-                        [wave] + [[(0.1, (1,))]] * (rows - 1), [0.0] * rows,
+                        [wave] + [[(2.0, (1,))]] * (rows - 1), [0.0] * rows,
                         np.array([[0.0]] + [[1.0]] * (rows - 1)),
                         [9] + [5] * (rows - 1), [1e-3] * rows,
                         row_rhs=_row_form(cosine, _decay))
@@ -418,6 +419,34 @@ class TestErrors:
         # with row_rhs, an attempt that is not scaled is an array pass's
         last = len(batch) - 1 - batch[::-1].index(False)
         assert any(batch[:last]) and any(batch[last + 1:])
+
+    def test_redo_rule_picks_rows_and_exponents(self):
+        # ode._redo, the one rule of both scaled redos: a row whose
+        # result is not finite, from a finite state and finite stages
+        # before the result's, with 1 <= max|k0| < inf, is redone with
+        # the exponent of max|k0|
+        y = np.zeros((9, 2))
+        K = ode._strided((9, 16, 2))
+        K[:] = 0.5
+        K[:, 0] = [[-3.0, 0.5]] * 9
+        bad = np.ones(9, dtype=bool)
+        bad[1] = False                        # a finite result
+        y[2, 1] = math.nan                    # a NaN state
+        K[3, 2, 1] = math.inf                 # a non-finite earlier stage
+        K[4, 0] = [0.75, -0.5]                # max|k0| < 1
+        K[5, 0] = [math.inf, 1.0]             # k0 = inf
+        K[6, 0] = [1.0, -1.0]                 # max|k0| = 1
+        K[7, 0], K[7, 3:] = [0.0, -1e308], math.nan  # stages past 3
+        K[8, 0, 1] = math.nan                 # a NaN first stage
+        rows, e = ode._redo(bad, y, K, 3)
+        assert rows.tolist() == [0, 6, 7]
+        assert e.shape == (3, 1) and e[:, 0].tolist() == [2, 1, 1024]
+        # solve's attempts read their first stage alone
+        rows, e = ode._redo(bad, y, K, 1)
+        assert rows.tolist() == [0, 3, 6, 7]
+        assert e[:, 0].tolist() == [2, 2, 1, 1024]
+        rows, e = ode._redo(np.zeros(9, dtype=bool), y, K, 3)
+        assert rows.size == 0 and e.shape == (0, 1)
 
     @pytest.mark.parametrize("y0, error, culprit", [
         (1.0, StepSizeUnderflowError, "too stiff"),
@@ -1543,6 +1572,30 @@ class TestFloatForm:
         sizes, _ = self._check(monkeypatch, _STACKED, len(_STACKED))
         assert sizes and max(sizes) <= ode.FLOAT_ROWS
 
+    def test_first_attempt_on_few_rows_takes_the_float_form(
+            self, monkeypatch):
+        # 5 decays that end at 0.5, 1, ..., 2.5 retire one by one: every
+        # attempt of FLOAT_ROWS rows or fewer, the first after a row
+        # retires included, takes the float form, and only those
+        attempts = []
+        for name in ("_attempt", "_attempt_floats"):
+            def spy(f, t, *args, _form=getattr(ode, name), _name=name):
+                attempts.append((_name, len(t)))
+                return _form(f, t, *args)
+            monkeypatch.setattr(ode, name, spy)
+        rows = ode.FLOAT_ROWS + 1
+        res = solve(_per_row(_decay), [[(0.5 * (b + 1), (0,))]
+                                       for b in range(rows)],
+                    [0.0] * rows, np.ones((rows, 1)), [5] * rows,
+                    [1e-8] * rows, row_rhs=_row_form(_decay))
+        assert res.errors == [None] * rows
+        widths = [m for _, m in attempts]
+        assert widths == sorted(widths, reverse=True)
+        assert set(widths) == set(range(1, rows + 1))
+        assert [form for form, _ in attempts] == [
+            "_attempt_floats" if m <= ode.FLOAT_ROWS else "_attempt"
+            for m in widths]
+
     def test_exponential_method_keeps_the_array_form(self, monkeypatch):
         sizes = _spy_floats(monkeypatch)
         L = np.array([[-0.5, -2.0j], [-1.5, -300.0 + 1200.0j]])
@@ -1871,11 +1924,12 @@ class TestExponential:
         for h in (0.1, 0.05):
             method = exponential.Exponential(_per_row(_coupled),
                                              len(consts))
-            P = np.concatenate([[consts], method.constants(L[None])],
-                               axis=1)
+            P = np.concatenate(
+                [[consts], method.constants(L[None], np.array([h]))], axis=1)
             K = np.zeros((1, method.stages, 5))
             K[:, 0] = method.nonlinear(np.zeros(1), y0, P)
-            method.attempt(y0, K, P, np.zeros(1), np.array([h]))
+            method.attempt(np.zeros(1), np.array([h]), y0, K, P,
+                           np.array([[1e-9]]), np.zeros(1))
             # the middle point of a 3-point grid on [0, h]
             out = np.zeros((3, 5))
             grid = (0.0, 0.5 * h, 2, h)
