@@ -328,11 +328,12 @@ class Trajectory:
     component it does not hold raises AttributeError.  w is a view of
     its column; s and beta (None for model A) are built from theirs on
     each read, as ``y[:, 0] + 1j*y[:, 1]``, and not kept: a run fitted
-    on w alone never allocates them, and a batch's trajectories never
-    hold them all at once.  The y of a trajectory of ``integrate_batch``
-    is a slice of its batch's samples.  bloch_norm_max is the largest
-    sampled w^2 + 4|s|^2 of the whole state, held or not, a diagnostic
-    for leaving the Bloch sphere.
+    on w alone never allocates them, a fit builds s on its window alone
+    (``s_in``), and a batch's trajectories never hold them all at once.
+    The y of a trajectory of ``integrate_batch`` is a slice of its
+    batch's samples.  bloch_norm_max is the largest sampled w^2 +
+    4|s|^2 of the whole state, held or not, a diagnostic for leaving the
+    Bloch sphere.
     """
 
     span: float
@@ -364,7 +365,13 @@ class Trajectory:
 
     @property
     def s(self) -> np.ndarray:
-        return self._component("s", 0) + 1j * self._component("s", 1)
+        return self.s_in(slice(None))
+
+    def s_in(self, cut: slice) -> np.ndarray:
+        """``s[cut]``, built from the slices cut of its two columns
+        only, element by element: the same bits."""
+        return (self._component("s", 0)[cut]
+                + 1j * self._component("s", 1)[cut])
 
     @property
     def beta(self) -> np.ndarray | None:

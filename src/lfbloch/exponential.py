@@ -88,8 +88,10 @@ def _phi_down(value: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _powers(z: np.ndarray, count: int) -> np.ndarray:
     """z^1..z^count of each z, one row per z: sums over the last axis
-    add each row alike (pairwise), whatever the number of rows."""
-    return np.cumprod(np.broadcast_to(z[:, None], (z.size, count)), axis=1)
+    add each row alike (pairwise), whatever the number of rows.  The
+    products are ``np.cumprod``'s, by the ufunc that it runs."""
+    return np.multiply.accumulate(z.repeat(count).reshape(z.size, count),
+                                  axis=1)
 
 
 def _phi_series(z: np.ndarray) -> np.ndarray:
@@ -148,16 +150,17 @@ def _phis(a: np.ndarray, b: np.ndarray) -> tuple:
     |b| <= 2, and else from the mean of phi_k(zeta) (zeta - mu)/((zeta
     - a)(zeta - b)) on the unit circle about mu = (a + b)/2 (Cauchy's
     formula again): both stay exact as a and b meet (degenerate modes).
-    Each entry is computed on its own, with the same bits in any array.
+    Each entry is computed on its own, with the same bits in any array,
+    so the values at a and at the far b are one ``_phi_values`` call.
     """
-    value = _phi_values(a)
     far = abs(a - b) >= 0.5
+    value = _phi_values(np.concatenate((a, b[far])))
+    value, at_b = value[:, :a.size], value[:, a.size:]
     if far.all():
-        return value, (value - _phi_values(b)) / (a - b)
+        return value, (value - at_b) / (a - b)
     divided = np.empty_like(value)
     if far.any():
-        divided[:, far] = ((value[:, far] - _phi_values(b[far]))
-                           / (a[far] - b[far]))
+        divided[:, far] = (value[:, far] - at_b) / (a[far] - b[far])
     small = ~far & (np.maximum(abs(a), abs(b)) <= _SERIES_RADIUS)
     if small.any():
         divided[:, small] = _phi_series_divided(a[small], b[small])

@@ -137,10 +137,13 @@ most ``FLOAT_ROWS`` rows those are one (m, 7) @ (7, n) product per row;
 on a wider pass they are stacked products: (G, 1, 7) stacks of the rows
 with one sample and (G, mx, 7) stacks of the rows with two or more,
 each padded to the longest by repeating a row's last grid point, and
-each of at most ``DENSE_SAMPLES`` samples or of one row.  A job of the
-per-row form whose samples come out non-finite is redone on the spot
-(``_rescaled``).  One-sample
-and multi-sample stacks stay apart because a (1, 7) @ (7, n) product is
+each of at most ``DENSE_SAMPLES`` samples or of one row.  A stack reads
+its jobs' grids and steps from one per-job table of the pass, writes
+theta into its powers in place, and frees its arrays before the next
+stack allocates, so that a pass holds one stack's arrays at a time.  A
+job of the per-row form whose samples come out non-finite is redone on
+the spot (``_rescaled``).  One-sample and multi-sample stacks stay
+apart because a (1, 7) @ (7, n) product is
 not bitwise a row of an (m, 7) @ (7, n) one (nor is a stage-major (16,
 B*n) product the per-row one); within each stack a row gets the bits of
 its own product, and a padding row those of its row's last sample, so
@@ -385,25 +388,28 @@ FLOAT_ROWS = 4
 # Samples at most per stacked product of a pass's dense output (but for
 # a stack of one row), and per slice of the exponential method's: a
 # row's bits do not depend on its stack, and a pass of long steps on
-# many rows is written a stack at a time, with about 0.13 kB of arrays
-# per sample (up to about 3 kB for the exponential method's
-# phi-functions, their contour means and divided-difference series)
-DENSE_SAMPLES = 1024
+# many rows is written a stack at a time, with about 0.09 kB of arrays
+# per sample of 3 components and 0.12 kB of 5 (about 2 kB for the
+# exponential method's phi-functions, their contour means and
+# divided-difference series)
+DENSE_SAMPLES = 1536
 
 # The smallest normal float: a grid from 0 whose step is at least this
 # has distinct points (see solve)
 _TINY = 2.0 ** -1022
 
 
-def _points(k, t0, step, last, end):
+def _points(k, t0, step, last, end, out=None):
     """The points k of the grids ``np.linspace(t0, end, last + 1)``
     whose step ``(end - t0)/last`` is not 0, by linspace's arithmetic:
-    ``k*step + t0``, and end for the last.  The arguments are arrays or
-    numbers that broadcast together (k of ints, last of ints or
-    floats)."""
-    t = k * step
+    ``k*step + t0``, and end for the last, written into out if given.
+    k is an array of ints or of integral floats (their products with
+    step have the same bits); the others are arrays or numbers that
+    broadcast with it."""
+    t = np.multiply(k, step, out=out)
     t += t0
-    return np.where(k == last, end, t)
+    np.copyto(t, end, where=k == last)
+    return t
 
 
 def _index(x, t0, step, last, end):
@@ -674,6 +680,12 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
     rs, t, h, start, end, index = map(np.asarray, jobs)
     m = end - start
     y_r = y if every else y[rs]
+    # each job's grid (t0, step, last, end), its step (t, h), the index
+    # of its first grid point, the sample row of its grid's point 0 and
+    # the number of its points past the first, as floats (exact): one
+    # gather per stack
+    table = np.column_stack((grids.params[index], t, h, start,
+                             grids.offsets[index], m - 1))
     # the one-sample rows, then the others: a (G, mx, 7) stack with each
     # row's grid points, padded by repeating its last one, whose sample
     # then repeats the row's last bit for bit.  A stack holds
@@ -685,18 +697,28 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
         rows = max(1, DENSE_SAMPLES // int(m[many].max()))
         stacks += [many[lo:lo + rows] for lo in range(0, many.size, rows)]
     for g in stacks:
-        m_g = m[g, None]
-        times, at = grids.at(index[g], start[g, None] + np.minimum(
-            np.arange(m_g.max()), m_g - 1))
-        powers = np.empty(at.shape + (7,))
-        theta = powers[..., 0]
-        np.divide(times - t[g, None], h[g, None], out=theta)
+        t0, step, last, stop, t_g, h_g, first, row0, top = \
+            table[g].T[:, :, None]
+        # each job's grid indices, padded; then (below) the rows that
+        # hold them
+        k = np.minimum(grids.ks[:int(top.max()) + 1], top)
+        k += first
+        powers = np.empty(k.shape + (7,))
+        theta = _points(k, t0, step, last, stop, out=powers[..., 0])
+        theta -= t_g
+        theta /= h_g
         # theta^2..7 by products: the bits of np.multiply.accumulate
+        by_power = powers.reshape(-1, 7).T
         for q in range(1, 7):
-            np.multiply(powers[..., q - 1], theta, out=powers[..., q])
+            np.multiply(by_power[q - 1], by_power[0], out=by_power[q])
         samples = np.matmul(powers, Q[g])
-        samples *= h[g, None, None]
+        # each array freed once used, the last once stored: no two
+        # stacks' arrays are ever live at once
+        del powers, theta, by_power
+        samples *= h_g[..., None]
         samples += y_r[g, None]
+        k += row0
+        at = k.astype(int)
         if not np.isfinite(samples).all():
             ok = np.isfinite(samples).all(axis=(1, 2))
             for b in g[~ok].tolist():
@@ -710,6 +732,7 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
                     failed.append(b)
             g, at, samples = g[ok], at[ok], samples[ok]
         _store(y_all, subset, at, samples, index[g])
+        del samples, at, k
     return failed
 
 

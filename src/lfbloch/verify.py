@@ -366,7 +366,8 @@ def fit_decay(traj: Trajectory, observable: str = "w_plus_1",
     times = traj.times
     cut, window, n = _window(times, window)
     t = times[cut]
-    y = traj.w[cut] + 1.0 if observable == "w_plus_1" else np.abs(traj.s[cut])
+    y = traj.w[cut] + 1.0 if observable == "w_plus_1" \
+        else np.abs(traj.s_in(cut))
     if (y <= 0.0).any():
         raise FitWindowError(
             f"observable {observable!r} must be strictly positive on the "
@@ -392,7 +393,7 @@ def fit_frequency(traj: Trajectory,
     times = traj.times
     cut, window, n = _window(times, window)
     t = times[cut]
-    s = traj.s[cut]
+    s = traj.s_in(cut)
     if (s == 0).any():
         raise FitWindowError("coherence vanishes inside the fit window; "
                              "its phase is undefined")

@@ -1025,9 +1025,9 @@ class TestGridBits:
     any other start: Trajectory.times is np.linspace itself, and solve
     computes its sample times by linspace's arithmetic, _points, on a
     step that is not 0 (where the step underflows to 0, linspace divides
-    first, and solve refuses the grid), in three ways: _points itself,
-    _Grids.times (per-row dense output) and _Grids.at (stacked dense
-    output and the exponential method)."""
+    first, and solve refuses the grid), in three ways: _points itself
+    (and into an out, as stacked dense output calls it), _Grids.times
+    (per-row dense output) and _Grids.at (the exponential method)."""
 
     @staticmethod
     def from_zero():
@@ -1108,9 +1108,17 @@ class TestGridBits:
                                for *_, n in chunk])
                 times, at = grids.at(rows, ks)
                 assert np.array_equal(at, grids.offsets[rows, None] + ks)
+                # written into a strided out, of float indices, as
+                # stacked dense output writes theta
+                out = np.empty(ks.shape + (7,))[..., 0]
+                assert ode._points(ks.astype(float),
+                                   *grids.params.T[:, :, None],
+                                   out=out) is out
                 for b, (t0, end, n) in enumerate(chunk):
                     want = np.linspace(t0, end, n)
                     assert np.array_equal(_bits(times[b]),
+                                          _bits(want[ks[b]])), (t0, end, n)
+                    assert np.array_equal(_bits(out[b]),
                                           _bits(want[ks[b]])), (t0, end, n)
                     i, j = sorted(rng.integers(0, n, 2).tolist())
                     for a, z in {(0, n), (0, 1), (i, j + 1), (i, n),
@@ -1127,10 +1135,11 @@ class TestBatchMemory:
 
     def test_model_a_batch_peak_and_views(self):
         # at the tolerance of the sweeps: samples 24 bytes and a pass's
-        # dense output, a stack of at most ode.DENSE_SAMPLES samples at
-        # a time, 27.2 measured (35.8 with the whole pass in one stack);
-        # 40 with a copy of the grids, and 57.6 when each run kept a
-        # grid of its own and s
+        # dense output, a stack of at most ode.DENSE_SAMPLES (1536)
+        # samples at a time, 27.3-27.5 measured (35.0 with the whole
+        # pass in one stack); 40 with a copy of the grids, and 57.6 when
+        # each run kept a grid of its own and s (both at 1024 samples
+        # per stack)
         runs = _decays(128)
         batch, per_sample = _traced_peak(runs)
         assert per_sample <= 30.0
@@ -1144,9 +1153,10 @@ class TestBatchMemory:
 
     def test_kept_w_peak(self):
         # w 8 bytes: s only reaches a pass's dense output.  32 runs read
-        # 13.4 bytes per sample (10.9 at 128 and 10.8 at 256; 21.7 with
-        # the whole pass in one stack), 20.2 when the batch keeps s; 21.3
-        # and 29 with a copy of the grids
+        # 13.5-13.7 bytes per sample at ode.DENSE_SAMPLES 1536 (12.8 at
+        # 1024, 13.995 at 1792; 11.3 at 128 runs and 11.0 at 256; 19.3
+        # with the whole pass in one stack), 21.5 when the batch keeps s;
+        # 21.3 and 29 with a copy of the grids (at 1024)
         batch, per_sample = _traced_peak(_decays(32), keep=("w",))
         assert per_sample <= 14.0
         assert batch[0].y.shape == (1601, 1)
@@ -1201,6 +1211,36 @@ class TestBatchMemory:
             assert a.y.tobytes() == b.y.tobytes()
             assert (a.n_accepted, a.n_rejected) == (b.n_accepted,
                                                     b.n_rejected)
+
+    @pytest.mark.parametrize("keep", [None, ("w",)])
+    def test_dormand_prince_stack_size_keeps_the_bits(self, keep):
+        # model-A rows of different spans and grid sizes, from sparse
+        # grids (one sample per step or none) to dense ones (dozens),
+        # whose wide passes stack one-sample and many-sample jobs; in
+        # stacks of one job, of 7 samples, of the default size and of a
+        # whole pass
+        runs = [(EffectiveParams(emitter=EMITTER,
+                                 ell=1.0 + 0.05 * i + 0.01j * i),
+                 SystemState(s=0.1 + 0.05j, w=0.9),
+                 IntegrationSpec(span=2.0 + 0.7 * i, tol=1e-9,
+                                 points=points))
+                for i, points in enumerate([3, 5, 12, 40, 201, 1601, 4, 801,
+                                            7, 2, 1000, 60])]
+        with mock.patch.object(ode, "_dense_output",
+                               wraps=ode._dense_output) as spy:
+            default = integrate_batch(runs, keep=keep)
+        samples = [[b - a for a, b in zip(call.args[0].start,
+                                          call.args[0].end)]
+                   for call in spy.call_args_list if call.args[1]]
+        assert any(1 in m and max(m) > 1 for m in samples)
+        for size in (1, 7, 10**6):
+            with mock.patch.object(ode, "DENSE_SAMPLES", size):
+                batch = integrate_batch(runs, keep=keep)
+            for a, b in zip(default, batch):
+                assert a.y.tobytes() == b.y.tobytes()
+                assert a.bloch_norm_max == b.bloch_norm_max
+                assert (a.n_accepted, a.n_rejected, a.n_rhs) == (
+                    b.n_accepted, b.n_rejected, b.n_rhs)
 
     def test_s_and_beta_are_the_samples_bit_for_bit(self):
         # signed zeros, then a failed row's NaN samples

@@ -1,5 +1,6 @@
 """Tests for host elimination, eigenvalue oracles, fits, and convergence."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -496,6 +497,38 @@ class TestFitBits:
                     assert decay.n_samples == freq.n_samples == n
         for fit in (fit_decay, fit_frequency):
             assert "strictly increasing times" in " ".join(fit.__doc__.split())
+
+    def test_window_s_equals_the_whole_s_cut(self):
+        # the fits build s from the window's slices of its two columns
+        # (s_in): the bits of the whole trajectory's s, then cut, which
+        # they took before, on odd values and on columns kept in another
+        # order; and both fits read alike through either expression
+        rng = np.random.default_rng(13)
+        t = np.linspace(0.0, 5.0, 401)
+        s = np.exp((0.3j - 0.2) * t)
+        odd = s.copy()
+        odd[rng.integers(0, t.size, 40)] = rng.choice(
+            [0.0, -0.0, 5e-324, -1e-310, math.inf, -math.inf, math.nan,
+             complex(-0.0, -0.0), complex(math.nan, -0.0)], 40)
+        trajs = [_make_traj(t, s, np.exp(-0.4 * t) - 1.0)]
+        with np.errstate(invalid="ignore"):
+            trajs.append(_make_traj(t, odd, np.zeros_like(t)))
+        trajs.append(dataclasses.replace(trajs[0], y=trajs[0].y[:, [2, 1, 0]],
+                                         columns=(2, 1, 0)))
+        cuts = [slice(None), slice(0, 1), slice(17, 390), slice(400, 401)]
+        cuts += [verify._window(t, (lo, lo + rng.uniform(0.3, 1.0)))[0]
+                 for lo in rng.uniform(0.0, 4.0, 20)]
+        for traj in trajs:
+            for cut in cuts:
+                assert traj.s_in(cut).tobytes() == traj.s[cut].tobytes()
+        fits = [lambda traj: fit_decay(traj, "abs_s"),
+                lambda traj: fit_frequency(traj, (1.0, 4.0))]
+        window_s = [repr(fit(trajs[k])) for k in (0, 2) for fit in fits]
+        with mock.patch.object(Trajectory, "s_in", lambda self, cut: (
+                self._component("s", 0)
+                + 1j * self._component("s", 1))[cut]):
+            assert window_s == [repr(fit(trajs[k])) for k in (0, 2)
+                                for fit in fits]
 
 
 class TestConvergenceStudy:
