@@ -387,11 +387,15 @@ class Trajectory:
 
 # |alpha|/gamma_a above which a model-B run is integrated by the
 # exponential method, with its linear part exact; at and below it, by
-# Dormand-Prince.  Lone weak-excitation runs cross over there in wall
-# time: on Dormand-Prince 8(5,3), whose steps there are bounded by its
-# stability (15 evaluations per step on a 1601-point grid), 20 ms
-# against the exponential method's 26 ms at |alpha| = 40 and 32 against
-# 31 at 80 (see CHANGES.md)
+# Dormand-Prince.  The value is chosen for batches: a Dormand-Prince row
+# at a fast pole keeps every pass of its batch going, and the kappa
+# convergence studies of the benchmark's verify_kappa run 3.8x longer
+# with the method off (1.7x with the pole at 250, 2.6x at 500).  Lone
+# runs favour Dormand-Prince 8(5,3) at every pole tried: weak-excitation
+# runs (delta_b = eps_b, gamma_b 4, tol 1e-10; best of 5 on a 2-core
+# Xeon VM) take 19.5 ms against the exponential method's 44.8 at
+# |alpha| = 80, 34.5 against 69.6 at 160, 86 against 150 at 480 and 216
+# against 428 at 1600
 EXPONENTIAL_POLE = 80.0
 
 # Operands of the products in effective_rhs.  First Re and Im of c*s

@@ -137,7 +137,8 @@ most ``FLOAT_ROWS`` rows those are one (m, 7) @ (7, n) product per row;
 on a wider pass they are stacked products: (G, 1, 7) stacks of the rows
 with one sample and (G, mx, 7) stacks of the rows with two or more,
 each padded to the longest by repeating a row's last grid point, and
-each of at most ``DENSE_SAMPLES`` samples or of one row.  A stack reads
+each of one row or of at most ``DENSE_SAMPLES`` samples or 1/64
+(``STACK_SHARE``) of the batch's, whichever is more.  A stack reads
 its jobs' grids and steps from one per-job table of the pass, writes
 theta into its powers in place, and frees its arrays before the next
 stack allocates, so that a pass holds one stack's arrays at a time.  A
@@ -385,14 +386,20 @@ _P_T = _P.T
 # switch between the two forms of a pass
 FLOAT_ROWS = 4
 
-# Samples at most per stacked product of a pass's dense output (but for
-# a stack of one row), and per slice of the exponential method's: a
-# row's bits do not depend on its stack, and a pass of long steps on
-# many rows is written a stack at a time, with about 0.09 kB of arrays
-# per sample of 3 components and 0.12 kB of 5 (about 2 kB for the
-# exponential method's phi-functions, their contour means and
-# divided-difference series)
+# Samples at most per slice of the exponential method's dense output,
+# with about 2 kB of arrays per sample (its phi-functions, their contour
+# means and divided-difference series), and the least bound of a
+# Dormand-Prince stack: a row's bits do not depend on its stack or slice
 DENSE_SAMPLES = 1536
+
+# A stacked product of a pass's Dormand-Prince dense output holds up to
+# max(DENSE_SAMPLES, B // STACK_SHARE) samples (but for a stack of one
+# row), B the samples of the batch's own buffer.  Its arrays take about
+# 0.09 kB per stacked sample of 3 components and 0.12 kB of 5: about
+# 1.4-1.9 bytes per sample of any batch past 64 * DENSE_SAMPLES samples,
+# which makes fewer numpy calls (a 256-run sweep of 1601 points:
+# 6404-sample stacks, 75 a job against 288 of 1536)
+STACK_SHARE = 64
 
 # The smallest normal float: a grid from 0 whose step is at least this
 # has distinct points (see solve)
@@ -688,13 +695,13 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
                              grids.offsets[index], m - 1))
     # the one-sample rows, then the others: a (G, mx, 7) stack with each
     # row's grid points, padded by repeating its last one, whose sample
-    # then repeats the row's last bit for bit.  A stack holds
-    # DENSE_SAMPLES samples or fewer, or one row
+    # then repeats the row's last bit for bit.  A stack holds size
+    # samples or fewer, or one row
     one, many = (m == 1).nonzero()[0], (m > 1).nonzero()[0]
-    stacks = [one[lo:lo + DENSE_SAMPLES]
-              for lo in range(0, one.size, DENSE_SAMPLES)]
+    size = max(DENSE_SAMPLES, len(y_all) // STACK_SHARE)
+    stacks = [one[lo:lo + size] for lo in range(0, one.size, size)]
     if many.size:
-        rows = max(1, DENSE_SAMPLES // int(m[many].max()))
+        rows = max(1, size // int(m[many].max()))
         stacks += [many[lo:lo + rows] for lo in range(0, many.size, rows)]
     for g in stacks:
         t0, step, last, stop, t_g, h_g, first, row0, top = \

@@ -10,7 +10,9 @@ import contextlib
 import dataclasses
 import functools
 import math
-import tracemalloc
+import pickle
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -978,16 +980,27 @@ def _decays(count, tol=1e-10, points=1601):
             for i in range(count)]
 
 
+# The batch (runs, integrate_batch's keywords) pickled on stdin; prints
+# its traced peak in bytes
+_TRACE_BATCH = """
+import pickle, sys, tracemalloc
+from lfbloch.dynamics import integrate_batch
+runs, kwargs = pickle.load(sys.stdin.buffer)
+integrate_batch(runs[:2], **kwargs)  # lazy set-up outside the peak
+tracemalloc.start()
+integrate_batch(runs, **kwargs)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
 def _traced_peak(runs, **kwargs):
-    """The batch, and its traced peak in bytes per sample."""
-    integrate_batch(runs[:2], **kwargs)  # lazy set-up outside the peak
-    tracemalloc.start()
-    try:
-        batch = integrate_batch(runs, **kwargs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return batch, peak / sum(run[2].points for run in runs)
+    """The batch's traced peak in bytes per sample, taken in a fresh
+    interpreter: the first batch a process traces reads the highest, so
+    a bound holds whatever ran before it."""
+    done = subprocess.run([sys.executable, "-c", _TRACE_BATCH],
+                          input=pickle.dumps((runs, kwargs)),
+                          capture_output=True, check=True)
+    return int(done.stdout) / sum(run[2].points for run in runs)
 
 
 @functools.cache
@@ -1136,13 +1149,14 @@ class TestBatchMemory:
     def test_model_a_batch_peak_and_views(self):
         # at the tolerance of the sweeps: samples 24 bytes and a pass's
         # dense output, a stack of at most ode.DENSE_SAMPLES (1536)
-        # samples at a time, 27.3-27.5 measured (35.0 with the whole
-        # pass in one stack); 40 with a copy of the grids, and 57.6 when
-        # each run kept a grid of its own and s (both at 1024 samples
-        # per stack)
+        # samples or 1/64 of the batch's (3202 here) at a time, 28.1
+        # measured (27.4 in stacks of 1536; 35.0 with the whole pass in
+        # one stack); 40 with a copy of the grids, and 57.6 when each
+        # run kept a grid of its own and s (both at 1024 samples per
+        # stack)
         runs = _decays(128)
-        batch, per_sample = _traced_peak(runs)
-        assert per_sample <= 30.0
+        assert _traced_peak(runs) <= 30.0
+        batch = integrate_batch(runs)
         samples = batch[0].y.base
         assert samples.shape == (128 * 1601, 3)
         for traj, (_, _, integration) in zip(batch, runs):
@@ -1153,13 +1167,36 @@ class TestBatchMemory:
 
     def test_kept_w_peak(self):
         # w 8 bytes: s only reaches a pass's dense output.  32 runs read
-        # 13.5-13.7 bytes per sample at ode.DENSE_SAMPLES 1536 (12.8 at
-        # 1024, 13.995 at 1792; 11.3 at 128 runs and 11.0 at 256; 19.3
-        # with the whole pass in one stack), 21.5 when the batch keeps s;
-        # 21.3 and 29 with a copy of the grids (at 1024)
-        batch, per_sample = _traced_peak(_decays(32), keep=("w",))
-        assert per_sample <= 14.0
-        assert batch[0].y.shape == (1601, 1)
+        # 13.67 bytes per sample at ode.DENSE_SAMPLES 1536, which their
+        # stacks keep (12.8 at 1024, 13.995 at 1792; 19.3 with the whole
+        # pass in one stack), 21.5 when the batch keeps s; 21.3 and 29
+        # with a copy of the grids (at 1024)
+        runs = _decays(32)
+        assert _traced_peak(runs, keep=("w",)) <= 14.0
+        assert integrate_batch(runs, keep=("w",))[0].y.shape == (1601, 1)
+
+    @pytest.mark.parametrize("keep, bound", [(None, 30.0), (("w",), 14.0)])
+    def test_large_batch_peak(self, keep, bound):
+        # a sweep's 256 runs, whose stacks hold 1/64 of the batch's
+        # samples (6404): about 1.5 bytes per sample of the batch at any
+        # batch size, 28.1 whole and 12.1 keeping w (27.0 and 11.0 in
+        # stacks of 1536)
+        assert _traced_peak(_decays(256), keep=keep) <= bound
+
+    def test_exponential_slices_peak(self):
+        # 8 rows of long steps with a fast host pole: the exponential
+        # method's dense output, slices of ode.DENSE_SAMPLES (1536) at
+        # about 2 kB per sample, whatever the batch's size: 77.0 bytes
+        # per sample measured (68.5 at 1024 samples per slice, 81.2 at
+        # 1792, 102 at 3072)
+        runs = [(MicroscopicParams(emitter=EMITTER, host=HostSpecies(
+                    delta_b=100.0 + 230.0 * i / 7, eps_b=20.0,
+                    gamma_b=4.0)),
+                 SystemState(s=0.01 + 0j, w=-math.sqrt(1.0 - 4e-4),
+                             beta=0j),
+                 IntegrationSpec(span=8.0, tol=1e-6, points=8001))
+                for i in range(8)]
+        assert _traced_peak(runs) <= 80.0
 
     @pytest.mark.parametrize("float_rows", [0, 10**6])
     @pytest.mark.parametrize("keep", [("w",), ("s",), ("w", "beta")])
@@ -1217,8 +1254,9 @@ class TestBatchMemory:
         # model-A rows of different spans and grid sizes, from sparse
         # grids (one sample per step or none) to dense ones (dozens),
         # whose wide passes stack one-sample and many-sample jobs; in
-        # stacks of one job, of 7 samples, of the default size and of a
-        # whole pass
+        # stacks of the default size (ode.DENSE_SAMPLES: the batch holds
+        # 3736 samples, 58 to a 1/64 share), of one job, of 7 samples,
+        # of 29 (a 1/128 share) and of a whole pass
         runs = [(EffectiveParams(emitter=EMITTER,
                                  ell=1.0 + 0.05 * i + 0.01j * i),
                  SystemState(s=0.1 + 0.05j, w=0.9),
@@ -1233,8 +1271,9 @@ class TestBatchMemory:
                                           call.args[0].end)]
                    for call in spy.call_args_list if call.args[1]]
         assert any(1 in m and max(m) > 1 for m in samples)
-        for size in (1, 7, 10**6):
-            with mock.patch.object(ode, "DENSE_SAMPLES", size):
+        for size, share in [(1, 10**9), (7, 10**9), (1, 128), (10**6, 64)]:
+            with mock.patch.object(ode, "DENSE_SAMPLES", size), \
+                    mock.patch.object(ode, "STACK_SHARE", share):
                 batch = integrate_batch(runs, keep=keep)
             for a, b in zip(default, batch):
                 assert a.y.tobytes() == b.y.tobytes()
