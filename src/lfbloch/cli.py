@@ -448,7 +448,9 @@ def _population_rate_point(cfg: ScenarioConfig):
     drive off; the shift is the level shift of ell.
     """
     ell = cfg.resolved_ell()
-    emitter = replace(cfg.emitter, drive=DriveEnvelope())
+    emitter = cfg.emitter
+    if emitter.drive != DriveEnvelope():
+        emitter = replace(emitter, drive=DriveEnvelope())
     params = EffectiveParams(emitter=emitter, ell=ell)
     rate_guess = ell.real * emitter.gamma_a
     window = default_fit_window(rate_guess)

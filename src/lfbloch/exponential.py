@@ -326,11 +326,13 @@ class Exponential:
             nodes[batch:2 * batch], rows, value[:, batch:2 * batch],
             divided[:, batch:2 * batch], M, self._cubic(y, K, h))
         estimate = np.hypot(embedded, y_new - quadrature)
-        # a long row's error per unit step, its unit the last of P
-        estimate *= np.where(
-            steps >= self.span_steps,
-            np.minimum(self.max_scale, np.maximum(1.0, P[:, -1] / h)),
-            1.0)[:, None]
+        # a long row's error per unit step, its unit the last of P.  The
+        # unit over a tiny h overflows to inf, which max_scale caps or a
+        # row short of span_steps drops: no warning for it
+        with np.errstate(over="ignore"):
+            scale = np.minimum(self.max_scale,
+                               np.maximum(1.0, P[:, -1] / h))
+        estimate *= np.where(steps >= self.span_steps, scale, 1.0)[:, None]
         return y_new, ode._norm(estimate, y, y_new, tol)
 
     def _cubic(self, y, K, h):

@@ -142,9 +142,14 @@ each of one row or of at most ``DENSE_SAMPLES`` samples or 1/64
 its jobs' grids and steps from one per-job table of the pass, writes
 theta into its powers in place, and frees its arrays before the next
 stack allocates, so that a pass holds one stack's arrays at a time.  A
-job of the per-row form whose samples come out non-finite is redone on
-the spot (``_rescaled``).  One-sample and multi-sample stacks stay
-apart because a (1, 7) @ (7, n) product is
+(G, mx, 7) stack of two or more components is a view of one
+power-major (7, G, mx) buffer: theta and its powers are then contiguous
+rows, and BLAS reads the view without a copy, with the bits of the
+row-major stack.  A (G, 1, 7) stack, or one of one component, stays
+row-major: its product is a matrix-vector one, whose bits the
+transposed view would move.  A job of the per-row form whose samples
+come out non-finite is redone on the spot (``_rescaled``).  One-sample
+and multi-sample stacks stay apart because a (1, 7) @ (7, n) product is
 not bitwise a row of an (m, 7) @ (7, n) one (nor is a stage-major (16,
 B*n) product the per-row one); within each stack a row gets the bits of
 its own product, and a padding row those of its row's last sample, so
@@ -710,14 +715,20 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
         # hold them
         k = np.minimum(grids.ks[:int(top.max()) + 1], top)
         k += first
-        powers = np.empty(k.shape + (7,))
-        theta = _points(k, t0, step, last, stop, out=powers[..., 0])
+        # the powers (G, mx, 7), power-major but for a matrix-vector
+        # product (see the module docstring)
+        if k.shape[1] > 1 and Q.shape[-1] > 1:
+            by_power = np.empty((7,) + k.shape)
+            powers = by_power.transpose(1, 2, 0)
+        else:
+            powers = np.empty(k.shape + (7,))
+            by_power = powers.transpose(2, 0, 1)
+        theta = _points(k, t0, step, last, stop, out=by_power[0])
         theta -= t_g
         theta /= h_g
         # theta^2..7 by products: the bits of np.multiply.accumulate
-        by_power = powers.reshape(-1, 7).T
         for q in range(1, 7):
-            np.multiply(by_power[q - 1], by_power[0], out=by_power[q])
+            np.multiply(by_power[q - 1], theta, out=by_power[q])
         samples = np.matmul(powers, Q[g])
         # each array freed once used, the last once stored: no two
         # stacks' arrays are ever live at once

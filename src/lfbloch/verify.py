@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from lfbloch import ode
 from lfbloch.dynamics import (
     DriveEnvelope,
     EffectiveParams,
@@ -290,26 +291,38 @@ def default_fit_window(rate_guess: float) -> tuple[float, float]:
     return 2.0 / rate_guess, 6.0 / rate_guess
 
 
-def _window(times: np.ndarray,
+def _window(span: float, count: int,
             window: tuple[float, float] | None) -> tuple:
-    """The slice lo:hi of the samples at times inside the closed window
-    [a, b], with (a, b) and their number.  Trajectory times rise
-    strictly, so the slice holds exactly the samples of the mask
-    ``(times >= a) & (times <= b)``."""
+    """The samples of a trajectory's grid ``np.linspace(0.0, span,
+    count)`` inside the closed window [a, b]: their slice lo:hi, their
+    times, (a, b) and their number, found by the grid's arithmetic with
+    no grid built.  hi counts the points at most b and lo those at most
+    the float below a, by ``ode._index``, which is ``searchsorted`` on
+    the built grid ("right" at b, "left" at a); the times are the
+    points lo:hi, with linspace's bits (as ``ode._points`` computes
+    them from 0).  The grid of an integrated run has 2 or more strictly
+    rising points (solve checks it), so the slice holds exactly the
+    samples of the mask ``(times >= a) & (times <= b)``."""
     if window is None:
-        window = (float(times[0]), float(times[-1]))
+        window = (0.0, span)
     a, b = float(window[0]), float(window[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise FitWindowError(f"invalid fit window ({a!r}, {b!r})")
-    lo = int(times.searchsorted(a, "left"))
-    hi = int(times.searchsorted(b, "right"))
+    last = count - 1
+    step = span / last
+    lo = ode._index(math.nextafter(a, -math.inf), 0.0, step, last, span)
+    hi = ode._index(b, 0.0, step, last, span)
     n = hi - lo
     if n < _MIN_FIT_SAMPLES:
         raise FitWindowError(
             f"fit window [{a:g}, {b:g}] contains {n} samples; "
             f"need >= {_MIN_FIT_SAMPLES}"
         )
-    return slice(lo, hi), (a, b), n
+    # k*step, and span for the last: + 0.0 would change no bit
+    t = np.arange(lo, hi) * step
+    if hi > last:
+        t[-1] = span
+    return slice(lo, hi), t, (a, b), n
 
 
 def _line(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -350,10 +363,11 @@ def fit_decay(traj: Trajectory, observable: str = "w_plus_1",
     at the full rate) or "abs_s" (coherence magnitude, decaying at half
     the rate for a free emitter).  The observable must be strictly
     positive on the window and the window must hold at least 20 samples.
-    The window is one slice of the samples, found by bisection: it
-    relies on Trajectory's strictly increasing times.  The line is the
-    centred closed-form least-squares line of ``_line``, whose sums are
-    taken in numpy's fixed order.
+    The window is one slice of the samples, and its times, found by the
+    arithmetic of the trajectory's grid (``_window``): no grid is built,
+    and the slice relies on Trajectory's strictly increasing times.  The
+    line is the centred closed-form least-squares line of ``_line``,
+    whose sums are taken in numpy's fixed order.
 
     Examples
     --------
@@ -363,9 +377,7 @@ def fit_decay(traj: Trajectory, observable: str = "w_plus_1",
     if observable not in ("w_plus_1", "abs_s"):
         raise ValueError(f"unknown observable {observable!r}; "
                          f"expected 'w_plus_1' or 'abs_s'")
-    times = traj.times
-    cut, window, n = _window(times, window)
-    t = times[cut]
+    cut, t, window, n = _window(traj.span, len(traj.y), window)
     y = traj.w[cut] + 1.0 if observable == "w_plus_1" \
         else np.abs(traj.s_in(cut))
     if (y <= 0.0).any():
@@ -375,7 +387,8 @@ def fit_decay(traj: Trajectory, observable: str = "w_plus_1",
         )
     log_y = np.log(y)
     slope, intercept = _line(t, log_y)
-    resid = float(np.sqrt(np.mean((log_y - (slope * t + intercept)) ** 2)))
+    d = log_y - (slope * t + intercept)
+    resid = math.sqrt(np.add.reduce(d * d) / n)
     return FitResult(rate=-slope, frequency=math.nan, residual=resid,
                      window=window, n_samples=n)
 
@@ -387,12 +400,11 @@ def fit_frequency(traj: Trajectory,
     The slope is the oscillation frequency (the level shift when
     delta_a = 0).  Per-sample phase steps close to pi cannot be unwrapped
     reliably, so steps beyond 0.95*pi raise SamplingTooCoarseError.  As
-    in fit_decay, the window is one slice, which relies on Trajectory's
-    strictly increasing times, and the line is ``_line``'s.
+    in fit_decay, the window is one slice and its times, from the grid's
+    arithmetic with no grid built (``_window``), which relies on
+    Trajectory's strictly increasing times, and the line is ``_line``'s.
     """
-    times = traj.times
-    cut, window, n = _window(times, window)
-    t = times[cut]
+    cut, t, window, n = _window(traj.span, len(traj.y), window)
     s = traj.s_in(cut)
     if (s == 0).any():
         raise FitWindowError("coherence vanishes inside the fit window; "
@@ -408,8 +420,8 @@ def fit_frequency(traj: Trajectory,
         )
     unwrapped = np.unwrap(phase)
     slope, intercept = _line(t, unwrapped)
-    resid = float(np.sqrt(np.mean((unwrapped
-                                   - (slope * t + intercept)) ** 2)))
+    d = unwrapped - (slope * t + intercept)
+    resid = math.sqrt(np.add.reduce(d * d) / n)
     return FitResult(rate=math.nan, frequency=slope, residual=resid,
                      window=window, n_samples=n)
 

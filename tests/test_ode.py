@@ -6,7 +6,8 @@ paths, lockstep batches that reproduce each row's lone run bit for bit
 (dense output stacked over the rows on passes of more than FLOAT_ROWS
 rows, per row on the others), the bit equalities that stacking, the
 batched starting step and the grid index rely on (16-stage stacks, 7
-theta powers), every stage sum left to right from +0.0 on a strided
+theta powers, power-major stacks), the fits' window from the grid index
+against searchsorted, every stage sum left to right from +0.0 on a strided
 stack, the Python-float form of few-row passes against the array form
 (and the bit equalities it relies on),
 and rows of pieces that reproduce one run per piece.  The exponential
@@ -17,13 +18,14 @@ output, lone-run bits in a batch and its evaluation count."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from lfbloch import exponential, ode
+from lfbloch import exponential, ode, verify
 from lfbloch.ode import (
     NonFiniteRhsError,
     OdeResult,
@@ -63,6 +65,10 @@ def _decay(t, y, p):
 
 def _harmonic(t, y, p):
     return np.array([y[1], -y[0]])
+
+
+def _forced_decay(t, y, p):
+    return np.cos(t) - p[0] * y
 
 
 def _blowup(t, y, p):
@@ -950,6 +956,21 @@ class TestStackedBatch:
         ended = [error is None for error in res.errors]
         assert np.count_nonzero(pieces[ended] > 1) == 3
 
+    def test_one_component_rows_match_lone_runs_bitwise(self, monkeypatch):
+        # a stack of one-component rows multiplies each row's powers by
+        # a vector: it stays row-major, as a power-major view would move
+        # the bits of that matrix-vector product away from the lone
+        # runs' per-row products
+        passes = _spy_dense_output(monkeypatch)
+        rows = [([(6.0, _forced_decay, rate)], 0.0, [1.0 - rate], points,
+                  tol) for rate, points, tol in [
+                      (0.3, 801, 1e-9), (1.7, 1601, 1e-10), (0.05, 401, 1e-8),
+                      (4.0, 1201, 1e-9), (0.9, 801, 1e-11), (2.5, 61, 1e-7)]]
+        res = _solve_rows(rows)
+        assert any(on and max(ms, default=0) > 1 for on, ms, *_ in passes)
+        for b, row in enumerate(rows):
+            _assert_row_equal(res, b, _solve_rows([row]))
+
     def test_stacked_pass_makes_no_per_row_product(self, monkeypatch):
         passes = _spy_dense_output(monkeypatch)
         samples = ode._samples
@@ -1011,6 +1032,29 @@ class TestDenseBits:
             for b in range(rows):
                 assert np.array_equal(_bits(stacked[b, :m[b]]),
                                       _bits(powers[b, :m[b]] @ Q[b]))
+
+    @pytest.mark.parametrize("rows, n", [(rows, n) for rows, n in SIZES
+                                         if n > 1])
+    def test_power_major_view_equals_row_major(self, rows, n):
+        # stacks of two or more samples of two or more components hold
+        # their powers in one (7, G, mx) buffer and hand np.matmul its
+        # (G, mx, 7) view: the bits of the row-major stack's product,
+        # with no copy of the view (the traced peak is the product's own
+        # array).  With one component the product is a matrix-vector
+        # one, whose bits the view moves: those stacks stay row-major
+        rng = np.random.default_rng(rows * 100 + n + 4)
+        for mx in (2, 3, 17, 40):
+            powers = _powers(rng, (rows, mx))
+            by_power = np.ascontiguousarray(powers.transpose(2, 0, 1))
+            Q = _stages(rng, (rows, 7, n))
+            tracemalloc.start()
+            try:
+                got = np.matmul(by_power.transpose(1, 2, 0), Q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(_bits(got), _bits(np.matmul(powers, Q)))
+            assert peak < got.nbytes + 4096
 
     @pytest.mark.parametrize("rows, n", SIZES)
     def test_one_sample_stack_equals_per_row(self, rows, n):
@@ -1453,6 +1497,53 @@ class TestGridSearchBits:
         assert np.array_equal(got, grid.searchsorted(x, "right"))
         assert np.array_equal(got - np.tile(at + 1, 4),
                               np.full(x.size, crossed))
+
+
+class TestFitWindowBits:
+    """The fits' window, verify._window, by the grid's arithmetic against
+    searchsorted and slicing on the grid that np.linspace builds, on the
+    grids of GRIDS that start at 0, as a trajectory's do."""
+
+    @pytest.mark.parametrize("t0, end, points",
+                             [g for g in GRIDS if g[0] == 0.0])
+    def test_window_equals_linspace_search(self, t0, end, points):
+        rng = np.random.default_rng(points)
+        grid = np.linspace(0.0, end, points)
+        at = rng.integers(0, points, 30)
+        on = grid[at]
+        gap = end / (points - 1)
+        # ends on grid points, an ulp either side of them, between
+        # two, at 0 and at the span and past them; then any two
+        ends = np.concatenate([
+            on, np.nextafter(on, -math.inf), np.nextafter(on, math.inf),
+            np.minimum(on + rng.uniform(0.0, 1.0, on.size) * gap, end),
+            [0.0, end, np.nextafter(0.0, math.inf), -1.0,
+             np.nextafter(end, -math.inf), np.nextafter(end, math.inf),
+             2.0 * end]]).tolist()
+        windows = [None, (0.0, end), (-1.0, 2.0 * end)] + [
+            (a, b) for a, b in zip(ends, ends[1:] + ends[:1]) if a < b] + [
+            (a, b) for a in ends[-7:] for b in ends[-7:] if a < b]
+        for window in windows:
+            a, b = (0.0, end) if window is None else window
+            lo = int(grid.searchsorted(a, "left"))
+            hi = int(grid.searchsorted(b, "right"))
+            if hi - lo < 20:
+                with pytest.raises(verify.FitWindowError) as info:
+                    verify._window(end, points, window)
+                assert str(info.value) == (
+                    f"fit window [{a:g}, {b:g}] contains {hi - lo} "
+                    f"samples; need >= 20")
+                continue
+            cut, t, got, n = verify._window(end, points, window)
+            assert (cut, got, n) == (slice(lo, hi), (a, b), hi - lo)
+            assert t.tobytes() == grid[lo:hi].tobytes()
+
+    def test_short_window_message_is_pinned(self):
+        # points 100..118 of a 1601-point grid on [0, 6.5]: 19 samples
+        with pytest.raises(verify.FitWindowError) as info:
+            verify._window(6.5, 1601, (0.40625, 0.479375))
+        assert str(info.value) == ("fit window [0.40625, 0.479375] "
+                                   "contains 19 samples; need >= 20")
 
 
 def _row_form(*functions):
@@ -2004,6 +2095,20 @@ class TestExponential:
         assert res.n_accepted[0] > exponential.Exponential.span_steps
         assert isinstance(res.errors[0], NonFiniteRhsError)
         assert "went non-finite" in str(res.errors[0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_step_raises_no_overflow_warning(self):
+        # a first piece of 1e-310 bounds the first step by it: the unit
+        # step 0.02 over that h overflows, for a row that does not scale
+        # its estimate (it has taken no step yet), and no warning may
+        # reach the caller; the row runs on to its end
+        L = np.array([[-0.5 + 0.3j, -2.0j], [-1.5, -30.0 + 120.0j]])
+        pieces = [(1e-310, (0.8, 0.1)), (2.0, (0.8, 0.1))]
+        res = _solve_exp(_coupled, L, pieces, [0.3, 0.1, -0.5, 0.05, -0.02],
+                         21, 1e-9)
+        assert res.errors == [None]
+        assert np.isfinite(res.y).all()
+        assert 0.02 / 1e-310 == math.inf
 
     @pytest.mark.parametrize("L, n, match", [
         (np.zeros((2, 2, 2)), 5, "2x2"),

@@ -455,17 +455,15 @@ class TestFitBits:
         assert slope == 5e152
 
     def test_slice_window_equals_mask(self):
-        # both fits take one slice for their window; it holds the
-        # samples of the mask because Trajectory's times rise strictly
-        # (a trajectory's grid, then rising times of random spacing,
-        # which only the window itself reads)
+        # both fits take one slice for their window, and its times; it
+        # holds the samples of the mask because Trajectory's times rise
+        # strictly (two trajectory grids, of 101 and 300 points)
         rng = np.random.default_rng(12)
-        grids = [np.linspace(0.0, 5.0, 101),
-                 np.cumsum(rng.uniform(1e-3, 1.0, 300)) - 2.0]
+        grids = [np.linspace(0.0, 5.0, 101), np.linspace(0.0, 173.9, 300)]
         for times in grids:
             traj = _make_traj(times, np.exp((0.3j - 0.2) * times),
-                              np.full_like(times, -0.5)) \
-                if times[0] == 0.0 else None
+                              np.full_like(times, -0.5))
+            span, count = float(times[-1]), times.size
             first, last = times[0], times[-1]
             inner = times[1:-1]
             windows = [
@@ -485,16 +483,15 @@ class TestFitBits:
                 mask = (times >= a) & (times <= b)
                 if np.count_nonzero(mask) < 20:
                     with pytest.raises(FitWindowError):
-                        verify._window(times, (a, b))
+                        verify._window(span, count, (a, b))
                     continue
-                cut, _, n = verify._window(times, (a, b))
+                cut, t, _, n = verify._window(span, count, (a, b))
                 assert np.array_equal(times[cut], times[mask])
+                assert t.tobytes() == times[mask].tobytes()
                 assert n == np.count_nonzero(mask)
-                if traj is not None:
-                    decay = fit_decay(traj, observable="abs_s",
-                                      window=(a, b))
-                    freq = fit_frequency(traj, window=(a, b))
-                    assert decay.n_samples == freq.n_samples == n
+                decay = fit_decay(traj, observable="abs_s", window=(a, b))
+                freq = fit_frequency(traj, window=(a, b))
+                assert decay.n_samples == freq.n_samples == n
         for fit in (fit_decay, fit_frequency):
             assert "strictly increasing times" in " ".join(fit.__doc__.split())
 
@@ -516,7 +513,8 @@ class TestFitBits:
         trajs.append(dataclasses.replace(trajs[0], y=trajs[0].y[:, [2, 1, 0]],
                                          columns=(2, 1, 0)))
         cuts = [slice(None), slice(0, 1), slice(17, 390), slice(400, 401)]
-        cuts += [verify._window(t, (lo, lo + rng.uniform(0.3, 1.0)))[0]
+        cuts += [verify._window(5.0, t.size,
+                                (lo, lo + rng.uniform(0.3, 1.0)))[0]
                  for lo in rng.uniform(0.0, 4.0, 20)]
         for traj in trajs:
             for cut in cuts:
