@@ -304,7 +304,8 @@ def parse_scenario(raw: dict, source: str = "scenario") -> ScenarioConfig:
     if model == "A" and "beta" in values:
         raise ConfigError(f"{source}.initial.beta: forbidden for model A")
     beta = values.get("beta", None if model == "A" else 0j)
-    initial = SystemState(s=values.get("s", 0j), w=values["w"], beta=beta)
+    initial = _rebuild(SystemState, f"{source}.initial",
+                       s=values.get("s", 0j), w=values["w"], beta=beta)
     integration = _rebuild(IntegrationSpec, f"{source}.integration",
                            **part("integration"))
     fit = FitSpec(**part("fit")) if "fit" in raw else FitSpec()

@@ -50,7 +50,6 @@ the same bits.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -79,7 +78,36 @@ __all__ = [
 TOL_MIN = 1e-12
 TOL_MAX = 1e-4
 
+# The largest size, in gamma_a units, of every rate, detuning and drive
+# amplitude, of ell, of model B's rho, C_a, C_b and alpha, and of the
+# initial s, w and beta.  It keeps the integrator's arithmetic finite:
+# - each constant that the right-hand sides read is a product of at
+#   most two of these numbers, at most 2e200 in size;
+# - on the Bloch sphere (|s| <= 1/2, |w| <= 1) each derivative is a sum
+#   of a few such constants times s, w or beta, and beta, which the
+#   sphere does not hold, starts at most BOUND in size and grows (Re
+#   alpha <= 0) by rho*Omega/2 + C_b*s, so that each step of a run,
+#   about 1/rate long for the largest constant rate, adds at most about
+#   BOUND to C_a*beta: every derivative stays below about 1e202;
+# - a Dormand-Prince stage sum weighs its stages by coefficients whose
+#   sizes add up to less than 100, and dense output by less than 3500
+#   (Q = P.T @ K) and then by powers of theta in [0, 1] and by h: the
+#   sums and interpolant products stay below about 1e206, and the 1e100
+#   left to the float range takes in the growth of a stage's state over
+#   the 12 stages of an attempt.
+# An attempt on a step far too long for a stiff mode (h*rate >> 1, as
+# a first step can be on a mode not yet excited) may still overflow:
+# it is rejected for its non-finite error norm, and its step cut 5-fold
+BOUND = 1e100
+
 _DRIVE_KINDS = ("off", "constant", "pulse")
+
+
+def _bounded(value) -> bool:
+    """Whether the float or complex value is finite and at most
+    ``BOUND`` in size (``math.hypot`` goes to inf where ``abs`` of a
+    complex would raise)."""
+    return math.hypot(value.real, value.imag) <= BOUND
 
 
 def _parts(values) -> list[float]:
@@ -109,9 +137,9 @@ class DriveEnvelope:
             raise ValueError(f"drive kind must be one of {_DRIVE_KINDS}, "
                              f"got {self.kind!r}")
         object.__setattr__(self, "amplitude", complex(self.amplitude))
-        if not cmath.isfinite(self.amplitude):
-            raise ValueError(f"drive amplitude must be finite, "
-                             f"got {self.amplitude!r}")
+        if not _bounded(self.amplitude):
+            raise ValueError(f"drive amplitude must be finite and at most "
+                             f"{BOUND:g} in size, got {self.amplitude!r}")
         if self.kind == "pulse":
             if not math.isfinite(self.t_on):
                 raise ValueError(f"pulse t_on must be finite, "
@@ -154,8 +182,9 @@ class EmitterParams:
 
     def __post_init__(self) -> None:
         for name in ("delta_a", "eps_a", "gamma_a"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, "
+            if not _bounded(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and at most "
+                                 f"{BOUND:g} in size, "
                                  f"got {getattr(self, name)!r}")
         if self.eps_a < 0.0:
             raise ValueError(f"eps_a must be >= 0, got {self.eps_a!r}")
@@ -174,8 +203,9 @@ class EffectiveParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ell", complex(self.ell))
-        if not cmath.isfinite(self.ell):
-            raise ValueError(f"ell must be finite, got {self.ell!r}")
+        if not _bounded(self.ell):
+            raise ValueError(f"ell must be finite and at most {BOUND:g} in "
+                             f"size, got {self.ell!r}")
         if not self.ell.real > 0.0:
             raise ValueError(
                 f"effective model requires Re(ell) > 0 (decaying coherence), "
@@ -206,8 +236,8 @@ class MicroscopicParams:
     rho = sqrt(gamma_b/gamma_a); the couplings follow from requiring that
     eliminating the host reproduces the ell-renormalized effective model
     exactly.  They are computed once per parameter object, when it is
-    built; a rho of 0 or a derived constant past the float range is a
-    ValueError that names it.
+    built; a rho of 0, or a derived constant (the host pole alpha too)
+    past the float range or ``BOUND``, is a ValueError that names it.
     """
 
     emitter: EmitterParams
@@ -220,18 +250,21 @@ class MicroscopicParams:
         if not self.host.gamma_b > 0.0:
             raise ValueError("microscopic model requires gamma_b > 0 "
                              "(a non-radiating host has no dipole moment)")
-        # past the float range a derived constant would reach the
-        # integrator as inf or NaN, or as a rho of 0 that C_a divides by
+        # past BOUND a derived constant could overflow the stages, and
+        # past the float range reach the integrator as inf or NaN, or as
+        # a rho of 0 that C_a divides by
         for name, attr in (
                 ("rho = sqrt(gamma_b/gamma_a)", "dipole_ratio"),
                 ("C_a = i*eps_b/rho", "coupling_host_to_emitter"),
                 ("C_b = i*rho*eps_a - rho*gamma_a/2",
-                 "coupling_emitter_to_host")):
+                 "coupling_emitter_to_host"),
+                ("alpha = i*(delta_b + eps_b + i*gamma_b/2)", "host_pole")):
             value = getattr(self, attr)
             zero = value == 0.0 and attr == "dipole_ratio"
-            if zero or not cmath.isfinite(value):
+            if zero or not _bounded(value):
                 raise ValueError(f"microscopic model: {name} is {value!r}: "
-                                 f"the rates leave the float range")
+                                 f"the rates leave the float range or pass "
+                                 f"{BOUND:g} in size")
 
     @cached_property
     def dipole_ratio(self) -> float:
@@ -283,8 +316,8 @@ class MicroscopicParams:
 class SystemState:
     """Initial mean-field state: coherence s, inversion w, host amplitude beta.
 
-    beta is None for the effective model.  Each is finite (a ValueError
-    otherwise).
+    beta is None for the effective model.  Each is finite and at most
+    ``BOUND`` in size (a ValueError otherwise).
     """
 
     s: complex
@@ -298,9 +331,9 @@ class SystemState:
             object.__setattr__(self, "beta", complex(self.beta))
         for name in ("s", "w", "beta"):
             value = getattr(self, name)
-            if value is not None and not cmath.isfinite(value):
-                raise ValueError(f"initial {name} must be finite, "
-                                 f"got {value!r}")
+            if value is not None and not _bounded(value):
+                raise ValueError(f"initial {name} must be finite and at "
+                                 f"most {BOUND:g} in size, got {value!r}")
 
 
 def _bloch_norm(y: np.ndarray) -> np.ndarray:
@@ -642,10 +675,7 @@ class _Run:
             raise ValueError("model A initial state must not carry beta")
         if self.model == "B" and initial.beta is None:
             raise ValueError("model B initial state must carry beta")
-        try:
-            norm = initial.w**2 + 4.0 * abs(initial.s) ** 2
-        except OverflowError:  # Python's ** and abs raise past the range
-            norm = math.inf
+        norm = initial.w**2 + 4.0 * abs(initial.s) ** 2
         if norm > 1.0 + 100.0 * tol:
             raise ValueError(
                 f"initial state lies outside the Bloch sphere: "

@@ -89,21 +89,6 @@ error), the floor is 10 ulps of the row's time, ``_index`` counts the
 grid points inside an accepted step, and a restart at a piece's end or
 a failure is the row's own.
 
-Near the top of the float range a tableau sum of the stages may
-overflow although its product with h does not.  A Dormand-Prince
-attempt whose error norm comes out non-finite, from a finite state and
-a first stage whose largest component is finite and 1 or more in size
-(below 1 the scaling is 1 and would repeat the attempt), is therefore
-redone once by ``_attempt`` given the exponent e of that stage, with
-its sums taken on the stages scaled by 2**-e, as dense output redoes an
-overflowing step.  The redo runs right after the attempt, in either
-form, before the controller reads the norm; an attempt whose norms are
-all finite never gets there.  The extra stages of dense output are
-redone so too (``_extra_stages``), for a step whose extra stages come
-out non-finite from 13 finite ones.  One rule, ``_redo``, picks the
-rows and exponents of both redos.  The redone evaluations count in
-``n_rhs``.
-
 A pass of more than ``FLOAT_ROWS`` rows attempts its steps on arrays
 (``_attempt``).  A pass of at most ``FLOAT_ROWS`` Dormand-Prince rows
 of n < 8 components attempts them in Python floats when ``solve`` is
@@ -147,11 +132,10 @@ power-major (7, G, mx) buffer: theta and its powers are then contiguous
 rows, and BLAS reads the view without a copy, with the bits of the
 row-major stack.  A (G, 1, 7) stack, or one of one component, stays
 row-major: its product is a matrix-vector one, whose bits the
-transposed view would move.  A job of the per-row form whose samples
-come out non-finite is redone on the spot (``_rescaled``).  One-sample
-and multi-sample stacks stay apart because a (1, 7) @ (7, n) product is
-not bitwise a row of an (m, 7) @ (7, n) one (nor is a stage-major (16,
-B*n) product the per-row one); within each stack a row gets the bits of
+transposed view would move.  One-sample and multi-sample stacks stay
+apart because a (1, 7) @ (7, n) product is not bitwise a row of an (m,
+7) @ (7, n) one (nor is a stage-major (16, B*n) product the per-row
+one); within each stack a row gets the bits of
 its own product, and a padding row those of its row's last sample, so
 that a stack is written to the batch's samples whole.
 The exponential method's samples come from its own order-4 extension of
@@ -629,15 +613,6 @@ def _samples(times, t, h, y, Q, out):
     return np.add(y, dy, out=out)
 
 
-def _rescaled(times, t, h, y, K, out):
-    """``_samples`` of a step whose product overflowed on the way (the
-    interpolant's coefficients exceed 1): redone on y and K scaled by a
-    power of two, then scaled back."""
-    e = math.frexp(max(np.abs(y).max(), np.abs(K).max()))[1]
-    return np.ldexp(_samples(times, t, h, np.ldexp(y, -e),
-                             _P_T @ np.ldexp(K, -e), out), e, out=out)
-
-
 def _store(y_all, subset, at, samples, index):
     """Write the samples (G, m, n) of G jobs to the rows at (G, m) of the
     batch's samples y_all: whole, or with ``subset = (columns, measure,
@@ -682,11 +657,9 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
             v = y_all[lo + a:lo + b]
             _samples(grids.times(i, a, b), t, h, y[r], q, v)
             # NaN or inf in v makes v . v non-finite (so may an overflow,
-            # which the exact check then clears): the job is redone
+            # which the exact check then clears)
             if not math.isfinite(np.vdot(v, v)) \
-                    and not np.isfinite(v).all() and not np.isfinite(
-                        _rescaled(grids.times(i, a, b), t, h, y[r], K[r],
-                                  v)).all():
+                    and not np.isfinite(v).all():
                 failed.append(g)
         return failed
     rs, t, h, start, end, index = map(np.asarray, jobs)
@@ -739,34 +712,19 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
         at = k.astype(int)
         if not np.isfinite(samples).all():
             ok = np.isfinite(samples).all(axis=(1, 2))
-            for b in g[~ok].tolist():
-                r, a, z, i = rs[b], start[b], end[b], index[b]
-                v = _rescaled(grids.times(i, a, z), t[b], h[b], y[r], K[r],
-                              np.empty((z - a, y.shape[1])))
-                if np.isfinite(v).all():
-                    _store(y_all, subset, grids.offsets[i] + np.arange(
-                        a, z)[None], v[None], index[b:b + 1])
-                else:
-                    failed.append(b)
+            failed += g[~ok].tolist()
             g, at, samples = g[ok], at[ok], samples[ok]
         _store(y_all, subset, at, samples, index[g])
         del samples, at, k
     return failed
 
 
-def _extra_stages(jobs, y, K, P, rhs, f=None, C=None) -> list:
+def _extra_stages(jobs, y, K, P, rhs, f=None, C=None) -> None:
     """Evaluate the interpolant's extra stages of the jobs' rows of K
     (only theirs: a rejected row's stages may be inf or NaN), from their
     states y and piece constants P: one rhs call each, or, given f (the
     per-row form of rhs) and C (each row's constants as f reads them),
-    in Python floats by the straight-line code of ``_float_code``.
-
-    A job whose extra stages come out non-finite from a finite state, 13
-    finite stages and a first stage of size 1 or more is redone once on
-    the stages scaled by 2**-e, e the exponent of that stage, by rhs, as
-    ``solve`` redoes an overflowing attempt.  Returns the positions in
-    ``jobs`` of the jobs redone.
-    """
+    in Python floats by the straight-line code of ``_float_code``."""
     rs = list(jobs.rows)
     n = y.shape[1]
     if len(rs) == len(K):
@@ -774,43 +732,14 @@ def _extra_stages(jobs, y, K, P, rhs, f=None, C=None) -> list:
     else:
         y_j, K_j, P_j = y[rs], _take(K, rs), P[rs]
     if f:
-        stages, total = _float_code(n).extra(
+        K_j[:, _EXTRA.start:] = _float_code(n).extra(
             f, jobs.t, jobs.h, [C[r] for r in rs], y_j.tolist(),
             K_j[:, :_EXTRA.start, :n].tolist())
-        K_j[:, _EXTRA.start:] = stages
     else:
         _stages(rhs, np.asarray(jobs.t), np.asarray(jobs.h), y_j, K_j, P_j,
                 _EXTRA)
-        total = math.nan
-    redone = []
-    # the float form's stages are finite where their sum is
-    if not math.isfinite(total) \
-            and not np.isfinite(K_j[:, _EXTRA.start:]).all():
-        g, e = _redo(~np.isfinite(K_j[:, _EXTRA.start:]).all(axis=(1, 2)),
-                     y_j, K_j, _EXTRA.start)
-        if g.size:
-            K_g = _take(K_j, g)
-            _stages(rhs, np.take(jobs.t, g), np.take(jobs.h, g), y_j[g],
-                    K_g, P_j[g], _EXTRA, e)
-            K_j[g] = K_g
-            redone = g.tolist()
     if K_j is not K:
         K[rs, _EXTRA.start:] = K_j[:, _EXTRA.start:]
-    return redone
-
-
-def _redo(bad, y, K, stages):
-    """The rows of a scaled redo, and their (m, 1) column of exponents:
-    the rows whose result is not finite (``bad``) from a finite state y
-    and finite stages ``K[:, :stages]``, whose first stage's largest
-    component is 1 or more in size (below 1 the scaling is 1 and would
-    repeat the attempt); each exponent is that component's.  The one
-    rule of ``solve``'s redone attempts and of ``_extra_stages``."""
-    top = np.abs(K[:, 0]).max(axis=1)
-    rows = (bad & np.isfinite(y).all(axis=1)
-            & np.isfinite(K[:, :stages]).all(axis=(1, 2))
-            & (top >= 1.0) & (top < math.inf)).nonzero()[0]
-    return rows, np.frexp(top[rows])[1][:, None]
 
 
 def _sum(weights, j):
@@ -844,8 +773,7 @@ def _float_code(n):
     """The float form's straight-line code for rows of n components,
     compiled on first use: ``attempt``, the body of ``_attempt_floats``,
     and ``extra(f, T, H, C, Y, Ks)``, the interpolant's stages 13..15
-    of rows (t, h, c, y, stages 0..12 as lists), with the sum of all
-    their components.  Every tableau and error sum is written out by
+    of rows (t, h, c, y, stages 0..12 as lists).  Every tableau and error sum is written out by
     ``_sum``, so a row's sums have the bits of the array form's strided
     ``np.matmul``, with no numpy call per stage."""
     js, ys = range(n), _names("y", n, "()")
@@ -882,7 +810,7 @@ def _float_code(n):
         f"    K[:, 1:{_FSAL + 1}] = stages\n"
         "    return np.array(news), errs\n"
         "def extra(f, T, H, C, Y, Ks):\n"
-        "    out, total = [], 0.0\n"
+        "    out = []\n"
         f"    for t, h, c, {ys}, ("
         + "".join(_names(f"k{i}_", n, "()") + ", " for i in range(_FSAL + 1))
         + ") in zip(T, H, C, Y, Ks):\n")
@@ -890,9 +818,7 @@ def _float_code(n):
     lines.append(
         "        out.append(["
         + ", ".join(_names(f"k{i}_", n) for i in _EXTRA) + "])\n"
-        "        total += " + " + ".join(f"k{i}_{j}" for i in _EXTRA
-                                        for j in js) + "\n"
-        "    return out, total\n")
+        "    return out\n")
     space = {"np": np, "sqrt": math.sqrt}
     exec(compile("".join(lines), f"<ode float form, n = {n}>", "exec"),
          space)
@@ -951,45 +877,35 @@ def _take(K, rows):
     return np.take(K, rows, axis=0, out=_strided((len(rows), *K.shape[1:])))
 
 
-def _stages(rhs, t, h, y, K, P, stages, e=None):
+def _stages(rhs, t, h, y, K, P, stages):
     """Evaluate the stages of K (m, 16, w) of m rows, one rhs call each:
     stage i at ``t + c_i*h`` from ``y + h*(A_i @ K[:, :i])``, t and h
     the rows' (m,) times and step sizes.  Returns the last stage's
-    states.  With e, see ``_attempt``."""
+    states."""
     h_col, n = h[:, None], y.shape[1]
     for i in stages:
-        state = y + _times_h(h_col, _A[i], K[:, :i], n, e)
+        state = y + _times_h(h_col, _A[i], K[:, :i], n)
         K[:, i] = rhs(t + h * _C[i], state, P)
     return state
 
 
-def _times_h(h, weights, K, n, e=None):
+def _times_h(h, weights, K, n):
     """``h * (weights @ K)`` of each row on its n components, h the
-    rows' (m, 1) column and K strided (``_strided``); with e, the sum
-    taken on K scaled by 2**-e and the product with h scaled back by
-    2**e (see ``_attempt``)."""
-    if e is None:
-        return h * np.matmul(weights, K)[:, :n]
-    K = np.ldexp(K, -e[:, :, None], out=_strided(K.shape))
-    return np.ldexp(h * np.matmul(weights, K)[:, :n], e)
+    rows' (m, 1) column and K strided (``_strided``)."""
+    return h * np.matmul(weights, K)[:, :n]
 
 
-def _attempt(rhs, t, h, y, K, P, tol, e=None):
+def _attempt(rhs, t, h, y, K, P, tol):
     """A Dormand-Prince attempt of m rows: the new states and error norms.
 
     t and h are the rows' (m,) times and step sizes, tol their (m, 1)
     column, y (m, n), P and K (m, 16, w) stages theirs, K strided
-    (``_strided``); it writes stages 1 to 12.  With e, the rows' (m, 1)
-    column of exponents, each tableau sum is taken on the stages scaled
-    by 2**-e and its product with h scaled back by 2**e: near the top
-    of the float range a sum of stages overflows although its product
-    with h does not, and wherever neither overflows nor underflows these
-    are the bits of the plain attempt.
+    (``_strided``); it writes stages 1 to 12.
     """
-    state = _stages(rhs, t, h, y, K, P, range(1, _FSAL + 1), e)
+    state = _stages(rhs, t, h, y, K, P, range(1, _FSAL + 1))
     h_col, heads, n = h[:, None], K[:, :_FSAL], y.shape[1]
-    return state, _norm(_times_h(h_col, _E5, heads, n, e), y, state, tol,
-                        _times_h(h_col, _E3, heads, n, e))
+    return state, _norm(_times_h(h_col, _E5, heads, n), y, state, tol,
+                        _times_h(h_col, _E3, heads, n))
 
 
 def solve(
@@ -1058,8 +974,8 @@ def solve(
         returns the derivative of one row, y a list of n floats, as n
         floats with the bits of that row of ``rhs``.  The float form
         calls f for the stages of its steps and of their dense output
-        (the first evaluation, the starting-step probes and a redone
-        attempt still call ``rhs``).
+        (the first evaluation and the starting-step probes still call
+        ``rhs``).
         Not used by the exponential method or for n >= 8.
     columns : sequence of ints, optional
         The state columns that ``OdeResult.y`` holds, in this order
@@ -1081,9 +997,9 @@ def solve(
     OdeResult
         All rows' samples, final states, counters and failures.
         ``n_rhs`` counts 2 evaluations per piece, 12 per attempted
-        Dormand-Prince step (7 for the exponential method), 12 per
-        redone attempt and 3 per Dormand-Prince step with grid points,
-        those of its interpolant (3 more where they are redone).  A row
+        Dormand-Prince step (7 for the exponential method) and 3 per
+        Dormand-Prince step with grid points, those of its interpolant.
+        A row
         whose step size falls below the floating-point floor does not
         raise: its StepSizeUnderflowError is stored in ``errors`` and
         the other rows are integrated to their end.  The message says
@@ -1195,10 +1111,7 @@ def solve(
         kept, measure, np.full(batch, -math.inf) if measure else None)
     y_end = np.full((batch, n), math.nan)
     n_pieces = [1] * batch
-    redone = [0] * batch  # attempts redone scaled
-    # Dormand-Prince steps with grid points, and their extra stages
-    # redone scaled
-    dense = [0] * batch
+    dense = [0] * batch  # Dormand-Prince steps with grid points
     errors = [None] * batch
     tol_col = np.array(tol).reshape(batch, 1)  # in the order of y's rows
 
@@ -1294,12 +1207,10 @@ def solve(
             failed = method.dense_output(jobs, y, K, P, grids, y_all, subset)
         else:
             if len(jobs.rows):
-                redone_extra = _extra_stages(jobs, y, K, P, rhs, *(
+                _extra_stages(jobs, y, K, P, rhs, *(
                     (row_rhs[1], C) if few and floats else ()))
                 for b in jobs.index:
                     dense[b] += 1
-                for g in redone_extra:  # 3 more evaluations
-                    dense[jobs.index[g]] += 1
             failed = _dense_output(jobs, not few or subset is not None,
                                    y, K[..., :n], grids, y_all, subset)
         for g in failed:  # the row stops at the step's start
@@ -1343,20 +1254,6 @@ def solve(
                 t, h, y, K, P, tol_col, np.take(n_accepted, index)) \
                 if method else _attempt(rhs, t, h, y, K, P, tol_col)
             errs = errs.tolist()
-        # a norm NaN or inf (or finite norms whose sum overflows): redo
-        # at once, scaled, the Dormand-Prince attempts that _redo picks
-        # (see the module docstring)
-        if not method and not math.isfinite(sum(errs)):
-            r, e = _redo(~np.isfinite(errs), y, K, 1)
-            if r.size:
-                K_r = _take(K, r)
-                y_new[r], norms = _attempt(
-                    rhs, np.take(T, r), np.take(H, r), y[r], K_r, P[r],
-                    tol_col[r], e)
-                K[r] = K_r
-                for i, err in zip(r, norms.tolist()):
-                    errs[i] = err
-                    redone[index[i]] += 1
 
     peak = None
     if measure:
@@ -1370,7 +1267,7 @@ def solve(
     return OdeResult(y=y_all, offsets=offsets, t0=grids.params[:, 0],
                      t_end=grids.params[:, 3], y_end=y_end,
                      n_accepted=n_accepted, n_rejected=n_rejected,
-                     n_rhs=2 * np.array(n_pieces) + fsal
-                     * (n_accepted + n_rejected + redone)
+                     n_rhs=2 * np.array(n_pieces)
+                     + fsal * (n_accepted + n_rejected)
                      + len(_EXTRA) * np.array(dense),
                      errors=errors, measure_max=peak)

@@ -428,6 +428,24 @@ class TestSimulate:
         assert code == 2
         assert "span" in err
 
+    @pytest.mark.parametrize("medium", [{"ell": [1.0, -2e100]}, {
+        "host": {"delta_b": -1.0, "eps_b": 1.0, "gamma_b": 1e-100}}],
+        ids=["ell", "host"])
+    def test_ell_past_the_bound_exits_2(self, tmp_path, capsys, medium):
+        # ell = 1 - 2e100j, given or from a host at its pole: past
+        # dynamics.BOUND, where the run took 1e100 steps per unit time
+        payload = decay_scenario()
+        del payload["ell"]
+        payload.update(medium)
+        config = write_json(tmp_path / "ell.json", payload)
+        code, out, err = run_cli(["simulate", config, "--output",
+                                  str(tmp_path / "out.csv")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: ell must be finite and at most 1e+100 in "
+                       "size, got (1-2e+100j)\n")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_overflowing_host_pole_exits_2(self, tmp_path, capsys):
         # delta_b + eps_b overflows: the model-A run took ell = 1, the
         # vacuum's, and exited 0
@@ -498,12 +516,24 @@ class TestSimulate:
         # ZeroDivisionError traceback, exit 1)
         (1e10, (0.0, 1.0, 1e-320),
          "rho = sqrt(gamma_b/gamma_a) is 0.0: the rates leave the float "
-         "range"),
+         "range or pass 1e+100 in size"),
         # C_a = i*eps_b/rho overflows (solve refused the linear part with
         # a message that named no field)
         (1.0, (0.0, 1e308, 1e-300),
-         "C_a = i*eps_b/rho is infj: the rates leave the float range"),
-    ], ids=["rho", "C_a"])
+         "C_a = i*eps_b/rho is infj: the rates leave the float range or "
+         "pass 1e+100 in size"),
+        # rho, C_b and alpha past dynamics.BOUND, from hosts that the
+        # factor command takes
+        (1.0, (0.0, 1.0, 1e201),
+         "rho = sqrt(gamma_b/gamma_a) is 3.1622776601683794e+100: the "
+         "rates leave the float range or pass 1e+100 in size"),
+        (1e100, (0.0, 1.0, 1e200),
+         "C_b = i*rho*eps_a - rho*gamma_a/2 is (-5.000000000000001e+149+0j)"
+         ": the rates leave the float range or pass 1e+100 in size"),
+        (1.0, (1e101, 0.0, 1.0),
+         "alpha = i*(delta_b + eps_b + i*gamma_b/2) is (-0.5+1e+101j): the "
+         "rates leave the float range or pass 1e+100 in size"),
+    ], ids=["rho", "C_a", "rho-bound", "C_b", "alpha"])
     def test_host_constants_past_the_float_range_exit_2(
             self, tmp_path, capsys, gamma_a, host, message):
         payload = weak_scenario()
@@ -1047,7 +1077,28 @@ class TestSweep:
         assert rows[1] == ["1e+308", "", "", "", "",
                            "ValueError: microscopic model: C_a = "
                            "i*eps_b/rho is infj: the rates leave the float "
-                           "range"]
+                           "range or pass 1e+100 in size"]
+
+    def test_point_past_the_bound_fails_alone(self, tmp_path, capsys):
+        # point 1's host sits at its pole, so ell = 1 - 2e101j is past
+        # dynamics.BOUND (its run took 1e101 steps per unit time): it
+        # fails alone in its error column, and the other rows keep the
+        # bytes of a sweep without it
+        payload = density_sweep()
+        payload["values"] = [5.0, 1.0, 10.0]
+        payload["overrides"][1]["host"] = {"delta_b": -1.0, "gamma_b": 1e-101}
+        spec = write_json(tmp_path / "sweep.json", payload)
+        code, out, _ = run_cli(["sweep", spec], capsys)
+        assert code == 0
+        rows = out.splitlines()
+        assert next(csv.reader(rows[2:3])) == [
+            "1", "", "", "", "", "ValueError: ell must be finite and at most "
+            "1e+100 in size, got (1-2e+101j)"]
+        del payload["values"][1], payload["overrides"][1]
+        write_json(tmp_path / "sweep.json", payload)
+        code, out, _ = run_cli(["sweep", spec], capsys)
+        assert code == 0
+        assert rows[:2] + rows[3:] == out.splitlines()
 
     def test_override_that_the_reduction_ignores_exits_2(self, tmp_path,
                                                          capsys):

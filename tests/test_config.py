@@ -514,7 +514,8 @@ class TestMessagePins:
         ("A", {"emitter.gamma_a": -1.0},
          "scenario.emitter: gamma_a must be >= 0, got -1.0"),
         ("A", {"emitter.delta_a": math.inf},
-         "scenario.emitter: delta_a must be finite, got inf"),
+         "scenario.emitter: delta_a must be finite and at most 1e+100 in "
+         "size, got inf"),
         ("B", {"host.delta_b": "x"},
          "scenario.host.delta_b: expected a number, got 'x'"),
         ("B", {"host.eps_b": [1]},
@@ -549,7 +550,8 @@ class TestMessagePins:
          "scenario.drive.amplitude: expected a number or [re, im] pair, got "
          "[1, 2, 3]"),
         ("B", {"drive.amplitude": math.inf},
-         "scenario.drive: drive amplitude must be finite, got (inf+0j)"),
+         "scenario.drive: drive amplitude must be finite and at most "
+         "1e+100 in size, got (inf+0j)"),
         ("B", {"drive.t_on": "x"},
          "scenario.drive.t_on: expected a number, got 'x'"),
         ("B", {"drive.t_off": None},
@@ -775,6 +777,28 @@ class TestMessagePins:
          "scenario.fit.window: bounds must be finite, got [0.1, inf]"),
         ("A", {"fit": {"window": [-math.inf, 1.0]}},
          "scenario.fit.window: bounds must be finite, got [-inf, 1.0]"),
+        # past dynamics.BOUND, which keeps the integrator's stages finite
+        ("A", {"emitter.delta_a": -2e100},
+         "scenario.emitter: delta_a must be finite and at most 1e+100 in "
+         "size, got -2e+100"),
+        ("A", {"emitter.eps_a": 1e101},
+         "scenario.emitter: eps_a must be finite and at most 1e+100 in "
+         "size, got 1e+101"),
+        ("B", {"emitter.gamma_a": 1e300},
+         "scenario.emitter: gamma_a must be finite and at most 1e+100 in "
+         "size, got 1e+300"),
+        ("B", {"drive.amplitude": [1e100, 1e100]},
+         "scenario.drive: drive amplitude must be finite and at most "
+         "1e+100 in size, got (1e+100+1e+100j)"),
+        ("A", {"initial.s": [0.0, 1e101]},
+         "scenario.initial: initial s must be finite and at most 1e+100 in "
+         "size, got 1e+101j"),
+        ("A", {"initial.w": 1e200},
+         "scenario.initial: initial w must be finite and at most 1e+100 in "
+         "size, got 1e+200"),
+        ("B", {"initial.beta": [-1e300, 0.0]},
+         "scenario.initial: initial beta must be finite and at most 1e+100 "
+         "in size, got (-1e+300+0j)"),
     ]
     SWEEP = [
         ("list", {},

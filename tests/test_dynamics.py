@@ -6,11 +6,14 @@ pass, its row of a batch in the array form), and the exponential method
 for fast-host model-B runs: its accuracy against Dormand-Prince at tol
 1e-12 and the host pole that selects it."""
 
+import cmath
 import contextlib
 import dataclasses
 import functools
 import math
+import operator
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -148,7 +151,9 @@ class TestParamValidation:
         # C_a overflows (solve refused the run's linear part, a message
         # that named no field)
         (EMITTER, HostSpecies(0.0, 1e308, 1e-300), "C_a"),
-        (EmitterParams(eps_a=1e308), HostSpecies(0.0, 1.0, 100.0), "C_b"),
+        # past BOUND from bounded emitter rates, or from the host alone
+        (EmitterParams(eps_a=1e60), HostSpecies(0.0, 1.0, 1e120), "C_b"),
+        (EMITTER, HostSpecies(1e101, 0.0, 1.0), "alpha"),
     ])
     def test_derived_constants_past_the_float_range_rejected(
             self, emitter, host, name):
@@ -599,12 +604,15 @@ class TestIntegrateValidation:
                       IntegrationSpec(span=1.0, tol=1e-8))
 
     def test_state_past_the_float_range_is_outside(self):
-        # w**2 raised OverflowError (a traceback from simulate)
-        p = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
-        for state in (SystemState(s=0j, w=1e200),
-                      SystemState(s=1e308 + 1e308j, w=0.0)):
-            with pytest.raises(ValueError, match="= inf > 1 "):
-                integrate(p, state, IntegrationSpec(span=1.0, tol=1e-8))
+        # w**2 raised OverflowError (a traceback from simulate); such
+        # states are past BOUND, so w**2 + 4|s|**2 of a state that
+        # SystemState takes is finite
+        for name, values in (("w", {"s": 0j, "w": 1e200}),
+                             ("s", {"s": 1e308 + 1e308j, "w": 0.0})):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"initial {name} must be finite and at most "
+                    f"{dynamics.BOUND:g} in size, got")):
+                SystemState(**values)
 
     def test_tolerance_range_enforced(self):
         for tol in (1e-3, 1e-13, math.nan):
@@ -629,6 +637,88 @@ class TestIntegrateValidation:
         with pytest.raises(ValueError):
             integrate(pb, SystemState(s=0j, w=1.0),
                       IntegrationSpec(span=1.0, tol=1e-8))
+
+
+def _sizes(top, low=-3.0):
+    """Sizes 10**u for u from low to log10(top): every scale up to top."""
+    return st.floats(low, math.log10(top)).map(lambda u: 10.0 ** u)
+
+
+def _phased(sizes):
+    """Complex numbers of the given sizes, at any phase."""
+    return st.tuples(sizes, st.floats(0.0, 2.0 * math.pi)).map(
+        lambda p: cmath.rect(*p))
+
+
+@st.composite
+def bounded_run(draw):
+    """A run with every input drawn jointly up to dynamics.BOUND (those
+    past it, and derived constants past it, refused by assume): rates,
+    detunings and the drive at any scale, hosts near their pole and
+    down to a gamma_b of 1e-300, beta up to the bound.  The span is
+    min(10, 10/rate), rate the largest constant that the right-hand side
+    reads (times |beta| where that is more than 1): a short span, which
+    the run covers in at most a few thousand steps (there is no step
+    budget)."""
+    size = _sizes(dynamics.BOUND)
+    kind = draw(st.sampled_from(["off", "constant", "pulse"]))
+    amplitude = draw(_phased(size))
+    emitter = dict(delta_a=draw(_signed(size | size.map(operator.neg))),
+                   eps_a=draw(_signed(size)),
+                   gamma_a=draw(st.just(1.0) | size))
+    # gamma_b down to 1e-300: beta then grows like rho*Omega/|alpha|
+    gamma_b = _sizes(dynamics.BOUND, -300.0)
+    s, w = _draw_state(draw, 0.5)
+    model = draw(st.sampled_from("AB"))
+    beta = None
+    try:
+        if model == "A":
+            ell = draw(_phased(size))
+            ell = complex(abs(ell.real) or 1.0, ell.imag)
+            if draw(st.booleans()):  # from a host near its pole
+                eps_b = draw(size)
+                ell = local_field_factor(HostSpecies(
+                    -eps_b * draw(st.floats(0.999, 1.001)), eps_b,
+                    draw(gamma_b))).ell
+            make = functools.partial(EffectiveParams, ell=ell)
+        else:
+            eps_b = draw(size)
+            host = HostSpecies(
+                -eps_b * draw(st.floats(0.999, 1.001))
+                if draw(st.booleans()) else draw(size), eps_b,
+                draw(gamma_b))
+            beta = draw(st.just(0j) | _phased(size))
+            make = functools.partial(MicroscopicParams, host=host)
+        params = make(emitter=EmitterParams(**emitter,
+                                            drive=DriveEnvelope()))
+        rate = max(abs(c) for om in (0j, amplitude)
+                   for c in params.rhs_constants(om))
+        rate *= max(1.0, abs(beta or 0.0))
+        span = min(10.0, 10.0 / rate)
+        drive = DriveEnvelope(kind, amplitude, t_on=0.3 * span,
+                              t_off=0.7 * span) if kind == "pulse" \
+            else DriveEnvelope(kind, amplitude)
+        return (make(emitter=EmitterParams(**emitter, drive=drive)),
+                SystemState(s=s, w=w, beta=beta),
+                IntegrationSpec(span=span, points=11,
+                                tol=draw(st.sampled_from([1e-6, 1e-8,
+                                                          1e-10]))))
+    except ValueError:  # past the bound, or a host at its pole
+        assume(False)
+
+
+@pytest.mark.filterwarnings("ignore::lfbloch.dynamics.BlochNormWarning")
+class TestBoundedDomain:
+    @settings(max_examples=60, deadline=None)
+    @given(run=bounded_run())
+    def test_no_stage_overflows_up_to_the_bound(self, run):
+        # on inputs up to dynamics.BOUND every stage sum and every
+        # sample stays finite: a run may be too stiff for its tolerance,
+        # but never goes non-finite
+        (result,) = integrate_batch([run])
+        assert not isinstance(result, NonFiniteRhsError), result
+        if isinstance(result, Trajectory):
+            assert np.isfinite(result.y).all()
 
 
 class TestTrajectory:
@@ -1331,16 +1421,16 @@ class TestFloatForm:
 
     @pytest.mark.parametrize("model", ["A", "B"])
     def test_nonfinite_run_fails_alike_in_both_forms(self, model):
-        # a pulse of amplitude 1e308 makes the stages overflow from its
-        # start on: the run fails there after its attempts are rejected
-        drive = DriveEnvelope("pulse", 1e308, t_on=0.5, t_off=1.0)
+        # the right-hand side goes NaN on the pulse from its start on:
+        # the run fails there after its attempts are rejected
+        drive = DriveEnvelope("pulse", 0.8, t_on=0.5, t_off=1.0)
         emitter = EmitterParams(delta_a=0.2, drive=drive)
         params = EffectiveParams(emitter=emitter, ell=1.0) if model == "A" \
             else MicroscopicParams(emitter=emitter, host=HOST)
         run = (params, SystemState(s=0.1 + 0j, w=0.5,
                                    beta=None if model == "A" else 0.01j),
                IntegrationSpec(span=2.0, tol=1e-8, points=21))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _poisoning({params.rhs_constants(drive.amplitude)}, 0.5):
             with _float_passes() as floats:
                 lone = _lone(run)
             with mock.patch.object(ode, "FLOAT_ROWS", 0):

@@ -229,44 +229,29 @@ class TestErrors:
         assert "stiff" not in str(info.value)
 
     def test_nonfinite_state_is_rejected_not_accepted(self):
-        # y' = 1e308 overflows y near t = 0.7977 while f stays finite; an
-        # inf state made the error scale inf and the estimate 0, so the
-        # step used to be accepted and the row ended without an error,
-        # with y_end inf and NaN samples
+        # y' = 1e305 overflows y = 1e308 + 1e305 t near t = 797.7 while
+        # f and the stage sums (below 1e3 times f) stay finite; an inf
+        # state made the error scale inf and the estimate 0, so the step
+        # used to be accepted and the row ended without an error, with
+        # y_end inf and NaN samples
         def huge(t, y, p):
-            return np.array([1e308])
+            return np.array([1e305])
 
         with np.errstate(over="ignore", invalid="ignore"):
-            res = solve(_per_row(huge, _decay), [[(2.0, (0,))], [(2.0, (1,))]],
-                        [0.0, 0.0], np.array([[1e308], [1.0]]), [5, 5],
-                        [1e-6, 1e-6])
+            res = solve(_per_row(huge, _decay),
+                        [[(2e3, (0,))], [(2.0, (1,))]], [0.0, 0.0],
+                        np.array([[1e308], [1.0]]), [5, 5], [1e-6, 1e-6])
         assert isinstance(res.errors[0], NonFiniteRhsError)
+        assert "the state went non-finite" in str(res.errors[0])
         t_fail = float(re.search(r"at t = (\S+) ",
                                  str(res.errors[0])).group(1))
-        assert 0.79 < t_fail < 0.8
+        assert 797 < t_fail < 798
         assert np.isnan(res.row(0)[1][2:]).all()
         assert res.errors[1] is None
         for b, error in enumerate(res.errors):
             if error is None:
                 assert np.isfinite(res.row(b)[1]).all()
                 assert np.isfinite(res.y_end[b]).all()
-
-    def test_dense_output_survives_an_overflow_on_the_way(self):
-        # the interpolant's coefficients exceed 1 (up to 5e2), so with
-        # stages of 1e308 its products overflow although every sample is
-        # finite; they used to come out NaN on a row with no error.  The
-        # redone products cancel to about 1e-14 of the stages' size
-        # (the last sample, 0 exactly, comes out 1.5e294)
-        def huge(t, y, p):
-            return np.array([1e308])
-
-        grid = np.linspace(0.0, 1.0, 5)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = solve_one(huge, 0.0, 1.0, np.array([-1e308]), grid.size,
-                            tol=1e-6)
-        assert_allclose(res.y[:, 0], -1e308 + 1e308 * grid, rtol=1e-12,
-                        atol=1e295)
-        assert np.isfinite(res.y_end).all()
 
     @pytest.mark.parametrize("span", [3.0, 6.0])
     def test_overflowing_dense_output_fails_the_row(self, span):
@@ -295,164 +280,17 @@ class TestErrors:
     def test_huge_derivative_fails_where_the_state_overflows(self, y0):
         # f0/scale overflowed d1 to inf, so the starting step came out 0
         # (y0 = 0: "too stiff" at t = 0) or divided by 0 (y0 = 1:
-        # ZeroDivisionError); y = y0 + 1e308 t overflows at t = 1.797
+        # ZeroDivisionError); y = y0 + 1e305 t overflows at t = 1797.7,
+        # and the stage sums (below 1e3 times f) stay finite
         def huge(t, y, p):
-            return np.array([1e308])
+            return np.array([1e305])
 
         with pytest.raises(NonFiniteRhsError,
                            match="the state went non-finite") as info, \
                 np.errstate(over="ignore", invalid="ignore"):
-            solve_one(huge, 0.0, 10.0, np.array([y0]), 5, tol=1e-6)
+            solve_one(huge, 0.0, 1e4, np.array([y0]), 5, tol=1e-6)
         t_fail = float(re.search(r"at t = (\S+) ", str(info.value)).group(1))
-        assert 1.79 < t_fail < 1.8
-
-    @pytest.mark.parametrize("float_form", [False, True])
-    def test_stage_sums_near_the_top_are_redone_scaled(self, monkeypatch,
-                                                       float_form):
-        # y' = A cos t, A one part in 1e6 below the largest float: the
-        # tableau sums of the stages overflow although h times them does
-        # not.  The run used to fail at t = 0, after 453 rejected steps,
-        # as "the state went non-finite"; each such attempt is redone on
-        # scaled sums, in the array form and in the float form alike
-        top = (1.0 - 1e-6) * _TOP
-
-        def cosine(t, y, p):
-            return np.array([top * math.cos(t)])
-
-        monkeypatch.setattr(ode, "FLOAT_ROWS", 4 if float_form else 0)
-        problems = [[(2.0 * math.pi, (0,))], [(2.0, (1,))]]
-        calls = []
-
-        def rhs(t, Y, P):
-            calls.append(len(Y))
-            return _per_row(cosine, _decay)(t, Y, P)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = solve(rhs, problems, [0.0, 0.0], np.array([[0.0], [1.0]]),
-                        [9, 5], [1e-3, 1e-8],
-                        row_rhs=_row_form(cosine, _decay) if float_form
-                        else None)
-            lone = solve(_per_row(cosine), problems[:1], [0.0],
-                         np.array([[0.0]]), [9], [1e-3])
-        assert res.errors == [None, None]
-        t, y = res.row(0)
-        assert_allclose(y[:, 0] / top, np.sin(t), atol=1e-3)
-        assert np.isfinite(res.y_end).all()
-        # redone attempts count as evaluations (12 each, past the 3 of
-        # each step with grid points), and leave the other row and the
-        # row alone as they are
-        attempts = int(res.n_accepted[0] + res.n_rejected[0])
-        assert res.n_rhs[0] > 2 + 12 * attempts + 3 * res.n_accepted[0]
-        if not float_form:
-            assert sum(calls) == int(np.sum(res.n_rhs))
-        _assert_row_equal(res, 0, lone)
-        _assert_row_equal(res, 1, _lone(((_decay, 0.0), 0.0, 2.0, [1.0], 5,
-                                        1e-8)))
-
-    @pytest.mark.parametrize("float_form", [False, True])
-    def test_extra_stages_near_the_top_are_redone_scaled(self, monkeypatch,
-                                                         float_form):
-        # y' = A cos t + 1e-300 y, A one part in 1e6 below the largest
-        # float: the tableau sums of the interpolant's extra stages
-        # overflow, their states are inf and so is f there, and the row
-        # failed as "dense output went non-finite" at t = 0.11.  Such
-        # stages are redone once on scaled sums by rhs, in either form,
-        # and count 3 more evaluations
-        top = (1.0 - 1e-6) * _TOP
-
-        def wave(t, y, p):
-            return np.array([top * math.cos(t) + 1e-300 * y[0]])
-
-        scaled = []
-        stages = ode._stages
-
-        def spy(rhs, t, h, y, K, P, which, e=None):
-            scaled.append(which is ode._EXTRA and e is not None)
-            return stages(rhs, t, h, y, K, P, which, e)
-
-        monkeypatch.setattr(ode, "_stages", spy)
-        monkeypatch.setattr(ode, "FLOAT_ROWS", 4 if float_form else 0)
-        problems = [[(2.0 * math.pi, (0,))], [(2.0, (1,))]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = solve(_per_row(wave, _decay), problems, [0.0, 0.0],
-                        np.array([[0.0], [1.0]]), [9, 5], [1e-3, 1e-8],
-                        row_rhs=_row_form(wave, _decay) if float_form
-                        else None)
-            redone = sum(scaled)
-            lone = solve(_per_row(wave), problems[:1], [0.0],
-                         np.array([[0.0]]), [9], [1e-3])
-        assert res.errors == [None, None]
-        assert redone > 0
-        t, y = res.row(0)
-        assert_allclose(y[:, 0] / top, np.sin(t), atol=1e-3)
-        _assert_row_equal(res, 0, lone)
-        _assert_row_equal(res, 1, _lone(((_decay, 0.0), 0.0, 2.0, [1.0], 5,
-                                        1e-8)))
-
-    def test_overflowing_row_is_redone_across_the_hand_over(
-            self, monkeypatch):
-        # the cosine row above beside FLOAT_ROWS decays of span 2 that
-        # finish within the first passes: its attempts are redone scaled
-        # on the array form's passes and then on the float form's, which
-        # takes over at the first attempt after they finish, and it keeps
-        # the bits and counters of the row alone
-        top = (1.0 - 1e-6) * _TOP
-
-        def cosine(t, y, p):
-            return np.array([top * math.cos(t)])
-
-        scaled = []
-        attempt = ode._attempt
-
-        def spy(rhs, t, h, y, K, P, tol, e=None):
-            scaled.append(e is not None)
-            return attempt(rhs, t, h, y, K, P, tol, e)
-
-        monkeypatch.setattr(ode, "_attempt", spy)
-        rows = ode.FLOAT_ROWS + 1
-        wave = [(2.0 * math.pi, (0,))]
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = solve(_per_row(cosine, _decay),
-                        [wave] + [[(2.0, (1,))]] * (rows - 1), [0.0] * rows,
-                        np.array([[0.0]] + [[1.0]] * (rows - 1)),
-                        [9] + [5] * (rows - 1), [1e-3] * rows,
-                        row_rhs=_row_form(cosine, _decay))
-            batch = scaled[:]
-            lone = solve(_per_row(cosine), [wave], [0.0], np.array([[0.0]]),
-                         [9], [1e-3])
-        assert res.errors == [None] * rows
-        _assert_row_equal(res, 0, lone)
-        # with row_rhs, an attempt that is not scaled is an array pass's
-        last = len(batch) - 1 - batch[::-1].index(False)
-        assert any(batch[:last]) and any(batch[last + 1:])
-
-    def test_redo_rule_picks_rows_and_exponents(self):
-        # ode._redo, the one rule of both scaled redos: a row whose
-        # result is not finite, from a finite state and finite stages
-        # before the result's, with 1 <= max|k0| < inf, is redone with
-        # the exponent of max|k0|
-        y = np.zeros((9, 2))
-        K = ode._strided((9, 16, 2))
-        K[:] = 0.5
-        K[:, 0] = [[-3.0, 0.5]] * 9
-        bad = np.ones(9, dtype=bool)
-        bad[1] = False                        # a finite result
-        y[2, 1] = math.nan                    # a NaN state
-        K[3, 2, 1] = math.inf                 # a non-finite earlier stage
-        K[4, 0] = [0.75, -0.5]                # max|k0| < 1
-        K[5, 0] = [math.inf, 1.0]             # k0 = inf
-        K[6, 0] = [1.0, -1.0]                 # max|k0| = 1
-        K[7, 0], K[7, 3:] = [0.0, -1e308], math.nan  # stages past 3
-        K[8, 0, 1] = math.nan                 # a NaN first stage
-        rows, e = ode._redo(bad, y, K, 3)
-        assert rows.tolist() == [0, 6, 7]
-        assert e.shape == (3, 1) and e[:, 0].tolist() == [2, 1, 1024]
-        # solve's attempts read their first stage alone
-        rows, e = ode._redo(bad, y, K, 1)
-        assert rows.tolist() == [0, 3, 6, 7]
-        assert e[:, 0].tolist() == [2, 2, 1, 1024]
-        rows, e = ode._redo(np.zeros(9, dtype=bool), y, K, 3)
-        assert rows.size == 0 and e.shape == (0, 1)
+        assert 1797 < t_fail < 1798
 
     @pytest.mark.parametrize("y0, error, culprit", [
         (1.0, StepSizeUnderflowError, "too stiff"),
@@ -462,7 +300,7 @@ class TestErrors:
                                                           culprit):
         # y' = y**2: from 1 the step shrinks below the floor near t = 1;
         # from near the square root of the largest float the stages
-        # overflow for good, so the scaled sums fail as well
+        # overflow for good
         with pytest.raises(StepSizeUnderflowError, match=culprit) as info, \
                 np.errstate(over="ignore", invalid="ignore"):
             solve_one(_blowup, 0.0, 2.0, np.array([y0]), 2, tol=1e-10)
@@ -471,11 +309,10 @@ class TestErrors:
     @pytest.mark.parametrize("float_rows", [4, 0])
     def test_small_first_stages_are_not_redone(self, monkeypatch,
                                                float_rows):
-        # y' = -y goes NaN from t = 0.5: every first stage is below 1 in
-        # size, where the scaled sums would repeat the attempt bit for
-        # bit, so no attempt is redone, in either attempt form:
+        # y' = -y goes NaN from t = 0.5: each attempt of the failing row
+        # counts its 12 evaluations once, in either attempt form:
         # 1355 = 2 + 12 per attempt + 3 for each of the 3 steps with grid
-        # points (a redone attempt would add 12)
+        # points
         def turns_nan(t, y, p):
             return np.full_like(y, math.nan) if t >= 0.5 else -y
 
@@ -647,11 +484,6 @@ _TOP = np.finfo(float).max
 
 def _peak(t, y, p):
     return np.array([1e307 * math.cos(t), 0.0, 0.0])
-
-
-# stages of 1e308: dense output overflows on the way to finite samples
-def _huge_stages(t, y, p):
-    return np.array([1e308, 0.0, 0.0])
 
 
 # dense output overflows near t = pi/2 (see
@@ -857,20 +689,6 @@ class TestKeep:
         assert any(error is None for error in whole.errors)
         _assert_kept(kept, whole, keep)
 
-    @pytest.mark.parametrize("keep", [[0], [2, 0]])
-    def test_overflow_on_the_way_is_redone_before_it_is_kept(self, keep):
-        # stages of 1e308 overflow the interpolant's products although
-        # every sample is finite: the step is redone scaled, and its kept
-        # columns and measure (inf: the squares overflow) come from that
-        problems = [([(1.0, _huge_stages, 0.0)], 0.0, [-1e308, 0.0, 0.0],
-                     5, 1e-6)] + STACKED[:3]
-        with np.errstate(over="ignore", invalid="ignore"):
-            whole = _solve_rows(problems)
-            kept = _solve_rows(problems, columns=keep, measure=_squares)
-            assert whole.errors[0] is None
-            assert np.isfinite(whole.row(0)[1]).all()
-            _assert_kept(kept, whole, keep)
-
     @pytest.mark.parametrize("keep", [[], [0, 0], [3], [-1]])
     def test_keep_lists_distinct_columns(self, keep):
         with pytest.raises(ValueError, match="columns must be"):
@@ -947,8 +765,8 @@ class TestStackedBatch:
         assert "dense output" in str(res.errors[6])
         assert res.errors[:4] + res.errors[7:] == [None] * 15
         assert np.count_nonzero(res.n_rejected) >= 3
-        # rows that ran to their end (a failing row's redone attempts
-        # count too), past 3 evaluations per step with grid points
+        # rows that ran to their end, past 3 evaluations per step with
+        # grid points
         dense = np.bincount([b for *_, rows in passes for b in rows],
                             minlength=len(STACKED))
         pieces = (res.n_rhs - 12 * (res.n_accepted + res.n_rejected)
@@ -1127,14 +945,6 @@ def _left_to_right(weights, column):
     return total
 
 
-def _ldexp(x, e):
-    """math.ldexp, inf where it overflows as np.ldexp's does."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
 def _assert_same_bits(got, want):
     """The same bits, but any NaN for a NaN (a NaN's sign and payload
     depend on the operand order of the hardware's adds)."""
@@ -1213,31 +1023,22 @@ class TestFloatBits:
     def test_strided_sums_run_left_to_right(self, rows, n):
         # every tableau sum of the array form, on a strided stack of
         # stages that hold +-0.0, subnormals, +-inf and NaN among normal
-        # draws, plain and scaled by 2**-e as a redone attempt takes it:
-        # numpy's own loop, a left-to-right sum from +0.0 (a row of one
-        # component repeats it in the second, as solve stores it)
+        # draws: numpy's own loop, a left-to-right sum from +0.0 (a row
+        # of one component repeats it in the second, as solve stores it)
         rng = np.random.default_rng(rows * 10 + n)
         K = ode._strided((rows, 16, max(n, 2)))
-        h = rng.uniform(1e-3, 1.0, (rows, 1))
         for _ in range(2 if rows == 256 else 10):
             K[...] = _odd_stages(rng, K.shape)
             if n == 1:
                 K[..., 1] = K[..., 0]
-            e = rng.integers(1, 1025, (rows, 1))
             for weights, i in SUMS:
                 with np.errstate(all="ignore"):
                     got = np.matmul(weights, K[:, :i])[:, :n]
-                    scaled = ode._times_h(h, weights, K[:, :i], n, e)
                 stages = K[:, :i, :n].tolist()
-                for b, (h_b, e_b) in enumerate(zip(h[:, 0].tolist(),
-                                                   e[:, 0].tolist())):
+                for b in range(rows):
                     assert _bits(got[b]).tolist() == _bits(
                         [_left_to_right(weights, column)
                          for column in zip(*stages[b])]).tolist()
-                    assert _bits(scaled[b]).tolist() == _bits(
-                        [_ldexp(h_b * _left_to_right(
-                            weights, [math.ldexp(k, -e_b) for k in column]),
-                            e_b) for column in zip(*stages[b])]).tolist()
 
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("rows", WIDTHS)
@@ -1246,8 +1047,8 @@ class TestFloatBits:
         # stages (stage i of a row is the draw's, whatever its state):
         # both forms hand the right-hand side y + h times the
         # left-to-right sums, write the same stages and return the same
-        # states and error norms.  Stages 13..15 are finite, so that no
-        # extra stage is redone.  States of -0.0 keep the sign of a zero
+        # states and error norms.  Stages 13..15 are normal draws.
+        # States of -0.0 keep the sign of a zero
         # sum, which starts from +0.0: so does a last row of -0.0 alone
         rng = np.random.default_rng(rows * 10 + n + 1)
         draws = _odd_stages(rng, (rows, 16, n))
@@ -1289,8 +1090,8 @@ class TestFloatBits:
 
     def test_stacks_stay_strided_as_rows_retire(self, monkeypatch):
         # the stacks that every tableau sum reads, on arrays and in
-        # Python floats, as rows retire, restart, fail, are redone
-        # scaled and evaluate their extra stages: none is contiguous
+        # Python floats, as rows retire, restart, fail and evaluate their
+        # extra stages: none is contiguous
         strides = []
         for name, at in (("_stages", 4), ("_attempt_floats", 6)):
             def spy(*args, _form=getattr(ode, name), _at=at):
