@@ -319,12 +319,12 @@ def parse_scenario(raw: dict, source: str = "scenario") -> ScenarioConfig:
 class SweepSpec:
     """One swept parameter over explicit values with per-point overrides;
     base_raw keeps the unparsed base scenario, from which each point is
-    rebuilt (override merged, value applied) and parsed on its own."""
+    rebuilt (override merged, value applied) and parsed on its own
+    (``parse_sweep`` parses the base once, to validate it)."""
 
     parameter: str
     values: tuple
     reduction: str
-    base: ScenarioConfig
     base_raw: dict
     overrides: tuple | None
 
@@ -444,8 +444,7 @@ def parse_sweep(raw: dict, source: str = "sweep") -> SweepSpec:
                         f"'{name}.{key}' itself, so an override of it "
                         f"changes nothing {sets}")
     return SweepSpec(parameter=parameter, values=values, reduction=reduction,
-                     base=base, base_raw=copy.deepcopy(raw["base"]),
-                     overrides=overrides)
+                     base_raw=copy.deepcopy(raw["base"]), overrides=overrides)
 
 
 def _load(path: str, parse, source: str):

@@ -546,6 +546,10 @@ class IntegrationSpec:
         if not (TOL_MIN <= self.tol <= TOL_MAX):
             raise ValueError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], "
                              f"got {self.tol!r}")
+        # an int or a numpy integer: solve takes it by operator.index
+        if not isinstance(self.points, (int, np.integer)):
+            raise ValueError(f"points must be an integer, got "
+                             f"{self.points!r}")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points!r}")
 

@@ -364,21 +364,20 @@ class Exponential:
         """Write the samples of the steps just accepted: the step's
         order-4 extension, the exact phi-weighted integral of the cubic
         through its N at t, t + h/3, t + 2h/3 and t + h.  The arguments
-        but P are as for ``lfbloch.ode._dense_output``.  Returns the
-        positions in ``jobs`` of the jobs whose samples are not all
-        finite."""
-        rs, t, h, start, end, index = map(np.asarray, jobs)
-        if not rs.size:
-            return []
-        a, b, M = self._putzer(P[rs], h)
-        # each job's grid points start:end, end to end
+        but P, the jobs' piece constants, are as for
+        ``lfbloch.ode._dense_output``: row g of y, K and P is job g's,
+        gathered once by ``solve``.  Returns the positions in ``jobs`` of
+        the jobs whose samples are not all finite."""
+        t, h, start, end, index = map(np.asarray, jobs[1:])
+        a, b, M = self._putzer(P, h)
+        # each job's grid points start:end, end to end, one per sample
         m = end - start
-        job = np.repeat(np.arange(rs.size), m)
-        times, idx = grids.at(index[job], (np.arange(job.size) + np.repeat(
-            start - (np.cumsum(m) - m), m))[:, None])
-        theta = (times[:, 0] - t[job]) / h[job]
-        idx = idx[:, 0]
-        V = self._cubic(y[rs], K[rs], h)
+        job = np.repeat(np.arange(m.size), m)
+        k = np.arange(job.size) + np.repeat(start - (np.cumsum(m) - m), m)
+        rows = index[job]
+        theta = (ode._points(k, *grids.params[rows].T) - t[job]) / h[job]
+        idx = grids.offsets[rows] + k
+        V = self._cubic(y, K, h)
         bad = set()
         # each sample's bits do not depend on the slice it sits in
         for lo in range(0, idx.size, ode.DENSE_SAMPLES):

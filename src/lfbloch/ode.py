@@ -113,17 +113,21 @@ run switches to the float form at the first attempt after its batch
 drops to ``FLOAT_ROWS`` rows.
 
 Dense output runs once per pass, after every row has been accepted or
-rejected.  For Dormand-Prince it first evaluates the 3 extra stages of
-the accepted rows with grid points in their step (in Python floats on a
-float-form pass), then takes one stacked product ``_P_T @ K`` of their
-16 stages, then the products of the theta powers theta^1..7 with it,
-theta from the grid points that ``_points`` computes.  On a pass of at
-most ``FLOAT_ROWS`` rows those are one (m, 7) @ (7, n) product per row;
-on a wider pass they are stacked products: (G, 1, 7) stacks of the rows
-with one sample and (G, mx, 7) stacks of the rows with two or more,
-each padded to the longest by repeating a row's last grid point, and
-each of one row or of at most ``DENSE_SAMPLES`` samples or 1/64
-(``STACK_SHARE``) of the batch's, whichever is more.  A stack reads
+rejected, on the pass's jobs: its accepted steps with grid points in
+them.  ``solve`` gathers the jobs' rows of y, K and P once (the arrays
+themselves when every row is a job; K's copy strided as every copy of
+it is), and both methods' dense output reads that gather alone.  For
+Dormand-Prince it first evaluates the 3 extra stages of the jobs into
+the gathered K (in Python floats on a float-form pass), then takes one
+stacked product ``_P_T @ K`` of their 16 stages, then the products of
+the theta powers theta^1..7 with it, theta from the grid points that
+``_points`` computes (``_times`` on one row's run of points).  On a
+pass of at most ``FLOAT_ROWS`` rows those are one (m, 7) @ (7, n)
+product per row; on a wider pass they are stacked products: (G, 1, 7)
+stacks of the rows with one sample and (G, mx, 7) stacks of the rows
+with two or more, each padded to the longest by repeating a row's last
+grid point, and each of one row or of at most ``DENSE_SAMPLES`` samples
+or 1/64 (``STACK_SHARE``) of the batch's, whichever is more.  A stack reads
 its jobs' grids and steps from one per-job table of the pass, writes
 theta into its powers in place, and frees its arrays before the next
 stack allocates, so that a pass holds one stack's arrays at a time.  A
@@ -408,6 +412,19 @@ def _points(k, t0, step, last, end, out=None):
     return t
 
 
+def _times(k, t0, step, last, end):
+    """The points k of one grid as ``_points`` computes them, for k a
+    non-empty run lo..hi-1 of its indices as floats: a grid from 0 adds
+    no t0 (k*step is not negative, so + 0.0 would change no bit), and
+    only the run's last point can be the end."""
+    t = k * step
+    if t0:
+        t += t0
+    if k[-1] == last:
+        t[-1] = end
+    return t
+
+
 def _index(x, t0, step, last, end):
     """``np.linspace(t0, end, last + 1).searchsorted(x, "right")``
     without the grid: the number of grid points at most x.
@@ -443,63 +460,36 @@ class _Grids(NamedTuple):
     firsts: list
     ks: np.ndarray
 
-    def at(self, b, k):
-        """The points k (G, m) of rows b (G,), those of their
-        ``np.linspace`` grids, and the rows of the batch's samples that
-        hold them."""
-        return (_points(k, *self.params[b].T[:, :, None]),
-                self.offsets[b, None] + k)
-
-    def times(self, b: int, lo: int, hi: int) -> np.ndarray:
-        """The points lo:hi of row b's ``np.linspace`` grid, as
-        ``_points`` computes them (a grid from 0 adds no t0: k*step is
-        not negative, so + 0.0 would change no bit)."""
-        t0, step, last, end = self.rows[b]
-        t = self.ks[lo:hi] * step
-        if t0:
-            t += t0
-        if hi > last:
-            t[-1] = end
-        return t
-
 
 @dataclass
 class OdeResult:
     """Samples of every row on its grid plus per-row integrator statistics.
 
     Row b's samples are the rows ``offsets[b]:offsets[b + 1]`` of ``y``,
-    at the points of ``np.linspace(t0[b], t_end[b], offsets[b + 1] -
-    offsets[b])``; :meth:`row` builds that grid on each call, and no
-    array of the result holds it.  ``y`` holds the state columns that
-    ``solve`` was asked to keep, in that order.  ``errors[b]`` is None,
-    or the StepSizeUnderflowError that stopped row b: its samples past
-    the failure and its ``y_end[b]`` are NaN.  The counters are arrays
-    so that ``np.sum`` totals them over the batch.  ``measure_max[b]``
-    is the largest ``measure`` of row b's samples (NaN for a failed row;
-    None without a measure).
+    at the points of its grid ``np.linspace(t0[b], end, offsets[b + 1] -
+    offsets[b])`` (see ``solve``), which the result does not hold.
+    ``y`` holds the state columns that ``solve`` was asked to keep, in
+    that order.  ``errors[b]`` is None, or the StepSizeUnderflowError
+    that stopped row b: its samples past the failure and its
+    ``y_end[b]`` are NaN.  The counters are arrays so that ``np.sum``
+    totals them over the batch.  ``measure_max[b]`` is the largest
+    ``measure`` of row b's samples (NaN for a failed row; None without
+    a measure).
     """
 
     y: np.ndarray           # shape (offsets[-1], number of kept columns)
     offsets: np.ndarray     # shape (B + 1,)
-    t0: np.ndarray          # shape (B,): where each row's grid starts
-    t_end: np.ndarray       # shape (B,): where each row's grid ends
-    y_end: np.ndarray       # shape (B, n): state at t_end (for chaining)
+    y_end: np.ndarray       # shape (B, n): state at its end (for chaining)
     n_accepted: np.ndarray  # shape (B,)
     n_rejected: np.ndarray  # shape (B,)
     n_rhs: np.ndarray       # shape (B,)
     errors: list            # B entries: None or StepSizeUnderflowError
     measure_max: np.ndarray | None = None  # shape (B,)
 
-    def row(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (t, y) samples of row b: its grid, built, and a view of
-        its rows of y."""
-        lo, hi = self.offsets[b], self.offsets[b + 1]
-        return np.linspace(self.t0[b], self.t_end[b], hi - lo), self.y[lo:hi]
-
     @property
     def t(self) -> SimpleNamespace:
         """The size of every row's grid end to end, ``t.size``: the
-        number of samples (:meth:`row` builds a row's grid)."""
+        number of samples."""
         return SimpleNamespace(size=int(self.offsets[-1]))
 
 
@@ -522,18 +512,18 @@ def _initial_step(rhs, t0, y0, P, f0, t_end, tol,
     ``np.float_power`` is CPython's ``**``.
     """
     scale = tol + tol * np.abs(y0)
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     span = t_end - t0
     # the Python-float arithmetic of the heuristic raises no warning
     with np.errstate(all="ignore"):
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
         # d1 is inf when f0/scale overflows (1/d1 would make h0 or h1
         # zero)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5) | (d1 == math.inf), 1e-6,
                       0.01 * d0 / d1)
         h0 = np.minimum(h0, span)
     f1 = rhs(t0 + h0, y0 + h0[:, None] * f0, P)
-    d2 = _rms((f1 - f0) / scale)
     with np.errstate(all="ignore"):
+        d2 = _rms((f1 - f0) / scale)
         d2 /= h0
         # f0 or f1 overflowed the error scale or went non-finite, or 1/h0
         # overflowed on a piece shorter than about 1e-302: keep h0, which
@@ -585,8 +575,9 @@ class _Jobs(NamedTuple):
     """The steps accepted in a pass with grid points inside them, as
     sequences with one entry per job.  Job g is the step of length h[g]
     from t[g] of batch row index[g], at position rows[g] of the pass's
-    rows (its state and stages are ``y[rows[g]]`` and ``K[rows[g]]``);
-    it covers the points start[g]:end[g] of its row's grid."""
+    rows (``solve`` gathers its state, stages and piece constants into
+    row g of the jobs' arrays); it covers the points start[g]:end[g] of
+    its row's grid."""
 
     rows: Sequence[int]
     t: Sequence[float]
@@ -594,9 +585,6 @@ class _Jobs(NamedTuple):
     start: Sequence[int]
     end: Sequence[int]
     index: Sequence[int]
-
-
-_NO_JOBS = _Jobs([], [], [], [], [], [])
 
 
 def _samples(times, t, h, y, Q, out):
@@ -635,36 +623,30 @@ def _store(y_all, subset, at, samples, index):
 def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
     """Write the samples of the steps just accepted.
 
-    Each job of ``jobs`` (see ``_Jobs``) writes its samples at its grid
-    points (of ``grids``, a ``_Grids``) to its rows of the batch's
-    samples ``y_all`` (see ``_store`` for ``subset``, which needs
-    ``stacked``); its row of K holds all 16 stages.  ``_P_T @ K`` is one
-    stacked product over the jobs' rows; with ``stacked`` the products
-    with the theta powers are stacked too (see the module docstring).
-    Returns the positions in ``jobs`` of the jobs whose samples are not
-    all finite.
+    Job g of ``jobs`` (see ``_Jobs``), from state y[g] with its 16
+    stages K[g] (the pass's gather of the jobs' rows), writes its
+    samples at its grid points (of ``grids``, a ``_Grids``) to its rows
+    of the batch's samples ``y_all`` (see ``_store`` for ``subset``,
+    which needs ``stacked``).  ``_P_T @ K`` is one stacked product; with
+    ``stacked`` the products with the theta powers are stacked too (see
+    the module docstring).  Returns the positions in ``jobs`` of the
+    jobs whose samples are not all finite.
     """
-    rs = jobs.rows
-    if not len(rs):
-        return []
-    # the jobs' rows only: a rejected row's stages may be inf or NaN
-    every = len(rs) == len(K)
-    Q = np.matmul(_P_T, K if every else K.take(rs, axis=0))
+    Q = np.matmul(_P_T, K)
     failed = []
     if not stacked:
-        for g, (r, t, h, a, b, i, q) in enumerate(zip(rs, *jobs[1:], Q)):
+        for g, (t, h, a, b, i, y_g, q) in enumerate(zip(*jobs[1:], y, Q)):
             lo = grids.firsts[i]
             v = y_all[lo + a:lo + b]
-            _samples(grids.times(i, a, b), t, h, y[r], q, v)
+            _samples(_times(grids.ks[a:b], *grids.rows[i]), t, h, y_g, q, v)
             # NaN or inf in v makes v . v non-finite (so may an overflow,
             # which the exact check then clears)
             if not math.isfinite(np.vdot(v, v)) \
                     and not np.isfinite(v).all():
                 failed.append(g)
         return failed
-    rs, t, h, start, end, index = map(np.asarray, jobs)
+    t, h, start, end, index = map(np.asarray, jobs[1:])
     m = end - start
-    y_r = y if every else y[rs]
     # each job's grid (t0, step, last, end), its step (t, h), the index
     # of its first grid point, the sample row of its grid's point 0 and
     # the number of its points past the first, as floats (exact): one
@@ -707,7 +689,7 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
         # stacks' arrays are ever live at once
         del powers, theta, by_power
         samples *= h_g[..., None]
-        samples += y_r[g, None]
+        samples += y[g, None]
         k += row0
         at = k.astype(int)
         if not np.isfinite(samples).all():
@@ -720,26 +702,20 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
 
 
 def _extra_stages(jobs, y, K, P, rhs, f=None, C=None) -> None:
-    """Evaluate the interpolant's extra stages of the jobs' rows of K
-    (only theirs: a rejected row's stages may be inf or NaN), from their
-    states y and piece constants P: one rhs call each, or, given f (the
-    per-row form of rhs) and C (each row's constants as f reads them),
-    in Python floats by the straight-line code of ``_float_code``."""
-    rs = list(jobs.rows)
+    """Evaluate the interpolant's extra stages of the jobs into K, from
+    their states y and piece constants P (the pass's gather of the jobs'
+    rows, row g job g's): one rhs call each, or, given f (the per-row
+    form of rhs) and C (each row of the pass's constants as f reads
+    them), in Python floats by the straight-line code of
+    ``_float_code``."""
     n = y.shape[1]
-    if len(rs) == len(K):
-        y_j, K_j, P_j = y, K, P
-    else:
-        y_j, K_j, P_j = y[rs], _take(K, rs), P[rs]
     if f:
-        K_j[:, _EXTRA.start:] = _float_code(n).extra(
-            f, jobs.t, jobs.h, [C[r] for r in rs], y_j.tolist(),
-            K_j[:, :_EXTRA.start, :n].tolist())
+        K[:, _EXTRA.start:] = _float_code(n).extra(
+            f, jobs.t, jobs.h, [C[r] for r in jobs.rows], y.tolist(),
+            K[:, :_EXTRA.start, :n].tolist())
     else:
-        _stages(rhs, np.asarray(jobs.t), np.asarray(jobs.h), y_j, K_j, P_j,
+        _stages(rhs, np.asarray(jobs.t), np.asarray(jobs.h), y, K, P,
                 _EXTRA)
-    if K_j is not K:
-        K[rs, _EXTRA.start:] = K_j[:, _EXTRA.start:]
 
 
 def _sum(weights, j):
@@ -1201,18 +1177,25 @@ def solve(
                 continue
             H[r] = stops[r] - t if last else h
             keep.append(r)
-        jobs = _Jobs._make(zip(*found)) if found else _NO_JOBS
-
-        if method:
-            failed = method.dense_output(jobs, y, K, P, grids, y_all, subset)
-        else:
-            if len(jobs.rows):
-                _extra_stages(jobs, y, K, P, rhs, *(
+        failed = []
+        if found:
+            jobs = _Jobs._make(zip(*found))
+            # the jobs' rows, gathered once for the pass: only theirs, as
+            # a rejected row's stages may be inf or NaN
+            rs = list(jobs.rows)
+            y_j, K_j, P_j = (y, K, P) if len(rs) == len(y) else (
+                y[rs], _take(K, rs), P[rs])
+            if method:
+                failed = method.dense_output(jobs, y_j, K_j, P_j, grids,
+                                             y_all, subset)
+            else:
+                _extra_stages(jobs, y_j, K_j, P_j, rhs, *(
                     (row_rhs[1], C) if few and floats else ()))
                 for b in jobs.index:
                     dense[b] += 1
-            failed = _dense_output(jobs, not few or subset is not None,
-                                   y, K[..., :n], grids, y_all, subset)
+                failed = _dense_output(jobs, not few or subset is not None,
+                                       y_j, K_j[..., :n], grids, y_all,
+                                       subset)
         for g in failed:  # the row stops at the step's start
             b = jobs.index[g]
             y_all[offsets[b] + jobs.start[g]:offsets[b + 1]] = math.nan
@@ -1264,8 +1247,7 @@ def solve(
             elif not subset:
                 peak[b] = np.max(measure(y_all[offsets[b]:offsets[b + 1]]))
     n_accepted, n_rejected = np.array(n_accepted), np.array(n_rejected)
-    return OdeResult(y=y_all, offsets=offsets, t0=grids.params[:, 0],
-                     t_end=grids.params[:, 3], y_end=y_end,
+    return OdeResult(y=y_all, offsets=offsets, y_end=y_end,
                      n_accepted=n_accepted, n_rejected=n_rejected,
                      n_rhs=2 * np.array(n_pieces)
                      + fsal * (n_accepted + n_rejected)

@@ -299,10 +299,10 @@ def _window(span: float, count: int,
     no grid built.  hi counts the points at most b and lo those at most
     the float below a, by ``ode._index``, which is ``searchsorted`` on
     the built grid ("right" at b, "left" at a); the times are the
-    points lo:hi, with linspace's bits (as ``ode._points`` computes
-    them from 0).  The grid of an integrated run has 2 or more strictly
-    rising points (solve checks it), so the slice holds exactly the
-    samples of the mask ``(times >= a) & (times <= b)``."""
+    points lo:hi, with linspace's bits, by ``ode._times`` as dense
+    output computes them.  The grid of an integrated run has 2 or more
+    strictly rising points (solve checks it), so the slice holds exactly
+    the samples of the mask ``(times >= a) & (times <= b)``."""
     if window is None:
         window = (0.0, span)
     a, b = float(window[0]), float(window[1])
@@ -318,10 +318,7 @@ def _window(span: float, count: int,
             f"fit window [{a:g}, {b:g}] contains {n} samples; "
             f"need >= {_MIN_FIT_SAMPLES}"
         )
-    # k*step, and span for the last: + 0.0 would change no bit
-    t = np.arange(lo, hi) * step
-    if hi > last:
-        t[-1] = span
+    t = ode._times(np.arange(lo, hi, dtype=float), 0.0, step, last, span)
     return slice(lo, hi), t, (a, b), n
 
 

@@ -412,7 +412,8 @@ class TestSweepParsing:
         path.write_text(json.dumps(eps_b_sweep()))
         spec = load_sweep(str(path))
         assert spec.reduction == "population_rate_model_a"
-        assert math.isclose(spec.base.integration.tol, 1e-10)
+        tol = parse_scenario(spec.point_raw(0)).integration.tol
+        assert math.isclose(tol, 1e-10)
 
 
 DROP = object()  # a key that _patched removes

@@ -628,6 +628,25 @@ class TestIntegrateValidation:
         with pytest.raises(ValueError, match="points must be >= 2"):
             IntegrationSpec(span=1.0, points=1)
 
+    @pytest.mark.parametrize("points", [11.0, 11.5, "11", None])
+    def test_non_integral_points_rejected(self, points):
+        # a float of 11.0 validated and then failed the whole batch in
+        # integrate_batch, outside the per-run errors
+        with pytest.raises(ValueError, match=re.escape(
+                f"points must be an integer, got {points!r}")):
+            IntegrationSpec(span=1.0, points=points)
+
+    def test_numpy_integer_points_keep_the_bits(self):
+        p = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
+        state = SystemState(s=0.1 + 0.05j, w=0.9)
+        plain, numpy_int = (
+            integrate(p, state, IntegrationSpec(span=2.0, tol=1e-9,
+                                                points=points))
+            for points in (41, np.int64(41)))
+        assert numpy_int.y.tobytes() == plain.y.tobytes()
+        assert numpy_int.times.tobytes() == plain.times.tobytes()
+        assert numpy_int.n_rhs == plain.n_rhs
+
     def test_model_state_mismatch_rejected(self):
         pa = EffectiveParams(emitter=EMITTER, ell=ELL_LOSSLESS)
         pb = MicroscopicParams(emitter=EMITTER, host=HOST)
@@ -708,6 +727,9 @@ def bounded_run(draw):
 
 
 @pytest.mark.filterwarnings("ignore::lfbloch.dynamics.BlochNormWarning")
+# the starting step's heuristic handles an overflow of its norms on
+# purpose, under its own errstate: no numpy warning reaches the caller
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBoundedDomain:
     @settings(max_examples=60, deadline=None)
     @given(run=bounded_run())
@@ -1128,9 +1150,11 @@ class TestGridBits:
     any other start: Trajectory.times is np.linspace itself, and solve
     computes its sample times by linspace's arithmetic, _points, on a
     step that is not 0 (where the step underflows to 0, linspace divides
-    first, and solve refuses the grid), in three ways: _points itself
-    (and into an out, as stacked dense output calls it), _Grids.times
-    (per-row dense output) and _Grids.at (the exponential method)."""
+    first, and solve refuses the grid), in three ways: _points itself,
+    on 2-D stacks into an out (as stacked dense output calls it) and on
+    flat per-sample arrays (as the exponential method calls it), and
+    _times on a run of one grid's points (per-row dense output and the
+    fits' window)."""
 
     @staticmethod
     def from_zero():
@@ -1194,10 +1218,10 @@ class TestGridBits:
 
     @pytest.mark.parametrize("which", ["from_zero", "from_any_start"])
     def test_sample_times_equal_linspace(self, which):
-        # rising grids whose step is not 0, as solve keeps them: the
-        # points lo:hi of a row (times), from the first point, inside and
-        # up to the last, and stacks of rows' points (at) with the last
-        # point of each row among them
+        # rising grids whose step is not 0, as solve keeps them: stacks
+        # of rows' points with the last point of each row among them,
+        # those points as flat per-sample arrays, and the points lo:hi
+        # of a row, from the first point, inside and up to the last
         rng = np.random.default_rng(16)
         cases = [(t0, end, n) for t0, end, n in getattr(self, which)()
                  if (end - t0) / (n - 1) != 0.0]
@@ -1206,28 +1230,30 @@ class TestGridBits:
             for lo in range(0, len(cases), 64):
                 chunk = cases[lo:lo + 64]
                 grids = _grids(chunk)
-                rows = np.arange(len(chunk))
                 ks = np.stack([np.append(rng.integers(0, n, 5), n - 1)
                                for *_, n in chunk])
-                times, at = grids.at(rows, ks)
-                assert np.array_equal(at, grids.offsets[rows, None] + ks)
                 # written into a strided out, of float indices, as
                 # stacked dense output writes theta
                 out = np.empty(ks.shape + (7,))[..., 0]
                 assert ode._points(ks.astype(float),
                                    *grids.params.T[:, :, None],
                                    out=out) is out
+                # one entry per sample, of int indices, as the
+                # exponential method computes its sample times
+                rows = np.repeat(np.arange(len(chunk)), ks.shape[1])
+                flat = ode._points(ks.ravel(), *grids.params[rows].T)
+                flat = flat.reshape(ks.shape)
                 for b, (t0, end, n) in enumerate(chunk):
                     want = np.linspace(t0, end, n)
-                    assert np.array_equal(_bits(times[b]),
-                                          _bits(want[ks[b]])), (t0, end, n)
                     assert np.array_equal(_bits(out[b]),
+                                          _bits(want[ks[b]])), (t0, end, n)
+                    assert np.array_equal(_bits(flat[b]),
                                           _bits(want[ks[b]])), (t0, end, n)
                     i, j = sorted(rng.integers(0, n, 2).tolist())
                     for a, z in {(0, n), (0, 1), (i, j + 1), (i, n),
                                  (n - 1, n)}:
                         assert np.array_equal(
-                            _bits(grids.times(b, a, z)),
+                            _bits(ode._times(grids.ks[a:z], *grids.rows[b])),
                             _bits(want[a:z])), (t0, end, n, a, z)
 
 

@@ -59,6 +59,17 @@ def solve_one(f, t0, t_end, y0, points, tol, args=(), **kwargs):
     return res
 
 
+def _ys(res, b):
+    """Row b's samples: a view of its rows of y."""
+    return res.y[res.offsets[b]:res.offsets[b + 1]]
+
+
+def _grid(res, b, t0, end):
+    """Row b's grid from t0 to end, built: np.linspace on its number
+    of samples (the result holds no grid)."""
+    return np.linspace(t0, end, res.offsets[b + 1] - res.offsets[b])
+
+
 def _decay(t, y, p):
     return -2.0 * y
 
@@ -146,7 +157,7 @@ class TestOrder:
             res = solve(_per_row(_harmonic), [[(h, (0,))]], [0.0],
                         np.array([[1.0, 0.0]]), [4], [1.0])
             assert (res.n_accepted[0], res.n_rejected[0]) == (1, 0)
-            t = res.row(0)[0][1:3]
+            t = _grid(res, 0, 0.0, h)[1:3]
             errors.append(np.max(np.abs(
                 res.y[1:3] - np.stack([np.cos(t), -np.sin(t)], axis=1))))
         assert ORDER_8[0] < errors[0] / errors[1] < ORDER_8[1]
@@ -246,11 +257,11 @@ class TestErrors:
         t_fail = float(re.search(r"at t = (\S+) ",
                                  str(res.errors[0])).group(1))
         assert 797 < t_fail < 798
-        assert np.isnan(res.row(0)[1][2:]).all()
+        assert np.isnan(_ys(res, 0)[2:]).all()
         assert res.errors[1] is None
         for b, error in enumerate(res.errors):
             if error is None:
-                assert np.isfinite(res.row(b)[1]).all()
+                assert np.isfinite(_ys(res, b)).all()
                 assert np.isfinite(res.y_end[b]).all()
 
     @pytest.mark.parametrize("span", [3.0, 6.0])
@@ -268,7 +279,7 @@ class TestErrors:
         assert "dense output went non-finite" in str(res.errors[0])
         t_fail = float(re.search(r"at t = (\S+) ",
                                  str(res.errors[0])).group(1))
-        t, y = res.row(0)
+        t, y = _grid(res, 0, 0.0, span), _ys(res, 0)
         assert t_fail < math.pi / 2
         assert np.isnan(y[t > t_fail]).all()
         assert np.isfinite(y[t <= t_fail]).all()
@@ -506,9 +517,7 @@ def _lone(problem):
 
 
 def _assert_row_equal(batch, b, lone):
-    t, y = batch.row(b)
-    assert t.tobytes() == lone.row(0)[0].tobytes()
-    assert np.array_equal(y, lone.y, equal_nan=True)
+    assert np.array_equal(_ys(batch, b), lone.y, equal_nan=True)
     assert np.array_equal(batch.y_end[b], lone.y_end[0], equal_nan=True)
     assert batch.n_accepted[b] == lone.n_accepted[0]
     assert batch.n_rejected[b] == lone.n_rejected[0]
@@ -534,7 +543,7 @@ class TestBatch:
             assert type(res.errors[b]) is type(lone.value)
             assert str(res.errors[b]) == str(lone.value)
             assert np.all(np.isnan(res.y_end[b]))
-            assert np.isnan(res.row(b)[1][-1]).all()
+            assert np.isnan(_ys(res, b)[-1]).all()
         assert isinstance(res.errors[3], NonFiniteRhsError)
         assert "non-finite" in str(res.errors[3])
         assert type(res.errors[1]) is StepSizeUnderflowError
@@ -582,19 +591,17 @@ class TestBatch:
 
     @pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 0, 3, 1]])
     def test_rows_sample_their_grids(self, order):
-        # grids growing and shrinking: each row's samples lie on
-        # np.linspace's grid of its span, the result holds the grids'
-        # ends and no grid, and every row is its lone run
+        # grids growing and shrinking: each row holds one sample per
+        # point of its grid, the result holds no grid, and every row is
+        # its lone run (TestGridBits pins the sample times)
         problems = [BATCH[i] for i in order]
         res = _solve_batch(problems)
         assert sorted(vars(res)) == [
             "errors", "measure_max", "n_accepted", "n_rejected", "n_rhs",
-            "offsets", "t0", "t_end", "y", "y_end"]
+            "offsets", "y", "y_end"]
         assert np.size(res.t) == res.y.shape[0]
+        assert np.diff(res.offsets).tolist() == [p[4] for p in problems]
         for b, problem in enumerate(problems):
-            _, t0, t_end, _, points, _ = problem
-            assert res.row(b)[0].tobytes() == np.linspace(
-                t0, t_end, points).tobytes()
             _assert_row_equal(res, b, _lone(problem))
 
     @pytest.mark.parametrize("count", [0, 2])
@@ -661,13 +668,12 @@ def _assert_kept(kept, whole, keep):
     """kept is whole with the columns keep and the _squares measure."""
     cols = list(range(whole.y.shape[1])) if keep is None else keep
     assert kept.y.tobytes() == whole.y[:, cols].tobytes()
-    for name in ("offsets", "t0", "t_end"):
-        assert getattr(kept, name).tobytes() == getattr(whole, name).tobytes()
+    assert kept.offsets.tobytes() == whole.offsets.tobytes()
     assert [repr(e) for e in kept.errors] == [repr(e) for e in whole.errors]
     for name in ("y_end", "n_accepted", "n_rejected", "n_rhs"):
         assert np.array_equal(getattr(kept, name), getattr(whole, name),
                               equal_nan=True)
-    want = [math.nan if error else np.max(_squares(whole.row(b)[1]))
+    want = [math.nan if error else np.max(_squares(_ys(whole, b)))
             for b, error in enumerate(whole.errors)]
     assert np.array_equal(kept.measure_max, want, equal_nan=True)
 
@@ -698,15 +704,21 @@ class TestKeep:
 def _spy_dense_output(monkeypatch):
     """Record [stacked, samples per job, failed jobs, rows of the pass,
     batch rows of the jobs] of each dense pass; the last entry is the
-    pass under way."""
-    passes = []
+    pass under way.  The rows of a pass are those of the attempt before
+    it (dense output sees the jobs' rows alone)."""
+    passes, attempted = [], [0]
     dense_output = ode._dense_output
+    for name in ("_attempt", "_attempt_floats"):
+        def attempt(f, t, *args, _form=getattr(ode, name)):
+            attempted[0] = len(t)
+            return _form(f, t, *args)
+        monkeypatch.setattr(ode, name, attempt)
 
-    def spy(jobs, stacked, y, *args):
+    def spy(jobs, stacked, *args):
         passes.append([stacked, [int(b - a) for a, b in zip(jobs.start,
                                                              jobs.end)], 0,
-                       len(y), [int(b) for b in jobs.index]])
-        failed = dense_output(jobs, stacked, y, *args)
+                       attempted[0], [int(b) for b in jobs.index]])
+        failed = dense_output(jobs, stacked, *args)
         passes[-1][2] = len(failed)
         return failed
 
@@ -1488,6 +1500,30 @@ class TestFloatForm:
             "_attempt_floats" if m <= ode.FLOAT_ROWS else "_attempt"
             for m in widths]
 
+    @pytest.mark.parametrize("floats", [True, False],
+                             ids=["floats", "arrays"])
+    def test_passes_of_some_jobs_match_lone_runs_bitwise(self, monkeypatch,
+                                                         floats):
+        # rows of several samples per step and rows of one at most,
+        # which hold no grid point in most passes: a pass gathers its
+        # jobs' rows when they are some of its rows, and reads the
+        # arrays themselves when they are all; in the float form with
+        # per-row dense output, or on arrays with stacked dense output
+        # against lone runs that write theirs per row
+        problems = [_STACKED[i] for i in (7, 9, 8, 10)]
+        passes = _spy_dense_output(monkeypatch)
+        lone = [self._solve([problem], floats) for problem in problems]
+        del passes[:]
+        if not floats:
+            monkeypatch.setattr(ode, "FLOAT_ROWS", 0)
+        res = self._solve(problems, floats)
+        jobs = [(len(ms), rows) for _, ms, _, rows, _ in passes]
+        assert any(0 < m < rows for m, rows in jobs)
+        assert any(m == rows > 1 for m, rows in jobs)
+        assert all(on != floats for on, *_ in passes)
+        for b, alone in enumerate(lone):
+            _assert_row_equal(res, b, alone)
+
     def test_exponential_method_keeps_the_array_form(self, monkeypatch):
         sizes = _spy_floats(monkeypatch)
         L = np.array([[-0.5, -2.0j], [-1.5, -300.0 + 1200.0j]])
@@ -1504,7 +1540,6 @@ def _one_row_of(res, b):
     """Row b of res as an OdeResult of one row."""
     lo, hi = res.offsets[b], res.offsets[b + 1]
     return OdeResult(y=res.y[lo:hi], offsets=np.array([0, hi - lo]),
-                     t0=res.t0[b:b + 1], t_end=res.t_end[b:b + 1],
                      y_end=res.y_end[b:b + 1],
                      n_accepted=res.n_accepted[b:b + 1],
                      n_rejected=res.n_rejected[b:b + 1],
@@ -1573,7 +1608,7 @@ def _chained(problem, passes):
         res = solve_one(_forced, a, b, y, max(2, np.count_nonzero(inside)),
                         tol=tol, args=(force,))
         res.n_rhs -= 3 * _dense_steps(passes, 1)
-        times, ys = res.row(0)
+        times, ys = _grid(res, 0, a, b), res.y
         if a != t0:
             times, ys = times[1:], ys[1:]
         common = inside & np.isin(row, times)
@@ -1614,7 +1649,7 @@ class TestPieces:
             # points of a piece fall on the row's
             shared, y, y_end, counts = _chained(problem, passes)
             assert np.count_nonzero(shared) >= 2
-            assert np.array_equal(res.row(b)[1][shared], y[shared])
+            assert np.array_equal(_ys(res, b)[shared], y[shared])
             assert np.array_equal(res.y_end[b], y_end)
             assert [res.n_accepted[b], res.n_rejected[b],
                     res.n_rhs[b]] == counts
@@ -1772,7 +1807,7 @@ class TestExponential:
         # expm loses digits at |tL| ~ 1e7)
         lam, V = np.linalg.eig(L)
         z0 = np.array(_pairs(np.array(y0)))
-        for t, y in zip(*res.row(0)):
+        for t, y in zip(_grid(res, 0, 0.0, 5.0), res.y):
             E = V @ np.diag(np.exp(t * lam)) @ np.linalg.inv(V)
             want = E @ z0 + np.linalg.solve(L, (E - np.eye(2))
                                             @ [0.6 - 0.2j, 0.0])
@@ -1787,7 +1822,7 @@ class TestExponential:
         res = _solve_exp(_constant_forcing, L, [(4.0, (0.0, 0.0))], y0,
                          9, 1e-10)
         z0 = np.array(_pairs(np.array(y0)))
-        for t, y in zip(*res.row(0)):
+        for t, y in zip(_grid(res, 0, 0.0, 4.0), res.y):
             assert_allclose(_pairs(y), _phi_reference(0, t * L) @ z0,
                             rtol=0, atol=1e-13)
 
@@ -1844,10 +1879,35 @@ class TestExponential:
         _controllers(monkeypatch, lone_rows)
         for b, (f, L, pieces, y0, points, tol) in enumerate(rows):
             lone = _solve_exp(f, L, pieces, y0, points, tol)
-            assert np.array_equal(res.row(b)[1], lone.y)
+            assert np.array_equal(_ys(res, b), lone.y)
             assert np.array_equal(res.y_end[b], lone.y_end[0])
             for name in ("n_accepted", "n_rejected", "n_rhs"):
                 assert getattr(res, name)[b] == getattr(lone, name)[0]
+
+    def test_passes_of_some_jobs_match_lone_runs_bitwise(self, monkeypatch):
+        # the rows of 7 and 2 points hold no grid point in most passes:
+        # some passes gather their jobs' rows, others read the arrays
+        # themselves, and every row keeps its lone run's bits
+        method, attempted, jobs = exponential.Exponential, [0], []
+        attempt, dense_output = method.attempt, method.dense_output
+
+        def spy_attempt(self, t, *args):
+            attempted[0] = len(t)
+            return attempt(self, t, *args)
+
+        def spy_dense_output(self, pass_jobs, *args):
+            jobs.append((len(pass_jobs.rows), attempted[0]))
+            return dense_output(self, pass_jobs, *args)
+
+        monkeypatch.setattr(method, "attempt", spy_attempt)
+        monkeypatch.setattr(method, "dense_output", spy_dense_output)
+        problems, res = _exponential_rows()
+        assert any(0 < m < rows for m, rows in jobs)
+        assert any(m == rows > 1 for m, rows in jobs)
+        for b, (f, L, pieces, y0, points, tol) in enumerate(problems):
+            lone = _solve_exp(f, L, pieces, y0, points, tol)
+            assert np.array_equal(_ys(res, b), lone.y)
+            assert np.array_equal(res.y_end[b], lone.y_end[0])
 
     @pytest.mark.parametrize("keep", [[2], [3, 4, 0]])
     def test_kept_columns_and_measure(self, keep):
