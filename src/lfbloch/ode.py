@@ -118,38 +118,36 @@ them.  ``solve`` gathers the jobs' rows of y, K and P once (the arrays
 themselves when every row is a job; K's copy strided as every copy of
 it is), and both methods' dense output reads that gather alone.  For
 Dormand-Prince it first evaluates the 3 extra stages of the jobs into
-the gathered K (in Python floats on a float-form pass), then takes one
-stacked product ``_P_T @ K`` of their 16 stages, then the products of
-the theta powers theta^1..7 with it, theta from the grid points that
-``_points`` computes (``_times`` on one row's run of points).  On a
-pass of at most ``FLOAT_ROWS`` rows those are one (m, 7) @ (7, n)
-product per row; on a wider pass they are stacked products: (G, 1, 7)
-stacks of the rows with one sample and (G, mx, 7) stacks of the rows
-with two or more, each padded to the longest by repeating a row's last
-grid point, and each of one row or of at most ``DENSE_SAMPLES`` samples
-or 1/64 (``STACK_SHARE``) of the batch's, whichever is more.  A stack reads
-its jobs' grids and steps from one per-job table of the pass, writes
-theta into its powers in place, and frees its arrays before the next
-stack allocates, so that a pass holds one stack's arrays at a time.  A
-(G, mx, 7) stack of two or more components is a view of one
-power-major (7, G, mx) buffer: theta and its powers are then contiguous
-rows, and BLAS reads the view without a copy, with the bits of the
-row-major stack.  A (G, 1, 7) stack, or one of one component, stays
-row-major: its product is a matrix-vector one, whose bits the
-transposed view would move.  One-sample and multi-sample stacks stay
-apart because a (1, 7) @ (7, n) product is not bitwise a row of an (m,
-7) @ (7, n) one (nor is a stage-major (16, B*n) product the per-row
-one); within each stack a row gets the bits of
-its own product, and a padding row those of its row's last sample, so
-that a stack is written to the batch's samples whole.
+the gathered K (in Python floats on a float-form pass), then takes
+``Q = _P_T @ K`` of their 16 stages, one stacked product, and one kernel
+(``_samples``) takes y + h*(powers @ Q) with the powers theta^1..7,
+theta from the grid points that ``_points`` computes (``_times`` on one
+row's run of points).  Every product is of matrices of two samples and
+two columns at least, as a matrix-vector product need not give the bits
+of a row of a matrix product: a one-sample step repeats its grid point,
+Q has the w columns of K, and the samples are the product's first rows
+and n columns.  On a pass of at most ``FLOAT_ROWS`` rows that is one
+product per job, its powers row-major, written straight to the batch's
+rows when every column is kept.  On a wider pass the products are
+stacked: (G, mx, 7) stacks of the jobs in order, each padded to its
+longest by repeating a job's last grid point, and each of one job or of
+at most ``DENSE_SAMPLES`` samples or 1/64 (``STACK_SHARE``) of the
+batch's, whichever is more.  A stack
+reads its jobs' grids and steps from one per-job table of the pass and
+frees its arrays before the next stack allocates.  Its powers are a
+view of one power-major (7, G, mx) buffer, theta and each power a
+contiguous row, which BLAS reads without a copy, with the bits of the
+row-major stack.  Within each stack a job gets the bits of its own
+product (a stage-major (16, B*n) product would not), and a padding row
+those of its job's last sample, so that a stack is written whole.
 The exponential method's samples come from its own order-4 extension of
 each step (see ``lfbloch.exponential``), in slices of at most
 ``DENSE_SAMPLES`` samples.  A row whose samples come out
 non-finite stops there with ``NonFiniteRhsError``.  When ``solve`` keeps
-only some state columns, every pass is stacked, narrow passes too: it
-writes the kept columns of its samples to the batch's and folds the
-``measure`` of each into a running maximum per row, so the dropped
-columns are never stored.
+only some state columns, each pass, in either form, writes the kept
+columns of its samples to the batch's and folds the ``measure`` of each
+into a running maximum per row, so the dropped columns are never
+stored.
 
 The run is fully deterministic for identical inputs and reports exact
 accepted/rejected step counts per row.
@@ -587,18 +585,33 @@ class _Jobs(NamedTuple):
     index: Sequence[int]
 
 
-def _samples(times, t, h, y, Q, out):
-    """Write into out the dense output at ``times`` of one row's step of
-    length h from t, with state y and ``Q = _P_T @ K`` of its stages K;
-    return out.  times is overwritten with theta."""
-    theta = times
+def _samples(powers, Q, h, y, out=None):
+    """``y + h*(powers @ Q)`` on y's n columns: the dense output of steps
+    of length h from states y at the thetas whose theta^1..7 are the rows
+    of powers (see the module docstring), into out's rows (the product's
+    first) if given, else in place of the product; returns it."""
+    samples = powers @ Q
+    # powers passed as a temporary (CPython 3.11 on) are freed here
+    del powers
+    samples *= h
+    if out is None:
+        out = samples = samples[..., :y.shape[-1]]
+    elif samples.shape != out.shape:  # padded
+        samples = samples[:len(out), :len(y)]
+    return np.add(y, samples, out=out)
+
+
+def _stacked_powers(k, t0, step, last, end, t, h):
+    """theta^1..7 (G, mx, 7), theta = (t_k - t)/h at the points k of G
+    grids (``_points``), as a view of a (7, G, mx) buffer."""
+    by_power = np.empty((7,) + k.shape)
+    theta = _points(k, t0, step, last, end, out=by_power[0])
     theta -= t
     theta /= h
-    powers = theta.repeat(7).reshape(theta.size, 7)  # theta^1..7
-    np.multiply.accumulate(powers, out=powers, axis=1)
-    dy = powers @ Q
-    dy *= h
-    return np.add(y, dy, out=out)
+    # theta^2..7 by products: the bits of np.multiply.accumulate
+    for q in range(1, 7):
+        np.multiply(by_power[q - 1], theta, out=by_power[q])
+    return by_power.transpose(1, 2, 0)
 
 
 def _store(y_all, subset, at, samples, index):
@@ -626,24 +639,31 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
     Job g of ``jobs`` (see ``_Jobs``), from state y[g] with its 16
     stages K[g] (the pass's gather of the jobs' rows), writes its
     samples at its grid points (of ``grids``, a ``_Grids``) to its rows
-    of the batch's samples ``y_all`` (see ``_store`` for ``subset``,
-    which needs ``stacked``).  ``_P_T @ K`` is one stacked product; with
-    ``stacked`` the products with the theta powers are stacked too (see
-    the module docstring).  Returns the positions in ``jobs`` of the
-    jobs whose samples are not all finite.
+    of the batch's samples ``y_all`` (see ``_store`` for ``subset``),
+    in stacks if ``stacked`` (see the module docstring).  Returns the
+    positions in ``jobs`` of the jobs whose samples are not all finite.
     """
     Q = np.matmul(_P_T, K)
     failed = []
     if not stacked:
         for g, (t, h, a, b, i, y_g, q) in enumerate(zip(*jobs[1:], y, Q)):
-            lo = grids.firsts[i]
-            v = y_all[lo + a:lo + b]
-            _samples(_times(grids.ks[a:b], *grids.rows[i]), t, h, y_g, q, v)
+            theta = _times(grids.ks[a:b], *grids.rows[i])
+            theta -= t
+            theta /= h
+            # theta^1..7, row-major; a one-sample step's twice
+            powers = theta.repeat(7 if b > a + 1 else 14).reshape(-1, 7)
+            np.multiply.accumulate(powers, out=powers, axis=1)
+            lo = grids.firsts[i] + a
+            v = _samples(powers, q, h, y_g,
+                         None if subset else y_all[lo:lo + b - a])
             # NaN or inf in v makes v . v non-finite (so may an overflow,
             # which the exact check then clears)
             if not math.isfinite(np.vdot(v, v)) \
                     and not np.isfinite(v).all():
                 failed.append(g)
+            elif subset:
+                _store(y_all, subset, np.arange(lo, lo + b - a)[None],
+                       v[None, :b - a], [i])
         return failed
     t, h, start, end, index = map(np.asarray, jobs[1:])
     m = end - start
@@ -653,43 +673,22 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
     # gather per stack
     table = np.column_stack((grids.params[index], t, h, start,
                              grids.offsets[index], m - 1))
-    # the one-sample rows, then the others: a (G, mx, 7) stack with each
-    # row's grid points, padded by repeating its last one, whose sample
-    # then repeats the row's last bit for bit.  A stack holds size
-    # samples or fewer, or one row
-    one, many = (m == 1).nonzero()[0], (m > 1).nonzero()[0]
+    # stacks of the jobs in order, each of size samples or fewer (padded
+    # to two samples at least), or of one job
     size = max(DENSE_SAMPLES, len(y_all) // STACK_SHARE)
-    stacks = [one[lo:lo + size] for lo in range(0, one.size, size)]
-    if many.size:
-        rows = max(1, size // int(m[many].max()))
-        stacks += [many[lo:lo + rows] for lo in range(0, many.size, rows)]
-    for g in stacks:
-        t0, step, last, stop, t_g, h_g, first, row0, top = \
-            table[g].T[:, :, None]
-        # each job's grid indices, padded; then (below) the rows that
-        # hold them
-        k = np.minimum(grids.ks[:int(top.max()) + 1], top)
+    rows = max(1, size // max(2, int(m.max())))
+    every = np.arange(m.size)
+    for g in (every[lo:lo + rows] for lo in range(0, m.size, rows)):
+        # each job's grid (t0, step, last, end) and step (t, h) last
+        *params, first, row0, top = table[g].T[:, :, None]
+        # each job's grid points, padded by repeating its last one, whose
+        # sample then repeats the job's last bit for bit; then (below)
+        # the rows that hold them
+        k = np.minimum(grids.ks[:max(int(top.max()), 1) + 1], top)
         k += first
-        # the powers (G, mx, 7), power-major but for a matrix-vector
-        # product (see the module docstring)
-        if k.shape[1] > 1 and Q.shape[-1] > 1:
-            by_power = np.empty((7,) + k.shape)
-            powers = by_power.transpose(1, 2, 0)
-        else:
-            powers = np.empty(k.shape + (7,))
-            by_power = powers.transpose(2, 0, 1)
-        theta = _points(k, t0, step, last, stop, out=by_power[0])
-        theta -= t_g
-        theta /= h_g
-        # theta^2..7 by products: the bits of np.multiply.accumulate
-        for q in range(1, 7):
-            np.multiply(by_power[q - 1], theta, out=by_power[q])
-        samples = np.matmul(powers, Q[g])
-        # each array freed once used, the last once stored: no two
-        # stacks' arrays are ever live at once
-        del powers, theta, by_power
-        samples *= h_g[..., None]
-        samples += y[g, None]
+        # no two stacks' arrays are ever live at once
+        samples = _samples(_stacked_powers(k, *params), Q[g],
+                           params[-1][..., None], y[g, None])
         k += row0
         at = k.astype(int)
         if not np.isfinite(samples).all():
@@ -957,9 +956,7 @@ def solve(
         The state columns that ``OdeResult.y`` holds, in this order
         (default: all n).  Dropped columns are computed, checked for
         finiteness and measured as the others, but never stored: a
-        caller that reads some components only holds those.  Such a
-        solve stacks the dense output of every pass, with the same
-        bits.
+        caller that reads some components only holds those.
     measure : callable ``measure(Y) -> ndarray``, optional
         Maps (m, n) whole-state samples to m floats, element by element;
         ``OdeResult.measure_max`` holds each row's largest.  With
@@ -1193,9 +1190,8 @@ def solve(
                     (row_rhs[1], C) if few and floats else ()))
                 for b in jobs.index:
                     dense[b] += 1
-                failed = _dense_output(jobs, not few or subset is not None,
-                                       y_j, K_j[..., :n], grids, y_all,
-                                       subset)
+                failed = _dense_output(jobs, not few, y_j, K_j, grids,
+                                       y_all, subset)
         for g in failed:  # the row stops at the step's start
             b = jobs.index[g]
             y_all[offsets[b] + jobs.start[g]:offsets[b + 1]] = math.nan

@@ -1319,14 +1319,18 @@ class TestBatchMemory:
     def test_kept_components_keep_their_bits(self, keep, float_rows):
         # the whole batch's passes all wide, whose Dormand-Prince dense
         # output is stacked (0), or all narrow, whose is written row by
-        # row (10**6); a batch that keeps some
-        # components stacks every pass, and writes and measures its
-        # samples there
+        # row (10**6), as the whole batch's is: a batch that keeps some
+        # components writes and measures its samples in either form
         runs, whole, whole_warnings = _mixed_batch(float_rows)
         with warnings.catch_warnings(record=True) as kept_warnings, \
-                mock.patch.object(ode, "FLOAT_ROWS", float_rows):
+                mock.patch.object(ode, "FLOAT_ROWS", float_rows), \
+                mock.patch.object(ode, "_dense_output",
+                                  wraps=ode._dense_output) as spy:
             warnings.simplefilter("always")
             kept = integrate_batch(runs, keep=keep)
+        assert spy.call_args_list
+        assert all(call.args[1] == (float_rows == 0)
+                   for call in spy.call_args_list)
         assert [str(w.message) for w in kept_warnings] == whole_warnings
         for a, b in zip(whole, kept):
             assert (a.n_accepted, a.n_rejected, a.n_rhs) == (

@@ -12,7 +12,7 @@ same numpy, ``OPENBLAS_CORETYPE=Haswell`` moves the model-B CSVs
 (``weak_excitation.csv`` and ``pulse_both_B.csv``, so the runs of
 ``simulate_weak_excitation`` and ``simulate_pulse_both`` in both forms)
 and the JSON stdout of ``verify``, and ``Sandybridge`` moves every
-``simulate`` and ``verify`` run, both forms (ROADMAP item 1).  They
+``simulate`` and ``verify`` run, both forms (ROADMAP item 2).  They
 move through dense output's BLAS products and the exponential method's.
 The stage sums take no BLAS call (``tests/test_ode.py::TestFloatBits``
 pins their order), nor do the fits

@@ -787,10 +787,12 @@ class TestStackedBatch:
         assert np.count_nonzero(pieces[ended] > 1) == 3
 
     def test_one_component_rows_match_lone_runs_bitwise(self, monkeypatch):
-        # a stack of one-component rows multiplies each row's powers by
-        # a vector: it stays row-major, as a power-major view would move
-        # the bits of that matrix-vector product away from the lone
-        # runs' per-row products
+        # one-component rows repeat their component in a second column
+        # of the stage stack: a stack's power-major view and a lone
+        # run's per-row powers then multiply a matrix of two columns, as
+        # every row does, where a vector would take BLAS's
+        # matrix-vector product, whose bits differ from a row of the
+        # other's under some kernels
         passes = _spy_dense_output(monkeypatch)
         rows = [([(6.0, _forced_decay, rate)], 0.0, [1.0 - rate], points,
                   tol) for rate, points, tol in [
@@ -802,19 +804,31 @@ class TestStackedBatch:
             _assert_row_equal(res, b, _solve_rows([row]))
 
     def test_stacked_pass_makes_no_per_row_product(self, monkeypatch):
+        # both forms of a pass take their samples from one kernel: once
+        # per stack of jobs on a wide pass, once per job on a narrow one
         passes = _spy_dense_output(monkeypatch)
         samples = ode._samples
-        per_row = []
+        calls = []
 
-        def spy(*args):
-            per_row.append(passes[-1][0])  # the pass under way: stacked?
-            return samples(*args)
+        def spy(powers, *args):
+            calls.append((len(passes) - 1, powers.shape))
+            return samples(powers, *args)
 
         monkeypatch.setattr(ode, "_samples", spy)
         res = _solve_batch(BATCH * 4)
         assert res.errors == [None] * len(BATCH) * 4
-        assert any(stacked for stacked, _, _, _, _ in passes)
-        assert per_row and not any(per_row)
+        assert {on for on, *_ in passes} == {True, False}
+        fewer = False  # whether a stack held two jobs or more
+        for p, (on, ms, *_) in enumerate(passes):
+            shapes = [shape for q, shape in calls if q == p]
+            if on:  # each job in one stack of two samples or more
+                assert all(len(shape) == 3 and shape[1] >= 2
+                           for shape in shapes)
+                assert sum(shape[0] for shape in shapes) == len(ms)
+                fewer |= len(shapes) < len(ms)
+            else:  # one product per job, a one-sample job's of two
+                assert shapes == [(max(m, 2), 7) for m in ms]
+        assert fewer
 
 
 def _bits(values):
@@ -843,40 +857,40 @@ class TestDenseBits:
 
     @pytest.mark.parametrize("rows, n", SIZES)
     def test_stacked_tableau_product_equals_per_row(self, rows, n):
+        # on w = max(n, 2) columns, as solve takes it
         rng = np.random.default_rng(rows * 100 + n)
         for _ in range(20):
-            K = _stages(rng, (rows, 16, n))
+            K = _stages(rng, (rows, 16, max(n, 2)))
             stacked = np.matmul(_P_T, K)
             for b in range(rows):
                 assert np.array_equal(_bits(stacked[b]), _bits(_P_T @ K[b]))
 
     @pytest.mark.parametrize("rows, n", SIZES)
     def test_multi_sample_stack_equals_per_row(self, rows, n):
-        # rows of 2..mx samples, padded to mx with arbitrary powers
+        # rows of 2..mx samples, padded to mx with arbitrary powers, on
+        # w = max(n, 2) columns
         rng = np.random.default_rng(rows * 100 + n + 1)
         for mx in (2, 3, 17, 40):
             m = rng.integers(2, mx + 1, rows)
             powers = _powers(rng, (rows, mx))
-            Q = _stages(rng, (rows, 7, n))
+            Q = _stages(rng, (rows, 7, max(n, 2)))
             stacked = np.matmul(powers, Q)
             for b in range(rows):
                 assert np.array_equal(_bits(stacked[b, :m[b]]),
                                       _bits(powers[b, :m[b]] @ Q[b]))
 
-    @pytest.mark.parametrize("rows, n", [(rows, n) for rows, n in SIZES
-                                         if n > 1])
+    @pytest.mark.parametrize("rows, n", SIZES)
     def test_power_major_view_equals_row_major(self, rows, n):
-        # stacks of two or more samples of two or more components hold
-        # their powers in one (7, G, mx) buffer and hand np.matmul its
-        # (G, mx, 7) view: the bits of the row-major stack's product,
-        # with no copy of the view (the traced peak is the product's own
-        # array).  With one component the product is a matrix-vector
-        # one, whose bits the view moves: those stacks stay row-major
+        # stacks hold their powers in one (7, G, mx) buffer and hand
+        # np.matmul its (G, mx, 7) view, times Q of w = max(n, 2)
+        # columns (a one-component row repeats its component): the bits
+        # of the row-major stack's product, with no copy of the view
+        # (the traced peak is the product's own array)
         rng = np.random.default_rng(rows * 100 + n + 4)
         for mx in (2, 3, 17, 40):
             powers = _powers(rng, (rows, mx))
             by_power = np.ascontiguousarray(powers.transpose(2, 0, 1))
-            Q = _stages(rng, (rows, 7, n))
+            Q = _stages(rng, (rows, 7, max(n, 2)))
             tracemalloc.start()
             try:
                 got = np.matmul(by_power.transpose(1, 2, 0), Q)
@@ -888,32 +902,42 @@ class TestDenseBits:
 
     @pytest.mark.parametrize("rows, n", SIZES)
     def test_one_sample_stack_equals_per_row(self, rows, n):
+        # a one-sample step repeats its powers to make two samples: its
+        # sample, row 0 of that product, has the bits of row 0 of its
+        # product with any other second sample, alone and in a stack of
+        # any size padded to mx (a power-major view, as solve takes it)
         rng = np.random.default_rng(rows * 100 + n + 2)
-        for _ in range(20):
-            powers = _powers(rng, (rows, 1))
-            Q = _stages(rng, (rows, 7, n))
-            stacked = np.matmul(powers, Q)
+        for mx in (2, 3, 17):
+            powers = _powers(rng, (rows, 2))
+            Q = _stages(rng, (rows, 7, max(n, 2)))
+            padded = np.repeat(powers[:, :1], mx, axis=1)
+            by_power = np.ascontiguousarray(padded.transpose(2, 0, 1))
+            stacked = np.matmul(by_power.transpose(1, 2, 0), Q)
             for b in range(rows):
-                assert np.array_equal(_bits(stacked[b]),
-                                      _bits(powers[b] @ Q[b]))
+                first = _bits((powers[b] @ Q[b])[0])
+                assert np.array_equal(_bits((padded[b, :2] @ Q[b])[0]),
+                                      first)
+                assert np.array_equal(_bits(stacked[b, 0]), first)
 
     @pytest.mark.parametrize("rows, n", SIZES)
     def test_padding_rows_repeat_the_last_sample(self, rows, n):
-        # rows of 2..mx samples, padded to mx by repeating each row's
-        # last powers: a padding row of the product has the bits of its
-        # row's last sample, so a stack is written whole
+        # rows of 1..mx samples, padded to mx by repeating each row's
+        # last powers, times Q of w = max(n, 2) columns: a padding row
+        # of the product has the bits of its row's last sample, so a
+        # stack is written whole
         rng = np.random.default_rng(rows * 100 + n + 3)
+        w = max(n, 2)
         for mx in range(2, 41):
-            m = rng.integers(2, mx + 1, rows)
+            m = rng.integers(1, mx + 1, rows)
             powers = _powers(rng, (rows, mx))
             k = np.minimum(np.arange(mx), m[:, None] - 1)
             powers = np.take_along_axis(powers, k[:, :, None], axis=1)
-            stacked = np.matmul(powers, _stages(rng, (rows, 7, n)))
+            stacked = np.matmul(powers, _stages(rng, (rows, 7, w)))
             for b in range(rows):
                 assert np.array_equal(
                     _bits(stacked[b, m[b]:]),
                     _bits(np.broadcast_to(stacked[b, m[b] - 1],
-                                          (mx - m[b], n))))
+                                          (mx - m[b], w))))
 
     @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (126, 20), (1000, 40)])
     def test_power_products_equal_accumulate(self, shape):
