@@ -626,7 +626,8 @@ def conservation_battery() -> list[tuple[str, float]]:
     for (name, _, _), run in zip(scenarios, integrate_batch(runs)):
         if isinstance(run, Exception):
             raise run
-        drift = float(np.max(np.abs(run.bloch_norm - run.bloch_norm[0])))
+        norm = run.bloch_norm
+        drift = float(np.max(np.abs(norm - norm[0])))
         drifts.append((name, drift))
     return drifts
 

@@ -348,6 +348,11 @@ def _rows_call(rows):
 
 
 class TestRhsBits:
+    """Model A's right-hand side on arrays against its per-row form, row
+    by row: the equality that lets a model-A row take either form at any
+    batch size, so that a numpy or CPython whose float or complex
+    arithmetic breaks it fails here by name."""
+
     # a failure of up to 48 drawn rows used to shrink for up to
     # hypothesis's 300 s limit; 20 s still shrinks it part of the way
     @mock.patch.object(engine, "MAX_SHRINKING_SECONDS", 20)
@@ -731,6 +736,11 @@ def bounded_run(draw):
 # purpose, under its own errstate: no numpy warning reaches the caller
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBoundedDomain:
+    """Runs drawn jointly up to the bound on parameter sizes
+    (dynamics.BOUND) never go non-finite and raise no numpy
+    RuntimeWarning, so that a bound that lets a stage sum overflow, or a
+    warning that leaks from the starting step, fails here by name."""
+
     @settings(max_examples=60, deadline=None)
     @given(run=bounded_run())
     def test_no_stage_overflows_up_to_the_bound(self, run):
@@ -1154,7 +1164,7 @@ class TestGridBits:
     on 2-D stacks into an out (as stacked dense output calls it) and on
     flat per-sample arrays (as the exponential method calls it), and
     _times on a run of one grid's points (per-row dense output and the
-    fits' window)."""
+    fits' window).  A numpy that breaks one fails here by name."""
 
     @staticmethod
     def from_zero():
@@ -1260,7 +1270,9 @@ class TestGridBits:
 class TestBatchMemory:
     """A batch holds its samples and no time arrays: its trajectories
     view the samples and build their times on read, as they build s and
-    beta; a batch that keeps some components stores only those."""
+    beta; a batch that keeps some components stores only those.  Each
+    peak is traced in a fresh interpreter, so that a change that makes a
+    batch hold more per sample fails here by name."""
 
     def test_model_a_batch_peak_and_views(self):
         # at the tolerance of the sweeps: samples 24 bytes and a pass's
@@ -1600,7 +1612,8 @@ class TestExponentialAccuracy:
     """The exponential method against Dormand-Prince 8(5,3) at tol 1e-12.  A
     run's error is on the integrator's scale, tol + tol*|s|;
     Dormand-Prince itself keeps weak decays
-    (|s| <= 1e-3) only to about 1e-10 absolute at tol 1e-10."""
+    (|s| <= 1e-3) only to about 1e-10 absolute at tol 1e-10.  A numpy or
+    LAPACK change that breaks the phi-functions fails here by name."""
 
     @settings(max_examples=12, deadline=None)
     @given(data=st.data(), weak=st.booleans())

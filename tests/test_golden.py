@@ -16,7 +16,11 @@ and the JSON stdout of ``verify``, and ``Sandybridge`` moves every
 move through dense output's BLAS products and the exponential method's.
 The stage sums take no BLAS call (``tests/test_ode.py::TestFloatBits``
 pins their order), nor do the fits
-(``tests/test_verify.py::TestFitBits``).
+(``tests/test_verify.py::TestFitBits``).  CI reports these hashes under
+the Haswell kernel without gating on them ("Goldens under the Haswell
+kernel"); they join the gating step "Bits under other BLAS kernels",
+which runs its tests under Haswell and Sandybridge, once dense output
+and the exponential method take no BLAS order (ROADMAP items 2 and 3).
 
 Runs happen inside ``tmp_path`` with relative ``--output`` names, so the
 paths echoed in the JSON reports are the same on every machine.

@@ -133,6 +133,11 @@ ORDER_8 = (2.0 ** 7.5, 2.0 ** 8.5)
 
 
 class TestOrder:
+    """The order of Dormand-Prince 8(5,3) on fixed steps and of its
+    order-7 dense output between steps, each an error ratio per halving
+    of the step within half a power of 2 of 2**8, so that a wrong
+    tableau or interpolant coefficient fails here by name."""
+
     def test_eighth_order_convergence(self):
         """With error control disabled (a huge tolerance) and n pieces of
         length h = t_end/n, each taken in one step onto its end, halving
@@ -216,6 +221,11 @@ class TestDeterminism:
 
 
 class TestErrors:
+    """A state, a right-hand side or dense output that goes non-finite
+    fails its row, never accepted, with a message that names what went
+    non-finite, so that a change that misnames a failure fails here by
+    name."""
+
     def test_step_underflow_on_blowup(self):
         # solution 1/(1-t) diverges at t = 1; the controller must give up
         with pytest.raises(StepSizeUnderflowError, match="tol") as info:
@@ -742,6 +752,12 @@ def _controllers(monkeypatch, float_rows):
 
 
 class TestStackedBatch:
+    """A batch's rows keep the bits of their lone runs whether a pass
+    stacks its dense output (more than FLOAT_ROWS rows) or writes it per
+    row, so that the choice is one of speed alone: a numpy or BLAS that
+    breaks the equality, or a form switch that lags the rows, fails here
+    by name."""
+
     @CONTROLLERS
     def test_rows_match_lone_runs_bitwise(self, monkeypatch, batch_rows,
                                           lone_rows):
@@ -1297,7 +1313,8 @@ def _probes(grid, rng, steps):
 
 class TestGridSearchBits:
     """The controller's grid index, _index, against searchsorted on the
-    grid that np.linspace builds."""
+    grid that np.linspace builds, so that a numpy that breaks one fails
+    here by name."""
 
     @pytest.mark.parametrize("steps", [0.5, 3.0, 40.0, 700.0])
     def test_bounded_search_equals_searchsorted(self, steps):
@@ -1339,7 +1356,8 @@ class TestGridSearchBits:
 class TestFitWindowBits:
     """The fits' window, verify._window, by the grid's arithmetic against
     searchsorted and slicing on the grid that np.linspace builds, on the
-    grids of GRIDS that start at 0, as a trajectory's do."""
+    grids of GRIDS that start at 0, as a trajectory's do, so that a numpy
+    that breaks one fails here by name."""
 
     @pytest.mark.parametrize("t0, end, points",
                              [g for g in GRIDS if g[0] == 0.0])
