@@ -124,11 +124,6 @@ def _phi_series_divided(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _phi_values(z: np.ndarray) -> np.ndarray:
     """phi_0..phi_4 at each z (see ``_SERIES_RADIUS``)."""
     r = abs(z)
-    # the same per entry as below, without the masks when all agree
-    if r.max(initial=0.0) <= _SERIES_RADIUS:
-        return _phi_series(z)
-    if r.min() >= _DIRECT_RADIUS:
-        return _phi_direct(z)
     out = np.empty((5, z.size), complex)
     series, direct = r <= _SERIES_RADIUS, r >= _DIRECT_RADIUS
     contour = ~series & ~direct

@@ -83,9 +83,10 @@ as ``row_rhs`` reads them; only the first starting step is taken over
 all rows at once (``_initial_step``, whose masks and ``np.float_power``
 give the bits of the heuristic on Python floats).  Each pass then goes
 through its rows one by one: accept/reject is ``err <= 1`` (so NaN is
-rejected), the step-size factor ``_SAFETY * err**exponent`` is clipped
-to [``_MIN_FACTOR``, ``_MAX_FACTOR``] (``_MIN_FACTOR`` for a non-finite
-error), the floor is 10 ulps of the row's time, ``_index`` counts the
+rejected), accept and reject share one step-size factor, ``_SAFETY *
+err**exponent`` clipped to [``_MIN_FACTOR``, ``_MAX_FACTOR``]
+(``_MAX_FACTOR`` for a zero error, ``_MIN_FACTOR`` for a non-finite
+one), the floor is 10 ulps of the row's time, ``_index`` counts the
 grid points inside an accepted step, and a restart at a piece's end or
 a failure is the row's own.
 
@@ -534,27 +535,23 @@ def _initial_step(rhs, t0, y0, P, f0, t_end, tol,
         return np.minimum(np.minimum(100 * h0, h1), span)
 
 
-def _nonfinite(f: np.ndarray) -> str:
-    """What went non-finite in a step whose right-hand side values are f:
-    those, or else the state."""
-    return "the state" if np.isfinite(f).all() else "the right-hand side"
-
-
-def _underflow(t: float, h: float, nonfinite: bool, K: np.ndarray,
-               f: np.ndarray | None) -> StepSizeUnderflowError:
+def _underflow(t: float, h: float, nonfinite: bool,
+               K: np.ndarray) -> StepSizeUnderflowError:
     """The failure of a row whose step h fell below the floor at t.
 
-    What went non-finite: in the row's last attempt, whose stages are K,
-    when ``nonfinite``; else, when h is not finite, in the starting step
-    from f at t (K[0] unless the row restarted there); else nothing, and
-    the problem is too stiff.
+    What went non-finite: when ``nonfinite``, in the row's last attempt,
+    whose stages are K: those, or else the state; else, when h is not
+    finite (NaN, as an inf step passes the floor), the right-hand side:
+    ``_initial_step`` gives a NaN step only where f at the start or
+    restart holds a NaN, and a later step is a finite one times a
+    finite factor; else nothing, and the problem is too stiff.
     """
-    if nonfinite:
-        culprit = _nonfinite(K)
-    elif math.isfinite(h):
-        culprit = None
+    if nonfinite and np.isfinite(K).all():
+        culprit = "the state"
+    elif nonfinite or not math.isfinite(h):
+        culprit = "the right-hand side"
     else:
-        culprit = _nonfinite(K[0] if f is None else f)
+        culprit = None
     if culprit:
         error = NonFiniteRhsError
         cause = (f"{culprit} went non-finite (NaN or inf) "
@@ -899,11 +896,12 @@ def solve(
 
     Every argument but ``rhs`` holds one entry per row.
     Rows may differ in span, pieces, tolerance and grid size; each is
-    integrated exactly as it would be alone.  One step-size controller
-    goes through every pass row by row; a pass of more than
-    ``FLOAT_ROWS`` rows attempts its steps on arrays and stacks their
-    dense output, a narrower one attempts them in Python floats (given
-    ``row_rhs``) and writes their dense output row by row.
+    integrated exactly as it would be alone.  One step-size controller,
+    with one clipped factor on accept and on reject, goes through every
+    pass row by row; a pass of more than ``FLOAT_ROWS`` rows attempts
+    its steps on arrays and stacks their dense output, a narrower one
+    attempts them in Python floats (given ``row_rhs``) and writes their
+    dense output row by row.
 
     Parameters
     ----------
@@ -1134,29 +1132,28 @@ def solve(
         restarts, keep, accepted, found = [], [], [], []
         for r, b in enumerate(index):
             t, h = T[r], H[r]
-            retry = nonfinite = False
-            f = None  # f at t, if the row restarts there
+            retry = False
             if errs is not None:
                 err = errs[r]
+                # one clipped factor on accept and on reject: a NaN or inf
+                # err gets _MIN_FACTOR, as inf ** exponent is 0.0 and
+                # max(_MIN_FACTOR, nan) is its first argument (max(nan,
+                # _MIN_FACTOR) is NaN, which min makes _MAX_FACTOR)
+                h *= _MAX_FACTOR if err == 0.0 else min(
+                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** exponent))
                 if not err <= 1.0:  # NaN is rejected
                     retry = True
                     n_rejected[b] += 1
-                    nonfinite = not math.isfinite(err)
-                    h *= _MIN_FACTOR if nonfinite else max(
-                        _MIN_FACTOR, _SAFETY * err ** exponent)
                 else:
                     n_accepted[b] += 1
                     accepted.append(r)
                     # dense output for the grid points inside (t, t_new],
                     # written once the pass is over
-                    t_new = stops[r] if lasts[r] else t + h
+                    t_new = stops[r] if lasts[r] else t + H[r]
                     j = _index(t_new, *params[b])
                     if j > cur[r]:
-                        found.append((r, t, h, cur[r], j, b))
+                        found.append((r, t, H[r], cur[r], j, b))
                         cur[r] = j
-                    h *= _MAX_FACTOR if err == 0.0 else min(
-                        _MAX_FACTOR,
-                        max(_MIN_FACTOR, _SAFETY * err ** exponent))
                     t = T[r] = t_new
                     if lasts[r]:
                         if n_pieces[b] == len(pieces[b]):
@@ -1164,13 +1161,13 @@ def solve(
                             continue
                         stops[r], pending, h = restart(r, b, t)
                         restarts.append(pending)
-                        f = pending[-1]
             last = lasts[r] = t + h >= stops[r]
             # a step onto the piece's end may be shorter than the floor,
             # unless it repeats a rejected one (it would repeat forever)
             if not (h >= 10.0 * abs(math.nextafter(t, math.inf) - t)
                     or last and not retry):
-                errors[b] = _underflow(t, h, nonfinite, K[r, :fsal + 1], f)
+                errors[b] = _underflow(t, h, retry and not math.isfinite(err),
+                                       K[r, :fsal + 1])
                 continue
             H[r] = stops[r] - t if last else h
             keep.append(r)

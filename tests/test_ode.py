@@ -167,6 +167,20 @@ class TestOrder:
                 res.y[1:3] - np.stack([np.cos(t), -np.sin(t)], axis=1))))
         assert ORDER_8[0] < errors[0] / errors[1] < ORDER_8[1]
 
+    def test_tableau_equals_scipys_dop853(self):
+        # entry for entry, against scipy's DOP853 coefficients (its E3
+        # and E5 carry a 13th entry, 0.0, on the FSAL stage)
+        from scipy.integrate._ivp import dop853_coefficients as dop
+        assert ode._C.tolist() == dop.C.tolist()
+        assert len(ode._A) == len(dop.A) == 16
+        for i, row in enumerate(ode._A):
+            assert row.tolist() == dop.A[i, :i].tolist()
+        assert ode._B.tolist() == dop.B.tolist()
+        assert ode._E3.tolist() == dop.E3[:12].tolist()
+        assert ode._E5.tolist() == dop.E5[:12].tolist()
+        assert [[row.get(s, 0.0) for s in range(16)]
+                for row in ode._D_ROWS] == dop.D.tolist()
+
 
 class TestStatistics:
     def test_rhs_eval_accounting(self):
@@ -372,6 +386,39 @@ class TestErrors:
                         [0.0], np.array([[y0]]), [2], [1e-6])
         assert isinstance(res.errors[0], NonFiniteRhsError)
         assert f"{culprit} went non-finite" in str(res.errors[0])
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_starting_step_is_finite_where_f0_holds_no_nan(self, n):
+        # why a NaN step names the right-hand side: without a NaN in f0,
+        # the starting step is finite and positive, alone and in a batch,
+        # from any finite state, f0 and the probe's f1 with infinities
+        # (and NaN in f1), at any tolerance, span and power.  Not the
+        # converse: a NaN f0 can still give a finite step
+        rng = np.random.default_rng(70 + n)
+        rows = 1500
+        magnitudes = [0.0, 5e-324, 1e-310, 1e-16, 1.0, 1e150, 1e300, 1.7e308]
+        finite = magnitudes + [-x for x in magnitudes]
+        y0 = rng.choice(finite, (rows, n))
+        f0 = rng.choice(finite + [math.inf, -math.inf], (rows, n))
+        f1 = rng.choice(finite + [math.inf, -math.inf, math.nan], (rows, n))
+        tol = rng.choice([1e-12, 1e-8, 1e-4], (rows, 1))
+        span = 10.0 ** rng.uniform(-323.3, 300.0, rows)
+        span[:2] = 5e-324, 1e300
+        t0 = np.zeros(rows)
+
+        def probe(t, Y, P):  # the probe's f1 rides in P
+            return P.copy()
+
+        for power in (ode._START_EXPONENT, exponential.Exponential
+                      .start_exponent):
+            with np.errstate(all="ignore"):
+                h = _initial_step(probe, t0, y0, f1, f0, span, tol, power)
+                alone = [_initial_step(
+                    probe, t0[b:b + 1], y0[b:b + 1], f1[b:b + 1],
+                    f0[b:b + 1], span[b:b + 1], tol[b:b + 1], power).item()
+                    for b in range(rows)]
+            assert np.isfinite(h).all() and (h > 0.0).all()
+            assert list(map(repr, h.tolist())) == list(map(repr, alone))
 
     @pytest.mark.parametrize("y0", [math.inf, -math.inf, math.nan])
     def test_nonfinite_initial_state_rejected(self, y0):
