@@ -101,8 +101,10 @@ def _phi_series(z: np.ndarray) -> np.ndarray:
     return _phi_down(value, z)
 
 
-def _phi_series_divided(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """phi_0..phi_4[a, b] for |a - b| < 1/2 and |a|, |b| <= 2.
+def _phi_series_divided(a: np.ndarray, b: np.ndarray,
+                        value: np.ndarray) -> np.ndarray:
+    """phi_0..phi_4[a, b] for |a - b| < 1/2 and |a|, |b| <= 2, given
+    value = phi_0..phi_4(a).
 
     With mu = (a + b)/2 and d = (a - b)/2, the divided difference of
     z^j is sum over odd l of C(j, l) mu^(j-l) d^(l-1), so phi_4[a, b] is
@@ -115,7 +117,6 @@ def _phi_series_divided(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                                  * _SERIES_ODD[:, 1:]).sum(axis=-1)
     divided = np.empty((5, a.size), complex)
     divided[4] = inner[:, 0] + (inner[:, 1:] * _powers(d * d, 6)).sum(axis=-1)
-    value = _phi_series(a)
     for k in range(4, 0, -1):
         np.add(value[k], b * divided[k], out=divided[k - 1])
     return divided
@@ -158,7 +159,9 @@ def _phis(a: np.ndarray, b: np.ndarray) -> tuple:
         divided[:, far] = (value[:, far] - at_b) / (a[far] - b[far])
     small = ~far & (np.maximum(abs(a), abs(b)) <= _SERIES_RADIUS)
     if small.any():
-        divided[:, small] = _phi_series_divided(a[small], b[small])
+        # value took the series at each small a (|a| <= _SERIES_RADIUS)
+        divided[:, small] = _phi_series_divided(a[small], b[small],
+                                                value[:, small])
     near = ~far & ~small
     if near.any():
         zeta = 0.5 * (a[near] + b[near])[:, None] + _CIRCLE

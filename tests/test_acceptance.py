@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from lfbloch.dynamics import (
-    DriveEnvelope,
     EffectiveParams,
     EmitterParams,
     IntegrationSpec,

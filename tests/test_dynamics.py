@@ -939,6 +939,7 @@ class TestIntegrateBatch:
         for got, run in zip(batch, runs):
             assert _same_outcome(got, _lone(run))
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("lone_rows", [0, 10**6],
                              ids=["lone-arrays", "lone-floats"])
     @settings(max_examples=12, deadline=None)
@@ -1381,6 +1382,7 @@ class TestBatchMemory:
             assert (a.n_accepted, a.n_rejected) == (b.n_accepted,
                                                     b.n_rejected)
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("keep", [None, ("w",)])
     def test_dormand_prince_stack_size_keeps_the_bits(self, keep):
         # model-A rows of different spans and grid sizes, from sparse

@@ -14,13 +14,18 @@ same numpy, ``OPENBLAS_CORETYPE=Haswell`` moves the model-B CSVs
 and the JSON stdout of ``verify``, and ``Sandybridge`` moves every
 ``simulate`` and ``verify`` run, both forms (ROADMAP item 2).  They
 move through dense output's BLAS products and the exponential method's.
-The stage sums take no BLAS call (``tests/test_ode.py::TestFloatBits``
-pins their order), nor do the fits
-(``tests/test_verify.py::TestFitBits``).  CI reports these hashes under
-the Haswell kernel without gating on them ("Goldens under the Haswell
-kernel"); they join the gating step "Bits under other BLAS kernels",
-which runs its tests under Haswell and Sandybridge, once dense output
-and the exponential method take no BLAS order (ROADMAP items 2 and 3).
+``sweep_model_b``, a model-B sweep whose Dormand-Prince batch narrows
+through ``FLOAT_ROWS`` and whose two fastest host poles (eps_b 60 and
+80) lie above ``EXPONENTIAL_POLE``, moves under Haswell, in those two
+exponential-method rows alone, and keeps its bytes under Sandybridge.
+The stage sums take no BLAS call (``TestFloatBits`` in
+``tests/test_ode.py`` pins their order), nor do the fits (``TestFitBits``
+in ``tests/test_verify.py``).  CI reports these hashes under the Haswell
+kernel without gating on them ("Goldens under the Haswell kernel").
+Once dense output and the exponential method take no BLAS order
+(ROADMAP items 2 and 3), they join the gating step "Bits under other
+BLAS kernels", which runs the tests marked ``@pytest.mark.bits`` under
+Haswell and Sandybridge, by taking that marker.
 
 Runs happen inside ``tmp_path`` with relative ``--output`` names, so the
 paths echoed in the JSON reports are the same on every machine.
@@ -71,6 +76,7 @@ RUNS = {
                                   "--output", "pulse_both.csv"],
                                  ("pulse_both_A.csv", "pulse_both_B.csv")),
     "sweep": (["sweep", str(CONFIGS / "sweep_host_density.json")], ()),
+    "sweep_model_b": (["sweep", str(CONFIGS / "sweep_model_b.json")], ()),
     "verify": (["verify", "--json"], ()),
     "verify_text": (["verify"], ()),
 }
@@ -139,6 +145,10 @@ GOLDEN = {
     "sweep": {
         "stdout":
             "fb8169e269d4fe74d644296c801d303cfd34ceeef385e58218f5d03ae568f15b",
+    },
+    "sweep_model_b": {
+        "stdout":
+            "ee92e601285ca9adc99735be63cdf4bd3e3dea58cf67b02801b155462be1ce6c",
     },
     "verify": {
         "stdout":

@@ -798,6 +798,7 @@ def _controllers(monkeypatch, float_rows):
         monkeypatch.setattr(ode, "FLOAT_ROWS", float_rows)
 
 
+@pytest.mark.bits
 class TestStackedBatch:
     """A batch's rows keep the bits of their lone runs whether a pass
     stacks its dense output (more than FLOAT_ROWS rows) or writes it per
@@ -911,6 +912,7 @@ def _powers(rng, shape):
     return powers
 
 
+@pytest.mark.bits
 class TestDenseBits:
     """The bit equalities that stacked dense output relies on, one test
     each, so that a numpy or BLAS that breaks one fails here by name
@@ -1071,6 +1073,7 @@ def _replay(draws):
     return rhs, f, states
 
 
+@pytest.mark.bits
 class TestFloatBits:
     """The bit equalities that both forms of a pass rely on, one test
     each, so that a numpy that breaks one fails here by name rather than

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 
 from lfbloch import dynamics, verify
 from lfbloch.dynamics import (
-    DriveEnvelope,
     EmitterParams,
     IntegrationSpec,
     MicroscopicParams,
@@ -26,8 +25,6 @@ from lfbloch.verify import (
     CheckResult,
     ConvergenceRow,
     DegenerateModesWarning,
-    EliminationResult,
-    FitResult,
     FitWindowError,
     SamplingTooCoarseError,
     convergence_study,
@@ -351,6 +348,7 @@ def _fit_samples(n, rate):
 LINE_AGREEMENT = 1e-13
 
 
+@pytest.mark.bits
 class TestFitBits:
     """The equalities that the fits of every sweep point rely on, their
     window as one slice and the bits of their line, so that a numpy
