@@ -8,7 +8,7 @@ over powers of 2 from 1 to 16384 (|alpha| from 20 to 3.3e5 gamma_a): the
 fast-host runs go to the exponential integrator, whose step is not bounded
 by the host pole but whose step count is not flat in it either: on a
 weak-excitation run it is erratic, 2623 attempts at |alpha| = 5000 against
-127 at 20000.  The whole table took 0.5 s on a shared 2-core Xeon.
+127 at 20000.  The whole table takes 0.2-0.3 s on a shared 2-core Xeon.
 
 Usage: ``PYTHONPATH=src python scripts/convergence_table.py``
 """

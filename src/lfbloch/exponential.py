@@ -196,7 +196,13 @@ class Exponential:
     t, t + h/3, t + 2h/3 and t + h.  The stages at c = 1/2 sit at one
     time, so an estimate built on them alone misses a fast transient in
     N; the quadrature's other nodes see it.  The same cubic gives the
-    dense output, of order 4.
+    dense output, of order 4.  The controller takes ``exponent``, -1/4
+    for the estimate of order 3, and the starting-step heuristic
+    ``start_exponent``, 1/5: not 1/(3 + 1), but the power of the 5(4)
+    pair that Dormand-Prince was before 8(5,3), kept when that pair was
+    replaced so that this method's steps did not move.  Unlike
+    Dormand-Prince's, its step may grow on an accept right after a
+    rejection.
 
     The estimate is that of the solution the step keeps (no local
     extrapolation), so a run's error adds up over its steps, by up to
@@ -220,7 +226,7 @@ class Exponential:
     """
 
     exponent = -0.25  # 1/(embedded order + 1)
-    start_exponent = 0.2  # of solve's starting-step heuristic
+    start_exponent = 0.2  # of solve's starting-step heuristic: see above
     span_steps = 100  # steps before error per unit step, span units
     max_scale = 100.0  # the largest factor on a step's estimate
     # N at c = 0, 1/2, 1/2, 1, 1/2, then at t + h/3 and t + 2h/3, then

@@ -77,18 +77,22 @@ same bits on any BLAS kernel, in any batch and in either form of a pass
 whose order depends on its kernel).
 
 The step-size controller keeps each unfinished row's time, step size,
-piece end, whether its step ends the piece, and the index of its next
-grid point as lists of Python numbers, with each row's piece constants
-as ``row_rhs`` reads them; only the first starting step is taken over
-all rows at once (``_initial_step``, whose masks and ``np.float_power``
-give the bits of the heuristic on Python floats).  Each pass then goes
-through its rows one by one: accept/reject is ``err <= 1`` (so NaN is
-rejected), accept and reject share one step-size factor, ``_SAFETY *
-err**exponent`` clipped to [``_MIN_FACTOR``, ``_MAX_FACTOR``]
-(``_MAX_FACTOR`` for a zero error, ``_MIN_FACTOR`` for a non-finite
-one), the floor is 10 ulps of the row's time, ``_index`` counts the
-grid points inside an accepted step, and a restart at a piece's end or
-a failure is the row's own.
+piece end, whether its step ends the piece, the index of its next grid
+point and whether its last attempt was rejected as lists of Python
+numbers, with each row's piece constants as ``row_rhs`` reads them;
+only the first starting step is taken over all rows at once
+(``_initial_step``, whose masks and ``np.float_power`` give the bits of
+the heuristic on Python floats).  Each pass then goes through its rows
+one by one: accept/reject is ``err <= 1`` (so NaN is rejected), accept
+and reject share one step-size factor, ``_SAFETY * err**exponent``
+clipped to [``_MIN_FACTOR``, ``_MAX_FACTOR``] (``_MAX_FACTOR`` for a
+zero error, ``_MIN_FACTOR`` for a non-finite one), the floor is 10 ulps
+of the row's time, ``_index`` counts the grid points inside an accepted
+step, and a restart at a piece's end or a failure is the row's own.  A
+Dormand-Prince accept right after a rejection clips the factor to 1, so
+that the step does not grow there: the rule of DOP853 and of scipy's,
+whose accepted and rejected counts the rows then take.  The exponential
+method does not cap that factor.
 
 A pass of more than ``FLOAT_ROWS`` rows attempts its steps on arrays
 (``_attempt``).  A pass of at most ``FLOAT_ROWS`` Dormand-Prince rows
@@ -505,9 +509,12 @@ def _initial_step(rhs, t0, y0, P, f0, t_end, tol,
 
     Row b starts at t0[b] from y0[b], where ``rhs`` is f0[b], in the
     piece of constants P[b] that ends at t_end[b]; tol is the (B, 1)
-    column of their tolerances, and power 1/(error estimator order + 1)
-    of the method.  Returns the (B,) starting steps, each with the bits
-    of the row's heuristic on Python floats: its branches are masks, and
+    column of their tolerances, and power the method's: Dormand-Prince
+    passes 1/8, 1/(error estimator order + 1) for its estimator of order
+    7, as scipy's DOP853 does; the exponential method passes
+    ``Exponential.start_exponent``, 1/5, though its estimator is of
+    order 3.  Returns the (B,) starting steps, each with the bits of the
+    row's heuristic on Python floats: its branches are masks, and
     ``np.float_power`` is CPython's ``**``.
     """
     scale = tol + tol * np.abs(y0)
@@ -731,8 +738,9 @@ def _names(stem, n, brackets="[]"):
 def _stage(i, n, states):
     """Python source that evaluates stage i of a row by f from the
     sources of its n state components."""
-    return (f"        {_names(f'k{i}_', n, '()')} = f(t + h * {_C[i]!r}, "
-            f"[{', '.join(states)}], c)\n")
+    # a Python float node: the repr of np.float64 would call it
+    return (f"        {_names(f'k{i}_', n, '()')} = "
+            f"f(t + h * {float(_C[i])!r}, [{', '.join(states)}], c)\n")
 
 
 def _state(i, n):
@@ -897,8 +905,10 @@ def solve(
     Every argument but ``rhs`` holds one entry per row.
     Rows may differ in span, pieces, tolerance and grid size; each is
     integrated exactly as it would be alone.  One step-size controller,
-    with one clipped factor on accept and on reject, goes through every
-    pass row by row; a pass of more than ``FLOAT_ROWS`` rows attempts
+    with one clipped factor on accept and on reject (at most 1 on a
+    Dormand-Prince accept right after a rejection, as in DOP853; the
+    exponential method does not cap it), goes through every pass row by
+    row; a pass of more than ``FLOAT_ROWS`` rows attempts
     its steps on arrays and stacks their dense output, a narrower one
     attempts them in Python floats (given ``row_rhs``) and writes their
     dense output row by row.
@@ -1066,6 +1076,10 @@ def solve(
         rhs, k = method.nonlinear, k + extra.shape[1]
     exponent = method.exponent if method else _ORDER_EXPONENT
     power = method.start_exponent if method else _START_EXPONENT
+    # the largest factor of an accept right after a rejection:
+    # Dormand-Prince's step does not grow there (DOP853, and scipy's
+    # RungeKutta._step_impl); the exponential method's is not capped
+    regrow = _MAX_FACTOR if method else 1.0
     # the stage that is f at the new state: the evaluations of an attempt
     fsal = method.stages - 1 if method else _FSAL
     # the float form: Dormand-Prince rows whose sums of squares
@@ -1104,7 +1118,8 @@ def solve(
     # The controller state of the unfinished rows, as lists in the order
     # of the rows of y, K and P: each one's batch row index, time, step
     # size, piece end, whether its step ends the piece, the index of its
-    # next grid point and (C) its piece constants as row_rhs reads them
+    # next grid point, whether its last attempt was rejected and (C) its
+    # piece constants as row_rhs reads them
     index, T = list(range(batch)), t0[:]
     stops = [row[0][0] for row in pieces]
     P = np.array([row[0][1] for row in pieces]).reshape(batch, k)
@@ -1114,7 +1129,7 @@ def solve(
     K[:, 0] = rhs(np.array(T), y, P)
     H = _initial_step(rhs, np.array(T), y, P, K[:, 0, :n],
                       np.array(stops), tol_col, power).tolist()
-    lasts, cur = [False] * batch, [1] * batch
+    lasts, cur, rejects = [False] * batch, [1] * batch, [False] * batch
     n_accepted, n_rejected = [0] * batch, [0] * batch
     C = [row[0][2] for row in pieces]
     # every grid starts at t0: its first sample is y0
@@ -1135,14 +1150,17 @@ def solve(
             retry = False
             if errs is not None:
                 err = errs[r]
+                retry = not err <= 1.0  # NaN is rejected
                 # one clipped factor on accept and on reject: a NaN or inf
                 # err gets _MIN_FACTOR, as inf ** exponent is 0.0 and
                 # max(_MIN_FACTOR, nan) is its first argument (max(nan,
-                # _MIN_FACTOR) is NaN, which min makes _MAX_FACTOR)
-                h *= _MAX_FACTOR if err == 0.0 else min(
-                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** exponent))
-                if not err <= 1.0:  # NaN is rejected
-                    retry = True
+                # _MIN_FACTOR) is NaN, which min makes top); an accept
+                # right after a rejection is clipped to regrow
+                top = regrow if rejects[r] and not retry else _MAX_FACTOR
+                h *= top if err == 0.0 else min(
+                    top, max(_MIN_FACTOR, _SAFETY * err ** exponent))
+                rejects[r] = retry
+                if retry:
                     n_rejected[b] += 1
                 else:
                     n_accepted[b] += 1
@@ -1213,9 +1231,9 @@ def solve(
         if len(keep) < len(y):
             y, P, tol_col = (a[keep] for a in (y, P, tol_col))
             K = _take(K, keep)
-            index, T, H, stops, lasts, cur, C = (
+            index, T, H, stops, lasts, cur, rejects, C = (
                 [a[r] for r in keep]
-                for a in (index, T, H, stops, lasts, cur, C))
+                for a in (index, T, H, stops, lasts, cur, rejects, C))
             few = len(keep) <= FLOAT_ROWS
 
         # stage evaluations (k1 carried over from the previous step,

@@ -89,6 +89,10 @@ RUNS = {
 # Every hash of an integrated output moved once more when the stage
 # sums went from BLAS to one fixed order, left to right from +0.0 (step
 # counts unchanged; the old and new values are in CHANGES.md)
+# The verify and sweep_model_b hashes moved when a Dormand-Prince accept
+# right after a rejection stopped growing the step, as scipy's DOP853
+# (the exponential method's rows kept their bytes; the old and new
+# values are in CHANGES.md)
 GOLDEN = {
     "compare": {
         "stdout":
@@ -148,15 +152,15 @@ GOLDEN = {
     },
     "sweep_model_b": {
         "stdout":
-            "ee92e601285ca9adc99735be63cdf4bd3e3dea58cf67b02801b155462be1ce6c",
+            "98753d2f8bba17799d9bab766010020f9692536666fe9a9b8611fd09e84fb6a7",
     },
     "verify": {
         "stdout":
-            "6915bc95f641d5e93e567855bcf4e9507822494f79215deec0d4ea7bc6abadbf",
+            "162328868346682f6328e114cfd689efb096bada2fcfe682c16a10a7d6a1b381",
     },
     "verify_text": {
         "stdout":
-            "890db924b14a30c45876b07b43be8e4733ad9c005033eac2e47fbcca9cd1d91b",
+            "612184e405fb1da96e28054dbbe8ed913358a6ad8d49dea5fb51e32695986bf1",
     },
 }
 

@@ -22,8 +22,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from lfbloch import exponential, ode, verify
 from lfbloch.ode import (
@@ -94,6 +95,15 @@ def _rigid_body(t, y, p):
 def _scipy(f):
     """f as a right-hand side for scipy's solve_ivp."""
     return lambda t, y: f(t, y, ())
+
+
+def _van_der_pol(t, y, p):
+    return np.array([y[1], p[0] * (1.0 - y[0] * y[0]) * y[1] - y[0]])
+
+
+def _driven(t, y, p):
+    # a damped oscillator, driven at unit amplitude
+    return np.array([y[1], math.cos(p[2] * t) - p[0] * y[1] - p[1] * y[0]])
 
 
 class TestAccuracy:
@@ -201,8 +211,8 @@ class TestStatistics:
         # fast linear relaxation at loose tolerance: the controller keeps
         # bouncing off the explicit stability boundary, h*lambda = -6.39
         # on the real axis for this pair (-3.31 for the 5(4) one), so it
-        # takes 3*lambda/6.39 = 94 steps at least (98 accepted, 4
-        # rejected)
+        # takes 3*lambda/6.39 = 94 steps at least (98 accepted, 9
+        # rejected, as scipy's DOP853)
         def relax(t, y, p):
             return np.array([200.0 * (math.cos(t) - y[0])])
 
@@ -211,7 +221,11 @@ class TestStatistics:
         lam = 200.0
         assert res.n_accepted[0] >= 3.0 * lam / 6.39
         exact = (lam * lam * math.cos(3.0) + lam * math.sin(3.0)) / (lam * lam + 1.0)
-        assert_allclose(res.y[-1, 0], exact, atol=1e-3)
+        # tol bounds each step's error estimate, not the end value: the
+        # bound is scipy's DOP853 on the same steps, 1.079e-3 off
+        ref = solve_ivp(lambda t, y: relax(t, y, None), (0.0, 3.0), [0.0],
+                        method="DOP853", rtol=1e-3, atol=1e-3)
+        assert abs(res.y[-1, 0] - exact) <= 1.01 * abs(ref.y[0, -1] - exact)
 
     def test_tighter_tolerance_smaller_error(self):
         exact = math.exp(-6.0)
@@ -221,6 +235,89 @@ class TestStatistics:
                             tol=tol)
             errs.append(abs(res.y[-1, 0] - exact))
         assert errs[1] < errs[0]
+
+
+def _dop853_counts(f, p, t0, y0, end, tol):
+    """The accepted and rejected steps of scipy's DOP853 on f(t, y, p)
+    from t0 to end, stepped by ``.step()``, which computes no dense
+    output: 2 evaluations, then 12 per attempt."""
+    run = DOP853(lambda t, y: f(t, y, p), t0, np.array(y0, dtype=float),
+                 end, rtol=tol, atol=tol)
+    accepted = 0
+    while run.status == "running":
+        run.step()
+        accepted += 1
+    assert run.status == "finished"
+    rejected, rest = divmod(run.nfev - 2 - 12 * accepted, 12)
+    assert rest == 0
+    return accepted, rejected
+
+
+@st.composite
+def _smooth_row(draw, n):
+    """A smooth problem of n components, (f, p, t0, y0, end, points,
+    tol), p padded to 3 constants."""
+    f = draw(st.sampled_from([_spin] + (
+        [_van_der_pol, _driven] if n == 2 else
+        [_rigid_body] if n == 3 else [])))
+    a, b, c = (draw(st.floats(0.0, 1.0)) for _ in range(3))
+    p = {_spin: (2.0 * a - 1.0, b, 0.0), _rigid_body: (0.0, 0.0, 0.0),
+         _van_der_pol: (0.5 + 4.5 * a, 0.0, 0.0),
+         _driven: (0.05 + a, 0.5 + 3.0 * b, 0.5 + 2.5 * c)}[f]
+    t0 = draw(st.floats(-1.0, 1.0))
+    y0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return (f, p, t0, y0, t0 + draw(st.floats(0.5, 8.0)),
+            draw(st.integers(2, 40)), 10.0 ** draw(st.floats(-10.0, -5.0)))
+
+
+class TestScipyOracle:
+    """Dormand-Prince takes the steps of scipy's DOP853 (Hairer's step
+    size rule, whose accept right after a rejection does not grow the
+    step): each row's accepted and rejected counts equal scipy's, alone
+    and in batches that narrow through FLOAT_ROWS."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("f, p, y0, end", [
+        (_rigid_body, (), [0.0, 1.0, 1.0], 12.0),
+        (_van_der_pol, (5.0,), [2.0, 0.0], 20.0),
+        (_driven, (0.2, 1.0, 1.3), [1.0, 0.0], 30.0)])
+    def test_named_problems(self, f, p, y0, end, tol):
+        # van der Pol took 93+33, 179+33 and 326+53 steps while such an
+        # accept could grow the step, against scipy's 92+22, 180+32 and
+        # 325+43
+        res = solve_one(f, 0.0, end, y0, 2, tol, args=p,
+                        row_rhs=_row_form(f))
+        assert (res.n_accepted[0], res.n_rejected[0]) == _dop853_counts(
+            f, p, 0.0, y0, end, tol)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+        _smooth_row(n), min_size=ode.FLOAT_ROWS + 1,
+        max_size=ode.FLOAT_ROWS + 3)))
+    def test_drawn_rows_alone_and_in_batches(self, rows):
+        fs = list(dict.fromkeys(row[0] for row in rows))
+        rhs, row_rhs = _per_row(*fs), _row_form(*fs)
+        pieces = [[(end, (fs.index(f), *p))]
+                  for f, p, _, _, end, _, _ in rows]
+        _, _, t0, y0, _, points, tol = zip(*rows)
+        counts = [_dop853_counts(f, p, a, y, end, tl)
+                  for f, p, a, y, end, _, tl in rows]
+        # the rows end at different passes: the longest row attempts more
+        # steps than the FLOAT_ROWS + 1st longest
+        attempts = sorted(map(sum, counts))
+        assume(attempts[-1] > attempts[-ode.FLOAT_ROWS - 1])
+        with pytest.MonkeyPatch.context() as patch:
+            sizes = _spy_floats(patch)
+            batch = solve(rhs, pieces, t0, np.array(y0), points, tol,
+                          row_rhs=row_rhs)
+        # so the batch narrows from the array form to the float form
+        assert sizes and max(sizes) <= ode.FLOAT_ROWS
+        for b, (_, _, t0, y0, _, points, tol) in enumerate(rows):
+            lone = solve(rhs, pieces[b:b + 1], [t0], np.array([y0]),
+                         [points], [tol], row_rhs=row_rhs)
+            assert batch.errors[b] is lone.errors[0] is None
+            assert (batch.n_accepted[b], batch.n_rejected[b]) == counts[b]
+            assert (lone.n_accepted[0], lone.n_rejected[0]) == counts[b]
 
 
 class TestDeterminism:
@@ -346,7 +443,7 @@ class TestErrors:
                                                float_rows):
         # y' = -y goes NaN from t = 0.5: each attempt of the failing row
         # counts its 12 evaluations once, in either attempt form:
-        # 1355 = 2 + 12 per attempt + 3 for each of the 3 steps with grid
+        # 1067 = 2 + 12 per attempt + 3 for each of the 3 steps with grid
         # points
         def turns_nan(t, y, p):
             return np.full_like(y, math.nan) if t >= 0.5 else -y
@@ -357,9 +454,9 @@ class TestErrors:
                     row_rhs=_row_form(turns_nan))
         attempts = int(res.n_accepted[0] + res.n_rejected[0])
         assert (res.n_accepted[0], res.n_rejected[0], res.n_rhs[0]) == (
-            38, 74, 1355) == (38, 74, 2 + 12 * attempts + 3 * 3)
+            44, 44, 1067) == (44, 44, 2 + 12 * attempts + 3 * 3)
         assert str(res.errors[0]) == (
-            "step size underflow at t = 0.5 (h = 1.35e-16): the right-hand "
+            "step size underflow at t = 0.5 (h = 5.42e-16): the right-hand "
             "side went non-finite (NaN or inf) and every step past this "
             "point was rejected; check the parameters and the drive")
 
@@ -1548,6 +1645,23 @@ class TestFloatForm:
         assert sizes and max(sizes) == width
         assert np.count_nonzero(array.n_rejected) >= 3
         assert sum(error is not None for error in array.errors) == 3
+
+    def test_stages_get_python_float_times(self):
+        # every evaluation but the first and the starting-step probe's,
+        # those of the attempts and of their dense output's extra stages,
+        # hands f a Python float time, not a numpy scalar
+        read, f = _row_form(_spin)
+        times = []
+
+        def spy(t, y, c):
+            times.append(t)
+            return f(t, y, c)
+
+        res = solve(_per_row(_spin), [[(3.0, (0, 0.5, 0.2))]], [0.0],
+                    np.array([[1.0, 0.0, -0.5]]), [31], [1e-8],
+                    row_rhs=(read, spy))
+        assert len(times) == res.n_rhs[0] - 2
+        assert {type(t) for t in times} == {float}
 
     @pytest.mark.parametrize("n", [1, 5, 7])
     def test_wide_rows_equal_the_array_form_bitwise(self, monkeypatch, n):

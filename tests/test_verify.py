@@ -595,6 +595,17 @@ class TestConvergenceStudy:
         (row,) = convergence_study(CANONICAL, kappas=(128.0,))
         assert row.fitted_rate_error <= 2e-2
 
+    def test_exponential_run_counts_pinned(self):
+        # |alpha| = 160 gamma_a: the exponential method, whose step may
+        # grow right after a rejection (Dormand-Prince's may not); with
+        # Dormand-Prince's rule this run takes (78, 18, 674)
+        p = MicroscopicParams(emitter=EMITTER, host=HostSpecies(
+            delta_b=80.0, eps_b=80.0, gamma_b=4.0))
+        assert abs(p.host_pole) > dynamics.EXPONENTIAL_POLE
+        traj = integrate(*weak_excitation_run(p))
+        assert (traj.n_accepted, traj.n_rejected, traj.n_rhs) == (
+            73, 31, 730)
+
     def test_elimination_claim_to_kappa_16384(self):
         # kappa = 4^0 .. 4^7, |alpha| from 20 to 3.3e5 gamma_a.  The
         # tolerances come from a run made before this test existed: error
