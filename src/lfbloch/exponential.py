@@ -89,15 +89,19 @@ def _phi_down(value: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _powers(z: np.ndarray, count: int) -> np.ndarray:
     """z^1..z^count of each z, one row per z: sums over the last axis
     add each row alike (pairwise), whatever the number of rows.  The
-    products are ``np.cumprod``'s, by the ufunc that it runs."""
-    return np.multiply.accumulate(z.repeat(count).reshape(z.size, count),
-                                  axis=1)
+    products are ``np.cumprod``'s, by the ufunc that it runs, in place
+    of the repeated z."""
+    powers = z.repeat(count).reshape(z.size, count)
+    return np.multiply.accumulate(powers, axis=1, out=powers)
 
 
 def _phi_series(z: np.ndarray) -> np.ndarray:
     """phi_0..phi_4 at z from phi_4's Taylor series."""
     value = np.empty((5, z.size), complex)
-    value[4] = _SERIES[0] + (_powers(z, 21) * _SERIES[1:]).sum(axis=-1)
+    # the terms weighted in place of the powers
+    terms = _powers(z, 21)
+    terms *= _SERIES[1:]
+    value[4] = _SERIES[0] + terms.sum(axis=-1)
     return _phi_down(value, z)
 
 
@@ -116,7 +120,12 @@ def _phi_series_divided(a: np.ndarray, b: np.ndarray,
     inner = _SERIES_ODD[:, 0] + (_powers(mu, 21)[:, None]
                                  * _SERIES_ODD[:, 1:]).sum(axis=-1)
     divided = np.empty((5, a.size), complex)
-    divided[4] = inner[:, 0] + (inner[:, 1:] * _powers(d * d, 6)).sum(axis=-1)
+    # named, so that the product has the same bits in any array: numpy
+    # would reuse a temporary operand of 256 kB or more as the product's
+    # output, with the operands swapped, and a complex product by fused
+    # multiply-adds is not symmetric in its last bit
+    powers = _powers(d * d, 6)
+    divided[4] = inner[:, 0] + (inner[:, 1:] * powers).sum(axis=-1)
     for k in range(4, 0, -1):
         np.add(value[k], b * divided[k], out=divided[k - 1])
     return divided
@@ -365,14 +374,15 @@ class Exponential:
         return out
 
     def dense_output(self, jobs, y, K, P, grids, y_all, subset) -> list:
-        """Write the samples of the steps just accepted: the step's
-        order-4 extension, the exact phi-weighted integral of the cubic
-        through its N at t, t + h/3, t + 2h/3 and t + h.  The arguments
-        but P, the jobs' piece constants, are as for
-        ``lfbloch.ode._dense_output``: row g of y, K and P is job g's,
-        gathered once by ``solve``.  Returns the positions in ``jobs`` of
+        """Write the samples of the waiting steps: each step's order-4
+        extension, the exact phi-weighted integral of the cubic through
+        its N at t, t + h/3, t + 2h/3 and t + h.  The arguments but P, the
+        jobs' piece constants, are as for ``lfbloch.ode._dense_output``:
+        row g of y, K and P is job g's, gathered by ``solve``'s flush of
+        the jobs that waited over passes, in slices of at most
+        ``DENSE_SAMPLES`` samples.  Returns the positions in ``jobs`` of
         the jobs whose samples are not all finite."""
-        t, h, start, end, index = map(np.asarray, jobs[1:])
+        t, h, start, end, index = map(np.asarray, jobs)
         a, b, M = self._putzer(P, h)
         # each job's grid points start:end, end to end, one per sample
         m = end - start

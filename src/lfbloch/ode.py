@@ -57,9 +57,9 @@ Each stage is one right-hand-side call over all unfinished rows,
 ``rhs(t, Y, P)`` with the rows' stage times, states and piece
 constants; so is the starting-step probe of the first step, and a
 restart at a piece's end calls it on one row.  Each extra stage of
-dense output is one call over the rows that need it, with the
-constants of the piece their step lies in (a restart's take over once
-dense output is done).  ``rhs`` must compute
+dense output is one call over the jobs of a flush (below), with the
+constants of the piece their step lies in (copied before a restart's
+take over).  ``rhs`` must compute
 each row as it would alone (pure element-wise arithmetic does).  The
 other forms that keep a row's bits are narrow: ``np.matmul`` of a
 tableau row with the (B, i, w) stage slices of a stack whose last axis
@@ -72,8 +72,8 @@ exponential method fills stages 0..7), and every copy of it that a pass
 takes, as rows retire too, is strided (``_strided``, ``_take``): numpy
 then sums each tableau product in its own loop, left to right over
 every weight from +0.0, with no BLAS call, so that a stage sum has the
-same bits on any BLAS kernel, in any batch and in either form of a pass
-(numpy sends a contiguous stack, or a last axis of one item, to BLAS,
+same bits on any BLAS kernel, in any batch and in either form of an
+attempt (numpy sends a contiguous stack, or a last axis of one item, to BLAS,
 whose order depends on its kernel).
 
 The step-size controller keeps each unfinished row's time, step size,
@@ -95,7 +95,7 @@ whose accepted and rejected counts the rows then take.  The exponential
 method does not cap that factor.
 
 A pass of more than ``FLOAT_ROWS`` rows attempts its steps on arrays
-(``_attempt``).  A pass of at most ``FLOAT_ROWS`` Dormand-Prince rows
+(``_attempt``), and so does every pass of the exponential method.  A pass of at most ``FLOAT_ROWS`` Dormand-Prince rows
 of n < 8 components attempts them in Python floats when ``solve`` is
 also given the per-row form of the right-hand side (``row_rhs``): on so
 few rows numpy's call overhead is the cost of a pass.  Its code is
@@ -113,46 +113,51 @@ how ``np.add.reduce`` sums fewer than 8 terms (from 8 on it sums
 pairwise, hence the bound on n).  A row therefore takes the same steps
 in either form.  Whether the rows are ``FLOAT_ROWS`` or fewer is
 decided once each time they change, at the start and when rows retire,
-and read by the next attempt, its extra stages and its dense output: a
-run switches to the float form at the first attempt after its batch
+and read by the next attempt alone: a run switches to the float form at the first attempt after its batch
 drops to ``FLOAT_ROWS`` rows.
 
-Dense output runs once per pass, after every row has been accepted or
-rejected, on the pass's jobs: its accepted steps with grid points in
-them.  ``solve`` gathers the jobs' rows of y, K and P once (the arrays
-themselves when every row is a job; K's copy strided as every copy of
-it is), and both methods' dense output reads that gather alone.  For
-Dormand-Prince it first evaluates the 3 extra stages of the jobs into
-the gathered K (in Python floats on a float-form pass), then takes
-``Q = _P_T @ K`` of their 16 stages, one stacked product, and one kernel
-(``_samples``) takes y + h*(powers @ Q) with the powers theta^1..7,
-theta from the grid points that ``_points`` computes (``_times`` on one
-row's run of points).  Every product is of matrices of two samples and
+Dense output is written by samples, not by passes: it never feeds the
+steps (it is each step's continuous extension), and a row's samples
+have the same bits in any stack or slice, so when it is written moves
+no bit.  Each pass adds its jobs, its accepted steps with grid points
+in them, to one waiting set, with copies of their rows of y, of K's
+stages up to the FSAL stage and of P, taken before restarts and the
+FSAL copy overwrite them.  The set is flushed once it holds a stack's
+worth of samples, ``DENSE_SAMPLES`` or 1/64 (``STACK_SHARE``) of the
+batch's, whichever is more, and once after the last pass; a wide pass
+that fills a stack by itself is written at its own end.  A flush
+gathers the waiting rows into one strided stack, and both methods'
+dense output reads that gather alone.  For Dormand-Prince it first
+evaluates the 3 extra stages of every job into the gathered K (one
+``_stages`` call), then takes ``Q = _P_T @ K`` of their 16 stages, one
+stacked product, and one kernel (``_samples``) takes y + h*(powers @
+Q) with the powers theta^1..7, theta from the grid points that
+``_points`` computes.  Every product is of matrices of two samples and
 two columns at least, as a matrix-vector product need not give the bits
 of a row of a matrix product: a one-sample step repeats its grid point,
 Q has the w columns of K, and the samples are the product's first rows
-and n columns.  On a pass of at most ``FLOAT_ROWS`` rows that is one
-product per job, its powers row-major, written straight to the batch's
-rows when every column is kept.  On a wider pass the products are
-stacked: (G, mx, 7) stacks of the jobs in order, each padded to its
-longest by repeating a job's last grid point, and each of one job or of
-at most ``DENSE_SAMPLES`` samples or 1/64 (``STACK_SHARE``) of the
-batch's, whichever is more.  A stack
-reads its jobs' grids and steps from one per-job table of the pass and
-frees its arrays before the next stack allocates.  Its powers are a
-view of one power-major (7, G, mx) buffer, theta and each power a
-contiguous row, which BLAS reads without a copy, with the bits of the
-row-major stack.  Within each stack a job gets the bits of its own
-product (a stage-major (16, B*n) product would not), and a padding row
-those of its job's last sample, so that a stack is written whole.
-The exponential method's samples come from its own order-4 extension of
-each step (see ``lfbloch.exponential``), in slices of at most
-``DENSE_SAMPLES`` samples.  A row whose samples come out
-non-finite stops there with ``NonFiniteRhsError``.  When ``solve`` keeps
-only some state columns, each pass, in either form, writes the kept
-columns of its samples to the batch's and folds the ``measure`` of each
-into a running maximum per row, so the dropped columns are never
-stored.
+and n columns.  The products are stacked: (G, mx, 7) stacks of the
+jobs in order, each padded to its longest by repeating a job's last
+grid point, and each of one job or of at most a stack's worth of
+samples.  A stack reads its jobs' grids and steps from one per-job
+table of the flush and frees its arrays before the next stack
+allocates.  Its powers are a view of one power-major (7, G, mx)
+buffer, theta and each power a contiguous row, which BLAS reads without
+a copy, with the bits of the row-major stack.  Within each stack a job
+gets the bits of its own product (a stage-major (16, B*n) product would
+not), and a padding row those of its job's last sample, so that a stack
+is written whole.  The exponential method's samples come from its own
+order-4 extension of each step (see ``lfbloch.exponential``), in slices
+of at most ``DENSE_SAMPLES`` samples.  A job whose samples come out
+non-finite is replayed at the flush as if its row had stopped there:
+the row's samples from that step's start and its ``y_end`` are NaN, its
+``NonFiniteRhsError`` names that step (in place of any later error),
+its counters go back to their values when the step was accepted, and
+it retires if it is still running; so no result depends on where a
+flush falls.  When ``solve`` keeps only some state columns, each flush
+writes the kept columns of its samples to the batch's and folds the
+``measure`` of each into a running maximum per row, so the dropped
+columns are never stored.
 
 The run is fully deterministic for identical inputs and reports exact
 accepted/rejected step counts per row.
@@ -375,22 +380,23 @@ _EXTRA = range(_FSAL + 1, len(_C))  # the stages of dense output alone
 
 _P_T = _P.T
 
-# Unfinished rows at and below which a pass writes its dense output row
-# by row, and a Dormand-Prince pass attempts its steps in Python floats
-# when solve is given a per-row right-hand side; above it, stacked
-# products and attempts on arrays are faster (see CHANGES.md).  The one
-# switch between the two forms of a pass
+# Unfinished rows at and below which a Dormand-Prince pass attempts its
+# steps in Python floats when solve is given a per-row right-hand side;
+# above it, attempts on arrays are faster (see CHANGES.md).  The one
+# switch between the two forms of an attempt
 FLOAT_ROWS = 4
 
 # Samples at most per slice of the exponential method's dense output,
 # with about 2 kB of arrays per sample (its phi-functions, their contour
 # means and divided-difference series), and the least bound of a
-# Dormand-Prince stack: a row's bits do not depend on its stack or slice
+# Dormand-Prince stack and of a flush of the waiting jobs: a row's bits
+# do not depend on its stack, slice or flush
 DENSE_SAMPLES = 1536
 
-# A stacked product of a pass's Dormand-Prince dense output holds up to
-# max(DENSE_SAMPLES, B // STACK_SHARE) samples (but for a stack of one
-# row), B the samples of the batch's own buffer.  Its arrays take about
+# A flush of the waiting jobs' dense output comes once they hold
+# max(DENSE_SAMPLES, B // STACK_SHARE) samples, B the samples of the
+# batch's own buffer, and a stacked product of Dormand-Prince's holds up
+# to that many (but for a stack of one job).  A stack's arrays take about
 # 0.09 kB per stacked sample of 3 components and 0.12 kB of 5: about
 # 1.4-1.9 bytes per sample of any batch past 64 * DENSE_SAMPLES samples,
 # which makes fewer numpy calls (a 256-run sweep of 1601 points:
@@ -451,16 +457,13 @@ def _index(x, t0, step, last, end):
 class _Grids(NamedTuple):
     """Every row's sample grid, by arithmetic: ``params[b]`` is row b's
     (t0, step, last, end), the grid ``np.linspace(t0, end, last + 1)``
-    with a step that is not 0; ``rows[b]`` is the same as Python floats.
-    Row b's samples are the rows offsets[b]:offsets[b + 1] of the
-    batch's, one per grid point (``firsts`` is offsets[:-1] as a list).
+    with a step that is not 0.  Row b's samples are the rows
+    offsets[b]:offsets[b + 1] of the batch's, one per grid point.
     ``ks`` holds the indices of the longest grid as floats, which a
     slice reads faster than ``np.arange`` builds them."""
 
     offsets: np.ndarray  # shape (B + 1,)
     params: np.ndarray   # shape (B, 4)
-    rows: list
-    firsts: list
     ks: np.ndarray
 
 
@@ -574,14 +577,13 @@ def _underflow(t: float, h: float, nonfinite: bool,
 
 
 class _Jobs(NamedTuple):
-    """The steps accepted in a pass with grid points inside them, as
-    sequences with one entry per job.  Job g is the step of length h[g]
-    from t[g] of batch row index[g], at position rows[g] of the pass's
-    rows (``solve`` gathers its state, stages and piece constants into
-    row g of the jobs' arrays); it covers the points start[g]:end[g] of
-    its row's grid."""
+    """The accepted steps with grid points inside them that a flush
+    writes, over passes, as sequences with one entry per job.  Job g is
+    the step of length h[g] from t[g] of batch row index[g] (``solve``
+    gathers its state, stages and piece constants into row g of the
+    jobs' arrays); it covers the points start[g]:end[g] of its row's
+    grid."""
 
-    rows: Sequence[int]
     t: Sequence[float]
     h: Sequence[float]
     start: Sequence[int]
@@ -589,20 +591,17 @@ class _Jobs(NamedTuple):
     index: Sequence[int]
 
 
-def _samples(powers, Q, h, y, out=None):
+def _samples(powers, Q, h, y):
     """``y + h*(powers @ Q)`` on y's n columns: the dense output of steps
     of length h from states y at the thetas whose theta^1..7 are the rows
-    of powers (see the module docstring), into out's rows (the product's
-    first) if given, else in place of the product; returns it."""
+    of powers (see the module docstring), in place of the product;
+    returns it."""
     samples = powers @ Q
     # powers passed as a temporary (CPython 3.11 on) are freed here
     del powers
     samples *= h
-    if out is None:
-        out = samples = samples[..., :y.shape[-1]]
-    elif samples.shape != out.shape:  # padded
-        samples = samples[:len(out), :len(y)]
-    return np.add(y, samples, out=out)
+    samples = samples[..., :y.shape[-1]]
+    return np.add(y, samples, out=samples)
 
 
 def _stacked_powers(k, t0, step, last, end, t, h):
@@ -637,39 +636,19 @@ def _store(y_all, subset, at, samples, index):
         np.maximum.at(peak, index, top.reshape(at.shape).max(axis=-1))
 
 
-def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
-    """Write the samples of the steps just accepted.
+def _dense_output(jobs, y, Q, grids, y_all, subset, size) -> list:
+    """Write the samples of the waiting steps.
 
-    Job g of ``jobs`` (see ``_Jobs``), from state y[g] with its 16
-    stages K[g] (the pass's gather of the jobs' rows), writes its
-    samples at its grid points (of ``grids``, a ``_Grids``) to its rows
-    of the batch's samples ``y_all`` (see ``_store`` for ``subset``),
-    in stacks if ``stacked`` (see the module docstring).  Returns the
-    positions in ``jobs`` of the jobs whose samples are not all finite.
+    Job g of ``jobs`` (see ``_Jobs``), from state y[g] with ``Q[g] =
+    _P_T @ K[g]`` of its 16 stages (a flush's gather of the jobs' rows),
+    writes its samples at its grid points (of ``grids``, a ``_Grids``)
+    to its rows of the batch's samples ``y_all`` (see ``_store`` for
+    ``subset``), in stacks of at most size samples or of one job (see
+    the module docstring).  Returns the positions in ``jobs`` of the
+    jobs whose samples are not all finite.
     """
-    Q = np.matmul(_P_T, K)
     failed = []
-    if not stacked:
-        for g, (t, h, a, b, i, y_g, q) in enumerate(zip(*jobs[1:], y, Q)):
-            theta = _times(grids.ks[a:b], *grids.rows[i])
-            theta -= t
-            theta /= h
-            # theta^1..7, row-major; a one-sample step's twice
-            powers = theta.repeat(7 if b > a + 1 else 14).reshape(-1, 7)
-            np.multiply.accumulate(powers, out=powers, axis=1)
-            lo = grids.firsts[i] + a
-            v = _samples(powers, q, h, y_g,
-                         None if subset else y_all[lo:lo + b - a])
-            # NaN or inf in v makes v . v non-finite (so may an overflow,
-            # which the exact check then clears)
-            if not math.isfinite(np.vdot(v, v)) \
-                    and not np.isfinite(v).all():
-                failed.append(g)
-            elif subset:
-                _store(y_all, subset, np.arange(lo, lo + b - a)[None],
-                       v[None, :b - a], [i])
-        return failed
-    t, h, start, end, index = map(np.asarray, jobs[1:])
+    t, h, start, end, index = map(np.asarray, jobs)
     m = end - start
     # each job's grid (t0, step, last, end), its step (t, h), the index
     # of its first grid point, the sample row of its grid's point 0 and
@@ -679,7 +658,6 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
                              grids.offsets[index], m - 1))
     # stacks of the jobs in order, each of size samples or fewer (padded
     # to two samples at least), or of one job
-    size = max(DENSE_SAMPLES, len(y_all) // STACK_SHARE)
     rows = max(1, size // max(2, int(m.max())))
     every = np.arange(m.size)
     for g in (every[lo:lo + rows] for lo in range(0, m.size, rows)):
@@ -704,21 +682,12 @@ def _dense_output(jobs, stacked, y, K, grids, y_all, subset) -> list:
     return failed
 
 
-def _extra_stages(jobs, y, K, P, rhs, f=None, C=None) -> None:
+def _extra_stages(jobs, y, K, P, rhs) -> None:
     """Evaluate the interpolant's extra stages of the jobs into K, from
-    their states y and piece constants P (the pass's gather of the jobs'
-    rows, row g job g's): one rhs call each, or, given f (the per-row
-    form of rhs) and C (each row of the pass's constants as f reads
-    them), in Python floats by the straight-line code of
-    ``_float_code``."""
-    n = y.shape[1]
-    if f:
-        K[:, _EXTRA.start:] = _float_code(n).extra(
-            f, jobs.t, jobs.h, [C[r] for r in jobs.rows], y.tolist(),
-            K[:, :_EXTRA.start, :n].tolist())
-    else:
-        _stages(rhs, np.asarray(jobs.t), np.asarray(jobs.h), y, K, P,
-                _EXTRA)
+    their states y and piece constants P (a flush's gather of the jobs'
+    rows, row g job g's), one rhs call each over every job: a flush
+    takes them on arrays, whatever form its steps' attempts took."""
+    _stages(rhs, np.asarray(jobs.t), np.asarray(jobs.h), y, K, P, _EXTRA)
 
 
 def _sum(weights, j):
@@ -751,11 +720,10 @@ def _state(i, n):
 @functools.cache
 def _float_code(n):
     """The float form's straight-line code for rows of n components,
-    compiled on first use: ``attempt``, the body of ``_attempt_floats``,
-    and ``extra(f, T, H, C, Y, Ks)``, the interpolant's stages 13..15
-    of rows (t, h, c, y, stages 0..12 as lists).  Every tableau and error sum is written out by
-    ``_sum``, so a row's sums have the bits of the array form's strided
-    ``np.matmul``, with no numpy call per stage."""
+    compiled on first use: the body of ``_attempt_floats``.  Every
+    tableau and error sum is written out by ``_sum``, so a row's sums
+    have the bits of the array form's strided ``np.matmul``, with no
+    numpy call per stage."""
     js, ys = range(n), _names("y", n, "()")
     lines = [
         "def attempt(f, T, H, C, index, y, K, tol):\n"
@@ -788,21 +756,11 @@ def _float_code(n):
         + ", ".join(_names(f"k{i}_", n) for i in range(1, _FSAL + 1))
         + "])\n"
         f"    K[:, 1:{_FSAL + 1}] = stages\n"
-        "    return np.array(news), errs\n"
-        "def extra(f, T, H, C, Y, Ks):\n"
-        "    out = []\n"
-        f"    for t, h, c, {ys}, ("
-        + "".join(_names(f"k{i}_", n, "()") + ", " for i in range(_FSAL + 1))
-        + ") in zip(T, H, C, Y, Ks):\n")
-    lines += [_stage(i, n, _state(i, n)) for i in _EXTRA]
-    lines.append(
-        "        out.append(["
-        + ", ".join(_names(f"k{i}_", n) for i in _EXTRA) + "])\n"
-        "    return out\n")
+        "    return np.array(news), errs\n")
     space = {"np": np, "sqrt": math.sqrt}
     exec(compile("".join(lines), f"<ode float form, n = {n}>", "exec"),
          space)
-    return SimpleNamespace(attempt=space["attempt"], extra=space["extra"])
+    return space["attempt"]
 
 
 def _attempt_floats(f, T, H, C, index, y, K, tol):
@@ -815,7 +773,7 @@ def _attempt_floats(f, T, H, C, index, y, K, tol):
     order of the array form's and the rest of its arithmetic element by
     element, so each row gets its bits (see the module docstring).
     """
-    return _float_code(y.shape[1]).attempt(f, T, H, C, index, y, K, tol)
+    return _float_code(y.shape[1])(f, T, H, C, index, y, K, tol)
 
 
 def _norm(estimate, y, y_new, tol, third=None):
@@ -908,10 +866,9 @@ def solve(
     with one clipped factor on accept and on reject (at most 1 on a
     Dormand-Prince accept right after a rejection, as in DOP853; the
     exponential method does not cap it), goes through every pass row by
-    row; a pass of more than ``FLOAT_ROWS`` rows attempts
-    its steps on arrays and stacks their dense output, a narrower one
-    attempts them in Python floats (given ``row_rhs``) and writes their
-    dense output row by row.
+    row; a pass of more than ``FLOAT_ROWS`` rows attempts its steps on
+    arrays, a narrower one in Python floats (given ``row_rhs``).  Dense
+    output waits across passes and is written in stacks of samples.
 
     Parameters
     ----------
@@ -956,9 +913,9 @@ def solve(
         constants into the c that f reads, once per piece; ``f(t, y, c)``
         returns the derivative of one row, y a list of n floats, as n
         floats with the bits of that row of ``rhs``.  The float form
-        calls f for the stages of its steps and of their dense output
-        (the first evaluation and the starting-step probes still call
-        ``rhs``).
+        calls f for the stages of its attempts alone (the first
+        evaluation, the starting-step probes and the extra stages of
+        dense output call ``rhs``).
         Not used by the exponential method or for n >= 8.
     columns : sequence of ints, optional
         The state columns that ``OdeResult.y`` holds, in this order
@@ -968,7 +925,7 @@ def solve(
     measure : callable ``measure(Y) -> ndarray``, optional
         Maps (m, n) whole-state samples to m floats, element by element;
         ``OdeResult.measure_max`` holds each row's largest.  With
-        dropped columns it is taken on each pass's whole samples, with
+        dropped columns it is taken on each flush's whole samples, with
         floating-point warnings off, and folded into a running maximum
         per row (``np.maximum``, so NaN propagates); otherwise on each
         row's samples once it is done.
@@ -990,7 +947,7 @@ def solve(
         or new state is NaN or inf is rejected, never accepted), and then
         the error is the subclass NonFiniteRhsError.  So it is when the
         samples of an accepted step overflow: the row stops at the
-        step's start.
+        step's start, with the counters it had there.
 
     Raises
     ------
@@ -1053,8 +1010,7 @@ def solve(
         params.append((a, step, m - 1, ends[-1]))
     offsets = np.zeros(batch + 1, dtype=int)
     np.cumsum(points, out=offsets[1:])
-    grids = _Grids(offsets, np.array(params).reshape(batch, 4), params,
-                   offsets[:-1].tolist(),
+    grids = _Grids(offsets, np.array(params).reshape(batch, 4),
                    np.arange(max(points, default=0), dtype=float))
     method = None
     if linear is not None:
@@ -1082,6 +1038,8 @@ def solve(
     regrow = _MAX_FACTOR if method else 1.0
     # the stage that is f at the new state: the evaluations of an attempt
     fsal = method.stages - 1 if method else _FSAL
+    # the evaluations of the dense output of a step with grid points
+    extra = 0 if method else len(_EXTRA)
     # the float form: Dormand-Prince rows whose sums of squares
     # np.add.reduce takes left to right (it sums 8 terms or more
     # pairwise); each piece carries its constants as row_rhs reads them
@@ -1096,17 +1054,67 @@ def solve(
         kept, measure, np.full(batch, -math.inf) if measure else None)
     y_end = np.full((batch, n), math.nan)
     n_pieces = [1] * batch
-    dense = [0] * batch  # Dormand-Prince steps with grid points
+    dense = [0] * batch  # steps with grid points
     errors = [None] * batch
     tol_col = np.array(tol).reshape(batch, 1)  # in the order of y's rows
+    # The jobs whose dense output waits, over passes: each one's (t, h,
+    # start, end, batch row) and its row's counters (n_accepted,
+    # n_rejected, n_pieces, dense) once its pass was over; each pass's
+    # rows of y, K's stages 0..fsal and P of its jobs; and their samples.
+    # A flush writes them once they hold a stack's worth of samples
+    waiting, parts, held = [], [], 0
+    size = max(DENSE_SAMPLES, len(y_all) // STACK_SHARE)
+
+    def flush():
+        """Write the samples of the waiting jobs and empty the set.  A
+        job whose samples are not all finite stops its row at the step's
+        start, as if it had stopped there: NaN samples from there on and
+        y_end, that step's error in place of any later one, the counters
+        of the step's pass.  Returns the rows that stopped so."""
+        nonlocal held
+        columns = list(zip(*waiting))
+        jobs, counts = _Jobs._make(columns[:5]), columns[5:]
+        ys, Ks, Ps = zip(*parts)
+        del waiting[:], parts[:], columns
+        held = 0
+        # one stack of the jobs' rows, strided as every copy of K is
+        K_j = _strided((len(jobs.t), len(_C), max(n, 2)))
+        np.concatenate(Ks, out=K_j[:, :fsal + 1])
+        y_j, P_j = np.concatenate(ys), np.concatenate(Ps)
+        del ys, Ks, Ps
+        if method:
+            failed = method.dense_output(jobs, y_j, K_j, P_j, grids, y_all,
+                                         subset)
+        else:
+            _extra_stages(jobs, y_j, K_j, P_j, rhs)
+            # the stages and constants are freed before the stacks
+            # allocate
+            Q = np.matmul(_P_T, K_j)
+            del K_j, P_j
+            failed = _dense_output(jobs, y_j, Q, grids, y_all, subset, size)
+        gone = set()
+        for g in failed:  # a row's first failed job, the earliest
+            b = jobs.index[g]
+            if b in gone:
+                continue
+            gone.add(b)
+            y_all[offsets[b] + jobs.start[g]:offsets[b + 1]] = math.nan
+            y_end[b] = math.nan
+            errors[b] = NonFiniteRhsError(
+                f"dense output went non-finite at t = {jobs.t[g]:.6g} (h = "
+                f"{jobs.h[g]:.3g}): the solution inside the step overflows "
+                f"the float range; check the parameters and the drive")
+            n_accepted[b], n_rejected[b], n_pieces[b], dense[b] = (
+                column[g] for column in counts)
+        return gone
 
     def restart(r, b, t):
         """Row b, at position r of the pass, restarts at t in its next
         piece as a new call would: that piece's end, and the restart
         (r, p, c, f) of its constants, those as row_rhs reads them and f
         at t, and the starting step.  They go to P[r], C and K[r, fsal]
-        once dense output has read the step's, and the FSAL copy then
-        moves f to K[r, 0]."""
+        once the pass has copied the step's for its dense output, and the
+        FSAL copy then moves f to K[r, 0]."""
         end, p, c = pieces[b][n_pieces[b]]
         n_pieces[b] += 1
         t1, y1, p1 = np.array([t]), y_new[r:r + 1], np.array([p])
@@ -1136,8 +1144,7 @@ def solve(
     _store(y_all, subset, offsets[:-1, None], y[:, None], index)
     errs = None  # error norm of each row's last attempted step
     # whether the rows are FLOAT_ROWS or fewer, set as they change: such
-    # rows take the per-row forms of the next attempt and of its dense
-    # output
+    # rows take the float form of the next attempt
     few = batch <= FLOAT_ROWS
 
     while True:
@@ -1166,12 +1173,13 @@ def solve(
                     n_accepted[b] += 1
                     accepted.append(r)
                     # dense output for the grid points inside (t, t_new],
-                    # written once the pass is over
+                    # which waits once the pass is over
                     t_new = stops[r] if lasts[r] else t + H[r]
                     j = _index(t_new, *params[b])
                     if j > cur[r]:
                         found.append((r, t, H[r], cur[r], j, b))
                         cur[r] = j
+                        dense[b] += 1
                     t = T[r] = t_new
                     if lasts[r]:
                         if n_pieces[b] == len(pieces[b]):
@@ -1189,35 +1197,20 @@ def solve(
                 continue
             H[r] = stops[r] - t if last else h
             keep.append(r)
-        failed = []
         if found:
-            jobs = _Jobs._make(zip(*found))
-            # the jobs' rows, gathered once for the pass: only theirs, as
-            # a rejected row's stages may be inf or NaN
-            rs = list(jobs.rows)
-            y_j, K_j, P_j = (y, K, P) if len(rs) == len(y) else (
-                y[rs], _take(K, rs), P[rs])
-            if method:
-                failed = method.dense_output(jobs, y_j, K_j, P_j, grids,
-                                             y_all, subset)
-            else:
-                _extra_stages(jobs, y_j, K_j, P_j, rhs, *(
-                    (row_rhs[1], C) if few and floats else ()))
-                for b in jobs.index:
-                    dense[b] += 1
-                failed = _dense_output(jobs, not few, y_j, K_j, grids,
-                                       y_all, subset)
-        for g in failed:  # the row stops at the step's start
-            b = jobs.index[g]
-            y_all[offsets[b] + jobs.start[g]:offsets[b + 1]] = math.nan
-            y_end[b] = math.nan
-            errors[b] = NonFiniteRhsError(
-                f"dense output went non-finite at t = {jobs.t[g]:.6g} (h = "
-                f"{jobs.h[g]:.3g}): the solution inside the step overflows "
-                f"the float range; check the parameters and the drive")
-        if failed:
-            gone = {jobs.rows[g] for g in failed}
-            keep = [r for r in keep if r not in gone]
+            # the jobs' rows alone, as a rejected row's stages may be inf
+            # or NaN
+            rs = np.array([job[0] for job in found])
+            parts.append((y.take(rs, axis=0),
+                          K[:, :fsal + 1].take(rs, axis=0),
+                          P.take(rs, axis=0)))
+            for _, t, h, lo, hi, b in found:
+                waiting.append((t, h, lo, hi, b, n_accepted[b],
+                                n_rejected[b], n_pieces[b], dense[b]))
+                held += hi - lo
+        if waiting and (held >= size or not keep):
+            gone = flush()
+            keep = [r for r in keep if index[r] not in gone]
         for r, p, c, f in restarts:
             P[r], K[r, fsal], C[r] = p, f, c
         if len(accepted) == len(y):
@@ -1262,5 +1255,5 @@ def solve(
                      n_accepted=n_accepted, n_rejected=n_rejected,
                      n_rhs=2 * np.array(n_pieces)
                      + fsal * (n_accepted + n_rejected)
-                     + len(_EXTRA) * np.array(dense),
+                     + extra * np.array(dense),
                      errors=errors, measure_max=peak)

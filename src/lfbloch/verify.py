@@ -299,10 +299,11 @@ def _window(span: float, count: int,
     no grid built.  hi counts the points at most b and lo those at most
     the float below a, by ``ode._index``, which is ``searchsorted`` on
     the built grid ("right" at b, "left" at a); the times are the
-    points lo:hi, with linspace's bits, by ``ode._times`` as dense
-    output computes them.  The grid of an integrated run has 2 or more
-    strictly rising points (solve checks it), so the slice holds exactly
-    the samples of the mask ``(times >= a) & (times <= b)``."""
+    points lo:hi, with linspace's bits, by ``ode._times``, which has the
+    bits of the points that dense output computes.  The grid of an
+    integrated run has 2 or more strictly rising points (solve checks
+    it), so the slice holds exactly the samples of the mask ``(times >=
+    a) & (times <= b)``."""
     if window is None:
         window = (0.0, span)
     a, b = float(window[0]), float(window[1])

@@ -1009,7 +1009,9 @@ class TestIntegrateBatch:
                 with mock.patch.object(ode, "_attempt", spy):
                     batch = integrate_batch(runs)
                 lone = _lone(runs[k])
-        assert max(sizes) == len(runs)
+        # the stages of every row are one call (a flush's extra stages
+        # take the jobs of several passes)
+        assert len(runs) in sizes
         assert max(attempts) == len(runs)
         assert isinstance(batch[k], NonFiniteRhsError)
         assert str(batch[k]) == str(lone)
@@ -1152,7 +1154,6 @@ def _grids(cases):
     offsets = np.zeros(len(cases) + 1, dtype=int)
     np.cumsum(points, out=offsets[1:])
     return ode._Grids(offsets, np.array(params).reshape(len(cases), 4),
-                      params, offsets[:-1].tolist(),
                       np.arange(max(points), dtype=float))
 
 
@@ -1164,8 +1165,7 @@ class TestGridBits:
     first, and solve refuses the grid), in three ways: _points itself,
     on 2-D stacks into an out (as stacked dense output calls it) and on
     flat per-sample arrays (as the exponential method calls it), and
-    _times on a run of one grid's points (per-row dense output and the
-    fits' window).  A numpy that breaks one fails here by name."""
+    _times on a run of one grid's points (the fits' window).  A numpy that breaks one fails here by name."""
 
     @staticmethod
     def from_zero():
@@ -1264,7 +1264,8 @@ class TestGridBits:
                     for a, z in {(0, n), (0, 1), (i, j + 1), (i, n),
                                  (n - 1, n)}:
                         assert np.array_equal(
-                            _bits(ode._times(grids.ks[a:z], *grids.rows[b])),
+                            _bits(ode._times(grids.ks[a:z],
+                                             *grids.params[b].tolist())),
                             _bits(want[a:z])), (t0, end, n, a, z)
 
 
@@ -1276,10 +1277,11 @@ class TestBatchMemory:
     batch hold more per sample fails here by name."""
 
     def test_model_a_batch_peak_and_views(self):
-        # at the tolerance of the sweeps: samples 24 bytes and a pass's
+        # at the tolerance of the sweeps: samples 24 bytes and a flush's
         # dense output, a stack of at most ode.DENSE_SAMPLES (1536)
-        # samples or 1/64 of the batch's (3202 here) at a time, 28.1
-        # measured (27.4 in stacks of 1536; 35.0 with the whole pass in
+        # samples or 1/64 of the batch's (3202 here) at a time, 28.7
+        # measured (28.1 when each pass wrote its own dense output, 27.4
+        # in stacks of 1536; 35.0 with the whole pass in
         # one stack); 40 with a copy of the grids, and 57.6 when each
         # run kept a grid of its own and s (both at 1024 samples per
         # stack)
@@ -1295,8 +1297,9 @@ class TestBatchMemory:
                 0.0, integration.span, integration.points).tobytes()
 
     def test_kept_w_peak(self):
-        # w 8 bytes: s only reaches a pass's dense output.  32 runs read
-        # 13.67 bytes per sample at ode.DENSE_SAMPLES 1536, which their
+        # w 8 bytes: s only reaches a flush's dense output.  32 runs read
+        # 13.96 bytes per sample (13.67 when each pass wrote its own
+        # dense output) at ode.DENSE_SAMPLES 1536, which their
         # stacks keep (12.8 at 1024, 13.995 at 1792; 19.3 with the whole
         # pass in one stack), 21.5 when the batch keeps s; 21.3 and 29
         # with a copy of the grids (at 1024)
@@ -1308,15 +1311,17 @@ class TestBatchMemory:
     def test_large_batch_peak(self, keep, bound):
         # a sweep's 256 runs, whose stacks hold 1/64 of the batch's
         # samples (6404): about 1.5 bytes per sample of the batch at any
-        # batch size, 28.1 whole and 12.1 keeping w (27.0 and 11.0 in
-        # stacks of 1536)
+        # batch size, 28.7 whole and 12.7 keeping w (28.1 and 12.1 when
+        # a pass's own copies were not taken; 27.0 and 11.0 in stacks of
+        # 1536)
         assert _traced_peak(_decays(256), keep=keep) <= bound
 
     def test_exponential_slices_peak(self):
         # 8 rows of long steps with a fast host pole: the exponential
         # method's dense output, slices of ode.DENSE_SAMPLES (1536) at
-        # about 2 kB per sample, whatever the batch's size: 77.0 bytes
-        # per sample measured (68.5 at 1024 samples per slice, 81.2 at
+        # about 2 kB per sample, whatever the batch's size: 72.6 bytes
+        # per sample measured with the phi series weighted in place
+        # (77.0-78.9 before; 68.5 at 1024 samples per slice, 81.2 at
         # 1792, 102 at 3072)
         runs = [(MicroscopicParams(emitter=EMITTER, host=HostSpecies(
                     delta_b=100.0 + 230.0 * i / 7, eps_b=20.0,
@@ -1327,13 +1332,37 @@ class TestBatchMemory:
                 for i in range(8)]
         assert _traced_peak(runs) <= 80.0
 
+    @pytest.mark.parametrize("count, span, points, bound", [
+        (1, 4.0, 401, 3000.0), (256, 0.4, 41, 450.0)])
+    def test_waiting_jobs_peak(self, count, span, points, bound):
+        # the worst case of dense output that waits across passes:
+        # strongly driven runs whose steps are about as short as their
+        # grid spacing, one sample each (two in a few), so that a job
+        # waits per sample.  A job holds its rows of y, K (13 stages)
+        # and P (24 constants) and a tuple, about 1.3 kB on a lone run's
+        # passes of one job (0.85 kB on a wide pass), and a flush
+        # gathers them into arrays of about 1 kB more per job.  A lone
+        # run, all of whose jobs wait for one flush at its end: about
+        # 2.4 kB per sample.  256 runs of 41 samples, whose flushes
+        # come at ode.DENSE_SAMPLES (1536) samples, 6 passes' jobs:
+        # about 320 bytes per sample over the 24 of the samples and the
+        # pass's own arrays.  Measured: 2130.2 and 406.5 (166.7 and
+        # 163.8 when each pass wrote its own dense output)
+        runs = [(EffectiveParams(emitter=dataclasses.replace(
+                     EMITTER, drive=DriveEnvelope("constant", 60.0 + 0.1 * i)),
+                     ell=1.2 + 0.1j),
+                 SystemState(s=0j, w=-1.0),
+                 IntegrationSpec(span=span, tol=1e-10, points=points))
+                for i in range(count)]
+        assert _traced_peak(runs) <= bound
+
     @pytest.mark.parametrize("float_rows", [0, 10**6])
     @pytest.mark.parametrize("keep", [("w",), ("s",), ("w", "beta")])
     def test_kept_components_keep_their_bits(self, keep, float_rows):
-        # the whole batch's passes all wide, whose Dormand-Prince dense
-        # output is stacked (0), or all narrow, whose is written row by
-        # row (10**6), as the whole batch's is: a batch that keeps some
-        # components writes and measures its samples in either form
+        # the whole batch's passes all wide, attempted on arrays (0), or
+        # all narrow, in Python floats where they can be (10**6), as the
+        # whole batch's are: a batch that keeps some components writes
+        # and measures the samples of its flushes after either
         runs, whole, whole_warnings = _mixed_batch(float_rows)
         with warnings.catch_warnings(record=True) as kept_warnings, \
                 mock.patch.object(ode, "FLOAT_ROWS", float_rows), \
@@ -1342,8 +1371,6 @@ class TestBatchMemory:
             warnings.simplefilter("always")
             kept = integrate_batch(runs, keep=keep)
         assert spy.call_args_list
-        assert all(call.args[1] == (float_rows == 0)
-                   for call in spy.call_args_list)
         assert [str(w.message) for w in kept_warnings] == whole_warnings
         for a, b in zip(whole, kept):
             assert (a.n_accepted, a.n_rejected, a.n_rhs) == (
@@ -1403,7 +1430,7 @@ class TestBatchMemory:
             default = integrate_batch(runs, keep=keep)
         samples = [[b - a for a, b in zip(call.args[0].start,
                                           call.args[0].end)]
-                   for call in spy.call_args_list if call.args[1]]
+                   for call in spy.call_args_list]
         assert any(1 in m and max(m) > 1 for m in samples)
         for size, share in [(1, 10**9), (7, 10**9), (1, 128), (10**6, 64)]:
             with mock.patch.object(ode, "DENSE_SAMPLES", size), \
@@ -1432,6 +1459,139 @@ class TestBatchMemory:
         assert traj.beta.tobytes() == (y[:, 3] + 1j * y[:, 4]).tobytes()
         assert traj.w.tobytes() == y[:, 2].tobytes()
         assert dataclasses.replace(traj, model="A", y=y[:, :3]).beta is None
+
+
+# Re s' = _SURGE cos(t/90) of a rigged model-A row: its samples overflow
+# the float range in its dense output's products, whose weights reach
+# hundreds, while its stages and states stay finite
+_SURGE = np.finfo(float).max / 90.0
+
+
+def _surged(original, rows):
+    """original, but the derivative (_SURGE cos(t/90), 0, 0) in every
+    row whose constants are in rows."""
+    def rhs(t, Y, P):
+        out = np.array(original(t, Y, P))
+        for b, (t_b, p) in enumerate(zip(t.tolist(), P.tolist())):
+            if tuple(p) in rows:
+                out[b] = (_SURGE * math.cos(t_b / 90.0), 0.0, 0.0)
+        return out
+    return rhs
+
+
+def _surged_row(original, rows):
+    """The per-row form original, surged as ``_surged`` surges the array
+    form: c is its row of constants as complex pairs."""
+    def row(t, y, c):
+        if tuple(x for z in c for x in (z.real, z.imag)) in rows:
+            return (_SURGE * math.cos(t / 90.0), 0.0, 0.0)
+        return original(t, y, c)
+    return row
+
+
+def _flush_runs():
+    """Runs of model A and of model B on both sides of
+    ``EXPONENTIAL_POLE``: rows of one sample per step at most and of
+    about a hundred, pulses of three pieces, a model-A row whose dense
+    output overflows (surged) and a model-B row whose right-hand side
+    goes NaN, so that its step underflows (poisoned)."""
+    pulse = DriveEnvelope("pulse", 0.4 + 0.1j, t_on=0.8, t_off=2.3)
+
+    def a(ell, span, points, tol, drive=DriveEnvelope(), s=0.1 + 0.05j):
+        return (EffectiveParams(emitter=dataclasses.replace(
+                    EMITTER, drive=drive), ell=ell),
+                SystemState(s=s, w=0.9),
+                IntegrationSpec(span=span, tol=tol, points=points))
+
+    def b(delta_b, span, points, tol, drive=DriveEnvelope()):
+        return (MicroscopicParams(emitter=dataclasses.replace(
+                    EMITTER, drive=drive), host=HostSpecies(
+                    delta_b=delta_b, eps_b=20.0, gamma_b=4.0)),
+                SystemState(s=0.01 + 0j, w=-math.sqrt(1.0 - 4e-4),
+                            beta=0j),
+                IntegrationSpec(span=span, tol=tol, points=points))
+
+    return [a(1.0 + 0.01j, 8.0, 5, 1e-9), a(1.1 + 0.02j, 4.0, 801, 1e-8),
+            a(1.2 + 0.05j, 3.0, 301, 1e-9, pulse),
+            a(1.3 + 0.01j, 150.0, 301, 1e-4, s=0.1 + 0j),
+            b(5.0, 6.0, 401, 1e-9), b(150.0, 6.0, 401, 1e-8),
+            b(200.0, 5.0, 7, 1e-6, pulse), b(8.0, 3.0, 41, 1e-8)]
+
+
+_SURGED, _POISONED = 3, 7
+
+
+def _flush_solves(runs):
+    """The results of the solves of ``integrate_batch(runs, keep=("w",
+    "beta"))``, with the surged and poisoned rows of _flush_runs rigged
+    wherever they are in runs."""
+    all_runs = _flush_runs()
+    results = []
+    solve_ = ode.solve
+
+    def spy(*args, **kwargs):
+        results.append(solve_(*args, **kwargs))
+        return results[-1]
+
+    with _poisoning(_piece_rows(all_runs[_POISONED]), 1.2) as stack, \
+            np.errstate(over="ignore", invalid="ignore"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", BlochNormWarning)
+        for name, surge in (("effective_rhs", _surged),
+                            ("_effective_row", _surged_row)):
+            stack.enter_context(mock.patch.object(dynamics, name, surge(
+                getattr(dynamics, name), _piece_rows(all_runs[_SURGED]))))
+        stack.enter_context(mock.patch.object(ode, "solve", spy))
+        integrate_batch(runs, keep=("w", "beta"))
+    return results
+
+
+def _solve_row(res, r):
+    """Row r of an OdeResult as the tuple of its fields."""
+    return (res.y[res.offsets[r]:res.offsets[r + 1]].tobytes(),
+            res.y_end[r].tobytes(), int(res.n_accepted[r]),
+            int(res.n_rejected[r]), int(res.n_rhs[r]),
+            type(res.errors[r]).__name__, str(res.errors[r]),
+            res.measure_max[r].tobytes())
+
+
+@functools.cache
+def _lone_solves():
+    """Each run of _flush_runs solved alone: its row's fields."""
+    return [_solve_row(_flush_solves([run])[0], 0) for run in _flush_runs()]
+
+
+@pytest.mark.bits
+class TestFlushBits:
+    """Dense output waits across passes and is written when a stack's
+    worth of samples waits: wherever the flushes fall, every row keeps
+    its lone run's samples, final state, counters, failure and measure,
+    so that a change that lets a flush move a bit fails here by name."""
+
+    @pytest.mark.parametrize("samples", [2, 37, None, 10**6])
+    def test_flush_boundaries_move_nothing(self, samples):
+        runs = _flush_runs()
+        with mock.patch.object(ode, "DENSE_SAMPLES",
+                               samples or ode.DENSE_SAMPLES):
+            solves = _flush_solves(runs)
+        # integrate_batch's groups: model A, model B on Dormand-Prince,
+        # model B on the exponential method
+        groups = [[0, 1, 2, 3], [4, 7], [5, 6]]
+        assert [len(res.errors) for res in solves] == [4, 2, 2]
+        lone = _lone_solves()
+        for res, group in zip(solves, groups):
+            for r, k in enumerate(group):
+                assert _solve_row(res, r) == lone[k]
+        # the failed rows stop where they did alone, with the counters
+        # they had there: the surged row in its first steps' dense
+        # output, the poisoned one where its steps underflow
+        surged, poisoned = lone[_SURGED], lone[_POISONED]
+        assert surged[2:5] == (7, 0, 89)
+        assert surged[6].startswith("dense output went non-finite at "
+                                    "t = 0.111111 (h = 1)")
+        assert poisoned[2:5] == (53, 40, 1163)
+        assert poisoned[6].startswith("step size underflow at t = 1.2 ")
+        assert "right-hand side went non-finite" in poisoned[6]
 
 
 def _float_passes():

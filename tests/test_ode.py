@@ -3,8 +3,8 @@
 and the order 7 of its dense output between steps, statistics (12
 evaluations per attempted step, 3 per step with grid points), error
 paths, lockstep batches that reproduce each row's lone run bit for bit
-(dense output stacked over the rows on passes of more than FLOAT_ROWS
-rows, per row on the others), the bit equalities that stacking, the
+(dense output stacked over the jobs that wait across passes, wherever a
+flush falls), the bit equalities that stacking, the
 batched starting step and the grid index rely on (16-stage stacks, 7
 theta powers, power-major stacks), the fits' window from the grid index
 against searchsorted, every stage sum left to right from +0.0 on a strided
@@ -405,6 +405,10 @@ class TestErrors:
         assert np.isnan(y[t > t_fail]).all()
         assert np.isfinite(y[t <= t_fail]).all()
         assert np.isnan(res.y_end[0]).all()
+        # the counters the row had at the step: its first, and its 3
+        # evaluations of dense output
+        assert (res.n_accepted[0], res.n_rejected[0], res.n_rhs[0]) == (
+            1, 0, 17)
         assert res.errors[1] is None
         _assert_row_equal(res, 1, _lone(BATCH[3]))
 
@@ -715,7 +719,7 @@ class TestBatch:
     def test_one_rhs_call_per_stage(self, monkeypatch):
         # the stages of all rows are one call each, and so is the
         # starting-step probe; so is each extra stage of the
-        # interpolants of a pass's steps with grid points, over their
+        # interpolants of a flush's steps with grid points, over their
         # rows alone
         sizes = []
 
@@ -723,11 +727,11 @@ class TestBatch:
             sizes.append(len(Y))
             return _per_row(_rigid_body, _linear)(t, Y, P)
 
-        passes = _spy_dense_output(monkeypatch)
+        flushes = _spy_dense_output(monkeypatch)
         res = _solve_batch(BATCH, rhs=counted)
         attempted = res.n_accepted + res.n_rejected
         assert sizes[:2] == [len(BATCH)] * 2
-        dense = [len(ms) for _, ms, _, _, _ in passes if ms]
+        dense = [len(ms) for ms, _, _ in flushes]
         assert len(sizes) == 2 + 12 * int(np.max(attempted)) + 3 * len(dense)
         assert sum(sizes) == int(np.sum(res.n_rhs))
         assert sum(sizes) == 2 * len(BATCH) + 12 * int(np.sum(attempted)) \
@@ -777,8 +781,8 @@ def _one_piece(problem):
 
 _SPARSE = 4
 # (pieces [(end, f, parameter), ...], t0, y0, points, tol): 18 rows, so
-# that most passes are wide (more than FLOAT_ROWS rows) and stack their
-# dense output.  The sparse grids get at most one sample per step, the
+# that most passes are wide (more than FLOAT_ROWS rows) and attempt
+# their steps on arrays.  The sparse grids get at most one sample per step, the
 # others several; the _linear rows of several pieces change their rate
 # at each end (a restart); the rate-200 rows reject steps; three rows
 # fail
@@ -836,8 +840,8 @@ class TestKeep:
     """A solve that keeps some state columns stores those columns of the
     samples that it would store whole, and measures the whole samples."""
 
-    # stacked passes with a dense-output overflow, per-row passes, and
-    # per-row passes with failures and that overflow
+    # wide passes with a dense-output overflow, narrow passes, and
+    # narrow passes with failures and that overflow
     @pytest.mark.parametrize("rows, keep", [
         (range(len(STACKED)), [2]), (range(3), [1, 2, 0]),
         (range(3, 7), None), (range(3, 7), [2, 0])])
@@ -856,33 +860,27 @@ class TestKeep:
 
 
 def _spy_dense_output(monkeypatch):
-    """Record [stacked, samples per job, failed jobs, rows of the pass,
-    batch rows of the jobs] of each dense pass; the last entry is the
-    pass under way.  The rows of a pass are those of the attempt before
-    it (dense output sees the jobs' rows alone)."""
-    passes, attempted = [], [0]
+    """Record [samples per job, the set of rows of its failed jobs, batch
+    rows of the jobs] of each flush of Dormand-Prince dense output; the
+    last entry is the flush under way."""
+    flushes = []
     dense_output = ode._dense_output
-    for name in ("_attempt", "_attempt_floats"):
-        def attempt(f, t, *args, _form=getattr(ode, name)):
-            attempted[0] = len(t)
-            return _form(f, t, *args)
-        monkeypatch.setattr(ode, name, attempt)
 
-    def spy(jobs, stacked, *args):
-        passes.append([stacked, [int(b - a) for a, b in zip(jobs.start,
-                                                             jobs.end)], 0,
-                       attempted[0], [int(b) for b in jobs.index]])
-        failed = dense_output(jobs, stacked, *args)
-        passes[-1][2] = len(failed)
+    def spy(jobs, *args):
+        rows = [int(b) for b in jobs.index]
+        flushes.append([[int(b - a) for a, b in zip(jobs.start, jobs.end)],
+                        set(), rows])
+        failed = dense_output(jobs, *args)
+        flushes[-1][1] = {rows[g] for g in failed}
         return failed
 
     monkeypatch.setattr(ode, "_dense_output", spy)
-    return passes
+    return flushes
 
 
 # ode.FLOAT_ROWS of the batch and of the lone runs: as it is; the wide
-# pass's forms (stacked dense output) on every pass of the batch against
-# the per-row forms on every pass of the lone runs; and the other way
+# pass's form (attempts on arrays) on every pass of the batch against
+# the narrow one on every pass of the lone runs; and the other way
 # round
 CONTROLLERS = pytest.mark.parametrize(
     "batch_rows, lone_rows", [(None, None), (0, 10**6), (10**6, 0)],
@@ -897,37 +895,27 @@ def _controllers(monkeypatch, float_rows):
 
 @pytest.mark.bits
 class TestStackedBatch:
-    """A batch's rows keep the bits of their lone runs whether a pass
-    stacks its dense output (more than FLOAT_ROWS rows) or writes it per
-    row, so that the choice is one of speed alone: a numpy or BLAS that
-    breaks the equality, or a form switch that lags the rows, fails here
-    by name."""
+    """A batch's rows keep the bits of their lone runs, whose dense
+    output waits for other flushes and fills other stacks, whatever form
+    each pass's attempt takes: a numpy or BLAS that breaks the equality,
+    or a form switch that lags the rows, fails here by name."""
 
     @CONTROLLERS
     def test_rows_match_lone_runs_bitwise(self, monkeypatch, batch_rows,
                                           lone_rows):
         assert len(STACKED) > ode.FLOAT_ROWS
-        passes = _spy_dense_output(monkeypatch)
+        flushes = _spy_dense_output(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
             _controllers(monkeypatch, lone_rows)
             lone = [_solve_rows([problem]) for problem in STACKED]
-            lone_stacked = [on for on, *_ in passes]
             _controllers(monkeypatch, batch_rows)
-            del passes[:]
+            del flushes[:]
             res = _solve_rows(STACKED)
-        # the lone runs stacked their dense output only when every pass
-        # did
-        assert any(lone_stacked) == (lone_rows == 0)
-        # dense output is stacked on a pass of more than FLOAT_ROWS rows
-        # (the wide form), per row on the others
-        assert all(on == (rows > ode.FLOAT_ROWS)
-                   for on, _, _, rows, _ in passes)
-        # the dense-output overflow of PEAK was found once, and stacked
-        # passes held one-sample and multi-sample rows
-        assert sum(failed for _, _, failed, _, _ in passes) == 1
-        stacked = [ms for on, ms, _, _, _ in passes if on]
-        assert bool(stacked) == (batch_rows != 10**6)
-        assert not stacked or any(1 in ms and max(ms) > 1 for ms in stacked)
+        # the dense-output overflow of PEAK was found in one flush (which
+        # may find the row's later jobs overflow too), and stacks held
+        # one-sample and multi-sample rows
+        assert [failed for _, failed, _ in flushes if failed] == [{6}]
+        assert any(1 in ms and max(ms) > 1 for ms, _, _ in flushes)
         for b, alone in enumerate(lone):
             _assert_row_equal(res, b, alone)
             assert type(res.errors[b]) is type(alone.errors[0])
@@ -940,7 +928,7 @@ class TestStackedBatch:
         assert np.count_nonzero(res.n_rejected) >= 3
         # rows that ran to their end, past 3 evaluations per step with
         # grid points
-        dense = np.bincount([b for *_, rows in passes for b in rows],
+        dense = np.bincount([b for *_, rows in flushes for b in rows],
                             minlength=len(STACKED))
         pieces = (res.n_rhs - 12 * (res.n_accepted + res.n_rejected)
                   - 3 * dense) // 2
@@ -954,41 +942,38 @@ class TestStackedBatch:
         # every row does, where a vector would take BLAS's
         # matrix-vector product, whose bits differ from a row of the
         # other's under some kernels
-        passes = _spy_dense_output(monkeypatch)
+        flushes = _spy_dense_output(monkeypatch)
         rows = [([(6.0, _forced_decay, rate)], 0.0, [1.0 - rate], points,
                   tol) for rate, points, tol in [
                       (0.3, 801, 1e-9), (1.7, 1601, 1e-10), (0.05, 401, 1e-8),
                       (4.0, 1201, 1e-9), (0.9, 801, 1e-11), (2.5, 61, 1e-7)]]
         res = _solve_rows(rows)
-        assert any(on and max(ms, default=0) > 1 for on, ms, *_ in passes)
+        assert any(max(ms) > 1 for ms, *_ in flushes)
         for b, row in enumerate(rows):
             _assert_row_equal(res, b, _solve_rows([row]))
 
     def test_stacked_pass_makes_no_per_row_product(self, monkeypatch):
-        # both forms of a pass take their samples from one kernel: once
-        # per stack of jobs on a wide pass, once per job on a narrow one
-        passes = _spy_dense_output(monkeypatch)
+        # every flush takes its samples from one kernel, once per stack
+        # of jobs, the jobs of narrow passes and of wide ones alike
+        flushes = _spy_dense_output(monkeypatch)
         samples = ode._samples
         calls = []
 
         def spy(powers, *args):
-            calls.append((len(passes) - 1, powers.shape))
+            calls.append((len(flushes) - 1, powers.shape))
             return samples(powers, *args)
 
         monkeypatch.setattr(ode, "_samples", spy)
         res = _solve_batch(BATCH * 4)
         assert res.errors == [None] * len(BATCH) * 4
-        assert {on for on, *_ in passes} == {True, False}
         fewer = False  # whether a stack held two jobs or more
-        for p, (on, ms, *_) in enumerate(passes):
+        for p, (ms, *_) in enumerate(flushes):
+            # each job in one stack of two samples or more
             shapes = [shape for q, shape in calls if q == p]
-            if on:  # each job in one stack of two samples or more
-                assert all(len(shape) == 3 and shape[1] >= 2
-                           for shape in shapes)
-                assert sum(shape[0] for shape in shapes) == len(ms)
-                fewer |= len(shapes) < len(ms)
-            else:  # one product per job, a one-sample job's of two
-                assert shapes == [(max(m, 2), 7) for m in ms]
+            assert all(len(shape) == 3 and shape[1] >= 2
+                       for shape in shapes)
+            assert sum(shape[0] for shape in shapes) == len(ms)
+            fewer |= len(shapes) < len(ms)
         assert fewer
 
 
@@ -1242,11 +1227,12 @@ class TestFloatBits:
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("rows", WIDTHS)
     def test_float_form_sums_equal_the_array_form(self, rows, n):
-        # an attempt and the extra stages in either form on replayed
-        # stages (stage i of a row is the draw's, whatever its state):
-        # both forms hand the right-hand side y + h times the
-        # left-to-right sums, write the same stages and return the same
-        # states and error norms.  Stages 13..15 are normal draws.
+        # an attempt in either form on replayed stages (stage i of a
+        # row is the draw's, whatever its state), then the extra stages
+        # on arrays, as a flush takes them after either: both forms hand
+        # the right-hand side y + h times the left-to-right sums, write
+        # the same stages and return the same states and error norms.
+        # Stages 13..15 are normal draws.
         # States of -0.0 keep the sign of a zero
         # sum, which starts from +0.0: so does a last row of -0.0 alone
         rng = np.random.default_rng(rows * 10 + n + 1)
@@ -1257,8 +1243,8 @@ class TestFloatBits:
         if rows > 1:
             draws[-1, :13], y[-1] = -0.0, -0.0
         t, tol, P = rng.uniform(0.0, 1.0, rows), [1e-8] * rows, draws[:, 0]
-        jobs = ode._Jobs(range(rows), t.tolist(), h.tolist(), [1] * rows,
-                         [2] * rows, range(rows))
+        jobs = ode._Jobs(t.tolist(), h.tolist(), [1] * rows, [2] * rows,
+                         range(rows))
         forms = []
         for floats in (False, True):
             K = ode._strided((rows, 16, max(n, 2)))
@@ -1269,11 +1255,10 @@ class TestFloatBits:
                     new, errs = ode._attempt_floats(
                         f, t.tolist(), h.tolist(), range(rows),
                         range(rows), y, K, tol)
-                    ode._extra_stages(jobs, y, K, P, None, f, range(rows))
                 else:
                     new, errs = ode._attempt(rhs, t, h, y, K, P,
                                              np.array(tol)[:, None])
-                    ode._extra_stages(jobs, y, K, P, rhs)
+                ode._extra_stages(jobs, y, K, P, rhs)
             forms.append((np.array(states), K[..., :n].copy(), new,
                           np.array(errs)))
         for array, floats in zip(*forms):
@@ -1647,9 +1632,9 @@ class TestFloatForm:
         assert sum(error is not None for error in array.errors) == 3
 
     def test_stages_get_python_float_times(self):
-        # every evaluation but the first and the starting-step probe's,
-        # those of the attempts and of their dense output's extra stages,
-        # hands f a Python float time, not a numpy scalar
+        # every evaluation of the attempts, 12 each (the first, the
+        # starting-step probe's and the extra stages of dense output are
+        # rhs's), hands f a Python float time, not a numpy scalar
         read, f = _row_form(_spin)
         times = []
 
@@ -1660,7 +1645,7 @@ class TestFloatForm:
         res = solve(_per_row(_spin), [[(3.0, (0, 0.5, 0.2))]], [0.0],
                     np.array([[1.0, 0.0, -0.5]]), [31], [1e-8],
                     row_rhs=(read, spy))
-        assert len(times) == res.n_rhs[0] - 2
+        assert len(times) == 12 * (res.n_accepted[0] + res.n_rejected[0])
         assert {type(t) for t in times} == {float}
 
     @pytest.mark.parametrize("n", [1, 5, 7])
@@ -1711,22 +1696,17 @@ class TestFloatForm:
     def test_passes_of_some_jobs_match_lone_runs_bitwise(self, monkeypatch,
                                                          floats):
         # rows of several samples per step and rows of one at most,
-        # which hold no grid point in most passes: a pass gathers its
-        # jobs' rows when they are some of its rows, and reads the
-        # arrays themselves when they are all; in the float form with
-        # per-row dense output, or on arrays with stacked dense output
-        # against lone runs that write theirs per row
+        # which hold no grid point in most passes: a pass copies its
+        # jobs' rows, and a flush writes the jobs of several passes; in
+        # the float form or on arrays, against lone runs
         problems = [_STACKED[i] for i in (7, 9, 8, 10)]
-        passes = _spy_dense_output(monkeypatch)
+        flushes = _spy_dense_output(monkeypatch)
         lone = [self._solve([problem], floats) for problem in problems]
-        del passes[:]
+        del flushes[:]
         if not floats:
             monkeypatch.setattr(ode, "FLOAT_ROWS", 0)
         res = self._solve(problems, floats)
-        jobs = [(len(ms), rows) for _, ms, _, rows, _ in passes]
-        assert any(0 < m < rows for m, rows in jobs)
-        assert any(m == rows > 1 for m, rows in jobs)
-        assert all(on != floats for on, *_ in passes)
+        assert any(len(rows) > len(set(rows)) > 1 for *_, rows in flushes)
         for b, alone in enumerate(lone):
             _assert_row_equal(res, b, alone)
 
@@ -1781,16 +1761,16 @@ def _solve_pieced(problems, rhs=_per_row(_forced)):
     return solve(rhs, pieces, t0, np.array(y0), points, tols)
 
 
-def _dense_steps(passes, rows):
+def _dense_steps(flushes, rows):
     """The steps with grid points of each of rows batch rows, from the
-    passes of ``_spy_dense_output``; passes is then emptied."""
-    steps = np.bincount([b for *_, jobs in passes for b in jobs],
+    flushes of ``_spy_dense_output``; flushes is then emptied."""
+    steps = np.bincount([b for *_, jobs in flushes for b in jobs],
                         minlength=rows)
-    del passes[:]
+    del flushes[:]
     return steps
 
 
-def _chained(problem, passes):
+def _chained(problem, flushes):
     """One lone solve per piece: the reference for a row of pieces.
 
     Each piece's solve starts from the previous one's ``y_end``, on a
@@ -1800,7 +1780,7 @@ def _chained(problem, passes):
     first's excluded: the row samples it in the piece before), the
     pieces' samples there, the last y_end and the counters: accepted and
     rejected steps, and evaluations but the extra stages of dense output
-    (3 per step with grid points, which the passes of
+    (3 per step with grid points, which the flushes of
     ``_spy_dense_output`` tell; the pieces' grids have other points than
     the row's).
     """
@@ -1810,10 +1790,10 @@ def _chained(problem, passes):
     a, y, counts = t0, np.array(y0), [0, 0, 0]
     for b, (_, force) in pieces:
         inside = ((row >= a) if a == t0 else (row > a)) & (row <= b)
-        del passes[:]
+        del flushes[:]
         res = solve_one(_forced, a, b, y, max(2, np.count_nonzero(inside)),
                         tol=tol, args=(force,))
-        res.n_rhs -= 3 * _dense_steps(passes, 1)
+        res.n_rhs -= 3 * _dense_steps(flushes, 1)
         times, ys = _grid(res, 0, a, b), res.y
         if a != t0:
             times, ys = times[1:], ys[1:]
@@ -1845,15 +1825,15 @@ def _recorded(problems):
 
 class TestPieces:
     def test_rows_equal_chained_lone_solves(self, monkeypatch):
-        passes = _spy_dense_output(monkeypatch)
+        flushes = _spy_dense_output(monkeypatch)
         res = _solve_pieced(PIECED)
-        res.n_rhs -= 3 * _dense_steps(passes, len(PIECED))
+        res.n_rhs -= 3 * _dense_steps(flushes, len(PIECED))
         assert res.errors == [None] * len(PIECED)
         for b, problem in enumerate(PIECED):
             # the samples on grid points that the pieces' grids share:
             # the ends on grid points at least, and more where linspace's
             # points of a piece fall on the row's
-            shared, y, y_end, counts = _chained(problem, passes)
+            shared, y, y_end, counts = _chained(problem, flushes)
             assert np.count_nonzero(shared) >= 2
             assert np.array_equal(_ys(res, b)[shared], y[shared])
             assert np.array_equal(res.y_end[b], y_end)
@@ -1862,9 +1842,9 @@ class TestPieces:
 
     def test_each_piece_calls_only_its_own_rhs(self, monkeypatch):
         problems, rhs, calls = _recorded(PIECED)
-        passes = _spy_dense_output(monkeypatch)
+        flushes = _spy_dense_output(monkeypatch)
         res = _solve_pieced(problems, rhs)
-        dense = _dense_steps(passes, len(PIECED))
+        dense = _dense_steps(flushes, len(PIECED))
         for b, ((pieces, t0, *_), rows) in enumerate(zip(PIECED, calls)):
             starts = [t0] + [end for end, _ in pieces]
             for k, times in enumerate(rows):
@@ -1999,6 +1979,25 @@ class TestExponential:
             ref = _phi_reference(k, T)[0, 1]
             assert abs(divided[k, 0] - ref) <= 1e-12 * abs(ref)
 
+    def test_phis_have_the_same_bits_in_any_array(self):
+        # values and divided differences by series, contour and
+        # recurrence, in one array of 6000 entries (past the 256 kB at
+        # which numpy reuses a temporary operand as a product's output,
+        # with the operands swapped) against slices of 7: an entry's
+        # bits do not depend on the array that holds it, so the
+        # exponential method's samples do not depend on their slice
+        rng = np.random.default_rng(11)
+        n = 6000
+        a = rng.choice([0.3, 1.5, 3.0, 12.0], n) * rng.uniform(0.2, 1.0, n) \
+            * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        b = a + rng.choice([0.0, 1e-9, 0.01, 0.3, 2.0], n) \
+            * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        value, divided = exponential._phis(a, b)
+        for lo in range(0, n, 7):
+            v, d = exponential._phis(a[lo:lo + 7], b[lo:lo + 7])
+            assert np.array_equal(_bits(v), _bits(value[:, lo:lo + 7]))
+            assert np.array_equal(_bits(d), _bits(divided[:, lo:lo + 7]))
+
     @pytest.mark.parametrize("fast", [1e2, 1e4, 1e6])
     def test_constant_forcing_is_integrated_exactly(self, fast):
         # with N constant every stage agrees, and y(t) = e^{tL} y0 +
@@ -2066,10 +2065,9 @@ class TestExponential:
             # the middle point of a 3-point grid on [0, h]
             out = np.zeros((3, 5))
             grid = (0.0, 0.5 * h, 2, h)
-            method.dense_output(ode._Jobs([0], [0.0], [h], [1], [2], [0]),
+            method.dense_output(ode._Jobs([0.0], [h], [1], [2], [0]),
                                 y0, K, P, ode._Grids(np.array([0, 3]),
                                                      np.array([grid]),
-                                                     [grid], [0],
                                                      np.arange(3.0)),
                                 out, None)
             ref = solve(_per_row(_coupled), [[(0.5 * h, consts)]], [0.0],
@@ -2092,24 +2090,18 @@ class TestExponential:
 
     def test_passes_of_some_jobs_match_lone_runs_bitwise(self, monkeypatch):
         # the rows of 7 and 2 points hold no grid point in most passes:
-        # some passes gather their jobs' rows, others read the arrays
-        # themselves, and every row keeps its lone run's bits
-        method, attempted, jobs = exponential.Exponential, [0], []
-        attempt, dense_output = method.attempt, method.dense_output
+        # each pass copies its jobs' rows, a flush writes the jobs of
+        # several passes, and every row keeps its lone run's bits
+        method, flushes = exponential.Exponential, []
+        dense_output = method.dense_output
 
-        def spy_attempt(self, t, *args):
-            attempted[0] = len(t)
-            return attempt(self, t, *args)
+        def spy_dense_output(self, jobs, *args):
+            flushes.append(list(jobs.index))
+            return dense_output(self, jobs, *args)
 
-        def spy_dense_output(self, pass_jobs, *args):
-            jobs.append((len(pass_jobs.rows), attempted[0]))
-            return dense_output(self, pass_jobs, *args)
-
-        monkeypatch.setattr(method, "attempt", spy_attempt)
         monkeypatch.setattr(method, "dense_output", spy_dense_output)
         problems, res = _exponential_rows()
-        assert any(0 < m < rows for m, rows in jobs)
-        assert any(m == rows > 1 for m, rows in jobs)
+        assert any(len(rows) > len(set(rows)) > 1 for rows in flushes)
         for b, (f, L, pieces, y0, points, tol) in enumerate(problems):
             lone = _solve_exp(f, L, pieces, y0, points, tol)
             assert np.array_equal(_ys(res, b), lone.y)
